@@ -42,7 +42,6 @@ from .hypergraph import (
     Heuristic,
     HyperEdge,
     SignedHyperdigraph,
-    TraversalState,
     check_traversal_axioms,
     enumerate_repertoire,
     traverse,

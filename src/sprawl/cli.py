@@ -1,6 +1,7 @@
 """Command-line surface: build, query, bench, verify, optimize, plot, gen.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, 3 IO/parse.
+Exit codes: 0 success, 1 verification failure, 2 usage (including a
+request beyond a size cap or one an index cannot serve soundly), 3 IO/parse.
 Every subcommand is deterministic for a fixed --seed.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import engine, optimize, plotting, storage
 from .ambit import Ambit, HamacherMap, LinearMap, MetaballMap, PowerMap, table1_region
 from .comparison import Ball, EuclideanSpace, MatrixSpace, ProjectionSpace, StringSpace, Workload
-from .errors import FormatError, SizeLimitError
+from .errors import CapabilityError, FormatError, SizeLimitError
 from .hypergraph import (
     check_traversal_axioms,
     enumerate_repertoire,
@@ -112,6 +113,7 @@ class BenchReport:
     traversed: np.ndarray
     distance_computations: np.ndarray
     oracle_agreement: bool
+    false_negatives: int  # scan-oracle members the exact search missed, over all queries
 
     def lines(self):
         yield f"queries: {len(self.sizes)}  oracle agreement: {str(self.oracle_agreement).lower()}"
@@ -129,27 +131,31 @@ class BenchReport:
 def run_bench(sprawl, queries, knn: bool) -> BenchReport:
     rows = []
     agree = True
+    missed = 0
     for query in queries:
         got = engine.search(sprawl, query)
         want = engine.linear_scan(sprawl.space, sprawl.nodes, query)
         ok = tuple(got.members) == tuple(want) if knn else set(got.members) == set(want)
-        # exact mode must never lose a result
-        assert set(want) <= set(got.members), "false negative in exact search"
+        missed += len(set(want) - set(got.members))
         agree = agree and ok
         rows.append((len(got.members), got.traversed, got.distance_computations))
     sizes, traversed, dists_ = (np.array(col, dtype=float) for col in zip(*rows))
-    return BenchReport(sizes, traversed, dists_, agree)
+    return BenchReport(sizes, traversed, dists_, agree, missed)
 
 
 def cmd_bench(args) -> int:
     sprawl, _ = storage.load_index(args.index)
     space = sprawl.space
-    pts = np.asarray([space.value(v) for v in sprawl.nodes], dtype=float)
     rng = np.random.default_rng(args.seed)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    if isinstance(space, (EuclideanSpace, ProjectionSpace)):
+        pts = np.asarray([space.value(v) for v in sprawl.nodes], dtype=float)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        centers = [lo + rng.random(pts.shape[1]) * (hi - lo) for _ in range(args.queries)]
+    else:
+        # matrix and string spaces have no coordinates to sample: centre on indexed points
+        centers = [int(v) for v in rng.choice(sprawl.nodes, size=args.queries)]
     queries = []
-    for _ in range(args.queries):
-        center = lo + rng.random(pts.shape[1]) * (hi - lo)
+    for center in centers:
         if args.knn:
             queries.append(Ball(center, 0.0, k=args.knn))
         else:
@@ -159,6 +165,11 @@ def cmd_bench(args) -> int:
     report = run_bench(sprawl, queries, knn=bool(args.knn))
     for line in report.lines():
         print(line)
+    if report.false_negatives:
+        print(
+            f"error: exact search missed {report.false_negatives} points the scan oracle found",
+            file=sys.stderr,
+        )
     return 0 if report.oracle_agreement else 1
 
 
@@ -411,7 +422,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SizeLimitError as exc:
+    except (SizeLimitError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

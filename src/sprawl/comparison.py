@@ -184,9 +184,6 @@ class ProjectionSpace(ComparisonSpace):
             raise IndexError(f"axis {i} out of range")
         return self.points.shape[0] + i
 
-    def is_axis(self, ref) -> bool:
-        return isinstance(ref, (int, np.integer)) and int(ref) >= self.points.shape[0]
-
     def value(self, ref: int):
         n = self.points.shape[0]
         if ref < n:
@@ -452,7 +449,3 @@ def check_triangle(
         if space.compare(u, w) > space.compare(u, v) + space.compare(v, w) + tol:
             return False, (u, v, w)
     return True, None
-
-
-def oriented_triangle_ok(space: ComparisonSpace, u: int, v: int, w: int, tol: float = TOL) -> bool:
-    return space.compare(u, w) <= space.compare(u, v) + space.compare(v, w) + tol

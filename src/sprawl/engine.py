@@ -32,7 +32,7 @@ from .comparison import (
     feature_map,
 )
 from .errors import CapabilityError, EmulationError, SizeLimitError, StructureError
-from .hypergraph import Heuristic, HyperEdge, SignedHyperdigraph
+from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, activation
 
 log = logging.getLogger(__name__)
 
@@ -157,10 +157,6 @@ class Sprawl:
             self.validate()
 
     # group member edges are numbered after the explicit ones
-    @property
-    def logical_edge_count(self) -> int:
-        return len(self.edges) + sum(len(g) for g in self.groups)
-
     def logical_edge(self, idx: int) -> Edge:
         if idx < len(self.edges):
             return self.edges[idx]
@@ -207,29 +203,25 @@ class Sprawl:
                 raise ValueError("shell group needs lo <= hi")
 
     def _plan(self):
+        """Frontier activation (group gi is edge len(edges) + gi), then the
+        lazy edges and lazy group positions into each target."""
         if self._plan_cache is not None:
             return self._plan_cache
-        eager_out: dict[int, list[int]] = {}
-        sourceless: list[int] = []
+        eager = []
         lazy_in: dict[int, list[int]] = {}
         for i, e in enumerate(self.edges):
             if e.lazy:
                 lazy_in.setdefault(e.target, []).append(i)
-                continue
-            if not e.sources:
-                sourceless.append(i)
-            for s in set(e.sources):
-                eager_out.setdefault(s, []).append(i)
-        groups_out: dict[int, list[int]] = {}
+            else:
+                eager.append((i, e.sources))
         lazy_group_in: dict[int, list[tuple[int, int]]] = {}
         for gi, g in enumerate(self.groups):
             if g.lazy:
                 for pos, t in enumerate(g.targets):
                     lazy_group_in.setdefault(int(t), []).append((gi, pos))
             else:
-                groups_out.setdefault(g.source, []).append(gi)
-        src_sizes = [len(set(e.sources)) for e in self.edges]
-        self._plan_cache = (eager_out, sourceless, lazy_in, groups_out, lazy_group_in, src_sizes)
+                eager.append((len(self.edges) + gi, (g.source,)))
+        self._plan_cache = (activation(eager), lazy_in, lazy_group_in)
         return self._plan_cache
 
 
@@ -374,12 +366,29 @@ def validate_atomistic(space: ComparisonSpace, nodes, workload: Workload) -> boo
 # --- reduction and search ---------------------------------------------------
 
 
+def _refuse_unsound(sprawl: Sprawl, query) -> None:
+    """Fail closed where the ball overlap bound does not hold.
+
+    Region and shell checks bound a ball by delta(p, c) <= delta(p, u) + s,
+    which needs delta(u, c) <= s; on an asymmetric space ball membership
+    only gives delta(c, u) <= s, so those checks could drop a member.
+    """
+    if isinstance(query, Ball) and not sprawl.space.symmetric and (
+        sprawl.groups
+        or any(isinstance(r, Ambit) for e in sprawl.edges for r in e.positive + e.negative)
+    ):
+        raise CapabilityError(
+            "ball queries on an asymmetric space need a sprawl without ambit regions or shell groups"
+        )
+
+
 def reduce_to_signed(sprawl: Sprawl, query) -> SignedHyperdigraph:
     """Evaluate every edge label against the query, keeping signed edges.
 
     An edge is positive when the query meets every region in both labels,
     negative when it misses some negative region, and dropped otherwise.
     """
+    _refuse_unsound(sprawl, query)
     ev = _QueryEval(sprawl.space, query)
     pos = sprawl._node_pos
     out = []
@@ -403,18 +412,19 @@ class SearchResult:
     order: tuple[int, ...] = ()
 
 
-_UNDISC, _AVAIL, _TRAV, _ELIM = 0, 1, 2, 3
-
-
 def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchResult:
     """Traverse the sprawl for a query, evaluating regions on demand.
 
-    Every traversed node is tested for query membership. Lazy negative
-    edges are consulted only immediately before their target would be
-    traversed. For kNN queries the cover radius starts at infinity and
-    tightens to the current k-th best distance after every traversal;
-    node priorities are the per-edge region lower bounds.
+    The traversal loop is `hypergraph.Frontier.run`; an edge here fires by
+    evaluating its regions against the query, and a shell group fires by
+    eliminating all its missed targets at once. Every traversed node is
+    tested for query membership. Lazy negative edges are consulted only
+    immediately before their target would be traversed. For kNN queries
+    the cover radius starts at infinity and tightens to the current k-th
+    best distance after every traversal; node priorities are the per-edge
+    region lower bounds.
     """
+    _refuse_unsound(sprawl, query)
     space = sprawl.space
     ev = _QueryEval(space, query)
     knn = isinstance(query, Ball) and query.k is not None
@@ -423,35 +433,17 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         worst: list[tuple[float, int]] = []  # max-heap via negation: (-(dist), -ref)
         s_current = math.inf
     else:
-        s_current = None
+        s_current = query.radius if isinstance(query, Ball) else None
 
-    eager_out, sourceless, lazy_in, groups_out, lazy_group_in, src_sizes = sprawl._plan()
-    status: dict[int, int] = {}
-    remaining: dict[int, int] = {}
-    seq: dict[int, int] = {}
-    prio: dict[int, tuple] = {}
-    counter = 0
-    heap: list[tuple] = []
-    explicit_pos = None
-    if heuristic is not None and heuristic.kind == "explicit":
-        explicit_pos = {v: i for i, v in enumerate(heuristic.order)}
-
-    def entry_key(v: int, lb: float) -> tuple:
-        if heuristic is None:
-            return (lb, seq[v], v) if knn else (seq[v], v)
-        if heuristic.kind == "fifo":
-            return (seq[v], v)
-        if heuristic.kind == "lifo":
-            return (-seq[v], v)
-        if heuristic.kind == "priority":
-            return (heuristic.key(v), seq[v], v)
-        if heuristic.kind == "explicit":
-            return (explicit_pos.get(v, math.inf), v)
-        raise ValueError(f"unknown heuristic kind {heuristic.kind!r}")
+    plan, lazy_in, lazy_group_in = sprawl._plan()
+    if heuristic is None:
+        heuristic = Heuristic("bound") if knn else Heuristic.fifo()
+    frontier = Frontier(plan, heuristic)
+    done = frontier.done
+    edges, groups = sprawl.edges, sprawl.groups
+    edge_count = len(edges)
 
     def lower_bound(edge: Edge) -> float:
-        if not knn:
-            return 0.0
         lb = 0.0
         for r in edge.positive:
             if isinstance(r, Ambit) and isinstance(r.map, LinearMap):
@@ -462,99 +454,56 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 lb = max(lb, float(np.max(slack)))
         return max(lb, 0.0)
 
-    def push(v: int, lb: float) -> None:
-        key = entry_key(v, lb)
-        old = prio.get(v)
-        if old is not None and key <= old:
-            return  # keep the tighter (later-popping) bound on rediscovery
-        prio[v] = key
-        heapq.heappush(heap, (key, v))
-
-    def discover(v: int, lb: float) -> None:
-        nonlocal counter
-        st = status.get(v, _UNDISC)
-        if st in (_TRAV, _ELIM):
-            return
-        if st == _UNDISC:
-            status[v] = _AVAIL
-            seq[v] = counter
-            counter += 1
-            push(v, lb)
-        elif knn:
-            push(v, lb)  # rediscovery may tighten the priority
-
-    def eliminate(v: int) -> None:
-        st = status.get(v, _UNDISC)
-        if st != _TRAV:
-            status[v] = _ELIM
-
-    def fire(edge_id: int) -> None:
-        e = sprawl.edges[edge_id]
-        t = e.target
-        if status.get(t, _UNDISC) in (_TRAV, _ELIM):
-            return
-        for r in e.negative:
-            if not ev.intersects(r, s_current):
-                eliminate(t)
-                return
-        if all(ev.intersects(r, s_current) for r in e.positive):
-            discover(t, lower_bound(e))
-
     def fire_group(g: ShellGroup) -> None:
         if isinstance(query, Ball):
             z = ev.dist_from_focus(g.source)
-            s = s_current if knn else query.radius
-            miss = (z > g.hi + s + TOL) | (z < g.lo - s - TOL)
+            miss = (z > g.hi + s_current + TOL) | (z < g.lo - s_current - TOL)
             ev.region_evaluations += len(g)
-            for t in g.targets[miss]:
-                eliminate(int(t))
+            frontier.eliminate(g.targets[miss].tolist())
         else:
             for i in range(len(g)):
                 e = g.member_edge(i)
-                if status.get(e.target, _UNDISC) in (_TRAV, _ELIM):
+                if e.target in done:
                     continue
                 if not ev.intersects(e.negative[0], s_current):
-                    eliminate(e.target)
+                    frontier.eliminate((e.target,))
 
-    def lazy_blocked(v: int, traversed: set[int]) -> bool:
+    def fire(edge_ids) -> None:
+        for ei in edge_ids:
+            if ei >= edge_count:
+                fire_group(groups[ei - edge_count])
+                continue
+            e = edges[ei]
+            t = e.target
+            if t in done:
+                continue
+            if not all(ev.intersects(r, s_current) for r in e.negative):
+                frontier.eliminate((t,))
+            elif all(ev.intersects(r, s_current) for r in e.positive):
+                frontier.discover(t, lower_bound(e) if knn else 0.0)
+
+    members: list[int] = []
+
+    def visit(v: int) -> bool:
+        """Refuse v if an armed lazy edge misses the query, else record it."""
+        nonlocal s_current
+        traversed = frontier.traversed
         for ei in lazy_in.get(v, ()):
-            e = sprawl.edges[ei]
+            e = edges[ei]
             if all(s in traversed for s in e.sources):
                 for r in e.negative:
                     if not ev.intersects(r, s_current):
-                        return True
+                        return False
         for gi, posn in lazy_group_in.get(v, ()):
-            g = sprawl.groups[gi]
+            g = groups[gi]
             if g.source in traversed:
-                z = ev.dist_from_focus(g.source)
-                s = (s_current if knn else query.radius) if isinstance(query, Ball) else None
-                ev.region_evaluations += 1
-                if s is not None:
-                    if z > g.hi[posn] + s + TOL or z < g.lo[posn] - s - TOL:
-                        return True
-                else:
-                    if not ev.intersects(g.member_edge(posn).negative[0], s_current):
-                        return True
-        return False
-
-    traversed: set[int] = set()
-    order: list[int] = []
-    members: list[int] = []
-
-    for ei in sourceless:
-        fire(ei)
-    while heap:
-        key, v = heapq.heappop(heap)
-        if status.get(v) != _AVAIL or prio.get(v) != key:
-            continue
-        if explicit_pos is not None and v not in explicit_pos:
-            break  # explicit order exhausted: stop with a prefix traversal
-        if lazy_blocked(v, traversed):
-            status[v] = _ELIM
-            continue
-        status[v] = _TRAV
-        traversed.add(v)
-        order.append(v)
+                if isinstance(query, Ball):
+                    z = ev.dist_from_focus(g.source)
+                    ev.region_evaluations += 1
+                    if z > g.hi[posn] + s_current + TOL or z < g.lo[posn] - s_current - TOL:
+                        return False
+                elif not ev.intersects(g.member_edge(posn).negative[0], s_current):
+                    return False
         if knn:
             d = ev.dist_to_center(v)
             item = (-d, -v)
@@ -564,20 +513,11 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 heapq.heapreplace(worst, item)
             if len(worst) == k:
                 s_current = -worst[0][0]
-        else:
-            if ev.member(v):
-                members.append(v)
-        for ei in eager_out.get(v, ()):
-            rem = remaining.get(ei)
-            if rem is None:
-                rem = src_sizes[ei]
-            rem -= 1
-            remaining[ei] = rem
-            if rem == 0:
-                fire(ei)
-        for gi in groups_out.get(v, ()):
-            fire_group(sprawl.groups[gi])
+        elif ev.member(v):
+            members.append(v)
+        return True
 
+    order = frontier.run(fire, visit)
     if knn:
         ranked = sorted((-nd, -nr) for nd, nr in worst)
         members = [v for _, v in ranked]
@@ -768,9 +708,6 @@ class ResponsibilityAssignment:
     def get(self, edge_index: int) -> frozenset[int]:
         return self.edge_to_nodes.get(edge_index, frozenset())
 
-    def enlarged(self) -> "ResponsibilityAssignment":
-        return ResponsibilityAssignment(dict(self.edge_to_nodes))
-
 
 @dataclass
 class ResponsibilityReport:
@@ -865,14 +802,6 @@ def check_responsibility(
 def brute_force_sprawl(space: ComparisonSpace, nodes) -> Sprawl:
     """Every node a root, no regions: the exhaustive-scan index."""
     return Sprawl(space, nodes, [Edge((), v) for v in nodes])
-
-
-def _two_scan_seeds(space: ComparisonSpace, refs: list[int]) -> tuple[int, int]:
-    d0 = space.distances_from(refs[0], refs)
-    a = refs[int(np.argmax(d0))]
-    da = space.distances_from(a, refs)
-    b = refs[int(np.argmax(da))]
-    return a, b
 
 
 def _maxmin_pivots(space: ComparisonSpace, refs, count: int) -> list[int]:

@@ -1,20 +1,21 @@
 """Signed directed hypergraphs and their traversal.
 
 Positive edges discover their target once all sources are traversed;
-negative edges eliminate it. The exhaustive repertoire enumerator and the
+negative edges eliminate it. `Frontier` holds the package's one traversal
+loop: `traverse` drives it over signed edges and `engine.search` over
+region-labeled ones. The exhaustive repertoire enumerator and the
 traversal-axiom checker below are the verification oracles for the rest
 of the package.
 """
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SizeLimitError
-
-UNDISCOVERED, AVAILABLE, TRAVERSED, ELIMINATED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,16 @@ class SignedHyperdigraph:
             if e.target in e.sources:
                 warnings.warn(f"edge into {e.target} lists it as a source and can never fire usefully")
 
-    def roots(self) -> list[int]:
-        return sorted({e.target for e in self.edges if not e.sources and e.sign > 0})
-
 
 @dataclass
 class Heuristic:
-    """Tie-breaking policy for the choice among available nodes."""
+    """Tie-breaking policy for the choice among available nodes.
+
+    Kinds: "fifo" and "lifo" by discovery sequence, "priority" by
+    key(node), "explicit" by position in order (stopping once no listed
+    node is available), and "bound", the kNN default of `engine.search`,
+    by the lower bound given with each discovery.
+    """
 
     kind: str
     key: object | None = None
@@ -76,131 +80,135 @@ class Heuristic:
         return cls("explicit", order=order)
 
 
-class TraversalState:
-    """Reusable per-traversal scratch state.
+def activation(edges) -> tuple[dict[int, list[int]], dict[int, int], list[int]]:
+    """Static out-edge index for a `Frontier`.
 
-    All arrays are epoch-stamped: reset() bumps the epoch instead of
-    reallocating, so state reuse across many queries is O(1).
+    `edges` yields (edge id, sources) in ascending id order. Returns the
+    out-edge ids per source node, the distinct-source count per edge, and
+    the sourceless edge ids, which fire before the first selection.
     """
-
-    def __init__(self, node_count: int, edge_count: int):
-        self.node_count = node_count
-        self.edge_count = edge_count
-        self.epoch = 0
-        self._status = np.zeros(node_count, dtype=np.int8)
-        self._status_stamp = np.full(node_count, -1, dtype=np.int64)
-        self._remaining = np.zeros(edge_count, dtype=np.int64)
-        self._remaining_stamp = np.full(edge_count, -1, dtype=np.int64)
-        self._used = np.zeros(edge_count, dtype=bool)
-        self._used_stamp = np.full(edge_count, -1, dtype=np.int64)
-        self._seq = np.zeros(node_count, dtype=np.int64)
-
-    def reset(self) -> None:
-        self.epoch += 1
-
-    def status(self, v: int) -> int:
-        return int(self._status[v]) if self._status_stamp[v] == self.epoch else UNDISCOVERED
-
-    def set_status(self, v: int, st: int) -> None:
-        self._status[v] = st
-        self._status_stamp[v] = self.epoch
-
-    def remaining(self, e: int, initial: int) -> int:
-        return int(self._remaining[e]) if self._remaining_stamp[e] == self.epoch else initial
-
-    def set_remaining(self, e: int, value: int) -> None:
-        self._remaining[e] = value
-        self._remaining_stamp[e] = self.epoch
-
-    def used(self, e: int) -> bool:
-        return bool(self._used[e]) if self._used_stamp[e] == self.epoch else False
-
-    def set_used(self, e: int) -> None:
-        self._used[e] = True
-        self._used_stamp[e] = self.epoch
+    out: dict[int, list[int]] = {}
+    sizes: dict[int, int] = {}
+    sourceless: list[int] = []
+    for i, sources in edges:
+        sources = set(sources)
+        sizes[i] = len(sources)
+        if not sources:
+            sourceless.append(i)
+        for s in sources:
+            out.setdefault(s, []).append(i)
+    return out, sizes, sourceless
 
 
-def _select(available: list[int], h: Heuristic, seq: dict[int, int]):
-    """Pick the next node among the available ones, or None to stop."""
-    if not available:
-        return None
+def _entry_key(h: Heuristic):
+    """Heap key of a node from (node, discovery sequence, lower bound), or
+    None for a node that must not enter the heap."""
     if h.kind == "fifo":
-        return min(available, key=lambda v: (seq[v], v))
+        return lambda v, seq, bound: (seq, v)
     if h.kind == "lifo":
-        return max(available, key=lambda v: (seq[v], -v))
+        return lambda v, seq, bound: (-seq, v)
     if h.kind == "priority":
-        return min(available, key=lambda v: (h.key(v), seq[v], v))
+        return lambda v, seq, bound: (h.key(v), seq, v)
     if h.kind == "explicit":
         pos = {v: i for i, v in enumerate(h.order)}
-        ranked = [v for v in available if v in pos]
-        if not ranked:
-            return None  # order exhausted: stop with a (prefix) traversal
-        return min(ranked, key=lambda v: pos[v])
+        # unlisted nodes never queue: the traversal stops once no listed node is available
+        return lambda v, seq, bound: (pos[v], v) if v in pos else None
+    if h.kind == "bound":
+        return lambda v, seq, bound: (bound, seq, v)
     raise ValueError(f"unknown heuristic kind {h.kind!r}")
 
 
-def traverse(g: SignedHyperdigraph, h: Heuristic | None = None, state: TraversalState | None = None) -> list[int]:
-    """Run one traversal of g under the heuristic h.
+class Frontier:
+    """The one traversal loop and its per-traversal state.
 
-    Loop shape: activate every edge whose sources are all traversed, let
-    active negative edges eliminate and active positive edges discover
-    (elimination is permanent and beats discovery in the same round),
-    then traverse one available node. Stops when none are available.
+    Both `traverse` and `engine.search` run on it; they differ only in the
+    `fire` callback that turns activated edge ids into `discover` and
+    `eliminate` calls. Elimination is permanent, and since edges fired in
+    one round all fire before the next selection, it beats discovery.
     """
-    h = h or Heuristic.fifo()
-    if state is None:
-        state = TraversalState(g.node_count, len(g.edges))
-    state.reset()
-    out_edges: dict[int, list[int]] = {}
-    initial = [len(e.sources) for e in g.edges]
-    pending = []  # edges that just became active
-    for i, e in enumerate(g.edges):
-        if not e.sources:
-            pending.append(i)
-        for s in e.sources:
-            out_edges.setdefault(s, []).append(i)
 
-    available: set[int] = set()
-    seq: dict[int, int] = {}
-    counter = 0
-    order: list[int] = []
+    def __init__(self, plan, h: Heuristic):
+        self._out, self._sizes, self._sourceless = plan
+        self._key = _entry_key(h)
+        self._rekey = h.kind == "bound"
+        self._seq: dict[int, int] = {}  # discovery sequence of every discovered node
+        self._prio: dict[int, tuple] = {}  # live heap key of every discovered node
+        self._heap: list[tuple] = []
+        #: nodes traversed or eliminated; nothing changes their status again
+        self.done: set[int] = set()
+        self.traversed: set[int] = set()
+
+    def discover(self, v: int, bound: float = 0.0) -> None:
+        """Make v available. Under the "bound" key a rediscovery with a
+        larger lower bound re-pushes v, so it pops at its tightest bound."""
+        if v in self.done:
+            return
+        seq = self._seq.get(v)
+        if seq is None:
+            seq = self._seq[v] = len(self._seq)
+        elif not self._rekey:
+            return
+        key = self._key(v, seq, bound)
+        old = self._prio.get(v)
+        if key is None or old is not None and key <= old:
+            return
+        self._prio[v] = key
+        heapq.heappush(self._heap, (key, v))
+
+    def eliminate(self, vs) -> None:
+        """Eliminate every node in vs at once; traversed nodes stay traversed."""
+        self.done.update(vs)
+
+    def run(self, fire, visit=None) -> list[int]:
+        """Traverse until no node is available; return the traversal.
+
+        `fire(edge_ids)` is called with the sourceless edges first, then
+        after each traversal with the edges whose last source it was.
+        `visit(v)`, if given, runs just before v would be traversed; when it
+        returns False, v is eliminated instead.
+        """
+        heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
+        out, sizes = self._out, self._sizes
+        remaining: dict[int, int] = {}
+        order: list[int] = []
+        fire(self._sourceless)
+        while heap:
+            key, v = heapq.heappop(heap)
+            if v in done or prio[v] != key:
+                continue  # stale entry
+            done.add(v)  # traversed, or eliminated when visit refuses it
+            if visit is not None and not visit(v):
+                continue
+            traversed.add(v)
+            order.append(v)
+            ready = []
+            for ei in out.get(v, ()):
+                rem = remaining.get(ei, sizes[ei]) - 1
+                remaining[ei] = rem
+                if rem == 0:
+                    ready.append(ei)
+            if ready:
+                fire(ready)
+        return order
+
+
+def traverse(g: SignedHyperdigraph, h: Heuristic | None = None) -> list[int]:
+    """Run one traversal of g under the heuristic h (FIFO by default).
+
+    Each active edge fires by its sign: negative edges eliminate their
+    target, positive edges discover it. The loop itself is `Frontier.run`.
+    """
+    frontier = Frontier(activation((i, e.sources) for i, e in enumerate(g.edges)), h or Heuristic.fifo())
 
     def fire(edge_ids):
-        nonlocal counter
         for i in edge_ids:
-            if state.used(i):
-                continue
-            state.set_used(i)
             e = g.edges[i]
-            t = e.target
-            if state.status(t) in (TRAVERSED, ELIMINATED):
-                continue
             if e.sign < 0:
-                state.set_status(t, ELIMINATED)
-                available.discard(t)
+                frontier.eliminate((e.target,))
             else:
-                if state.status(t) == UNDISCOVERED:
-                    state.set_status(t, AVAILABLE)
-                    available.add(t)
-                    seq[t] = counter
-                    counter += 1
+                frontier.discover(e.target)
 
-    fire(pending)
-    while True:
-        v = _select(sorted(available), h, seq)
-        if v is None:
-            break
-        available.discard(v)
-        state.set_status(v, TRAVERSED)
-        order.append(v)
-        ready = []
-        for i in out_edges.get(v, ()):
-            rem = state.remaining(i, initial[i]) - 1
-            state.set_remaining(i, rem)
-            if rem == 0:
-                ready.append(i)
-        fire(ready)
-    return order
+    return frontier.run(fire)
 
 
 def feasible_after(g: SignedHyperdigraph, traversed: frozenset[int]) -> frozenset[int]:

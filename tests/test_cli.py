@@ -191,6 +191,8 @@ def test_build_strings_dataset(tmp_path, capsys):
     assert main(["query", "--index", str(index), "--ball", "kitten:1"]) == 0
     out = capsys.readouterr().out
     assert "members: 0 2 3" in out  # kitten, mitten, bitten within one edit
+    assert main(["bench", "--index", str(index), "--queries", "5", "--selectivity", "0.5"]) == 0
+    assert main(["bench", "--index", str(index), "--queries", "5", "--knn", "2"]) == 0
 
 
 def test_build_matrix_dataset(tmp_path):
@@ -199,6 +201,38 @@ def test_build_matrix_dataset(tmp_path):
     index = tmp_path / "m.json"
     assert main(["build", "--dataset", str(data), "--format", "matrix",
                  "--kind", "aesa", "--out", str(index)]) == 0
+    assert main(["bench", "--index", str(index), "--queries", "5"]) == 0
+    assert main(["bench", "--index", str(index), "--queries", "5", "--knn", "2"]) == 0
+
+
+def test_bench_false_negative_exits_1(tmp_path, dataset, monkeypatch, capsys):
+    from sprawl import engine
+
+    index = tmp_path / "i.json"
+    main(["build", "--dataset", str(dataset), "--kind", "ball-tree", "--out", str(index)])
+    real_search = engine.search
+
+    def lossy_search(sprawl, query, heuristic=None):
+        got = real_search(sprawl, query, heuristic)
+        got.members = got.members[1:]
+        return got
+
+    monkeypatch.setattr(engine, "search", lossy_search)
+    assert main(["bench", "--index", str(index), "--queries", "5"]) == 1
+    assert "missed" in capsys.readouterr().err
+
+
+def test_bench_refuses_unsound_quasimetric_index(tmp_path, capsys):
+    from sprawl.comparison import MatrixSpace
+    from sprawl.engine import Edge, ShellGroup, Sprawl
+    from sprawl.storage import save_index
+
+    space = MatrixSpace([[0, 3, 1], [3, 0, 1], [3, 5, 0]], symmetric=False)
+    groups = [ShellGroup(0, [2], [1.0], [1.0])]
+    index = tmp_path / "q.json"
+    save_index(index, Sprawl(space, range(3), [Edge((), v) for v in range(3)], groups))
+    assert main(["bench", "--index", str(index), "--queries", "3"]) == 2
+    assert "asymmetric" in capsys.readouterr().err
 
 
 def test_verify_graph_file(tmp_path, capsys):

@@ -9,6 +9,7 @@ from sprawl.comparison import (
     Ball,
     EuclideanSpace,
     ExplicitSetQuery,
+    MatrixSpace,
     ProjectionSpace,
     Workload,
 )
@@ -35,8 +36,8 @@ from sprawl.engine import (
     search,
     sprawl_trace_oracle,
 )
-from sprawl.errors import EmulationError, SizeLimitError, StructureError
-from sprawl.hypergraph import Heuristic, enumerate_repertoire
+from sprawl.errors import CapabilityError, EmulationError, SizeLimitError, StructureError
+from sprawl.hypergraph import Heuristic, enumerate_repertoire, traverse
 
 
 def toy_space(n=6, dims=2, seed=0):
@@ -671,6 +672,68 @@ def test_ambit_query_on_quasimetric_brute_force(rng):
         if 0.5 * space.matrix[v, 0] + 0.5 * space.matrix[v, 3] <= q.radius
     )
     assert got.members == want
+
+
+def test_ball_search_fails_closed_on_quasimetric_regions():
+    # the ball bound needs delta(u, c) <= s, but membership only gives delta(c, u) <= s
+    space = MatrixSpace([[0, 3, 1], [3, 0, 1], [3, 5, 0]], symmetric=False)
+    roots = [Edge((), 0), Edge((), 1)]
+    region = Ambit((0,), LinearMap([[1.0]]), (1.0,))
+    with_region = Sprawl(space, range(3), roots + [Edge((0,), 2, (region,), ())])
+    with_group = Sprawl(space, range(3), roots + [Edge((), 2)], [ShellGroup(0, [2], [1.0], [1.0])])
+    q = Ball(1, 1.0)
+    assert linear_scan(space, range(3), q) == (1, 2)
+    for s in (with_region, with_group):
+        with pytest.raises(CapabilityError):
+            search(s, q)
+        with pytest.raises(CapabilityError):
+            reduce_to_signed(s, q)
+    assert search(brute_force_sprawl(space, range(3)), q).members == (1, 2)
+
+
+def test_pm_tree_explicit_set_query():
+    space = toy_space(40, 3, seed=4)
+    s, _ = build_classic(space, range(40), "pm-tree", pivots=4)
+    q = ExplicitSetQuery(frozenset({3, 17, 30}))
+    assert search(s, q).members == (3, 17, 30)
+
+
+def _paired_heuristics(s):
+    """The same four policies for search (on refs) and traverse (on positions)."""
+    pos = {v: i for i, v in enumerate(s.nodes)}
+    order = list(s.nodes[::-1][: 2 * len(s.nodes) // 3])
+
+    def key(v):
+        return (v * 7) % 5
+
+    return [
+        (Heuristic.fifo(), Heuristic.fifo()),
+        (Heuristic.lifo(), Heuristic.lifo()),
+        (Heuristic.priority(key), Heuristic.priority(lambda i: key(s.nodes[i]))),
+        (Heuristic.explicit(order), Heuristic.explicit([pos[v] for v in order])),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["random", "ball-tree", "aesa", "laesa", "pm-tree"])
+def test_search_order_matches_traverse_of_reduction(rng, kind):
+    from conftest import random_labeled_sprawl
+
+    cases = []
+    if kind == "random":
+        for _ in range(15):
+            s = random_labeled_sprawl(rng)
+            cases += [(s, Ball(tuple(rng.random(2)), float(rng.random() * 0.6))) for _ in range(2)]
+    else:
+        space = toy_space(40, 3, seed=int(rng.integers(1 << 30)))
+        s, _ = build_classic(space, range(40), kind, pivots=4)
+        for c in rng.random((4, 3)):
+            radius = float(np.partition(space.distances_from(c, range(40)), 3)[3])
+            cases.append((s, Ball(tuple(c), radius)))
+    for s, q in cases:
+        g = reduce_to_signed(s, q)
+        for h_search, h_traverse in _paired_heuristics(s):
+            want = tuple(s.nodes[i] for i in traverse(g, h_traverse))
+            assert search(s, q, h_search).order == want
 
 
 def test_interval_tree_exactness_randomized(rng):

@@ -6,7 +6,6 @@ from sprawl.hypergraph import (
     Heuristic,
     HyperEdge,
     SignedHyperdigraph,
-    TraversalState,
     check_traversal_axioms,
     enumerate_repertoire,
     random_hyperdigraph,
@@ -123,15 +122,6 @@ def test_priority_and_lifo():
     assert traverse(g, Heuristic.priority(lambda v: -v)) == [2, 1, 0]
     assert traverse(g, Heuristic.lifo()) == [2, 1, 0]
     assert traverse(g, Heuristic.fifo()) == [0, 1, 2]
-
-
-def test_state_reuse_is_clean():
-    g = graph(3, ((), 0, 1), ((0,), 1, 1), ((1,), 2, 1))
-    state = TraversalState(g.node_count, len(g.edges))
-    first = traverse(g, state=state)
-    second = traverse(g, state=state)
-    assert first == second == [0, 1, 2]
-    assert state.epoch == 2
 
 
 def test_self_loop_warns():
