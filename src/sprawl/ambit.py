@@ -1,9 +1,12 @@
 """Ambit regions: remoteness maps, membership, and overlap checks.
 
 An ambit is the preimage of a ball under a remoteness map applied to the
-focal comparisons of a point. All overlap checks here are conservative:
-they may report overlap for disjoint sets, but never miss a real overlap
-(the +TOL slack is always on the permissive side).
+focal comparisons (radients) of a point. This module alone decides
+whether a region contains a point (`membership`, `membership_mask`) or
+meets a query: `overlap_radients` is the one ball-overlap dispatcher,
+`overlap_shells` the vectorised shell test. All overlap checks are
+conservative: they may report overlap for disjoint sets, but never miss
+a real overlap (the +TOL slack is always on the permissive side).
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from .errors import CapabilityError
 
 
 class RemotenessMap:
-    """Combines an m-vector of radients into d remoteness values."""
+    """Combines an m-vector of radients (or m x n columns) into d (d x n) remoteness values."""
 
     arity: int  # m
     rows: int  # d
@@ -56,6 +59,10 @@ class LinearMap(RemotenessMap):
     def rows(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def nondecreasing(self) -> bool:
+        return not np.any(self.matrix < 0.0)
+
     def remoteness(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
@@ -86,8 +93,10 @@ class PowerMap(RemotenessMap):
     def nondecreasing(self) -> bool:
         return bool(np.all(self.weights >= 0.0))
 
+    subadditive = nondecreasing
+
     def remoteness(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(np.dot(self.weights, np.asarray(x, dtype=float) ** self.alpha))])
+        return np.asarray(self.weights @ np.asarray(x, dtype=float) ** self.alpha)[None]
 
     def describe(self) -> dict:
         return {"kind": "power", "weights": [float(w) for w in self.weights], "alpha": self.alpha}
@@ -118,10 +127,12 @@ class MetaballMap(RemotenessMap):
     def arity(self) -> int:
         return self.a.shape[0]
 
-    nondecreasing = True
+    nondecreasing = subadditive = True
 
     def remoteness(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(np.sum(1.0 - self.b * np.exp(-self.a * np.asarray(x, dtype=float))))])
+        x = np.asarray(x, dtype=float)
+        column = (slice(None),) + (None,) * (x.ndim - 1)
+        return np.sum(1.0 - self.b[column] * np.exp(-self.a[column] * x), axis=0, keepdims=True)
 
     def describe(self) -> dict:
         return {
@@ -144,11 +155,11 @@ class HamacherMap(RemotenessMap):
     nondecreasing = True
 
     def remoteness(self, x: np.ndarray) -> np.ndarray:
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = np.asarray(x, dtype=float)
         denom = x1 + x2 - x1 * x2
-        if denom <= 0.0:
-            return np.array([0.0 if x1 == 0.0 and x2 == 0.0 else np.inf])
-        return np.array([x1 * x2 / denom])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            degenerate = np.where((x1 == 0.0) & (x2 == 0.0), 0.0, np.inf)
+            return np.asarray(np.where(denom <= 0.0, degenerate, x1 * x2 / denom))[None]
 
     def describe(self) -> dict:
         return {"kind": "hamacher"}
@@ -177,23 +188,36 @@ class Ambit:
     def degree(self) -> int:
         return len(self.foci)
 
-    def contains_features(self, x, tol: float = 0.0) -> bool:
-        rem = self.map.remoteness(np.asarray(x, dtype=float))
-        return bool(np.all(rem <= np.asarray(self.radii) + tol))
+    def contains_features(self, x, tol: float = 0.0):
+        """remoteness <= radius + tol on every row: one verdict for one
+        point's radients, or a bool array for an m x n batch of columns."""
+        x = np.asarray(x, dtype=float)
+        radii = np.asarray(self.radii).reshape((-1,) + (1,) * (x.ndim - 1))
+        inside = np.all(self.map.remoteness(x) <= radii + tol, axis=0)
+        return inside if x.ndim > 1 else bool(inside)
 
 
 def radients(space: ComparisonSpace, ambit: Ambit, u, session: CostSession | None = None) -> np.ndarray:
     """Feature vector of u for the ambit's foci, honoring orientation."""
     fv = feature_map(space, ambit.foci, u, session)
-    if ambit.orientation == "backward":
-        if fv.backward is None:
-            return fv.as_array()
+    if ambit.orientation == "backward" and fv.backward is not None:
         return np.asarray(fv.backward, dtype=float)
     return fv.as_array()
 
 
 def membership(space: ComparisonSpace, ambit: Ambit, u, session: CostSession | None = None, tol: float = 0.0) -> bool:
     return ambit.contains_features(radients(space, ambit, u, session), tol=tol)
+
+
+def membership_mask(space: ComparisonSpace, ambit: Ambit, refs, tol: float = TOL) -> np.ndarray:
+    """Membership of each ref, honoring orientation, from uncounted bulk
+    distances; the default slack is TOL, as in the overlap checks."""
+    refs = list(refs)
+    if ambit.orientation == "backward" and not space.symmetric:
+        x = space.pairwise(refs, ambit.foci).reshape(len(refs), ambit.degree).T
+    else:
+        x = np.vstack([space.distances_from(p, refs) for p in ambit.foci])
+    return ambit.contains_features(x, tol=tol)
 
 
 # --- overlap checks ---------------------------------------------------------
@@ -207,6 +231,42 @@ def overlap_ball_rows(rows: np.ndarray, radii: np.ndarray, z: np.ndarray, s: flo
     lhs = radii + np.sum(np.abs(rows), axis=1) * s
     rhs = rows @ z
     return bool(np.all(lhs >= rhs - tol))
+
+
+def _monotone(region: Ambit, z: np.ndarray, s: float, tol: float, sign: float = 1.0) -> bool:
+    """r + sign * f(s, .., s) >= f(z) - tol on every row."""
+    f_s = region.map.remoteness(np.full(region.degree, float(s)))
+    return bool(np.all(np.asarray(region.radii) + sign * f_s >= region.map.remoteness(z) - tol))
+
+
+def _corner(region: Ambit, z: np.ndarray, s: float, tol: float) -> bool:
+    """f(max(z - s, 0)) <= r + tol: the near corner of the feature box."""
+    corner = np.maximum(z - float(s), 0.0)
+    return bool(np.all(region.map.remoteness(corner) <= np.asarray(region.radii) + tol))
+
+
+def overlap_radients(region: Ambit, z, s: float, tol: float = TOL) -> bool:
+    """Does the ambit possibly meet a ball of radius s whose centre has radients z?
+
+    By map kind: linear maps check their facet rows; non-decreasing
+    subadditive ones (power with w >= 0, metaball) r + f(s,..,s) >= f(z);
+    other non-decreasing ones the near corner; the rest raise CapabilityError.
+    """
+    m = region.map
+    if isinstance(m, LinearMap):
+        return overlap_ball_rows(m.matrix, region.radii, z, s, tol)
+    z = np.asarray(z, dtype=float)
+    if getattr(m, "subadditive", False):
+        return _monotone(region, z, s, tol)
+    if getattr(m, "nondecreasing", False):
+        return _corner(region, z, s, tol)
+    raise CapabilityError(f"no sound ball overlap check for a {type(m).__name__} map")
+
+
+def overlap_shells(z, lo, hi, s: float, tol: float = TOL):
+    """Which shells lo <= delta(p, .) <= hi (arrays or scalars) can meet
+    B[c, s], given z = delta(p, c)."""
+    return np.logical_not((z > hi + s + tol) | (z < lo - s - tol))
 
 
 def overlap_ball(
@@ -225,8 +285,7 @@ def overlap_ball(
     """
     if not isinstance(region.map, LinearMap):
         raise CapabilityError("overlap_ball requires a linear remoteness map")
-    z = radients(space, region, center, session)
-    return overlap_ball_rows(region.map.matrix, np.asarray(region.radii), z, s, tol)
+    return overlap_radients(region, radients(space, region, center, session), s, tol)
 
 
 def overlap_linear(region: Ambit, query: Ambit, Z, tol: float = TOL, symmetric: bool = True) -> bool:
@@ -284,21 +343,13 @@ def overlap_monotone(
     built-in map qualifies; callers supply their own with a
     `nonincreasing_superadditive` attribute).
     """
-    m = region.map
     if decreasing:
-        if not getattr(m, "nonincreasing_superadditive", False):
+        if not getattr(region.map, "nonincreasing_superadditive", False):
             raise CapabilityError("the minus branch needs a non-increasing superadditive map")
-        z = radients(space, region, center, session)
-        f_z = m.remoteness(z)
-        f_s = m.remoteness(np.full(region.degree, float(s)))
-        return bool(np.all(np.asarray(region.radii) - f_s >= f_z - tol))
-    subadditive = isinstance(m, MetaballMap) or (isinstance(m, PowerMap) and m.nondecreasing)
-    if not subadditive:
+        return _monotone(region, radients(space, region, center, session), s, tol, sign=-1.0)
+    if not getattr(region.map, "subadditive", False):
         raise CapabilityError("overlap_monotone requires a non-decreasing subadditive map")
-    z = radients(space, region, center, session)
-    f_z = m.remoteness(z)
-    f_s = m.remoteness(np.full(region.degree, float(s)))
-    return bool(np.all(np.asarray(region.radii) + f_s >= f_z - tol))
+    return overlap_radients(region, radients(space, region, center, session), s, tol)
 
 
 def overlap_corner(
@@ -315,15 +366,9 @@ def overlap_corner(
     symmetric (metric) space; this is the only check available for the
     Hamacher product.
     """
-    m = region.map
-    if isinstance(m, LinearMap):
-        if np.any(m.matrix < 0.0):
-            raise CapabilityError("corner check requires a non-decreasing map")
-    elif not getattr(m, "nondecreasing", False):
+    if not getattr(region.map, "nondecreasing", False):
         raise CapabilityError("corner check requires a non-decreasing map")
-    z = radients(space, region, center, session)
-    corner = np.maximum(z - float(s), 0.0)
-    return bool(np.all(m.remoteness(corner) <= np.asarray(region.radii) + tol))
+    return _corner(region, radients(space, region, center, session), s, tol)
 
 
 # --- classic region shapes --------------------------------------------------

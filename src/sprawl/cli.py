@@ -78,7 +78,13 @@ def cmd_build(args) -> int:
 
 def _query_from_args(args, space) -> Ball:
     def center_of(spec: str):
-        return spec if isinstance(space, StringSpace) else _parse_point(spec)
+        if isinstance(space, StringSpace):
+            return spec
+        if isinstance(space, MatrixSpace):  # no coordinates: the centre is an indexed point
+            if not spec.isdecimal() or int(spec) >= len(space):
+                raise FormatError(f"centre {spec!r} is not a point ref of this matrix index")
+            return int(spec)
+        return _parse_point(spec)
 
     if args.ball:
         spec, _, radius = args.ball.rpartition(":")
@@ -204,6 +210,8 @@ def cmd_verify(args) -> int:
         print(f"axioms: pass ({args.count} random signed hyperdigraphs)")
         return 0
     if args.responsibility:
+        if not args.index:
+            raise FormatError("--responsibility needs --index")
         sprawl, res = storage.load_index(args.index)
         if res is None:
             print("index file carries no responsibility assignment")
@@ -270,7 +278,10 @@ def cmd_plot(args) -> int:
         space = sprawl.space
         if not isinstance(space, EuclideanSpace) or space.dimension != 2:
             raise FormatError("plotting an index needs a 2-d euclidean space")
-        edge = sprawl.logical_edge(args.edge)
+        try:
+            edge = sprawl.logical_edge(args.edge)
+        except IndexError:
+            raise FormatError(f"edge {args.edge} is out of range") from None
         regions = [r for r in edge.positive + edge.negative if isinstance(r, Ambit)]
         if not regions:
             raise FormatError(f"edge {args.edge} carries no ambit region")

@@ -361,6 +361,8 @@ class AmbitQuery:
         self.weights = tuple(float(w) for w in self.weights)
         if not self.weights or len(self.weights) != len(self.foci):
             raise ValueError("need one weight per focus, at least one focus")
+        if not any(self.weights):
+            raise ValueError("ambit query weights must not all be zero")
 
 
 @dataclass

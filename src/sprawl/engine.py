@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ambit as ambit_mod
-from .ambit import Ambit, LinearMap, MetaballMap, PowerMap, table1_region
+from .ambit import Ambit, LinearMap, table1_region
 from .comparison import (
-    TOL,
     AmbitQuery,
     Ball,
     ComparisonSpace,
@@ -29,7 +28,6 @@ from .comparison import (
     MatrixSpace,
     ProjectionSpace,
     Workload,
-    feature_map,
 )
 from .errors import CapabilityError, EmulationError, SizeLimitError, StructureError
 from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, activation
@@ -40,30 +38,14 @@ log = logging.getLogger(__name__)
 # --- region labels ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Universe:
     """The whole universe; intersects every non-empty query."""
 
-    def __repr__(self):
-        return "Universe()"
 
-    def __eq__(self, other):
-        return isinstance(other, Universe)
-
-    def __hash__(self):
-        return hash("Universe")
-
-
+@dataclass(frozen=True)
 class Empty:
     """The empty region; in N(e) it makes elimination unconditional."""
-
-    def __repr__(self):
-        return "Empty()"
-
-    def __eq__(self, other):
-        return isinstance(other, Empty)
-
-    def __hash__(self):
-        return hash("Empty")
 
 
 UNIVERSE = Universe()
@@ -135,11 +117,7 @@ class ShellGroup:
         return int(self.targets.shape[0])
 
     def member_edge(self, i: int) -> Edge:
-        region = Ambit(
-            (self.source,),
-            LinearMap([[1.0], [-1.0]]),
-            (float(self.hi[i]), -float(self.lo[i])),
-        )
+        region = table1_region("shell", (self.source,), lo=self.lo[i], hi=self.hi[i])
         return Edge((self.source,), int(self.targets[i]), (EMPTY,), (region,), lazy=self.lazy)
 
 
@@ -158,6 +136,8 @@ class Sprawl:
 
     # group member edges are numbered after the explicit ones
     def logical_edge(self, idx: int) -> Edge:
+        if idx < 0:
+            raise IndexError("edge index out of range")
         if idx < len(self.edges):
             return self.edges[idx]
         idx -= len(self.edges)
@@ -168,13 +148,8 @@ class Sprawl:
         raise IndexError("edge index out of range")
 
     def iter_logical_edges(self):
-        for i, e in enumerate(self.edges):
-            yield i, e
-        idx = len(self.edges)
-        for g in self.groups:
-            for i in range(len(g)):
-                yield idx, g.member_edge(i)
-                idx += 1
+        members = (g.member_edge(i) for g in self.groups for i in range(len(g)))
+        return enumerate(itertools.chain(self.edges, members))
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -229,12 +204,18 @@ class Sprawl:
 
 
 class _QueryEval:
-    """Per-search caches: query-center distances and focal cross-distances."""
+    """Per-search caches: query-center distances and focal cross-distances.
+
+    Membership and overlap verdicts come from `ambit`; this class supplies
+    the distances and dispatches on region kind.
+    """
 
     def __init__(self, space: ComparisonSpace, query):
         self.space = space
         self.query = query
         self.session = CostSession()
+        if isinstance(query, AmbitQuery):  # the backward ambit of its weighted foci
+            self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
         self.region_evaluations = 0
         self._to_center: dict[int, float] = {}
         self._from_focus: dict[int, float] = {}
@@ -277,9 +258,7 @@ class _QueryEval:
         if isinstance(q, ExplicitSetQuery):
             return ref in q.ids
         if isinstance(q, AmbitQuery):
-            fv = feature_map(self.space, q.foci, ref, self.session)
-            x = np.asarray(fv.backward if fv.backward is not None else fv.values)
-            return float(np.dot(q.weights, x)) <= q.radius
+            return ambit_mod.membership(self.space, self.query_region, ref, self.session)
         raise TypeError(f"unsupported query {q!r}")
 
     def intersects(self, region, s: float | None = None) -> bool:
@@ -303,23 +282,11 @@ class _QueryEval:
                 )
             if isinstance(q, Ball):
                 radius = q.radius if s is None else s
-                z = self.z_of(region.foci)
-                if isinstance(region.map, LinearMap):
-                    return ambit_mod.overlap_ball_rows(
-                        region.map.matrix, np.asarray(region.radii), z, radius
-                    )
-                if isinstance(region.map, (PowerMap, MetaballMap)) and getattr(
-                    region.map, "nondecreasing", False
-                ):
-                    f_z = region.map.remoteness(z)
-                    f_s = region.map.remoteness(np.full(region.degree, float(radius)))
-                    return bool(np.all(np.asarray(region.radii) + f_s >= f_z - TOL))
-                if getattr(region.map, "nondecreasing", False):
-                    # corner of the circumscribing feature box (Hamacher etc.)
-                    corner = np.maximum(z - float(radius), 0.0)
-                    return bool(np.all(region.map.remoteness(corner) <= np.asarray(region.radii) + TOL))
-                log.warning("no sound overlap check for %r; assuming overlap", region)
-                return True
+                try:
+                    return ambit_mod.overlap_radients(region, self.z_of(region.foci), radius)
+                except CapabilityError:
+                    log.warning("no sound overlap check for %r; assuming overlap", region)
+                    return True
             if isinstance(q, AmbitQuery):
                 if not isinstance(region.map, LinearMap):
                     log.warning("non-linear region vs ambit query; assuming overlap")
@@ -327,10 +294,9 @@ class _QueryEval:
                 Z = np.array(
                     [[self.cross(p, qf) for qf in q.foci] for p in region.foci], dtype=float
                 )
-                query_region = Ambit(q.foci, LinearMap([list(q.weights)]), (q.radius,), "backward")
                 try:
                     return ambit_mod.overlap_linear(
-                        region, query_region, Z, symmetric=self.space.symmetric
+                        region, self.query_region, Z, symmetric=self.space.symmetric
                     )
                 except CapabilityError:
                     log.warning("sign precondition failed for %r; assuming overlap", region)
@@ -457,9 +423,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     def fire_group(g: ShellGroup) -> None:
         if isinstance(query, Ball):
             z = ev.dist_from_focus(g.source)
-            miss = (z > g.hi + s_current + TOL) | (z < g.lo - s_current - TOL)
+            hit = ambit_mod.overlap_shells(z, g.lo, g.hi, s_current)
             ev.region_evaluations += len(g)
-            frontier.eliminate(g.targets[miss].tolist())
+            frontier.eliminate(g.targets[~hit].tolist())
         else:
             for i in range(len(g)):
                 e = g.member_edge(i)
@@ -500,7 +466,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 if isinstance(query, Ball):
                     z = ev.dist_from_focus(g.source)
                     ev.region_evaluations += 1
-                    if z > g.hi[posn] + s_current + TOL or z < g.lo[posn] - s_current - TOL:
+                    if not ambit_mod.overlap_shells(z, g.lo[posn], g.hi[posn], s_current):
                         return False
                 elif not ev.intersects(g.member_edge(posn).negative[0], s_current):
                     return False
@@ -718,18 +684,6 @@ class ResponsibilityReport:
         return self.passed
 
 
-def _region_member(space: ComparisonSpace, region, ref: int, tol: float = TOL) -> bool:
-    if isinstance(region, Universe):
-        return True
-    if isinstance(region, Empty):
-        return False
-    if isinstance(region, ExplicitRegion):
-        return ref in region.ids
-    if isinstance(region, Ambit):
-        return ambit_mod.membership(space, region, ref, tol=tol)
-    raise TypeError(f"unknown region {region!r}")
-
-
 def check_responsibility(
     sprawl: Sprawl, res: ResponsibilityAssignment, workload: Workload
 ) -> ResponsibilityReport:
@@ -738,7 +692,7 @@ def check_responsibility(
     L1: res(e) inside every positive region of e. L2: res(target), in the
     node shorthand, inside every negative region of e. L3: res(v) covered
     by the union of res over v's incoming edges. Point-in-region is
-    decided by remoteness <= radius.
+    decided by `region_member_mask`.
     """
     if not workload.atomistic:
         raise ValueError("responsibility is defined against an atomistic workload")
@@ -781,14 +735,13 @@ def check_responsibility(
     in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
     for idx, e in edges:
         in_union[e.target] |= res.get(idx)
-        for r in e.positive:
-            for v in sorted(res.get(idx)):
-                if not _region_member(sprawl.space, r, v):
-                    violations.append(("L1", idx, v, repr(r)))
-        for r in e.negative:
-            for v in sorted(node_res[e.target]):
-                if not _region_member(sprawl.space, r, v):
-                    violations.append(("L2", idx, v, repr(r)))
+        for rule, regions, refs in (
+            ("L1", e.positive, sorted(res.get(idx))),
+            ("L2", e.negative, sorted(node_res[e.target])),
+        ):
+            for r in regions:
+                inside = region_member_mask(sprawl.space, r, refs)
+                violations += [(rule, idx, v, repr(r)) for v, ok in zip(refs, inside) if not ok]
     for v in sprawl.nodes:
         extra = node_res[v] - in_union[v]
         for u in sorted(extra):
@@ -1003,7 +956,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
 
 
 def region_member_mask(space: ComparisonSpace, region, refs) -> np.ndarray:
-    """Vectorized exact membership of each ref in the region."""
+    """Vectorized membership of each ref in the region (ambits: `ambit.membership_mask`)."""
     refs = list(refs)
     if isinstance(region, Universe):
         return np.ones(len(refs), dtype=bool)
@@ -1012,16 +965,7 @@ def region_member_mask(space: ComparisonSpace, region, refs) -> np.ndarray:
     if isinstance(region, ExplicitRegion):
         return np.array([v in region.ids for v in refs], dtype=bool)
     if isinstance(region, Ambit):
-        feats = np.vstack([space.distances_from(p, refs) for p in region.foci])
-        m = region.map
-        radii = np.asarray(region.radii)
-        if isinstance(m, LinearMap):
-            return np.all(m.matrix @ feats <= radii[:, None], axis=0)
-        if isinstance(m, PowerMap):
-            return (m.weights @ feats**m.alpha) <= radii[0]
-        if isinstance(m, MetaballMap):
-            return np.sum(1.0 - m.b[:, None] * np.exp(-m.a[:, None] * feats), axis=0) <= radii[0]
-        return np.array([region.contains_features(feats[:, j]) for j in range(feats.shape[1])])
+        return ambit_mod.membership_mask(space, region, refs)
     raise TypeError(f"unknown region {region!r}")
 
 

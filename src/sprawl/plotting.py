@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambit import Ambit, HamacherMap, LinearMap, MetaballMap, PowerMap
+from .ambit import Ambit
 
 # For each of the 16 corner-sign cases, the cell edges (pairs of corner
 # indices 0..3 in CCW order) that the boundary crosses. 5 and 10 are the
@@ -35,26 +35,9 @@ _CASES = {
 def field_grid(region: Ambit, focus_xy: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """max over rows of remoteness - radius, sampled on the grid (len(ys), len(xs))."""
     gx, gy = np.meshgrid(xs, ys)
-    feats = np.stack(
-        [np.hypot(gx - fx, gy - fy) for fx, fy in focus_xy], axis=0
-    )  # (m, ny, nx)
-    radii = np.asarray(region.radii, dtype=float)
-    m = region.map
-    if isinstance(m, LinearMap):
-        vals = np.tensordot(m.matrix, feats, axes=(1, 0)) - radii[:, None, None]
-        return np.max(vals, axis=0)
-    if isinstance(m, PowerMap):
-        return np.tensordot(m.weights, feats**m.alpha, axes=(0, 0)) - radii[0]
-    if isinstance(m, MetaballMap):
-        return np.sum(1.0 - m.b[:, None, None] * np.exp(-m.a[:, None, None] * feats), axis=0) - radii[0]
-    if isinstance(m, HamacherMap):
-        x1, x2 = feats[0], feats[1]
-        denom = x1 + x2 - x1 * x2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(denom > 0, x1 * x2 / np.where(denom > 0, denom, 1.0), np.inf)
-        vals = np.where((x1 == 0) & (x2 == 0), 0.0, vals)
-        return vals - radii[0]
-    raise TypeError(f"cannot plot remoteness map {m!r}")
+    feats = np.stack([np.hypot(gx - fx, gy - fy).ravel() for fx, fy in focus_xy])  # (m, ny*nx)
+    vals = region.map.remoteness(feats) - np.asarray(region.radii, dtype=float)[:, None]
+    return np.max(vals, axis=0).reshape(gx.shape)
 
 
 def _interp(p0, p1, v0, v1):

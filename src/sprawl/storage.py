@@ -205,10 +205,17 @@ def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None
 
 
 def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | None]:
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise FormatError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {doc.get('version')!r}")
+    try:
+        return _decode_index(doc)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise FormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None
+
+
+def _decode_index(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | None]:
     space = space_from_descriptor(doc["space"])
     edges = [
         Edge(

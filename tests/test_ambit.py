@@ -331,6 +331,9 @@ def _planted_case(rng, space, kind):
 
 
 def test_planted_soundness_sampled(rng):
+    from sprawl.comparison import Ball
+    from sprawl.engine import _QueryEval
+
     space = EuclideanSpace(rng.random((50, 3)))
     for kind, check in [
         ("linear", overlap_ball),
@@ -343,6 +346,9 @@ def test_planted_soundness_sampled(rng):
             assert membership(space, region, u, tol=1e-12)
             assert space.compare(center, u) <= s + 1e-12
             assert check(space, region, center, s), (kind, region, center, s)
+            assert _QueryEval(space, Ball(center, s)).intersects(region) == check(
+                space, region, center, s
+            ), (kind, region, center, s)
 
 
 def test_membership_plus_containment_implies_overlap(rng):
@@ -454,3 +460,39 @@ def test_backward_orientation_uses_reverse_distances(rng):
     assert membership(space, bwd, 3)
     tight_fwd = Ambit((0,), LinearMap([[1.0]]), (float(space.matrix[0, 3]) - 1e-6,))
     assert not membership(space, tight_fwd, 3)
+
+
+# --- the dispatcher and the batch kernels -------------------------------------------
+
+
+def test_overlap_shells_matches_shell_regions(rng):
+    from sprawl.ambit import overlap_radients, overlap_shells
+
+    lo = rng.random(200)
+    hi = lo + rng.random(200)
+    for _ in range(50):
+        z, s = float(rng.random() * 2.0), float(rng.random() * 0.5)
+        hit = overlap_shells(z, lo, hi, s)
+        want = [
+            overlap_radients(table1_region("shell", (0,), lo=a, hi=b), [z], s)
+            for a, b in zip(lo, hi)
+        ]
+        assert hit.tolist() == want
+        assert all(overlap_shells(z, a, b, s) == w for a, b, w in zip(lo[:5], hi[:5], want))
+
+
+def test_membership_mask_matches_pointwise_membership(rng):
+    from sprawl.ambit import membership_mask
+
+    space = EuclideanSpace(rng.random((40, 3)))
+    qspace = random_quasimetric(rng, 9)
+    for kind in ("linear", "power", "metaball", "hamacher"):
+        for _ in range(20):
+            region, _, _, _ = _planted_case(rng, space, kind)
+            want = [membership(space, region, v) for v in range(40)]
+            assert membership_mask(space, region, range(40), tol=0.0).tolist() == want
+    for orientation in ("forward", "backward"):
+        region = Ambit((2, 5), PowerMap([0.7, 0.3], 0.5), (2.0,), orientation)
+        want = [membership(qspace, region, v) for v in range(9)]
+        assert membership_mask(qspace, region, range(9), tol=0.0).tolist() == want
+    assert membership_mask(qspace, region, [], tol=0.0).shape == (0,)

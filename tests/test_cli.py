@@ -244,3 +244,44 @@ def test_verify_graph_file(tmp_path, capsys):
     path.write_text(format_graph(g))
     assert main(["verify", "--graph", str(path)]) == 0
     assert "graph axioms: pass" in capsys.readouterr().out
+
+
+def test_query_matrix_index(tmp_path, capsys):
+    # the centre of a matrix-space query is a point ref, not coordinates
+    data = tmp_path / "m.txt"
+    data.write_text("0 2 3\n2 0 2\n3 2 0\n")
+    index = tmp_path / "m.json"
+    assert main(["build", "--dataset", str(data), "--format", "matrix",
+                 "--kind", "aesa", "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--ball", "1:2"]) == 0
+    assert "members: 0 1 2" in capsys.readouterr().out
+    assert main(["query", "--index", str(index), "--knn", "2", "--center", "0"]) == 0
+    assert "members: 0 1" in capsys.readouterr().out
+    for bad in (["--ball", "1.5:1"], ["--ball", "3:1"], ["--knn", "1", "--center", "0,0"]):
+        assert main(["query", "--index", str(index)] + bad) == 3
+        assert "not a point ref" in capsys.readouterr().err
+
+
+def test_plot_edge_out_of_range(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    main(["gen", "--count", "20", "--dims", "2", "--seed", "4", "--out", str(data)])
+    index = tmp_path / "i.json"
+    main(["build", "--dataset", str(data), "--kind", "ball-tree", "--out", str(index)])
+    capsys.readouterr()
+    for edge in ("999", "-1"):
+        assert main(["plot", "--index", str(index), "--edge", edge]) == 3
+        assert "out of range" in capsys.readouterr().err
+
+
+def test_verify_responsibility_needs_index(capsys):
+    assert main(["verify", "--responsibility"]) == 3
+    assert "--index" in capsys.readouterr().err
+
+
+def test_malformed_index_file_is_format_error(tmp_path, capsys):
+    for name, doc in (("nospace", {"format": "sprawl-index", "version": 1}), ("list", [1, 2])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["query", "--index", str(path), "--ball", "0:1"]) == 3
+        assert capsys.readouterr().err.startswith("error:")

@@ -746,3 +746,52 @@ def test_interval_tree_exactness_randomized(rng):
         assert set(got.members) == set(linear_scan(space, range(200), q))
     workload = _atomistic_workload(sprawl)
     assert check_responsibility(sprawl, res, workload).passed
+
+
+def test_ambit_query_rejects_all_zero_weights():
+    # every point would "match": linear_scan used to answer the whole set
+    # while tree and pivot searches crashed mid-traversal
+    with pytest.raises(ValueError, match="zero"):
+        AmbitQuery((0,), (0.0,), 1.0)
+    with pytest.raises(ValueError, match="zero"):
+        AmbitQuery((0, 1), (0.0, -0.0), 1.0)
+    assert AmbitQuery((0, 1), (0.0, 1.0), 1.0).weights == (0.0, 1.0)
+
+
+def test_logical_edge_rejects_negative_index(rng):
+    space = EuclideanSpace(rng.random((4, 2)))
+    sprawl, _ = build_classic(space, range(4), "aesa")
+    for idx in (-1, len(sprawl.edges) + sum(len(g) for g in sprawl.groups)):
+        with pytest.raises(IndexError):
+            sprawl.logical_edge(idx)
+
+
+def test_region_member_mask_honors_backward_orientation():
+    from sprawl.ambit import membership
+    from sprawl.engine import region_member_mask
+
+    space = MatrixSpace([[0, 3, 1], [1, 0, 1], [3, 5, 0]], symmetric=False)
+    backward = Ambit((0,), LinearMap([[1.0]]), (1.5,), "backward")
+    forward = Ambit((0,), LinearMap([[1.0]]), (1.5,))
+    want = [membership(space, backward, v) for v in range(3)]
+    assert want == [True, True, False]  # delta(v, 0) <= 1.5
+    assert region_member_mask(space, backward, range(3)).tolist() == want
+    assert region_member_mask(space, forward, range(3)).tolist() == [True, False, True]
+    # the trace oracle reads the same masks: a backward edge 0 -> 2 discovers
+    # its target for the singleton queries 0 and 1 only
+    s = Sprawl(space, range(3), [Edge((), 0), Edge((0,), 2, (backward,), ())])
+    oracle = sprawl_trace_oracle(s)
+    assert [2 in oracle({0}, v)[0] for v in range(3)] == want
+
+
+def test_unsupported_map_assumes_overlap(caplog):
+    from sprawl.ambit import PowerMap, overlap_radients
+    from sprawl.engine import _QueryEval
+
+    space = toy_space(4)
+    region = Ambit((0,), PowerMap([-1.0], 0.5), (0.0,))
+    with pytest.raises(CapabilityError):  # neither monotone nor subadditive
+        overlap_radients(region, [0.5], 0.1)
+    with caplog.at_level("WARNING", logger="sprawl.engine"):
+        assert _QueryEval(space, Ball((9.0, 9.0), 0.1)).intersects(region)
+    assert "assuming overlap" in caplog.text

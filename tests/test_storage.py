@@ -165,3 +165,17 @@ def test_fuzzed_round_trips_bit_exact(rng):
             warnings.simplefilter("ignore")  # fuzzed sprawls may carry self-loop edges
             loaded, _ = index_from_document(doc)
         _assert_same_sprawl(sprawl, loaded)
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"format": "sprawl-index", "version": 1},
+    {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0]]}},
+    {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0]]},
+     "nodes": [0], "edges": [[0]]},
+    {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0]]},
+     "nodes": [0], "edges": [{"sources": [], "target": 5}]},
+])
+def test_index_document_missing_key_or_wrong_type(doc):
+    with pytest.raises(FormatError):
+        index_from_document(doc)
