@@ -4,9 +4,10 @@ An ambit is the preimage of a ball under a remoteness map applied to the
 focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
 meets a query: `overlap_radients` is the one ball-overlap dispatcher,
-`overlap_shells` the vectorised shell test. All overlap checks are
-conservative: they may report overlap for disjoint sets, but never miss
-a real overlap (the +TOL slack is always on the permissive side).
+`shells_missed` the vectorised shell test, and `ball_reach` the radius
+at which a linear ambit's facets stop excluding a ball. All overlap
+checks are conservative: they may report overlap for disjoint sets, but
+never miss a real overlap (the +TOL slack is always on the permissive side).
 """
 from __future__ import annotations
 
@@ -233,6 +234,13 @@ def overlap_ball_rows(rows: np.ndarray, radii: np.ndarray, z: np.ndarray, s: flo
     return bool(np.all(lhs >= rhs - tol))
 
 
+def ball_reach(region: Ambit, z: np.ndarray) -> float:
+    """max_k (a_k.z - r_k) / ||a_k||_1 for a linear ambit: the ball radius
+    below which `overlap_ball_rows` rules the ball out (up to its slack)."""
+    a = region.map.matrix
+    return float(np.max((a @ z - np.asarray(region.radii)) / np.sum(np.abs(a), axis=1)))
+
+
 def _monotone(region: Ambit, z: np.ndarray, s: float, tol: float, sign: float = 1.0) -> bool:
     """r + sign * f(s, .., s) >= f(z) - tol on every row."""
     f_s = region.map.remoteness(np.full(region.degree, float(s)))
@@ -263,10 +271,10 @@ def overlap_radients(region: Ambit, z, s: float, tol: float = TOL) -> bool:
     raise CapabilityError(f"no sound ball overlap check for a {type(m).__name__} map")
 
 
-def overlap_shells(z, lo, hi, s: float, tol: float = TOL):
-    """Which shells lo <= delta(p, .) <= hi (arrays or scalars) can meet
+def shells_missed(z, lo, hi, s: float):
+    """Which shells lo <= delta(p, .) <= hi (arrays or scalars) surely miss
     B[c, s], given z = delta(p, c)."""
-    return np.logical_not((z > hi + s + tol) | (z < lo - s - tol))
+    return (z > hi + s + TOL) | (z < lo - s - TOL)
 
 
 def overlap_ball(

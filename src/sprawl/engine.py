@@ -112,6 +112,8 @@ class ShellGroup:
         self.hi = np.asarray(self.hi, dtype=float)
         if not (self.targets.shape == self.lo.shape == self.hi.shape):
             raise ValueError("group arrays must have matching shapes")
+        if np.any(self.lo > self.hi):
+            raise ValueError("shell group needs lo <= hi")
 
     def __len__(self) -> int:
         return int(self.targets.shape[0])
@@ -148,8 +150,13 @@ class Sprawl:
         raise IndexError("edge index out of range")
 
     def iter_logical_edges(self):
-        members = (g.member_edge(i) for g in self.groups for i in range(len(g)))
-        return enumerate(itertools.chain(self.edges, members))
+        for i, e in enumerate(self.edges):
+            yield i, e
+        idx = len(self.edges)
+        for g in self.groups:
+            for i in range(len(g)):
+                yield idx, g.member_edge(i)
+                idx += 1
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -174,8 +181,6 @@ class Sprawl:
         for g in self.groups:
             if g.source not in nodes or any(int(t) not in nodes for t in g.targets):
                 raise IndexError("shell group refers to refs outside the ground set")
-            if np.any(g.lo > g.hi):
-                raise ValueError("shell group needs lo <= hi")
 
     def _plan(self):
         """Frontier activation (group gi is edge len(edges) + gi), then the
@@ -413,19 +418,15 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         lb = 0.0
         for r in edge.positive:
             if isinstance(r, Ambit) and isinstance(r.map, LinearMap):
-                z = ev.z_of(r.foci)
-                slack = (r.map.matrix @ z - np.asarray(r.radii)) / np.sum(
-                    np.abs(r.map.matrix), axis=1
-                )
-                lb = max(lb, float(np.max(slack)))
+                lb = max(lb, ambit_mod.ball_reach(r, ev.z_of(r.foci)))
         return max(lb, 0.0)
 
     def fire_group(g: ShellGroup) -> None:
         if isinstance(query, Ball):
             z = ev.dist_from_focus(g.source)
-            hit = ambit_mod.overlap_shells(z, g.lo, g.hi, s_current)
+            miss = ambit_mod.shells_missed(z, g.lo, g.hi, s_current)
             ev.region_evaluations += len(g)
-            frontier.eliminate(g.targets[~hit].tolist())
+            frontier.eliminate(g.targets[miss].tolist())
         else:
             for i in range(len(g)):
                 e = g.member_edge(i)
@@ -466,7 +467,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 if isinstance(query, Ball):
                     z = ev.dist_from_focus(g.source)
                     ev.region_evaluations += 1
-                    if not ambit_mod.overlap_shells(z, g.lo[posn], g.hi[posn], s_current):
+                    if ambit_mod.shells_missed(z, g.lo[posn], g.hi[posn], s_current):
                         return False
                 elif not ev.intersects(g.member_edge(posn).negative[0], s_current):
                     return False
@@ -735,13 +736,14 @@ def check_responsibility(
     in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
     for idx, e in edges:
         in_union[e.target] |= res.get(idx)
-        for rule, regions, refs in (
-            ("L1", e.positive, sorted(res.get(idx))),
-            ("L2", e.negative, sorted(node_res[e.target])),
-        ):
-            for r in regions:
-                inside = region_member_mask(sprawl.space, r, refs)
-                violations += [(rule, idx, v, repr(r)) for v, ok in zip(refs, inside) if not ok]
+        for r in e.positive:
+            for v in sorted(res.get(idx)):
+                if not region_member_mask(sprawl.space, r, [v])[0]:
+                    violations.append(("L1", idx, v, repr(r)))
+        for r in e.negative:
+            for v in sorted(node_res[e.target]):
+                if not region_member_mask(sprawl.space, r, [v])[0]:
+                    violations.append(("L2", idx, v, repr(r)))
     for v in sprawl.nodes:
         extra = node_res[v] - in_union[v]
         for u in sorted(extra):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambit import Ambit, LinearMap
+from .ambit import Ambit, LinearMap, table1_region
 from .comparison import ComparisonSpace, feature_map
 from .errors import CapabilityError, SolverError
 from .lp import LpProblem, LpResult, solve_lp
@@ -197,8 +197,7 @@ def hull_ambit(t: TrainingSet) -> Ambit:
     m = t.m
     foci = t.focus_refs()
     if m == 1:
-        lo, hi = float(np.min(t.X)), float(np.max(t.X))
-        return Ambit(foci, LinearMap([[1.0], [-1.0]]), (hi, -lo))
+        return _box_rows(t.X, foci)
     if m == 2:
         return _hull_ambit_2d(t.X, foci)
     if m == 3:
@@ -207,10 +206,7 @@ def hull_ambit(t: TrainingSet) -> Ambit:
 
 
 def _box_rows(X: np.ndarray, foci) -> Ambit:
-    m = X.shape[0]
-    lo, hi = np.min(X, axis=1), np.max(X, axis=1)
-    rows = np.vstack([np.eye(m), -np.eye(m)])
-    return Ambit(foci, LinearMap(rows), tuple(np.concatenate([hi, -lo])))
+    return table1_region("cut", foci, lo=np.min(X, axis=1), hi=np.max(X, axis=1))
 
 
 def _hull_ambit_2d(X: np.ndarray, foci) -> Ambit:

@@ -210,40 +210,36 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
     if doc.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {doc.get('version')!r}")
     try:
-        return _decode_index(doc)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        space = space_from_descriptor(doc["space"])
+        edges = [
+            Edge(
+                tuple(e["sources"]),
+                e["target"],
+                tuple(region_from_descriptor(r) for r in e.get("positive", [])),
+                tuple(region_from_descriptor(r) for r in e.get("negative", [])),
+                lazy=e.get("lazy", False),
+            )
+            for e in doc.get("edges", [])
+        ]
+        groups = [
+            ShellGroup(
+                g["source"],
+                np.array(g["targets"], dtype=np.int64),
+                np.array(g["lo"], dtype=float),
+                np.array(g["hi"], dtype=float),
+                lazy=g.get("lazy", False),
+            )
+            for g in doc.get("groups", [])
+        ]
+        sprawl = Sprawl(space, doc["nodes"], edges, groups)
+        res = None
+        if "responsibility" in doc:
+            res = ResponsibilityAssignment(
+                {int(k): frozenset(v) for k, v in doc["responsibility"].items()}
+            )
+        return sprawl, res
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
         raise FormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None
-
-
-def _decode_index(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | None]:
-    space = space_from_descriptor(doc["space"])
-    edges = [
-        Edge(
-            tuple(e["sources"]),
-            e["target"],
-            tuple(region_from_descriptor(r) for r in e.get("positive", [])),
-            tuple(region_from_descriptor(r) for r in e.get("negative", [])),
-            lazy=e.get("lazy", False),
-        )
-        for e in doc.get("edges", [])
-    ]
-    groups = [
-        ShellGroup(
-            g["source"],
-            np.array(g["targets"], dtype=np.int64),
-            np.array(g["lo"], dtype=float),
-            np.array(g["hi"], dtype=float),
-            lazy=g.get("lazy", False),
-        )
-        for g in doc.get("groups", [])
-    ]
-    sprawl = Sprawl(space, doc["nodes"], edges, groups)
-    res = None
-    if "responsibility" in doc:
-        res = ResponsibilityAssignment(
-            {int(k): frozenset(v) for k, v in doc["responsibility"].items()}
-        )
-    return sprawl, res
 
 
 def load_index(path) -> tuple[Sprawl, ResponsibilityAssignment | None]:

@@ -465,20 +465,20 @@ def test_backward_orientation_uses_reverse_distances(rng):
 # --- the dispatcher and the batch kernels -------------------------------------------
 
 
-def test_overlap_shells_matches_shell_regions(rng):
-    from sprawl.ambit import overlap_radients, overlap_shells
+def test_shells_missed_matches_shell_regions(rng):
+    from sprawl.ambit import overlap_radients, shells_missed
 
     lo = rng.random(200)
     hi = lo + rng.random(200)
     for _ in range(50):
         z, s = float(rng.random() * 2.0), float(rng.random() * 0.5)
-        hit = overlap_shells(z, lo, hi, s)
+        miss = shells_missed(z, lo, hi, s)
         want = [
-            overlap_radients(table1_region("shell", (0,), lo=a, hi=b), [z], s)
+            not overlap_radients(table1_region("shell", (0,), lo=a, hi=b), [z], s)
             for a, b in zip(lo, hi)
         ]
-        assert hit.tolist() == want
-        assert all(overlap_shells(z, a, b, s) == w for a, b, w in zip(lo[:5], hi[:5], want))
+        assert miss.tolist() == want
+        assert all(shells_missed(z, a, b, s) == w for a, b, w in zip(lo[:5], hi[:5], want))
 
 
 def test_membership_mask_matches_pointwise_membership(rng):

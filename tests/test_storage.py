@@ -175,6 +175,8 @@ def test_fuzzed_round_trips_bit_exact(rng):
      "nodes": [0], "edges": [[0]]},
     {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0]]},
      "nodes": [0], "edges": [{"sources": [], "target": 5}]},
+    {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0], [1.0]]},
+     "nodes": [0, 1], "groups": [{"source": 0, "targets": [1], "lo": [2.0], "hi": [1.0]}]},
 ])
 def test_index_document_missing_key_or_wrong_type(doc):
     with pytest.raises(FormatError):
