@@ -5,13 +5,17 @@ focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
 meets a query: `overlap_radients` is the one ball-overlap dispatcher,
 `shells_missed` the vectorised shell test, and `ball_reach` the radius
-at which a linear ambit's facets stop excluding a ball. All overlap
-checks are conservative: they may report overlap for disjoint sets, but
+at which a linear ambit's facets stop excluding a ball. A `LinearMap`
+also keeps its facet rows as plain floats, so both linear checks run as
+a float loop: on the small rows of tree regions, numpy's per-call
+overhead would cost more than the arithmetic. All overlap checks are
+conservative: they may report overlap for disjoint sets, but
 never miss a real overlap (the +TOL slack is always on the permissive side).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -47,7 +51,8 @@ class RemotenessMap:
 class LinearMap(RemotenessMap):
     def __init__(self, rows):
         a = np.atleast_2d(np.asarray(rows, dtype=float))
-        if np.any(np.sum(np.abs(a), axis=1) == 0.0):
+        self._facets = _facets(a)
+        if any(l1 == 0.0 for _, l1 in self._facets):
             raise ValueError("linear remoteness rows must be non-zero")
         self.matrix = a
         self.matrix.setflags(write=False)
@@ -224,21 +229,40 @@ def membership_mask(space: ComparisonSpace, ambit: Ambit, refs, tol: float = TOL
 # --- overlap checks ---------------------------------------------------------
 
 
-def overlap_ball_rows(rows: np.ndarray, radii: np.ndarray, z: np.ndarray, s: float, tol: float = TOL) -> bool:
+def _facets(rows: np.ndarray) -> tuple:
+    """The rows of a 2-d coefficient array as plain floats: one
+    (row as a float tuple, ||row||_1) pair per facet."""
+    return tuple(zip(map(tuple, rows.tolist()), np.sum(np.abs(rows), axis=1).tolist()))
+
+
+def _facets_meet(facets, radii, z, s: float, tol: float) -> bool:
+    """r + ||a||_1 * s >= a.z - tol on every facet, in plain floats.
+
+    `not ... >=` makes a NaN side rule the facet out, as a vectorised
+    `all(lhs >= rhs)` would.
+    """
+    for (row, l1), r in zip(facets, radii):
+        if not r + l1 * s >= sum(map(mul, row, z)) - tol:
+            return False
+    return True
+
+
+def overlap_ball_rows(rows, radii, z, s: float, tol: float = TOL) -> bool:
     """Facet-wise ball check on raw parameters: r + ||a||_1 * s >= a.z."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    radii = np.asarray(radii, dtype=float)
     z = np.asarray(z, dtype=float)
-    lhs = radii + np.sum(np.abs(rows), axis=1) * s
-    rhs = rows @ z
-    return bool(np.all(lhs >= rhs - tol))
+    if z.shape != rows.shape[1:]:
+        raise ValueError("need one radient per facet column")
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), rows.shape[:1]).tolist()
+    return _facets_meet(_facets(rows), radii, z.tolist(), s, tol)
 
 
-def ball_reach(region: Ambit, z: np.ndarray) -> float:
+def ball_reach(region: Ambit, z) -> float:
     """max_k (a_k.z - r_k) / ||a_k||_1 for a linear ambit: the ball radius
-    below which `overlap_ball_rows` rules the ball out (up to its slack)."""
-    a = region.map.matrix
-    return float(np.max((a @ z - np.asarray(region.radii)) / np.sum(np.abs(a), axis=1)))
+    below which `overlap_radients` rules the ball out (up to its slack)."""
+    return max(
+        (sum(map(mul, row, z)) - r) / l1 for (row, l1), r in zip(region.map._facets, region.radii)
+    )
 
 
 def _monotone(region: Ambit, z: np.ndarray, s: float, tol: float, sign: float = 1.0) -> bool:
@@ -262,7 +286,7 @@ def overlap_radients(region: Ambit, z, s: float, tol: float = TOL) -> bool:
     """
     m = region.map
     if isinstance(m, LinearMap):
-        return overlap_ball_rows(m.matrix, region.radii, z, s, tol)
+        return _facets_meet(m._facets, region.radii, z, s, tol)
     z = np.asarray(z, dtype=float)
     if getattr(m, "subadditive", False):
         return _monotone(region, z, s, tol)

@@ -243,6 +243,9 @@ def cmd_optimize(args) -> int:
     pts = storage.load_points(args.dataset)
     space = EuclideanSpace(pts, p=args.p)
     foci = [int(v) for v in args.foci.split(",")]
+    for f in foci:
+        if not 0 <= f < pts.shape[0]:
+            raise FormatError(f"focus {f} is not a point of this {pts.shape[0]}-point dataset")
     rng = np.random.default_rng(args.seed)
     refs = [v for v in range(pts.shape[0]) if v not in foci]
     if args.queries_file:
@@ -335,6 +338,13 @@ def cmd_demo_dnf(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: anything but an integer >= 1 is a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sprawl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare an index against the linear-scan oracle")
     p.add_argument("--index", required=True)
-    p.add_argument("--queries", type=int, default=100)
+    p.add_argument("--queries", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--selectivity", type=float, default=0.01)
     p.add_argument("--knn", type=int)
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="line-oriented hyperdigraph file: sign target <- sources")
     p.add_argument("--index")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_positive_int, default=200)
     p.add_argument("--cap", type=int, default=12)
     p.set_defaults(func=cmd_verify)
 
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--foci", required=True, help="comma-separated point indices")
     p.add_argument("--queries-file")
-    p.add_argument("--sample-queries", type=int, default=64)
+    p.add_argument("--sample-queries", type=_positive_int, default=64)
     p.add_argument("--facets", type=int, default=1)
     p.add_argument("--mode", choices=["lp25", "minrad"], default="lp25")
     p.add_argument("--p", type=float, default=2.0)

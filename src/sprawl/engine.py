@@ -244,8 +244,8 @@ class _QueryEval:
                 self._to_center[ref] = d
         return d
 
-    def z_of(self, foci) -> np.ndarray:
-        return np.array([self.dist_from_focus(p) for p in foci], dtype=float)
+    def z_of(self, foci) -> list[float]:
+        return [self.dist_from_focus(p) for p in foci]
 
     def cross(self, region_focus: int, query_focus: int) -> float:
         key = (region_focus, query_focus)

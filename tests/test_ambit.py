@@ -7,15 +7,17 @@ from sprawl.ambit import (
     LinearMap,
     MetaballMap,
     PowerMap,
+    ball_reach,
     membership,
     overlap_ball,
     overlap_ball_rows,
     overlap_corner,
     overlap_linear,
     overlap_monotone,
+    overlap_radients,
     table1_region,
 )
-from sprawl.comparison import EuclideanSpace, MatrixSpace
+from sprawl.comparison import TOL, EuclideanSpace, MatrixSpace
 from sprawl.errors import CapabilityError
 
 from conftest import random_quasimetric
@@ -103,6 +105,57 @@ def test_plane_closed_form(z1, z2, s):
     plane = table1_region("plane", (0, 1))
     got = overlap_ball_rows(plane.map.matrix, plane.radii, [z1, z2], s)
     assert got == (s >= (z1 - z2) / 2.0 - 1e-9)
+
+
+def _random_linear_ambits(rng):
+    """Random linear ambits (1-4 foci, 1-6 mixed-sign rows) and every table-1 shape."""
+    for _ in range(300):
+        m, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        rows = rng.normal(size=(k, m)) * (rng.random((k, m)) < 0.8)
+        rows[np.sum(np.abs(rows), axis=1) == 0.0, 0] = 1.0
+        yield Ambit(tuple(range(m)), LinearMap(rows), tuple(rng.normal(size=k)))
+    yield table1_region("ball", (0,), r=0.7)
+    yield table1_region("sphere", (0,), r=0.7)
+    yield table1_region("shell", (0,), lo=0.3, hi=0.9)
+    yield table1_region("plane", (0, 1))
+    yield table1_region("ellipse", (0, 1), r=1.6)
+    yield table1_region("hyperbola", (0, 1), r=0.4)
+    yield table1_region("voronoi", (0, 1, 2), cell=1)
+    yield table1_region("cut", (0, 1, 2), lo=[0.1, 0.2, 0.3], hi=[0.5, 0.9, 1.2])
+
+
+def _numpy_overlap(region, z, s):
+    # the facet test as one numpy expression, for parity with the float kernel
+    a, radii = region.map.matrix, np.asarray(region.radii)
+    return bool(np.all(radii + np.sum(np.abs(a), axis=1) * s >= a @ np.asarray(z) - TOL))
+
+
+def test_float_kernel_matches_numpy_facet_test(rng):
+    for region in _random_linear_ambits(rng):
+        for _ in range(10):
+            z = (rng.random(region.degree) * 2.0).tolist()
+            s = float(rng.choice([0.0, rng.random(), 3.0 * rng.random()]))
+            assert overlap_radients(region, z, s) == _numpy_overlap(region, z, s)
+            a, radii = region.map.matrix, np.asarray(region.radii)
+            want = np.max((a @ np.asarray(z) - radii) / np.sum(np.abs(a), axis=1))
+            assert ball_reach(region, z) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_float_kernel_matches_numpy_on_the_slack_boundary(rng):
+    # single-focus facets with z on r + |a| s = a z - TOL and one ulp to each side:
+    # the float kernel keeps numpy's order of operations, so the verdicts agree bit for bit
+    regions = [r for r in _random_linear_ambits(rng) if r.degree == 1]
+    assert len(regions) > 50
+    for region in regions:
+        for (a,), r in zip(region.map.matrix, region.radii):
+            s = float(rng.random())
+            z0 = (r + abs(a) * s + TOL) / a
+            for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf)):
+                z = [float(z)]
+                assert overlap_radients(region, z, s) == _numpy_overlap(region, z, s)
+                assert overlap_ball_rows(region.map.matrix, region.radii, z, s) == _numpy_overlap(
+                    region, z, s
+                )
 
 
 # --- normalized two-region check -------------------------------------------------

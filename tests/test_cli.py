@@ -285,3 +285,30 @@ def test_malformed_index_file_is_format_error(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["query", "--index", str(path), "--ball", "0:1"]) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("focus", ["999", "-1"])
+def test_optimize_focus_out_of_range(tmp_path, capsys, focus):
+    data = tmp_path / "d.txt"
+    main(["gen", "--count", "20", "--dims", "2", "--seed", "4", "--out", str(data)])
+    capsys.readouterr()
+    assert main(["optimize", "--dataset", str(data), "--foci", f"0,{focus}"]) == 3
+    assert f"focus {focus} is not a point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--index", "i.json", "--queries", "0"],
+        ["bench", "--index", "i.json", "--queries", "-2"],
+        ["optimize", "--dataset", "d.txt", "--foci", "0,1", "--sample-queries", "0"],
+        ["verify", "--axioms", "--count", "-1"],
+        ["verify", "--properties", "--count", "0"],
+        ["verify", "--axioms", "--count", "two"],
+    ],
+)
+def test_count_options_need_a_positive_integer(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
