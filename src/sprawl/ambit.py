@@ -4,7 +4,8 @@ An ambit is the preimage of a ball under a remoteness map applied to the
 focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
 meets a query: `overlap_radients` is the one ball-overlap dispatcher,
-`shells_missed` the vectorised shell test, and `ball_reach` the radius
+`shells_missed` the vectorised shell test, `shell_bounds` the lower
+bounds that shells give a kNN search, and `ball_reach` the radius
 at which a linear ambit's facets stop excluding a ball. A `LinearMap`
 also keeps its facet rows as plain floats, so both linear checks run as
 a float loop: on the small rows of tree regions, numpy's per-call
@@ -299,6 +300,18 @@ def shells_missed(z, lo, hi, s: float):
     """Which shells lo <= delta(p, .) <= hi (arrays or scalars) surely miss
     B[c, s], given z = delta(p, c)."""
     return (z > hi + s + TOL) | (z < lo - s - TOL)
+
+
+def shell_bounds(z, lo, hi):
+    """max(z - hi, lo - z): a lower bound on delta(c, u) for every u in the
+    shell lo <= delta(p, u) <= hi, given z = delta(p, c). The shell surely
+    misses B[c, s] where the bound exceeds `bound_cutoff(s)`."""
+    return np.maximum(z - hi, lo - z)
+
+
+def bound_cutoff(s: float) -> float:
+    """The largest lower bound that may still belong to a point of B[c, s]."""
+    return s + TOL
 
 
 def overlap_ball(

@@ -246,8 +246,10 @@ def cmd_optimize(args) -> int:
     for f in foci:
         if not 0 <= f < pts.shape[0]:
             raise FormatError(f"focus {f} is not a point of this {pts.shape[0]}-point dataset")
-    rng = np.random.default_rng(args.seed)
     refs = [v for v in range(pts.shape[0]) if v not in foci]
+    if not refs:
+        raise FormatError("the foci are every point of the dataset; none is left to train the region on")
+    rng = np.random.default_rng(args.seed)
     if args.queries_file:
         queries = [tuple(q) for q in storage.load_points(args.queries_file)]
     else:

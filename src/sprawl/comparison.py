@@ -6,6 +6,7 @@ per-query cost metric (number of comparison evaluations) has a single home.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +117,11 @@ class EuclideanSpace(ComparisonSpace):
         return a
 
     def _dist(self, a, b) -> float:
-        diff = np.abs(a - b)
         if self.p == 2.0:
-            return float(np.sqrt(np.sum(diff * diff)))
+            # the same sum, in the same order, as `distances_from` and `pairwise`
+            diff = a - b
+            return math.sqrt(np.add.reduce(diff * diff))
+        diff = np.abs(a - b)
         if self.p == 1.0:
             return float(np.sum(diff))
         if np.isinf(self.p):

@@ -14,6 +14,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -183,16 +184,26 @@ class Sprawl:
                 raise IndexError("shell group refers to refs outside the ground set")
 
     def _plan(self):
-        """Frontier activation (group gi is edge len(edges) + gi), then the
-        lazy edges and lazy group positions into each target."""
+        """The frontier plan (group gi is edge len(edges) + gi), the lazy
+        edges and lazy group positions into each target, and the plan
+        positions of each eager group's targets.
+
+        The label-free root edges that precede every other sourceless edge
+        become the plan's seeds. With eager shell groups the plan carries
+        the ground set, so a kNN search can select by their bounds.
+        """
         if self._plan_cache is not None:
             return self._plan_cache
-        eager = []
+        eager, seeds = [], []
+        seeding = True
         lazy_in: dict[int, list[int]] = {}
         for i, e in enumerate(self.edges):
             if e.lazy:
                 lazy_in.setdefault(e.target, []).append(i)
+            elif seeding and e.is_root_edge:
+                seeds.append(e.target)
             else:
+                seeding = seeding and bool(e.sources)
                 eager.append((i, e.sources))
         lazy_group_in: dict[int, list[tuple[int, int]]] = {}
         for gi, g in enumerate(self.groups):
@@ -201,7 +212,16 @@ class Sprawl:
                     lazy_group_in.setdefault(int(t), []).append((gi, pos))
             else:
                 eager.append((len(self.edges) + gi, (g.source,)))
-        self._plan_cache = (activation(eager), lazy_in, lazy_group_in)
+        dense = any(not g.lazy for g in self.groups)
+        plan = activation(eager, seeds, self.nodes if dense else None)
+        group_pos = {}
+        if dense:
+            order = np.asarray(plan.nodes, dtype=np.int64)
+            low = int(order.min())
+            at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # plan position by ref
+            at[order - low] = np.arange(len(order))
+            group_pos = {gi: at[g.targets - low] for gi, g in enumerate(self.groups) if not g.lazy}
+        self._plan_cache = (plan, lazy_in, lazy_group_in, group_pos)
         return self._plan_cache
 
 
@@ -226,10 +246,17 @@ class _QueryEval:
         self._from_focus: dict[int, float] = {}
         self._cross: dict[tuple[int, int], float] = {}
 
+    @cached_property
+    def center(self):
+        """The ball centre, coerced once: a ref stays a ref, a raw value
+        becomes what the space compares."""
+        c = self.query.center
+        return c if isinstance(c, (int, np.integer)) else self.space._coerce(c)
+
     def dist_to_center(self, ref: int) -> float:
         d = self._to_center.get(ref)
         if d is None:
-            d = self.space.compare(self.query.center, ref, self.session)
+            d = self.space.compare(self.center, ref, self.session)
             self._to_center[ref] = d
             if self.space.symmetric:
                 self._from_focus[ref] = d
@@ -238,7 +265,7 @@ class _QueryEval:
     def dist_from_focus(self, ref: int) -> float:
         d = self._from_focus.get(ref)
         if d is None:
-            d = self.space.compare(ref, self.query.center, self.session)
+            d = self.space.compare(ref, self.center, self.session)
             self._from_focus[ref] = d
             if self.space.symmetric:
                 self._to_center[ref] = d
@@ -393,7 +420,10 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     immediately before their target would be traversed. For kNN queries
     the cover radius starts at infinity and tightens to the current k-th
     best distance after every traversal; node priorities are the per-edge
-    region lower bounds.
+    region lower bounds. When the frontier is dense (the "bound" heuristic
+    over eager shell groups), a fired group instead raises each target's
+    shell lower bound, the next node is the one with the smallest bound,
+    and a bound beyond the current radius eliminates, as in AESA and LAESA.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
@@ -406,10 +436,13 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     else:
         s_current = query.radius if isinstance(query, Ball) else None
 
-    plan, lazy_in, lazy_group_in = sprawl._plan()
+    plan, lazy_in, lazy_group_in, group_pos = sprawl._plan()
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
+    steer = frontier.dense and isinstance(query, Ball)
+    if steer:
+        frontier.cut(ambit_mod.bound_cutoff(s_current))
     done = frontier.done
     edges, groups = sprawl.edges, sprawl.groups
     edge_count = len(edges)
@@ -421,12 +454,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 lb = max(lb, ambit_mod.ball_reach(r, ev.z_of(r.foci)))
         return max(lb, 0.0)
 
-    def fire_group(g: ShellGroup) -> None:
+    def fire_group(gi: int) -> None:
+        g = groups[gi]
         if isinstance(query, Ball):
             z = ev.dist_from_focus(g.source)
-            miss = ambit_mod.shells_missed(z, g.lo, g.hi, s_current)
             ev.region_evaluations += len(g)
-            frontier.eliminate(g.targets[miss].tolist())
+            if steer:
+                frontier.raise_bounds(group_pos[gi], ambit_mod.shell_bounds(z, g.lo, g.hi))
+            else:
+                miss = ambit_mod.shells_missed(z, g.lo, g.hi, s_current)
+                frontier.eliminate(g.targets[miss].tolist())
         else:
             for i in range(len(g)):
                 e = g.member_edge(i)
@@ -438,7 +475,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     def fire(edge_ids) -> None:
         for ei in edge_ids:
             if ei >= edge_count:
-                fire_group(groups[ei - edge_count])
+                fire_group(ei - edge_count)
                 continue
             e = edges[ei]
             t = e.target
@@ -480,6 +517,8 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 heapq.heapreplace(worst, item)
             if len(worst) == k:
                 s_current = -worst[0][0]
+                if steer:
+                    frontier.cut(ambit_mod.bound_cutoff(s_current))
         elif ev.member(v):
             members.append(v)
         return True

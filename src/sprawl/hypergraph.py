@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +54,11 @@ class Heuristic:
     Kinds: "fifo" and "lifo" by discovery sequence, "priority" by
     key(node), "explicit" by position in order (stopping once no listed
     node is available), and "bound", the kNN default of `engine.search`,
-    by the lower bound given with each discovery.
+    by the largest lower bound known for the node, ties by discovery
+    sequence. Those bounds are the ones given with each discovery and,
+    over a plan that carries its ground set (in `engine.search`, a sprawl
+    with eager shell groups), the shell bounds that `Frontier.raise_bounds`
+    raises; only the shell bounds can eliminate a node.
     """
 
     kind: str
@@ -80,12 +85,27 @@ class Heuristic:
         return cls("explicit", order=order)
 
 
-def activation(edges) -> tuple[dict[int, list[int]], dict[int, int], list[int]]:
+class Plan(NamedTuple):
+    """Static input of a `Frontier`, built by `activation`."""
+
+    out: dict[int, list[int]]  # out-edge ids per source node
+    sizes: dict[int, int]  # distinct-source count per edge
+    sourceless: list[int]  # edge ids that fire before the first selection
+    seeds: tuple[int, ...]  # nodes discovered, at bound 0, before those fire
+    nodes: tuple[int, ...] | None  # positions of a dense frontier: the seeds, then the rest
+    positions: dict[int, int] | None  # plan position of each of those nodes
+
+
+def activation(edges, seeds=(), nodes=None) -> Plan:
     """Static out-edge index for a `Frontier`.
 
-    `edges` yields (edge id, sources) in ascending id order. Returns the
-    out-edge ids per source node, the distinct-source count per edge, and
-    the sourceless edge ids, which fire before the first selection.
+    `edges` yields (edge id, sources) in ascending id order. `seeds` are
+    the targets of label-free root edges, discovered in bulk ahead of the
+    sourceless edges; the discovery sequence is unchanged when those root
+    edges precede every sourceless edge in id order. Passing the ground
+    set as `nodes` lets a frontier under the "bound" heuristic select from
+    a dense bound array instead of the heap, as a search over eager shell
+    groups needs, since each group raises the bounds of many nodes at once.
     """
     out: dict[int, list[int]] = {}
     sizes: dict[int, int] = {}
@@ -97,7 +117,12 @@ def activation(edges) -> tuple[dict[int, list[int]], dict[int, int], list[int]]:
             sourceless.append(i)
         for s in sources:
             out.setdefault(s, []).append(i)
-    return out, sizes, sourceless
+    seeds = tuple(dict.fromkeys(int(v) for v in seeds))
+    positions = None
+    if nodes is not None:
+        nodes = tuple(dict.fromkeys(seeds + tuple(int(v) for v in nodes)))
+        positions = {v: i for i, v in enumerate(nodes)}
+    return Plan(out, sizes, sourceless, seeds, nodes, positions)
 
 
 def _entry_key(h: Heuristic):
@@ -122,26 +147,56 @@ class Frontier:
     """The one traversal loop and its per-traversal state.
 
     Both `traverse` and `engine.search` run on it; they differ only in the
-    `fire` callback that turns activated edge ids into `discover` and
-    `eliminate` calls. Elimination is permanent, and since edges fired in
-    one round all fire before the next selection, it beats discovery.
+    `fire` callback that turns activated edge ids into `discover`,
+    `eliminate` and `raise_bounds` calls. Elimination is permanent, and
+    since edges fired in one round all fire before the next selection, it
+    beats discovery.
+
+    Selection takes one of two forms, chosen from the input alone. Under
+    the "bound" heuristic with a plan that carries its ground set (`dense`),
+    the available node with the smallest bound is found by one argmin over
+    a position-indexed array, so that `raise_bounds` can raise the bounds
+    of many nodes at once; a node whose shell bound exceeds the `cut` limit
+    is eliminated. Otherwise nodes wait in a heap under the heuristic's key.
     """
 
-    def __init__(self, plan, h: Heuristic):
-        self._out, self._sizes, self._sourceless = plan
+    def __init__(self, plan: Plan, h: Heuristic):
+        self._plan = plan
         self._key = _entry_key(h)
         self._rekey = h.kind == "bound"
         self._seq: dict[int, int] = {}  # discovery sequence of every discovered node
         self._prio: dict[int, tuple] = {}  # live heap key of every discovered node
         self._heap: list[tuple] = []
-        #: nodes traversed or eliminated; nothing changes their status again
+        #: nodes traversed or eliminated; nothing changes their status again.
+        #: A dense frontier does not list the nodes that `cut` eliminates.
         self.done: set[int] = set()
         self.traversed: set[int] = set()
+        self.dense = self._rekey and plan.nodes is not None
+        if self.dense:
+            n = len(plan.nodes)
+            # per position: the largest shell bound raised while available, else inf
+            self._bound = np.full(n, np.inf)
+            # shell bounds raised before discovery, for nodes that are not seeds
+            self._held = np.zeros(n) if n > len(plan.seeds) else None
+            self._reach = None  # largest bound given with a discovery, once one is positive
+            self._late: dict[int, int] = {}  # discovery sequence of non-seed positions
+            self._limit = np.inf
 
     def discover(self, v: int, bound: float = 0.0) -> None:
         """Make v available. Under the "bound" key a rediscovery with a
-        larger lower bound re-pushes v, so it pops at its tightest bound."""
+        larger lower bound raises v's key, so it is selected at its
+        tightest bound."""
         if v in self.done:
+            return
+        if self.dense:
+            p = self._plan.positions[v]
+            if p >= len(self._plan.seeds) and p not in self._late:
+                self._late[p] = len(self._plan.seeds) + len(self._late)
+                self._bound[p] = self._held[p]
+            if bound > 0.0:
+                if self._reach is None:
+                    self._reach = np.zeros(len(self._bound))
+                self._reach[p] = max(self._reach[p], bound)
             return
         seq = self._seq.get(v)
         if seq is None:
@@ -158,24 +213,74 @@ class Frontier:
     def eliminate(self, vs) -> None:
         """Eliminate every node in vs at once; traversed nodes stay traversed."""
         self.done.update(vs)
+        if self.dense:
+            for v in vs:
+                self._bound[self._plan.positions[v]] = np.inf
+
+    def raise_bounds(self, positions, bounds) -> None:
+        """Raise the shell bounds of the nodes at the given plan positions
+        (dense frontiers only); a bound above the `cut` limit eliminates."""
+        self._bound[positions] = np.maximum(self._bound[positions], bounds)
+        if self._held is not None:
+            self._held[positions] = np.maximum(self._held[positions], bounds)
+
+    def cut(self, limit: float) -> None:
+        """Eliminate every node whose shell bound exceeds limit (dense
+        frontiers only). Selection takes the smallest bound first, so this
+        happens in one masked step, once the smallest available bound is
+        beyond the limit; limits only fall."""
+        self._limit = limit
+
+    def _seed(self) -> None:
+        seeds = self._plan.seeds
+        if self.dense:
+            self._bound[: len(seeds)] = 0.0
+            return
+        for v in seeds:  # the bulk form of discover(v) on a fresh frontier
+            seq = self._seq[v] = len(self._seq)
+            key = self._key(v, seq, 0.0)
+            if key is not None:
+                self._prio[v] = key
+                self._heap.append((key, v))
+        heapq.heapify(self._heap)
 
     def run(self, fire, visit=None) -> list[int]:
         """Traverse until no node is available; return the traversal.
 
-        `fire(edge_ids)` is called with the sourceless edges first, then
-        after each traversal with the edges whose last source it was.
-        `visit(v)`, if given, runs just before v would be traversed; when it
-        returns False, v is eliminated instead.
+        The seeds are discovered first. `fire(edge_ids)` is called with the
+        sourceless edges, then after each traversal with the edges whose
+        last source it was. `visit(v)`, if given, runs just before v would
+        be traversed; when it returns False, v is eliminated instead.
         """
         heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
-        out, sizes = self._out, self._sizes
+        plan = self._plan
+        out, sizes, nodes = plan.out, plan.sizes, plan.nodes
         remaining: dict[int, int] = {}
         order: list[int] = []
-        fire(self._sourceless)
-        while heap:
-            key, v = heapq.heappop(heap)
-            if v in done or prio[v] != key:
-                continue  # stale entry
+        self._seed()
+        fire(plan.sourceless)
+        while True:
+            if self.dense:
+                bound = self._bound
+                keys = bound if self._reach is None else np.maximum(bound, self._reach)
+                i = int(keys.argmin())
+                low = keys[i]
+                if low == np.inf:
+                    break
+                if self._late:  # a non-seed's position is not its discovery sequence
+                    tied = np.flatnonzero(keys == low).tolist()
+                    i = min(tied, key=lambda p: self._late.get(p, p))
+                if bound[i] > self._limit:
+                    bound[bound > self._limit] = np.inf
+                    continue
+                bound[i] = np.inf
+                v = nodes[i]
+            else:
+                if not heap:
+                    break
+                key, v = heapq.heappop(heap)
+                if v in done or prio[v] != key:
+                    continue  # stale entry
             done.add(v)  # traversed, or eliminated when visit refuses it
             if visit is not None and not visit(v):
                 continue

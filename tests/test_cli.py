@@ -296,6 +296,16 @@ def test_optimize_focus_out_of_range(tmp_path, capsys, focus):
     assert f"focus {focus} is not a point" in capsys.readouterr().err
 
 
+def test_optimize_foci_leave_no_point(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    main(["gen", "--count", "20", "--dims", "2", "--seed", "4", "--out", str(data)])
+    capsys.readouterr()
+    foci = ",".join(str(i) for i in range(20))
+    assert main(["optimize", "--dataset", str(data), "--foci", foci]) == 3
+    err = capsys.readouterr().err
+    assert "none is left" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

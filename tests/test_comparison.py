@@ -16,6 +16,7 @@ from sprawl.comparison import (
     feature_map,
     levenshtein,
 )
+from sprawl.engine import build_classic, linear_scan, search
 
 from conftest import random_quasimetric
 
@@ -35,6 +36,28 @@ def test_self_distance_zero_everywhere():
     for space in spaces:
         for v in range(len(space)):
             assert space.compare(v, v) == 0.0
+
+
+def test_l2_compare_equals_distances_from_rows(rng):
+    # one distance, three kernels: search compares one pair at a time,
+    # linear_scan takes a row, and a k-NN radius read off a row must admit
+    # the point that sits on it
+    for dims in (1, 2, 3, 8, 9, 17):
+        space = EuclideanSpace(rng.random((300, dims)))
+        for c in list(rng.random((5, dims))) + [space.points[7]]:
+            row = space.distances_from(tuple(c), range(300))
+            assert [space.compare(tuple(c), i) for i in range(300)] == row.tolist()
+            assert [space.compare(i, tuple(c)) for i in range(300)] == row.tolist()
+            assert space.pairwise(range(300), [0])[:, 0].tolist() == space.distances_from(0, range(300)).tolist()
+    space = EuclideanSpace(rng.random((200, 8)))
+    sprawl, _ = build_classic(space, range(200), "aesa")
+    for c in rng.random((5, 8)):
+        row = space.distances_from(tuple(c), range(200))
+        kth = int(np.argsort(row, kind="stable")[9])
+        got = search(sprawl, Ball(tuple(c), float(row[kth])))
+        assert kth in got.members
+        assert got.members == linear_scan(space, range(200), Ball(tuple(c), float(row[kth])))
+        assert search(sprawl, Ball(tuple(c), 0.0, k=10)).members[-1] == kth
 
 
 def test_compare_counts_on_session():

@@ -271,14 +271,60 @@ def test_knn_k_larger_than_dataset(rng):
 
 
 def test_knn_on_lazy_and_pivot_indexes(rng):
-    space = EuclideanSpace(rng.random((120, 3)))
-    for kind, params in (("pm-tree", {"pivots": 4}), ("laesa", {"pivots": 4})):
-        sprawl, _ = build_classic(space, range(120), kind, **params)
-        for _ in range(8):
-            center = rng.random(3)
-            k = int(rng.integers(1, 9))
-            got = search(sprawl, Ball(center, 0.0, k=k))
-            assert got.members == linear_scan(space, range(120), Ball(center, 0.0, k=k))
+    g = np.arange(5) / 4
+    grid = np.array([(x, y, 0.5) for x in g for y in g])  # distances tie exactly
+    inputs = [rng.random((120, 3)), np.repeat(rng.random((12, 3)), 3, axis=0), grid]
+    for pts in inputs:
+        space = EuclideanSpace(pts)
+        n = len(pts)
+        centers = [tuple(rng.random(3)), (0.375, 0.375, 0.5), tuple(pts[1])]
+        for kind, params in (("aesa", {}), ("laesa", {"pivots": 4}), ("pm-tree", {"pivots": 4})):
+            sprawl, _ = build_classic(space, range(n), kind, **params)
+            for c in centers:
+                for k in range(1, n + 3):
+                    q = Ball(c, 0.0, k=k)
+                    assert search(sprawl, q).members == linear_scan(space, range(n), q), (kind, k)
+
+
+def test_pivot_knn_selects_by_shell_bounds():
+    # AESA and LAESA take the candidate with the smallest pivot lower bound
+    # and drop every candidate whose bound exceeds the k-th distance; in
+    # FIFO order AESA computes about 250 distances here and LAESA all 2,000
+    rng = np.random.default_rng(1)
+    for kind, n, params, most in (("aesa", 500, {}, 150), ("laesa", 2000, {"pivots": 8}, 1000)):
+        space = EuclideanSpace(rng.random((n, 8)))
+        sprawl, _ = build_classic(space, range(n), kind, **params)
+        counts = []
+        for _ in range(20):
+            q = Ball(tuple(rng.random(8)), 0.0, k=10)
+            got = search(sprawl, q)
+            assert got.members == linear_scan(space, range(n), q)
+            counts.append(got.distance_computations)
+        assert np.mean(counts) < most, (kind, np.mean(counts))
+
+
+def test_dense_selection_with_late_discoveries(rng):
+    # eager shell groups over a tree: nodes are discovered after the seeds,
+    # by edges that give bounds of their own. With shells that never give a
+    # positive bound, the order is that of the heap; with the pm-tree's
+    # shells made eager, the answer is still exact.
+    for _ in range(12):
+        n = int(rng.integers(5, 60))
+        pts = np.round(rng.random((n, 2)) * 4) / 4  # duplicates and exact ties
+        space = EuclideanSpace(pts)
+        tree, _ = build_classic(space, range(n), "ball-tree")
+        wide = [
+            ShellGroup(v, [u for u in range(n) if u != v], np.zeros(n - 1), np.full(n - 1, 1e9))
+            for v in range(0, n, 3)
+        ]
+        inert = Sprawl(space, tree.nodes, tree.edges, wide)
+        pm, _ = build_classic(space, range(n), "pm-tree", pivots=3)
+        eager = [ShellGroup(g.source, g.targets, g.lo, g.hi) for g in pm.groups]
+        pm_eager = Sprawl(space, pm.nodes, pm.edges, eager)
+        for k in range(1, n + 3):
+            q = Ball(tuple(rng.random(2) * 1.2), 0.0, k=k)
+            assert search(inert, q).order == search(tree, q).order
+            assert search(pm_eager, q).members == linear_scan(space, range(n), q)
 
 
 def test_knn_on_interval_tree(rng):

@@ -26,3 +26,21 @@ def test_engine_leaves_region_math_to_ambit():
         if name in ("PowerMap", "MetaballMap", "HamacherMap", "remoteness", "matrix", "_facets", "TOL"):
             found.append(f"engine.py:{node.lineno}: {name}")
     assert not found, f"region math outside ambit.py: {found}"
+
+
+def test_one_traversal_loop():
+    # traverse and search drive Frontier.run; a second loop over the
+    # frontier would be a second traversal to keep in step
+    found, seen = [], set()
+    for module, scopes in (("hypergraph.py", ("traverse", "Frontier")), ("engine.py", ("search",))):
+        tree = ast.parse((SRC / module).read_text())
+        for top in tree.body:
+            if getattr(top, "name", None) not in scopes:
+                continue
+            seen.add(top.name)
+            functions = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in functions:
+                if isinstance(fn, ast.FunctionDef) and f"{top.name}.{fn.name}" != "Frontier.run":
+                    found += [f"{module}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, ast.While)]
+    assert seen == {"traverse", "Frontier", "search"}, f"scanned only {sorted(seen)}"
+    assert not found, f"while loops outside Frontier.run: {found}"
