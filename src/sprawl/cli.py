@@ -347,14 +347,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _fraction(text: str) -> float:
+    """argparse type for a selectivity: anything but a number in (0, 1] is a usage error."""
+    value = float(text)  # argparse reports a ValueError here as a usage error too
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction in (0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sprawl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--kind", choices=["uniform", "clustered"], default="uniform")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--count", type=_positive_int, default=1000)
+    p.add_argument("--dims", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clusters", type=int, default=8)
     p.add_argument("--spread", type=float, default=0.05)
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run one query against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--ball", help="c1,c2,...:radius")
-    p.add_argument("--knn", type=int)
+    p.add_argument("--knn", type=_positive_int)
     p.add_argument("--center", help="c1,c2,... (for --knn)")
     p.set_defaults(func=cmd_query)
 
@@ -386,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--queries", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--selectivity", type=float, default=0.01)
-    p.add_argument("--knn", type=int)
+    p.add_argument("--selectivity", type=_fraction, default=0.01)
+    p.add_argument("--knn", type=_positive_int)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the verification batteries")

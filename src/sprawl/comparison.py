@@ -343,7 +343,7 @@ class Ball:
     k: int | None = None
 
     def __post_init__(self):
-        if self.k is None and self.radius < 0:
+        if self.k is None and not self.radius >= 0:  # NaN fails this too
             raise ValueError("ball radius must be non-negative")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be a positive integer")

@@ -189,8 +189,9 @@ class Sprawl:
         positions of each eager group's targets.
 
         The label-free root edges that precede every other sourceless edge
-        become the plan's seeds. With eager shell groups the plan carries
-        the ground set, so a kNN search can select by their bounds.
+        become the plan's seeds. When every node is a seed and every eager
+        edge is a shell group, as AESA and LAESA build them, the plan is
+        dense, so a kNN search can select by the groups' bounds.
         """
         if self._plan_cache is not None:
             return self._plan_cache
@@ -212,13 +213,14 @@ class Sprawl:
                     lazy_group_in.setdefault(int(t), []).append((gi, pos))
             else:
                 eager.append((len(self.edges) + gi, (g.source,)))
-        dense = any(not g.lazy for g in self.groups)
-        plan = activation(eager, seeds, self.nodes if dense else None)
+        # eager ids ascend, so the first is a group's only if every eager edge is a group
+        dense = bool(eager) and eager[0][0] >= len(self.edges) and set(seeds) == set(self.nodes)
+        plan = activation(eager, seeds, dense)
         group_pos = {}
         if dense:
-            order = np.asarray(plan.nodes, dtype=np.int64)
+            order = np.asarray(plan.seeds, dtype=np.int64)
             low = int(order.min())
-            at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # plan position by ref
+            at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # seed position by ref
             at[order - low] = np.arange(len(order))
             group_pos = {gi: at[g.targets - low] for gi, g in enumerate(self.groups) if not g.lazy}
         self._plan_cache = (plan, lazy_in, lazy_group_in, group_pos)
@@ -421,9 +423,10 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     the cover radius starts at infinity and tightens to the current k-th
     best distance after every traversal; node priorities are the per-edge
     region lower bounds. When the frontier is dense (the "bound" heuristic
-    over eager shell groups), a fired group instead raises each target's
-    shell lower bound, the next node is the one with the smallest bound,
-    and a bound beyond the current radius eliminates, as in AESA and LAESA.
+    over a dense plan, see `Sprawl._plan`), a fired group instead raises
+    each target's shell lower bound, the next node is the one with the
+    smallest bound, and a bound beyond the current radius eliminates, as
+    in AESA and LAESA.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
@@ -894,14 +897,12 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
     if kind == "aesa":
         edges = [Edge((), v) for v in refs]
         res = {i: frozenset({v}) for i, v in enumerate(refs)}
+        ids = np.asarray(refs)
         d = space.pairwise(refs, refs)
         groups = []
         for i, u in enumerate(refs):
-            others = np.array([j for j in range(len(refs)) if j != i])
-            row = d[i, others]
-            groups.append(
-                ShellGroup(u, np.asarray([refs[j] for j in others]), row, row, lazy=False)
-            )
+            row = np.delete(d[i], i)
+            groups.append(ShellGroup(u, np.delete(ids, i), row, row, lazy=False))
         return Sprawl(space, refs, edges, groups), ResponsibilityAssignment(res)
 
     if kind == "laesa":
@@ -926,6 +927,8 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
     if kind == "pm-tree":
         arity = int(params.get("arity", 2))
         m = int(params.get("pivots", 4))
+        if m < 1:
+            raise ValueError("pivot count out of range")
         if m >= len(refs):
             raise ValueError("need more points than pivots")
         pivots = _maxmin_pivots(space, refs, m)

@@ -55,10 +55,9 @@ class Heuristic:
     key(node), "explicit" by position in order (stopping once no listed
     node is available), and "bound", the kNN default of `engine.search`,
     by the largest lower bound known for the node, ties by discovery
-    sequence. Those bounds are the ones given with each discovery and,
-    over a plan that carries its ground set (in `engine.search`, a sprawl
-    with eager shell groups), the shell bounds that `Frontier.raise_bounds`
-    raises; only the shell bounds can eliminate a node.
+    sequence. Those bounds are the ones given with each discovery or, over
+    a dense plan (in `engine.search`, AESA and LAESA), the shell bounds
+    that `Frontier.raise_bounds` raises; only these can eliminate a node.
     """
 
     kind: str
@@ -92,20 +91,20 @@ class Plan(NamedTuple):
     sizes: dict[int, int]  # distinct-source count per edge
     sourceless: list[int]  # edge ids that fire before the first selection
     seeds: tuple[int, ...]  # nodes discovered, at bound 0, before those fire
-    nodes: tuple[int, ...] | None  # positions of a dense frontier: the seeds, then the rest
-    positions: dict[int, int] | None  # plan position of each of those nodes
+    positions: dict[int, int] | None  # seed position of each seed, in a dense plan
 
 
-def activation(edges, seeds=(), nodes=None) -> Plan:
+def activation(edges, seeds=(), dense: bool = False) -> Plan:
     """Static out-edge index for a `Frontier`.
 
     `edges` yields (edge id, sources) in ascending id order. `seeds` are
     the targets of label-free root edges, discovered in bulk ahead of the
     sourceless edges; the discovery sequence is unchanged when those root
-    edges precede every sourceless edge in id order. Passing the ground
-    set as `nodes` lets a frontier under the "bound" heuristic select from
-    a dense bound array instead of the heap, as a search over eager shell
-    groups needs, since each group raises the bounds of many nodes at once.
+    edges precede every sourceless edge in id order. A `dense` plan, whose
+    seeds are the whole ground set and whose edges discover nothing, lets
+    a frontier under the "bound" heuristic select from a bound array by
+    seed position instead of the heap, since a shell group raises many
+    bounds at once.
     """
     out: dict[int, list[int]] = {}
     sizes: dict[int, int] = {}
@@ -118,11 +117,8 @@ def activation(edges, seeds=(), nodes=None) -> Plan:
         for s in sources:
             out.setdefault(s, []).append(i)
     seeds = tuple(dict.fromkeys(int(v) for v in seeds))
-    positions = None
-    if nodes is not None:
-        nodes = tuple(dict.fromkeys(seeds + tuple(int(v) for v in nodes)))
-        positions = {v: i for i, v in enumerate(nodes)}
-    return Plan(out, sizes, sourceless, seeds, nodes, positions)
+    positions = {v: i for i, v in enumerate(seeds)} if dense else None
+    return Plan(out, sizes, sourceless, seeds, positions)
 
 
 def _entry_key(h: Heuristic):
@@ -153,11 +149,11 @@ class Frontier:
     beats discovery.
 
     Selection takes one of two forms, chosen from the input alone. Under
-    the "bound" heuristic with a plan that carries its ground set (`dense`),
-    the available node with the smallest bound is found by one argmin over
-    a position-indexed array, so that `raise_bounds` can raise the bounds
-    of many nodes at once; a node whose shell bound exceeds the `cut` limit
-    is eliminated. Otherwise nodes wait in a heap under the heuristic's key.
+    the "bound" heuristic with a dense plan, every node is a seed, so its
+    seed position is its discovery sequence: one argmin over a bound array
+    by position selects, `raise_bounds` raises many bounds at once, and a
+    bound above the `cut` limit eliminates. Otherwise nodes wait in a heap
+    under the heuristic's key.
     """
 
     def __init__(self, plan: Plan, h: Heuristic):
@@ -171,32 +167,17 @@ class Frontier:
         #: A dense frontier does not list the nodes that `cut` eliminates.
         self.done: set[int] = set()
         self.traversed: set[int] = set()
-        self.dense = self._rekey and plan.nodes is not None
+        self.dense = self._rekey and plan.positions is not None
         if self.dense:
-            n = len(plan.nodes)
-            # per position: the largest shell bound raised while available, else inf
-            self._bound = np.full(n, np.inf)
-            # shell bounds raised before discovery, for nodes that are not seeds
-            self._held = np.zeros(n) if n > len(plan.seeds) else None
-            self._reach = None  # largest bound given with a discovery, once one is positive
-            self._late: dict[int, int] = {}  # discovery sequence of non-seed positions
+            # per seed position: the largest shell bound raised, inf once selected or eliminated
+            self._bound = np.zeros(len(plan.seeds))
             self._limit = np.inf
 
     def discover(self, v: int, bound: float = 0.0) -> None:
         """Make v available. Under the "bound" key a rediscovery with a
         larger lower bound raises v's key, so it is selected at its
         tightest bound."""
-        if v in self.done:
-            return
-        if self.dense:
-            p = self._plan.positions[v]
-            if p >= len(self._plan.seeds) and p not in self._late:
-                self._late[p] = len(self._plan.seeds) + len(self._late)
-                self._bound[p] = self._held[p]
-            if bound > 0.0:
-                if self._reach is None:
-                    self._reach = np.zeros(len(self._bound))
-                self._reach[p] = max(self._reach[p], bound)
+        if v in self.done or self.dense:  # a dense plan's nodes are all available
             return
         seq = self._seq.get(v)
         if seq is None:
@@ -218,11 +199,9 @@ class Frontier:
                 self._bound[self._plan.positions[v]] = np.inf
 
     def raise_bounds(self, positions, bounds) -> None:
-        """Raise the shell bounds of the nodes at the given plan positions
+        """Raise the shell bounds of the nodes at the given seed positions
         (dense frontiers only); a bound above the `cut` limit eliminates."""
         self._bound[positions] = np.maximum(self._bound[positions], bounds)
-        if self._held is not None:
-            self._held[positions] = np.maximum(self._held[positions], bounds)
 
     def cut(self, limit: float) -> None:
         """Eliminate every node whose shell bound exceeds limit (dense
@@ -232,11 +211,9 @@ class Frontier:
         self._limit = limit
 
     def _seed(self) -> None:
-        seeds = self._plan.seeds
-        if self.dense:
-            self._bound[: len(seeds)] = 0.0
+        if self.dense:  # the bound array already holds every seed at 0
             return
-        for v in seeds:  # the bulk form of discover(v) on a fresh frontier
+        for v in self._plan.seeds:  # the bulk form of discover(v) on a fresh frontier
             seq = self._seq[v] = len(self._seq)
             key = self._key(v, seq, 0.0)
             if key is not None:
@@ -254,7 +231,7 @@ class Frontier:
         """
         heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
         plan = self._plan
-        out, sizes, nodes = plan.out, plan.sizes, plan.nodes
+        out, sizes, seeds = plan.out, plan.sizes, plan.seeds
         remaining: dict[int, int] = {}
         order: list[int] = []
         self._seed()
@@ -262,19 +239,15 @@ class Frontier:
         while True:
             if self.dense:
                 bound = self._bound
-                keys = bound if self._reach is None else np.maximum(bound, self._reach)
-                i = int(keys.argmin())
-                low = keys[i]
+                i = int(bound.argmin())  # the first of equal bounds: ties by sequence
+                low = bound[i]
                 if low == np.inf:
                     break
-                if self._late:  # a non-seed's position is not its discovery sequence
-                    tied = np.flatnonzero(keys == low).tolist()
-                    i = min(tied, key=lambda p: self._late.get(p, p))
-                if bound[i] > self._limit:
+                if low > self._limit:
                     bound[bound > self._limit] = np.inf
                     continue
                 bound[i] = np.inf
-                v = nodes[i]
+                v = seeds[i]
             else:
                 if not heap:
                     break

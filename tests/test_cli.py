@@ -315,6 +315,10 @@ def test_optimize_foci_leave_no_point(tmp_path, capsys):
         ["verify", "--axioms", "--count", "-1"],
         ["verify", "--properties", "--count", "0"],
         ["verify", "--axioms", "--count", "two"],
+        ["bench", "--index", "i.json", "--knn", "0"],
+        ["query", "--index", "i.json", "--knn", "0", "--center", "0,0"],
+        ["gen", "--count", "0", "--out", "d.txt"],
+        ["gen", "--dims", "0", "--out", "d.txt"],
     ],
 )
 def test_count_options_need_a_positive_integer(argv, capsys):
@@ -322,3 +326,22 @@ def test_count_options_need_a_positive_integer(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "2", "nan"])
+def test_selectivity_must_be_a_fraction(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--index", "i.json", "--selectivity", value])
+    assert exc.value.code == 2
+    assert "fraction in (0, 1]" in capsys.readouterr().err
+
+
+def test_query_refuses_nan_radius(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    index = tmp_path / "i.json"
+    main(["gen", "--count", "20", "--dims", "2", "--seed", "3", "--out", str(data)])
+    main(["build", "--dataset", str(data), "--out", str(index)])
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--ball", "0.5,0.5:nan"]) == 3
+    err = capsys.readouterr().err
+    assert "radius" in err and "Traceback" not in err

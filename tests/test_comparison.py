@@ -228,6 +228,9 @@ def test_queries_validate():
     with pytest.raises(ValueError):
         Ball((0.0,), -1.0)
     with pytest.raises(ValueError):
+        Ball((0.0,), float("nan"))
+    with pytest.raises(ValueError):
         Ball((0.0,), 0.0, k=0)
+    assert Ball((0.0,), float("inf")).radius == float("inf")
     w = Workload([Ball((0.0,), 1.0)], atomistic=False)
     assert len(w.queries) == 1

@@ -222,11 +222,19 @@ def test_sorted_interval_tree_requires_projection(rng):
         build_classic(toy_space(), range(6), "sorted-interval-tree")
 
 
+def test_aesa_over_one_point():
+    sprawl, _ = build_classic(toy_space(1), [0], "aesa")
+    assert search(sprawl, Ball((0.0, 0.0), 0.0, k=2)).members == (0,)
+
+
 def test_builder_validates():
     with pytest.raises(ValueError):
         build_classic(toy_space(), [], "ball-tree")
     with pytest.raises(ValueError):
         build_classic(toy_space(4), range(4), "laesa", pivots=9)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="pivot count out of range"):
+            build_classic(toy_space(6), range(6), "pm-tree", pivots=m)
     with pytest.raises(ValueError):
         build_classic(toy_space(4), range(4), "nonsense")
 
@@ -303,11 +311,12 @@ def test_pivot_knn_selects_by_shell_bounds():
         assert np.mean(counts) < most, (kind, np.mean(counts))
 
 
-def test_dense_selection_with_late_discoveries(rng):
-    # eager shell groups over a tree: nodes are discovered after the seeds,
-    # by edges that give bounds of their own. With shells that never give a
-    # positive bound, the order is that of the heap; with the pm-tree's
-    # shells made eager, the answer is still exact.
+def test_dense_selection_only_where_every_node_is_a_seed(rng):
+    # only a sprawl whose nodes are all seeds and whose eager edges are all
+    # shell groups (AESA, LAESA) gets a dense plan. Eager shell groups over
+    # a tree, whose nodes are discovered after the seeds, keep the heap:
+    # shells that never give a positive bound leave the tree's order, and
+    # the pm-tree's shells made eager still give the exact answer.
     for _ in range(12):
         n = int(rng.integers(5, 60))
         pts = np.round(rng.random((n, 2)) * 4) / 4  # duplicates and exact ties
@@ -321,6 +330,9 @@ def test_dense_selection_with_late_discoveries(rng):
         pm, _ = build_classic(space, range(n), "pm-tree", pivots=3)
         eager = [ShellGroup(g.source, g.targets, g.lo, g.hi) for g in pm.groups]
         pm_eager = Sprawl(space, pm.nodes, pm.edges, eager)
+        assert inert._plan()[0].positions is None and pm_eager._plan()[0].positions is None
+        for kind in ("aesa", "laesa"):
+            assert build_classic(space, range(n), kind, pivots=3)[0]._plan()[0].positions is not None
         for k in range(1, n + 3):
             q = Ball(tuple(rng.random(2) * 1.2), 0.0, k=k)
             assert search(inert, q).order == search(tree, q).order
