@@ -298,6 +298,9 @@ def cmd_plot(args) -> int:
         foci_xy = _parse_foci_xy(args.foci)
         region = _region_from_args(args, foci_xy.shape[0])
     bounds = tuple(float(v) for v in args.bounds.split(","))
+    finite = len(bounds) == 4 and np.isfinite(bounds).all()
+    if not (finite and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        raise FormatError("--bounds needs finite xmin,xmax,ymin,ymax with each max above its min")
     svg = plotting.region_svg(region, foci_xy, bounds, args.resolution)
     if args.out:
         with open(args.out, "w") as fh:
@@ -310,8 +313,8 @@ def cmd_plot(args) -> int:
 
 def _region_from_args(args, m: int) -> Ambit:
     foci = tuple(range(m))
+    weights = [float(w) for w in args.weights.split(",")] if args.weights else [1.0] * m
     if args.map == "power":
-        weights = [float(w) for w in args.weights.split(",")] if args.weights else [1.0] * m
         return Ambit(foci, PowerMap(weights, args.alpha), (args.radius,))
     if args.map == "metaball":
         return Ambit(foci, MetaballMap([args.a] * m), (args.radius,))
@@ -320,7 +323,6 @@ def _region_from_args(args, m: int) -> Ambit:
     if args.map in ("ball", "sphere", "ellipse", "plane", "hyperbola"):
         params = {} if args.map == "plane" else {"r": args.radius}
         return table1_region(args.map, foci, **params)
-    weights = [float(w) for w in args.weights.split(",")]
     return Ambit(foci, LinearMap([weights]), (args.radius,))
 
 
@@ -344,6 +346,13 @@ def _positive_int(text: str) -> int:
     """argparse type for counts: anything but an integer >= 1 is a usage error."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _grid_size(text: str) -> int:
+    """argparse type for a plot resolution: a grid needs at least two samples a side."""
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 2")
     return int(text)
 
 
@@ -415,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--foci", required=True, help="comma-separated point indices")
     p.add_argument("--queries-file")
     p.add_argument("--sample-queries", type=_positive_int, default=64)
-    p.add_argument("--facets", type=int, default=1)
+    p.add_argument("--facets", type=_positive_int, default=1)
     p.add_argument("--mode", choices=["lp25", "minrad"], default="lp25")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
@@ -433,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--bounds", default="-1.5,2.5,-1.5,1.5")
-    p.add_argument("--resolution", type=int, default=512)
+    p.add_argument("--resolution", type=_grid_size, default=512)
     p.add_argument("--out")
     p.set_defaults(func=cmd_plot)
 

@@ -1,7 +1,9 @@
 """Point universes, comparison functions, feature maps, queries and workloads.
 
 Every distance used anywhere in the package is computed here, so the
-per-query cost metric (number of comparison evaluations) has a single home.
+per-query cost metric (number of comparison evaluations) has a single home:
+`compare` and `distances_from` charge it around uncounted subclass kernels,
+and every Lp distance, in every call shape, goes through `lp_norm`.
 """
 from __future__ import annotations
 
@@ -15,6 +17,22 @@ import numpy as np
 #: 64-bit floats; every ">=" test elsewhere gets this much slack on the
 #: permissive side so rounding can only create false positives.
 TOL = 1e-9
+
+
+def lp_norm(diff: np.ndarray, p: float):
+    """The Lp norm of `diff` along its last axis, one float per pair in every
+    call shape: roots go through numpy's ufuncs, never scalar `**` (libm's
+    `pow` can differ from numpy's `power` in the last bit), and `math.sqrt`
+    is correctly rounded, as `np.sqrt` is."""
+    if p == 2.0:
+        total = np.add.reduce(diff * diff, axis=-1)
+        return math.sqrt(total) if diff.ndim == 1 else np.sqrt(total)
+    diff = np.abs(diff)
+    if p == 1.0:
+        return np.add.reduce(diff, axis=-1)
+    if p == math.inf:
+        return np.max(diff, axis=-1)
+    return np.power(np.add.reduce(np.power(diff, p), axis=-1), 1.0 / p)
 
 
 @dataclass
@@ -69,18 +87,18 @@ class ComparisonSpace:
 
     def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
         """Vector of delta(u, ref) for each ref; counts len(refs) comparisons."""
-        a = self._resolve(u)
-        out = np.array([self._dist(a, self.value(int(r))) for r in refs], dtype=float)
+        out = self._row(self._resolve(u), refs)
         if session is not None:
             session.charge(len(out))
         return out
 
+    def _row(self, a, refs) -> np.ndarray:
+        """Uncounted delta(a, ref) for each ref, with `a` already resolved."""
+        return np.array([self._dist(a, self.value(int(r))) for r in refs], dtype=float)
+
     def pairwise(self, refs_a, refs_b) -> np.ndarray:
         """Uncounted bulk distance block, for index construction."""
-        return np.array(
-            [[self._dist(self.value(int(a)), self.value(int(b))) for b in refs_b] for a in refs_a],
-            dtype=float,
-        )
+        return np.array([self._row(self.value(int(a)), refs_b) for a in refs_a], dtype=float)
 
 
 class EuclideanSpace(ComparisonSpace):
@@ -117,44 +135,15 @@ class EuclideanSpace(ComparisonSpace):
         return a
 
     def _dist(self, a, b) -> float:
-        if self.p == 2.0:
-            # the same sum, in the same order, as `distances_from` and `pairwise`
-            diff = a - b
-            return math.sqrt(np.add.reduce(diff * diff))
-        diff = np.abs(a - b)
-        if self.p == 1.0:
-            return float(np.sum(diff))
-        if np.isinf(self.p):
-            return float(np.max(diff))
-        return float(np.sum(diff**self.p) ** (1.0 / self.p))
+        return float(lp_norm(a - b, self.p))
 
-    def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
-        a = self._resolve(u)
-        block = self.points[np.asarray(refs, dtype=int)]
-        diff = np.abs(block - a)
-        if self.p == 2.0:
-            out = np.sqrt(np.sum(diff * diff, axis=1))
-        elif self.p == 1.0:
-            out = np.sum(diff, axis=1)
-        elif np.isinf(self.p):
-            out = np.max(diff, axis=1)
-        else:
-            out = np.sum(diff**self.p, axis=1) ** (1.0 / self.p)
-        if session is not None:
-            session.charge(len(out))
-        return out
+    def _row(self, a, refs) -> np.ndarray:
+        return lp_norm(self.points[np.asarray(refs, dtype=int)] - a, self.p)
 
     def pairwise(self, refs_a, refs_b) -> np.ndarray:
         a = self.points[np.asarray(refs_a, dtype=int)]
         b = self.points[np.asarray(refs_b, dtype=int)]
-        diff = np.abs(a[:, None, :] - b[None, :, :])
-        if self.p == 2.0:
-            return np.sqrt(np.sum(diff * diff, axis=2))
-        if self.p == 1.0:
-            return np.sum(diff, axis=2)
-        if np.isinf(self.p):
-            return np.max(diff, axis=2)
-        return np.sum(diff**self.p, axis=2) ** (1.0 / self.p)
+        return lp_norm(a[:, None, :] - b[None, :, :], self.p)
 
 
 class ProjectionSpace(ComparisonSpace):
@@ -213,8 +202,7 @@ class ProjectionSpace(ComparisonSpace):
             return float(b[a[1]])
         if b_axis:
             return float(a[b[1]])
-        diff = a - b
-        return float(np.sqrt(np.sum(diff * diff)))
+        return float(lp_norm(a - b, 2.0))
 
 
 class MatrixSpace(ComparisonSpace):
@@ -253,11 +241,8 @@ class MatrixSpace(ComparisonSpace):
     def _dist(self, a, b) -> float:
         return float(self.matrix[a, b])
 
-    def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
-        row = self.matrix[self._resolve(u), np.asarray(refs, dtype=int)].astype(float)
-        if session is not None:
-            session.charge(len(row))
-        return row
+    def _row(self, a, refs) -> np.ndarray:
+        return self.matrix[a, np.asarray(refs, dtype=int)].astype(float)
 
     def pairwise(self, refs_a, refs_b) -> np.ndarray:
         return self.matrix[np.ix_(np.asarray(refs_a, int), np.asarray(refs_b, int))].astype(float)

@@ -201,7 +201,7 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
 
 
 def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None) -> None:
-    Path(path).write_text(json.dumps(index_document(sprawl, res), indent=1) + "\n")
+    Path(path).write_text(json.dumps(index_document(sprawl, res)) + "\n")
 
 
 def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | None]:

@@ -160,6 +160,39 @@ def test_plot_power_and_hamacher(tmp_path):
                      "--out", str(out)] + extra) == 0
 
 
+def test_plot_linear_map_defaults_to_unit_weights(tmp_path, capsys):
+    out = tmp_path / "p.svg"
+    assert main(["plot", "--foci", "0,0", "--resolution", "48", "--out", str(out)]) == 0
+    assert "<path" in out.read_text()  # the unit ball around the focus has a boundary
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["1,1,0,1", "0,1,2,-2", "0,1,0", "0,1,0,inf", "nan,1,0,1"])
+def test_plot_bounds_need_positive_extent(bounds, capsys):
+    assert main(["plot", "--map", "ellipse", "--foci", "0,0;1,0", "--bounds", bounds]) == 3
+    assert "--bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", ["0", "1", "-4"])
+def test_plot_resolution_needs_two_samples(resolution, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--map", "ball", "--foci", "0,0", "--resolution", resolution])
+    assert exc.value.code == 2
+    assert "--resolution" in capsys.readouterr().err
+
+
+def test_bench_exact_under_l3(tmp_path, capsys):
+    # range radii are read off distances_from, so a point sits on each boundary
+    data = tmp_path / "d.txt"
+    index = tmp_path / "i.json"
+    main(["gen", "--count", "200", "--dims", "8", "--seed", "1", "--out", str(data)])
+    assert main(["build", "--dataset", str(data), "--kind", "ball-tree", "--p", "3",
+                 "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--index", str(index), "--queries", "40", "--seed", "7"]) == 0
+    assert "oracle agreement: true" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["build"])  # missing required arguments
@@ -319,6 +352,8 @@ def test_optimize_foci_leave_no_point(tmp_path, capsys):
         ["query", "--index", "i.json", "--knn", "0", "--center", "0,0"],
         ["gen", "--count", "0", "--out", "d.txt"],
         ["gen", "--dims", "0", "--out", "d.txt"],
+        ["optimize", "--dataset", "d.txt", "--foci", "0,1", "--facets", "0"],
+        ["optimize", "--dataset", "d.txt", "--foci", "0,1", "--facets", "-3"],
     ],
 )
 def test_count_options_need_a_positive_integer(argv, capsys):

@@ -38,18 +38,19 @@ def test_self_distance_zero_everywhere():
             assert space.compare(v, v) == 0.0
 
 
-def test_l2_compare_equals_distances_from_rows(rng):
-    # one distance, three kernels: search compares one pair at a time,
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_lp_compare_equals_distances_from_rows(rng, p):
+    # one distance, three call shapes: search compares one pair at a time,
     # linear_scan takes a row, and a k-NN radius read off a row must admit
     # the point that sits on it
     for dims in (1, 2, 3, 8, 9, 17):
-        space = EuclideanSpace(rng.random((300, dims)))
+        space = EuclideanSpace(rng.random((300, dims)), p=p)
         for c in list(rng.random((5, dims))) + [space.points[7]]:
             row = space.distances_from(tuple(c), range(300))
             assert [space.compare(tuple(c), i) for i in range(300)] == row.tolist()
             assert [space.compare(i, tuple(c)) for i in range(300)] == row.tolist()
             assert space.pairwise(range(300), [0])[:, 0].tolist() == space.distances_from(0, range(300)).tolist()
-    space = EuclideanSpace(rng.random((200, 8)))
+    space = EuclideanSpace(rng.random((200, 8)), p=p)
     sprawl, _ = build_classic(space, range(200), "aesa")
     for c in rng.random((5, 8)):
         row = space.distances_from(tuple(c), range(200))
@@ -58,6 +59,19 @@ def test_l2_compare_equals_distances_from_rows(rng):
         assert kth in got.members
         assert got.members == linear_scan(space, range(200), Ball(tuple(c), float(row[kth])))
         assert search(sprawl, Ball(tuple(c), 0.0, k=10)).members[-1] == kth
+
+
+@pytest.mark.parametrize("kind", ["ball-tree", "aesa", "laesa", "pm-tree"])
+def test_range_at_the_exact_knn_radius_under_l3(kind):
+    # a radius read off distances_from puts a point exactly on the boundary;
+    # search must see that point at the same distance as linear_scan does
+    rng = np.random.default_rng(3)
+    space = EuclideanSpace(rng.random((400, 8)), p=3.0)
+    sprawl, _ = build_classic(space, range(400), kind)
+    for c in rng.random((40, 8)):
+        row = space.distances_from(tuple(c), range(400))
+        q = Ball(tuple(c), float(np.partition(row, 3)[3]))
+        assert search(sprawl, q).members == linear_scan(space, range(400), q)
 
 
 def test_compare_counts_on_session():

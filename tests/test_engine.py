@@ -756,6 +756,58 @@ def test_pm_tree_explicit_set_query():
     assert search(s, q).members == (3, 17, 30)
 
 
+@pytest.mark.parametrize("kind", ["aesa", "laesa"])
+@pytest.mark.parametrize(
+    "heuristic", [None, Heuristic.fifo(), Heuristic("bound")], ids=["default", "fifo", "bound"]
+)
+def test_set_and_ambit_queries_over_shell_groups(rng, kind, heuristic):
+    # a group fires edge by edge for queries that are not balls; under
+    # "bound" the plan is dense, so its eliminations go through the dense frontier
+    space = toy_space(40, 3, seed=int(rng.integers(1 << 30)))
+    sprawl, _ = build_classic(space, range(40), kind, pivots=6)
+    pruned = 0
+    for _ in range(20):
+        ids = frozenset(int(v) for v in rng.choice(40, size=int(rng.integers(1, 6)), replace=False))
+        foci = tuple(int(v) for v in rng.choice(40, size=2, replace=False))
+        weights = tuple(float(w) for w in rng.random(2) + 0.1)
+        remoteness = np.asarray(weights) @ space.pairwise(foci, range(40))
+        radius = float(np.quantile(remoteness, rng.random() * 0.3))
+        for q in (ExplicitSetQuery(ids), AmbitQuery(foci, weights, radius)):
+            got = search(sprawl, q, heuristic)
+            assert got.members == linear_scan(space, range(40), q)
+            pruned += 40 - got.traversed
+    assert pruned > 0
+
+
+def test_lazy_negative_edges_into_leaves(rng):
+    # a lazy edge is consulted once all its sources are traversed, just
+    # before its target would be; a shell holding the target never refuses a member
+    space = toy_space(50, 2, seed=int(rng.integers(1 << 30)))
+    tree, _ = build_classic(space, range(50), "ball-tree")
+    sources = {v for e in tree.edges for v in e.sources}
+    leaves = [v for v in tree.nodes if v not in sources]
+    refused = 0
+    for trial in range(6):
+        lazy = []
+        for leaf in leaves:
+            picks = [int(v) for v in rng.choice(50, size=2, replace=False) if v != leaf]
+            src = tuple(picks[: 1 + trial % 2])
+            d = space.compare(src[0], leaf)
+            slack = float(rng.random()) * 0.1 * (trial % 3)  # 0: a sphere
+            shell = table1_region("shell", (src[0],), lo=max(d - slack, 0.0), hi=d + slack)
+            lazy.append(Edge(src, leaf, (EMPTY,), (shell,), lazy=True))
+        s = Sprawl(space, range(50), list(tree.edges) + lazy)
+        for c in rng.random((5, 2)):
+            row = space.distances_from(tuple(c), range(50))
+            for q in (Ball(tuple(c), float(np.partition(row, 4)[4])), Ball(tuple(c), 0.0, k=4)):
+                got = search(s, q)
+                assert set(got.members) == set(linear_scan(space, range(50), q))
+                if q.k is not None:
+                    assert got.members == linear_scan(space, range(50), q)
+                refused += search(tree, q).traversed - got.traversed
+    assert refused > 0
+
+
 def _paired_heuristics(s):
     """The same four policies for search (on refs) and traverse (on positions)."""
     pos = {v: i for i, v in enumerate(s.nodes)}

@@ -44,3 +44,22 @@ def test_one_traversal_loop():
                     found += [f"{module}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, ast.While)]
     assert seen == {"traverse", "Frontier", "search"}, f"scanned only {sorted(seen)}"
     assert not found, f"while loops outside Frontier.run: {found}"
+
+
+def test_one_lp_kernel():
+    # compare, distances_from and pairwise must give one float per pair; a
+    # second copy of the Lp arithmetic rounds differently (scalar ** calls
+    # libm's pow, numpy's power ufunc may not), and exact search then misses
+    # points that lie on a radius read off a row
+    tree = ast.parse((SRC / "comparison.py").read_text())
+    kernels = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "lp_norm"]
+    assert len(kernels) == 1, "comparison.lp_norm not found"
+    inside = {id(node) for node in ast.walk(kernels[0])}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in ("sqrt", "power", "pow") or isinstance(getattr(node, "op", None), ast.Pow):
+            found.append(f"comparison.py:{node.lineno}: {name or '**'}")
+    assert not found, f"Lp arithmetic outside comparison.lp_norm: {found}"
