@@ -4,6 +4,7 @@ An ambit is the preimage of a ball under a remoteness map applied to the
 focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
 meets a query: `overlap_radients` is the one ball-overlap dispatcher,
+`overlap_facet_columns` its single-facet form over columns of regions,
 `shells_missed` the vectorised shell test, `shell_bounds` the lower
 bounds that shells give a kNN search, and `ball_reach` the radius
 at which a linear ambit's facets stop excluding a ball. A `LinearMap`
@@ -246,6 +247,24 @@ def _facets_meet(facets, radii, z, s: float, tol: float) -> bool:
         if not r + l1 * s >= sum(map(mul, row, z)) - tol:
             return False
     return True
+
+
+def ball_facet(region, focus: int) -> tuple[float, float, float] | None:
+    """(a, ||a||_1, r) when the region is the single facet a * delta(focus, .)
+    <= r, the form of a tree's ball edge; None for any other region."""
+    if not isinstance(region, Ambit) or not isinstance(region.map, LinearMap) or region.foci != (focus,):
+        return None
+    if region.map.rows != 1:
+        return None
+    ((a,), l1), = region.map._facets
+    return a, l1, region.radii[0]
+
+
+def overlap_facet_columns(r, l1, a, z, s: float, tol: float = TOL) -> np.ndarray:
+    """`_facets_meet` for many single-facet regions at once, one per column
+    entry: r + l1 * s >= a * z - tol, elementwise and in the same order of
+    operations, so each verdict is bit for bit the scalar one (NaN misses)."""
+    return r + l1 * s >= a * z - tol
 
 
 def overlap_ball_rows(rows, radii, z, s: float, tol: float = TOL) -> bool:

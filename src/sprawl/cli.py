@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -312,6 +313,8 @@ def cmd_plot(args) -> int:
 
 
 def _region_from_args(args, m: int) -> Ambit:
+    if math.isnan(args.radius):  # no point is within a NaN radius, so the plot would be blank
+        raise FormatError("--radius must be a number, not nan")
     foci = tuple(range(m))
     weights = [float(w) for w in args.weights.split(",")] if args.weights else [1.0] * m
     if args.map == "power":
@@ -442,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--bounds", default="-1.5,2.5,-1.5,1.5")
-    p.add_argument("--resolution", type=_grid_size, default=512)
+    p.add_argument("--resolution", type=_grid_size, default=512,
+                   help=f"grid samples a side, 2 to {plotting.MAX_RESOLUTION}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_plot)
 

@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .comparison import (
     Workload,
 )
 from .errors import CapabilityError, EmulationError, SizeLimitError, StructureError
-from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, activation
+from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, Waves, activation
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +126,20 @@ class ShellGroup:
         return Edge((self.source,), int(self.targets[i]), (EMPTY,), (region,), lazy=self.lazy)
 
 
+class _BallColumns(NamedTuple):
+    """Single-facet ball edges a * delta(source, .) <= r as columns, by
+    source: the edges of source v are rows start[v]:start[v + 1], in edge
+    order."""
+
+    start: np.ndarray
+    target: np.ndarray
+    a: np.ndarray
+    l1: np.ndarray
+    r: np.ndarray
+    checked: bool  # whether a target may already be done when its edge fires
+    others: dict[int, list[int]]  # each source's other out-edge ids, which discover nothing
+
+
 class Sprawl:
     """Immutable-after-build index: ground set, edges, and shell groups."""
 
@@ -191,7 +207,10 @@ class Sprawl:
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
         edge is a shell group, as AESA and LAESA build them, the plan is
-        dense, so a kNN search can select by the groups' bounds.
+        dense, so a kNN search can select by the groups' bounds. The plan
+        also carries the `Waves` that let a FIFO range search go a wave at
+        a time, and the ball columns those waves test (see `_waves`).
+        Everything is built on the first call, not with the sprawl.
         """
         if self._plan_cache is not None:
             return self._plan_cache
@@ -223,8 +242,105 @@ class Sprawl:
             at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # seed position by ref
             at[order - low] = np.arange(len(order))
             group_pos = {gi: at[g.targets - low] for gi, g in enumerate(self.groups) if not g.lazy}
-        self._plan_cache = (plan, lazy_in, lazy_group_in, group_pos)
+        waves, balls = self._waves(lazy_in, lazy_group_in)
+        self._plan_cache = (plan._replace(waves=waves), lazy_in, lazy_group_in, group_pos, balls)
         return self._plan_cache
+
+    def _waves(self, lazy_in, lazy_group_in):
+        """The plan's `Waves` and the ball columns, or (None, None).
+
+        A node steps alone when one of its eager out-edges has other
+        sources, or discovers without being a single-facet ball about it,
+        and so does the target of a sourceless eliminating edge: with no
+        node alone, apart or waiting, no queued node is ever eliminated.
+        Two nodes are kept apart when one's eager edge tests the other
+        (a group or an eliminating edge, or an edge fired as a whole), or
+        when one's edge could eliminate a target that the other's ball
+        tests; a ball tested twice, or into a seed, also keeps its target
+        apart from its source. A target of lazy edges waits until their
+        sources are traversed. Where every node is the source of an eager
+        group, as in AESA, each node's shells may eliminate the next, so
+        waves would all be one node and the plan keeps the heap.
+        """
+        edges, groups, nodes = self.edges, self.groups, self.nodes
+        eager_groups = [(len(edges) + gi, g) for gi, g in enumerate(groups) if not g.lazy]
+        if {g.source for _, g in eager_groups} >= set(nodes) or min(nodes) < 0:
+            return None, None
+        alone: set[int] = set()
+        apart: dict[int, set[int]] = {}
+        kills: dict[int, set[int]] = {}  # eager eliminating sources per eliminable target
+        finders: dict[int, int] = {}  # discovering eager in-edges per target
+        others: dict[int, list[int]] = {}
+        balls = []  # (source, target, (a, ||a||_1, r)), in edge order
+
+        def part(u: int, v: int) -> None:
+            if u != v:
+                apart.setdefault(u, set()).add(v)
+                apart.setdefault(v, set()).add(u)
+
+        for i, e in enumerate(edges):
+            if e.lazy:
+                continue
+            t, sources = e.target, set(e.sources)
+            discovers = not any(isinstance(r, Empty) for r in e.positive)
+            finders[t] = finders.get(t, 0) + discovers
+            if e.negative:
+                kills.setdefault(t, set()).update(sources)
+                if not sources:
+                    alone.add(t)
+            if len(sources) > 1:
+                alone |= sources
+            elif sources:
+                (u,) = sources
+                if len(e.positive) == 1 and not e.negative:
+                    facet = ambit_mod.ball_facet(e.positive[0], u)
+                    if facet is not None:
+                        balls.append((u, t, facet))
+                        continue
+                if discovers:
+                    alone.add(u)
+                others.setdefault(u, []).append(i)
+                part(u, t)
+        for i, g in eager_groups:
+            others.setdefault(g.source, []).append(i)
+            for t in g.targets.tolist():
+                kills.setdefault(t, set()).add(g.source)
+                part(g.source, t)
+        checked = False
+        for u, t, _ in balls:
+            contested = finders.get(t, 0) > 1
+            if contested:
+                part(u, t)
+            for k in kills.get(t, ()):
+                if k == u:
+                    alone.add(u)
+                part(u, k)
+            checked = checked or contested or t in kills or t == u
+        after: dict[int, set[int]] = {}
+        for t, ids in lazy_in.items():
+            after.setdefault(t, set()).update(*(edges[i].sources for i in ids))
+        for t, refs in lazy_group_in.items():
+            after.setdefault(t, set()).update(groups[gi].source for gi, _ in refs)
+        waves = Waves(
+            frozenset(alone),
+            {v: frozenset(vs) for v, vs in apart.items()},
+            {v: frozenset(vs) for v, vs in after.items()},
+        )
+        source = np.array([b[0] for b in balls], dtype=np.int64)
+        start = np.zeros(max(nodes) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(source, minlength=max(nodes) + 1), out=start[1:])
+        rows = np.argsort(source, kind="stable")  # by source, in edge order within one
+        facets = np.array([b[2] for b in balls], dtype=float).reshape(-1, 3)[rows]
+        columns = _BallColumns(
+            start,
+            np.array([b[1] for b in balls], dtype=np.int64)[rows],
+            facets[:, 0],
+            facets[:, 1],
+            facets[:, 2],
+            checked,
+            others,
+        )
+        return waves, columns
 
 
 # --- query evaluation -------------------------------------------------------
@@ -263,6 +379,21 @@ class _QueryEval:
             if self.space.symmetric:
                 self._from_focus[ref] = d
         return d
+
+    def dists_to_center(self, refs: list[int]) -> np.ndarray:
+        """`dist_to_center` of each ref, the uncached ones in one
+        `distances_from` call, whose rows equal `compare` bit for bit."""
+        cache = self._to_center
+        todo = [r for r in refs if r not in cache]
+        if todo:
+            d = self.space.distances_from(self.center, todo, self.session)
+            fresh = dict(zip(todo, d.tolist()))
+            cache.update(fresh)
+            if self.space.symmetric:
+                self._from_focus.update(fresh)
+            if len(todo) == len(refs):
+                return d
+        return np.array([cache[r] for r in refs], dtype=float)
 
     def dist_from_focus(self, ref: int) -> float:
         d = self._from_focus.get(ref)
@@ -427,6 +558,14 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     each target's shell lower bound, the next node is the one with the
     smallest bound, and a bound beyond the current radius eliminates, as
     in AESA and LAESA.
+
+    A FIFO range search (a `Ball` with no k, on a symmetric space) whose
+    plan carries `Waves` goes a wave at a time instead: one
+    `distances_from` call tests the whole wave for membership and fills
+    the caches, the wave's single-facet ball edges get one vectorised
+    verdict (`ambit.overlap_facet_columns`), its other edges fire in turn
+    as above, and the surviving targets, in edge order, join the queue.
+    Members, order and both counts are those of the node-at-a-time form.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
@@ -439,7 +578,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     else:
         s_current = query.radius if isinstance(query, Ball) else None
 
-    plan, lazy_in, lazy_group_in, group_pos = sprawl._plan()
+    plan, lazy_in, lazy_group_in, group_pos, balls = sprawl._plan()
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
@@ -490,17 +629,17 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 frontier.discover(t, lower_bound(e) if knn else 0.0)
 
     members: list[int] = []
+    lazy = bool(lazy_in or lazy_group_in)
 
-    def visit(v: int) -> bool:
-        """Refuse v if an armed lazy edge misses the query, else record it."""
-        nonlocal s_current
+    def refused(v: int) -> bool:
+        """Whether an armed lazy edge or group into v misses the query."""
         traversed = frontier.traversed
         for ei in lazy_in.get(v, ()):
             e = edges[ei]
             if all(s in traversed for s in e.sources):
                 for r in e.negative:
                     if not ev.intersects(r, s_current):
-                        return False
+                        return True
         for gi, posn in lazy_group_in.get(v, ()):
             g = groups[gi]
             if g.source in traversed:
@@ -508,9 +647,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                     z = ev.dist_from_focus(g.source)
                     ev.region_evaluations += 1
                     if ambit_mod.shells_missed(z, g.lo[posn], g.hi[posn], s_current):
-                        return False
+                        return True
                 elif not ev.intersects(g.member_edge(posn).negative[0], s_current):
-                    return False
+                    return True
+        return False
+
+    def visit(v: int) -> bool:
+        """Refuse v if an armed lazy edge misses the query, else record it."""
+        nonlocal s_current
+        if lazy and refused(v):
+            return False
         if knn:
             d = ev.dist_to_center(v)
             item = (-d, -v)
@@ -526,7 +672,40 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             members.append(v)
         return True
 
-    order = frontier.run(fire, visit)
+    if balls is None or not isinstance(query, Ball) or knn or not space.symmetric:
+        order = frontier.run(fire, visit)
+    else:
+        wave_z = np.empty(0)  # distances of the last wave's kept nodes, in order
+
+        def visit_wave(vs: list[int]) -> list[int]:
+            """`visit` for a whole wave: lazy refusals, then one batched distance call."""
+            nonlocal wave_z
+            if lazy:
+                vs = [v for v in vs if not refused(v)]
+            wave_z = ev.dists_to_center(vs)
+            members.extend(compress(vs, (wave_z <= s_current).tolist()))
+            return vs
+
+        def fire_wave(vs: list[int]) -> None:
+            """`fire` for a wave's out-edges: the others in turn, then every
+            ball edge in one verdict; survivors are discovered in edge order."""
+            if balls.others:
+                fire([i for v in vs for i in balls.others.get(v, ())])
+            src = np.asarray(vs, dtype=np.int64)
+            first = balls.start[src]
+            counts = balls.start[src + 1] - first
+            # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
+            rows = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            z = np.repeat(wave_z, counts)
+            targets = balls.target[rows]
+            if balls.checked:
+                live = np.fromiter((t not in done for t in targets.tolist()), dtype=bool, count=len(rows))
+                rows, z, targets = rows[live], z[live], targets[live]
+            ev.region_evaluations += len(rows)
+            hit = ambit_mod.overlap_facet_columns(balls.r[rows], balls.l1[rows], balls.a[rows], z, s_current)
+            frontier.discover_all(targets[hit].tolist())
+
+        order = frontier.run(fire, visit, visit_wave, fire_wave)
     if knn:
         ranked = sorted((-nd, -nr) for nd, nr in worst)
         members = [v for _, v in ranked]

@@ -84,6 +84,20 @@ class Heuristic:
         return cls("explicit", order=order)
 
 
+class Waves(NamedTuple):
+    """Where a FIFO frontier may traverse a run of queued nodes at once.
+
+    A wave is exact when no node of it can change the fate of another:
+    none eliminates a wave-mate or a target that a wave-mate's edge would
+    test, and each lazy check of a wave node is armed before the wave.
+    `engine.Sprawl._plan` proves these facts per node, from the edges alone.
+    """
+
+    alone: frozenset[int]  # nodes that always step on their own
+    apart: dict[int, frozenset[int]]  # nodes that never share a wave with the key (symmetric)
+    after: dict[int, frozenset[int]]  # lazy sources, all traversed before a wave may hold the key
+
+
 class Plan(NamedTuple):
     """Static input of a `Frontier`, built by `activation`."""
 
@@ -92,6 +106,7 @@ class Plan(NamedTuple):
     sourceless: list[int]  # edge ids that fire before the first selection
     seeds: tuple[int, ...]  # nodes discovered, at bound 0, before those fire
     positions: dict[int, int] | None  # seed position of each seed, in a dense plan
+    waves: Waves | None = None  # where FIFO runs may go a wave at a time
 
 
 def activation(edges, seeds=(), dense: bool = False) -> Plan:
@@ -148,18 +163,24 @@ class Frontier:
     since edges fired in one round all fire before the next selection, it
     beats discovery.
 
-    Selection takes one of two forms, chosen from the input alone. Under
+    Selection takes one of three forms, chosen from the input alone. Under
     the "bound" heuristic with a dense plan, every node is a seed, so its
     seed position is its discovery sequence: one argmin over a bound array
     by position selects, `raise_bounds` raises many bounds at once, and a
-    bound above the `cut` limit eliminates. Otherwise nodes wait in a heap
-    under the heuristic's key.
+    bound above the `cut` limit eliminates. Under FIFO, over a plan with
+    `Waves` and with wave callbacks given to `run`, queued nodes wait in a
+    list in discovery order and are taken a wave at a time: the longest
+    run at the head of the queue that `Waves` allows. Otherwise nodes wait
+    in a heap under the heuristic's key.
     """
 
     def __init__(self, plan: Plan, h: Heuristic):
         self._plan = plan
         self._key = _entry_key(h)
         self._rekey = h.kind == "bound"
+        self._fifo = h.kind == "fifo"
+        self._queue: list[int] | None = None  # discovery order, in the wave form
+        self._head = 0  # queue position of the first node not yet taken
         self._seq: dict[int, int] = {}  # discovery sequence of every discovered node
         self._prio: dict[int, tuple] = {}  # live heap key of every discovered node
         self._heap: list[tuple] = []
@@ -184,12 +205,22 @@ class Frontier:
             seq = self._seq[v] = len(self._seq)
         elif not self._rekey:
             return
+        if self._queue is not None:
+            self._queue.append(v)
+            return
         key = self._key(v, seq, bound)
         old = self._prio.get(v)
         if key is None or old is not None and key <= old:
             return
         self._prio[v] = key
         heapq.heappush(self._heap, (key, v))
+
+    def discover_all(self, vs) -> None:
+        """`discover(v)` for each v of vs in turn, in bulk (wave form only)."""
+        seq, done = self._seq, self.done
+        fresh = [v for v in dict.fromkeys(vs) if v not in seq and v not in done]
+        seq.update(zip(fresh, range(len(seq), len(seq) + len(fresh))))
+        self._queue.extend(fresh)
 
     def eliminate(self, vs) -> None:
         """Eliminate every node in vs at once; traversed nodes stay traversed."""
@@ -213,6 +244,9 @@ class Frontier:
     def _seed(self) -> None:
         if self.dense:  # the bound array already holds every seed at 0
             return
+        if self._queue is not None:
+            self.discover_all(self._plan.seeds)
+            return
         for v in self._plan.seeds:  # the bulk form of discover(v) on a fresh frontier
             seq = self._seq[v] = len(self._seq)
             key = self._key(v, seq, 0.0)
@@ -221,23 +255,79 @@ class Frontier:
                 self._heap.append((key, v))
         heapq.heapify(self._heap)
 
-    def run(self, fire, visit=None) -> list[int]:
+    def _take_wave(self, waves: Waves) -> tuple[list[int], bool]:
+        """The next wave and False, or one node that must step alone and
+        True; an empty list once the queue is spent.
+
+        The wave is the longest run of queued nodes, in discovery order,
+        whose members are not `alone`, have every lazy source traversed
+        already and are not `apart` from an earlier member.
+        """
+        queue, done, traversed = self._queue, self.done, self.traversed
+        alone, apart, after = waves
+        head = self._head
+        if not (alone or apart or after):  # nothing eliminates or refuses a queued node
+            self._head = len(queue)
+            return queue[head:], False
+        wave: list[int] = []
+        inside: set[int] = set()
+        for i in range(head, len(queue)):
+            v = queue[i]
+            if v in done:
+                continue
+            if v in alone or v in after and not after[v] <= traversed:
+                if wave:
+                    self._head = i
+                    return wave, False
+                self._head = i + 1
+                return [v], True
+            if v in apart and not apart[v].isdisjoint(inside):
+                self._head = i
+                return wave, False
+            wave.append(v)
+            inside.add(v)
+        self._head = len(queue)
+        return wave, False
+
+    def run(self, fire, visit=None, visit_wave=None, fire_wave=None) -> list[int]:
         """Traverse until no node is available; return the traversal.
 
         The seeds are discovered first. `fire(edge_ids)` is called with the
         sourceless edges, then after each traversal with the edges whose
         last source it was. `visit(v)`, if given, runs just before v would
         be traversed; when it returns False, v is eliminated instead.
+
+        With `visit_wave` and `fire_wave` given, a FIFO frontier over a plan
+        with `Waves` selects in the wave form. `visit_wave(nodes)` visits a
+        whole wave and returns the nodes it keeps, in order; they are
+        traversed and the rest eliminated, and `fire_wave(kept)` then fires
+        every out-edge of the kept nodes. A node that must step alone takes
+        the same path as a heap selection.
         """
         heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
         plan = self._plan
         out, sizes, seeds = plan.out, plan.sizes, plan.seeds
+        waves = plan.waves if self._fifo and visit_wave is not None else None
+        if waves is not None:
+            self._queue = []
         remaining: dict[int, int] = {}
         order: list[int] = []
         self._seed()
         fire(plan.sourceless)
         while True:
-            if self.dense:
+            if waves is not None:
+                wave, alone = self._take_wave(waves)
+                if not wave:
+                    break
+                if not alone:
+                    kept = visit_wave(wave)
+                    done.update(wave)
+                    traversed.update(kept)
+                    order.extend(kept)
+                    fire_wave(kept)
+                    continue
+                v = wave[0]
+            elif self.dense:
                 bound = self._bound
                 i = int(bound.argmin())  # the first of equal bounds: ties by sequence
                 low = bound[i]

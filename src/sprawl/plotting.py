@@ -10,6 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .ambit import Ambit
+from .errors import SizeLimitError
+
+#: Samples a side at most: the grid costs several resolution² float arrays
+#: and a pure-Python pass over its cells.
+MAX_RESOLUTION = 2048
 
 # For each of the 16 corner-sign cases, the cell edges (pairs of corner
 # indices 0..3 in CCW order) that the boundary crosses. 5 and 10 are the
@@ -74,6 +79,8 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, center_
 
 def region_svg(region: Ambit, focus_xy, bounds=(-1.5, 1.5, -1.5, 1.5), resolution: int = 512) -> str:
     """Render the region boundary plus focus markers as an SVG document."""
+    if resolution > MAX_RESOLUTION:
+        raise SizeLimitError(f"plot resolution capped at {MAX_RESOLUTION} samples a side, got {resolution}")
     focus_xy = np.atleast_2d(np.asarray(focus_xy, dtype=float))
     if focus_xy.shape != (region.degree, 2):
         raise ValueError("need one (x, y) position per focus")

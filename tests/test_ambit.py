@@ -7,11 +7,13 @@ from sprawl.ambit import (
     LinearMap,
     MetaballMap,
     PowerMap,
+    ball_facet,
     ball_reach,
     membership,
     overlap_ball,
     overlap_ball_rows,
     overlap_corner,
+    overlap_facet_columns,
     overlap_linear,
     overlap_monotone,
     overlap_radients,
@@ -156,6 +158,40 @@ def test_float_kernel_matches_numpy_on_the_slack_boundary(rng):
                 assert overlap_ball_rows(region.map.matrix, region.radii, z, s) == _numpy_overlap(
                     region, z, s
                 )
+
+
+def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
+    # the column kernel of the wave form against `overlap_radients` on each
+    # single-focus facet as its own region: z on r + |a| s = a z - TOL, one
+    # ulp to each side, and NaN; the verdicts must agree bit for bit
+    facets = [
+        (a, r)
+        for region in _random_linear_ambits(rng)
+        if region.degree == 1
+        for (a,), r in zip(region.map.matrix, region.radii)
+    ]
+    facets += [(1.0, 0.7), (-1.0, -0.3), (2.0, 0.0), (0.5, 1e-12)]
+    rows = []
+    for a, r in facets:
+        s = float(rng.choice([0.0, rng.random()]))
+        z0 = (r + abs(a) * s + TOL) / a
+        for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan):
+            region = Ambit((0,), LinearMap([[a]]), (r,))
+            assert ball_facet(region, 0) == (a, abs(a), r)
+            rows.append((r, abs(a), a, float(z), s, overlap_radients(region, [float(z)], s)))
+    r, l1, a, z, s, want = (np.array(col) for col in zip(*rows))
+    assert want.any() and not want.all() and not want[np.isnan(z)].any()
+    assert overlap_facet_columns(r, l1, a, z, s).tolist() == want.tolist()
+    at_zero = s == 0.0  # and with one scalar s, as a search calls it
+    assert overlap_facet_columns(r[at_zero], l1[at_zero], a[at_zero], z[at_zero], 0.0).tolist() == want[at_zero].tolist()
+
+
+def test_ball_facet_only_reads_single_facet_regions():
+    assert ball_facet(table1_region("ball", (3,), r=0.5), 3) == (1.0, 1.0, 0.5)
+    assert ball_facet(table1_region("ball", (3,), r=0.5), 2) is None  # not about this source
+    assert ball_facet(table1_region("sphere", (3,), r=0.5), 3) is None
+    assert ball_facet(table1_region("ellipse", (3, 4), r=1.0), 3) is None
+    assert ball_facet(Ambit((3,), PowerMap([1.0], 0.5), (0.5,)), 3) is None
 
 
 # --- normalized two-region check -------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sprawl import plotting
 from sprawl.cli import main
 from sprawl.storage import load_index, save_points
 
@@ -179,6 +180,29 @@ def test_plot_resolution_needs_two_samples(resolution, capsys):
         main(["plot", "--map", "ball", "--foci", "0,0", "--resolution", resolution])
     assert exc.value.code == 2
     assert "--resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["linear", "ball"])
+def test_plot_refuses_nan_radius(kind, tmp_path, capsys):
+    out = tmp_path / "p.svg"
+    assert main(["plot", "--map", kind, "--foci", "0,0", "--radius", "nan", "--out", str(out)]) == 3
+    assert "--radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_resolution_is_capped(tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid was built before the cap was checked")
+
+    monkeypatch.setattr(plotting, "field_grid", no_grid)
+    out = tmp_path / "p.svg"
+    too_fine = str(plotting.MAX_RESOLUTION + 1)
+    assert main(["plot", "--foci", "0,0", "--resolution", too_fine, "--out", str(out)]) == 2
+    assert f"capped at {plotting.MAX_RESOLUTION}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        main(["plot", "--help"])
+    assert f"2 to {plotting.MAX_RESOLUTION}" in capsys.readouterr().out
 
 
 def test_bench_exact_under_l3(tmp_path, capsys):

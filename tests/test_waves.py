@@ -1,0 +1,229 @@
+"""The wave form of FIFO range search against the node-at-a-time heap.
+
+Each search runs twice: on the sprawl's own plan, and on a twin whose
+cached plan has its `Waves` stripped, so that the frontier steps node by
+node as it does for every other heuristic. Members, traversal order,
+distance computations and region evaluations must all agree.
+"""
+import copy
+
+import numpy as np
+import pytest
+
+from sprawl.ambit import table1_region
+from sprawl.comparison import Ball, EuclideanSpace, StringSpace
+from sprawl.engine import (
+    EMPTY,
+    Edge,
+    ExplicitRegion,
+    Sprawl,
+    build_classic,
+    linear_scan,
+    random_small_sprawl,
+    search,
+)
+from sprawl.hypergraph import Frontier
+
+from conftest import random_labeled_sprawl
+
+
+def heap_twin(sprawl: Sprawl) -> Sprawl:
+    twin = copy.copy(sprawl)
+    plan, *rest = sprawl._plan()
+    twin._plan_cache = (plan._replace(waves=None), *rest)
+    return twin
+
+
+def assert_waves_match_heap(sprawl: Sprawl, queries) -> None:
+    twin = heap_twin(sprawl)
+    for q in queries:
+        got, want = search(sprawl, q), search(twin, q)
+        assert got.members == want.members, q
+        assert got.order == want.order, q
+        assert got.distance_computations == want.distance_computations, q
+        assert got.region_evaluations == want.region_evaluations, q
+
+
+@pytest.fixture
+def wave_sizes(monkeypatch):
+    """The size of every wave taken (0 for a node stepping alone)."""
+    sizes = []
+    take = Frontier._take_wave
+
+    def counted(self, waves):
+        wave, alone = take(self, waves)
+        if wave:
+            sizes.append(0 if alone else len(wave))
+        return wave, alone
+
+    monkeypatch.setattr(Frontier, "_take_wave", counted)
+    return sizes
+
+
+def point_sets(rng):
+    """Uniform points, points repeated three times, and a dyadic grid whose
+    distances tie exactly."""
+    g = np.arange(4) / 4
+    yield rng.random((60, 3))
+    yield np.repeat(rng.random((20, 3)), 3, axis=0)
+    yield np.array([(x, y, z) for x in g for y in g for z in g])[:60]
+
+
+def ball_queries(rng, space, n):
+    """Radius 0 on a data point, a random radius, and radii read off a
+    `distances_from` row, so that points lie exactly on the boundary."""
+    for _ in range(3):
+        c = tuple(rng.random(space.dimension))
+        row = np.sort(space.distances_from(c, range(n)))
+        yield Ball(c, float(row[int(rng.integers(1, 8))]))
+        yield Ball(c, float(rng.random() * 0.5))
+        yield Ball(int(rng.integers(0, n)), 0.0)
+        yield Ball(int(rng.integers(0, n)), float(row[5]))
+
+
+def test_which_plans_carry_waves(rng):
+    space = EuclideanSpace(rng.random((40, 3)))
+    plans = {
+        kind: build_classic(space, range(40), kind, pivots=4)[0]._plan()[0]
+        for kind in ("ball-tree", "laesa", "pm-tree", "aesa")
+    }
+    assert plans["ball-tree"].waves is not None and plans["laesa"].waves is not None
+    assert plans["pm-tree"].waves is not None
+    # every AESA node is the source of an eager group: its waves would all be one node
+    assert plans["aesa"].waves is None
+    # a tree's waves need no per-node check at all
+    assert not any(plans["ball-tree"].waves)
+
+
+@pytest.mark.parametrize("kind", ["ball-tree", "laesa", "pm-tree", "aesa"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_classic_indexes_match_the_heap(rng, wave_sizes, kind, p):
+    for pts in point_sets(rng):
+        space = EuclideanSpace(pts, p=p)
+        n = len(pts)
+        sprawl, _ = build_classic(space, range(n), kind, pivots=4)
+        queries = list(ball_queries(rng, space, n))
+        assert_waves_match_heap(sprawl, queries)
+        for q in queries:
+            assert search(sprawl, q).members == linear_scan(space, range(n), q)
+    if kind == "aesa":
+        assert not wave_sizes
+    else:
+        assert max(wave_sizes) > 10
+
+
+def test_random_sprawls_match_the_heap(rng, wave_sizes):
+    for _ in range(150):
+        for sprawl in (random_labeled_sprawl(rng), random_small_sprawl(rng)):
+            queries = [Ball(tuple(rng.random(2)), float(rng.random() * 0.9)) for _ in range(3)]
+            queries.append(Ball(int(rng.integers(0, len(sprawl.nodes))), 0.0))
+            assert_waves_match_heap(sprawl, queries)
+    assert sum(size > 1 for size in wave_sizes) > 50
+    assert 0 in wave_sizes  # some nodes stepped alone
+
+
+def test_string_index_matches_the_heap(rng):
+    words = ["".join(rng.choice(list("abcd"), size=int(rng.integers(1, 6)))) for _ in range(60)]
+    space = StringSpace(words)
+    for kind in ("ball-tree", "laesa", "pm-tree"):
+        sprawl, _ = build_classic(space, range(60), kind, pivots=3)
+        queries = [Ball(w, r) for w in ("abc", "d", words[7]) for r in (0.0, 1.0, 2.0)]
+        assert_waves_match_heap(sprawl, queries)
+
+
+def test_wave_splits_before_a_node_its_sibling_eliminates(wave_sizes):
+    # a tree on a line: root 0 with children 1 and 2 in one level, and 1
+    # carries an eager negative edge into its sibling 2; taking 1 and 2 in
+    # one wave would traverse 2 before 1 could eliminate it
+    space = EuclideanSpace([[0.0], [1.0], [1.1], [2.0], [0.9]])
+
+    def ball(u, r):
+        return (table1_region("ball", (u,), r=r),)
+
+    edges = [
+        Edge((), 0),
+        Edge((0,), 1, ball(0, 5.0)),
+        Edge((0,), 2, ball(0, 5.0)),
+        Edge((1,), 2, (EMPTY,), ball(1, 0.2)),
+        Edge((1,), 4, ball(1, 0.5)),
+        Edge((2,), 3, ball(2, 1.0)),
+    ]
+    sprawl = Sprawl(space, range(5), edges)
+    assert 2 in sprawl._plan()[0].waves.apart[1]
+    far = Ball((3.0,), 0.5)
+    got = search(sprawl, far)
+    assert got.order == (0, 1) and wave_sizes == [1, 1]
+    near = Ball((1.05,), 0.1)
+    assert search(sprawl, near).order == (0, 1, 2, 4, 3)
+    assert_waves_match_heap(sprawl, [far, near, Ball(2, 0.0), Ball(4, 1.0)])
+
+
+def test_wave_splits_between_a_ball_and_an_eliminator_of_its_target(wave_sizes):
+    # siblings 1 and 2: 1's ball edge and 2's eager negative edge both go
+    # into 3. The heap tests 1's ball before 2 eliminates 3; a wave that
+    # fired 2's edge first would skip that test
+    space = EuclideanSpace([[0.0], [1.0], [1.1], [1.5]])
+    edges = [
+        Edge((), 0),
+        Edge((0,), 1, (table1_region("ball", (0,), r=5.0),)),
+        Edge((0,), 2, (table1_region("ball", (0,), r=5.0),)),
+        Edge((1,), 3, (table1_region("ball", (1,), r=5.0),)),
+        Edge((2,), 3, (EMPTY,), (table1_region("ball", (2,), r=0.5),)),
+    ]
+    sprawl = Sprawl(space, range(4), edges)
+    assert 2 in sprawl._plan()[0].waves.apart[1]
+    far = Ball((3.0,), 0.1)
+    got = search(sprawl, far)
+    assert got.order == (0, 1, 2) and got.region_evaluations == 4 and wave_sizes == [1, 1, 1]
+    assert_waves_match_heap(sprawl, [far, Ball((1.4,), 0.2), Ball(3, 0.0)])
+
+
+def test_wave_waits_for_the_sources_of_a_lazy_edge(wave_sizes):
+    # siblings 1 and 2, with a lazy negative edge from 1 into 2: the heap
+    # checks it when 2 comes up, 1 being traversed by then, so 2 may not
+    # share 1's wave
+    space = EuclideanSpace([[0.0], [1.0], [1.1]])
+    edges = [
+        Edge((), 0),
+        Edge((0,), 1, (table1_region("ball", (0,), r=5.0),)),
+        Edge((0,), 2, (table1_region("ball", (0,), r=5.0),)),
+        Edge((1,), 2, (EMPTY,), (table1_region("ball", (1,), r=0.2),), lazy=True),
+    ]
+    sprawl = Sprawl(space, range(3), edges)
+    assert sprawl._plan()[0].waves.after[2] == {1}
+    far = Ball((3.0,), 0.5)
+    assert search(sprawl, far).order == (0, 1) and wave_sizes == [1, 1, 1]
+    assert_waves_match_heap(sprawl, [far, Ball((1.05,), 0.1), Ball(2, 0.0)])
+
+
+def test_a_seed_eliminated_before_the_first_wave_is_skipped():
+    # a sourceless negative edge fires before the first selection and
+    # eliminates seed 1, which is still in the queue
+    space = EuclideanSpace([[0.0], [1.0], [2.0]])
+    edges = [
+        Edge((), 0),
+        Edge((), 1),
+        Edge((), 1, (EMPTY,), (EMPTY,)),
+        Edge((0,), 2, (table1_region("ball", (0,), r=5.0),)),
+    ]
+    sprawl = Sprawl(space, range(3), edges)
+    q = Ball((1.0,), 5.0)
+    assert search(sprawl, q).order == (0, 2)
+    assert_waves_match_heap(sprawl, [q, Ball(1, 0.0)])
+
+
+def test_wave_reuses_distances_cached_before_it():
+    # the sourceless edge tests membership of 1 and 2 before the first
+    # selection, so the waves find some or all of their distances cached
+    space = EuclideanSpace([[0.0], [1.0], [2.0], [3.0]])
+    edges = [
+        Edge((), 0),
+        Edge((), 2, (ExplicitRegion(frozenset({1, 2})),)),
+        Edge((0,), 1, (table1_region("ball", (0,), r=5.0),)),
+        Edge((2,), 3, (table1_region("ball", (2,), r=5.0),)),
+    ]
+    sprawl = Sprawl(space, range(4), edges)
+    q = Ball((1.5,), 0.6)
+    got = search(sprawl, q)
+    assert got.order == (0, 2, 1, 3) and got.members == (1, 2) and got.distance_computations == 4
+    assert_waves_match_heap(sprawl, [q, Ball((0.0,), 0.1), Ball(3, 1.0)])
