@@ -5,14 +5,16 @@ focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
 meets a query: `overlap_radients` is the one ball-overlap dispatcher,
 `overlap_facet_columns` its single-facet form over columns of regions,
-`shells_missed` the vectorised shell test, `shell_bounds` the lower
-bounds that shells give a kNN search, and `ball_reach` the radius
-at which a linear ambit's facets stop excluding a ball. A `LinearMap`
-also keeps its facet rows as plain floats, so both linear checks run as
-a float loop: on the small rows of tree regions, numpy's per-call
-overhead would cost more than the arithmetic. All overlap checks are
-conservative: they may report overlap for disjoint sets, but
-never miss a real overlap (the +TOL slack is always on the permissive side).
+`overlap_facet_bound` its single-facet form over one region together
+with the kNN bound, `shells_missed` the vectorised shell test,
+`shell_bounds` the lower bounds that shells give a kNN search, and
+`ball_reach` the radius at which a linear ambit's facets stop excluding
+a ball. A `LinearMap` also keeps its facet rows as plain floats, so
+both linear checks run as a float loop: on the small rows of tree
+regions, numpy's per-call overhead would cost more than the
+arithmetic. All overlap checks are conservative: they may report
+overlap for disjoint sets, but never miss a real overlap (the +TOL
+slack is always on the permissive side).
 """
 from __future__ import annotations
 
@@ -54,8 +56,8 @@ class LinearMap(RemotenessMap):
     def __init__(self, rows):
         a = np.atleast_2d(np.asarray(rows, dtype=float))
         self._facets = _facets(a)
-        if any(l1 == 0.0 for _, l1 in self._facets):
-            raise ValueError("linear remoteness rows must be non-zero")
+        if not all(l1 > 0.0 for _, l1 in self._facets):  # a NaN entry makes ||row||_1 NaN
+            raise ValueError("linear remoteness rows must be non-zero and free of NaN")
         self.matrix = a
         self.matrix.setflags(write=False)
 
@@ -90,6 +92,8 @@ class PowerMap(RemotenessMap):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         self.weights = np.asarray(weights, dtype=float)
+        if np.isnan(self.weights).any():
+            raise ValueError("power weights must not be NaN")
         self.weights.setflags(write=False)
         self.alpha = float(alpha)
 
@@ -123,7 +127,7 @@ class MetaballMap(RemotenessMap):
     def __init__(self, a, b=None, offset: bool = False):
         self.a = np.asarray(a, dtype=float)
         self.b = np.ones_like(self.a) if b is None else np.asarray(b, dtype=float)
-        if np.any(self.a <= 0.0) or np.any(self.b <= 0.0):
+        if not (np.all(self.a > 0.0) and np.all(self.b > 0.0)):  # NaN is not positive
             raise ValueError("metaball parameters must be positive")
         if not offset and abs(float(np.sum(1.0 - self.b))) > TOL:
             raise ValueError("metaball with f(0) != 0 requires offset=True")
@@ -265,6 +269,17 @@ def overlap_facet_columns(r, l1, a, z, s: float, tol: float = TOL) -> np.ndarray
     entry: r + l1 * s >= a * z - tol, elementwise and in the same order of
     operations, so each verdict is bit for bit the scalar one (NaN misses)."""
     return r + l1 * s >= a * z - tol
+
+
+def overlap_facet_bound(r: float, l1: float, a: float, z: float, s: float, tol: float = TOL):
+    """One single-facet region a * delta(p, .) <= r against B[c, s], given
+    z = delta(p, c), in plain floats: None when `_facets_meet` rules it
+    out (same order of operations, NaN misses), else the kNN discovery
+    bound `ball_reach` gives, clamped at 0 (NaN gives 0)."""
+    az = a * z
+    if not r + l1 * s >= az - tol:
+        return None
+    return max(0.0, (az - r) / l1)
 
 
 def overlap_ball_rows(rows, radii, z, s: float, tol: float = TOL) -> bool:

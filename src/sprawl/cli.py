@@ -34,7 +34,10 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _parse_foci_xy(text: str) -> np.ndarray:
-    return np.array([_parse_point(part) for part in text.split(";")], dtype=float)
+    foci = np.array([_parse_point(part) for part in text.split(";")], dtype=float)
+    if not np.isfinite(foci).all():  # no point is at a finite distance from such a focus: a blank plot
+        raise FormatError("--foci must be finite numbers")
+    return foci
 
 
 def _load_space(args):

@@ -93,6 +93,11 @@ class Edge:
     def is_root_edge(self) -> bool:
         return not self.sources and not self.positive and not self.negative
 
+    @property
+    def discovers(self) -> bool:
+        """Whether firing may discover the target: no positive region is Empty."""
+        return not any(isinstance(r, Empty) for r in self.positive)
+
 
 @dataclass
 class ShellGroup:
@@ -129,7 +134,8 @@ class ShellGroup:
 class _BallColumns(NamedTuple):
     """Single-facet ball edges a * delta(source, .) <= r as columns, by
     source: the edges of source v are rows start[v]:start[v + 1], in edge
-    order."""
+    order. `by_edge` holds each one as plain floats for a node-at-a-time
+    search."""
 
     start: np.ndarray
     target: np.ndarray
@@ -138,6 +144,7 @@ class _BallColumns(NamedTuple):
     r: np.ndarray
     checked: bool  # whether a target may already be done when its edge fires
     others: dict[int, list[int]]  # each source's other out-edge ids, which discover nothing
+    by_edge: dict[int, tuple[int, int, float, float, float]]  # edge id -> (target, source, a, ||a||_1, r)
 
 
 class Sprawl:
@@ -209,18 +216,25 @@ class Sprawl:
         edge is a shell group, as AESA and LAESA build them, the plan is
         dense, so a kNN search can select by the groups' bounds. The plan
         also carries the `Waves` that let a FIFO range search go a wave at
-        a time, and the ball columns those waves test (see `_waves`).
-        Everything is built on the first call, not with the sprawl.
+        a time, and the ball columns those waves test, which also map each
+        ball edge id to plain floats for the node-at-a-time path (see
+        `_waves`). Where no node has two discovering eager in-edges, a
+        seed's root edge included, the plan's `sole_finder` lets a kNN
+        search stop at its bound. Everything is built on the first call,
+        not with the sprawl.
         """
         if self._plan_cache is not None:
             return self._plan_cache
         eager, seeds = [], []
         seeding = True
         lazy_in: dict[int, list[int]] = {}
+        finders: dict[int, int] = {}  # discovering eager in-edges per target
         for i, e in enumerate(self.edges):
             if e.lazy:
                 lazy_in.setdefault(e.target, []).append(i)
-            elif seeding and e.is_root_edge:
+                continue
+            finders[e.target] = finders.get(e.target, 0) + e.discovers
+            if seeding and e.is_root_edge:
                 seeds.append(e.target)
             else:
                 seeding = seeding and bool(e.sources)
@@ -242,11 +256,12 @@ class Sprawl:
             at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # seed position by ref
             at[order - low] = np.arange(len(order))
             group_pos = {gi: at[g.targets - low] for gi, g in enumerate(self.groups) if not g.lazy}
-        waves, balls = self._waves(lazy_in, lazy_group_in)
-        self._plan_cache = (plan._replace(waves=waves), lazy_in, lazy_group_in, group_pos, balls)
+        waves, balls = self._waves(lazy_in, lazy_group_in, finders)
+        plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
+        self._plan_cache = (plan, lazy_in, lazy_group_in, group_pos, balls)
         return self._plan_cache
 
-    def _waves(self, lazy_in, lazy_group_in):
+    def _waves(self, lazy_in, lazy_group_in, finders):
         """The plan's `Waves` and the ball columns, or (None, None).
 
         A node steps alone when one of its eager out-edges has other
@@ -269,9 +284,8 @@ class Sprawl:
         alone: set[int] = set()
         apart: dict[int, set[int]] = {}
         kills: dict[int, set[int]] = {}  # eager eliminating sources per eliminable target
-        finders: dict[int, int] = {}  # discovering eager in-edges per target
         others: dict[int, list[int]] = {}
-        balls = []  # (source, target, (a, ||a||_1, r)), in edge order
+        balls = []  # (edge id, source, target, (a, ||a||_1, r)), in edge order
 
         def part(u: int, v: int) -> None:
             if u != v:
@@ -282,8 +296,6 @@ class Sprawl:
             if e.lazy:
                 continue
             t, sources = e.target, set(e.sources)
-            discovers = not any(isinstance(r, Empty) for r in e.positive)
-            finders[t] = finders.get(t, 0) + discovers
             if e.negative:
                 kills.setdefault(t, set()).update(sources)
                 if not sources:
@@ -295,9 +307,9 @@ class Sprawl:
                 if len(e.positive) == 1 and not e.negative:
                     facet = ambit_mod.ball_facet(e.positive[0], u)
                     if facet is not None:
-                        balls.append((u, t, facet))
+                        balls.append((i, u, t, facet))
                         continue
-                if discovers:
+                if e.discovers:
                     alone.add(u)
                 others.setdefault(u, []).append(i)
                 part(u, t)
@@ -307,7 +319,7 @@ class Sprawl:
                 kills.setdefault(t, set()).add(g.source)
                 part(g.source, t)
         checked = False
-        for u, t, _ in balls:
+        for _, u, t, _ in balls:
             contested = finders.get(t, 0) > 1
             if contested:
                 part(u, t)
@@ -326,19 +338,20 @@ class Sprawl:
             {v: frozenset(vs) for v, vs in apart.items()},
             {v: frozenset(vs) for v, vs in after.items()},
         )
-        source = np.array([b[0] for b in balls], dtype=np.int64)
+        source = np.array([b[1] for b in balls], dtype=np.int64)
         start = np.zeros(max(nodes) + 2, dtype=np.int64)
         np.cumsum(np.bincount(source, minlength=max(nodes) + 1), out=start[1:])
         rows = np.argsort(source, kind="stable")  # by source, in edge order within one
-        facets = np.array([b[2] for b in balls], dtype=float).reshape(-1, 3)[rows]
+        facets = np.array([b[3] for b in balls], dtype=float).reshape(-1, 3)[rows]
         columns = _BallColumns(
             start,
-            np.array([b[1] for b in balls], dtype=np.int64)[rows],
+            np.array([b[2] for b in balls], dtype=np.int64)[rows],
             facets[:, 0],
             facets[:, 1],
             facets[:, 2],
             checked,
             others,
+            {i: (t, u, *facet) for i, u, t, facet in balls},
         )
         return waves, columns
 
@@ -550,14 +563,20 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     evaluating its regions against the query, and a shell group fires by
     eliminating all its missed targets at once. Every traversed node is
     tested for query membership. Lazy negative edges are consulted only
-    immediately before their target would be traversed. For kNN queries
-    the cover radius starts at infinity and tightens to the current k-th
-    best distance after every traversal; node priorities are the per-edge
-    region lower bounds. When the frontier is dense (the "bound" heuristic
-    over a dense plan, see `Sprawl._plan`), a fired group instead raises
-    each target's shell lower bound, the next node is the one with the
-    smallest bound, and a bound beyond the current radius eliminates, as
-    in AESA and LAESA.
+    immediately before their target would be traversed. A `Ball` search
+    fires each single-facet ball edge of the plan with one plain-float
+    `ambit.overlap_facet_bound` call, which gives the verdict and the kNN
+    bound that `intersects` and `lower_bound` would. For kNN queries the cover
+    radius starts at infinity and tightens to the current k-th best
+    distance after every traversal; node priorities are the per-edge
+    region lower bounds, and where the plan proves each node's bound its
+    one discovering edge's (`Plan.sole_finder`), the "bound" heuristic
+    stops once the smallest bound left is beyond the radius, as
+    best-first search does. When the frontier is dense (the "bound"
+    heuristic over a dense plan, see `Sprawl._plan`), a fired group
+    instead raises each target's shell lower bound, the next node is the
+    one with the smallest bound, and a bound beyond the current radius
+    eliminates, as in AESA and LAESA.
 
     A FIFO range search (a `Ball` with no k, on a symmetric space) whose
     plan carries `Waves` goes a wave at a time instead: one
@@ -579,6 +598,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         s_current = query.radius if isinstance(query, Ball) else None
 
     plan, lazy_in, lazy_group_in, group_pos, balls = sprawl._plan()
+    ball_edges = balls.by_edge if balls is not None and isinstance(query, Ball) else {}
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
@@ -618,6 +638,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         for ei in edge_ids:
             if ei >= edge_count:
                 fire_group(ei - edge_count)
+                continue
+            ball = ball_edges.get(ei)
+            if ball is not None:  # one float verdict and bound, as `intersects` and `lower_bound` give
+                t, u, a, l1, r = ball
+                if t in done:
+                    continue
+                ev.region_evaluations += 1
+                bound = ambit_mod.overlap_facet_bound(r, l1, a, ev.dist_from_focus(u), s_current)
+                if bound is not None:
+                    frontier.discover(t, bound if knn else 0.0)
                 continue
             e = edges[ei]
             t = e.target
@@ -666,8 +696,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 heapq.heapreplace(worst, item)
             if len(worst) == k:
                 s_current = -worst[0][0]
-                if steer:
-                    frontier.cut(ambit_mod.bound_cutoff(s_current))
+                frontier.cut(ambit_mod.bound_cutoff(s_current))
         elif ev.member(v):
             members.append(v)
         return True
@@ -928,7 +957,7 @@ def check_responsibility(
     pairs = {
         (s, e.target)
         for _, e in edges
-        if not any(isinstance(r, Empty) for r in e.positive)
+        if e.discovers
         for s in e.sources
     }
     succ: dict[int, set[int]] = {v: set() for v in sprawl.nodes}

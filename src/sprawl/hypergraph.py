@@ -57,7 +57,9 @@ class Heuristic:
     by the largest lower bound known for the node, ties by discovery
     sequence. Those bounds are the ones given with each discovery or, over
     a dense plan (in `engine.search`, AESA and LAESA), the shell bounds
-    that `Frontier.raise_bounds` raises; only these can eliminate a node.
+    that `Frontier.raise_bounds` raises. Only this kind lets `Frontier.cut`
+    rule nodes out by their bounds, and over a heap only where the plan
+    proves each key a true lower bound (`Plan.sole_finder`).
     """
 
     kind: str
@@ -107,6 +109,9 @@ class Plan(NamedTuple):
     seeds: tuple[int, ...]  # nodes discovered, at bound 0, before those fire
     positions: dict[int, int] | None  # seed position of each seed, in a dense plan
     waves: Waves | None = None  # where FIFO runs may go a wave at a time
+    # no node has two discovering edges, a seed's root edge included, so a
+    # "bound" key is the bound its one discovering edge gave
+    sole_finder: bool = False
 
 
 def activation(edges, seeds=(), dense: bool = False) -> Plan:
@@ -171,7 +176,9 @@ class Frontier:
     `Waves` and with wave callbacks given to `run`, queued nodes wait in a
     list in discovery order and are taken a wave at a time: the longest
     run at the head of the queue that `Waves` allows. Otherwise nodes wait
-    in a heap under the heuristic's key.
+    in a heap under the heuristic's key; under "bound" over a plan with a
+    `sole_finder`, selection stops once the smallest live key's bound is
+    above the `cut` limit.
     """
 
     def __init__(self, plan: Plan, h: Heuristic):
@@ -185,14 +192,15 @@ class Frontier:
         self._prio: dict[int, tuple] = {}  # live heap key of every discovered node
         self._heap: list[tuple] = []
         #: nodes traversed or eliminated; nothing changes their status again.
-        #: A dense frontier does not list the nodes that `cut` eliminates.
+        #: The nodes that `cut` rules out are not listed.
         self.done: set[int] = set()
         self.traversed: set[int] = set()
         self.dense = self._rekey and plan.positions is not None
+        self._cuts = self.dense or self._rekey and plan.sole_finder
+        self._limit = np.inf  # the `cut` limit
         if self.dense:
             # per seed position: the largest shell bound raised, inf once selected or eliminated
             self._bound = np.zeros(len(plan.seeds))
-            self._limit = np.inf
 
     def discover(self, v: int, bound: float = 0.0) -> None:
         """Make v available. Under the "bound" key a rediscovery with a
@@ -235,11 +243,16 @@ class Frontier:
         self._bound[positions] = np.maximum(self._bound[positions], bounds)
 
     def cut(self, limit: float) -> None:
-        """Eliminate every node whose shell bound exceeds limit (dense
-        frontiers only). Selection takes the smallest bound first, so this
-        happens in one masked step, once the smallest available bound is
-        beyond the limit; limits only fall."""
-        self._limit = limit
+        """Rule out every node whose "bound" key exceeds limit; limits only
+        fall. Selection takes the smallest bound first, so a dense frontier
+        eliminates them in one masked step, once the smallest available
+        bound is beyond the limit, and a heap frontier stops there. A heap
+        key is the largest bound among the node's discovering edges, which
+        need not bound what another of them leads to; so without the
+        plan's `sole_finder`, as under any other heuristic, this does
+        nothing."""
+        if self._cuts:
+            self._limit = limit
 
     def _seed(self) -> None:
         if self.dense:  # the bound array already holds every seed at 0
@@ -305,7 +318,7 @@ class Frontier:
         the same path as a heap selection.
         """
         heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
-        plan = self._plan
+        plan, cuts = self._plan, self._cuts
         out, sizes, seeds = plan.out, plan.sizes, plan.seeds
         waves = plan.waves if self._fifo and visit_wave is not None else None
         if waves is not None:
@@ -344,6 +357,8 @@ class Frontier:
                 key, v = heapq.heappop(heap)
                 if v in done or prio[v] != key:
                     continue  # stale entry
+                if cuts and key[0] > self._limit:  # so is every live key after it
+                    break
             done.add(v)  # traversed, or eliminated when visit refuses it
             if visit is not None and not visit(v):
                 continue

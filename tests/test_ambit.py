@@ -13,6 +13,7 @@ from sprawl.ambit import (
     overlap_ball,
     overlap_ball_rows,
     overlap_corner,
+    overlap_facet_bound,
     overlap_facet_columns,
     overlap_linear,
     overlap_monotone,
@@ -59,6 +60,24 @@ def test_metaball_offset_flag():
 def test_zero_linear_row_rejected():
     with pytest.raises(ValueError):
         LinearMap([[0.0, 0.0]])
+
+
+# a NaN parameter compares false against every bound, so "== 0" and "<= 0"
+# checks let it through and the region is then empty or unbounded everywhere
+def test_nan_linear_row_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        LinearMap([[1.0], [float("nan")]])
+
+
+@pytest.mark.parametrize("a, b", [([float("nan")], None), ([1.0], [float("nan")])])
+def test_nan_metaball_parameters_rejected(a, b):
+    with pytest.raises(ValueError, match="positive"):
+        MetaballMap(a, b, offset=True)
+
+
+def test_nan_power_weights_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        PowerMap([1.0, float("nan")], 0.5)
 
 
 # --- ball overlap (unnormalized facet check) -------------------------------------
@@ -184,6 +203,29 @@ def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
     assert overlap_facet_columns(r, l1, a, z, s).tolist() == want.tolist()
     at_zero = s == 0.0  # and with one scalar s, as a search calls it
     assert overlap_facet_columns(r[at_zero], l1[at_zero], a[at_zero], z[at_zero], 0.0).tolist() == want[at_zero].tolist()
+
+
+def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
+    # the heap path's one call per ball edge against `overlap_radients` and
+    # the bound a kNN search took from `ball_reach`: on the slack boundary,
+    # one ulp to each side, NaN z, and s = inf as at a kNN search's start
+    facets = [(1.0, 0.7), (-1.0, -0.3), (2.0, 0.0), (0.5, 1e-12), (1.0, 0.0)]
+    facets += [(float(rng.normal()) or 1.0, float(rng.normal())) for _ in range(30)]
+    hits = misses = 0
+    for a, r in facets:
+        region = Ambit((0,), LinearMap([[a]]), (r,))
+        for s in (0.0, float(rng.random()), np.inf):
+            z0 = (r + abs(a) * s + TOL) / a if s < np.inf else float(rng.random())
+            for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan, 0.0):
+                got = overlap_facet_bound(r, abs(a), a, float(z), s)
+                if not overlap_radients(region, [float(z)], s):
+                    assert got is None
+                    misses += 1
+                    continue
+                want = max(max(0.0, ball_reach(region, [float(z)])), 0.0)
+                assert got is not None and got == want and np.signbit(got) == np.signbit(want)
+                hits += 1
+    assert hits > 50 and misses > 50
 
 
 def test_ball_facet_only_reads_single_facet_regions():

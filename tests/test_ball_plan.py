@@ -1,0 +1,176 @@
+"""Best-first kNN on the compiled ball plan.
+
+Two twins pin what the plan changes. A search on a twin whose cached plan
+has an empty ball-edge map fires every ball edge through the general
+region path, so members, order and both counts must agree with the
+sprawl's own. A twin whose plan lacks `sole_finder` never cuts, so a kNN
+search on the sprawl must traverse a prefix of the twin's order and
+return the same neighbours wherever the index is exact.
+"""
+import copy
+
+import numpy as np
+import pytest
+
+from sprawl.ambit import table1_region
+from sprawl.comparison import Ball, EuclideanSpace
+from sprawl.engine import (
+    Edge,
+    Sprawl,
+    build_classic,
+    linear_scan,
+    random_small_sprawl,
+    search,
+)
+from sprawl.hypergraph import Heuristic
+
+from conftest import random_labeled_sprawl
+
+
+def twin(sprawl: Sprawl, by_edge: bool = True, sole_finder: bool | None = None) -> Sprawl:
+    """The sprawl on a copy of its plan without the ball-edge map, or with
+    `sole_finder` forced."""
+    out = copy.copy(sprawl)
+    plan, lazy_in, lazy_group_in, group_pos, balls = sprawl._plan()
+    if not by_edge and balls is not None:
+        balls = balls._replace(by_edge={})
+    if sole_finder is not None:
+        plan = plan._replace(sole_finder=sole_finder)
+    out._plan_cache = (plan, lazy_in, lazy_group_in, group_pos, balls)
+    return out
+
+
+def assert_same(got, want, q):
+    assert got.members == want.members, q
+    assert got.order == want.order, q
+    assert got.distance_computations == want.distance_computations, q
+    assert got.region_evaluations == want.region_evaluations, q
+
+
+def assert_ball_map_is_exact(sprawl: Sprawl, queries) -> None:
+    """Range searches under LIFO and "bound", and kNN searches under the
+    default, agree with the twin without a ball-edge map."""
+    general = twin(sprawl, by_edge=False)
+    for q in queries:
+        heuristics = [None] if q.k is not None else [Heuristic.lifo(), Heuristic("bound")]
+        for h in heuristics:
+            assert_same(search(sprawl, q, h), search(general, q, h), (q, h))
+
+
+def assert_cut_is_a_prefix(sprawl: Sprawl, q) -> tuple:
+    """The cut only stops selection early: a prefix of the uncut order, at
+    no more distance computations. Returns both results."""
+    got, uncut = search(sprawl, q), search(twin(sprawl, sole_finder=False), q)
+    assert got.order == uncut.order[: len(got.order)], q
+    assert got.distance_computations <= uncut.distance_computations, q
+    return got, uncut
+
+
+def point_sets(rng):
+    """Uniform points, points repeated three times, and a dyadic grid whose
+    distances tie exactly."""
+    g = np.arange(4) / 4
+    yield rng.random((60, 3))
+    yield np.repeat(rng.random((20, 3)), 3, axis=0)
+    yield np.array([(x, y, z) for x in g for y in g for z in g])[:60]
+
+
+def guard_sprawl() -> Sprawl:
+    # root 0 at 3.0; a, b and w at 2.5, 4.0 and 1.0; v at 2.2 and x at 0.1.
+    # v has two discovering edges, from a and from b; x hangs off v alone
+    space = EuclideanSpace([[3.0], [2.5], [4.0], [1.0], [2.2], [0.1]])
+    root, a, b, w, v, x = range(6)
+
+    def ball(u, r):
+        return (table1_region("ball", (u,), r=r),)
+
+    edges = [
+        Edge((), root),
+        Edge((root,), a, ball(root, 10.0)),
+        Edge((root,), b, ball(root, 10.0)),
+        Edge((root,), w, ball(root, 10.0)),
+        Edge((a,), v, ball(a, 0.5)),
+        Edge((b,), v, ball(b, 4.0)),
+        Edge((v,), x, ball(v, 2.1)),
+    ]
+    return Sprawl(space, range(6), edges)
+
+
+def test_no_cut_where_a_node_has_two_discovering_edges():
+    # a's ball about 2.5 bounds v at 2.0, b's ball about 4.0 at 0; the key
+    # keeps the larger, but x, which only v discovers, lies at 0.1. Cutting
+    # once w sets the radius to 1.0 would drop v and with it x
+    sprawl = guard_sprawl()
+    q = Ball((0.0,), 0.0, k=1)
+    assert linear_scan(sprawl.space, sprawl.nodes, q) == (5,)
+    assert not sprawl._plan()[0].sole_finder
+    assert search(sprawl, q).members == (5,)
+    assert search(twin(sprawl, sole_finder=True), q).members == (3,)
+
+
+def test_which_plans_may_cut(rng):
+    space = EuclideanSpace(rng.random((40, 3)))
+    for kind in ("ball-tree", "pm-tree", "laesa", "aesa"):
+        assert build_classic(space, range(40), kind, pivots=4)[0]._plan()[0].sole_finder, kind
+    # a root edge into a node that a ball edge also discovers is a second finder
+    tree, _ = build_classic(space, range(40), "ball-tree")
+    again = Sprawl(space, tree.nodes, tree.edges + (Edge((), 7),))
+    assert not again._plan()[0].sole_finder
+
+
+@pytest.mark.parametrize("kind", ["ball-tree", "pm-tree", "laesa", "aesa"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_classic_knn_is_exact_and_the_ball_map_changes_nothing(rng, kind, p):
+    for pts in point_sets(rng):
+        space = EuclideanSpace(pts, p=p)
+        n = len(pts)
+        sprawl, _ = build_classic(space, range(n), kind, pivots=4)
+        queries = []
+        for c in [tuple(rng.random(3)), (0.375, 0.375, 0.375), tuple(pts[1])]:
+            row = np.sort(space.distances_from(c, range(n)))
+            queries += [Ball(c, float(row[int(rng.integers(1, 8))])), Ball(c, 0.0)]
+            queries += [Ball(c, 0.0, k=k) for k in (1, 2, 5, 10, n, n + 2)]
+        assert_ball_map_is_exact(sprawl, queries)
+        for q in queries:
+            if q.k is not None:
+                got, _ = assert_cut_is_a_prefix(sprawl, q)
+                assert got.members == linear_scan(space, range(n), q), (kind, q)
+                # the cut runs under "bound" only
+                fifo = Heuristic.fifo()
+                assert_same(search(sprawl, q, fifo), search(twin(sprawl, sole_finder=False), q, fifo), q)
+            else:
+                # and only for kNN: a range search never calls it
+                bound = Heuristic("bound")
+                assert_same(search(sprawl, q, bound), search(twin(sprawl, sole_finder=False), q, bound), q)
+
+
+def test_random_sprawls_keep_their_searches(rng):
+    # random sprawls need not be exact indexes, so they are held to their
+    # own uncut and map-free searches rather than to `linear_scan`
+    may_cut = 0
+    for _ in range(120):
+        for sprawl in (random_labeled_sprawl(rng), random_small_sprawl(rng)):
+            n = len(sprawl.nodes)
+            queries = [Ball(tuple(rng.random(2)), float(rng.random() * 0.9)) for _ in range(2)]
+            queries += [Ball(int(rng.integers(0, n)), 0.0)]
+            queries += [Ball(tuple(rng.random(2)), 0.0, k=int(rng.integers(1, 4))) for _ in range(2)]
+            assert_ball_map_is_exact(sprawl, queries)
+            for q in queries[3:]:
+                assert_cut_is_a_prefix(sprawl, q)
+            may_cut += sprawl._plan()[0].sole_finder
+    assert may_cut > 20
+
+
+def test_ball_tree_knn_costs_no_more_than_a_range_search_at_its_radius():
+    # best-first search stopped at the bound traverses only nodes whose ball
+    # meets the final k-th-neighbour ball, as that range search must
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        space = EuclideanSpace(rng.random((2000, 8)))
+        sprawl, _ = build_classic(space, range(2000), "ball-tree", arity=2)
+        for c in rng.random((40, 8)):
+            c = tuple(c)
+            knn = search(sprawl, Ball(c, 0.0, k=10))
+            radius = float(np.partition(space.distances_from(c, range(2000)), 9)[9])
+            assert space.compare(c, knn.members[-1]) == radius
+            assert knn.distance_computations <= search(sprawl, Ball(c, radius)).distance_computations

@@ -190,6 +190,24 @@ def test_plot_refuses_nan_radius(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--foci", "0,0", "--weights", "nan"], "NaN"),
+        (["--map", "metaball", "--a", "nan", "--foci", "0,0"], "positive"),
+        (["--map", "power", "--weights", "nan", "--foci", "0,0"], "NaN"),
+        (["--foci", "nan,0"], "--foci"),
+        (["--foci", "0,0;1,-inf"], "--foci"),
+    ],
+)
+def test_plot_refuses_nan_parameters_and_infinite_foci(args, named, tmp_path, capsys):
+    # each of these used to write an SVG with no boundary and exit 0
+    out = tmp_path / "p.svg"
+    assert main(["plot", *args, "--resolution", "16", "--out", str(out)]) == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_resolution_is_capped(tmp_path, capsys, monkeypatch):
     def no_grid(*args):
         raise AssertionError("the grid was built before the cap was checked")
