@@ -18,6 +18,7 @@ slack is always on the permissive side).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -56,8 +57,8 @@ class LinearMap(RemotenessMap):
     def __init__(self, rows):
         a = np.atleast_2d(np.asarray(rows, dtype=float))
         self._facets = _facets(a)
-        if not all(l1 > 0.0 for _, l1 in self._facets):  # a NaN entry makes ||row||_1 NaN
-            raise ValueError("linear remoteness rows must be non-zero and free of NaN")
+        if not all(0.0 < l1 < math.inf for _, l1 in self._facets):  # a NaN or inf entry makes ||row||_1 NaN or inf
+            raise ValueError("linear remoteness rows must be non-zero and finite, free of NaN and inf")
         self.matrix = a
         self.matrix.setflags(write=False)
 
@@ -92,8 +93,8 @@ class PowerMap(RemotenessMap):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         self.weights = np.asarray(weights, dtype=float)
-        if np.isnan(self.weights).any():
-            raise ValueError("power weights must not be NaN")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("power weights must be finite, not NaN or inf")
         self.weights.setflags(write=False)
         self.alpha = float(alpha)
 
@@ -127,8 +128,8 @@ class MetaballMap(RemotenessMap):
     def __init__(self, a, b=None, offset: bool = False):
         self.a = np.asarray(a, dtype=float)
         self.b = np.ones_like(self.a) if b is None else np.asarray(b, dtype=float)
-        if not (np.all(self.a > 0.0) and np.all(self.b > 0.0)):  # NaN is not positive
-            raise ValueError("metaball parameters must be positive")
+        if not all(np.all((v > 0.0) & (v < np.inf)) for v in (self.a, self.b)):  # NaN fails both tests
+            raise ValueError("metaball parameters must be positive and finite")
         if not offset and abs(float(np.sum(1.0 - self.b))) > TOL:
             raise ValueError("metaball with f(0) != 0 requires offset=True")
         self.a.setflags(write=False)

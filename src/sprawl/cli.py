@@ -316,8 +316,8 @@ def cmd_plot(args) -> int:
 
 
 def _region_from_args(args, m: int) -> Ambit:
-    if math.isnan(args.radius):  # no point is within a NaN radius, so the plot would be blank
-        raise FormatError("--radius must be a number, not nan")
+    if not math.isfinite(args.radius):  # a NaN or infinite radius leaves the plot without a boundary
+        raise FormatError("--radius must be a finite number, not nan or inf")
     foci = tuple(range(m))
     weights = [float(w) for w in args.weights.split(",")] if args.weights else [1.0] * m
     if args.map == "power":

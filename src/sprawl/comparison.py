@@ -39,8 +39,9 @@ def lp_norm(diff: np.ndarray, p: float):
 class CostSession:
     """Per-query accumulator of comparison evaluations.
 
-    Spaces are immutable and shared; each search owns one of these, so no
-    mutable state is shared between concurrent queries.
+    Spaces are shared, and the one field a space writes, the last raw point
+    it checked (see `_finite_point`), never changes a result; each search
+    owns one of these, so no count is shared between concurrent queries.
     """
 
     distance_computations: int = 0
@@ -59,6 +60,7 @@ class ComparisonSpace:
 
     kind: str = "abstract"
     symmetric: bool = True
+    _coerced = None  # a coordinate space's last coerced raw point (see _finite_point)
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -101,6 +103,28 @@ class ComparisonSpace:
         return np.array([self._row(self.value(int(a)), refs_b) for a in refs_a], dtype=float)
 
 
+def _finite_point(space, raw) -> np.ndarray:
+    """A raw coordinate vector as a read-only copy in floats.
+
+    A NaN or infinite coordinate makes every distance to the point NaN or
+    inf, which no region bound can use, so such a point is refused. The
+    space keeps the last copy it made, so a search, which coerces its
+    centre once and passes the copy to every `compare`, checks it once.
+    A concurrent search may replace that copy; a point that is not the
+    kept one is only checked again.
+    """
+    if raw is space._coerced:
+        return raw
+    a = np.array(raw, dtype=float)
+    if a.shape != (space.dimension,):
+        raise ValueError(f"expected a point of dimension {space.dimension}")
+    if not all(map(math.isfinite, a.tolist())):
+        raise ValueError("a point's coordinates must be finite, not NaN or inf")
+    a.setflags(write=False)
+    space._coerced = a
+    return a
+
+
 class EuclideanSpace(ComparisonSpace):
     """R^d under the Lp norm (default L2). Metric for p >= 1."""
 
@@ -129,10 +153,7 @@ class EuclideanSpace(ComparisonSpace):
         return self.points[ref]
 
     def _coerce(self, raw):
-        a = np.asarray(raw, dtype=float)
-        if a.shape != (self.dimension,):
-            raise ValueError(f"expected a point of dimension {self.dimension}")
-        return a
+        return _finite_point(self, raw)
 
     def _dist(self, a, b) -> float:
         return float(lp_norm(a - b, self.p))
@@ -186,10 +207,7 @@ class ProjectionSpace(ComparisonSpace):
         return ("axis", axis)
 
     def _coerce(self, raw):
-        a = np.asarray(raw, dtype=float)
-        if a.shape != (self.dimension,):
-            raise ValueError(f"expected a point of dimension {self.dimension}")
-        return a
+        return _finite_point(self, raw)
 
     def _dist(self, a, b) -> float:
         a_axis = isinstance(a, tuple) and a[0] == "axis"

@@ -202,8 +202,10 @@ class Sprawl:
                     )
             if e.target in e.sources:
                 warnings.warn(f"edge into {e.target} lists it as a source and can never fire usefully")
-        for g in self.groups:
-            if g.source not in nodes or any(int(t) not in nodes for t in g.targets):
+        if self.groups:  # one membership test for every group target at once
+            known = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+            targets = np.concatenate([g.targets for g in self.groups])
+            if any(g.source not in nodes for g in self.groups) or not np.isin(targets, known).all():
                 raise IndexError("shell group refers to refs outside the ground set")
 
     def _plan(self):

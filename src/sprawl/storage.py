@@ -1,13 +1,24 @@
 """Dataset ingestion and versioned index persistence.
 
-The index file is self-describing JSON: a space descriptor, the ground
-set, edges with region parameter blocks as plain numeric arrays, compact
-shell groups, and an optional responsibility assignment. Floats survive
-the round trip bit-exactly (shortest-repr serialization).
+The index file is one self-describing JSON document: a space descriptor,
+the ground set, edges with region parameters as plain numeric arrays,
+columnar shell groups, and an optional responsibility assignment.
+
+Format version 2 writes the numeric columns as binary blocks: base64 text
+of fixed little-endian bytes, `<i8` for group targets and `<f8` for group
+bounds, point coordinates and comparison matrices, with a `shape` beside a
+2-d block. A sphere group (`hi is lo`) writes `lo` alone. Each block keeps
+every bit of its floats, -0.0 and NaN payloads included. The dtype of a
+block comes from its field, never from the file. Version 1 wrote the same
+columns as plain lists of shortest-repr numbers; its files still load,
+because a plain list where a block is expected decodes as it always did.
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +29,11 @@ from .engine import EMPTY, UNIVERSE, Edge, Empty, ExplicitRegion, Responsibility
 from .errors import FormatError
 
 FORMAT_NAME = "sprawl-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
+
+_I8 = np.dtype("<i8")
+_F8 = np.dtype("<f8")
 
 
 # --- datasets ----------------------------------------------------------------
@@ -90,12 +105,18 @@ def gen_points(
 
 
 def describe_space(space: ComparisonSpace) -> dict:
-    if isinstance(space, EuclideanSpace):
-        return {"kind": space.kind, "p": space.p, "points": _floats2d(space.points)}
-    if isinstance(space, ProjectionSpace):
-        return {"kind": space.kind, "points": _floats2d(space.points)}
+    if isinstance(space, (EuclideanSpace, ProjectionSpace)):
+        doc = {"kind": space.kind, "shape": list(space.points.shape), "points": _block(space.points, _F8)}
+        if isinstance(space, EuclideanSpace):
+            doc["p"] = space.p
+        return doc
     if isinstance(space, MatrixSpace):
-        return {"kind": space.kind, "symmetric": space.symmetric, "matrix": _floats2d(space.matrix)}
+        return {
+            "kind": space.kind,
+            "symmetric": space.symmetric,
+            "shape": list(space.matrix.shape),
+            "matrix": _block(space.matrix, _F8),
+        }
     if isinstance(space, StringSpace):
         return {"kind": space.kind, "strings": list(space.strings)}
     raise TypeError(f"cannot serialize space {space!r}")
@@ -104,11 +125,11 @@ def describe_space(space: ComparisonSpace) -> dict:
 def space_from_descriptor(doc: dict) -> ComparisonSpace:
     kind = doc.get("kind")
     if kind == "euclidean-lp":
-        return EuclideanSpace(doc["points"], p=doc.get("p", 2.0))
+        return EuclideanSpace(_table(doc, "points"), p=doc.get("p", 2.0))
     if kind == "coordinate-projection":
-        return ProjectionSpace(doc["points"])
+        return ProjectionSpace(_table(doc, "points"))
     if kind == "explicit-matrix":
-        return MatrixSpace(doc["matrix"], symmetric=doc.get("symmetric"))
+        return MatrixSpace(_table(doc, "matrix"), symmetric=doc.get("symmetric"))
     if kind == "levenshtein-strings":
         return StringSpace(doc["strings"])
     raise FormatError(f"unknown space kind {kind!r}")
@@ -118,8 +139,43 @@ def _floats(xs) -> list[float]:
     return [float(v) for v in xs]
 
 
-def _floats2d(xs) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.atleast_2d(xs)]
+def _block(xs, dtype: np.dtype) -> str:
+    """A numeric column or table as base64 text of its `dtype` bytes, in C order."""
+    return base64.b64encode(np.ascontiguousarray(xs, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _column(value, dtype: np.dtype, count: int | None = None) -> np.ndarray:
+    """Decode one block of `dtype` items, `count` of them when given, or a
+    version-1 plain list. A decoded block is read-only."""
+    if isinstance(value, list):
+        return np.array(value, dtype=dtype)
+    if not isinstance(value, str):
+        raise FormatError(f"expected a base64 block, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except binascii.Error as exc:
+        raise FormatError(f"bad base64 block: {exc}") from None
+    if len(raw) % dtype.itemsize:
+        raise FormatError(f"block of {len(raw)} bytes is not a whole number of {dtype.itemsize}-byte items")
+    if count is not None and len(raw) != count * dtype.itemsize:
+        raise FormatError(f"block holds {len(raw) // dtype.itemsize} items where {count} are needed")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _table(doc: dict, key: str):
+    """The float table under `key`: a block shaped by the descriptor's
+    `shape`, or a version-1 list of rows."""
+    value = doc[key]
+    if isinstance(value, list):
+        return value
+    shape = doc.get("shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise FormatError(f"{key} block needs a shape of two non-negative integers, got {shape!r}")
+    return _column(value, _F8, math.prod(shape)).reshape(shape)
 
 
 def describe_region(region) -> dict:
@@ -184,20 +240,26 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
             }
             for e in sprawl.edges
         ],
-        "groups": [
-            {
-                "source": g.source,
-                "targets": [int(t) for t in g.targets],
-                "lo": _floats(g.lo),
-                "hi": _floats(g.hi),
-                "lazy": g.lazy,
-            }
-            for g in sprawl.groups
-        ],
+        "groups": [_describe_group(g) for g in sprawl.groups],
     }
     if res is not None:
         doc["responsibility"] = {str(k): sorted(v) for k, v in sorted(res.edge_to_nodes.items())}
     return doc
+
+
+def _describe_group(g: ShellGroup) -> dict:
+    doc = {"source": g.source, "targets": _block(g.targets, _I8), "lo": _block(g.lo, _F8)}
+    if g.hi is not g.lo:  # a sphere group writes its one bound column once
+        doc["hi"] = _block(g.hi, _F8)
+    doc["lazy"] = g.lazy
+    return doc
+
+
+def _group_from_descriptor(doc: dict) -> ShellGroup:
+    targets = _column(doc["targets"], _I8)
+    lo = _column(doc["lo"], _F8, len(targets))
+    hi = _column(doc["hi"], _F8, len(targets)) if "hi" in doc else lo
+    return ShellGroup(doc["source"], targets, lo, hi, lazy=doc.get("lazy", False))
 
 
 def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None) -> None:
@@ -207,8 +269,9 @@ def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None
 def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | None]:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise FormatError(f"not a {FORMAT_NAME} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in READ_VERSIONS:
+        raise FormatError(f"unsupported format version {version!r}")
     try:
         space = space_from_descriptor(doc["space"])
         edges = [
@@ -221,16 +284,7 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
             )
             for e in doc.get("edges", [])
         ]
-        groups = [
-            ShellGroup(
-                g["source"],
-                np.array(g["targets"], dtype=np.int64),
-                np.array(g["lo"], dtype=float),
-                np.array(g["hi"], dtype=float),
-                lazy=g.get("lazy", False),
-            )
-            for g in doc.get("groups", [])
-        ]
+        groups = [_group_from_descriptor(g) for g in doc.get("groups", [])]
         sprawl = Sprawl(space, doc["nodes"], edges, groups)
         res = None
         if "responsibility" in doc:

@@ -80,6 +80,25 @@ def test_nan_power_weights_rejected():
         PowerMap([1.0, float("nan")], 0.5)
 
 
+# an infinite parameter makes the remoteness inf or NaN (inf * 0) at every
+# point, so the region is again empty or unbounded everywhere
+@pytest.mark.parametrize("rows", [[[float("inf")]], [[1.0, -float("inf")]]])
+def test_infinite_linear_row_rejected(rows):
+    with pytest.raises(ValueError, match="finite"):
+        LinearMap(rows)
+
+
+def test_infinite_power_weights_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        PowerMap([1.0, float("inf")], 0.5)
+
+
+@pytest.mark.parametrize("a, b", [([float("inf")], None), ([1.0], [float("inf")])])
+def test_infinite_metaball_parameters_rejected(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        MetaballMap(a, b, offset=True)
+
+
 # --- ball overlap (unnormalized facet check) -------------------------------------
 
 

@@ -208,6 +208,24 @@ def test_plot_refuses_nan_parameters_and_infinite_foci(args, named, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--foci", "0,0", "--weights", "inf"], "finite"),
+        (["--map", "metaball", "--a", "inf", "--foci", "0,0"], "finite"),
+        (["--map", "power", "--weights", "inf", "--foci", "0,0"], "finite"),
+        (["--foci", "0,0", "--radius", "inf"], "--radius"),
+        (["--map", "ball", "--foci", "0,0", "--radius=-inf"], "--radius"),
+    ],
+)
+def test_plot_refuses_infinite_parameters(args, named, tmp_path, capsys):
+    # each of these used to write an SVG with no boundary and exit 0
+    out = tmp_path / "p.svg"
+    assert main(["plot", *args, "--resolution", "16", "--out", str(out)]) == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_resolution_is_capped(tmp_path, capsys, monkeypatch):
     def no_grid(*args):
         raise AssertionError("the grid was built before the cap was checked")
@@ -422,3 +440,23 @@ def test_query_refuses_nan_radius(tmp_path, capsys):
     assert main(["query", "--index", str(index), "--ball", "0.5,0.5:nan"]) == 3
     err = capsys.readouterr().err
     assert "radius" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--knn", "3", "--center", "nan,0.5"],
+        ["--ball", "nan,0.5:0.3"],
+        ["--ball", "0.5,inf:0.3"],
+    ],
+)
+def test_query_refuses_non_finite_centre(args, tmp_path, capsys):
+    # a NaN centre used to print one kNN member, or no ball member, and exit 0
+    data = tmp_path / "d.txt"
+    index = tmp_path / "i.json"
+    main(["gen", "--count", "50", "--dims", "2", "--seed", "1", "--out", str(data)])
+    main(["build", "--dataset", str(data), "--out", str(index)])
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), *args]) == 3
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "members" not in captured.out

@@ -89,6 +89,36 @@ def test_raw_value_comparisons():
         space.compare((1.0,), 0)
 
 
+@pytest.mark.parametrize("centre", [(float("nan"), 0.5), (0.5, float("inf")), (-float("inf"), 0.0)])
+def test_non_finite_raw_point_refused(rng, centre):
+    # every distance to such a centre is NaN or inf: kNN used to return one
+    # member of three and a range query none, without an error
+    pts = rng.random((30, 2))
+    for space in (EuclideanSpace(pts), ProjectionSpace(pts)):
+        with pytest.raises(ValueError, match="finite"):
+            space.compare(centre, 0)
+        sprawl, _ = build_classic(space, range(30), "ball-tree")
+        for query in (Ball(centre, 0.3), Ball(centre, 0.0, k=3)):
+            with pytest.raises(ValueError, match="finite"):
+                search(sprawl, query)
+            with pytest.raises(ValueError, match="finite"):
+                linear_scan(space, range(30), query)
+
+
+def test_coerced_point_is_a_checked_read_only_copy():
+    # a space keeps the last raw point it checked; a caller's array that
+    # changes after the check is checked again
+    space = EuclideanSpace([[0.0, 0.0], [3.0, 4.0]])
+    raw = np.array([0.0, 0.0])
+    assert space.compare(raw, 1) == 5.0
+    raw[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        space.compare(raw, 1)
+    c = space._coerce((3.0, 4.0))
+    assert not c.flags.writeable and space._coerce(c) is c
+    assert space.compare(c, 1) == 0.0
+
+
 def test_invalid_ref_raises():
     space = EuclideanSpace([[0.0], [1.0]])
     with pytest.raises(IndexError):

@@ -1,13 +1,16 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from sprawl.ambit import Ambit, MetaballMap, PowerMap
+from sprawl.cli import main
 from sprawl.comparison import EuclideanSpace, MatrixSpace, ProjectionSpace, StringSpace
-from sprawl.engine import EMPTY, Edge, ExplicitRegion, Sprawl, build_classic
+from sprawl.engine import EMPTY, Edge, ExplicitRegion, ShellGroup, Sprawl, build_classic
 from sprawl.errors import FormatError
 from sprawl.storage import (
+    FORMAT_VERSION,
     gen_points,
     index_document,
     index_from_document,
@@ -20,17 +23,35 @@ from sprawl.storage import (
 )
 
 
+def _bits(a) -> tuple:
+    """Compare arrays bit for bit, so -0.0 and NaN payloads count."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def _assert_same_sprawl(a: Sprawl, b: Sprawl):
+    assert type(a.space) is type(b.space)
+    for attr in ("points", "matrix", "strings"):
+        if hasattr(a.space, attr):
+            want, got = getattr(a.space, attr), getattr(b.space, attr)
+            assert (want == got) if attr == "strings" else _bits(want) == _bits(got)
     assert a.nodes == b.nodes
-    assert len(a.edges) == len(b.edges)
-    for ea, eb in zip(a.edges, b.edges):
-        assert ea == eb
+    assert a.edges == b.edges
     assert len(a.groups) == len(b.groups)
     for ga, gb in zip(a.groups, b.groups):
-        assert np.array_equal(ga.targets, gb.targets)
-        assert np.array_equal(ga.lo, gb.lo)  # bit-exact
-        assert np.array_equal(ga.hi, gb.hi)
-        assert ga.lazy == gb.lazy
+        assert (ga.source, ga.lazy) == (gb.source, gb.lazy)
+        for col in ("targets", "lo", "hi"):
+            assert _bits(getattr(ga, col)) == _bits(getattr(gb, col))
+        assert (ga.hi is ga.lo) == (gb.hi is gb.lo)
+
+
+def _round_trip(tmp_path, sprawl, res=None):
+    path = tmp_path / "index.json"
+    save_index(path, sprawl, res)
+    loaded, loaded_res = load_index(path)
+    _assert_same_sprawl(sprawl, loaded)
+    assert json.loads(path.read_text())["version"] == FORMAT_VERSION == 2
+    return loaded, loaded_res
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -40,13 +61,11 @@ def _assert_same_sprawl(a: Sprawl, b: Sprawl):
     ("pm-tree", {"pivots": 3}),
 ])
 def test_index_round_trip_bit_exact(tmp_path, rng, kind, params):
-    space = EuclideanSpace(rng.random((25, 3)))
+    pts = rng.random((25, 3))
+    pts[::4, 1] = -0.0
+    space = EuclideanSpace(pts)
     sprawl, res = build_classic(space, range(25), kind, **params)
-    path = tmp_path / "index.json"
-    save_index(path, sprawl, res)
-    loaded, loaded_res = load_index(path)
-    _assert_same_sprawl(sprawl, loaded)
-    assert np.array_equal(loaded.space.points, space.points)
+    loaded, loaded_res = _round_trip(tmp_path, sprawl, res)
     assert loaded_res.edge_to_nodes == res.edge_to_nodes
     # a second round trip is byte-identical
     doc1 = json.dumps(index_document(sprawl, res))
@@ -177,7 +196,144 @@ def test_fuzzed_round_trips_bit_exact(rng):
      "nodes": [0], "edges": [{"sources": [], "target": 5}]},
     {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0], [1.0]]},
      "nodes": [0, 1], "groups": [{"source": 0, "targets": [1], "lo": [2.0], "hi": [1.0]}]},
+    {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0], [1.0]]},
+     "nodes": [0, 1], "groups": [{"source": 0, "targets": [1, 5], "lo": [1.0, 1.0]}]},
+    {"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "points": [[0.0], [1.0]]},
+     "nodes": [0, 1], "groups": [{"source": 7, "targets": [1], "lo": [1.0]}]},
+    {"format": "sprawl-index", "version": True, "space": {"kind": "euclidean-lp", "points": [[0.0]]},
+     "nodes": [0]},
 ])
 def test_index_document_missing_key_or_wrong_type(doc):
     with pytest.raises(FormatError):
         index_from_document(doc)
+
+
+# --- format version 2: numeric columns as binary blocks ------------------------
+
+
+# Written by format version 1: a 3-point AESA index over points that hold
+# -0.0, 1e-300 and a float with no short decimal, then a pm-tree over a
+# 4 x 4 matrix, whose lazy groups have distinct lo and hi columns.
+V1_AESA = """{"format": "sprawl-index", "version": 1, "space": {"kind": "euclidean-lp", "p": 2.0, \
+"points": [[0.1, 0.2], [0.30000000000000004, -0.0], [1e-300, 2.5]]}, "nodes": [0, 1, 2], \
+"edges": [{"sources": [], "target": 0, "positive": [], "negative": [], "lazy": false}, \
+{"sources": [], "target": 1, "positive": [], "negative": [], "lazy": false}, \
+{"sources": [], "target": 2, "positive": [], "negative": [], "lazy": false}], \
+"groups": [{"source": 0, "targets": [1, 2], "lo": [0.28284271247461906, 2.3021728866442674], \
+"hi": [0.28284271247461906, 2.3021728866442674], "lazy": false}, \
+{"source": 1, "targets": [0, 2], "lo": [0.28284271247461906, 2.5179356624028344], \
+"hi": [0.28284271247461906, 2.5179356624028344], "lazy": false}, \
+{"source": 2, "targets": [0, 1], "lo": [2.3021728866442674, 2.5179356624028344], \
+"hi": [2.3021728866442674, 2.5179356624028344], "lazy": false}], \
+"responsibility": {"0": [0], "1": [1], "2": [2]}}"""
+
+V1_MATRIX_PM_TREE = """{"format": "sprawl-index", "version": 1, "space": {"kind": "explicit-matrix", \
+"symmetric": true, "matrix": [[0.0, 0.1, 0.7, 1.25], [0.1, 0.0, 0.30000000000000004, 2.0], \
+[0.7, 0.30000000000000004, 0.0, 1e-300], [1.25, 2.0, 1e-300, 0.0]]}, "nodes": [0, 1, 2, 3], \
+"edges": [{"sources": [], "target": 0, "positive": [], "negative": [], "lazy": false}, \
+{"sources": [0], "target": 2, "positive": [{"kind": "ambit", "foci": [0], "radii": [0.7], \
+"orientation": "forward", "map": {"kind": "linear", "rows": [[1.0]]}}], "negative": [], "lazy": false}, \
+{"sources": [], "target": 3, "positive": [], "negative": [], "lazy": false}, \
+{"sources": [], "target": 1, "positive": [], "negative": [], "lazy": false}], \
+"groups": [{"source": 3, "targets": [0], "lo": [1e-300], "hi": [1.25], "lazy": true}, \
+{"source": 1, "targets": [0], "lo": [0.1], "hi": [0.30000000000000004], "lazy": true}], \
+"responsibility": {"0": [0, 2], "1": [2], "2": [3], "3": [1]}}"""
+
+
+def test_v1_document_loads_bit_exact_and_saves_as_v2(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(V1_AESA)
+    aesa, res = load_index(path)
+    want = np.array([[0.1, 0.2], [0.30000000000000004, -0.0], [1e-300, 2.5]])
+    assert _bits(aesa.space.points) == _bits(want)
+    assert np.signbit(aesa.space.points[1, 1])
+    assert [g.targets.tolist() for g in aesa.groups] == [[1, 2], [0, 2], [0, 1]]
+    assert _bits(aesa.groups[2].lo) == _bits(np.array([2.3021728866442674, 2.5179356624028344]))
+    assert all(_bits(g.hi) == _bits(g.lo) for g in aesa.groups)
+    assert res.edge_to_nodes == {0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})}
+    _round_trip(tmp_path, aesa, res)
+
+    path.write_text(V1_MATRIX_PM_TREE)
+    pm, res = load_index(path)
+    assert isinstance(pm.space, MatrixSpace) and pm.space.symmetric
+    assert _bits(pm.space.matrix[2]) == _bits(np.array([0.7, 0.30000000000000004, 0.0, 1e-300]))
+    assert [(g.lo.tolist(), g.hi.tolist(), g.lazy) for g in pm.groups] == [
+        ([1e-300], [1.25], True),
+        ([0.1], [0.30000000000000004], True),
+    ]
+    loaded, loaded_res = _round_trip(tmp_path, pm, res)
+    assert loaded_res.edge_to_nodes == res.edge_to_nodes
+    assert loaded.edges[1].positive[0].radii == (0.7,)
+
+
+def test_v2_keeps_negative_zero_and_nan_payloads(tmp_path):
+    nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]  # a quiet NaN with a payload
+    assert np.isnan(nan)
+    pts = np.array([[0.5, -0.0], [nan, 1.0], [-0.0, 2.0]])
+    assert pts.view(np.uint64)[1, 0] == 0x7FF8000000000123
+    m = np.array([[-0.0, 1.0, nan], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    lo = np.array([-0.0, nan])
+    group = ShellGroup(0, [1, 2], lo, np.array([0.0, 7.5]), lazy=True)
+    sphere = ShellGroup(1, [0, 2], lo, lo)
+    for space in (EuclideanSpace(pts, p=3.0), ProjectionSpace(pts), MatrixSpace(m, symmetric=False)):
+        edges = [Edge((), v) for v in range(3)]
+        loaded, _ = _round_trip(tmp_path, Sprawl(space, range(3), edges, [group, sphere]))
+        assert loaded.groups[1].hi is loaded.groups[1].lo
+        assert loaded.groups[0].hi is not loaded.groups[0].lo
+    strings = Sprawl(StringSpace(["ab", "ba", "abc"]), range(3), [Edge((), v) for v in range(3)], [sphere])
+    _round_trip(tmp_path, strings)
+
+
+def test_sphere_groups_write_one_bound_column(tmp_path, rng):
+    space = EuclideanSpace(rng.random((20, 2)))
+    sprawl, res = build_classic(space, range(20), "aesa")
+    assert all(g.hi is g.lo for g in sprawl.groups)
+    doc = index_document(sprawl, res)
+    assert all("hi" not in g and isinstance(g["lo"], str) for g in doc["groups"])
+    loaded, _ = _round_trip(tmp_path, sprawl, res)
+    assert all(g.hi is g.lo for g in loaded.groups)
+    pm, _ = build_classic(space, range(20), "pm-tree", pivots=3)
+    assert all("hi" in g for g in index_document(pm)["groups"])
+
+
+def test_aesa_index_size_gate(tmp_path):
+    # format version 1 wrote this index as 11.2 MB of per-float text
+    space = EuclideanSpace(gen_points("uniform", 500, 8, seed=1))
+    sprawl, res = build_classic(space, range(500), "aesa")
+    path = tmp_path / "aesa.json"
+    save_index(path, sprawl, res)
+    assert path.stat().st_size <= 6_000_000
+
+
+def _corrupt(doc: dict, how: str) -> dict:
+    doc = json.loads(json.dumps(doc))
+    group = doc["groups"][0]
+    if how == "bad base64":
+        group["targets"] = "AAAA!AAA"
+    elif how == "ragged bytes":
+        group["targets"] = base64.b64encode(bytes(12)).decode()
+    elif how == "length differs from targets":
+        group["lo"] = base64.b64encode(np.zeros(len(doc["nodes"]) + 1).tobytes()).decode()
+    elif how == "shape mismatch":
+        n, d = doc["space"]["shape"]
+        doc["space"]["shape"] = [n, d + 1]
+    elif how == "shape missing":
+        del doc["space"]["shape"]
+    elif how == "not a block":
+        group["lo"] = 3.5
+    return doc
+
+
+@pytest.mark.parametrize("how", ["bad base64", "ragged bytes", "length differs from targets",
+                                 "shape mismatch", "shape missing", "not a block"])
+def test_corrupt_block_is_a_format_error(tmp_path, capsys, how):
+    space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sprawl, res = build_classic(space, range(3), "aesa")
+    doc = _corrupt(index_document(sprawl, res), how)
+    with pytest.raises(FormatError):
+        index_from_document(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["query", "--index", str(path), "--ball", "0,0:1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
