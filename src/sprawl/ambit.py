@@ -511,3 +511,10 @@ def table1_region(kind: str, foci, **params) -> Ambit:
         radii = tuple(float(v) for v in np.concatenate([hi, -lo]))
         return Ambit(foci, LinearMap(rows), radii)
     raise ValueError(f"unknown region kind {kind!r}")
+
+
+# The map of the tree ball delta(p, .) <= r, immutable and so shared by
+# every ball region built from a table of such balls, and its (a, ||a||_1)
+# as `ball_facet` reads it off any single-facet region
+BALL_MAP = LinearMap([[1.0]])
+BALL_FACET = ball_facet(Ambit((0,), BALL_MAP, (0.0,)), 0)[:2]

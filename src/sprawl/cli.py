@@ -74,8 +74,8 @@ def cmd_build(args) -> int:
     storage.save_index(args.out, sprawl, res)
     group_edges = sum(len(g) for g in sprawl.groups)
     print(
-        f"built {args.kind} over {len(sprawl.nodes)} points: "
-        f"{len(sprawl.edges)} edges + {group_edges} grouped shell edges -> {args.out}"
+        f"built {args.kind} over {len(sprawl.nodes)} points: {len(sprawl.edges)} edges + "
+        f"{len(sprawl.balls)} ball edges + {group_edges} grouped shell edges -> {args.out}"
     )
     return 0
 

@@ -131,6 +131,44 @@ class ShellGroup:
         return Edge((self.source,), int(self.targets[i]), (EMPTY,), (region,), lazy=self.lazy)
 
 
+@dataclass
+class BallTable:
+    """Single-focus ball edges delta(source, .) <= radius, as columns.
+
+    Each row is one logical edge (source,) -> target whose positive label
+    is `table1_region("ball", (source,), r=radius)` and whose negative
+    label is empty, the child edge of a ball-tree or pm-tree. Rows are
+    numbered after the sprawl's explicit edges and before its shell-group
+    members.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    radius: np.ndarray
+
+    def __post_init__(self):
+        self.source = np.asarray(self.source, dtype=np.int64)
+        self.target = np.asarray(self.target, dtype=np.int64)
+        self.radius = np.asarray(self.radius, dtype=float)
+        if not (self.source.ndim == 1 and self.source.shape == self.target.shape == self.radius.shape):
+            raise ValueError("ball table columns must be 1-d with matching shapes")
+        if np.isnan(self.radius).any():  # every overlap check with NaN misses, so its subtree would vanish
+            raise ValueError("a ball radius must not be NaN")
+
+    def __len__(self) -> int:
+        return int(self.source.shape[0])
+
+    def member_edges(self) -> list[Edge]:
+        """Every row as the `Edge` it stands for, in row order."""
+        return [
+            Edge((u,), t, (Ambit((u,), ambit_mod.BALL_MAP, (r,)),), ())
+            for u, t, r in zip(self.source.tolist(), self.target.tolist(), self.radius.tolist())
+        ]
+
+
+_NO_BALLS = BallTable([], [], [])  # shared by every sprawl without a ball table: no row to change
+
+
 class _BallColumns(NamedTuple):
     """Single-facet ball edges a * delta(source, .) <= r as columns, by
     source: the edges of source v are rows start[v]:start[v + 1], in edge
@@ -148,25 +186,36 @@ class _BallColumns(NamedTuple):
 
 
 class Sprawl:
-    """Immutable-after-build index: ground set, edges, and shell groups."""
+    """Immutable-after-build index: ground set, edges, ball table and shell groups."""
 
-    def __init__(self, space: ComparisonSpace, nodes, edges, groups=(), validate: bool = True):
+    def __init__(
+        self, space: ComparisonSpace, nodes, edges, groups=(), balls: BallTable | None = None, validate: bool = True
+    ):
         self.space = space
         self.nodes: tuple[int, ...] = tuple(int(v) for v in nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.groups: tuple[ShellGroup, ...] = tuple(groups)
+        self.balls: BallTable = balls if balls is not None else _NO_BALLS
         self._node_pos = {v: i for i, v in enumerate(self.nodes)}
         self._plan_cache = None
         if validate:
             self.validate()
 
-    # group member edges are numbered after the explicit ones
+    @cached_property
+    def _ball_edges(self) -> list[Edge]:
+        """The ball table's rows as `Edge`s, built once, on first use."""
+        return self.balls.member_edges()
+
+    # ball table rows are numbered after the explicit edges, group members after both
     def logical_edge(self, idx: int) -> Edge:
         if idx < 0:
             raise IndexError("edge index out of range")
         if idx < len(self.edges):
             return self.edges[idx]
         idx -= len(self.edges)
+        if idx < len(self.balls):
+            return self._ball_edges[idx]
+        idx -= len(self.balls)
         for g in self.groups:
             if idx < len(g):
                 return g.member_edge(idx)
@@ -174,9 +223,9 @@ class Sprawl:
         raise IndexError("edge index out of range")
 
     def iter_logical_edges(self):
-        for i, e in enumerate(self.edges):
-            yield i, e
-        idx = len(self.edges)
+        yield from enumerate(self.edges)
+        yield from enumerate(self._ball_edges, len(self.edges))
+        idx = len(self.edges) + len(self.balls)
         for g in self.groups:
             for i in range(len(g)):
                 yield idx, g.member_edge(i)
@@ -202,16 +251,25 @@ class Sprawl:
                     )
             if e.target in e.sources:
                 warnings.warn(f"edge into {e.target} lists it as a source and can never fire usefully")
-        if self.groups:  # one membership test for every group target at once
-            known = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        if not (self.groups or len(self.balls)):
+            return
+        # one membership test per column: each ball column, every group target at once
+        known = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        b = self.balls
+        if not (np.isin(b.source, known).all() and np.isin(b.target, known).all()):
+            raise IndexError("ball table refers to refs outside the ground set")
+        if (b.source == b.target).any():
+            warnings.warn("a ball edge into its own source can never fire usefully")
+        if self.groups:
             targets = np.concatenate([g.targets for g in self.groups])
             if any(g.source not in nodes for g in self.groups) or not np.isin(targets, known).all():
                 raise IndexError("shell group refers to refs outside the ground set")
 
     def _plan(self):
-        """The frontier plan (group gi is edge len(edges) + gi), the lazy
-        edges and lazy group positions into each target, and the plan
-        positions of each eager group's targets.
+        """The frontier plan (ball row j is edge len(edges) + j, group gi
+        edge len(edges) + len(balls) + gi), the lazy edges and lazy group
+        positions into each target, and the plan positions of each eager
+        group's targets.
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
@@ -241,15 +299,19 @@ class Sprawl:
             else:
                 seeding = seeding and bool(e.sources)
                 eager.append((i, e.sources))
+        for t in self.balls.target.tolist():  # every row discovers
+            finders[t] = finders.get(t, 0) + 1
+        base = len(self.edges) + len(self.balls)
+        eager += zip(range(len(self.edges), base), ((u,) for u in self.balls.source.tolist()))
         lazy_group_in: dict[int, list[tuple[int, int]]] = {}
         for gi, g in enumerate(self.groups):
             if g.lazy:
                 for pos, t in enumerate(g.targets):
                     lazy_group_in.setdefault(int(t), []).append((gi, pos))
             else:
-                eager.append((len(self.edges) + gi, (g.source,)))
+                eager.append((base + gi, (g.source,)))
         # eager ids ascend, so the first is a group's only if every eager edge is a group
-        dense = bool(eager) and eager[0][0] >= len(self.edges) and set(seeds) == set(self.nodes)
+        dense = bool(eager) and eager[0][0] >= base and set(seeds) == set(self.nodes)
         plan = activation(eager, seeds, dense)
         group_pos = {}
         if dense:
@@ -279,8 +341,8 @@ class Sprawl:
         group, as in AESA, each node's shells may eliminate the next, so
         waves would all be one node and the plan keeps the heap.
         """
-        edges, groups, nodes = self.edges, self.groups, self.nodes
-        eager_groups = [(len(edges) + gi, g) for gi, g in enumerate(groups) if not g.lazy]
+        edges, groups, nodes, table = self.edges, self.groups, self.nodes, self.balls
+        eager_groups = [(len(edges) + len(table) + gi, g) for gi, g in enumerate(groups) if not g.lazy]
         if {g.source for _, g in eager_groups} >= set(nodes) or min(nodes) < 0:
             return None, None
         alone: set[int] = set()
@@ -315,6 +377,9 @@ class Sprawl:
                     alone.add(u)
                 others.setdefault(u, []).append(i)
                 part(u, t)
+        unit = ambit_mod.BALL_FACET  # every table row is the ball delta(u, .) <= r
+        table_rows = zip(table.source.tolist(), table.target.tolist(), table.radius.tolist())
+        balls += ((i, u, t, (*unit, r)) for i, (u, t, r) in enumerate(table_rows, len(edges)))
         for i, g in eager_groups:
             others.setdefault(g.source, []).append(i)
             for t in g.targets.tolist():
@@ -521,10 +586,11 @@ def _refuse_unsound(sprawl: Sprawl, query) -> None:
     """
     if isinstance(query, Ball) and not sprawl.space.symmetric and (
         sprawl.groups
+        or len(sprawl.balls)
         or any(isinstance(r, Ambit) for e in sprawl.edges for r in e.positive + e.negative)
     ):
         raise CapabilityError(
-            "ball queries on an asymmetric space need a sprawl without ambit regions or shell groups"
+            "ball queries on an asymmetric space need a sprawl without ambit regions, ball tables or shell groups"
         )
 
 
@@ -609,7 +675,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         frontier.cut(ambit_mod.bound_cutoff(s_current))
     done = frontier.done
     edges, groups = sprawl.edges, sprawl.groups
-    edge_count = len(edges)
+    base = len(edges) + len(sprawl.balls)  # the first group's edge id
 
     def lower_bound(edge: Edge) -> float:
         lb = 0.0
@@ -638,8 +704,8 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
 
     def fire(edge_ids) -> None:
         for ei in edge_ids:
-            if ei >= edge_count:
-                fire_group(ei - edge_count)
+            if ei >= base:
+                fire_group(ei - base)
                 continue
             ball = ball_edges.get(ei)
             if ball is not None:  # one float verdict and bound, as `intersects` and `lower_bound` give
@@ -651,7 +717,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 if bound is not None:
                     frontier.discover(t, bound if knn else 0.0)
                 continue
-            e = edges[ei]
+            e = sprawl.logical_edge(ei)
             t = e.target
             if t in done:
                 continue
@@ -1066,19 +1132,22 @@ def _build_metric_tree(space: ComparisonSpace, refs: list[int], arity: int) -> _
 
 
 def _tree_edges(space: ComparisonSpace, root: _TreeNode):
-    """Ball-labeled child edges plus responsibilities, by preorder walk."""
-    edges: list[Edge] = [Edge((), root.point)]
+    """The root edge, the ball-labeled child edges as a `BallTable` (row j
+    is edge 1 + j) and responsibilities, by preorder walk."""
+    source: list[int] = []
+    target: list[int] = []
+    cover: list[float] = []
     res: dict[int, frozenset[int]] = {0: frozenset(root.subtree)}
     stack = [root]
     while stack:
         node = stack.pop()
         for child in node.children:
-            cover = float(np.max(space.distances_from(node.point, child.subtree)))
-            region = Ambit((node.point,), LinearMap([[1.0]]), (cover,))
-            res[len(edges)] = frozenset(child.subtree)
-            edges.append(Edge((node.point,), child.point, (region,), ()))
+            cover.append(float(np.max(space.distances_from(node.point, child.subtree))))
+            source.append(node.point)
+            target.append(child.point)
+            res[len(source)] = frozenset(child.subtree)
             stack.append(child)
-    return edges, res
+    return [Edge((), root.point)], BallTable(source, target, cover), res
 
 
 def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
@@ -1101,8 +1170,8 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         if arity < 2:
             raise ValueError("arity must be at least 2")
         root = _build_metric_tree(space, refs, arity)
-        edges, res = _tree_edges(space, root)
-        return Sprawl(space, refs, edges), ResponsibilityAssignment(res)
+        edges, balls, res = _tree_edges(space, root)
+        return Sprawl(space, refs, edges, balls=balls), ResponsibilityAssignment(res)
 
     if kind == "aesa":
         edges = [Edge((), v) for v in refs]
@@ -1144,11 +1213,11 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         pivots = _maxmin_pivots(space, refs, m)
         tree_refs = [v for v in refs if v not in pivots]
         root = _build_metric_tree(space, tree_refs, arity)
-        edges, res = _tree_edges(space, root)
-        offset = len(edges)
-        for i, p in enumerate(pivots):
-            edges.append(Edge((), p))
-            res[offset + i] = frozenset({p})
+        edges, balls, tree_res = _tree_edges(space, root)
+        # the pivots' root edges 1..m precede the ball table, so each row's id moves up by m
+        edges += [Edge((), p) for p in pivots]
+        res = {i + len(pivots) if i else 0: sub for i, sub in tree_res.items()}
+        res.update({1 + i: frozenset({p}) for i, p in enumerate(pivots)})
         internal: list[_TreeNode] = []
         stack = [root]
         while stack:
@@ -1168,7 +1237,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
                 groups.append(
                     ShellGroup(p, np.asarray(targets), np.asarray(lo), np.asarray(hi), lazy=True)
                 )
-        return Sprawl(space, refs, edges, groups), ResponsibilityAssignment(res)
+        return Sprawl(space, refs, edges, groups, balls), ResponsibilityAssignment(res)
 
     if kind == "sorted-interval-tree":
         if not isinstance(space, ProjectionSpace) or space.dimension != 1:

@@ -1,17 +1,28 @@
 """Dataset ingestion and versioned index persistence.
 
 The index file is one self-describing JSON document: a space descriptor,
-the ground set, edges with region parameters as plain numeric arrays,
-columnar shell groups, and an optional responsibility assignment.
+the ground set, explicit edges with region parameters as plain numeric
+arrays, a columnar ball table, columnar shell groups, and an optional
+responsibility assignment.
 
-Format version 2 writes the numeric columns as binary blocks: base64 text
-of fixed little-endian bytes, `<i8` for group targets and `<f8` for group
-bounds, point coordinates and comparison matrices, with a `shape` beside a
-2-d block. A sphere group (`hi is lo`) writes `lo` alone. Each block keeps
-every bit of its floats, -0.0 and NaN payloads included. The dtype of a
-block comes from its field, never from the file. Version 1 wrote the same
-columns as plain lists of shortest-repr numbers; its files still load,
-because a plain list where a block is expected decodes as it always did.
+Format version 3, the one written, stores the numeric columns as binary
+blocks: base64 text of fixed little-endian bytes, `<i8` for group targets
+and ball sources and targets, `<f8` for group bounds, ball radii, point
+coordinates and comparison matrices, with a `shape` beside a 2-d block. A
+sphere group (`hi is lo`) writes `lo` alone. The ball table, the child
+edges of a ball-tree or pm-tree, is one `"balls"` object of three blocks,
+`source`, `target` and `radius`, written only when it has rows. Each
+block keeps every bit of its floats, -0.0 and NaN payloads included. The
+dtype of a block comes from its field, never from the file.
+
+Versions 1 and 2 still load. Version 2 wrote the same blocks but had no
+ball table: its files store every ball as an explicit edge, and load with
+those edges and their numbering unchanged. Version 1 wrote the columns as
+plain lists of shortest-repr numbers; a plain list where a block is
+expected still decodes, and in an integer column every value must be
+integral. A top-level key that the document's version does not define,
+such as `"balls"` in a version-2 file, is refused: a reader that skipped
+it would lose edges.
 """
 from __future__ import annotations
 
@@ -25,12 +36,25 @@ import numpy as np
 
 from .ambit import Ambit, HamacherMap, LinearMap, MetaballMap, PowerMap
 from .comparison import ComparisonSpace, EuclideanSpace, MatrixSpace, ProjectionSpace, StringSpace
-from .engine import EMPTY, UNIVERSE, Edge, Empty, ExplicitRegion, ResponsibilityAssignment, ShellGroup, Sprawl, Universe
+from .engine import (
+    EMPTY,
+    UNIVERSE,
+    BallTable,
+    Edge,
+    Empty,
+    ExplicitRegion,
+    ResponsibilityAssignment,
+    ShellGroup,
+    Sprawl,
+    Universe,
+)
 from .errors import FormatError
 
 FORMAT_NAME = "sprawl-index"
-FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+_V1_KEYS = frozenset({"format", "version", "space", "nodes", "edges", "groups", "responsibility"})
+READ_KEYS = {1: _V1_KEYS, 2: _V1_KEYS, 3: _V1_KEYS | {"balls"}}  # the top-level keys of each version
+READ_VERSIONS = tuple(READ_KEYS)
 
 _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
@@ -148,6 +172,9 @@ def _column(value, dtype: np.dtype, count: int | None = None) -> np.ndarray:
     """Decode one block of `dtype` items, `count` of them when given, or a
     version-1 plain list. A decoded block is read-only."""
     if isinstance(value, list):
+        # numpy would truncate 1.9 to 1; a bool is no integer either
+        if dtype.kind == "i" and not all(type(v) is int or (type(v) is float and v.is_integer()) for v in value):
+            raise FormatError("integer column holds a value that is not an integer")
         return np.array(value, dtype=dtype)
     if not isinstance(value, str):
         raise FormatError(f"expected a base64 block, got {type(value).__name__}")
@@ -240,8 +267,15 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
             }
             for e in sprawl.edges
         ],
-        "groups": [_describe_group(g) for g in sprawl.groups],
     }
+    b = sprawl.balls
+    if len(b):
+        doc["balls"] = {
+            "source": _block(b.source, _I8),
+            "target": _block(b.target, _I8),
+            "radius": _block(b.radius, _F8),
+        }
+    doc["groups"] = [_describe_group(g) for g in sprawl.groups]
     if res is not None:
         doc["responsibility"] = {str(k): sorted(v) for k, v in sorted(res.edge_to_nodes.items())}
     return doc
@@ -262,6 +296,11 @@ def _group_from_descriptor(doc: dict) -> ShellGroup:
     return ShellGroup(doc["source"], targets, lo, hi, lazy=doc.get("lazy", False))
 
 
+def _balls_from_descriptor(doc: dict) -> BallTable:
+    source = _column(doc["source"], _I8)
+    return BallTable(source, _column(doc["target"], _I8, len(source)), _column(doc["radius"], _F8, len(source)))
+
+
 def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None) -> None:
     Path(path).write_text(json.dumps(index_document(sprawl, res)) + "\n")
 
@@ -272,6 +311,9 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
     version = doc.get("version")
     if type(version) is not int or version not in READ_VERSIONS:
         raise FormatError(f"unsupported format version {version!r}")
+    unknown = doc.keys() - READ_KEYS[version]
+    if unknown:
+        raise FormatError(f"format version {version} defines no key {sorted(unknown)[0]!r}")
     try:
         space = space_from_descriptor(doc["space"])
         edges = [
@@ -285,14 +327,15 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
             for e in doc.get("edges", [])
         ]
         groups = [_group_from_descriptor(g) for g in doc.get("groups", [])]
-        sprawl = Sprawl(space, doc["nodes"], edges, groups)
+        balls = _balls_from_descriptor(doc["balls"]) if "balls" in doc else None
+        sprawl = Sprawl(space, doc["nodes"], edges, groups, balls)
         res = None
         if "responsibility" in doc:
             res = ResponsibilityAssignment(
                 {int(k): frozenset(v) for k, v in doc["responsibility"].items()}
             )
         return sprawl, res
-    except (KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None
 
 

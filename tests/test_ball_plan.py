@@ -114,7 +114,7 @@ def test_which_plans_may_cut(rng):
         assert build_classic(space, range(40), kind, pivots=4)[0]._plan()[0].sole_finder, kind
     # a root edge into a node that a ball edge also discovers is a second finder
     tree, _ = build_classic(space, range(40), "ball-tree")
-    again = Sprawl(space, tree.nodes, tree.edges + (Edge((), 7),))
+    again = Sprawl(space, tree.nodes, tree.edges + (Edge((), 7),), balls=tree.balls)
     assert not again._plan()[0].sole_finder
 
 

@@ -48,6 +48,17 @@ def test_build_aesa_three_points(tmp_path, capsys):
     assert "6 grouped shell edges" in out
 
 
+def test_build_counts_ball_table_rows(tmp_path, capsys):
+    # a ball-tree over n points has n logical edges: the root edge and n - 1 ball table rows
+    data = tmp_path / "d.txt"
+    save_points(data, np.random.default_rng(3).random((50, 2)))
+    index = tmp_path / "tree.json"
+    assert main(["build", "--dataset", str(data), "--kind", "ball-tree", "--out", str(index)]) == 0
+    assert "1 edges + 49 ball edges + 0 grouped shell edges" in capsys.readouterr().out
+    sprawl, _ = load_index(index)
+    assert len(list(sprawl.iter_logical_edges())) == 50
+
+
 def test_build_interval_tree(tmp_path):
     data = tmp_path / "line.txt"
     save_points(data, np.array([[float(v)] for v in range(1, 8)]))

@@ -11,13 +11,15 @@ oracles, this battery targets the queue/activation/laziness bookkeeping.
 """
 import heapq
 import math
+import warnings
 
 import numpy as np
 
-from sprawl.ambit import Ambit, LinearMap, MetaballMap, PowerMap, table1_region
+from sprawl.ambit import BALL_FACET, Ambit, LinearMap, MetaballMap, PowerMap, ball_facet, table1_region
 from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery
 from sprawl.engine import (
     EMPTY,
+    BallTable,
     Edge,
     Sprawl,
     _QueryEval,
@@ -34,22 +36,10 @@ from conftest import random_labeled_sprawl, uniform_space
 def reference_search(sprawl: Sprawl, query):
     """Direct transcription of the traversal loop, FIFO, everything eager.
 
-    Activation order matches the engine's: a node's explicit out-edges in
-    edge order, then its group members in group order.
+    Activation order matches the engine's: a node's out-edges in logical
+    edge order, so explicit edges, then ball table rows, then group
+    members in group order.
     """
-    explicit = list(sprawl.edges)
-    group_members = []
-    for g in sprawl.groups:
-        group_members.extend(g.member_edge(i) for i in range(len(g)))
-
-    def out_edges(v):
-        for e in explicit:
-            if e.sources and v in e.sources:
-                yield e
-        for e in group_members:
-            if v in e.sources:
-                yield e
-
     knn = isinstance(query, Ball) and query.k is not None
     best: list[tuple[float, int]] = []
     s = math.inf if knn else None
@@ -61,7 +51,7 @@ def reference_search(sprawl: Sprawl, query):
     seq: dict[int, int] = {}
     counter = 0
     used: set[int] = set()
-    all_edges = explicit + group_members
+    all_edges = [e for _, e in sprawl.iter_logical_edges()]
     order = []
     members = []
     traversed = set()
@@ -139,6 +129,45 @@ def test_engine_matches_reference_on_random_sprawls(rng):
     # the battery must exercise real traversals and real eliminations
     assert nonempty > 80
     assert eliminations > 30
+
+
+def _tabled(sprawl: Sprawl) -> Sprawl:
+    """The sprawl with its unit single-source ball edges moved into a ball table."""
+    keep, rows = [], []
+    for e in sprawl.edges:
+        facet = None
+        if len(e.sources) == 1 and len(e.positive) == 1 and not e.negative and not e.lazy:
+            facet = ball_facet(e.positive[0], e.sources[0])
+        if facet is not None and facet[:2] == BALL_FACET:
+            rows.append((e.sources[0], e.target, facet[2]))
+        else:
+            keep.append(e)
+    source, target, radius = zip(*rows) if rows else ((), (), ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fuzzed sprawls may carry self-loop edges
+        return Sprawl(sprawl.space, sprawl.nodes, keep, sprawl.groups, BallTable(source, target, radius))
+
+
+def test_engine_matches_reference_with_ball_tables(rng):
+    # table rows fire after every explicit edge of their source, which moves
+    # them in activation order; the reference walks the same logical order
+    rows = 0
+    for i in range(120):
+        sprawl = _tabled(random_labeled_sprawl(rng))
+        rows += len(sprawl.balls)
+        n = len(sprawl.nodes)
+        roll = rng.random()
+        if roll < 0.6:
+            query = Ball(tuple(rng.random(2)), float(rng.random() * 0.9))
+        elif roll < 0.8:
+            query = ExplicitSetQuery(frozenset(int(v) for v in rng.choice(n, size=2)))
+        else:
+            query = AmbitQuery((0,), (1.0,), float(rng.random()))
+        want_members, want_order = reference_search(sprawl, query)
+        got = search(sprawl, query)
+        assert got.order == want_order, f"instance {i}: traversal orders diverge"
+        assert got.members == want_members, f"instance {i}: members diverge"
+    assert rows > 60
 
 
 def test_engine_matches_reference_on_builders(rng):

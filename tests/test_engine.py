@@ -16,6 +16,7 @@ from sprawl.comparison import (
 from sprawl.engine import (
     EMPTY,
     UNIVERSE,
+    BallTable,
     Edge,
     ExplicitRegion,
     ResponsibilityAssignment,
@@ -326,10 +327,10 @@ def test_dense_selection_only_where_every_node_is_a_seed(rng):
             ShellGroup(v, [u for u in range(n) if u != v], np.zeros(n - 1), np.full(n - 1, 1e9))
             for v in range(0, n, 3)
         ]
-        inert = Sprawl(space, tree.nodes, tree.edges, wide)
+        inert = Sprawl(space, tree.nodes, tree.edges, wide, tree.balls)
         pm, _ = build_classic(space, range(n), "pm-tree", pivots=3)
         eager = [ShellGroup(g.source, g.targets, g.lo, g.hi) for g in pm.groups]
-        pm_eager = Sprawl(space, pm.nodes, pm.edges, eager)
+        pm_eager = Sprawl(space, pm.nodes, pm.edges, eager, pm.balls)
         assert inert._plan()[0].positions is None and pm_eager._plan()[0].positions is None
         for kind in ("aesa", "laesa"):
             assert build_classic(space, range(n), kind, pivots=3)[0]._plan()[0].positions is not None
@@ -388,7 +389,7 @@ def _eager_clone(sprawl: Sprawl) -> Sprawl:
         Edge(e.sources, e.target, e.positive, e.negative, lazy=False) for e in sprawl.edges
     ]
     groups = [ShellGroup(g.source, g.targets, g.lo, g.hi, lazy=False) for g in sprawl.groups]
-    return Sprawl(sprawl.space, sprawl.nodes, edges, groups)
+    return Sprawl(sprawl.space, sprawl.nodes, edges, groups, sprawl.balls)
 
 
 def test_lazy_matches_eager_and_saves_evaluations(rng):
@@ -501,17 +502,14 @@ def test_ball_tree_responsibility_passes(rng):
 def test_shrunk_radius_fails_l1(rng):
     space = EuclideanSpace(rng.random((20, 2)))
     sprawl, res = build_classic(space, range(20), "ball-tree")
-    edges = list(sprawl.edges)
-    idx = next(i for i, e in enumerate(edges) if e.positive and isinstance(e.positive[0], Ambit)
+    # the tree's child edges are rows of its ball table, edge j of the sprawl row j - len(edges)
+    balls, first = sprawl.balls, len(sprawl.edges)
+    idx = next(i for i, e in sprawl.iter_logical_edges() if e.positive and isinstance(e.positive[0], Ambit)
                and res.get(i) and max(
         space.compare(e.positive[0].foci[0], v) for v in res.get(i)) > 0.01)
-    bad_region = Ambit(
-        edges[idx].positive[0].foci,
-        edges[idx].positive[0].map,
-        (edges[idx].positive[0].radii[0] * 0.25 - 1e-6,),
-    )
-    edges[idx] = Edge(edges[idx].sources, edges[idx].target, (bad_region,), ())
-    broken = Sprawl(space, sprawl.nodes, edges)
+    radius = balls.radius.copy()
+    radius[idx - first] = radius[idx - first] * 0.25 - 1e-6
+    broken = Sprawl(space, sprawl.nodes, sprawl.edges, balls=BallTable(balls.source, balls.target, radius))
     report = check_responsibility(broken, res, _atomistic_workload(broken))
     assert not report.passed
     assert any(rule == "L1" and e == idx for rule, e, _, _ in report.violations)
@@ -520,15 +518,9 @@ def test_shrunk_radius_fails_l1(rng):
 def test_enlarged_regions_still_pass(rng):
     space = EuclideanSpace(rng.random((25, 2)))
     sprawl, res = build_classic(space, range(25), "ball-tree")
-    edges = []
-    for e in sprawl.edges:
-        if e.positive and isinstance(e.positive[0], Ambit):
-            reg = e.positive[0]
-            bigger = Ambit(reg.foci, reg.map, tuple(r + 1.0 for r in reg.radii))
-            edges.append(Edge(e.sources, e.target, (bigger,), e.negative))
-        else:
-            edges.append(e)
-    grown = Sprawl(space, sprawl.nodes, edges)
+    assert not any(e.positive for e in sprawl.edges)  # every ball is a table row
+    balls = sprawl.balls
+    grown = Sprawl(space, sprawl.nodes, sprawl.edges, balls=BallTable(balls.source, balls.target, balls.radius + 1.0))
     report = check_responsibility(grown, res, _atomistic_workload(grown))
     assert report.passed
 
@@ -739,9 +731,12 @@ def test_ball_search_fails_closed_on_quasimetric_regions():
     region = Ambit((0,), LinearMap([[1.0]]), (1.0,))
     with_region = Sprawl(space, range(3), roots + [Edge((0,), 2, (region,), ())])
     with_group = Sprawl(space, range(3), roots + [Edge((), 2)], [ShellGroup(0, [2], [1.0], [1.0])])
+    # the same ball as a ball table row, with no explicit ambit edge left to flag it
+    with_table = Sprawl(space, range(3), roots, balls=BallTable([0], [2], [1.0]))
+    assert not any(e.positive for e in with_table.edges)
     q = Ball(1, 1.0)
     assert linear_scan(space, range(3), q) == (1, 2)
-    for s in (with_region, with_group):
+    for s in (with_region, with_group, with_table):
         with pytest.raises(CapabilityError):
             search(s, q)
         with pytest.raises(CapabilityError):
@@ -784,7 +779,7 @@ def test_lazy_negative_edges_into_leaves(rng):
     # before its target would be; a shell holding the target never refuses a member
     space = toy_space(50, 2, seed=int(rng.integers(1 << 30)))
     tree, _ = build_classic(space, range(50), "ball-tree")
-    sources = {v for e in tree.edges for v in e.sources}
+    sources = {v for _, e in tree.iter_logical_edges() for v in e.sources}
     leaves = [v for v in tree.nodes if v not in sources]
     refused = 0
     for trial in range(6):
@@ -796,7 +791,7 @@ def test_lazy_negative_edges_into_leaves(rng):
             slack = float(rng.random()) * 0.1 * (trial % 3)  # 0: a sphere
             shell = table1_region("shell", (src[0],), lo=max(d - slack, 0.0), hi=d + slack)
             lazy.append(Edge(src, leaf, (EMPTY,), (shell,), lazy=True))
-        s = Sprawl(space, range(50), list(tree.edges) + lazy)
+        s = Sprawl(space, range(50), list(tree.edges) + lazy, balls=tree.balls)
         for c in rng.random((5, 2)):
             row = space.distances_from(tuple(c), range(50))
             for q in (Ball(tuple(c), float(np.partition(row, 4)[4])), Ball(tuple(c), 0.0, k=4)):
@@ -869,11 +864,14 @@ def test_ambit_query_rejects_all_zero_weights():
 
 
 def test_logical_edge_rejects_negative_index(rng):
-    space = EuclideanSpace(rng.random((4, 2)))
-    sprawl, _ = build_classic(space, range(4), "aesa")
-    for idx in (-1, len(sprawl.edges) + sum(len(g) for g in sprawl.groups)):
-        with pytest.raises(IndexError):
-            sprawl.logical_edge(idx)
+    space = EuclideanSpace(rng.random((6, 2)))
+    for kind in ("aesa", "ball-tree", "pm-tree"):
+        sprawl, _ = build_classic(space, range(6), kind, pivots=2)
+        count = len(sprawl.edges) + len(sprawl.balls) + sum(len(g) for g in sprawl.groups)
+        assert [i for i, _ in sprawl.iter_logical_edges()] == list(range(count))
+        for idx in (-1, count):
+            with pytest.raises(IndexError):
+                sprawl.logical_edge(idx)
 
 
 def test_region_member_mask_honors_backward_orientation():

@@ -4,11 +4,23 @@ import json
 import numpy as np
 import pytest
 
-from sprawl.ambit import Ambit, MetaballMap, PowerMap
+from sprawl.ambit import Ambit, LinearMap, MetaballMap, PowerMap
 from sprawl.cli import main
 from sprawl.comparison import EuclideanSpace, MatrixSpace, ProjectionSpace, StringSpace
-from sprawl.engine import EMPTY, Edge, ExplicitRegion, ShellGroup, Sprawl, build_classic
+from sprawl.comparison import Ball
+from sprawl.engine import (
+    EMPTY,
+    BallTable,
+    Edge,
+    ExplicitRegion,
+    ShellGroup,
+    Sprawl,
+    build_classic,
+    linear_scan,
+    search,
+)
 from sprawl.errors import FormatError
+from sprawl.hypergraph import Heuristic
 from sprawl.storage import (
     FORMAT_VERSION,
     gen_points,
@@ -37,6 +49,8 @@ def _assert_same_sprawl(a: Sprawl, b: Sprawl):
             assert (want == got) if attr == "strings" else _bits(want) == _bits(got)
     assert a.nodes == b.nodes
     assert a.edges == b.edges
+    for col in ("source", "target", "radius"):
+        assert _bits(getattr(a.balls, col)) == _bits(getattr(b.balls, col))
     assert len(a.groups) == len(b.groups)
     for ga, gb in zip(a.groups, b.groups):
         assert (ga.source, ga.lazy) == (gb.source, gb.lazy)
@@ -50,7 +64,7 @@ def _round_trip(tmp_path, sprawl, res=None):
     save_index(path, sprawl, res)
     loaded, loaded_res = load_index(path)
     _assert_same_sprawl(sprawl, loaded)
-    assert json.loads(path.read_text())["version"] == FORMAT_VERSION == 2
+    assert json.loads(path.read_text())["version"] == FORMAT_VERSION == 3
     return loaded, loaded_res
 
 
@@ -337,3 +351,136 @@ def test_corrupt_block_is_a_format_error(tmp_path, capsys, how):
     assert main(["query", "--index", str(path), "--ball", "0,0:1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# --- format version 3: the ball table ------------------------------------------
+
+
+def _query_exits_3(tmp_path, capsys, doc) -> None:
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["query", "--index", str(path), "--ball", "0,0:1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_ball_tree_writes_one_balls_object(rng):
+    space = EuclideanSpace(rng.random((30, 2)))
+    tree, res = build_classic(space, range(30), "ball-tree")
+    assert len(tree.edges) == 1 and len(tree.balls) == 29
+    doc = index_document(tree, res)
+    assert list(doc) == ["format", "version", "space", "nodes", "edges", "balls", "groups", "responsibility"]
+    assert sorted(doc["balls"]) == ["radius", "source", "target"]
+    assert all(isinstance(v, str) for v in doc["balls"].values())
+    aesa, _ = build_classic(space, range(30), "aesa")
+    assert "balls" not in index_document(aesa)  # no rows, no object
+    # a ball table row stands for the edge the builders made before it existed
+    source, target, radius = (int(tree.balls.source[3]), int(tree.balls.target[3]), float(tree.balls.radius[3]))
+    want = Edge((source,), target, (Ambit((source,), LinearMap([[1.0]]), (radius,)),), ())
+    assert tree.logical_edge(len(tree.edges) + 3) == want
+    assert tree.logical_edge(4) is tree.logical_edge(4)  # built once per sprawl
+
+
+def _v2_document(sprawl: Sprawl) -> dict:
+    """The document format version 2 wrote for a tree: every ball an
+    explicit edge right after the root edge, then any pivot root edges."""
+    logical = [e for _, e in sprawl.iter_logical_edges()][: len(sprawl.edges) + len(sprawl.balls)]
+    first = len(sprawl.edges)
+    explicit = logical[:1] + logical[first:] + logical[1:first]
+    doc = index_document(Sprawl(sprawl.space, sprawl.nodes, explicit, sprawl.groups))
+    doc["version"] = 2
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["ball-tree", "pm-tree"])
+def test_v2_v3_and_built_trees_answer_alike(tmp_path, rng, kind):
+    space = EuclideanSpace(rng.random((300, 3)))
+    built, res = build_classic(space, range(300), kind, pivots=4)
+    v3, _ = _round_trip(tmp_path, built, res)
+    v2, _ = index_from_document(json.loads(json.dumps(_v2_document(built))))
+    assert len(v2.balls) == 0 and len(v2.edges) == 300
+    rewritten, _ = _round_trip(tmp_path, v2)  # a v2 file saved again keeps its explicit edges
+    queries = []
+    for c in rng.random((6, 3)):
+        row = np.sort(space.distances_from(tuple(c), range(300)))
+        queries += [Ball(tuple(c), float(row[3])), Ball(tuple(c), 0.0, k=10), Ball(tuple(c), 0.0, k=1)]
+    for q in queries:
+        oracle = linear_scan(space, range(300), q)
+        for h in (Heuristic.fifo(), Heuristic("bound")):
+            want = search(built, q, h)
+            assert want.members == (oracle if q.k else tuple(sorted(oracle))), (kind, q)
+            for other in (v3, v2, rewritten):
+                got = search(other, q, h)
+                assert (got.members, got.order) == (want.members, want.order), (kind, q)
+                assert got.distance_computations == want.distance_computations, (kind, q)
+                assert got.region_evaluations == want.region_evaluations, (kind, q)
+
+
+def test_fractional_integer_column_is_a_format_error(tmp_path, capsys):
+    doc = json.loads(V1_AESA)
+    doc["groups"][0]["targets"] = [1.9, 2.2]  # numpy would load it as [1, 2]
+    with pytest.raises(FormatError, match="not an integer"):
+        index_from_document(doc)
+    _query_exits_3(tmp_path, capsys, doc)
+    for bad in ([1, True], [1, "2"], [1, None], [2**70, 1]):
+        doc["groups"][0]["targets"] = bad
+        with pytest.raises(FormatError):
+            index_from_document(doc)
+    doc["groups"][0]["targets"] = [1.0, 2]  # integral floats are integers
+    aesa, _ = index_from_document(doc)
+    assert aesa.groups[0].targets.tolist() == [1, 2]
+
+
+def _v3_tree_document() -> dict:
+    space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tree, res = build_classic(space, range(4), "ball-tree")
+    return json.loads(json.dumps(index_document(tree, res)))
+
+
+def _corrupt_balls(how: str) -> dict:
+    doc = _v3_tree_document()
+    balls = doc["balls"]
+    if how == "not an object":
+        doc["balls"] = [balls["source"], balls["target"], balls["radius"]]
+    elif how == "missing radius":
+        del balls["radius"]
+    elif how == "bad base64":
+        balls["target"] = "AAAA!AAA"
+    elif how == "target length differs":
+        balls["target"] = base64.b64encode(np.zeros(2, dtype="<i8").tobytes()).decode()
+    elif how == "list length differs":
+        balls["source"], balls["target"], balls["radius"] = [0, 0], [1], [1.0]
+    elif how == "fractional source":
+        balls["source"], balls["target"], balls["radius"] = [0.5, 0, 0], [1, 2, 3], [1.0, 1.0, 1.0]
+    elif how == "NaN radius":  # no ball meets a query, so its subtree would drop out of every answer
+        balls["radius"] = base64.b64encode(np.array([1.0, np.nan, 1.0], dtype="<f8").tobytes()).decode()
+    elif how == "target outside the ground set":
+        balls["target"] = base64.b64encode(np.array([1, 2, 9], dtype="<i8").tobytes()).decode()
+    elif how == "in a version-2 document":  # a version-2 reader would drop the key and every ball edge with it
+        doc["version"] = 2
+    elif how == "in a version-1 document":
+        doc["version"] = 1
+    elif how == "unknown key":
+        doc["ball_table"] = doc.pop("balls")
+    return doc
+
+
+@pytest.mark.parametrize("how", [
+    "not an object", "missing radius", "bad base64", "target length differs", "list length differs",
+    "fractional source", "NaN radius", "target outside the ground set", "in a version-2 document",
+    "in a version-1 document", "unknown key",
+])
+def test_malformed_ball_table_is_a_format_error(tmp_path, capsys, how):
+    doc = _corrupt_balls(how)
+    with pytest.raises(FormatError):
+        index_from_document(doc)
+    _query_exits_3(tmp_path, capsys, doc)
+
+
+def test_ball_table_as_plain_lists_loads():
+    doc = _v3_tree_document()
+    tree, _ = index_from_document(doc)
+    b = tree.balls
+    doc["balls"] = {"source": b.source.tolist(), "target": b.target.tolist(), "radius": b.radius.tolist()}
+    again, _ = index_from_document(doc)
+    _assert_same_sprawl(tree, again)
