@@ -194,6 +194,8 @@ class Ambit:
             raise ValueError("focus count must match the remoteness map arity")
         if len(self.radii) != self.map.rows:
             raise ValueError("need one radius per remoteness row")
+        if any(map(math.isnan, self.radii)):  # every overlap check with NaN misses, so its subtree would vanish
+            raise ValueError("an ambit radius must not be NaN")
         if self.orientation not in ("forward", "backward"):
             raise ValueError("orientation must be forward or backward")
 

@@ -2,32 +2,41 @@
 
 The index file is one self-describing JSON document: a space descriptor,
 the ground set, explicit edges with region parameters as plain numeric
-arrays, a columnar ball table, columnar shell groups, and an optional
-responsibility assignment.
+arrays, a columnar ball table, columnar shell groups or an AESA distance
+triangle, and an optional responsibility assignment.
 
-Format version 3, the one written, stores the numeric columns as binary
+Format version 4, the one written, stores the numeric columns as binary
 blocks: base64 text of fixed little-endian bytes, `<i8` for group targets
 and ball sources and targets, `<f8` for group bounds, ball radii, point
 coordinates and comparison matrices, with a `shape` beside a 2-d block. A
 sphere group (`hi is lo`) writes `lo` alone. The ball table, the child
 edges of a ball-tree or pm-tree, is one `"balls"` object of three blocks,
-`source`, `target` and `radius`, written only when it has rows. Each
-block keeps every bit of its floats, -0.0 and NaN payloads included. The
-dtype of a block comes from its field, never from the file.
+`source`, `target` and `radius`, written only when it has rows. When the
+shell groups are AESA's (one eager sphere group per node, group i from
+node i to every other node in node order, their bounds a matrix equal to
+its transpose bit for bit), they are written as one `"spheres"` object
+in place of `"groups"`: its `triangle` block holds the strict upper
+triangle of that matrix, n(n - 1)/2 values row by row, and the reader
+rebuilds the same groups in the same order. Each block keeps every bit
+of its floats, -0.0 and NaN payloads included. The dtype of a block comes
+from its field, never from the file.
 
-Versions 1 and 2 still load. Version 2 wrote the same blocks but had no
-ball table: its files store every ball as an explicit edge, and load with
-those edges and their numbering unchanged. Version 1 wrote the columns as
-plain lists of shortest-repr numbers; a plain list where a block is
-expected still decodes, and in an integer column every value must be
-integral. A top-level key that the document's version does not define,
-such as `"balls"` in a version-2 file, is refused: a reader that skipped
-it would lose edges.
+Versions 1 to 3 still load. Version 3 had no triangle: it wrote every
+AESA group. Version 2 wrote the same blocks but had no ball table: its
+files store every ball as an explicit edge, and load with those edges and
+their numbering unchanged. Version 1 wrote the columns as plain lists of
+shortest-repr numbers; a plain list where a block is expected still
+decodes, and in an integer column every value must be integral, as must
+every ref (node, edge source and target, group source, ambit focus). A
+top-level key that the document's version does not define, such as
+`"balls"` in a version-2 file or `"spheres"` in a version-3 file, is
+refused: a reader that skipped it would lose edges.
 """
 from __future__ import annotations
 
 import base64
 import binascii
+import itertools
 import json
 import math
 from pathlib import Path
@@ -51,9 +60,10 @@ from .engine import (
 from .errors import FormatError
 
 FORMAT_NAME = "sprawl-index"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _V1_KEYS = frozenset({"format", "version", "space", "nodes", "edges", "groups", "responsibility"})
-READ_KEYS = {1: _V1_KEYS, 2: _V1_KEYS, 3: _V1_KEYS | {"balls"}}  # the top-level keys of each version
+_V3_KEYS = _V1_KEYS | {"balls"}
+READ_KEYS = {1: _V1_KEYS, 2: _V1_KEYS, 3: _V3_KEYS, 4: _V3_KEYS | {"spheres"}}  # the top-level keys of each version
 READ_VERSIONS = tuple(READ_KEYS)
 
 _I8 = np.dtype("<i8")
@@ -168,13 +178,36 @@ def _block(xs, dtype: np.dtype) -> str:
     return base64.b64encode(np.ascontiguousarray(xs, dtype=dtype).tobytes()).decode("ascii")
 
 
+def _integral(v) -> bool:
+    """Whether a JSON value is an integer: an int or a float with no
+    fraction. numpy and `int()` would truncate 1.9 to 1; a bool is no
+    integer either."""
+    return type(v) is int or (type(v) is float and v.is_integer())
+
+
+def _ref(v) -> int:
+    if not _integral(v):
+        raise FormatError(f"ref {v!r} is not an integer")
+    return int(v)
+
+
+def _refs(values) -> list[int]:
+    """A list of refs read from a document, each one integral."""
+    if not isinstance(values, list):
+        raise FormatError(f"expected a list of refs, got {type(values).__name__}")
+    if {int}.issuperset(map(type, values)):  # the common case, checked without a call per ref
+        return values
+    return [_ref(v) for v in values]
+
+
 def _column(value, dtype: np.dtype, count: int | None = None) -> np.ndarray:
     """Decode one block of `dtype` items, `count` of them when given, or a
     version-1 plain list. A decoded block is read-only."""
     if isinstance(value, list):
-        # numpy would truncate 1.9 to 1; a bool is no integer either
-        if dtype.kind == "i" and not all(type(v) is int or (type(v) is float and v.is_integer()) for v in value):
+        if dtype.kind == "i" and not all(map(_integral, value)):
             raise FormatError("integer column holds a value that is not an integer")
+        if count is not None and len(value) != count:
+            raise FormatError(f"column holds {len(value)} items where {count} are needed")
         return np.array(value, dtype=dtype)
     if not isinstance(value, str):
         raise FormatError(f"expected a base64 block, got {type(value).__name__}")
@@ -230,7 +263,7 @@ def region_from_descriptor(doc: dict):
     if kind == "empty":
         return EMPTY
     if kind == "explicit-set":
-        return ExplicitRegion(frozenset(doc["ids"]))
+        return ExplicitRegion(frozenset(_refs(doc["ids"])))
     if kind == "ambit":
         m = doc["map"]
         mk = m.get("kind")
@@ -244,7 +277,7 @@ def region_from_descriptor(doc: dict):
             remote = HamacherMap()
         else:
             raise FormatError(f"unknown remoteness kind {mk!r}")
-        return Ambit(tuple(doc["foci"]), remote, tuple(doc["radii"]), doc.get("orientation", "forward"))
+        return Ambit(tuple(_refs(doc["foci"])), remote, tuple(doc["radii"]), doc.get("orientation", "forward"))
     raise FormatError(f"unknown region kind {kind!r}")
 
 
@@ -275,10 +308,62 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
             "target": _block(b.target, _I8),
             "radius": _block(b.radius, _F8),
         }
-    doc["groups"] = [_describe_group(g) for g in sprawl.groups]
+    triangle = _sphere_triangle(sprawl)
+    if triangle is None:
+        doc["groups"] = [_describe_group(g) for g in sprawl.groups]
+    else:
+        doc["spheres"] = {"triangle": _block(triangle, _F8)}
     if res is not None:
         doc["responsibility"] = {str(k): sorted(v) for k, v in sorted(res.edge_to_nodes.items())}
     return doc
+
+
+def _upper(n: int) -> np.ndarray:
+    """Where an AESA's n x (n - 1) bound table, row i being group i's
+    bounds, holds the upper triangle: entry [i, j] with j >= i is
+    d(i, j + 1), so the table read through this mask is the strict upper
+    triangle of the distance matrix, row by row. Entry [i, j] with j < i
+    is d(i, j), the mirror of [j, i - 1]."""
+    return ~np.tri(n, n - 1, -1, dtype=bool)
+
+
+def _sphere_triangle(sprawl: Sprawl) -> np.ndarray | None:
+    """The strict upper triangle of the distance matrix, row by row, when
+    the sprawl's shell groups are AESA's: one eager sphere group per node,
+    group i from nodes[i] to every other node in node order, and the
+    matrix they assemble equal to its transpose bit for bit (so -0.0
+    against 0.0, or two NaN payloads, keep the groups). Else None."""
+    nodes, groups = sprawl.nodes, sprawl.groups
+    n = len(nodes)
+    if not n or len(groups) != n:
+        return None
+    ids = np.asarray(nodes, dtype=np.int64)
+    for i, (u, g) in enumerate(zip(nodes, groups)):
+        t = g.targets
+        if g.lazy or g.hi is not g.lo or g.source != u or t.shape != (n - 1,):
+            return None
+        if not (np.array_equal(t[:i], ids[:i]) and np.array_equal(t[i:], ids[i + 1 :])):
+            return None
+    table = np.concatenate([g.lo for g in groups]).reshape(n, n - 1)
+    bits = table.view(np.int64)
+    below = np.tri(n - 1, dtype=bool)  # entry [i + 1, j], j <= i, is d(i + 1, j), the mirror of [j, i]
+    if not np.array_equal(bits[1:][below], bits[:-1].T[below]):
+        return None
+    return table[_upper(n)]
+
+
+def _spheres_from_descriptor(doc: dict, nodes: list[int]) -> list[ShellGroup]:
+    """The n sphere groups of an AESA sprawl from its triangle block."""
+    n = len(nodes)
+    triangle = _column(doc["triangle"], _F8, n * (n - 1) // 2)
+    upper = _upper(n)
+    table = np.empty((n, n - 1))
+    table[upper] = triangle
+    np.copyto(table[1:], table[:-1].T, where=np.tri(n - 1, dtype=bool))  # the mirrors, as in _sphere_triangle
+    ids = np.asarray(nodes, dtype=np.int64)
+    targets = np.where(upper, ids[1:], ids[:-1])
+    table.flags.writeable = targets.flags.writeable = False  # read-only, as a decoded block is
+    return [ShellGroup(u, t, row, row) for u, t, row in zip(nodes, targets, table)]
 
 
 def _describe_group(g: ShellGroup) -> dict:
@@ -293,7 +378,7 @@ def _group_from_descriptor(doc: dict) -> ShellGroup:
     targets = _column(doc["targets"], _I8)
     lo = _column(doc["lo"], _F8, len(targets))
     hi = _column(doc["hi"], _F8, len(targets)) if "hi" in doc else lo
-    return ShellGroup(doc["source"], targets, lo, hi, lazy=doc.get("lazy", False))
+    return ShellGroup(_ref(doc["source"]), targets, lo, hi, lazy=doc.get("lazy", False))
 
 
 def _balls_from_descriptor(doc: dict) -> BallTable:
@@ -316,24 +401,30 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
         raise FormatError(f"format version {version} defines no key {sorted(unknown)[0]!r}")
     try:
         space = space_from_descriptor(doc["space"])
+        nodes = _refs(doc["nodes"])
         edges = [
             Edge(
-                tuple(e["sources"]),
-                e["target"],
+                tuple(_refs(e["sources"])),
+                _ref(e["target"]),
                 tuple(region_from_descriptor(r) for r in e.get("positive", [])),
                 tuple(region_from_descriptor(r) for r in e.get("negative", [])),
                 lazy=e.get("lazy", False),
             )
             for e in doc.get("edges", [])
         ]
-        groups = [_group_from_descriptor(g) for g in doc.get("groups", [])]
+        if "spheres" not in doc:
+            groups = [_group_from_descriptor(g) for g in doc.get("groups", [])]
+        elif doc.get("groups"):
+            raise FormatError("a document holds spheres or shell groups, not both")
+        else:
+            groups = _spheres_from_descriptor(doc["spheres"], nodes)
         balls = _balls_from_descriptor(doc["balls"]) if "balls" in doc else None
-        sprawl = Sprawl(space, doc["nodes"], edges, groups, balls)
+        sprawl = Sprawl(space, nodes, edges, groups, balls)
         res = None
         if "responsibility" in doc:
-            res = ResponsibilityAssignment(
-                {int(k): frozenset(v) for k, v in doc["responsibility"].items()}
-            )
+            owned = doc["responsibility"]
+            _refs(list(itertools.chain.from_iterable(owned.values())))  # every member at once
+            res = ResponsibilityAssignment({int(k): v for k, v in owned.items()})  # it makes the frozensets
         return sprawl, res
     except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None

@@ -69,6 +69,13 @@ def test_nan_linear_row_rejected():
         LinearMap([[1.0], [float("nan")]])
 
 
+def test_nan_radius_rejected():
+    # every overlap check with a NaN radius misses, so no query would meet the region
+    with pytest.raises(ValueError, match="NaN"):
+        Ambit((0,), LinearMap([[1.0], [-1.0]]), (1.0, float("nan")))
+    assert Ambit((0,), LinearMap([[1.0]]), (float("inf"),)).radii == (float("inf"),)
+
+
 @pytest.mark.parametrize("a, b", [([float("nan")], None), ([1.0], [float("nan")])])
 def test_nan_metaball_parameters_rejected(a, b):
     with pytest.raises(ValueError, match="positive"):

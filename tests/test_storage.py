@@ -64,7 +64,7 @@ def _round_trip(tmp_path, sprawl, res=None):
     save_index(path, sprawl, res)
     loaded, loaded_res = load_index(path)
     _assert_same_sprawl(sprawl, loaded)
-    assert json.loads(path.read_text())["version"] == FORMAT_VERSION == 3
+    assert json.loads(path.read_text())["version"] == FORMAT_VERSION == 4
     return loaded, loaded_res
 
 
@@ -300,23 +300,31 @@ def test_v2_keeps_negative_zero_and_nan_payloads(tmp_path):
 
 def test_sphere_groups_write_one_bound_column(tmp_path, rng):
     space = EuclideanSpace(rng.random((20, 2)))
-    sprawl, res = build_classic(space, range(20), "aesa")
-    assert all(g.hi is g.lo for g in sprawl.groups)
-    doc = index_document(sprawl, res)
+    laesa, res = build_classic(space, range(20), "laesa", pivots=4)
+    assert len(laesa.groups) == 4 and all(g.hi is g.lo for g in laesa.groups)
+    doc = index_document(laesa, res)
+    assert "spheres" not in doc
     assert all("hi" not in g and isinstance(g["lo"], str) for g in doc["groups"])
-    loaded, _ = _round_trip(tmp_path, sprawl, res)
+    loaded, _ = _round_trip(tmp_path, laesa, res)
     assert all(g.hi is g.lo for g in loaded.groups)
     pm, _ = build_classic(space, range(20), "pm-tree", pivots=3)
     assert all("hi" in g for g in index_document(pm)["groups"])
+    # AESA's sphere groups are the distance matrix: one triangle block, no groups
+    aesa, res = build_classic(space, range(20), "aesa")
+    doc = index_document(aesa, res)
+    assert "groups" not in doc and list(doc["spheres"]) == ["triangle"]
+    assert len(base64.b64decode(doc["spheres"]["triangle"])) == 8 * 20 * 19 // 2
+    loaded, _ = _round_trip(tmp_path, aesa, res)
+    assert all(g.hi is g.lo and not g.lazy for g in loaded.groups)
 
 
 def test_aesa_index_size_gate(tmp_path):
-    # format version 1 wrote this index as 11.2 MB of per-float text
+    # format version 1 wrote this index as 11.2 MB of per-float text, version 3 as 5.4 MB
     space = EuclideanSpace(gen_points("uniform", 500, 8, seed=1))
     sprawl, res = build_classic(space, range(500), "aesa")
     path = tmp_path / "aesa.json"
     save_index(path, sprawl, res)
-    assert path.stat().st_size <= 6_000_000
+    assert path.stat().st_size <= 1_600_000
 
 
 def _corrupt(doc: dict, how: str) -> dict:
@@ -342,7 +350,7 @@ def _corrupt(doc: dict, how: str) -> dict:
                                  "shape mismatch", "shape missing", "not a block"])
 def test_corrupt_block_is_a_format_error(tmp_path, capsys, how):
     space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    sprawl, res = build_classic(space, range(3), "aesa")
+    sprawl, res = build_classic(space, range(3), "laesa", pivots=1)  # an AESA writes no groups
     doc = _corrupt(index_document(sprawl, res), how)
     with pytest.raises(FormatError):
         index_from_document(doc)
@@ -482,5 +490,207 @@ def test_ball_table_as_plain_lists_loads():
     tree, _ = index_from_document(doc)
     b = tree.balls
     doc["balls"] = {"source": b.source.tolist(), "target": b.target.tolist(), "radius": b.radius.tolist()}
+    again, _ = index_from_document(doc)
+    _assert_same_sprawl(tree, again)
+
+
+# --- format version 4: an AESA index as one triangle block ---------------------
+
+
+def _b64(a, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode()
+
+
+def _v3_aesa_document(sprawl: Sprawl) -> dict:
+    """The document format version 3 wrote for an AESA: one sphere group per node."""
+    doc = index_document(sprawl)
+    del doc["spheres"]
+    doc["groups"] = [
+        {"source": g.source, "targets": _b64(g.targets, "<i8"), "lo": _b64(g.lo, "<f8"), "lazy": False}
+        for g in sprawl.groups
+    ]
+    doc["version"] = 3
+    return json.loads(json.dumps(doc))
+
+
+def test_v3_v4_and_built_aesa_answer_alike(tmp_path, rng):
+    space = EuclideanSpace(rng.random((200, 3)))
+    built, res = build_classic(space, range(200), "aesa")
+    v4, _ = _round_trip(tmp_path, built, res)
+    v3, _ = index_from_document(_v3_aesa_document(built))
+    _assert_same_sprawl(built, v3)
+    queries = []
+    for c in rng.random((5, 3)):
+        row = np.sort(space.distances_from(tuple(c), range(200)))
+        queries += [Ball(tuple(c), float(row[3])), Ball(tuple(c), 0.0, k=10), Ball(tuple(c), 0.0, k=1)]
+    for q in queries:
+        oracle = linear_scan(space, range(200), q)
+        for h in (Heuristic.fifo(), Heuristic("bound")):
+            want = search(built, q, h)
+            assert want.members == (oracle if q.k else tuple(sorted(oracle))), q
+            for other in (v4, v3):
+                got = search(other, q, h)
+                assert (got.members, got.order) == (want.members, want.order), q
+                assert got.distance_computations == want.distance_computations, q
+                assert got.region_evaluations == want.region_evaluations, q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_aesa_triangle_round_trips_bit_exact(tmp_path, n):
+    pts = np.arange(2.0 * n).reshape(n, 2) / 7.0
+    pts[::2, 0] = -0.0
+    strings = ["ab", "", "abc", "bca", "ß", "abcabc", "ba"][:n]
+    for space in (EuclideanSpace(pts), StringSpace(strings)):
+        aesa, res = build_classic(space, range(n), "aesa")
+        assert "spheres" in index_document(aesa)
+        loaded, _ = _round_trip(tmp_path, aesa, res)
+        assert [g.targets.tolist() for g in loaded.groups] == [[v for v in range(n) if v != u] for u in range(n)]
+        for q in (Ball(space.value(0), 0.5), Ball(space.value(0), 0.0, k=2)):
+            assert search(loaded, q).members == search(aesa, q).members
+
+
+def test_aesa_on_signed_zeros_keeps_groups(tmp_path):
+    # symmetric by value, but d(0, 1) is -0.0 and d(1, 0) is 0.0: no one triangle holds both
+    m = MatrixSpace([[0.0, -0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    assert m.symmetric
+    aesa, res = build_classic(m, range(3), "aesa")
+    doc = index_document(aesa, res)
+    assert "spheres" not in doc and len(doc["groups"]) == 3
+    loaded, _ = _round_trip(tmp_path, aesa, res)
+    assert np.signbit(loaded.groups[0].lo[0]) and not np.signbit(loaded.groups[1].lo[0])
+
+
+def test_shell_groups_off_the_aesa_pattern_keep_groups(rng):
+    space = EuclideanSpace(rng.random((5, 2)))
+    aesa, _ = build_classic(space, range(5), "aesa")
+    g = aesa.groups
+    for groups in (
+        g[:4],  # one group short
+        g[1:] + g[:1],  # group i not from nodes[i]
+        [ShellGroup(g[0].source, g[0].targets[::-1], g[0].lo[::-1], g[0].lo[::-1])] + list(g[1:]),  # targets out of order
+        [ShellGroup(g[0].source, g[0].targets, g[0].lo, g[0].lo.copy())] + list(g[1:]),  # no sphere group
+        [ShellGroup(g[0].source, g[0].targets, g[0].lo, g[0].lo, lazy=True)] + list(g[1:]),  # lazy
+        [ShellGroup(g[0].source, g[0].targets, g[0].lo + 1e-9, g[0].lo + 1e-9)] + list(g[1:]),  # not symmetric
+    ):
+        sprawl = Sprawl(space, range(5), aesa.edges, groups)
+        doc = index_document(sprawl)
+        assert "spheres" not in doc and len(doc["groups"]) == len(groups)
+        _assert_same_sprawl(sprawl, index_from_document(json.loads(json.dumps(doc)))[0])
+
+
+def _aesa_document() -> dict:
+    space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    aesa, res = build_classic(space, range(4), "aesa")
+    return json.loads(json.dumps(index_document(aesa, res)))
+
+
+def _corrupt_spheres(how: str) -> dict:
+    doc = _aesa_document()
+    spheres = doc["spheres"]
+    if how == "bad base64":
+        spheres["triangle"] = "AAAA!AAA"
+    elif how == "ragged bytes":
+        spheres["triangle"] = base64.b64encode(bytes(44)).decode()
+    elif how == "one value too many":
+        spheres["triangle"] = _b64(np.ones(7), "<f8")
+    elif how == "one value too few":
+        spheres["triangle"] = _b64(np.ones(5), "<f8")
+    elif how == "list of the wrong length":
+        spheres["triangle"] = [1.0] * 5
+    elif how == "not a block":
+        spheres["triangle"] = 3.5
+    elif how == "not an object":
+        doc["spheres"] = spheres["triangle"]
+    elif how == "missing triangle":
+        del spheres["triangle"]
+    elif how == "in a version-3 document":  # a version-3 reader would drop every shell
+        doc["version"] = 3
+    elif how == "beside shell groups":
+        doc["groups"] = _v3_aesa_document(index_from_document(_aesa_document())[0])["groups"]
+    return doc
+
+
+@pytest.mark.parametrize("how", [
+    "bad base64", "ragged bytes", "one value too many", "one value too few", "list of the wrong length",
+    "not a block", "not an object", "missing triangle", "in a version-3 document", "beside shell groups",
+])
+def test_malformed_sphere_triangle_is_a_format_error(tmp_path, capsys, how):
+    doc = _corrupt_spheres(how)
+    with pytest.raises(FormatError):
+        index_from_document(doc)
+    _query_exits_3(tmp_path, capsys, doc)
+
+
+def test_sphere_triangle_as_plain_list_and_empty_groups_load():
+    doc = _aesa_document()
+    aesa, _ = index_from_document(doc)
+    doc["spheres"]["triangle"] = np.frombuffer(base64.b64decode(doc["spheres"]["triangle"]), "<f8").tolist()
+    doc["groups"] = []
+    again, _ = index_from_document(doc)
+    _assert_same_sprawl(aesa, again)
+
+
+# --- refs and radii the reader refuses ------------------------------------------
+
+
+def _v2_tree_document() -> dict:
+    space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tree, res = build_classic(space, range(4), "ball-tree")
+    return json.loads(json.dumps(_v2_document(tree)))
+
+
+def test_nan_ambit_radius_is_a_format_error(tmp_path, capsys):
+    # every overlap check with NaN misses: the edge's subtree would drop out of every answer
+    doc = _v2_tree_document()
+    doc["edges"][1]["positive"][0]["radii"] = [float("nan")]
+    with pytest.raises(FormatError, match="NaN"):
+        index_from_document(doc)
+    _query_exits_3(tmp_path, capsys, doc)
+
+
+def _fractional_ref(how: str) -> dict:
+    doc = _v2_tree_document()
+    edge = doc["edges"][1]
+    if how == "node":
+        doc["nodes"][3] = 3.5
+    elif how == "bool node":
+        doc["nodes"][0] = False
+    elif how == "edge target":
+        edge["target"] += 0.9
+    elif how == "string edge target":
+        edge["target"] = str(edge["target"])
+    elif how == "edge source":
+        edge["sources"] = [edge["sources"][0] + 0.5]
+    elif how == "ambit focus":
+        edge["positive"][0]["foci"] = [edge["positive"][0]["foci"][0] + 0.5]
+    elif how == "group source":
+        space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        doc = json.loads(json.dumps(index_document(build_classic(space, range(4), "laesa", pivots=2)[0])))
+        doc["groups"][1]["source"] += 0.5
+    elif how == "explicit-set id":
+        doc["edges"][1]["negative"] = [{"kind": "explicit-set", "ids": [1.5]}]
+    elif how == "responsibility":
+        doc["responsibility"] = {"0": [0, 1.5]}
+    return doc
+
+
+@pytest.mark.parametrize("how", [
+    "node", "bool node", "edge target", "string edge target", "edge source", "ambit focus", "group source",
+    "explicit-set id", "responsibility",
+])
+def test_fractional_ref_is_a_format_error(tmp_path, capsys, how):
+    doc = _fractional_ref(how)
+    with pytest.raises(FormatError, match="not an integer"):
+        index_from_document(doc)
+    _query_exits_3(tmp_path, capsys, doc)
+
+
+def test_integral_float_refs_load():
+    doc = _v2_tree_document()
+    tree, _ = index_from_document(doc)
+    doc["nodes"] = [float(v) for v in doc["nodes"]]
+    for e in doc["edges"]:
+        e["target"] = float(e["target"])
+        e["sources"] = [float(v) for v in e["sources"]]
     again, _ = index_from_document(doc)
     _assert_same_sprawl(tree, again)
