@@ -185,6 +185,31 @@ class _BallColumns(NamedTuple):
     by_edge: dict[int, tuple[int, int, float, float, float]]  # edge id -> (target, source, a, ||a||_1, r)
 
 
+def _ref_test(refs: set[int]):
+    """A test of whether every value of an int64 array is in refs.
+
+    Over a span of ids at most a few times the count of refs, as builders
+    and the index reader give, it reads a lookup table, so no array is
+    sorted; over a sparser span it falls back to `np.isin`.
+    """
+    known = np.fromiter(refs, dtype=np.int64, count=len(refs))
+    low = min(int(known.min()), 0) if len(known) else 0
+    high = int(known.max()) if len(known) else -1
+    if high - low > 4 * len(known) + 64:
+        return lambda values: bool(np.isin(values, known).all())
+    table = np.zeros(high - low + 1, dtype=bool)
+    table[known - low] = True
+
+    def test(values: np.ndarray) -> bool:
+        if not len(values):
+            return True
+        if values.min() < low or values.max() > high:
+            return False
+        return bool(table[values - low if low else values].all())
+
+    return test
+
+
 class Sprawl:
     """Immutable-after-build index: ground set, edges, ball table and shell groups."""
 
@@ -254,15 +279,15 @@ class Sprawl:
         if not (self.groups or len(self.balls)):
             return
         # one membership test per column: each ball column, every group target at once
-        known = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        known = _ref_test(nodes)
         b = self.balls
-        if not (np.isin(b.source, known).all() and np.isin(b.target, known).all()):
+        if not (known(b.source) and known(b.target)):
             raise IndexError("ball table refers to refs outside the ground set")
         if (b.source == b.target).any():
             warnings.warn("a ball edge into its own source can never fire usefully")
         if self.groups:
             targets = np.concatenate([g.targets for g in self.groups])
-            if any(g.source not in nodes for g in self.groups) or not np.isin(targets, known).all():
+            if any(g.source not in nodes for g in self.groups) or not known(targets):
                 raise IndexError("shell group refers to refs outside the ground set")
 
     def _plan(self):
@@ -274,7 +299,8 @@ class Sprawl:
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
         edge is a shell group, as AESA and LAESA build them, the plan is
-        dense, so a kNN search can select by the groups' bounds. The plan
+        dense, so a kNN search can select by the groups' bounds, and a FIFO
+        search over a plan with no `Waves` (AESA) by seed position. The plan
         also carries the `Waves` that let a FIFO range search go a wave at
         a time, and the ball columns those waves test, which also map each
         ball edge id to plain floats for the node-at-a-time path (see
@@ -339,7 +365,8 @@ class Sprawl:
         apart from its source. A target of lazy edges waits until their
         sources are traversed. Where every node is the source of an eager
         group, as in AESA, each node's shells may eliminate the next, so
-        waves would all be one node and the plan keeps the heap.
+        waves would all be one node; a dense plan then selects FIFO from
+        its bound array instead.
         """
         edges, groups, nodes, table = self.edges, self.groups, self.nodes, self.balls
         eager_groups = [(len(edges) + len(table) + gi, g) for gi, g in enumerate(groups) if not g.lazy]
@@ -640,11 +667,14 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     region lower bounds, and where the plan proves each node's bound its
     one discovering edge's (`Plan.sole_finder`), the "bound" heuristic
     stops once the smallest bound left is beyond the radius, as
-    best-first search does. When the frontier is dense (the "bound"
-    heuristic over a dense plan, see `Sprawl._plan`), a fired group
+    best-first search does. When the frontier is dense under the "bound"
+    heuristic (over a dense plan, see `Sprawl._plan`), a fired group
     instead raises each target's shell lower bound, the next node is the
     one with the smallest bound, and a bound beyond the current radius
-    eliminates, as in AESA and LAESA.
+    eliminates, as in AESA and LAESA. When it is dense under FIFO (AESA),
+    the next node is the first live root, and a fired group eliminates
+    its missed targets by seed position in one store, as the classic
+    AESA range loop does.
 
     A FIFO range search (a `Ball` with no k, on a symmetric space) whose
     plan carries `Waves` goes a wave at a time instead: one
@@ -670,7 +700,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
-    steer = frontier.dense and isinstance(query, Ball)
+    steer = frontier.dense and heuristic.kind == "bound" and isinstance(query, Ball)
     if steer:
         frontier.cut(ambit_mod.bound_cutoff(s_current))
     done = frontier.done
@@ -691,8 +721,11 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             ev.region_evaluations += len(g)
             if steer:
                 frontier.raise_bounds(group_pos[gi], ambit_mod.shell_bounds(z, g.lo, g.hi))
+                return
+            miss = ambit_mod.shells_missed(z, g.lo, g.hi, s_current)
+            if frontier.dense:
+                frontier.eliminate_at(group_pos[gi][miss])
             else:
-                miss = ambit_mod.shells_missed(z, g.lo, g.hi, s_current)
                 frontier.eliminate(g.targets[miss].tolist())
         else:
             for i in range(len(g)):

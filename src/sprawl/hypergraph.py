@@ -122,9 +122,10 @@ def activation(edges, seeds=(), dense: bool = False) -> Plan:
     sourceless edges; the discovery sequence is unchanged when those root
     edges precede every sourceless edge in id order. A `dense` plan, whose
     seeds are the whole ground set and whose edges discover nothing, lets
-    a frontier under the "bound" heuristic select from a bound array by
-    seed position instead of the heap, since a shell group raises many
-    bounds at once.
+    a frontier select from a bound array by seed position instead of the
+    heap: under the "bound" heuristic, since a shell group raises many
+    bounds at once, and under FIFO where the plan carries no `Waves`,
+    since a seed's position is its discovery sequence.
     """
     out: dict[int, list[int]] = {}
     sizes: dict[int, int] = {}
@@ -168,15 +169,20 @@ class Frontier:
     since edges fired in one round all fire before the next selection, it
     beats discovery.
 
-    Selection takes one of three forms, chosen from the input alone. Under
-    the "bound" heuristic with a dense plan, every node is a seed, so its
-    seed position is its discovery sequence: one argmin over a bound array
-    by position selects, `raise_bounds` raises many bounds at once, and a
-    bound above the `cut` limit eliminates. Under FIFO, over a plan with
-    `Waves` and with wave callbacks given to `run`, queued nodes wait in a
-    list in discovery order and are taken a wave at a time: the longest
-    run at the head of the queue that `Waves` allows. Otherwise nodes wait
-    in a heap under the heuristic's key; under "bound" over a plan with a
+    Selection takes one of three forms, chosen from the input alone. Over
+    a dense plan, under the "bound" heuristic or under FIFO where the plan
+    carries no `Waves`, every node is a seed, so its seed position is its
+    discovery sequence, and its edges discover nothing: one argmin over a
+    bound array by position selects, the first of equal bounds winning.
+    Under "bound", `raise_bounds` raises many bounds at once and a bound
+    above the `cut` limit eliminates. Under FIFO every live bound stays 0,
+    so the argmin is the first live seed, the node FIFO takes. A selected
+    or eliminated node's bound is inf; `eliminate_at` eliminates by seed
+    position in one store. Under FIFO, over a plan with `Waves` and with
+    wave callbacks given to `run`, queued nodes wait in a list in
+    discovery order and are taken a wave at a time: the longest run at the
+    head of the queue that `Waves` allows. Otherwise nodes wait in a heap
+    under the heuristic's key; under "bound" over a plan with a
     `sole_finder`, selection stops once the smallest live key's bound is
     above the `cut` limit.
     """
@@ -191,15 +197,17 @@ class Frontier:
         self._seq: dict[int, int] = {}  # discovery sequence of every discovered node
         self._prio: dict[int, tuple] = {}  # live heap key of every discovered node
         self._heap: list[tuple] = []
-        #: nodes traversed or eliminated; nothing changes their status again.
-        #: The nodes that `cut` rules out are not listed.
+        #: nodes selected or eliminated by `eliminate`; nothing changes their
+        #: status again. The nodes that `eliminate_at` or `cut` rules out are
+        #: not listed: a dense frontier's bound array holds every status.
         self.done: set[int] = set()
         self.traversed: set[int] = set()
-        self.dense = self._rekey and plan.positions is not None
-        self._cuts = self.dense or self._rekey and plan.sole_finder
+        self.dense = plan.positions is not None and (self._rekey or self._fifo and plan.waves is None)
+        self._cuts = self._rekey and (self.dense or plan.sole_finder)
         self._limit = np.inf  # the `cut` limit
         if self.dense:
-            # per seed position: the largest shell bound raised, inf once selected or eliminated
+            # per seed position: the largest shell bound raised (always 0 under
+            # FIFO), inf once selected or eliminated
             self._bound = np.zeros(len(plan.seeds))
 
     def discover(self, v: int, bound: float = 0.0) -> None:
@@ -234,8 +242,12 @@ class Frontier:
         """Eliminate every node in vs at once; traversed nodes stay traversed."""
         self.done.update(vs)
         if self.dense:
-            for v in vs:
-                self._bound[self._plan.positions[v]] = np.inf
+            self.eliminate_at(list(map(self._plan.positions.__getitem__, vs)))
+
+    def eliminate_at(self, positions) -> None:
+        """Eliminate the nodes at the given seed positions (dense frontiers
+        only), without listing them in `done`."""
+        self._bound[positions] = np.inf
 
     def raise_bounds(self, positions, bounds) -> None:
         """Raise the shell bounds of the nodes at the given seed positions

@@ -903,3 +903,26 @@ def test_unsupported_map_assumes_overlap(caplog):
     with caplog.at_level("WARNING", logger="sprawl.engine"):
         assert _QueryEval(space, Ball((9.0, 9.0), 0.1)).intersects(region)
     assert "assuming overlap" in caplog.text
+
+
+@pytest.mark.parametrize("nodes", [range(6), [-7, -3, 0, 2, 5, 9], [0, 3, 10**12, -(10**15), 8, 1]])
+def test_validate_refuses_group_and_ball_refs_outside_the_ground_set(nodes):
+    # a contiguous span, a negative one and a sparse one, read by lookup
+    # table or by the sorting fallback; each gap and each end is probed
+    nodes = list(nodes)
+    space = toy_space(6)
+    edges = [Edge((), v) for v in nodes]
+    outside = sorted({min(nodes) - 1, max(nodes) + 1, 1, 4, -1} - set(nodes))
+
+    def sprawl(targets=nodes[1:], ball_targets=nodes[2:4], ball_sources=nodes[:2]):
+        group = ShellGroup(nodes[0], targets, np.zeros(len(targets)), np.ones(len(targets)))
+        return Sprawl(space, nodes, edges, [group], BallTable(ball_sources, ball_targets, [1.0, 1.0]))
+
+    sprawl()
+    for ref in outside:
+        with pytest.raises(IndexError, match="shell group"):
+            sprawl(targets=nodes[1:] + [ref])
+        with pytest.raises(IndexError, match="ball table"):
+            sprawl(ball_targets=[nodes[2], ref])
+        with pytest.raises(IndexError, match="ball table"):
+            sprawl(ball_sources=[ref, nodes[1]])

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from sprawl import hypergraph
 from sprawl.errors import SizeLimitError
 from sprawl.hypergraph import (
+    Frontier,
     Heuristic,
     HyperEdge,
     SignedHyperdigraph,
+    Waves,
+    activation,
     check_traversal_axioms,
     enumerate_repertoire,
     random_hyperdigraph,
@@ -148,3 +152,50 @@ def test_debug_format_round_trip(rng):
     assert format_traversal(traverse(g)) == "0 3 1\n"
     with pytest.raises(ValueError):
         parse_graph("x 1 <- 2\n")
+
+
+def _dense_fifo_run(plan, kills, **wave_callbacks):
+    """Run FIFO over plan, where traversing v eliminates kills.get(v, ())."""
+    frontier = Frontier(plan, Heuristic.fifo())
+
+    def fire(edge_ids):
+        for i in edge_ids:
+            frontier.eliminate(kills.get(i, ()))
+
+    return frontier, frontier.run(fire, **wave_callbacks)
+
+
+def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
+    # five seeds; edge i has source i and eliminates kills[i], as a shell
+    # group would: 0 rules out 1 and 3, then 2 rules out 4
+    kills = {0: (1, 3), 2: (4,), 3: (4,)}
+    edges = [(i, (i,)) for i in range(5)]
+    heap_order = _dense_fifo_run(activation(edges, range(5)), kills)[1]
+    assert heap_order == [0, 2]
+
+    class NoHeap:
+        def __getattr__(self, name):
+            raise AssertionError(f"a dense FIFO frontier called heapq.{name}")
+
+    monkeypatch.setattr(hypergraph, "heapq", NoHeap())
+    plan = activation(edges, range(5), dense=True)
+    assert plan.waves is None
+    frontier, order = _dense_fifo_run(plan, kills)
+    assert frontier.dense and order == heap_order and not frontier._heap
+    frontier.cut(-1.0)  # FIFO has no bounds to cut by
+    assert frontier._limit == np.inf
+
+
+def test_dense_fifo_with_waves_keeps_the_wave_form():
+    edges = [(i, (i,)) for i in range(4)]
+    plan = activation(edges, range(4), dense=True)._replace(waves=Waves(frozenset(), {}, {}))
+    waves = []
+
+    def visit_wave(vs):
+        waves.append(list(vs))
+        return vs
+
+    frontier, order = _dense_fifo_run(plan, {}, visit=None, visit_wave=visit_wave, fire_wave=lambda vs: None)
+    assert not frontier.dense and waves == [[0, 1, 2, 3]] and order == [0, 1, 2, 3]
+    # "bound" still selects densely over the same plan
+    assert Frontier(plan, Heuristic("bound")).dense

@@ -1,9 +1,10 @@
-"""The wave form of FIFO range search against the node-at-a-time heap.
+"""The wave and dense forms of FIFO search against the node-at-a-time heap.
 
 Each search runs twice: on the sprawl's own plan, and on a twin whose
-cached plan has its `Waves` stripped, so that the frontier steps node by
-node as it does for every other heuristic. Members, traversal order,
-distance computations and region evaluations must all agree.
+cached plan has its `Waves` and its dense seed positions stripped, so that
+the frontier steps node by node through the heap as it does for every
+other heuristic. Members, traversal order, distance computations and
+region evaluations must all agree.
 """
 import copy
 
@@ -11,33 +12,35 @@ import numpy as np
 import pytest
 
 from sprawl.ambit import table1_region
-from sprawl.comparison import Ball, EuclideanSpace, StringSpace
+from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, StringSpace
 from sprawl.engine import (
     EMPTY,
     Edge,
     ExplicitRegion,
+    ShellGroup,
     Sprawl,
     build_classic,
     linear_scan,
     random_small_sprawl,
     search,
 )
-from sprawl.hypergraph import Frontier
+from sprawl.hypergraph import Frontier, Heuristic
 
 from conftest import random_labeled_sprawl
+from test_differential import reference_search
 
 
 def heap_twin(sprawl: Sprawl) -> Sprawl:
     twin = copy.copy(sprawl)
     plan, *rest = sprawl._plan()
-    twin._plan_cache = (plan._replace(waves=None), *rest)
+    twin._plan_cache = (plan._replace(waves=None, positions=None), *rest)
     return twin
 
 
-def assert_waves_match_heap(sprawl: Sprawl, queries) -> None:
+def assert_waves_match_heap(sprawl: Sprawl, queries, heuristic=None) -> None:
     twin = heap_twin(sprawl)
     for q in queries:
-        got, want = search(sprawl, q), search(twin, q)
+        got, want = search(sprawl, q, heuristic), search(twin, q, heuristic)
         assert got.members == want.members, q
         assert got.order == want.order, q
         assert got.distance_computations == want.distance_computations, q
@@ -227,3 +230,64 @@ def test_wave_reuses_distances_cached_before_it():
     got = search(sprawl, q)
     assert got.order == (0, 2, 1, 3) and got.members == (1, 2) and got.distance_computations == 4
     assert_waves_match_heap(sprawl, [q, Ball((0.0,), 0.1), Ball(3, 1.0)])
+
+
+@pytest.fixture
+def dense_selections(monkeypatch):
+    """The heuristic kind of every frontier that selected densely."""
+    kinds = []
+    init = Frontier.__init__
+
+    def counted(self, plan, h):
+        init(self, plan, h)
+        if self.dense:
+            kinds.append(h.kind)
+
+    monkeypatch.setattr(Frontier, "__init__", counted)
+    return kinds
+
+
+def all_seed_groups(rng, n: int = 14) -> Sprawl:
+    """Every node a seed and the source of an eager sphere group into a
+    random half of the others, plus one lazy group from node 0 into all of
+    them: a dense plan with no `Waves`."""
+    pts = rng.random((n, 2))
+    space = EuclideanSpace(pts)
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    groups = []
+    for v in range(n):
+        others = [u for u in range(n) if u != v]
+        targets = sorted(rng.choice(others, size=len(others) // 2, replace=False).tolist())
+        groups.append(ShellGroup(v, targets, d[v, targets], d[v, targets]))
+    rest = list(range(1, n))
+    groups.append(ShellGroup(0, rest, d[0, rest], d[0, rest], lazy=True))
+    return Sprawl(space, range(n), [Edge((), v) for v in range(n)], groups)
+
+
+def dense_queries(rng, space, n):
+    """Ball range, Ball kNN, explicit-set and ambit queries."""
+    for _ in range(4):
+        c = tuple(rng.random(2))
+        row = np.sort(space.distances_from(c, range(n)))
+        yield Ball(c, float(row[int(rng.integers(1, 6))]))
+        yield Ball(c, 0.0, k=int(rng.integers(1, 6)))
+        yield ExplicitSetQuery(frozenset(int(v) for v in rng.choice(n, size=3, replace=False)))
+        yield AmbitQuery((int(rng.integers(0, n)),), (1.0,), float(rng.random() * 0.4))
+
+
+def test_dense_fifo_matches_the_heap_and_the_reference(rng, dense_selections):
+    for _ in range(4):
+        aesa, _ = build_classic(EuclideanSpace(rng.random((30, 2))), range(30), "aesa")
+        for sprawl in (aesa, all_seed_groups(rng)):
+            plan = sprawl._plan()[0]
+            assert plan.positions is not None and plan.waves is None
+            n = len(sprawl.nodes)
+            queries = list(dense_queries(rng, sprawl.space, n))
+            assert_waves_match_heap(sprawl, queries, Heuristic.fifo())
+            for q in queries:
+                got = search(sprawl, q, Heuristic.fifo())
+                assert got.members == linear_scan(sprawl.space, range(n), q), q
+                # the eager reference may drop more where a lazy group meets a shrinking kNN radius
+                if sprawl is aesa or getattr(q, "k", None) is None:
+                    assert (got.members, got.order) == reference_search(sprawl, q), q
+    assert dense_selections and set(dense_selections) == {"fifo"}
