@@ -22,9 +22,9 @@ from .engine import (
     UNIVERSE,
     Edge,
     ExplicitRegion,
+    Fans,
     ResponsibilityAssignment,
     SearchResult,
-    ShellGroup,
     Sprawl,
     brute_force_sprawl,
     build_classic,

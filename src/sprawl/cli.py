@@ -72,10 +72,10 @@ def cmd_build(args) -> int:
         params["arity"] = args.arity
     sprawl, res = engine.build_classic(space, range(count), args.kind, **params)
     storage.save_index(args.out, sprawl, res)
-    group_edges = sum(len(g) for g in sprawl.groups)
+    fans = sprawl.fans
     print(
         f"built {args.kind} over {len(sprawl.nodes)} points: {len(sprawl.edges)} edges + "
-        f"{len(sprawl.balls)} ball edges + {group_edges} grouped shell edges -> {args.out}"
+        f"{fans.found_rows} ball edges + {len(fans) - fans.found_rows} grouped shell edges -> {args.out}"
     )
     return 0
 

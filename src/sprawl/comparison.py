@@ -39,9 +39,8 @@ def lp_norm(diff: np.ndarray, p: float):
 class CostSession:
     """Per-query accumulator of comparison evaluations.
 
-    Spaces are shared, and the one field a space writes, the last raw point
-    it checked (see `_finite_point`), never changes a result; each search
-    owns one of these, so no count is shared between concurrent queries.
+    Spaces are shared and a search writes nothing to one; each search owns
+    one of these, so no count is shared between concurrent queries.
     """
 
     distance_computations: int = 0
@@ -60,7 +59,6 @@ class ComparisonSpace:
 
     kind: str = "abstract"
     symmetric: bool = True
-    _coerced = None  # a coordinate space's last coerced raw point (see _finite_point)
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -69,7 +67,9 @@ class ComparisonSpace:
         """Return the underlying universe element for a ref."""
         raise NotImplementedError
 
-    def _resolve(self, u):
+    def resolve(self, u):
+        """What `_dist` and `_row` take for a ref or a raw value: the ref's
+        `value`, or the raw value coerced (and checked) once."""
         if isinstance(u, (int, np.integer)):
             return self.value(int(u))
         return self._coerce(u)
@@ -82,14 +82,23 @@ class ComparisonSpace:
 
     def compare(self, u, v, session: CostSession | None = None) -> float:
         """delta(u, v); counts one comparison on the session."""
-        d = self._dist(self._resolve(u), self._resolve(v))
+        return self.measure(self.resolve(u), self.resolve(v), session)
+
+    def measure(self, a, b, session: CostSession | None = None) -> float:
+        """`compare` of two values already resolved, as a search measures
+        its query centre, resolved once; counts one comparison."""
+        d = self._dist(a, b)
         if session is not None:
             session.charge()
         return d
 
     def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
         """Vector of delta(u, ref) for each ref; counts len(refs) comparisons."""
-        out = self._row(self._resolve(u), refs)
+        return self.measure_row(self.resolve(u), refs, session)
+
+    def measure_row(self, a, refs, session: CostSession | None = None) -> np.ndarray:
+        """`distances_from` of a value already resolved; counts len(refs) comparisons."""
+        out = self._row(a, refs)
         if session is not None:
             session.charge(len(out))
         return out
@@ -107,21 +116,15 @@ def _finite_point(space, raw) -> np.ndarray:
     """A raw coordinate vector as a read-only copy in floats.
 
     A NaN or infinite coordinate makes every distance to the point NaN or
-    inf, which no region bound can use, so such a point is refused. The
-    space keeps the last copy it made, so a search, which coerces its
-    centre once and passes the copy to every `compare`, checks it once.
-    A concurrent search may replace that copy; a point that is not the
-    kept one is only checked again.
+    inf, which no region bound can use, so such a point is refused. A
+    search resolves its centre once, so it checks it once.
     """
-    if raw is space._coerced:
-        return raw
     a = np.array(raw, dtype=float)
     if a.shape != (space.dimension,):
         raise ValueError(f"expected a point of dimension {space.dimension}")
     if not all(map(math.isfinite, a.tolist())):
         raise ValueError("a point's coordinates must be finite, not NaN or inf")
     a.setflags(write=False)
-    space._coerced = a
     return a
 
 

@@ -99,81 +99,77 @@ class Edge:
         return not any(isinstance(r, Empty) for r in self.positive)
 
 
-@dataclass
-class ShellGroup:
-    """A fan of single-target negative shell edges sharing one source.
+class Fans:
+    """Single-focus edges lo <= delta(source, .) <= hi, as columns.
 
-    Stored columnar (targets plus per-target shell bounds around the
-    source) so pivot-style indexes stay compact; logically each position
-    is an ordinary edge with P = (Empty,) and one shell region.
+    A fan is a run of rows from one source: fan f holds rows
+    start[f]:start[f + 1], and row j is the logical edge
+    len(sprawl.edges) + j into target[j]. A discovering fan's row is the
+    ball delta(source, .) <= hi[j] as its positive label, with no
+    negative label, the child edge of a ball-tree or pm-tree; builders
+    and the index reader set its lo to hi, and nothing reads it. Any
+    other row is the shell lo[j] <= delta(source, .) <= hi[j] as its
+    negative label, with P = (Empty,), lazy when its fan is, as AESA,
+    LAESA and pm-tree pivots give them. Discovering fans come first.
+    `hi is lo` when every row is a sphere.
     """
 
-    source: int
-    targets: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    lazy: bool = False
-
-    def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=np.int64)
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if not (self.targets.shape == self.lo.shape == self.hi.shape):
-            raise ValueError("group arrays must have matching shapes")
-        if np.any(self.lo > self.hi):
-            raise ValueError("shell group needs lo <= hi")
-
-    def __len__(self) -> int:
-        return int(self.targets.shape[0])
-
-    def member_edge(self, i: int) -> Edge:
-        region = table1_region("shell", (self.source,), lo=self.lo[i], hi=self.hi[i])
-        return Edge((self.source,), int(self.targets[i]), (EMPTY,), (region,), lazy=self.lazy)
-
-
-@dataclass
-class BallTable:
-    """Single-focus ball edges delta(source, .) <= radius, as columns.
-
-    Each row is one logical edge (source,) -> target whose positive label
-    is `table1_region("ball", (source,), r=radius)` and whose negative
-    label is empty, the child edge of a ball-tree or pm-tree. Rows are
-    numbered after the sprawl's explicit edges and before its shell-group
-    members.
-    """
-
-    source: np.ndarray
-    target: np.ndarray
-    radius: np.ndarray
-
-    def __post_init__(self):
-        self.source = np.asarray(self.source, dtype=np.int64)
-        self.target = np.asarray(self.target, dtype=np.int64)
-        self.radius = np.asarray(self.radius, dtype=float)
-        if not (self.source.ndim == 1 and self.source.shape == self.target.shape == self.radius.shape):
-            raise ValueError("ball table columns must be 1-d with matching shapes")
-        if np.isnan(self.radius).any():  # every overlap check with NaN misses, so its subtree would vanish
-            raise ValueError("a ball radius must not be NaN")
+    def __init__(self, source, start, target, lo, hi=None, discovers=None, lazy=None):
+        self.source = np.asarray(source, dtype=np.int64)
+        self.start = np.asarray(start, dtype=np.int64)
+        self.target = np.asarray(target, dtype=np.int64)
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = self.lo if hi is None else np.asarray(hi, dtype=float)
+        self.discovers = np.zeros(self.source.shape, bool) if discovers is None else np.asarray(discovers, dtype=bool)
+        self.lazy = np.zeros(self.source.shape, bool) if lazy is None else np.asarray(lazy, dtype=bool)
+        rows = self.target.shape
+        if not (
+            self.source.ndim == len(rows) == 1
+            and self.source.shape == self.discovers.shape == self.lazy.shape
+            and self.start.shape == (len(self.source) + 1,)
+            and self.lo.shape == self.hi.shape == rows
+        ):
+            raise ValueError("fan columns must be 1-d with matching shapes")
+        if self.start[0] != 0 or self.start[-1] != rows[0] or (np.diff(self.start) < 0).any():
+            raise ValueError("fan starts must rise from 0 to the row count")
+        # a NaN ball never meets a query, so its subtree would vanish; a NaN shell never misses
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("a fan bound must not be NaN")
+        if (self.lo > self.hi).any():
+            raise ValueError("fan rows need lo <= hi")
+        self.found = int(self.discovers.sum())  # the discovering fans, which come first
+        if self.discovers[self.found :].any() or self.lazy[: self.found].any():
+            raise ValueError("discovering fans come first and are never lazy")
+        self.found_rows = int(self.start[self.found])
 
     def __len__(self) -> int:
-        return int(self.source.shape[0])
+        return int(self.target.shape[0])
 
-    def member_edges(self) -> list[Edge]:
-        """Every row as the `Edge` it stands for, in row order."""
+    def edge(self, j: int) -> Edge:
+        """Row j as the `Edge` it stands for."""
+        if j < self.found_rows:
+            return self._ball_rows[j]
+        f = int(np.searchsorted(self.start, j, "right")) - 1
+        region = table1_region("shell", (int(self.source[f]),), lo=self.lo[j], hi=self.hi[j])
+        return Edge((int(self.source[f]),), int(self.target[j]), (EMPTY,), (region,), lazy=bool(self.lazy[f]))
+
+    @cached_property
+    def _ball_rows(self) -> list[Edge]:
+        """The discovering rows as `Edge`s, built on first use and kept:
+        `reduce_to_signed` walks every logical edge once per query, and
+        building a ball row's `Edge` costs more than its overlap check."""
+        rows = slice(0, self.found_rows)
+        source = np.repeat(self.source[: self.found], np.diff(self.start[: self.found + 1])).tolist()
         return [
             Edge((u,), t, (Ambit((u,), ambit_mod.BALL_MAP, (r,)),), ())
-            for u, t, r in zip(self.source.tolist(), self.target.tolist(), self.radius.tolist())
+            for u, t, r in zip(source, self.target[rows].tolist(), self.hi[rows].tolist())
         ]
-
-
-_NO_BALLS = BallTable([], [], [])  # shared by every sprawl without a ball table: no row to change
 
 
 class _BallColumns(NamedTuple):
     """Single-facet ball edges a * delta(source, .) <= r as columns, by
     source: the edges of source v are rows start[v]:start[v + 1], in edge
-    order. `by_edge` holds each one as plain floats for a node-at-a-time
-    search."""
+    order."""
 
     start: np.ndarray
     target: np.ndarray
@@ -182,7 +178,6 @@ class _BallColumns(NamedTuple):
     r: np.ndarray
     checked: bool  # whether a target may already be done when its edge fires
     others: dict[int, list[int]]  # each source's other out-edge ids, which discover nothing
-    by_edge: dict[int, tuple[int, int, float, float, float]]  # edge id -> (target, source, a, ||a||_1, r)
 
 
 def _ref_test(refs: set[int]):
@@ -211,50 +206,28 @@ def _ref_test(refs: set[int]):
 
 
 class Sprawl:
-    """Immutable-after-build index: ground set, edges, ball table and shell groups."""
+    """Immutable-after-build index: ground set, explicit edges and fans."""
 
-    def __init__(
-        self, space: ComparisonSpace, nodes, edges, groups=(), balls: BallTable | None = None, validate: bool = True
-    ):
+    def __init__(self, space: ComparisonSpace, nodes, edges, fans: Fans | None = None, validate: bool = True):
         self.space = space
         self.nodes: tuple[int, ...] = tuple(int(v) for v in nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.groups: tuple[ShellGroup, ...] = tuple(groups)
-        self.balls: BallTable = balls if balls is not None else _NO_BALLS
+        self.fans = fans if fans is not None else Fans([], [0], [], [])
         self._node_pos = {v: i for i, v in enumerate(self.nodes)}
         self._plan_cache = None
         if validate:
             self.validate()
 
-    @cached_property
-    def _ball_edges(self) -> list[Edge]:
-        """The ball table's rows as `Edge`s, built once, on first use."""
-        return self.balls.member_edges()
-
-    # ball table rows are numbered after the explicit edges, group members after both
+    # fan row j is numbered after the explicit edges
     def logical_edge(self, idx: int) -> Edge:
-        if idx < 0:
+        if not 0 <= idx < len(self.edges) + len(self.fans):
             raise IndexError("edge index out of range")
-        if idx < len(self.edges):
-            return self.edges[idx]
-        idx -= len(self.edges)
-        if idx < len(self.balls):
-            return self._ball_edges[idx]
-        idx -= len(self.balls)
-        for g in self.groups:
-            if idx < len(g):
-                return g.member_edge(idx)
-            idx -= len(g)
-        raise IndexError("edge index out of range")
+        return self.edges[idx] if idx < len(self.edges) else self.fans.edge(idx - len(self.edges))
 
     def iter_logical_edges(self):
         yield from enumerate(self.edges)
-        yield from enumerate(self._ball_edges, len(self.edges))
-        idx = len(self.edges) + len(self.balls)
-        for g in self.groups:
-            for i in range(len(g)):
-                yield idx, g.member_edge(i)
-                idx += 1
+        for j in range(len(self.fans)):
+            yield len(self.edges) + j, self.fans.edge(j)
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -276,38 +249,34 @@ class Sprawl:
                     )
             if e.target in e.sources:
                 warnings.warn(f"edge into {e.target} lists it as a source and can never fire usefully")
-        if not (self.groups or len(self.balls)):
+        f = self.fans
+        if not len(f.source):
             return
-        # one membership test per column: each ball column, every group target at once
-        known = _ref_test(nodes)
-        b = self.balls
-        if not (known(b.source) and known(b.target)):
-            raise IndexError("ball table refers to refs outside the ground set")
-        if (b.source == b.target).any():
+        known = _ref_test(nodes)  # one membership test per column
+        if not (known(f.source) and known(f.target)):
+            raise IndexError("fan refers to refs outside the ground set")
+        if (np.repeat(f.source[: f.found], np.diff(f.start[: f.found + 1])) == f.target[: f.found_rows]).any():
             warnings.warn("a ball edge into its own source can never fire usefully")
-        if self.groups:
-            targets = np.concatenate([g.targets for g in self.groups])
-            if any(g.source not in nodes for g in self.groups) or not known(targets):
-                raise IndexError("shell group refers to refs outside the ground set")
 
     def _plan(self):
-        """The frontier plan (ball row j is edge len(edges) + j, group gi
-        edge len(edges) + len(balls) + gi), the lazy edges and lazy group
-        positions into each target, and the plan positions of each eager
-        group's targets.
+        """The frontier plan (fan f is plan edge len(edges) + f), the lazy
+        edges and lazy fan rows into each target, the seed position of
+        each fan row's target in a dense plan, the ball columns, and the
+        fan columns a search reads as plain lists.
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
-        edge is a shell group, as AESA and LAESA build them, the plan is
-        dense, so a kNN search can select by the groups' bounds, and a FIFO
+        edge is a shell fan, as AESA and LAESA build them, the plan is
+        dense, so a kNN search can select by the fans' bounds, and a FIFO
         search over a plan with no `Waves` (AESA) by seed position. The plan
         also carries the `Waves` that let a FIFO range search go a wave at
-        a time, and the ball columns those waves test, which also map each
-        ball edge id to plain floats for the node-at-a-time path (see
-        `_waves`). Where no node has two discovering eager in-edges, a
-        seed's root edge included, the plan's `sole_finder` lets a kNN
-        search stop at its bound. Everything is built on the first call,
-        not with the sprawl.
+        a time, and the ball columns those waves test (see `_waves`). The
+        lists hold each fan's start and source, and the targets and radii
+        of the discovering rows, which a node-at-a-time search reads per
+        row. Where no node has two discovering eager in-edges, a seed's
+        root edge included, the plan's `sole_finder` lets a kNN search stop
+        at its bound. Everything is built on the first call, not with the
+        sprawl.
         """
         if self._plan_cache is not None:
             return self._plan_cache
@@ -325,33 +294,35 @@ class Sprawl:
             else:
                 seeding = seeding and bool(e.sources)
                 eager.append((i, e.sources))
-        for t in self.balls.target.tolist():  # every row discovers
+        fans, base = self.fans, len(self.edges)
+        start, source = fans.start.tolist(), fans.source.tolist()
+        rows = (start, source, fans.target[: fans.found_rows].tolist(), fans.hi[: fans.found_rows].tolist())
+        for t in rows[2]:
             finders[t] = finders.get(t, 0) + 1
-        base = len(self.edges) + len(self.balls)
-        eager += zip(range(len(self.edges), base), ((u,) for u in self.balls.source.tolist()))
-        lazy_group_in: dict[int, list[tuple[int, int]]] = {}
-        for gi, g in enumerate(self.groups):
-            if g.lazy:
-                for pos, t in enumerate(g.targets):
-                    lazy_group_in.setdefault(int(t), []).append((gi, pos))
-            else:
-                eager.append((base + gi, (g.source,)))
-        # eager ids ascend, so the first is a group's only if every eager edge is a group
-        dense = bool(eager) and eager[0][0] >= base and set(seeds) == set(self.nodes)
+        lazy_rows: dict[int, list[tuple[int, float, float]]] = {}  # (source, lo, hi) per lazy row into a target
+        for f, lazy in enumerate(fans.lazy.tolist()):
+            if not lazy:
+                eager.append((base + f, (source[f],)))
+                continue
+            span = slice(start[f], start[f + 1])
+            for t, lo, hi in zip(fans.target[span].tolist(), fans.lo[span].tolist(), fans.hi[span].tolist()):
+                lazy_rows.setdefault(t, []).append((source[f], lo, hi))
+        # eager ids ascend, so the first is a shell fan's only if every eager edge is one
+        dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(self.nodes)
         plan = activation(eager, seeds, dense)
-        group_pos = {}
+        pos = None
         if dense:
             order = np.asarray(plan.seeds, dtype=np.int64)
             low = int(order.min())
             at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # seed position by ref
             at[order - low] = np.arange(len(order))
-            group_pos = {gi: at[g.targets - low] for gi, g in enumerate(self.groups) if not g.lazy}
-        waves, balls = self._waves(lazy_in, lazy_group_in, finders)
+            pos = at[fans.target - low]
+        waves, balls = self._waves(lazy_in, lazy_rows, finders, rows)
         plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
-        self._plan_cache = (plan, lazy_in, lazy_group_in, group_pos, balls)
+        self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows)
         return self._plan_cache
 
-    def _waves(self, lazy_in, lazy_group_in, finders):
+    def _waves(self, lazy_in, lazy_rows, finders, rows):
         """The plan's `Waves` and the ball columns, or (None, None).
 
         A node steps alone when one of its eager out-edges has other
@@ -359,24 +330,25 @@ class Sprawl:
         and so does the target of a sourceless eliminating edge: with no
         node alone, apart or waiting, no queued node is ever eliminated.
         Two nodes are kept apart when one's eager edge tests the other
-        (a group or an eliminating edge, or an edge fired as a whole), or
-        when one's edge could eliminate a target that the other's ball
+        (a shell fan or an eliminating edge, or an edge fired as a whole),
+        or when one's edge could eliminate a target that the other's ball
         tests; a ball tested twice, or into a seed, also keeps its target
-        apart from its source. A target of lazy edges waits until their
-        sources are traversed. Where every node is the source of an eager
-        group, as in AESA, each node's shells may eliminate the next, so
-        waves would all be one node; a dense plan then selects FIFO from
-        its bound array instead.
+        apart from its source. A target of lazy edges or rows waits until
+        their sources are traversed. Where every node is the source of an
+        eager shell fan, as in AESA, each node's shells may eliminate the
+        next, so waves would all be one node; a dense plan then selects
+        FIFO from its bound array instead.
         """
-        edges, groups, nodes, table = self.edges, self.groups, self.nodes, self.balls
-        eager_groups = [(len(edges) + len(table) + gi, g) for gi, g in enumerate(groups) if not g.lazy]
-        if {g.source for _, g in eager_groups} >= set(nodes) or min(nodes) < 0:
+        edges, nodes, fans = self.edges, self.nodes, self.fans
+        fan_start, fan_source, found_target, found_radius = rows
+        shells = [f for f, lazy in enumerate(fans.lazy.tolist()) if f >= fans.found and not lazy]
+        if {fan_source[f] for f in shells} >= set(nodes) or min(nodes) < 0:
             return None, None
         alone: set[int] = set()
         apart: dict[int, set[int]] = {}
         kills: dict[int, set[int]] = {}  # eager eliminating sources per eliminable target
         others: dict[int, list[int]] = {}
-        balls = []  # (edge id, source, target, (a, ||a||_1, r)), in edge order
+        balls = []  # (source, target, (a, ||a||_1, r)), in edge order
 
         def part(u: int, v: int) -> None:
             if u != v:
@@ -398,22 +370,24 @@ class Sprawl:
                 if len(e.positive) == 1 and not e.negative:
                     facet = ambit_mod.ball_facet(e.positive[0], u)
                     if facet is not None:
-                        balls.append((i, u, t, facet))
+                        balls.append((u, t, facet))
                         continue
                 if e.discovers:
                     alone.add(u)
                 others.setdefault(u, []).append(i)
                 part(u, t)
-        unit = ambit_mod.BALL_FACET  # every table row is the ball delta(u, .) <= r
-        table_rows = zip(table.source.tolist(), table.target.tolist(), table.radius.tolist())
-        balls += ((i, u, t, (*unit, r)) for i, (u, t, r) in enumerate(table_rows, len(edges)))
-        for i, g in eager_groups:
-            others.setdefault(g.source, []).append(i)
-            for t in g.targets.tolist():
-                kills.setdefault(t, set()).add(g.source)
-                part(g.source, t)
+        unit = ambit_mod.BALL_FACET  # every discovering row is the ball delta(u, .) <= r
+        for f in range(fans.found):
+            span = slice(fan_start[f], fan_start[f + 1])
+            balls += ((fan_source[f], t, (*unit, r)) for t, r in zip(found_target[span], found_radius[span]))
+        for f in shells:
+            u = fan_source[f]
+            others.setdefault(u, []).append(len(edges) + f)
+            for t in fans.target[fan_start[f] : fan_start[f + 1]].tolist():
+                kills.setdefault(t, set()).add(u)
+                part(u, t)
         checked = False
-        for _, u, t, _ in balls:
+        for u, t, _ in balls:
             contested = finders.get(t, 0) > 1
             if contested:
                 part(u, t)
@@ -425,27 +399,26 @@ class Sprawl:
         after: dict[int, set[int]] = {}
         for t, ids in lazy_in.items():
             after.setdefault(t, set()).update(*(edges[i].sources for i in ids))
-        for t, refs in lazy_group_in.items():
-            after.setdefault(t, set()).update(groups[gi].source for gi, _ in refs)
+        for t, refs in lazy_rows.items():
+            after.setdefault(t, set()).update(u for u, _, _ in refs)
         waves = Waves(
             frozenset(alone),
             {v: frozenset(vs) for v, vs in apart.items()},
             {v: frozenset(vs) for v, vs in after.items()},
         )
-        source = np.array([b[1] for b in balls], dtype=np.int64)
+        source = np.array([b[0] for b in balls], dtype=np.int64)
         start = np.zeros(max(nodes) + 2, dtype=np.int64)
         np.cumsum(np.bincount(source, minlength=max(nodes) + 1), out=start[1:])
-        rows = np.argsort(source, kind="stable")  # by source, in edge order within one
-        facets = np.array([b[3] for b in balls], dtype=float).reshape(-1, 3)[rows]
+        order = np.argsort(source, kind="stable")  # by source, in edge order within one
+        facets = np.array([b[2] for b in balls], dtype=float).reshape(-1, 3)[order]
         columns = _BallColumns(
             start,
-            np.array([b[2] for b in balls], dtype=np.int64)[rows],
+            np.array([b[1] for b in balls], dtype=np.int64)[order],
             facets[:, 0],
             facets[:, 1],
             facets[:, 2],
             checked,
             others,
-            {i: (t, u, *facet) for i, u, t, facet in balls},
         )
         return waves, columns
 
@@ -473,15 +446,14 @@ class _QueryEval:
 
     @cached_property
     def center(self):
-        """The ball centre, coerced once: a ref stays a ref, a raw value
-        becomes what the space compares."""
-        c = self.query.center
-        return c if isinstance(c, (int, np.integer)) else self.space._coerce(c)
+        """The ball centre as the space measures it, resolved once: a
+        ref's value, or a raw value coerced and checked."""
+        return self.space.resolve(self.query.center)
 
     def dist_to_center(self, ref: int) -> float:
         d = self._to_center.get(ref)
         if d is None:
-            d = self.space.compare(self.center, ref, self.session)
+            d = self.space.measure(self.center, self.space.resolve(ref), self.session)
             self._to_center[ref] = d
             if self.space.symmetric:
                 self._from_focus[ref] = d
@@ -489,11 +461,11 @@ class _QueryEval:
 
     def dists_to_center(self, refs: list[int]) -> np.ndarray:
         """`dist_to_center` of each ref, the uncached ones in one
-        `distances_from` call, whose rows equal `compare` bit for bit."""
+        `measure_row` call, whose rows equal `measure` bit for bit."""
         cache = self._to_center
         todo = [r for r in refs if r not in cache]
         if todo:
-            d = self.space.distances_from(self.center, todo, self.session)
+            d = self.space.measure_row(self.center, todo, self.session)
             fresh = dict(zip(todo, d.tolist()))
             cache.update(fresh)
             if self.space.symmetric:
@@ -505,7 +477,7 @@ class _QueryEval:
     def dist_from_focus(self, ref: int) -> float:
         d = self._from_focus.get(ref)
         if d is None:
-            d = self.space.compare(ref, self.center, self.session)
+            d = self.space.measure(self.space.resolve(ref), self.center, self.session)
             self._from_focus[ref] = d
             if self.space.symmetric:
                 self._to_center[ref] = d
@@ -612,13 +584,10 @@ def _refuse_unsound(sprawl: Sprawl, query) -> None:
     only gives delta(c, u) <= s, so those checks could drop a member.
     """
     if isinstance(query, Ball) and not sprawl.space.symmetric and (
-        sprawl.groups
-        or len(sprawl.balls)
+        len(sprawl.fans.source)
         or any(isinstance(r, Ambit) for e in sprawl.edges for r in e.positive + e.negative)
     ):
-        raise CapabilityError(
-            "ball queries on an asymmetric space need a sprawl without ambit regions, ball tables or shell groups"
-        )
+        raise CapabilityError("ball queries on an asymmetric space need a sprawl without ambit regions or fans")
 
 
 def reduce_to_signed(sprawl: Sprawl, query) -> SignedHyperdigraph:
@@ -654,58 +623,61 @@ class SearchResult:
 def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchResult:
     """Traverse the sprawl for a query, evaluating regions on demand.
 
-    The traversal loop is `hypergraph.Frontier.run`; an edge here fires by
-    evaluating its regions against the query, and a shell group fires by
-    eliminating all its missed targets at once. Every traversed node is
-    tested for query membership. Lazy negative edges are consulted only
+    The traversal loop is `hypergraph.Frontier.run`; an explicit edge here
+    fires by evaluating its regions against the query, and a fan fires
+    its rows in row order. Every traversed node is tested for query
+    membership. Lazy negative edges and lazy fan rows are consulted only
     immediately before their target would be traversed. A `Ball` search
-    fires each single-facet ball edge of the plan with one plain-float
-    `ambit.overlap_facet_bound` call, which gives the verdict and the kNN
-    bound that `intersects` and `lower_bound` would. For kNN queries the cover
+    fires each ball row with one plain-float `ambit.overlap_facet_bound`
+    call, which gives the verdict and the kNN bound that `intersects` and
+    `lower_bound` would, and a shell fan by eliminating all its missed
+    targets at once. For kNN queries the cover
     radius starts at infinity and tightens to the current k-th best
     distance after every traversal; node priorities are the per-edge
     region lower bounds, and where the plan proves each node's bound its
     one discovering edge's (`Plan.sole_finder`), the "bound" heuristic
     stops once the smallest bound left is beyond the radius, as
     best-first search does. When the frontier is dense under the "bound"
-    heuristic (over a dense plan, see `Sprawl._plan`), a fired group
+    heuristic (over a dense plan, see `Sprawl._plan`), a fired shell fan
     instead raises each target's shell lower bound, the next node is the
     one with the smallest bound, and a bound beyond the current radius
     eliminates, as in AESA and LAESA. When it is dense under FIFO (AESA),
-    the next node is the first live root, and a fired group eliminates
-    its missed targets by seed position in one store, as the classic
-    AESA range loop does.
+    the next node is the first live root, and a fired shell fan
+    eliminates its missed targets by seed position in one store, as the
+    classic AESA range loop does.
 
     A FIFO range search (a `Ball` with no k, on a symmetric space) whose
     plan carries `Waves` goes a wave at a time instead: one
     `distances_from` call tests the whole wave for membership and fills
-    the caches, the wave's single-facet ball edges get one vectorised
-    verdict (`ambit.overlap_facet_columns`), its other edges fire in turn
-    as above, and the surviving targets, in edge order, join the queue.
-    Members, order and both counts are those of the node-at-a-time form.
+    the caches, the wave's ball rows and single-facet ball edges get one
+    vectorised verdict (`ambit.overlap_facet_columns`), its other edges
+    fire in turn as above, and the surviving targets, in edge order, join
+    the queue. Members, order and both counts are those of the
+    node-at-a-time form.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
     ev = _QueryEval(space, query)
-    knn = isinstance(query, Ball) and query.k is not None
+    ball = isinstance(query, Ball)
+    knn = ball and query.k is not None
     if knn:
         k = query.k
         worst: list[tuple[float, int]] = []  # max-heap via negation: (-(dist), -ref)
         s_current = math.inf
     else:
-        s_current = query.radius if isinstance(query, Ball) else None
+        s_current = query.radius if ball else None
 
-    plan, lazy_in, lazy_group_in, group_pos, balls = sprawl._plan()
-    ball_edges = balls.by_edge if balls is not None and isinstance(query, Ball) else {}
+    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_target, found_radius) = sprawl._plan()
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
-    steer = frontier.dense and heuristic.kind == "bound" and isinstance(query, Ball)
+    steer = frontier.dense and heuristic.kind == "bound" and ball
     if steer:
         frontier.cut(ambit_mod.bound_cutoff(s_current))
     done = frontier.done
-    edges, groups = sprawl.edges, sprawl.groups
-    base = len(edges) + len(sprawl.balls)  # the first group's edge id
+    edges, fans = sprawl.edges, sprawl.fans
+    explicit = len(edges)
+    a, l1 = ambit_mod.BALL_FACET
 
     def lower_bound(edge: Edge) -> float:
         lb = 0.0
@@ -714,43 +686,45 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 lb = max(lb, ambit_mod.ball_reach(r, ev.z_of(r.foci)))
         return max(lb, 0.0)
 
-    def fire_group(gi: int) -> None:
-        g = groups[gi]
-        if isinstance(query, Ball):
-            z = ev.dist_from_focus(g.source)
-            ev.region_evaluations += len(g)
-            if steer:
-                frontier.raise_bounds(group_pos[gi], ambit_mod.shell_bounds(z, g.lo, g.hi))
-                return
-            miss = ambit_mod.shells_missed(z, g.lo, g.hi, s_current)
-            if frontier.dense:
-                frontier.eliminate_at(group_pos[gi][miss])
-            else:
-                frontier.eliminate(g.targets[miss].tolist())
-        else:
-            for i in range(len(g)):
-                e = g.member_edge(i)
-                if e.target in done:
+    def fire_fan(f: int) -> None:
+        first, end, u = start[f], start[f + 1], source[f]
+        if not ball:  # row by row, through the regions the rows stand for
+            for j, t in zip(range(first, end), fans.target[first:end].tolist()):
+                if t in done:
                     continue
-                if not ev.intersects(e.negative[0], s_current):
-                    frontier.eliminate((e.target,))
-
-    def fire(edge_ids) -> None:
-        for ei in edge_ids:
-            if ei >= base:
-                fire_group(ei - base)
-                continue
-            ball = ball_edges.get(ei)
-            if ball is not None:  # one float verdict and bound, as `intersects` and `lower_bound` give
-                t, u, a, l1, r = ball
+                e = fans.edge(j)
+                if f < fans.found:
+                    if ev.intersects(e.positive[0], s_current):
+                        frontier.discover(t)
+                elif not ev.intersects(e.negative[0], s_current):
+                    frontier.eliminate((t,))
+        elif f < fans.found:  # one float verdict and bound per ball, as `intersects` and `lower_bound` give
+            for t, r in zip(found_target[first:end], found_radius[first:end]):
                 if t in done:
                     continue
                 ev.region_evaluations += 1
                 bound = ambit_mod.overlap_facet_bound(r, l1, a, ev.dist_from_focus(u), s_current)
                 if bound is not None:
                     frontier.discover(t, bound if knn else 0.0)
+        else:
+            z = ev.dist_from_focus(u)
+            ev.region_evaluations += end - first
+            lo, hi = fans.lo[first:end], fans.hi[first:end]
+            if steer:
+                frontier.raise_bounds(pos[first:end], ambit_mod.shell_bounds(z, lo, hi))
+                return
+            miss = ambit_mod.shells_missed(z, lo, hi, s_current)
+            if frontier.dense:
+                frontier.eliminate_at(pos[first:end][miss])
+            else:
+                frontier.eliminate(fans.target[first:end][miss].tolist())
+
+    def fire(edge_ids) -> None:
+        for ei in edge_ids:
+            if ei >= explicit:  # a fan's plan edge
+                fire_fan(ei - explicit)
                 continue
-            e = sprawl.logical_edge(ei)
+            e = edges[ei]
             t = e.target
             if t in done:
                 continue
@@ -760,10 +734,10 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 frontier.discover(t, lower_bound(e) if knn else 0.0)
 
     members: list[int] = []
-    lazy = bool(lazy_in or lazy_group_in)
+    lazy = bool(lazy_in or lazy_rows)
 
     def refused(v: int) -> bool:
-        """Whether an armed lazy edge or group into v misses the query."""
+        """Whether an armed lazy edge or row into v misses the query."""
         traversed = frontier.traversed
         for ei in lazy_in.get(v, ()):
             e = edges[ei]
@@ -771,15 +745,14 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 for r in e.negative:
                     if not ev.intersects(r, s_current):
                         return True
-        for gi, posn in lazy_group_in.get(v, ()):
-            g = groups[gi]
-            if g.source in traversed:
-                if isinstance(query, Ball):
-                    z = ev.dist_from_focus(g.source)
+        for u, lo, hi in lazy_rows.get(v, ()):
+            if u in traversed:
+                if ball:
+                    z = ev.dist_from_focus(u)
                     ev.region_evaluations += 1
-                    if ambit_mod.shells_missed(z, g.lo[posn], g.hi[posn], s_current):
+                    if ambit_mod.shells_missed(z, lo, hi, s_current):
                         return True
-                elif not ev.intersects(g.member_edge(posn).negative[0], s_current):
+                elif not ev.intersects(table1_region("shell", (u,), lo=lo, hi=hi), s_current):
                     return True
         return False
 
@@ -802,7 +775,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             members.append(v)
         return True
 
-    if balls is None or not isinstance(query, Ball) or knn or not space.symmetric:
+    if balls is None or not ball or knn or not space.symmetric:
         order = frontier.run(fire, visit)
     else:
         wave_z = np.empty(0)  # distances of the last wave's kept nodes, in order
@@ -1165,9 +1138,11 @@ def _build_metric_tree(space: ComparisonSpace, refs: list[int], arity: int) -> _
 
 
 def _tree_edges(space: ComparisonSpace, root: _TreeNode):
-    """The root edge, the ball-labeled child edges as a `BallTable` (row j
-    is edge 1 + j) and responsibilities, by preorder walk."""
+    """The root edge, the ball-labeled child edges as the columns of
+    discovering fans, one per internal node (row j is edge 1 + j), and
+    responsibilities, by preorder walk."""
     source: list[int] = []
+    start = [0]
     target: list[int] = []
     cover: list[float] = []
     res: dict[int, frozenset[int]] = {0: frozenset(root.subtree)}
@@ -1176,11 +1151,13 @@ def _tree_edges(space: ComparisonSpace, root: _TreeNode):
         node = stack.pop()
         for child in node.children:
             cover.append(float(np.max(space.distances_from(node.point, child.subtree))))
-            source.append(node.point)
             target.append(child.point)
-            res[len(source)] = frozenset(child.subtree)
+            res[len(target)] = frozenset(child.subtree)
             stack.append(child)
-    return [Edge((), root.point)], BallTable(source, target, cover), res
+        if node.children:
+            source.append(node.point)
+            start.append(len(target))
+    return [Edge((), root.point)], (source, start, target, cover), res
 
 
 def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
@@ -1203,19 +1180,17 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         if arity < 2:
             raise ValueError("arity must be at least 2")
         root = _build_metric_tree(space, refs, arity)
-        edges, balls, res = _tree_edges(space, root)
-        return Sprawl(space, refs, edges, balls=balls), ResponsibilityAssignment(res)
+        edges, (source, start, target, cover), res = _tree_edges(space, root)
+        fans = Fans(source, start, target, cover, discovers=np.ones(len(source), dtype=bool))
+        return Sprawl(space, refs, edges, fans), ResponsibilityAssignment(res)
 
     if kind == "aesa":
         edges = [Edge((), v) for v in refs]
         res = {i: frozenset({v}) for i, v in enumerate(refs)}
-        ids = np.asarray(refs)
+        n, off = len(refs), ~np.eye(len(refs), dtype=bool)  # node i's sphere fan: every other node, in order
         d = space.pairwise(refs, refs)
-        groups = []
-        for i, u in enumerate(refs):
-            row = np.delete(d[i], i)
-            groups.append(ShellGroup(u, np.delete(ids, i), row, row, lazy=False))
-        return Sprawl(space, refs, edges, groups), ResponsibilityAssignment(res)
+        fans = Fans(refs, np.arange(n + 1) * (n - 1), np.broadcast_to(np.asarray(refs), (n, n))[off], d[off])
+        return Sprawl(space, refs, edges, fans), ResponsibilityAssignment(res)
 
     if kind == "laesa":
         m = int(params.get("pivots", 8))
@@ -1228,13 +1203,10 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         ordered = list(pivots) + others
         edges = [Edge((), v) for v in ordered]
         res = {i: frozenset({v}) for i, v in enumerate(ordered)}
-        groups = []
-        for p in pivots:
-            if not others:
-                continue
-            row = space.distances_from(p, others)
-            groups.append(ShellGroup(p, np.asarray(others), row, row, lazy=False))
-        return Sprawl(space, refs, edges, groups), ResponsibilityAssignment(res)
+        rows = [space.distances_from(p, others) for p in pivots] if others else []  # one sphere fan per pivot
+        starts = np.arange(len(rows) + 1) * len(others)
+        fans = Fans(pivots[: len(rows)], starts, others * len(rows), np.concatenate([[], *rows]))
+        return Sprawl(space, refs, edges, fans), ResponsibilityAssignment(res)
 
     if kind == "pm-tree":
         arity = int(params.get("arity", 2))
@@ -1246,8 +1218,8 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         pivots = _maxmin_pivots(space, refs, m)
         tree_refs = [v for v in refs if v not in pivots]
         root = _build_metric_tree(space, tree_refs, arity)
-        edges, balls, tree_res = _tree_edges(space, root)
-        # the pivots' root edges 1..m precede the ball table, so each row's id moves up by m
+        edges, (source, start, target, lo), tree_res = _tree_edges(space, root)
+        # the pivots' root edges 1..m precede the fans, so each row's id moves up by m
         edges += [Edge((), p) for p in pivots]
         res = {i + len(pivots) if i else 0: sub for i, sub in tree_res.items()}
         res.update({1 + i: frozenset({p}) for i, p in enumerate(pivots)})
@@ -1258,19 +1230,18 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
             stack.extend(node.children)
             if node.children:
                 internal.append(node)
-        groups = []
-        for p in pivots:
-            targets, lo, hi = [], [], []
+        found, hi = len(source), list(lo)
+        for p in pivots if internal else ():  # one lazy shell fan per pivot, over the internal nodes
             for node in internal:
                 drow = space.distances_from(p, node.subtree)
-                targets.append(node.point)
+                target.append(node.point)
                 lo.append(float(np.min(drow)))
                 hi.append(float(np.max(drow)))
-            if targets:
-                groups.append(
-                    ShellGroup(p, np.asarray(targets), np.asarray(lo), np.asarray(hi), lazy=True)
-                )
-        return Sprawl(space, refs, edges, groups, balls), ResponsibilityAssignment(res)
+            source.append(p)
+            start.append(len(target))
+        discovers = np.arange(len(source)) < found
+        fans = Fans(source, start, target, lo, hi, discovers, ~discovers)
+        return Sprawl(space, refs, edges, fans), ResponsibilityAssignment(res)
 
     if kind == "sorted-interval-tree":
         if not isinstance(space, ProjectionSpace) or space.dimension != 1:

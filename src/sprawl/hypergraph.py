@@ -123,7 +123,7 @@ def activation(edges, seeds=(), dense: bool = False) -> Plan:
     edges precede every sourceless edge in id order. A `dense` plan, whose
     seeds are the whole ground set and whose edges discover nothing, lets
     a frontier select from a bound array by seed position instead of the
-    heap: under the "bound" heuristic, since a shell group raises many
+    heap: under the "bound" heuristic, since a shell fan raises many
     bounds at once, and under FIFO where the plan carries no `Waves`,
     since a seed's position is its discovery sequence.
     """

@@ -2,24 +2,28 @@
 
 The index file is one self-describing JSON document: a space descriptor,
 the ground set, explicit edges with region parameters as plain numeric
-arrays, a columnar ball table, columnar shell groups or an AESA distance
-triangle, and an optional responsibility assignment.
+arrays, the sprawl's `Fans` as a columnar ball table and columnar shell
+groups or an AESA distance triangle, and an optional responsibility
+assignment.
 
 Format version 4, the one written, stores the numeric columns as binary
 blocks: base64 text of fixed little-endian bytes, `<i8` for group targets
 and ball sources and targets, `<f8` for group bounds, ball radii, point
-coordinates and comparison matrices, with a `shape` beside a 2-d block. A
-sphere group (`hi is lo`) writes `lo` alone. The ball table, the child
-edges of a ball-tree or pm-tree, is one `"balls"` object of three blocks,
-`source`, `target` and `radius`, written only when it has rows. When the
-shell groups are AESA's (one eager sphere group per node, group i from
-node i to every other node in node order, their bounds a matrix equal to
-its transpose bit for bit), they are written as one `"spheres"` object
-in place of `"groups"`: its `triangle` block holds the strict upper
-triangle of that matrix, n(n - 1)/2 values row by row, and the reader
-rebuilds the same groups in the same order. Each block keeps every bit
-of its floats, -0.0 and NaN payloads included. The dtype of a block comes
-from its field, never from the file.
+coordinates and comparison matrices, with a `shape` beside a 2-d block.
+The discovering fans, the child edges of a ball-tree or pm-tree, are one
+`"balls"` object of three blocks, `source`, `target` and `radius`, one
+row per fan row, written only when there are rows; the reader makes each
+run of rows from one source one fan. Every other fan is one shell group,
+and when every shell row is a sphere (`hi is lo`) each group writes `lo`
+alone. When the shell fans are AESA's (one eager sphere fan per node, fan
+i from node i to every other node in node order, their bounds a matrix
+equal to its transpose bit for bit), they are written as one `"spheres"`
+object in place of `"groups"`: its `triangle` block holds the strict
+upper triangle of that matrix, n(n - 1)/2 values row by row, and the
+reader rebuilds the same fans in the same order. Each block keeps every
+bit of its floats, -0.0 and NaN payloads included, though `Fans` refuses
+a NaN bound. The dtype of a block comes from its field, never from the
+file.
 
 Versions 1 to 3 still load. Version 3 had no triangle: it wrote every
 AESA group. Version 2 wrote the same blocks but had no ball table: its
@@ -48,12 +52,11 @@ from .comparison import ComparisonSpace, EuclideanSpace, MatrixSpace, Projection
 from .engine import (
     EMPTY,
     UNIVERSE,
-    BallTable,
     Edge,
     Empty,
     ExplicitRegion,
+    Fans,
     ResponsibilityAssignment,
-    ShellGroup,
     Sprawl,
     Universe,
 )
@@ -301,16 +304,17 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
             for e in sprawl.edges
         ],
     }
-    b = sprawl.balls
-    if len(b):
+    fans = sprawl.fans
+    if fans.found_rows:  # the discovering fans, as one ball table
+        balls = slice(0, fans.found_rows)
         doc["balls"] = {
-            "source": _block(b.source, _I8),
-            "target": _block(b.target, _I8),
-            "radius": _block(b.radius, _F8),
+            "source": _block(np.repeat(fans.source[: fans.found], np.diff(fans.start[: fans.found + 1])), _I8),
+            "target": _block(fans.target[balls], _I8),
+            "radius": _block(fans.hi[balls], _F8),
         }
     triangle = _sphere_triangle(sprawl)
     if triangle is None:
-        doc["groups"] = [_describe_group(g) for g in sprawl.groups]
+        doc["groups"] = [_describe_group(fans, f) for f in range(fans.found, len(fans.source))]
     else:
         doc["spheres"] = {"triangle": _block(triangle, _F8)}
     if res is not None:
@@ -329,22 +333,22 @@ def _upper(n: int) -> np.ndarray:
 
 def _sphere_triangle(sprawl: Sprawl) -> np.ndarray | None:
     """The strict upper triangle of the distance matrix, row by row, when
-    the sprawl's shell groups are AESA's: one eager sphere group per node,
-    group i from nodes[i] to every other node in node order, and the
-    matrix they assemble equal to its transpose bit for bit (so -0.0
-    against 0.0, or two NaN payloads, keep the groups). Else None."""
-    nodes, groups = sprawl.nodes, sprawl.groups
-    n = len(nodes)
-    if not n or len(groups) != n:
+    the sprawl's shell fans are AESA's: one eager sphere fan per node, fan
+    i from nodes[i] to every other node in node order, and the matrix they
+    assemble equal to its transpose bit for bit (so -0.0 against 0.0, or
+    two NaN payloads, keep the groups). Else None."""
+    nodes, fans = sprawl.nodes, sprawl.fans
+    n, first = len(nodes), fans.found_rows
+    if not n or len(fans.source) - fans.found != n or fans.hi is not fans.lo or fans.lazy.any():
         return None
     ids = np.asarray(nodes, dtype=np.int64)
-    for i, (u, g) in enumerate(zip(nodes, groups)):
-        t = g.targets
-        if g.lazy or g.hi is not g.lo or g.source != u or t.shape != (n - 1,):
-            return None
-        if not (np.array_equal(t[:i], ids[:i]) and np.array_equal(t[i:], ids[i + 1 :])):
-            return None
-    table = np.concatenate([g.lo for g in groups]).reshape(n, n - 1)
+    if not (
+        np.array_equal(fans.source[fans.found :], ids)
+        and np.array_equal(fans.start[fans.found :] - first, np.arange(n + 1) * (n - 1))
+        and np.array_equal(fans.target[first:].reshape(n, n - 1), np.where(_upper(n), ids[1:], ids[:-1]))
+    ):
+        return None
+    table = fans.lo[first:].reshape(n, n - 1)
     bits = table.view(np.int64)
     below = np.tri(n - 1, dtype=bool)  # entry [i + 1, j], j <= i, is d(i + 1, j), the mirror of [j, i]
     if not np.array_equal(bits[1:][below], bits[:-1].T[below]):
@@ -352,38 +356,60 @@ def _sphere_triangle(sprawl: Sprawl) -> np.ndarray | None:
     return table[_upper(n)]
 
 
-def _spheres_from_descriptor(doc: dict, nodes: list[int]) -> list[ShellGroup]:
-    """The n sphere groups of an AESA sprawl from its triangle block."""
-    n = len(nodes)
-    triangle = _column(doc["triangle"], _F8, n * (n - 1) // 2)
-    upper = _upper(n)
-    table = np.empty((n, n - 1))
-    table[upper] = triangle
-    np.copyto(table[1:], table[:-1].T, where=np.tri(n - 1, dtype=bool))  # the mirrors, as in _sphere_triangle
-    ids = np.asarray(nodes, dtype=np.int64)
-    targets = np.where(upper, ids[1:], ids[:-1])
-    table.flags.writeable = targets.flags.writeable = False  # read-only, as a decoded block is
-    return [ShellGroup(u, t, row, row) for u, t, row in zip(nodes, targets, table)]
-
-
-def _describe_group(g: ShellGroup) -> dict:
-    doc = {"source": g.source, "targets": _block(g.targets, _I8), "lo": _block(g.lo, _F8)}
-    if g.hi is not g.lo:  # a sphere group writes its one bound column once
-        doc["hi"] = _block(g.hi, _F8)
-    doc["lazy"] = g.lazy
+def _describe_group(fans: Fans, f: int) -> dict:
+    rows = slice(fans.start[f], fans.start[f + 1])
+    doc = {"source": int(fans.source[f]), "targets": _block(fans.target[rows], _I8), "lo": _block(fans.lo[rows], _F8)}
+    if fans.hi is not fans.lo:  # sphere fans write their one bound column once
+        doc["hi"] = _block(fans.hi[rows], _F8)
+    doc["lazy"] = bool(fans.lazy[f])
     return doc
 
 
-def _group_from_descriptor(doc: dict) -> ShellGroup:
-    targets = _column(doc["targets"], _I8)
-    lo = _column(doc["lo"], _F8, len(targets))
-    hi = _column(doc["hi"], _F8, len(targets)) if "hi" in doc else lo
-    return ShellGroup(_ref(doc["source"]), targets, lo, hi, lazy=doc.get("lazy", False))
+def _fans_from_document(doc: dict, nodes: list[int]) -> Fans:
+    """The document's fans: one per run of ball rows from one source, then
+    one per node of an AESA triangle or one per shell group."""
+    balls = doc.get("balls", {"source": [], "target": [], "radius": []})
+    source = _column(balls["source"], _I8)
+    radius = _column(balls["radius"], _F8, len(source))
+    first = np.flatnonzero(np.diff(source, prepend=source[:1] - 1))  # where each run of one source starts
+    target = _column(balls["target"], _I8, len(source))
+    # per piece: fan sources, row counts and lazy flags, then row targets, lo and hi
+    pieces = [(source[first], np.diff(first, append=len(source)), [False] * len(first), target, radius, radius)]
+    if "spheres" in doc:
+        n = len(nodes)
+        triangle = _column(doc["spheres"]["triangle"], _F8, n * (n - 1) // 2)
+        upper = _upper(n)
+        table = np.empty((n, n - 1))
+        table[upper] = triangle
+        np.copyto(table[1:], table[:-1].T, where=np.tri(n - 1, dtype=bool))  # the mirrors, as in _sphere_triangle
+        ids = np.asarray(nodes, dtype=np.int64)
+        targets = np.where(upper, ids[1:], ids[:-1])
+        table.flags.writeable = targets.flags.writeable = False  # read-only, as a decoded block is
+        bounds = table.ravel()
+        pieces.append((ids, [n - 1] * n, [False] * n, targets.ravel(), bounds, bounds))
+    for g in doc.get("groups", []):
+        t = _column(g["targets"], _I8)
+        lo = _column(g["lo"], _F8, len(t))
+        hi = _column(g["hi"], _F8, len(t)) if "hi" in g else lo
+        pieces.append(([_ref(g["source"])], [len(t)], [g.get("lazy", False)], t, lo, hi))
+    sources, counts, lazy, target, lo, hi = zip(*pieces)
+    sources = np.concatenate(sources)
+    return Fans(
+        sources,
+        np.concatenate([[0], *counts]).cumsum(),
+        _joined(target),
+        _joined(lo),
+        None if all(h is low for h, low in zip(hi, lo)) else _joined(hi),  # spheres: one bound column
+        np.arange(len(sources)) < len(first),
+        np.concatenate(lazy),
+    )
 
 
-def _balls_from_descriptor(doc: dict) -> BallTable:
-    source = _column(doc["source"], _I8)
-    return BallTable(source, _column(doc["target"], _I8, len(source)), _column(doc["radius"], _F8, len(source)))
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces end to end: the one non-empty piece itself when there is
+    one, so an AESA's columns are not copied."""
+    full = [p for p in pieces if len(p)]
+    return full[0] if len(full) == 1 else np.concatenate(pieces)
 
 
 def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None) -> None:
@@ -412,14 +438,9 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
             )
             for e in doc.get("edges", [])
         ]
-        if "spheres" not in doc:
-            groups = [_group_from_descriptor(g) for g in doc.get("groups", [])]
-        elif doc.get("groups"):
+        if "spheres" in doc and doc.get("groups"):
             raise FormatError("a document holds spheres or shell groups, not both")
-        else:
-            groups = _spheres_from_descriptor(doc["spheres"], nodes)
-        balls = _balls_from_descriptor(doc["balls"]) if "balls" in doc else None
-        sprawl = Sprawl(space, nodes, edges, groups, balls)
+        sprawl = Sprawl(space, nodes, edges, _fans_from_document(doc, nodes))
         res = None
         if "responsibility" in doc:
             owned = doc["responsibility"]

@@ -2,13 +2,69 @@
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from sprawl.ambit import Ambit, LinearMap, MetaballMap, PowerMap, table1_region
 from sprawl.comparison import EuclideanSpace, MatrixSpace
-from sprawl.engine import EMPTY, Edge, Sprawl
+from sprawl.engine import EMPTY, Edge, Fans, Sprawl
+
+
+def make_fans(balls=(), groups=()) -> Fans:
+    """Fans from ball rows, (source, target, radius) each, one fan per run
+    of one source, then from shell groups, (source, targets, lo, hi) each
+    with an optional fifth item, lazy; hi is lo when every group passes its
+    lo as its hi."""
+    source, ends, target, lo, hi, lazy = [], [], [], [], [], []
+    for u, t, r in balls:
+        if not source or source[-1] != u:
+            source.append(u)
+            ends.append(0)
+            lazy.append(False)
+        target.append(t)
+        lo.append(r)
+        hi.append(r)
+        ends[-1] = len(target)
+    found, spheres = len(source), True
+    for u, targets, group_lo, group_hi, *rest in groups:
+        source.append(u)
+        lazy.append(bool(rest and rest[0]))
+        target += list(targets)
+        lo += list(group_lo)
+        hi += list(group_hi)
+        ends.append(len(target))
+        spheres = spheres and group_hi is group_lo
+    return Fans(source, [0] + ends, target, lo, None if spheres else hi, np.arange(len(source)) < found, lazy)
+
+
+class Group(NamedTuple):
+    """One shell fan, its row columns as slices; hi is lo when the fans' are."""
+
+    source: int
+    targets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lazy: bool
+
+
+def shell_groups(fans: Fans) -> list[Group]:
+    """Each shell fan as a `Group`, in fan order."""
+    out = []
+    for f in range(fans.found, len(fans.source)):
+        rows = slice(fans.start[f], fans.start[f + 1])
+        lo = fans.lo[rows]
+        hi = lo if fans.hi is fans.lo else fans.hi[rows]
+        out.append(Group(int(fans.source[f]), fans.target[rows], lo, hi, bool(fans.lazy[f])))
+    return out
+
+
+def ball_rows(fans: Fans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The discovering rows as (source, target, radius) columns."""
+    rows = slice(0, fans.found_rows)
+    source = np.repeat(fans.source[: fans.found], np.diff(fans.start[: fans.found + 1]))
+    return source, fans.target[rows], fans.hi[rows]
 
 
 def random_quasimetric(rng: np.random.Generator, n: int) -> MatrixSpace:

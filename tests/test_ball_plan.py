@@ -1,13 +1,15 @@
 """Best-first kNN on the compiled ball plan.
 
-Two twins pin what the plan changes. A search on a twin whose cached plan
-has an empty ball-edge map fires every ball edge through the general
-region path, so members, order and both counts must agree with the
-sprawl's own. A twin whose plan lacks `sole_finder` never cuts, so a kNN
-search on the sprawl must traverse a prefix of the twin's order and
-return the same neighbours wherever the index is exact.
+Two twins pin what the plan changes. A ball twin holds every discovering
+fan row as an explicit ball `Edge` after the explicit edges, numbered as
+before, which a node-at-a-time search fires through the general region
+path, so members, order and both counts must agree with the sprawl's
+own. A twin whose plan lacks `sole_finder` never cuts, so a kNN search on
+the sprawl must traverse a prefix of the twin's order and return the same
+neighbours wherever the index is exact.
 """
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -24,20 +26,27 @@ from sprawl.engine import (
 )
 from sprawl.hypergraph import Heuristic
 
-from conftest import random_labeled_sprawl
+from conftest import make_fans, random_labeled_sprawl, shell_groups
+from test_differential import _tabled
 
 
-def twin(sprawl: Sprawl, by_edge: bool = True, sole_finder: bool | None = None) -> Sprawl:
-    """The sprawl on a copy of its plan without the ball-edge map, or with
-    `sole_finder` forced."""
+def twin(sprawl: Sprawl, sole_finder: bool) -> Sprawl:
+    """The sprawl on a copy of its plan with `sole_finder` forced."""
     out = copy.copy(sprawl)
-    plan, lazy_in, lazy_group_in, group_pos, balls = sprawl._plan()
-    if not by_edge and balls is not None:
-        balls = balls._replace(by_edge={})
-    if sole_finder is not None:
-        plan = plan._replace(sole_finder=sole_finder)
-    out._plan_cache = (plan, lazy_in, lazy_group_in, group_pos, balls)
+    plan, *rest = sprawl._plan()
+    out._plan_cache = (plan._replace(sole_finder=sole_finder), *rest)
     return out
+
+
+def ball_twin(sprawl: Sprawl) -> Sprawl:
+    """The sprawl with each discovering fan row moved to an explicit ball
+    `Edge` after the explicit edges, so every logical edge keeps its
+    number, and its shell fans kept."""
+    balls = tuple(sprawl.fans.edge(j) for j in range(sprawl.fans.found_rows))
+    shells = make_fans(groups=shell_groups(sprawl.fans))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fuzzed sprawls may carry self-loop edges
+        return Sprawl(sprawl.space, sprawl.nodes, sprawl.edges + balls, shells)
 
 
 def assert_same(got, want, q):
@@ -47,12 +56,13 @@ def assert_same(got, want, q):
     assert got.region_evaluations == want.region_evaluations, q
 
 
-def assert_ball_map_is_exact(sprawl: Sprawl, queries) -> None:
-    """Range searches under LIFO and "bound", and kNN searches under the
-    default, agree with the twin without a ball-edge map."""
-    general = twin(sprawl, by_edge=False)
+def assert_ball_fans_are_exact(sprawl: Sprawl, queries) -> None:
+    """Range searches under LIFO, "bound" and FIFO, and kNN searches under
+    the default, agree with the ball twin."""
+    general = ball_twin(sprawl)
+    assert [e for _, e in general.iter_logical_edges()] == [e for _, e in sprawl.iter_logical_edges()]
     for q in queries:
-        heuristics = [None] if q.k is not None else [Heuristic.lifo(), Heuristic("bound")]
+        heuristics = [None] if q.k is not None else [Heuristic.lifo(), Heuristic("bound"), Heuristic.fifo()]
         for h in heuristics:
             assert_same(search(sprawl, q, h), search(general, q, h), (q, h))
 
@@ -114,7 +124,7 @@ def test_which_plans_may_cut(rng):
         assert build_classic(space, range(40), kind, pivots=4)[0]._plan()[0].sole_finder, kind
     # a root edge into a node that a ball edge also discovers is a second finder
     tree, _ = build_classic(space, range(40), "ball-tree")
-    again = Sprawl(space, tree.nodes, tree.edges + (Edge((), 7),), balls=tree.balls)
+    again = Sprawl(space, tree.nodes, tree.edges + (Edge((), 7),), tree.fans)
     assert not again._plan()[0].sole_finder
 
 
@@ -130,7 +140,7 @@ def test_classic_knn_is_exact_and_the_ball_map_changes_nothing(rng, kind, p):
             row = np.sort(space.distances_from(c, range(n)))
             queries += [Ball(c, float(row[int(rng.integers(1, 8))])), Ball(c, 0.0)]
             queries += [Ball(c, 0.0, k=k) for k in (1, 2, 5, 10, n, n + 2)]
-        assert_ball_map_is_exact(sprawl, queries)
+        assert_ball_fans_are_exact(sprawl, queries)
         for q in queries:
             if q.k is not None:
                 got, _ = assert_cut_is_a_prefix(sprawl, q)
@@ -146,19 +156,21 @@ def test_classic_knn_is_exact_and_the_ball_map_changes_nothing(rng, kind, p):
 
 def test_random_sprawls_keep_their_searches(rng):
     # random sprawls need not be exact indexes, so they are held to their
-    # own uncut and map-free searches rather than to `linear_scan`
+    # own uncut searches and ball twins rather than to `linear_scan`; with
+    # their unit ball edges moved into fans, the twin moves them back
     may_cut = 0
     for _ in range(120):
-        for sprawl in (random_labeled_sprawl(rng), random_small_sprawl(rng)):
+        labeled, small = random_labeled_sprawl(rng), random_small_sprawl(rng)
+        for sprawl in (labeled, small, _tabled(labeled), _tabled(small)):
             n = len(sprawl.nodes)
             queries = [Ball(tuple(rng.random(2)), float(rng.random() * 0.9)) for _ in range(2)]
             queries += [Ball(int(rng.integers(0, n)), 0.0)]
             queries += [Ball(tuple(rng.random(2)), 0.0, k=int(rng.integers(1, 4))) for _ in range(2)]
-            assert_ball_map_is_exact(sprawl, queries)
+            assert_ball_fans_are_exact(sprawl, queries)
             for q in queries[3:]:
                 assert_cut_is_a_prefix(sprawl, q)
             may_cut += sprawl._plan()[0].sole_finder
-    assert may_cut > 20
+    assert may_cut > 40
 
 
 def test_ball_tree_knn_costs_no_more_than_a_range_search_at_its_radius():

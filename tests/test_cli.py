@@ -328,13 +328,15 @@ def test_bench_false_negative_exits_1(tmp_path, dataset, monkeypatch, capsys):
 
 def test_bench_refuses_unsound_quasimetric_index(tmp_path, capsys):
     from sprawl.comparison import MatrixSpace
-    from sprawl.engine import Edge, ShellGroup, Sprawl
+    from sprawl.engine import Edge, Sprawl
     from sprawl.storage import save_index
 
+    from conftest import make_fans
+
     space = MatrixSpace([[0, 3, 1], [3, 0, 1], [3, 5, 0]], symmetric=False)
-    groups = [ShellGroup(0, [2], [1.0], [1.0])]
+    fans = make_fans(groups=[(0, [2], [1.0], [1.0])])
     index = tmp_path / "q.json"
-    save_index(index, Sprawl(space, range(3), [Edge((), v) for v in range(3)], groups))
+    save_index(index, Sprawl(space, range(3), [Edge((), v) for v in range(3)], fans))
     assert main(["bench", "--index", str(index), "--queries", "3"]) == 2
     assert "asymmetric" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from sprawl.comparison import (
     levenshtein,
 )
 from sprawl.engine import build_classic, linear_scan, search
+from sprawl.hypergraph import Heuristic
 
 from conftest import random_quasimetric
 
@@ -105,9 +106,13 @@ def test_non_finite_raw_point_refused(rng, centre):
                 linear_scan(space, range(30), query)
 
 
+def _bits(a) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def test_coerced_point_is_a_checked_read_only_copy():
-    # a space keeps the last raw point it checked; a caller's array that
-    # changes after the check is checked again
+    # a space keeps no raw point: every raw value is checked and copied
+    # again, so a caller's array that changes after one check is checked again
     space = EuclideanSpace([[0.0, 0.0], [3.0, 4.0]])
     raw = np.array([0.0, 0.0])
     assert space.compare(raw, 1) == 5.0
@@ -115,8 +120,35 @@ def test_coerced_point_is_a_checked_read_only_copy():
     with pytest.raises(ValueError, match="finite"):
         space.compare(raw, 1)
     c = space._coerce((3.0, 4.0))
-    assert not c.flags.writeable and space._coerce(c) is c
+    again = space._coerce(c)
+    assert not c.flags.writeable and again is not c and not again.flags.writeable
+    assert _bits(again) == _bits(c)
     assert space.compare(c, 1) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["ball-tree", "aesa", "laesa", "pm-tree"])
+@pytest.mark.parametrize("space_type", [EuclideanSpace, ProjectionSpace])
+def test_search_resolves_a_raw_centre_once_and_writes_nothing_to_the_space(rng, monkeypatch, kind, space_type):
+    space = space_type(rng.random((40, 2)))
+    sprawl, _ = build_classic(space, range(40), kind, pivots=4)
+    coerce, calls = space_type._coerce, []
+
+    def counted(self, raw):
+        calls.append(raw)
+        return coerce(self, raw)
+
+    monkeypatch.setattr(space_type, "_coerce", counted)
+    state = dict(vars(space))
+    for query in (Ball((0.4, 0.6), 0.3), Ball((0.4, 0.6), 0.0, k=5)):
+        for heuristic in (None, Heuristic.fifo(), Heuristic("bound"), Heuristic.lifo()):
+            calls.clear()
+            got = search(sprawl, query, heuristic)
+            assert calls == [query.center], (query, heuristic)
+            assert got.distance_computations > 1
+            want = linear_scan(space, range(40), query)
+            assert got.members == (want if query.k else tuple(sorted(want)))
+    assert vars(space).keys() == state.keys()
+    assert all(vars(space)[key] is value for key, value in state.items())
 
 
 def test_invalid_ref_raises():

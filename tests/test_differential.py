@@ -1,6 +1,6 @@
 """Differential battery: the optimized engine vs a literal reference loop.
 
-The reference expands every shell group into ordinary edges, ignores all
+The reference expands every fan into ordinary edges, ignores all
 caching, treats lazy edges eagerly, and walks the traversal loop
 directly. At a fixed radius eager elimination only removes queue entries
 earlier than lazy does, so for identical discovery ordering the two must
@@ -19,7 +19,6 @@ from sprawl.ambit import BALL_FACET, Ambit, LinearMap, MetaballMap, PowerMap, ba
 from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery
 from sprawl.engine import (
     EMPTY,
-    BallTable,
     Edge,
     Sprawl,
     _QueryEval,
@@ -30,15 +29,14 @@ from sprawl.engine import (
 )
 from sprawl.hypergraph import Heuristic
 
-from conftest import random_labeled_sprawl, uniform_space
+from conftest import make_fans, random_labeled_sprawl, shell_groups, uniform_space
 
 
 def reference_search(sprawl: Sprawl, query):
     """Direct transcription of the traversal loop, FIFO, everything eager.
 
     Activation order matches the engine's: a node's out-edges in logical
-    edge order, so explicit edges, then ball table rows, then group
-    members in group order.
+    edge order, so explicit edges, then fan rows in row order.
     """
     knn = isinstance(query, Ball) and query.k is not None
     best: list[tuple[float, int]] = []
@@ -132,7 +130,7 @@ def test_engine_matches_reference_on_random_sprawls(rng):
 
 
 def _tabled(sprawl: Sprawl) -> Sprawl:
-    """The sprawl with its unit single-source ball edges moved into a ball table."""
+    """The sprawl with its unit single-source ball edges moved into discovering fans."""
     keep, rows = [], []
     for e in sprawl.edges:
         facet = None
@@ -142,19 +140,18 @@ def _tabled(sprawl: Sprawl) -> Sprawl:
             rows.append((e.sources[0], e.target, facet[2]))
         else:
             keep.append(e)
-    source, target, radius = zip(*rows) if rows else ((), (), ())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fuzzed sprawls may carry self-loop edges
-        return Sprawl(sprawl.space, sprawl.nodes, keep, sprawl.groups, BallTable(source, target, radius))
+        return Sprawl(sprawl.space, sprawl.nodes, keep, make_fans(rows, shell_groups(sprawl.fans)))
 
 
 def test_engine_matches_reference_with_ball_tables(rng):
-    # table rows fire after every explicit edge of their source, which moves
+    # fan rows fire after every explicit edge of their source, which moves
     # them in activation order; the reference walks the same logical order
     rows = 0
     for i in range(120):
         sprawl = _tabled(random_labeled_sprawl(rng))
-        rows += len(sprawl.balls)
+        rows += sprawl.fans.found_rows
         n = len(sprawl.nodes)
         roll = rng.random()
         if roll < 0.6:

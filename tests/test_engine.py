@@ -16,11 +16,10 @@ from sprawl.comparison import (
 from sprawl.engine import (
     EMPTY,
     UNIVERSE,
-    BallTable,
     Edge,
     ExplicitRegion,
+    Fans,
     ResponsibilityAssignment,
-    ShellGroup,
     Sprawl,
     brute_force_sprawl,
     build_classic,
@@ -39,6 +38,8 @@ from sprawl.engine import (
 )
 from sprawl.errors import CapabilityError, EmulationError, SizeLimitError, StructureError
 from sprawl.hypergraph import Heuristic, enumerate_repertoire, traverse
+
+from conftest import ball_rows, make_fans, shell_groups
 
 
 def toy_space(n=6, dims=2, seed=0):
@@ -185,16 +186,18 @@ def test_laesa_structure(rng):
     space = EuclideanSpace(rng.random((40, 2)))
     sprawl, _ = build_classic(space, range(40), "laesa", pivots=5)
     assert len(sprawl.roots) == 40  # everyone unconditionally discovered
-    assert len(sprawl.groups) == 5
-    assert all(not g.lazy for g in sprawl.groups)
-    assert all(len(g) == 35 for g in sprawl.groups)
+    groups = shell_groups(sprawl.fans)
+    assert len(groups) == 5 and sprawl.fans.found == 0
+    assert all(not lazy for *_, lazy in groups)
+    assert all(len(targets) == 35 for _, targets, *_ in groups)
 
 
 def test_pm_tree_lazy_groups(rng):
     space = EuclideanSpace(rng.random((60, 2)))
     sprawl, _ = build_classic(space, range(60), "pm-tree", pivots=4)
-    assert len(sprawl.groups) == 4
-    assert all(g.lazy for g in sprawl.groups)
+    groups = shell_groups(sprawl.fans)
+    assert len(groups) == 4
+    assert all(lazy for *_, lazy in groups)
 
 
 def test_sorted_interval_tree_on_1_to_7():
@@ -324,13 +327,13 @@ def test_dense_selection_only_where_every_node_is_a_seed(rng):
         space = EuclideanSpace(pts)
         tree, _ = build_classic(space, range(n), "ball-tree")
         wide = [
-            ShellGroup(v, [u for u in range(n) if u != v], np.zeros(n - 1), np.full(n - 1, 1e9))
+            (v, [u for u in range(n) if u != v], np.zeros(n - 1), np.full(n - 1, 1e9))
             for v in range(0, n, 3)
         ]
-        inert = Sprawl(space, tree.nodes, tree.edges, wide, tree.balls)
+        inert = Sprawl(space, tree.nodes, tree.edges, make_fans(zip(*ball_rows(tree.fans)), wide))
         pm, _ = build_classic(space, range(n), "pm-tree", pivots=3)
-        eager = [ShellGroup(g.source, g.targets, g.lo, g.hi) for g in pm.groups]
-        pm_eager = Sprawl(space, pm.nodes, pm.edges, eager, pm.balls)
+        eager = [(u, t, lo, hi) for u, t, lo, hi, _ in shell_groups(pm.fans)]
+        pm_eager = Sprawl(space, pm.nodes, pm.edges, make_fans(zip(*ball_rows(pm.fans)), eager))
         assert inert._plan()[0].positions is None and pm_eager._plan()[0].positions is None
         for kind in ("aesa", "laesa"):
             assert build_classic(space, range(n), kind, pivots=3)[0]._plan()[0].positions is not None
@@ -388,8 +391,9 @@ def _eager_clone(sprawl: Sprawl) -> Sprawl:
     edges = [
         Edge(e.sources, e.target, e.positive, e.negative, lazy=False) for e in sprawl.edges
     ]
-    groups = [ShellGroup(g.source, g.targets, g.lo, g.hi, lazy=False) for g in sprawl.groups]
-    return Sprawl(sprawl.space, sprawl.nodes, edges, groups, sprawl.balls)
+    f = sprawl.fans
+    fans = Fans(f.source, f.start, f.target, f.lo, f.hi, f.discovers, np.zeros_like(f.lazy))
+    return Sprawl(sprawl.space, sprawl.nodes, edges, fans)
 
 
 def test_lazy_matches_eager_and_saves_evaluations(rng):
@@ -502,14 +506,15 @@ def test_ball_tree_responsibility_passes(rng):
 def test_shrunk_radius_fails_l1(rng):
     space = EuclideanSpace(rng.random((20, 2)))
     sprawl, res = build_classic(space, range(20), "ball-tree")
-    # the tree's child edges are rows of its ball table, edge j of the sprawl row j - len(edges)
-    balls, first = sprawl.balls, len(sprawl.edges)
+    # the tree's child edges are rows of its fans, edge j of the sprawl row j - len(edges)
+    fans, first = sprawl.fans, len(sprawl.edges)
     idx = next(i for i, e in sprawl.iter_logical_edges() if e.positive and isinstance(e.positive[0], Ambit)
                and res.get(i) and max(
         space.compare(e.positive[0].foci[0], v) for v in res.get(i)) > 0.01)
-    radius = balls.radius.copy()
+    radius = fans.hi.copy()
     radius[idx - first] = radius[idx - first] * 0.25 - 1e-6
-    broken = Sprawl(space, sprawl.nodes, sprawl.edges, balls=BallTable(balls.source, balls.target, radius))
+    shrunk = Fans(fans.source, fans.start, fans.target, radius, None, fans.discovers)
+    broken = Sprawl(space, sprawl.nodes, sprawl.edges, shrunk)
     report = check_responsibility(broken, res, _atomistic_workload(broken))
     assert not report.passed
     assert any(rule == "L1" and e == idx for rule, e, _, _ in report.violations)
@@ -518,9 +523,9 @@ def test_shrunk_radius_fails_l1(rng):
 def test_enlarged_regions_still_pass(rng):
     space = EuclideanSpace(rng.random((25, 2)))
     sprawl, res = build_classic(space, range(25), "ball-tree")
-    assert not any(e.positive for e in sprawl.edges)  # every ball is a table row
-    balls = sprawl.balls
-    grown = Sprawl(space, sprawl.nodes, sprawl.edges, balls=BallTable(balls.source, balls.target, balls.radius + 1.0))
+    assert not any(e.positive for e in sprawl.edges)  # every ball is a fan row
+    f = sprawl.fans
+    grown = Sprawl(space, sprawl.nodes, sprawl.edges, Fans(f.source, f.start, f.target, f.hi + 1.0, None, f.discovers))
     report = check_responsibility(grown, res, _atomistic_workload(grown))
     assert report.passed
 
@@ -730,9 +735,9 @@ def test_ball_search_fails_closed_on_quasimetric_regions():
     roots = [Edge((), 0), Edge((), 1)]
     region = Ambit((0,), LinearMap([[1.0]]), (1.0,))
     with_region = Sprawl(space, range(3), roots + [Edge((0,), 2, (region,), ())])
-    with_group = Sprawl(space, range(3), roots + [Edge((), 2)], [ShellGroup(0, [2], [1.0], [1.0])])
-    # the same ball as a ball table row, with no explicit ambit edge left to flag it
-    with_table = Sprawl(space, range(3), roots, balls=BallTable([0], [2], [1.0]))
+    with_group = Sprawl(space, range(3), roots + [Edge((), 2)], make_fans(groups=[(0, [2], [1.0], [1.0])]))
+    # the same ball as a discovering fan row, with no explicit ambit edge left to flag it
+    with_table = Sprawl(space, range(3), roots, make_fans([(0, 2, 1.0)]))
     assert not any(e.positive for e in with_table.edges)
     q = Ball(1, 1.0)
     assert linear_scan(space, range(3), q) == (1, 2)
@@ -791,7 +796,7 @@ def test_lazy_negative_edges_into_leaves(rng):
             slack = float(rng.random()) * 0.1 * (trial % 3)  # 0: a sphere
             shell = table1_region("shell", (src[0],), lo=max(d - slack, 0.0), hi=d + slack)
             lazy.append(Edge(src, leaf, (EMPTY,), (shell,), lazy=True))
-        s = Sprawl(space, range(50), list(tree.edges) + lazy, balls=tree.balls)
+        s = Sprawl(space, range(50), list(tree.edges) + lazy, tree.fans)
         for c in rng.random((5, 2)):
             row = space.distances_from(tuple(c), range(50))
             for q in (Ball(tuple(c), float(np.partition(row, 4)[4])), Ball(tuple(c), 0.0, k=4)):
@@ -867,7 +872,7 @@ def test_logical_edge_rejects_negative_index(rng):
     space = EuclideanSpace(rng.random((6, 2)))
     for kind in ("aesa", "ball-tree", "pm-tree"):
         sprawl, _ = build_classic(space, range(6), kind, pivots=2)
-        count = len(sprawl.edges) + len(sprawl.balls) + sum(len(g) for g in sprawl.groups)
+        count = len(sprawl.edges) + len(sprawl.fans)
         assert [i for i, _ in sprawl.iter_logical_edges()] == list(range(count))
         for idx in (-1, count):
             with pytest.raises(IndexError):
@@ -915,14 +920,14 @@ def test_validate_refuses_group_and_ball_refs_outside_the_ground_set(nodes):
     outside = sorted({min(nodes) - 1, max(nodes) + 1, 1, 4, -1} - set(nodes))
 
     def sprawl(targets=nodes[1:], ball_targets=nodes[2:4], ball_sources=nodes[:2]):
-        group = ShellGroup(nodes[0], targets, np.zeros(len(targets)), np.ones(len(targets)))
-        return Sprawl(space, nodes, edges, [group], BallTable(ball_sources, ball_targets, [1.0, 1.0]))
+        group = (nodes[0], targets, np.zeros(len(targets)), np.ones(len(targets)))
+        return Sprawl(space, nodes, edges, make_fans(zip(ball_sources, ball_targets, [1.0, 1.0]), [group]))
 
     sprawl()
     for ref in outside:
-        with pytest.raises(IndexError, match="shell group"):
+        with pytest.raises(IndexError, match="fan"):
             sprawl(targets=nodes[1:] + [ref])
-        with pytest.raises(IndexError, match="ball table"):
+        with pytest.raises(IndexError, match="fan"):
             sprawl(ball_targets=[nodes[2], ref])
-        with pytest.raises(IndexError, match="ball table"):
+        with pytest.raises(IndexError, match="fan"):
             sprawl(ball_sources=[ref, nodes[1]])

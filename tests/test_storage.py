@@ -10,10 +10,8 @@ from sprawl.comparison import EuclideanSpace, MatrixSpace, ProjectionSpace, Stri
 from sprawl.comparison import Ball
 from sprawl.engine import (
     EMPTY,
-    BallTable,
     Edge,
     ExplicitRegion,
-    ShellGroup,
     Sprawl,
     build_classic,
     linear_scan,
@@ -34,6 +32,8 @@ from sprawl.storage import (
     save_points,
 )
 
+from conftest import ball_rows, make_fans, shell_groups
+
 
 def _bits(a) -> tuple:
     """Compare arrays bit for bit, so -0.0 and NaN payloads count."""
@@ -49,14 +49,9 @@ def _assert_same_sprawl(a: Sprawl, b: Sprawl):
             assert (want == got) if attr == "strings" else _bits(want) == _bits(got)
     assert a.nodes == b.nodes
     assert a.edges == b.edges
-    for col in ("source", "target", "radius"):
-        assert _bits(getattr(a.balls, col)) == _bits(getattr(b.balls, col))
-    assert len(a.groups) == len(b.groups)
-    for ga, gb in zip(a.groups, b.groups):
-        assert (ga.source, ga.lazy) == (gb.source, gb.lazy)
-        for col in ("targets", "lo", "hi"):
-            assert _bits(getattr(ga, col)) == _bits(getattr(gb, col))
-        assert (ga.hi is ga.lo) == (gb.hi is gb.lo)
+    for col in ("source", "start", "discovers", "lazy", "target", "lo", "hi"):
+        assert _bits(getattr(a.fans, col)) == _bits(getattr(b.fans, col)), col
+    assert (a.fans.hi is a.fans.lo) == (b.fans.hi is b.fans.lo)
 
 
 def _round_trip(tmp_path, sprawl, res=None):
@@ -261,9 +256,10 @@ def test_v1_document_loads_bit_exact_and_saves_as_v2(tmp_path):
     want = np.array([[0.1, 0.2], [0.30000000000000004, -0.0], [1e-300, 2.5]])
     assert _bits(aesa.space.points) == _bits(want)
     assert np.signbit(aesa.space.points[1, 1])
-    assert [g.targets.tolist() for g in aesa.groups] == [[1, 2], [0, 2], [0, 1]]
-    assert _bits(aesa.groups[2].lo) == _bits(np.array([2.3021728866442674, 2.5179356624028344]))
-    assert all(_bits(g.hi) == _bits(g.lo) for g in aesa.groups)
+    groups = shell_groups(aesa.fans)
+    assert [g.targets.tolist() for g in groups] == [[1, 2], [0, 2], [0, 1]]
+    assert _bits(groups[2].lo) == _bits(np.array([2.3021728866442674, 2.5179356624028344]))
+    assert all(_bits(g.hi) == _bits(g.lo) for g in groups)
     assert res.edge_to_nodes == {0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})}
     _round_trip(tmp_path, aesa, res)
 
@@ -271,7 +267,7 @@ def test_v1_document_loads_bit_exact_and_saves_as_v2(tmp_path):
     pm, res = load_index(path)
     assert isinstance(pm.space, MatrixSpace) and pm.space.symmetric
     assert _bits(pm.space.matrix[2]) == _bits(np.array([0.7, 0.30000000000000004, 0.0, 1e-300]))
-    assert [(g.lo.tolist(), g.hi.tolist(), g.lazy) for g in pm.groups] == [
+    assert [(g.lo.tolist(), g.hi.tolist(), g.lazy) for g in shell_groups(pm.fans)] == [
         ([1e-300], [1.25], True),
         ([0.1], [0.30000000000000004], True),
     ]
@@ -286,27 +282,31 @@ def test_v2_keeps_negative_zero_and_nan_payloads(tmp_path):
     pts = np.array([[0.5, -0.0], [nan, 1.0], [-0.0, 2.0]])
     assert pts.view(np.uint64)[1, 0] == 0x7FF8000000000123
     m = np.array([[-0.0, 1.0, nan], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-    lo = np.array([-0.0, nan])
-    group = ShellGroup(0, [1, 2], lo, np.array([0.0, 7.5]), lazy=True)
-    sphere = ShellGroup(1, [0, 2], lo, lo)
+    # fans refuse a NaN bound, so the bounds keep -0.0 alone
+    lo = np.array([-0.0, 0.5])
+    group = (0, [1, 2], lo, np.array([0.0, 7.5]), True)
+    sphere = (1, [0, 2], lo, lo)
     for space in (EuclideanSpace(pts, p=3.0), ProjectionSpace(pts), MatrixSpace(m, symmetric=False)):
         edges = [Edge((), v) for v in range(3)]
-        loaded, _ = _round_trip(tmp_path, Sprawl(space, range(3), edges, [group, sphere]))
-        assert loaded.groups[1].hi is loaded.groups[1].lo
-        assert loaded.groups[0].hi is not loaded.groups[0].lo
-    strings = Sprawl(StringSpace(["ab", "ba", "abc"]), range(3), [Edge((), v) for v in range(3)], [sphere])
+        loaded, _ = _round_trip(tmp_path, Sprawl(space, range(3), edges, make_fans(groups=[group, sphere])))
+        assert loaded.fans.hi is not loaded.fans.lo  # one group is no sphere, so every group writes hi
+        assert np.signbit(shell_groups(loaded.fans)[1].hi[0])
+        loaded, _ = _round_trip(tmp_path, Sprawl(space, range(3), edges, make_fans(groups=[sphere])))
+        assert loaded.fans.hi is loaded.fans.lo
+    edges = [Edge((), v) for v in range(3)]
+    strings = Sprawl(StringSpace(["ab", "ba", "abc"]), range(3), edges, make_fans(groups=[sphere]))
     _round_trip(tmp_path, strings)
 
 
 def test_sphere_groups_write_one_bound_column(tmp_path, rng):
     space = EuclideanSpace(rng.random((20, 2)))
     laesa, res = build_classic(space, range(20), "laesa", pivots=4)
-    assert len(laesa.groups) == 4 and all(g.hi is g.lo for g in laesa.groups)
+    assert len(shell_groups(laesa.fans)) == 4 and laesa.fans.hi is laesa.fans.lo
     doc = index_document(laesa, res)
     assert "spheres" not in doc
     assert all("hi" not in g and isinstance(g["lo"], str) for g in doc["groups"])
     loaded, _ = _round_trip(tmp_path, laesa, res)
-    assert all(g.hi is g.lo for g in loaded.groups)
+    assert loaded.fans.hi is loaded.fans.lo
     pm, _ = build_classic(space, range(20), "pm-tree", pivots=3)
     assert all("hi" in g for g in index_document(pm)["groups"])
     # AESA's sphere groups are the distance matrix: one triangle block, no groups
@@ -315,7 +315,7 @@ def test_sphere_groups_write_one_bound_column(tmp_path, rng):
     assert "groups" not in doc and list(doc["spheres"]) == ["triangle"]
     assert len(base64.b64decode(doc["spheres"]["triangle"])) == 8 * 20 * 19 // 2
     loaded, _ = _round_trip(tmp_path, aesa, res)
-    assert all(g.hi is g.lo and not g.lazy for g in loaded.groups)
+    assert loaded.fans.hi is loaded.fans.lo and not loaded.fans.lazy.any()
 
 
 def test_aesa_index_size_gate(tmp_path):
@@ -375,15 +375,15 @@ def _query_exits_3(tmp_path, capsys, doc) -> None:
 def test_ball_tree_writes_one_balls_object(rng):
     space = EuclideanSpace(rng.random((30, 2)))
     tree, res = build_classic(space, range(30), "ball-tree")
-    assert len(tree.edges) == 1 and len(tree.balls) == 29
+    assert len(tree.edges) == 1 and len(tree.fans) == tree.fans.found_rows == 29
     doc = index_document(tree, res)
     assert list(doc) == ["format", "version", "space", "nodes", "edges", "balls", "groups", "responsibility"]
     assert sorted(doc["balls"]) == ["radius", "source", "target"]
     assert all(isinstance(v, str) for v in doc["balls"].values())
     aesa, _ = build_classic(space, range(30), "aesa")
     assert "balls" not in index_document(aesa)  # no rows, no object
-    # a ball table row stands for the edge the builders made before it existed
-    source, target, radius = (int(tree.balls.source[3]), int(tree.balls.target[3]), float(tree.balls.radius[3]))
+    # a discovering fan row stands for the edge the builders made before fans existed
+    source, target, radius = (col[3].item() for col in ball_rows(tree.fans))
     want = Edge((source,), target, (Ambit((source,), LinearMap([[1.0]]), (radius,)),), ())
     assert tree.logical_edge(len(tree.edges) + 3) == want
     assert tree.logical_edge(4) is tree.logical_edge(4)  # built once per sprawl
@@ -392,10 +392,10 @@ def test_ball_tree_writes_one_balls_object(rng):
 def _v2_document(sprawl: Sprawl) -> dict:
     """The document format version 2 wrote for a tree: every ball an
     explicit edge right after the root edge, then any pivot root edges."""
-    logical = [e for _, e in sprawl.iter_logical_edges()][: len(sprawl.edges) + len(sprawl.balls)]
+    logical = [e for _, e in sprawl.iter_logical_edges()][: len(sprawl.edges) + sprawl.fans.found_rows]
     first = len(sprawl.edges)
     explicit = logical[:1] + logical[first:] + logical[1:first]
-    doc = index_document(Sprawl(sprawl.space, sprawl.nodes, explicit, sprawl.groups))
+    doc = index_document(Sprawl(sprawl.space, sprawl.nodes, explicit, make_fans(groups=shell_groups(sprawl.fans))))
     doc["version"] = 2
     return doc
 
@@ -406,7 +406,7 @@ def test_v2_v3_and_built_trees_answer_alike(tmp_path, rng, kind):
     built, res = build_classic(space, range(300), kind, pivots=4)
     v3, _ = _round_trip(tmp_path, built, res)
     v2, _ = index_from_document(json.loads(json.dumps(_v2_document(built))))
-    assert len(v2.balls) == 0 and len(v2.edges) == 300
+    assert v2.fans.found_rows == 0 and len(v2.edges) == 300
     rewritten, _ = _round_trip(tmp_path, v2)  # a v2 file saved again keeps its explicit edges
     queries = []
     for c in rng.random((6, 3)):
@@ -436,7 +436,7 @@ def test_fractional_integer_column_is_a_format_error(tmp_path, capsys):
             index_from_document(doc)
     doc["groups"][0]["targets"] = [1.0, 2]  # integral floats are integers
     aesa, _ = index_from_document(doc)
-    assert aesa.groups[0].targets.tolist() == [1, 2]
+    assert shell_groups(aesa.fans)[0].targets.tolist() == [1, 2]
 
 
 def _v3_tree_document() -> dict:
@@ -485,11 +485,35 @@ def test_malformed_ball_table_is_a_format_error(tmp_path, capsys, how):
     _query_exits_3(tmp_path, capsys, doc)
 
 
+@pytest.mark.parametrize("column", ["lo", "hi"])
+def test_nan_shell_bound_is_a_format_error_for_query_and_verify(tmp_path, capsys, column):
+    # a NaN shell never misses, so a query would serve the index, but the
+    # row's logical edge is a shell ambit with a NaN radius, which verify
+    # refused: the fans refuse it for both commands alike
+    space = EuclideanSpace(gen_points("uniform", 40, 2, seed=3))
+    laesa, res = build_classic(space, range(40), "laesa", pivots=4)
+    doc = json.loads(json.dumps(index_document(laesa, res)))
+    group = doc["groups"][0]
+    bounds = np.frombuffer(base64.b64decode(group["lo"]), dtype="<f8").copy()
+    group["hi"] = _b64(bounds, "<f8")
+    bounds[5] = np.nan
+    group[column] = _b64(bounds, "<f8")
+    with pytest.raises(FormatError, match="NaN"):
+        index_from_document(doc)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    for command in (["query", "--index", str(path), "--ball", "0.5,0.5:0.3"],
+                    ["verify", "--responsibility", "--index", str(path)]):
+        assert main(command) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_ball_table_as_plain_lists_loads():
     doc = _v3_tree_document()
     tree, _ = index_from_document(doc)
-    b = tree.balls
-    doc["balls"] = {"source": b.source.tolist(), "target": b.target.tolist(), "radius": b.radius.tolist()}
+    source, target, radius = ball_rows(tree.fans)
+    doc["balls"] = {"source": source.tolist(), "target": target.tolist(), "radius": radius.tolist()}
     again, _ = index_from_document(doc)
     _assert_same_sprawl(tree, again)
 
@@ -507,7 +531,7 @@ def _v3_aesa_document(sprawl: Sprawl) -> dict:
     del doc["spheres"]
     doc["groups"] = [
         {"source": g.source, "targets": _b64(g.targets, "<i8"), "lo": _b64(g.lo, "<f8"), "lazy": False}
-        for g in sprawl.groups
+        for g in shell_groups(sprawl.fans)
     ]
     doc["version"] = 3
     return json.loads(json.dumps(doc))
@@ -544,7 +568,8 @@ def test_aesa_triangle_round_trips_bit_exact(tmp_path, n):
         aesa, res = build_classic(space, range(n), "aesa")
         assert "spheres" in index_document(aesa)
         loaded, _ = _round_trip(tmp_path, aesa, res)
-        assert [g.targets.tolist() for g in loaded.groups] == [[v for v in range(n) if v != u] for u in range(n)]
+        groups = shell_groups(loaded.fans)
+        assert [g.targets.tolist() for g in groups] == [[v for v in range(n) if v != u] for u in range(n)]
         for q in (Ball(space.value(0), 0.5), Ball(space.value(0), 0.0, k=2)):
             assert search(loaded, q).members == search(aesa, q).members
 
@@ -557,22 +582,25 @@ def test_aesa_on_signed_zeros_keeps_groups(tmp_path):
     doc = index_document(aesa, res)
     assert "spheres" not in doc and len(doc["groups"]) == 3
     loaded, _ = _round_trip(tmp_path, aesa, res)
-    assert np.signbit(loaded.groups[0].lo[0]) and not np.signbit(loaded.groups[1].lo[0])
+    groups = shell_groups(loaded.fans)
+    assert np.signbit(groups[0].lo[0]) and not np.signbit(groups[1].lo[0])
 
 
 def test_shell_groups_off_the_aesa_pattern_keep_groups(rng):
     space = EuclideanSpace(rng.random((5, 2)))
     aesa, _ = build_classic(space, range(5), "aesa")
-    g = aesa.groups
+    g = shell_groups(aesa.fans)
+    reversed_lo = g[0].lo[::-1]
+    shifted_lo = g[0].lo + 1e-9
     for groups in (
         g[:4],  # one group short
         g[1:] + g[:1],  # group i not from nodes[i]
-        [ShellGroup(g[0].source, g[0].targets[::-1], g[0].lo[::-1], g[0].lo[::-1])] + list(g[1:]),  # targets out of order
-        [ShellGroup(g[0].source, g[0].targets, g[0].lo, g[0].lo.copy())] + list(g[1:]),  # no sphere group
-        [ShellGroup(g[0].source, g[0].targets, g[0].lo, g[0].lo, lazy=True)] + list(g[1:]),  # lazy
-        [ShellGroup(g[0].source, g[0].targets, g[0].lo + 1e-9, g[0].lo + 1e-9)] + list(g[1:]),  # not symmetric
+        [g[0]._replace(targets=g[0].targets[::-1], lo=reversed_lo, hi=reversed_lo)] + g[1:],  # targets out of order
+        [g[0]._replace(hi=g[0].lo.copy())] + g[1:],  # no sphere group
+        [g[0]._replace(lazy=True)] + g[1:],  # lazy
+        [g[0]._replace(lo=shifted_lo, hi=shifted_lo)] + g[1:],  # not symmetric
     ):
-        sprawl = Sprawl(space, range(5), aesa.edges, groups)
+        sprawl = Sprawl(space, range(5), aesa.edges, make_fans(groups=groups))
         doc = index_document(sprawl)
         assert "spheres" not in doc and len(doc["groups"]) == len(groups)
         _assert_same_sprawl(sprawl, index_from_document(json.loads(json.dumps(doc)))[0])

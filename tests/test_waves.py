@@ -17,7 +17,6 @@ from sprawl.engine import (
     EMPTY,
     Edge,
     ExplicitRegion,
-    ShellGroup,
     Sprawl,
     build_classic,
     linear_scan,
@@ -26,7 +25,7 @@ from sprawl.engine import (
 )
 from sprawl.hypergraph import Frontier, Heuristic
 
-from conftest import random_labeled_sprawl
+from conftest import make_fans, random_labeled_sprawl
 from test_differential import reference_search
 
 
@@ -92,7 +91,7 @@ def test_which_plans_carry_waves(rng):
     }
     assert plans["ball-tree"].waves is not None and plans["laesa"].waves is not None
     assert plans["pm-tree"].waves is not None
-    # every AESA node is the source of an eager group: its waves would all be one node
+    # every AESA node is the source of an eager shell fan: its waves would all be one node
     assert plans["aesa"].waves is None
     # a tree's waves need no per-node check at all
     assert not any(plans["ball-tree"].waves)
@@ -258,10 +257,10 @@ def all_seed_groups(rng, n: int = 14) -> Sprawl:
     for v in range(n):
         others = [u for u in range(n) if u != v]
         targets = sorted(rng.choice(others, size=len(others) // 2, replace=False).tolist())
-        groups.append(ShellGroup(v, targets, d[v, targets], d[v, targets]))
+        groups.append((v, targets, d[v, targets], d[v, targets]))
     rest = list(range(1, n))
-    groups.append(ShellGroup(0, rest, d[0, rest], d[0, rest], lazy=True))
-    return Sprawl(space, range(n), [Edge((), v) for v in range(n)], groups)
+    groups.append((0, rest, d[0, rest], d[0, rest], True))
+    return Sprawl(space, range(n), [Edge((), v) for v in range(n)], make_fans(groups=groups))
 
 
 def dense_queries(rng, space, n):
