@@ -5,13 +5,13 @@ focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
 meets a query: `overlap_radients` is the one ball-overlap dispatcher,
 `overlap_facet_columns` its single-facet form over columns of regions,
-`overlap_facet_bound` its single-facet form over one region together
-with the kNN bound, `shells_missed` the vectorised shell test,
-`shell_bounds` the lower bounds that shells give a kNN search, and
-`ball_reach` the radius at which a linear ambit's facets stop excluding
-a ball. A `LinearMap` also keeps its facet rows as plain floats, so
-both linear checks run as a float loop: on the small rows of tree
-regions, numpy's per-call overhead would cost more than the
+`overlap_facet_bounds` its single-facet form over the regions of one
+focus together with their kNN bounds, `shells_missed` the vectorised
+shell test, `shell_bounds` the lower bounds that shells give a kNN
+search, and `ball_reach` the radius at which a linear ambit's facets
+stop excluding a ball. A `LinearMap` also keeps its facet rows as plain
+floats, so both linear checks run as a float loop: on the small rows of
+tree regions, numpy's per-call overhead would cost more than the
 arithmetic. All overlap checks are conservative: they may report
 overlap for disjoint sets, but never miss a real overlap (the +TOL
 slack is always on the permissive side).
@@ -274,15 +274,16 @@ def overlap_facet_columns(r, l1, a, z, s: float, tol: float = TOL) -> np.ndarray
     return r + l1 * s >= a * z - tol
 
 
-def overlap_facet_bound(r: float, l1: float, a: float, z: float, s: float, tol: float = TOL):
-    """One single-facet region a * delta(p, .) <= r against B[c, s], given
-    z = delta(p, c), in plain floats: None when `_facets_meet` rules it
-    out (same order of operations, NaN misses), else the kNN discovery
-    bound `ball_reach` gives, clamped at 0 (NaN gives 0)."""
+def overlap_facet_bounds(radii, l1: float, a: float, z: float, s: float, tol: float = TOL) -> list:
+    """Single-facet regions a * delta(p, .) <= r, one per radius in radii,
+    against B[c, s], given z = delta(p, c), in plain floats: per region
+    None when `_facets_meet` rules it out (same order of operations, NaN
+    misses), else the kNN discovery bound `ball_reach` gives, clamped at 0
+    (NaN gives 0)."""
     az = a * z
-    if not r + l1 * s >= az - tol:
-        return None
-    return max(0.0, (az - r) / l1)
+    reach = az - tol
+    slack = l1 * s
+    return [max(0.0, (az - r) / l1) if r + slack >= reach else None for r in radii]
 
 
 def overlap_ball_rows(rows, radii, z, s: float, tol: float = TOL) -> bool:
@@ -467,17 +468,17 @@ def table1_region(kind: str, foci, **params) -> Ambit:
 
     if kind == "ball":
         need(1)
-        return Ambit(foci, LinearMap([[1.0]]), (float(params["r"]),))
+        return Ambit(foci, BALL_MAP, (float(params["r"]),))
     if kind == "sphere":
         need(1)
         r = float(params["r"])
-        return Ambit(foci, LinearMap([[1.0], [-1.0]]), (r, -r))
+        return Ambit(foci, SHELL_MAP, (r, -r))
     if kind == "shell":
         need(1)
         lo, hi = float(params["lo"]), float(params["hi"])
         if lo > hi:
             raise ValueError("shell needs lo <= hi")
-        return Ambit(foci, LinearMap([[1.0], [-1.0]]), (hi, -lo))
+        return Ambit(foci, SHELL_MAP, (hi, -lo))
     if kind == "plane":
         need(2)
         return Ambit(foci, LinearMap([[1.0, -1.0]]), (0.0,))
@@ -515,8 +516,10 @@ def table1_region(kind: str, foci, **params) -> Ambit:
     raise ValueError(f"unknown region kind {kind!r}")
 
 
-# The map of the tree ball delta(p, .) <= r, immutable and so shared by
-# every ball region built from a table of such balls, and its (a, ||a||_1)
-# as `ball_facet` reads it off any single-facet region
+# The maps of the ball delta(p, .) <= r and of the shell
+# lo <= delta(p, .) <= hi, immutable and so shared by every such region,
+# and the ball's (a, ||a||_1) as `ball_facet` reads it off any
+# single-facet region
 BALL_MAP = LinearMap([[1.0]])
+SHELL_MAP = LinearMap([[1.0], [-1.0]])
 BALL_FACET = ball_facet(Ambit((0,), BALL_MAP, (0.0,)), 0)[:2]

@@ -166,6 +166,12 @@ class Fans:
         ]
 
 
+# the fans of every sprawl built without any: every column is empty but
+# `start`, which is frozen
+_NO_FANS = Fans([], [0], [], [])
+_NO_FANS.start.setflags(write=False)
+
+
 class _BallColumns(NamedTuple):
     """Single-facet ball edges a * delta(source, .) <= r as columns, by
     source: the edges of source v are rows start[v]:start[v + 1], in edge
@@ -212,7 +218,7 @@ class Sprawl:
         self.space = space
         self.nodes: tuple[int, ...] = tuple(int(v) for v in nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.fans = fans if fans is not None else Fans([], [0], [], [])
+        self.fans = fans if fans is not None else _NO_FANS
         self._node_pos = {v: i for i, v in enumerate(self.nodes)}
         self._plan_cache = None
         if validate:
@@ -271,9 +277,9 @@ class Sprawl:
         search over a plan with no `Waves` (AESA) by seed position. The plan
         also carries the `Waves` that let a FIFO range search go a wave at
         a time, and the ball columns those waves test (see `_waves`). The
-        lists hold each fan's start and source, and the targets and radii
-        of the discovering rows, which a node-at-a-time search reads per
-        row. Where no node has two discovering eager in-edges, a seed's
+        lists hold each fan's start and source, and each discovering fan's
+        source, row targets and radii, which a node-at-a-time search reads
+        per fan. Where no node has two discovering eager in-edges, a seed's
         root edge included, the plan's `sole_finder` lets a kNN search stop
         at its bound. Everything is built on the first call, not with the
         sprawl.
@@ -296,8 +302,8 @@ class Sprawl:
                 eager.append((i, e.sources))
         fans, base = self.fans, len(self.edges)
         start, source = fans.start.tolist(), fans.source.tolist()
-        rows = (start, source, fans.target[: fans.found_rows].tolist(), fans.hi[: fans.found_rows].tolist())
-        for t in rows[2]:
+        found_target = fans.target[: fans.found_rows].tolist()
+        for t in found_target:
             finders[t] = finders.get(t, 0) + 1
         lazy_rows: dict[int, list[tuple[int, float, float]]] = {}  # (source, lo, hi) per lazy row into a target
         for f, lazy in enumerate(fans.lazy.tolist()):
@@ -307,6 +313,9 @@ class Sprawl:
             span = slice(start[f], start[f + 1])
             for t, lo, hi in zip(fans.target[span].tolist(), fans.lo[span].tolist(), fans.hi[span].tolist()):
                 lazy_rows.setdefault(t, []).append((source[f], lo, hi))
+        radii = fans.hi[: fans.found_rows].tolist()
+        spans = [slice(start[f], start[f + 1]) for f in range(fans.found)]
+        rows = (start, source, [(source[f], found_target[span], radii[span]) for f, span in enumerate(spans)])
         # eager ids ascend, so the first is a shell fan's only if every eager edge is one
         dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(self.nodes)
         plan = activation(eager, seeds, dense)
@@ -340,7 +349,7 @@ class Sprawl:
         FIFO from its bound array instead.
         """
         edges, nodes, fans = self.edges, self.nodes, self.fans
-        fan_start, fan_source, found_target, found_radius = rows
+        fan_start, fan_source, found = rows
         shells = [f for f, lazy in enumerate(fans.lazy.tolist()) if f >= fans.found and not lazy]
         if {fan_source[f] for f in shells} >= set(nodes) or min(nodes) < 0:
             return None, None
@@ -377,9 +386,8 @@ class Sprawl:
                 others.setdefault(u, []).append(i)
                 part(u, t)
         unit = ambit_mod.BALL_FACET  # every discovering row is the ball delta(u, .) <= r
-        for f in range(fans.found):
-            span = slice(fan_start[f], fan_start[f + 1])
-            balls += ((fan_source[f], t, (*unit, r)) for t, r in zip(found_target[span], found_radius[span]))
+        for u, targets, radii in found:
+            balls += ((u, t, (*unit, r)) for t, r in zip(targets, radii))
         for f in shells:
             u = fan_source[f]
             others.setdefault(u, []).append(len(edges) + f)
@@ -441,7 +449,8 @@ class _QueryEval:
             self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
         self.region_evaluations = 0
         self._to_center: dict[int, float] = {}
-        self._from_focus: dict[int, float] = {}
+        # on a symmetric space delta(ref, c) = delta(c, ref): one cache serves both
+        self._from_focus: dict[int, float] = self._to_center if space.symmetric else {}
         self._cross: dict[tuple[int, int], float] = {}
 
     @cached_property
@@ -453,10 +462,7 @@ class _QueryEval:
     def dist_to_center(self, ref: int) -> float:
         d = self._to_center.get(ref)
         if d is None:
-            d = self.space.measure(self.center, self.space.resolve(ref), self.session)
-            self._to_center[ref] = d
-            if self.space.symmetric:
-                self._from_focus[ref] = d
+            d = self._to_center[ref] = self.space.measure(self.center, self.space.resolve(ref), self.session)
         return d
 
     def dists_to_center(self, refs: list[int]) -> np.ndarray:
@@ -466,10 +472,7 @@ class _QueryEval:
         todo = [r for r in refs if r not in cache]
         if todo:
             d = self.space.measure_row(self.center, todo, self.session)
-            fresh = dict(zip(todo, d.tolist()))
-            cache.update(fresh)
-            if self.space.symmetric:
-                self._from_focus.update(fresh)
+            cache.update(zip(todo, d.tolist()))
             if len(todo) == len(refs):
                 return d
         return np.array([cache[r] for r in refs], dtype=float)
@@ -477,10 +480,7 @@ class _QueryEval:
     def dist_from_focus(self, ref: int) -> float:
         d = self._from_focus.get(ref)
         if d is None:
-            d = self.space.measure(self.space.resolve(ref), self.center, self.session)
-            self._from_focus[ref] = d
-            if self.space.symmetric:
-                self._to_center[ref] = d
+            d = self._from_focus[ref] = self.space.measure(self.space.resolve(ref), self.center, self.session)
         return d
 
     def z_of(self, foci) -> list[float]:
@@ -628,12 +628,13 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     its rows in row order. Every traversed node is tested for query
     membership. Lazy negative edges and lazy fan rows are consulted only
     immediately before their target would be traversed. A `Ball` search
-    fires each ball row with one plain-float `ambit.overlap_facet_bound`
-    call, which gives the verdict and the kNN bound that `intersects` and
-    `lower_bound` would, and a shell fan by eliminating all its missed
-    targets at once. For kNN queries the cover
+    fires a ball fan with one lookup of its source's distance, one
+    plain-float `ambit.overlap_facet_bounds` call, which gives each row
+    the verdict and the kNN bound that `intersects` and `lower_bound`
+    would, and one bulk `Frontier.discover_all`; it fires a shell fan by
+    eliminating all its missed targets at once. For kNN queries the cover
     radius starts at infinity and tightens to the current k-th best
-    distance after every traversal; node priorities are the per-edge
+    distance whenever a traversal lowers it; node priorities are the per-edge
     region lower bounds, and where the plan proves each node's bound its
     one discovering edge's (`Plan.sole_finder`), the "bound" heuristic
     stops once the smallest bound left is beyond the radius, as
@@ -667,7 +668,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     else:
         s_current = query.radius if ball else None
 
-    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_target, found_radius) = sprawl._plan()
+    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_rows) = sprawl._plan()
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
@@ -686,7 +687,11 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 lb = max(lb, ambit_mod.ball_reach(r, ev.z_of(r.foci)))
         return max(lb, 0.0)
 
+    found = fans.found if ball else 0  # the fans fired as float ball rows
+    from_focus = ev._from_focus
+
     def fire_fan(f: int) -> None:
+        """Fire a fan other than a `Ball` search's ball fans (see `fire`)."""
         first, end, u = start[f], start[f + 1], source[f]
         if not ball:  # row by row, through the regions the rows stand for
             for j, t in zip(range(first, end), fans.target[first:end].tolist()):
@@ -698,14 +703,6 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                         frontier.discover(t)
                 elif not ev.intersects(e.negative[0], s_current):
                     frontier.eliminate((t,))
-        elif f < fans.found:  # one float verdict and bound per ball, as `intersects` and `lower_bound` give
-            for t, r in zip(found_target[first:end], found_radius[first:end]):
-                if t in done:
-                    continue
-                ev.region_evaluations += 1
-                bound = ambit_mod.overlap_facet_bound(r, l1, a, ev.dist_from_focus(u), s_current)
-                if bound is not None:
-                    frontier.discover(t, bound if knn else 0.0)
         else:
             z = ev.dist_from_focus(u)
             ev.region_evaluations += end - first
@@ -721,8 +718,19 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
 
     def fire(edge_ids) -> None:
         for ei in edge_ids:
-            if ei >= explicit:  # a fan's plan edge
-                fire_fan(ei - explicit)
+            f = ei - explicit
+            if 0 <= f < found:  # a ball fan: a float verdict and bound per row, as `intersects` and `lower_bound` give
+                u, targets, radii = found_rows[f]
+                live = len(targets) if done.isdisjoint(targets) else sum(t not in done for t in targets)
+                ev.region_evaluations += live
+                z = from_focus.get(u)  # `ev.dist_from_focus(u)`, inlined: u is cached once traversed
+                if z is None:
+                    z = ev.dist_from_focus(u)
+                bounds = ambit_mod.overlap_facet_bounds(radii, l1, a, z, s_current)
+                frontier.discover_all(targets, bounds if knn else [b if b is None else 0.0 for b in bounds])
+                continue
+            if f >= 0:  # another fan's plan edge
+                fire_fan(f)
                 continue
             e = edges[ei]
             t = e.target
@@ -735,6 +743,8 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
 
     members: list[int] = []
     lazy = bool(lazy_in or lazy_rows)
+    if knn:  # node ids are int refs, so `space.value` resolves them
+        to_center, measure, value, center, session = ev._to_center, space.measure, space.value, ev.center, ev.session
 
     def refused(v: int) -> bool:
         """Whether an armed lazy edge or row into v misses the query."""
@@ -762,13 +772,17 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         if lazy and refused(v):
             return False
         if knn:
-            d = ev.dist_to_center(v)
+            d = to_center.get(v)
+            if d is None:  # `ev.dist_to_center(v)`, inlined: every traversed node pays for it
+                d = to_center[v] = measure(center, value(v), session)
             item = (-d, -v)
             if len(worst) < k:
                 heapq.heappush(worst, item)
             elif item > worst[0]:
                 heapq.heapreplace(worst, item)
-            if len(worst) == k:
+            else:
+                return True  # the k nearest so far are unchanged
+            if len(worst) == k and -worst[0][0] != s_current:  # the k-th distance fell
                 s_current = -worst[0][0]
                 frontier.cut(ambit_mod.bound_cutoff(s_current))
         elif ev.member(v):

@@ -10,6 +10,7 @@ of the package.
 from __future__ import annotations
 
 import heapq
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -104,7 +105,7 @@ class Plan(NamedTuple):
     """Static input of a `Frontier`, built by `activation`."""
 
     out: dict[int, list[int]]  # out-edge ids per source node
-    sizes: dict[int, int]  # distinct-source count per edge
+    joins: dict[int, int]  # distinct-source count of each edge with more than one source
     sourceless: list[int]  # edge ids that fire before the first selection
     seeds: tuple[int, ...]  # nodes discovered, at bound 0, before those fire
     positions: dict[int, int] | None  # seed position of each seed, in a dense plan
@@ -117,7 +118,8 @@ class Plan(NamedTuple):
 def activation(edges, seeds=(), dense: bool = False) -> Plan:
     """Static out-edge index for a `Frontier`.
 
-    `edges` yields (edge id, sources) in ascending id order. `seeds` are
+    `edges` yields (edge id, sources) in ascending id order; only an edge
+    with several sources is listed in `joins`, with their count. `seeds` are
     the targets of label-free root edges, discovered in bulk ahead of the
     sourceless edges; the discovery sequence is unchanged when those root
     edges precede every sourceless edge in id order. A `dense` plan, whose
@@ -128,23 +130,25 @@ def activation(edges, seeds=(), dense: bool = False) -> Plan:
     since a seed's position is its discovery sequence.
     """
     out: dict[int, list[int]] = {}
-    sizes: dict[int, int] = {}
+    joins: dict[int, int] = {}
     sourceless: list[int] = []
     for i, sources in edges:
         sources = set(sources)
-        sizes[i] = len(sources)
+        if len(sources) > 1:
+            joins[i] = len(sources)
         if not sources:
             sourceless.append(i)
         for s in sources:
             out.setdefault(s, []).append(i)
     seeds = tuple(dict.fromkeys(int(v) for v in seeds))
     positions = {v: i for i, v in enumerate(seeds)} if dense else None
-    return Plan(out, sizes, sourceless, seeds, positions)
+    return Plan(out, joins, sourceless, seeds, positions)
 
 
 def _entry_key(h: Heuristic):
     """Heap key of a node from (node, discovery sequence, lower bound), or
-    None for a node that must not enter the heap."""
+    None for a node that must not enter the heap. Every key ends with the
+    node, so the heap holds the keys themselves."""
     if h.kind == "fifo":
         return lambda v, seq, bound: (seq, v)
     if h.kind == "lifo":
@@ -182,28 +186,36 @@ class Frontier:
     wave callbacks given to `run`, queued nodes wait in a list in
     discovery order and are taken a wave at a time: the longest run at the
     head of the queue that `Waves` allows. Otherwise nodes wait in a heap
-    under the heuristic's key; under "bound" over a plan with a
-    `sole_finder`, selection stops once the smallest live key's bound is
-    above the `cut` limit.
+    of the heuristic's keys, each ending with its node; under "bound" over
+    a plan with a `sole_finder`, selection stops once the smallest live
+    key's bound is above the `cut` limit. A queued key can rise only under
+    "bound" over a plan without `sole_finder`, where a node may be
+    rediscovered; only there does the frontier keep each node's live key
+    and skip the stale entries a raise leaves. An edge fires as soon as
+    its source is traversed; only an edge with several sources counts
+    down to the last of them.
     """
 
     def __init__(self, plan: Plan, h: Heuristic):
         self._plan = plan
         self._key = _entry_key(h)
-        self._rekey = h.kind == "bound"
+        rekey = h.kind == "bound"
         self._fifo = h.kind == "fifo"
         self._queue: list[int] | None = None  # discovery order, in the wave form
         self._head = 0  # queue position of the first node not yet taken
         self._seq: dict[int, int] = {}  # discovery sequence of every discovered node
-        self._prio: dict[int, tuple] = {}  # live heap key of every discovered node
-        self._heap: list[tuple] = []
+        self._heap: list[tuple] = []  # heap keys, each ending with its node
+        #: the live heap key of every queued node, kept only where a
+        #: rediscovery may raise one: under "bound" over a plan without
+        #: `sole_finder`. Elsewhere a node's first key is its only one.
+        self._prio: dict[int, tuple] | None = {} if rekey and not plan.sole_finder else None
         #: nodes selected or eliminated by `eliminate`; nothing changes their
         #: status again. The nodes that `eliminate_at` or `cut` rules out are
         #: not listed: a dense frontier's bound array holds every status.
         self.done: set[int] = set()
         self.traversed: set[int] = set()
-        self.dense = plan.positions is not None and (self._rekey or self._fifo and plan.waves is None)
-        self._cuts = self._rekey and (self.dense or plan.sole_finder)
+        self.dense = plan.positions is not None and (rekey or self._fifo and plan.waves is None)
+        self._cuts = rekey and (self.dense or plan.sole_finder)
         self._limit = np.inf  # the `cut` limit
         if self.dense:
             # per seed position: the largest shell bound raised (always 0 under
@@ -214,29 +226,39 @@ class Frontier:
         """Make v available. Under the "bound" key a rediscovery with a
         larger lower bound raises v's key, so it is selected at its
         tightest bound."""
-        if v in self.done or self.dense:  # a dense plan's nodes are all available
-            return
-        seq = self._seq.get(v)
-        if seq is None:
-            seq = self._seq[v] = len(self._seq)
-        elif not self._rekey:
-            return
-        if self._queue is not None:
-            self._queue.append(v)
-            return
-        key = self._key(v, seq, bound)
-        old = self._prio.get(v)
-        if key is None or old is not None and key <= old:
-            return
-        self._prio[v] = key
-        heapq.heappush(self._heap, (key, v))
+        self.discover_all((v,), (bound,))
 
-    def discover_all(self, vs) -> None:
-        """`discover(v)` for each v of vs in turn, in bulk (wave form only)."""
-        seq, done = self._seq, self.done
-        fresh = [v for v in dict.fromkeys(vs) if v not in seq and v not in done]
-        seq.update(zip(fresh, range(len(seq), len(seq) + len(fresh))))
-        self._queue.extend(fresh)
+    def discover_all(self, vs, bounds=None) -> None:
+        """`discover(v, bound)` for each v of vs in turn, with the bound at
+        the same place in bounds (0 without bounds); a None bound leaves
+        its node alone."""
+        if self.dense:  # a dense plan's nodes are all available
+            return
+        seq, done, prio = self._seq, self.done, self._prio
+        pairs = zip(vs, bounds if bounds is not None else itertools.repeat(0.0))
+        if self._queue is not None:  # FIFO: a node joins the queue once
+            fresh = list(dict.fromkeys(v for v, bound in pairs if bound is not None and v not in seq and v not in done))
+            seq.update(zip(fresh, range(len(seq), len(seq) + len(fresh))))
+            self._queue.extend(fresh)
+            return
+        heap, push, key = self._heap, heapq.heappush, self._key
+        for v, bound in pairs:
+            if bound is None or v in done:
+                continue
+            n = seq.get(v)
+            if n is None:
+                n = seq[v] = len(seq)
+            elif prio is None:  # its first key is its only one
+                continue
+            entry = key(v, n, bound)
+            if entry is None:
+                continue
+            if prio is not None:
+                live = prio.get(v)
+                if live is not None and entry <= live:
+                    continue
+                prio[v] = entry
+            push(heap, entry)
 
     def eliminate(self, vs) -> None:
         """Eliminate every node in vs at once; traversed nodes stay traversed."""
@@ -265,20 +287,6 @@ class Frontier:
         nothing."""
         if self._cuts:
             self._limit = limit
-
-    def _seed(self) -> None:
-        if self.dense:  # the bound array already holds every seed at 0
-            return
-        if self._queue is not None:
-            self.discover_all(self._plan.seeds)
-            return
-        for v in self._plan.seeds:  # the bulk form of discover(v) on a fresh frontier
-            seq = self._seq[v] = len(self._seq)
-            key = self._key(v, seq, 0.0)
-            if key is not None:
-                self._prio[v] = key
-                self._heap.append((key, v))
-        heapq.heapify(self._heap)
 
     def _take_wave(self, waves: Waves) -> tuple[list[int], bool]:
         """The next wave and False, or one node that must step alone and
@@ -319,7 +327,8 @@ class Frontier:
 
         The seeds are discovered first. `fire(edge_ids)` is called with the
         sourceless edges, then after each traversal with the edges whose
-        last source it was. `visit(v)`, if given, runs just before v would
+        last source it was, which may be a list of the plan's own that
+        `fire` must not change. `visit(v)`, if given, runs just before v would
         be traversed; when it returns False, v is eliminated instead.
 
         With `visit_wave` and `fire_wave` given, a FIFO frontier over a plan
@@ -330,14 +339,14 @@ class Frontier:
         the same path as a heap selection.
         """
         heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
-        plan, cuts = self._plan, self._cuts
-        out, sizes, seeds = plan.out, plan.sizes, plan.seeds
+        plan, cuts, dense = self._plan, self._cuts, self.dense
+        out, joins, seeds = plan.out, plan.joins, plan.seeds
         waves = plan.waves if self._fifo and visit_wave is not None else None
         if waves is not None:
             self._queue = []
-        remaining: dict[int, int] = {}
+        remaining: dict[int, int] = {}  # sources not yet traversed, per edge of `joins`
         order: list[int] = []
-        self._seed()
+        self.discover_all(seeds)  # none over a dense plan: its bound array holds them at 0
         fire(plan.sourceless)
         while True:
             if waves is not None:
@@ -352,7 +361,7 @@ class Frontier:
                     fire_wave(kept)
                     continue
                 v = wave[0]
-            elif self.dense:
+            elif dense:
                 bound = self._bound
                 i = int(bound.argmin())  # the first of equal bounds: ties by sequence
                 low = bound[i]
@@ -366,8 +375,9 @@ class Frontier:
             else:
                 if not heap:
                     break
-                key, v = heapq.heappop(heap)
-                if v in done or prio[v] != key:
+                key = heapq.heappop(heap)
+                v = key[-1]
+                if v in done or prio is not None and prio[v] != key:
                     continue  # stale entry
                 if cuts and key[0] > self._limit:  # so is every live key after it
                     break
@@ -376,12 +386,17 @@ class Frontier:
                 continue
             traversed.add(v)
             order.append(v)
-            ready = []
-            for ei in out.get(v, ()):
-                rem = remaining.get(ei, sizes[ei]) - 1
-                remaining[ei] = rem
-                if rem == 0:
-                    ready.append(ei)
+            ready = out.get(v)
+            if ready and joins:  # an edge with other sources waits for the last of them
+                fired = []
+                for ei in ready:
+                    left = joins.get(ei)
+                    if left is not None:
+                        left = remaining[ei] = remaining.get(ei, left) - 1
+                        if left:
+                            continue
+                    fired.append(ei)
+                ready = fired
             if ready:
                 fire(ready)
         return order

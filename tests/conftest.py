@@ -6,10 +6,17 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sprawl.ambit import Ambit, LinearMap, MetaballMap, PowerMap, table1_region
 from sprawl.comparison import EuclideanSpace, MatrixSpace
 from sprawl.engine import EMPTY, Edge, Fans, Sprawl
+
+# Property tests draw their examples from a seed derived from each test, so
+# every run tries the same inputs, and write no example database; no deadline,
+# since a shared host's clock varies more than any one example's cost.
+settings.register_profile("tier1", max_examples=150, deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def make_fans(balls=(), groups=()) -> Fans:

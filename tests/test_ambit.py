@@ -13,7 +13,7 @@ from sprawl.ambit import (
     overlap_ball,
     overlap_ball_rows,
     overlap_corner,
-    overlap_facet_bound,
+    overlap_facet_bounds,
     overlap_facet_columns,
     overlap_linear,
     overlap_monotone,
@@ -232,8 +232,8 @@ def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
 
 
 def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
-    # the heap path's one call per ball edge against `overlap_radients` and
-    # the bound a kNN search took from `ball_reach`: on the slack boundary,
+    # the heap path's verdict and bound per ball row against `overlap_radients`
+    # and the bound a kNN search took from `ball_reach`: on the slack boundary,
     # one ulp to each side, NaN z, and s = inf as at a kNN search's start
     facets = [(1.0, 0.7), (-1.0, -0.3), (2.0, 0.0), (0.5, 1e-12), (1.0, 0.0)]
     facets += [(float(rng.normal()) or 1.0, float(rng.normal())) for _ in range(30)]
@@ -243,7 +243,7 @@ def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
         for s in (0.0, float(rng.random()), np.inf):
             z0 = (r + abs(a) * s + TOL) / a if s < np.inf else float(rng.random())
             for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan, 0.0):
-                got = overlap_facet_bound(r, abs(a), a, float(z), s)
+                (got,) = overlap_facet_bounds([r], abs(a), a, float(z), s)
                 if not overlap_radients(region, [float(z)], s):
                     assert got is None
                     misses += 1
@@ -252,6 +252,19 @@ def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
                 assert got is not None and got == want and np.signbit(got) == np.signbit(want)
                 hits += 1
     assert hits > 50 and misses > 50
+
+
+def test_facet_bounds_of_a_fan_are_its_rows_one_at_a_time(rng):
+    # one call per fan: the rows share a, ||a||_1 and z, and each gets the
+    # verdict and bound it would get alone, hits and misses in row order
+    for a in (1.0, -2.0, 0.5):
+        z = float(rng.random())
+        radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
+        for s in (0.0, float(rng.random()), np.inf):
+            alone = [overlap_facet_bounds([r], abs(a), a, z, s)[0] for r in radii]
+            assert overlap_facet_bounds(radii, abs(a), a, z, s) == alone
+            assert None in alone and any(b is not None for b in alone)
+    assert overlap_facet_bounds([], 1.0, 1.0, 0.5, 0.1) == []
 
 
 def test_ball_facet_only_reads_single_facet_regions():

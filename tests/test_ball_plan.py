@@ -118,6 +118,18 @@ def test_no_cut_where_a_node_has_two_discovering_edges():
     assert search(twin(sprawl, sole_finder=True), q).members == (3,)
 
 
+def test_ball_rows_into_eliminated_targets_are_not_evaluated():
+    # pivot 0's eager shell fan rules out node 2 before root 1's ball fan
+    # fires its rows into 2 and 3; only the live row counts, as in the twin
+    space = EuclideanSpace([[0.0], [1.0], [3.0], [1.2]])
+    fans = make_fans(balls=[(1, 2, 5.0), (1, 3, 5.0)], groups=[(0, [2], [3.0], [3.0])])
+    sprawl = Sprawl(space, range(4), [Edge((), 0), Edge((), 1)], fans)
+    q = Ball((1.0,), 0.5)
+    got = search(sprawl, q, Heuristic("bound"))
+    assert got.members == (1, 3) and got.order == (0, 1, 3) and got.region_evaluations == 2
+    assert_ball_fans_are_exact(sprawl, [q, Ball((1.0,), 0.0, k=2)])
+
+
 def test_which_plans_may_cut(rng):
     space = EuclideanSpace(rng.random((40, 3)))
     for kind in ("ball-tree", "pm-tree", "laesa", "aesa"):

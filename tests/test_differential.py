@@ -12,10 +12,21 @@ oracles, this battery targets the queue/activation/laziness bookkeeping.
 import heapq
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 
-from sprawl.ambit import BALL_FACET, Ambit, LinearMap, MetaballMap, PowerMap, ball_facet, table1_region
+from sprawl.ambit import (
+    BALL_FACET,
+    Ambit,
+    LinearMap,
+    MetaballMap,
+    PowerMap,
+    ball_facet,
+    ball_reach,
+    bound_cutoff,
+    table1_region,
+)
 from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery
 from sprawl.engine import (
     EMPTY,
@@ -104,6 +115,84 @@ def reference_search(sprawl: Sprawl, query):
         members = [r for _, r in sorted((-d, -r) for d, r in best)]
         return tuple(members), tuple(order)
     return tuple(sorted(members)), tuple(order)
+
+
+def reference_best_first(sprawl: Sprawl, query):
+    """Best-first kNN, the "bound" order, transcribed directly (Hjaltason &
+    Samet, *Distance browsing in spatial databases*, ACM TODS 24(2), 1999).
+
+    Every logical edge is an ordinary edge, fired in logical order once its
+    last source is traversed, at the radius of the moment: the k-th best
+    distance so far, inf until k are found. An edge into a selected or
+    eliminated node does nothing. A node's key is the largest lower bound
+    among the discovering edges fired into it (`ball_reach` of each
+    positive linear region, clamped at 0), ties by first discovery. The
+    live node of smallest key is selected, then refused if an armed lazy
+    edge into it misses. Where no node has two discovering eager in-edges,
+    each key bounds all its node leads to, so selection stops once the
+    smallest key is beyond the radius. One evaluator caches every distance,
+    as a search does, so the distance counts compare.
+
+    Returns the ranked neighbours, the traversal order and the distance count.
+    """
+    ev = _QueryEval(sprawl.space, query)
+    edges = [e for _, e in sprawl.iter_logical_edges()]
+    finders = Counter(e.target for e in edges if not e.lazy and e.discovers)
+    stops = max(finders.values(), default=0) <= 1
+    key: dict[int, float] = {}
+    seq: dict[int, int] = {}
+    decided: set[int] = set()
+    traversed: set[int] = set()
+    order = []
+    best: list[tuple[float, int]] = []
+    s = math.inf
+
+    def fire(e):
+        t = e.target
+        if t in decided:
+            return
+        if not all(ev.intersects(r, s) for r in e.negative):
+            decided.add(t)
+        elif all(ev.intersects(r, s) for r in e.positive):
+            linear = [r for r in e.positive if isinstance(r, Ambit) and isinstance(r.map, LinearMap)]
+            bound = max([0.0] + [ball_reach(r, ev.z_of(r.foci)) for r in linear])
+            seq.setdefault(t, len(seq))
+            key[t] = max(key.get(t, bound), bound)
+
+    for e in edges:
+        if not e.sources and not e.lazy:
+            fire(e)
+    while True:
+        live = [v for v in seq if v not in decided]
+        if not live:
+            break
+        v = min(live, key=lambda u: (key[u], seq[u]))
+        if stops and key[v] > bound_cutoff(s):
+            break
+        decided.add(v)
+        armed = [e for e in edges if e.lazy and e.target == v and set(e.sources) <= traversed]
+        if any(not all(ev.intersects(r, s) for r in e.negative) for e in armed):
+            continue
+        traversed.add(v)
+        order.append(v)
+        item = (-ev.dist_to_center(v), -v)
+        if len(best) < query.k:
+            heapq.heappush(best, item)
+        elif item > best[0]:
+            heapq.heapreplace(best, item)
+        if len(best) == query.k:
+            s = -best[0][0]
+        for e in edges:
+            if not e.lazy and v in e.sources and set(e.sources) <= traversed:
+                fire(e)
+    members = tuple(r for _, r in sorted((-d, -r) for d, r in best))
+    return members, tuple(order), ev.session.distance_computations
+
+
+def assert_best_first(sprawl: Sprawl, query):
+    got = search(sprawl, query, Heuristic("bound"))
+    assert (got.members, got.order, got.distance_computations) == reference_best_first(sprawl, query), query
+    return got
 
 
 def test_engine_matches_reference_on_random_sprawls(rng):
@@ -233,3 +322,62 @@ def test_random_small_sprawl_reference(rng):
         got = search(sprawl, query)
         assert got.order == want_order
         assert got.members == want_members
+
+
+def test_best_first_matches_reference_on_trees(rng):
+    # ball-tree and pm-tree (lazy pivot shells) on uniform points, points
+    # repeated three times and a dyadic grid, under L2 and L3
+    for p in (2.0, 3.0):
+        for pts, centers in knn_inputs(rng, 15):
+            space = EuclideanSpace(pts, p=p)
+            n = len(pts)
+            for kind in ("ball-tree", "pm-tree"):
+                sprawl, _ = build_classic(space, range(n), kind, pivots=3)
+                assert sprawl._plan()[0].sole_finder
+                for c in centers:
+                    for k in (1, 2, 5, n, n + 2):
+                        q = Ball(c, 0.0, k=k)
+                        assert assert_best_first(sprawl, q).members == linear_scan(space, range(n), q), (kind, q)
+
+
+def test_best_first_matches_reference_on_random_sprawls(rng):
+    # random sprawls need not be exact indexes, so only the traversal is held
+    # to the reference; where a node has two discovering edges the search
+    # must not stop at its bound, and raised keys must order it
+    sole = shared = 0
+    for _ in range(80):
+        labeled, small = random_labeled_sprawl(rng), random_small_sprawl(rng)
+        for sprawl in (labeled, small, _tabled(labeled), _tabled(small)):
+            for _ in range(2):
+                assert_best_first(sprawl, Ball(tuple(rng.random(2)), 0.0, k=int(rng.integers(1, 4))))
+            if sprawl._plan()[0].sole_finder:
+                sole += 1
+            else:
+                shared += 1
+    assert sole > 40 and shared > 40
+
+
+def test_rediscovery_raises_a_key_and_selects_once():
+    # root r discovers a, b and w; a finds v at bound 0, then b finds it
+    # again at 1.5, which lifts v past w (bound 1.0). A plan without
+    # `sole_finder` keeps the live key, so v is selected once, after w
+    space = EuclideanSpace([[5.0], [4.0], [3.0], [2.0], [1.0]])
+    r, a, b, v, w = range(5)
+
+    def ball(u, radius):
+        return (table1_region("ball", (u,), r=radius),)
+
+    edges = [
+        Edge((), r),
+        Edge((r,), a, ball(r, 10.0)),
+        Edge((r,), b, ball(r, 10.0)),
+        Edge((r,), w, ball(r, 4.0)),
+        Edge((a,), v, ball(a, 10.0)),
+        Edge((b,), v, ball(b, 1.5)),
+    ]
+    sprawl = Sprawl(space, range(5), edges)
+    assert not sprawl._plan()[0].sole_finder
+    q = Ball((0.0,), 0.0, k=5)
+    got = assert_best_first(sprawl, q)
+    assert got.order == (r, a, b, w, v)
+    assert got.members == linear_scan(space, range(5), q) == (w, v, b, a, r)

@@ -173,6 +173,30 @@ def test_aesa_three_points_has_six_shell_edges(rng):
         assert region.radii == (d, -d)
 
 
+def test_shell_rows_share_one_map_and_reduce_as_before(rng):
+    # every shell row's region reads one immutable map; a twin whose rows
+    # are explicit edges, each with a map of its own, reduces to the same
+    # signed graph for every query
+    space = EuclideanSpace(rng.random((12, 2)))
+    sprawl, _ = build_classic(space, range(12), "laesa", pivots=3)
+    rows = [e for _, e in sprawl.iter_logical_edges()][len(sprawl.edges) :]
+    assert len(rows) == 27 and len({id(e.negative[0].map) for e in rows}) == 1
+    assert table1_region("sphere", (0,), r=0.5).map is rows[0].negative[0].map
+    own = [
+        Edge(e.sources, e.target, e.positive, (Ambit(e.sources, LinearMap([[1.0], [-1.0]]), e.negative[0].radii),))
+        for e in rows
+    ]
+    twin = Sprawl(space, sprawl.nodes, sprawl.edges + tuple(own))
+    for q in [Ball(tuple(rng.random(2)), float(rng.random() * 0.5)) for _ in range(5)] + [Ball((0.5, 0.5), 0.0, k=3)]:
+        assert reduce_to_signed(sprawl, q).edges == reduce_to_signed(twin, q).edges
+
+
+def test_sprawls_without_fans_share_one_empty_store():
+    space = toy_space(4)
+    a, b = Sprawl(space, range(4), [Edge((), 0)]), Sprawl(space, range(4), [])
+    assert a.fans is b.fans and len(a.fans) == 0 and not a.fans.start.flags.writeable
+
+
 def test_aesa_filters_hard(rng):
     space = EuclideanSpace(rng.random((200, 2)))
     sprawl, _ = build_classic(space, range(200), "aesa")
