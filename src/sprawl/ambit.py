@@ -3,18 +3,22 @@
 An ambit is the preimage of a ball under a remoteness map applied to the
 focal comparisons (radients) of a point. This module alone decides
 whether a region contains a point (`membership`, `membership_mask`) or
-meets a query: `overlap_radients` is the one ball-overlap dispatcher,
-`overlap_facet_columns` its single-facet form over columns of regions,
-`overlap_facet_bounds` its single-facet form over the regions of one
-focus together with their kNN bounds, `shells_missed` the vectorised
-shell test, `shell_bounds` the lower bounds that shells give a kNN
-search, and `ball_reach` the radius at which a linear ambit's facets
-stop excluding a ball. A `LinearMap` also keeps its facet rows as plain
-floats, so both linear checks run as a float loop: on the small rows of
-tree regions, numpy's per-call overhead would cost more than the
-arithmetic. All overlap checks are conservative: they may report
-overlap for disjoint sets, but never miss a real overlap (the +TOL
-slack is always on the permissive side).
+meets a query. `overlap_radients` is the one ball-overlap dispatcher: by
+map kind it runs the facet check (linear maps), the subadditive check
+(power with w >= 0, metaball) or the near-corner check (other
+non-decreasing maps). `overlap_facet_columns` is its single-facet form
+over columns of regions, `overlap_facet_bounds` its single-facet form
+over the regions of one focus together with their kNN bounds, and
+`overlap_linear` the check of a linear region against a linear ambit
+query. `shells_missed` is the vectorised shell test, `shell_bounds` the
+lower bounds that shells give a kNN search, and `ball_reach` the radius
+at which a linear ambit's facets stop excluding a ball. A `LinearMap`
+also keeps its facet rows as plain floats, so both linear checks run as
+a float loop: on the small rows of tree regions, numpy's per-call
+overhead would cost more than the arithmetic. All overlap checks are
+conservative: they may report overlap for disjoint sets, but never miss
+a real overlap. Their one slack is `TOL`, always on the permissive side;
+no overlap check takes a slack of its own.
 """
 from __future__ import annotations
 
@@ -244,14 +248,14 @@ def _facets(rows: np.ndarray) -> tuple:
     return tuple(zip(map(tuple, rows.tolist()), np.sum(np.abs(rows), axis=1).tolist()))
 
 
-def _facets_meet(facets, radii, z, s: float, tol: float) -> bool:
-    """r + ||a||_1 * s >= a.z - tol on every facet, in plain floats.
+def _facets_meet(facets, radii, z, s: float) -> bool:
+    """r + ||a||_1 * s >= a.z - TOL on every facet, in plain floats.
 
     `not ... >=` makes a NaN side rule the facet out, as a vectorised
     `all(lhs >= rhs)` would.
     """
     for (row, l1), r in zip(facets, radii):
-        if not r + l1 * s >= sum(map(mul, row, z)) - tol:
+        if not r + l1 * s >= sum(map(mul, row, z)) - TOL:
             return False
     return True
 
@@ -267,33 +271,23 @@ def ball_facet(region, focus: int) -> tuple[float, float, float] | None:
     return a, l1, region.radii[0]
 
 
-def overlap_facet_columns(r, l1, a, z, s: float, tol: float = TOL) -> np.ndarray:
+def overlap_facet_columns(r, l1, a, z, s: float) -> np.ndarray:
     """`_facets_meet` for many single-facet regions at once, one per column
-    entry: r + l1 * s >= a * z - tol, elementwise and in the same order of
+    entry: r + l1 * s >= a * z - TOL, elementwise and in the same order of
     operations, so each verdict is bit for bit the scalar one (NaN misses)."""
-    return r + l1 * s >= a * z - tol
+    return r + l1 * s >= a * z - TOL
 
 
-def overlap_facet_bounds(radii, l1: float, a: float, z: float, s: float, tol: float = TOL) -> list:
+def overlap_facet_bounds(radii, l1: float, a: float, z: float, s: float) -> list:
     """Single-facet regions a * delta(p, .) <= r, one per radius in radii,
     against B[c, s], given z = delta(p, c), in plain floats: per region
     None when `_facets_meet` rules it out (same order of operations, NaN
     misses), else the kNN discovery bound `ball_reach` gives, clamped at 0
     (NaN gives 0)."""
     az = a * z
-    reach = az - tol
+    reach = az - TOL
     slack = l1 * s
     return [max(0.0, (az - r) / l1) if r + slack >= reach else None for r in radii]
-
-
-def overlap_ball_rows(rows, radii, z, s: float, tol: float = TOL) -> bool:
-    """Facet-wise ball check on raw parameters: r + ||a||_1 * s >= a.z."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    z = np.asarray(z, dtype=float)
-    if z.shape != rows.shape[1:]:
-        raise ValueError("need one radient per facet column")
-    radii = np.broadcast_to(np.asarray(radii, dtype=float), rows.shape[:1]).tolist()
-    return _facets_meet(_facets(rows), radii, z.tolist(), s, tol)
 
 
 def ball_reach(region: Ambit, z) -> float:
@@ -304,19 +298,19 @@ def ball_reach(region: Ambit, z) -> float:
     )
 
 
-def _monotone(region: Ambit, z: np.ndarray, s: float, tol: float, sign: float = 1.0) -> bool:
-    """r + sign * f(s, .., s) >= f(z) - tol on every row."""
+def _monotone(region: Ambit, z: np.ndarray, s: float) -> bool:
+    """r + f(s, .., s) >= f(z) - TOL on every row."""
     f_s = region.map.remoteness(np.full(region.degree, float(s)))
-    return bool(np.all(np.asarray(region.radii) + sign * f_s >= region.map.remoteness(z) - tol))
+    return bool(np.all(np.asarray(region.radii) + f_s >= region.map.remoteness(z) - TOL))
 
 
-def _corner(region: Ambit, z: np.ndarray, s: float, tol: float) -> bool:
-    """f(max(z - s, 0)) <= r + tol: the near corner of the feature box."""
+def _corner(region: Ambit, z: np.ndarray, s: float) -> bool:
+    """f(max(z - s, 0)) <= r + TOL: the near corner of the feature box."""
     corner = np.maximum(z - float(s), 0.0)
-    return bool(np.all(region.map.remoteness(corner) <= np.asarray(region.radii) + tol))
+    return bool(np.all(region.map.remoteness(corner) <= np.asarray(region.radii) + TOL))
 
 
-def overlap_radients(region: Ambit, z, s: float, tol: float = TOL) -> bool:
+def overlap_radients(region: Ambit, z, s: float) -> bool:
     """Does the ambit possibly meet a ball of radius s whose centre has radients z?
 
     By map kind: linear maps check their facet rows; non-decreasing
@@ -325,12 +319,12 @@ def overlap_radients(region: Ambit, z, s: float, tol: float = TOL) -> bool:
     """
     m = region.map
     if isinstance(m, LinearMap):
-        return _facets_meet(m._facets, region.radii, z, s, tol)
+        return _facets_meet(m._facets, region.radii, z, s)
     z = np.asarray(z, dtype=float)
     if getattr(m, "subadditive", False):
-        return _monotone(region, z, s, tol)
+        return _monotone(region, z, s)
     if getattr(m, "nondecreasing", False):
-        return _corner(region, z, s, tol)
+        return _corner(region, z, s)
     raise CapabilityError(f"no sound ball overlap check for a {type(m).__name__} map")
 
 
@@ -352,31 +346,12 @@ def bound_cutoff(s: float) -> float:
     return s + TOL
 
 
-def overlap_ball(
-    space: ComparisonSpace,
-    region: Ambit,
-    center,
-    s: float,
-    session: CostSession | None = None,
-    tol: float = TOL,
-) -> bool:
-    """Does a linear ambit possibly meet the ball B[center, s]?
-
-    Checks every facet of the defining polyhedron; a multiradial region
-    overlaps only if every facet does (which may be a false positive but
-    never a false negative).
-    """
-    if not isinstance(region.map, LinearMap):
-        raise CapabilityError("overlap_ball requires a linear remoteness map")
-    return overlap_radients(region, radients(space, region, center, session), s, tol)
-
-
-def overlap_linear(region: Ambit, query: Ambit, Z, tol: float = TOL, symmetric: bool = True) -> bool:
+def overlap_linear(region: Ambit, query: Ambit, Z, symmetric: bool = True) -> bool:
     """Normalized overlap check between a linear ambit and a linear query.
 
     Z is the m x k matrix of comparisons from region foci to query foci.
     Each facet row a (and the query row c) is L1-normalized by rescaling
-    its radius; the facet passes when r + s >= a Z c^T - tol. Requires a
+    its radius; the facet passes when r + s >= a Z c^T - TOL. Requires a
     or c non-negative per facet; for quasimetrics (symmetric=False) both
     must be, the region forward and the query backward: with mixed signs
     the underlying weighted-triangle bound needs delta(p,u) <= delta(u,q)
@@ -404,54 +379,9 @@ def overlap_linear(region: Ambit, query: Ambit, Z, tol: float = TOL, symmetric: 
             raise CapabilityError(
                 "weights must be non-negative on one side (both, for asymmetric comparisons)"
             )
-        if r_hat + s_hat < float(a_hat @ Z @ c_hat) - tol:
+        if r_hat + s_hat < float(a_hat @ Z @ c_hat) - TOL:
             return False
     return True
-
-
-def overlap_monotone(
-    space: ComparisonSpace,
-    region: Ambit,
-    center,
-    s: float,
-    session: CostSession | None = None,
-    tol: float = TOL,
-    decreasing: bool = False,
-) -> bool:
-    """Ball check for monotone structure-preserving maps: r +- f(s,..,s) >= f(z).
-
-    The plus branch needs a non-decreasing subadditive map (power with
-    non-negative weights, metaball); the minus branch, behind
-    `decreasing=True`, needs a non-increasing superadditive one (no
-    built-in map qualifies; callers supply their own with a
-    `nonincreasing_superadditive` attribute).
-    """
-    if decreasing:
-        if not getattr(region.map, "nonincreasing_superadditive", False):
-            raise CapabilityError("the minus branch needs a non-increasing superadditive map")
-        return _monotone(region, radients(space, region, center, session), s, tol, sign=-1.0)
-    if not getattr(region.map, "subadditive", False):
-        raise CapabilityError("overlap_monotone requires a non-decreasing subadditive map")
-    return overlap_radients(region, radients(space, region, center, session), s, tol)
-
-
-def overlap_corner(
-    space: ComparisonSpace,
-    region: Ambit,
-    center,
-    s: float,
-    session: CostSession | None = None,
-    tol: float = TOL,
-) -> bool:
-    """Ball check via the near corner of the feature box: f(max(z-s, 0)) <= r.
-
-    Valid for any map that is non-decreasing in each radient, in a
-    symmetric (metric) space; this is the only check available for the
-    Hamacher product.
-    """
-    if not getattr(region.map, "nondecreasing", False):
-        raise CapabilityError("corner check requires a non-decreasing map")
-    return _corner(region, radients(space, region, center, session), s, tol)
 
 
 # --- classic region shapes --------------------------------------------------

@@ -183,12 +183,18 @@ def cmd_bench(args) -> int:
     return 0 if report.oracle_agreement else 1
 
 
+def _dnf_verdicts(text: str, cap: int):
+    """(variable names, gadget sprawl, truth-table verdict, correctness
+    report) for a DNF formula: the two verdicts agree on a sound gadget."""
+    formula, names = engine.parse_dnf(text)
+    sprawl, workload = engine.build_dnf_gadget(formula, cap=cap)
+    taut = engine.is_tautology(formula, len(names))
+    return names, sprawl, taut, engine.check_correct_small(sprawl, workload, cap=cap)
+
+
 def cmd_verify(args) -> int:
     if args.dnf:
-        formula, names = engine.parse_dnf(args.dnf)
-        taut = engine.is_tautology(formula, len(names))
-        sprawl, workload = engine.build_dnf_gadget(formula, cap=args.cap)
-        report = engine.check_correct_small(sprawl, workload, cap=args.cap)
+        _, _, taut, report = _dnf_verdicts(args.dnf, args.cap)
         print(f"tautology: {str(taut).lower()}  sprawl-correct: {str(report.correct).lower()}")
         if taut != report.correct:
             print("MISMATCH between truth table and traversal verdicts")
@@ -333,10 +339,7 @@ def _region_from_args(args, m: int) -> Ambit:
 
 
 def cmd_demo_dnf(args) -> int:
-    formula, names = engine.parse_dnf(args.formula)
-    sprawl, workload = engine.build_dnf_gadget(formula, cap=args.cap)
-    taut = engine.is_tautology(formula, len(names))
-    report = engine.check_correct_small(sprawl, workload, cap=args.cap)
+    names, sprawl, taut, report = _dnf_verdicts(args.formula, args.cap)
     print(f"variables: {' '.join(names)}")
     print(f"nodes: {len(sprawl.nodes)} (one per literal plus the formula node)")
     print(f"edges: {len(sprawl.edges)}")

@@ -436,17 +436,12 @@ def build_hardness_gadget(adjacency, epsilon: float) -> tuple[MatrixSpace, int]:
     return space, n
 
 
-def check_triangle(
-    space: ComparisonSpace,
-    samples: int = 10_000,
-    tol: float = TOL,
-    rng: np.random.Generator | None = None,
-    exhaustive_limit: int = 12,
-):
-    """Test delta(u,w) <= delta(u,v) + delta(v,w) on triples.
+def check_triangle(space: ComparisonSpace, exhaustive_limit: int = 12):
+    """Test delta(u,w) <= delta(u,v) + delta(v,w) + TOL on triples.
 
-    Exhaustive when the space is small, sampled otherwise. Returns
-    (ok, witness) where witness is a violating (u, v, w) triple or None.
+    Exhaustive when the space has at most `exhaustive_limit` points,
+    otherwise on 10,000 triples drawn with seed 0. Returns (ok, witness)
+    where witness is a violating (u, v, w) triple or None.
     """
     n = len(space)
     if n < 3:
@@ -454,9 +449,9 @@ def check_triangle(
     if n <= exhaustive_limit:
         triples = itertools.product(range(n), repeat=3)
     else:
-        rng = rng or np.random.default_rng(0)
-        triples = (tuple(int(x) for x in rng.integers(0, n, size=3)) for _ in range(samples))
+        rng = np.random.default_rng(0)
+        triples = (tuple(int(x) for x in rng.integers(0, n, size=3)) for _ in range(10_000))
     for u, v, w in triples:
-        if space.compare(u, w) > space.compare(u, v) + space.compare(v, w) + tol:
+        if space.compare(u, w) > space.compare(u, v) + space.compare(v, w) + TOL:
             return False, (u, v, w)
     return True, None

@@ -214,15 +214,14 @@ def _ref_test(refs: set[int]):
 class Sprawl:
     """Immutable-after-build index: ground set, explicit edges and fans."""
 
-    def __init__(self, space: ComparisonSpace, nodes, edges, fans: Fans | None = None, validate: bool = True):
+    def __init__(self, space: ComparisonSpace, nodes, edges, fans: Fans | None = None):
         self.space = space
         self.nodes: tuple[int, ...] = tuple(int(v) for v in nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.fans = fans if fans is not None else _NO_FANS
         self._node_pos = {v: i for i, v in enumerate(self.nodes)}
         self._plan_cache = None
-        if validate:
-            self.validate()
+        self.validate()
 
     # fan row j is numbered after the explicit edges
     def logical_edge(self, idx: int) -> Edge:
@@ -1345,19 +1344,15 @@ def sprawl_trace_oracle(sprawl: Sprawl):
     return oracle
 
 
-def emulate_from_traces(
-    space: ComparisonSpace,
-    nodes,
-    trace_oracle,
-    max_source_size: int = 3,
-) -> Sprawl:
+def emulate_from_traces(space: ComparisonSpace, nodes, trace_oracle) -> Sprawl:
     """Reconstruct a sprawl from observed discovery/elimination behavior.
 
-    Scans source subsets breadth-first by size, keeping minimal sets that
-    trigger each behavior; single positive regions grow to contain every
-    discovering singleton query, single negative regions every
-    non-eliminating one. Scanning stops early once a full size level adds
-    no new minimal edge and every node is positively covered.
+    Scans source subsets of up to three nodes breadth-first by size,
+    keeping minimal sets that trigger each behavior; single positive
+    regions grow to contain every discovering singleton query, single
+    negative regions every non-eliminating one. Scanning stops early once
+    a full size level adds no new minimal edge and every node is
+    positively covered.
     """
     refs = [int(v) for v in nodes]
     n = len(refs)
@@ -1371,7 +1366,7 @@ def emulate_from_traces(
         return not any(prev < s for prev in found)
 
     covered: set[int] = set()
-    for size in range(0, max_source_size + 1):
+    for size in range(4):
         new_edges = False
         for combo in itertools.combinations(refs, size):
             s = frozenset(combo)
@@ -1442,9 +1437,9 @@ def emulate_from_traces(
 # --- random small instances (verification battery) --------------------------
 
 
-def random_small_sprawl(rng: np.random.Generator, max_nodes: int = 6):
-    """Seeded random 2-d sprawl with ball/shell labels, for property checks."""
-    n = int(rng.integers(2, max_nodes + 1))
+def random_small_sprawl(rng: np.random.Generator):
+    """Seeded random 2-d sprawl of 2-6 nodes with ball/shell labels, for property checks."""
+    n = int(rng.integers(2, 7))
     pts = rng.random((n, 2))
     from .comparison import EuclideanSpace
 

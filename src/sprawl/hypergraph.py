@@ -554,15 +554,16 @@ def random_hyperdigraph(
     rng: np.random.Generator,
     max_nodes: int = 6,
     max_edges: int = 10,
-    root_bias: float = 0.5,
 ) -> SignedHyperdigraph:
-    """Seeded random instance generator for the axiom test battery."""
+    """Seeded random instance generator for the axiom test battery. An edge
+    drawn with sources keeps them with probability 1/2 and otherwise
+    becomes a root edge."""
     n = int(rng.integers(1, max_nodes + 1))
     edge_count = int(rng.integers(0, max_edges + 1))
     edges = []
     for _ in range(edge_count):
         size = int(rng.integers(0, min(3, n) + 1))
-        if size and rng.random() > root_bias:
+        if size and rng.random() > 0.5:
             sources = frozenset(int(v) for v in rng.choice(n, size=size, replace=False))
         else:
             sources = frozenset()

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import SolverError
 
 _PIVOT_TOL = 1e-10
+_MAX_PIVOTS = 50_000  # per phase: a runaway ends in SolverError
 
 
 @dataclass
@@ -58,9 +59,9 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T -= np.outer(factors, T[row])
 
 
-def _bland_iterate(T: np.ndarray, basis: list[int], ncols: int, max_pivots: int) -> str:
+def _bland_iterate(T: np.ndarray, basis: list[int], ncols: int) -> str:
     """Run simplex pivots until optimal or unbounded (objective in last row)."""
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         z = T[-1, :ncols]
         candidates = np.nonzero(z < -_PIVOT_TOL)[0]
         if candidates.size == 0:
@@ -78,7 +79,7 @@ def _bland_iterate(T: np.ndarray, basis: list[int], ncols: int, max_pivots: int)
     raise SolverError("pivot limit exceeded")
 
 
-def solve_lp(problem: LpProblem, max_pivots: int = 50_000) -> LpResult:
+def solve_lp(problem: LpProblem) -> LpResult:
     """Two-phase simplex; optimal solutions are basic and within ~1e-7."""
     n = problem.objective.shape[0]
     split = np.nonzero(problem.free)[0]
@@ -128,7 +129,7 @@ def solve_lp(problem: LpProblem, max_pivots: int = 50_000) -> LpResult:
         T[-1, ncols : ncols + len(art_rows)] = 1.0
         for i in art_rows:
             T[-1, :] -= T[i, :]
-        status = _bland_iterate(T, basis, ncols + len(art_rows), max_pivots)
+        status = _bland_iterate(T, basis, ncols + len(art_rows))
         if status != "optimal" or T[-1, -1] < -1e-7:
             return LpResult("infeasible")
         for i in range(m):  # drive leftover artificials out of the basis
@@ -149,7 +150,7 @@ def solve_lp(problem: LpProblem, max_pivots: int = 50_000) -> LpResult:
     for i, bj in enumerate(basis):
         if abs(T2[-1, bj]) > 0.0:
             T2[-1, :] -= T2[-1, bj] * T2[i, :]
-    status = _bland_iterate(T2, basis, ncols, max_pivots)
+    status = _bland_iterate(T2, basis, ncols)
     if status == "unbounded":
         return LpResult("unbounded")
 

@@ -252,8 +252,11 @@ def _hull_ambit_3d(X: np.ndarray, foci) -> Ambit:
 # --- k-means and facet clustering -------------------------------------------
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 100, tol: float = 1e-6):
-    """Lloyd iterations from k-means++ seeds; returns (centroids, labels)."""
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
+    """Lloyd iterations from k-means++ seeds; returns (centroids, labels).
+
+    Stops after 100 iterations, or once no centroid coordinate moves more
+    than 1e-6."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if k > n:
@@ -270,7 +273,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10
         centroids[i] = pts[int(rng.choice(n, p=probs))]
         closest = np.minimum(closest, np.sum((pts - centroids[i]) ** 2, axis=1))
     labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(100):
         d = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d, axis=1)
         moved = 0.0
@@ -283,7 +286,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10
                 new = np.mean(members, axis=0)
             moved = max(moved, float(np.max(np.abs(new - centroids[i]), initial=0.0)))
             centroids[i] = new
-        if moved <= tol:
+        if moved <= 1e-6:
             break
     return centroids, labels
 
@@ -311,17 +314,17 @@ def cluster_facets(
         k = distinct
     rng = np.random.default_rng(seed)
     centroids, _ = kmeans(q, k, rng)
+    covering = None  # the min-radius facet, which depends on t alone: solved once
     rows, radii = [], []
     for zhat in centroids:
         if mode == "lp25":
             facet = optimal_facet(TrainingSet(t.X, zhat, t.foci))
             a, r = facet.a, facet.r
-            if float(np.sum(np.abs(a))) <= DEGENERACY_TOL:
-                mr = min_radius(t)  # degenerate facet: fall back to a covering one
-                a, r = mr.a, mr.radius
-        else:
-            mr = min_radius(t)
-            a, r = mr.a, mr.radius
+        if mode == "minrad" or float(np.sum(np.abs(a))) <= DEGENERACY_TOL:  # a degenerate facet falls back too
+            if covering is None:
+                mr = min_radius(t)
+                covering = mr.a, mr.radius
+            a, r = covering
         rows.append(a)
         radii.append(float(r))
     return Ambit(t.focus_refs(), LinearMap(np.array(rows)), tuple(radii))
@@ -387,19 +390,16 @@ def runoff_foci(space: ComparisonSpace, candidates, responsibilities, queries, m
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def alpha_search(training_at, bracket=(0.05, 1.0), tol: float = 1e-3, grid: int = 20):
+def alpha_search(training_at):
     """Pick the power-transform exponent maximizing the comparable bound.
 
     `training_at(alpha)` must build a TrainingSet with features already
     raised to alpha; the objective is ell'_opt ** (1/alpha), the bound
-    mapped back to the untransformed comparisons. A coarse grid locates
-    the best bracket and golden-section refines it; alpha = 1 is always
-    evaluated so the result never loses to plain linear remoteness.
+    mapped back to the untransformed comparisons. A grid of 20 exponents
+    over [0.05, 1] locates the best bracket and golden-section refines it
+    to a width of 1e-3; alpha = 1 is always a candidate, so the result
+    never loses to plain linear remoteness.
     """
-    lo, hi = bracket
-    if not 0.0 < lo < hi <= 1.0:
-        raise ValueError("bracket must satisfy 0 < lo < hi <= 1")
-
     cache: dict[float, float] = {}
 
     def objective(alpha: float) -> float:
@@ -410,9 +410,7 @@ def alpha_search(training_at, bracket=(0.05, 1.0), tol: float = 1e-3, grid: int 
             got = cache[alpha] = float(ell ** (1.0 / alpha))
         return got
 
-    alphas = list(np.linspace(lo, hi, grid))
-    if 1.0 <= hi and 1.0 not in alphas:
-        alphas.append(1.0)
+    alphas = list(np.linspace(0.05, 1.0, 20))  # ends at alpha = 1
     values = [objective(a) for a in alphas]
     if max(values) <= DEGENERACY_TOL:
         return 1.0, 0.0
@@ -422,7 +420,7 @@ def alpha_search(training_at, bracket=(0.05, 1.0), tol: float = 1e-3, grid: int 
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    while b - a > tol:
+    while b - a > 1e-3:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -431,8 +429,5 @@ def alpha_search(training_at, bracket=(0.05, 1.0), tol: float = 1e-3, grid: int 
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
             f1 = objective(x1)
-    candidates = [alphas[best_i], x1, x2]
-    if hi >= 1.0:
-        candidates.append(1.0)
-    best = max(candidates, key=objective)
+    best = max([alphas[best_i], x1, x2, 1.0], key=objective)
     return float(best), objective(best)

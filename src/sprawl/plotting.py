@@ -2,8 +2,8 @@
 
 Purely visual output: the boundary is the zero level of
 max_k(remoteness_k - radius_k) sampled on a grid, with linear
-interpolation along cell edges and a center sample to break the two
-ambiguous cases. Deterministic for fixed inputs.
+interpolation along cell edges and the mean of the four corner values
+to break the two ambiguous cases. Deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ MAX_RESOLUTION = 2048
 
 # For each of the 16 corner-sign cases, the cell edges (pairs of corner
 # indices 0..3 in CCW order) that the boundary crosses. 5 and 10 are the
-# ambiguous saddles, resolved by the cell-center sample.
+# ambiguous saddles, resolved by the mean of the corner values.
 _CASES = {
     0: [],
     1: [((0, 3), (0, 1))],
@@ -50,7 +50,7 @@ def _interp(p0, p1, v0, v1):
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
 
-def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, center_fn=None):
+def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Line segments of the zero contour; values indexed [y, x]."""
     segments = []
     ny, nx = values.shape
@@ -60,10 +60,7 @@ def marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, center_
             vals = [values[j, i], values[j, i + 1], values[j + 1, i + 1], values[j + 1, i]]
             case = sum(1 << k for k, v in enumerate(vals) if v <= 0.0)
             if case in (5, 10):
-                if center_fn is not None:
-                    center_in = center_fn((xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2) <= 0
-                else:
-                    center_in = (sum(vals) / 4.0) <= 0
+                center_in = (sum(vals) / 4.0) <= 0
                 if case == 5:
                     pairs = [((0, 1), (1, 2)), ((0, 3), (2, 3))] if center_in else [((0, 1), (0, 3)), ((1, 2), (2, 3))]
                 else:

@@ -16,12 +16,9 @@ from sprawl.ambit import (
     LinearMap,
     MetaballMap,
     PowerMap,
-    membership,
-    overlap_ball,
-    overlap_ball_rows,
-    overlap_corner,
     overlap_linear,
-    overlap_monotone,
+    overlap_radients,
+    radients,
     table1_region,
 )
 from sprawl.comparison import Ball, EuclideanSpace, ExplicitSetQuery, Workload, build_hardness_gadget
@@ -111,27 +108,30 @@ def test_criterion_2_overlap_soundness():
         center = space.value(u) + direction * (s * rng.random())
         return u, foci, x, center, s
 
+    def overlaps(region, center, s):
+        return overlap_radients(region, radients(space, region, center), s)
+
     failures = 0
     for _ in range(trials):
         u, foci, x, center, s = planted_ball("linear")
         rows = rng.normal(size=(int(rng.integers(1, 4)), len(foci)))
         radii = rows @ x + rng.random(rows.shape[0])
         region = Ambit(foci, LinearMap(rows), tuple(radii))
-        failures += not overlap_ball(space, region, center, s)
+        failures += not overlaps(region, center, s)
     for _ in range(trials):
         u, foci, x, center, s = planted_ball("power")
         w = rng.random(len(foci)) + 0.05
         pm = PowerMap(w, float(rng.choice([0.25, 0.5, 0.75, 1.0])))
         region = Ambit(foci, pm, (float(pm.remoteness(x)[0]) + rng.random() * 0.3,))
-        failures += not overlap_monotone(space, region, center, s)
+        failures += not overlaps(region, center, s)
         mm = MetaballMap(rng.random(len(foci)) + 0.2)
         region = Ambit(foci, mm, (float(mm.remoteness(x)[0]) + rng.random() * 0.2,))
-        failures += not overlap_monotone(space, region, center, s)
+        failures += not overlaps(region, center, s)
     for _ in range(trials):
         u, foci, x, center, s = planted_ball("hamacher")
         hm = HamacherMap()
         region = Ambit(foci, hm, (float(hm.remoteness(x)[0]) + rng.random() * 0.2,))
-        failures += not overlap_corner(space, region, center, s)
+        failures += not overlaps(region, center, s)
     for _ in range(trials):
         # common point of a linear region and a linear (non-ball) query
         u = int(rng.integers(0, 60))
@@ -163,21 +163,15 @@ def test_criterion_3_table1_reductions():
         for s in grid:
             for z in grid:
                 ball = table1_region("ball", (0,), r=r)
-                assert overlap_ball_rows(ball.map.matrix, ball.radii, [z], s) == (
-                    r + s >= z - 1e-9
-                )
+                assert overlap_radients(ball, [z], s) == (r + s >= z - 1e-9)
                 sphere = table1_region("sphere", (0,), r=r)
-                assert overlap_ball_rows(sphere.map.matrix, sphere.radii, [z], s) == (
-                    s >= abs(z - r) - 1e-9
-                )
+                assert overlap_radients(sphere, [z], s) == (s >= abs(z - r) - 1e-9)
                 cases += 1
     plane = table1_region("plane", (0, 1))
     for z1 in grid:
         for z2 in grid:
             for s in grid[:5]:
-                assert overlap_ball_rows(plane.map.matrix, plane.radii, [z1, z2], s) == (
-                    s >= (z1 - z2) / 2.0 - 1e-9
-                )
+                assert overlap_radients(plane, [z1, z2], s) == (s >= (z1 - z2) / 2.0 - 1e-9)
                 cases += 1
     assert cases >= 1000
     report(3, "table-1 reductions", f"{cases} grid cases, exact agreement")

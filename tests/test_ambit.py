@@ -9,15 +9,13 @@ from sprawl.ambit import (
     PowerMap,
     ball_facet,
     ball_reach,
+    _corner,
     membership,
-    overlap_ball,
-    overlap_ball_rows,
-    overlap_corner,
     overlap_facet_bounds,
     overlap_facet_columns,
     overlap_linear,
-    overlap_monotone,
     overlap_radients,
+    radients,
     table1_region,
 )
 from sprawl.comparison import TOL, EuclideanSpace, MatrixSpace
@@ -113,26 +111,31 @@ def _line_space(*coords):
     return EuclideanSpace([[float(c)] for c in coords])
 
 
+def _ball_check(space, region, center, s):
+    # the dispatcher on the radients of a ball's centre, as a search runs it
+    return overlap_radients(region, radients(space, region, center), s)
+
+
 def test_overlap_ball_ellipse_boundary():
     # foci 1 apart, query center at distance 3 from each, radius r=4, s=1
     space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0]])
     region = Ambit((0, 1), LinearMap([[1.0, 1.0]]), (4.0,))
     x = 0.5
     y = np.sqrt(9.0 - 0.25)
-    assert overlap_ball(space, region, (x, y), 1.0)
-    assert overlap_ball_rows([[1.0, 1.0]], [4.0], [3.0, 3.0], 1.0)
+    assert _ball_check(space, region, (x, y), 1.0)
+    assert overlap_radients(region, [3.0, 3.0], 1.0)
 
 
 def test_overlap_ball_hyperbola_false():
-    assert not overlap_ball_rows([[1.0, -1.0]], [0.0], [5.0, 1.0], 1.0)
+    assert not overlap_radients(table1_region("plane", (0, 1)), [5.0, 1.0], 1.0)
 
 
 def test_overlap_ball_cut_region_is_shellwise():
     region = table1_region("cut", (0, 1), lo=[1.0, 2.0], hi=[3.0, 4.0])
-    assert overlap_ball_rows(region.map.matrix, region.radii, [3.5, 1.5], 0.6)
-    assert not overlap_ball_rows(region.map.matrix, region.radii, [3.7, 1.5], 0.6)
+    assert overlap_radients(region, [3.5, 1.5], 0.6)
+    assert not overlap_radients(region, [3.7, 1.5], 0.6)
     # conjunction: both pivots' shells must admit the query
-    assert not overlap_ball_rows(region.map.matrix, region.radii, [2.0, 5.1], 1.0)
+    assert not overlap_radients(region, [2.0, 5.1], 1.0)
 
 
 @pytest.mark.parametrize("r,s,z", [(a, b, c) for a in (0.0, 0.5, 1.0, 2.0)
@@ -140,9 +143,9 @@ def test_overlap_ball_cut_region_is_shellwise():
                                    for c in (0.0, 0.5, 1.4, 2.5, 3.0)])
 def test_table1_closed_forms(r, s, z):
     ball = table1_region("ball", (0,), r=r)
-    assert overlap_ball_rows(ball.map.matrix, ball.radii, [z], s) == (s >= z - r - 1e-9)
+    assert overlap_radients(ball, [z], s) == (s >= z - r - 1e-9)
     sphere = table1_region("sphere", (0,), r=r)
-    assert overlap_ball_rows(sphere.map.matrix, sphere.radii, [z], s) == (s >= abs(z - r) - 1e-9)
+    assert overlap_radients(sphere, [z], s) == (s >= abs(z - r) - 1e-9)
 
 
 @pytest.mark.parametrize("z1", [0.0, 1.0, 2.5])
@@ -150,7 +153,7 @@ def test_table1_closed_forms(r, s, z):
 @pytest.mark.parametrize("s", [0.0, 0.4, 1.5])
 def test_plane_closed_form(z1, z2, s):
     plane = table1_region("plane", (0, 1))
-    got = overlap_ball_rows(plane.map.matrix, plane.radii, [z1, z2], s)
+    got = overlap_radients(plane, [z1, z2], s)
     assert got == (s >= (z1 - z2) / 2.0 - 1e-9)
 
 
@@ -200,9 +203,6 @@ def test_float_kernel_matches_numpy_on_the_slack_boundary(rng):
             for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf)):
                 z = [float(z)]
                 assert overlap_radients(region, z, s) == _numpy_overlap(region, z, s)
-                assert overlap_ball_rows(region.map.matrix, region.radii, z, s) == _numpy_overlap(
-                    region, z, s
-                )
 
 
 def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
@@ -362,14 +362,14 @@ def test_mixed_sign_bound_fails_on_quasimetrics():
         overlap_linear(region, query, [[1.0]], symmetric=False)
 
 
-# --- monotone and corner checks ---------------------------------------------------
+# --- monotone and corner checks, through the dispatcher -------------------------
 
 
 def test_overlap_monotone_power_boundary():
     space = _line_space(0.0, 9.0)
     region = Ambit((0,), PowerMap([1.0], 0.5), (2.0,))
-    assert overlap_monotone(space, region, (9.0,), 1.0)
-    assert not overlap_monotone(space, region, (9.3,), 0.09)
+    assert _ball_check(space, region, (9.0,), 1.0)
+    assert not _ball_check(space, region, (9.3,), 0.09)
 
 
 def test_overlap_monotone_alpha_one_matches_ball(rng):
@@ -382,60 +382,14 @@ def test_overlap_monotone_alpha_one_matches_ball(rng):
         center = rng.random(3)
         lin = Ambit(foci, LinearMap([w]), (r,))
         pw = Ambit(foci, PowerMap(w, 1.0), (r,))
-        assert overlap_ball(space, lin, center, s) == overlap_monotone(space, pw, center, s)
+        assert _ball_check(space, lin, center, s) == _ball_check(space, pw, center, s)
 
 
 def test_overlap_monotone_requires_subadditive():
     space = _line_space(0.0)
     bad = Ambit((0,), PowerMap([-1.0], 0.5), (1.0,))
     with pytest.raises(CapabilityError):
-        overlap_monotone(space, bad, (1.0,), 0.5)
-
-
-class _NegatedLinear:
-    """Non-increasing superadditive map for the minus-branch check: f = -w.x."""
-
-    rows = 1
-    nonincreasing_superadditive = True
-
-    def __init__(self, w):
-        self.w = np.asarray(w, dtype=float)
-
-    @property
-    def arity(self):
-        return self.w.shape[0]
-
-    def remoteness(self, x):
-        return np.array([float(-self.w @ np.asarray(x, dtype=float))])
-
-    def describe(self):
-        return {"kind": "test-negated-linear", "w": [float(v) for v in self.w]}
-
-    def __eq__(self, other):
-        return isinstance(other, _NegatedLinear) and np.array_equal(self.w, other.w)
-
-    def __hash__(self):
-        return hash(tuple(self.w))
-
-
-def test_overlap_monotone_decreasing_branch(rng):
-    """r - f(s,..,s) >= f(z) for f = -w.x agrees with the facet check on -w."""
-    space = EuclideanSpace(rng.random((25, 2)))
-    for _ in range(300):
-        m = int(rng.integers(1, 4))
-        foci = tuple(int(v) for v in rng.choice(25, size=m, replace=False))
-        w = rng.random(m) + 0.05
-        r = float(rng.normal())
-        s = float(rng.random())
-        center = rng.random(2)
-        dec = Ambit(foci, _NegatedLinear(w), (r,))
-        lin = Ambit(foci, LinearMap([-w]), (r,))
-        got = overlap_monotone(space, dec, center, s, decreasing=True)
-        want = overlap_ball(space, lin, center, s)
-        assert got == want
-    plain = Ambit((0,), PowerMap([1.0], 0.5), (1.0,))
-    with pytest.raises(CapabilityError):
-        overlap_monotone(space, plain, (0.5, 0.5), 0.1, decreasing=True)
+        _ball_check(space, bad, (1.0,), 0.5)
 
 
 def test_overlap_corner_hamacher_origin():
@@ -443,18 +397,13 @@ def test_overlap_corner_hamacher_origin():
     region = Ambit((0, 1), HamacherMap(), (0.0,))
     center = (0.5, 0.0)
     s = 0.5  # corner of the feature box sits at the origin
-    assert overlap_corner(space, region, center, s)
-
-
-def test_overlap_corner_requires_monotone():
-    space = _line_space(0.0, 1.0)
-    region = Ambit((0, 1), LinearMap([[1.0, -1.0]]), (0.0,))
-    with pytest.raises(CapabilityError):
-        overlap_corner(space, region, (0.5,), 0.1)
+    assert _ball_check(space, region, center, s)
 
 
 def test_corner_at_least_as_tight_as_ball(rng):
-    """For non-negative linear rows, corner-pass implies facet-pass."""
+    """For non-negative linear rows, corner-pass implies facet-pass. The
+    dispatcher never runs the corner kernel on a linear map, so this calls
+    the kernel itself."""
     space = EuclideanSpace(rng.random((30, 4)))
     for _ in range(500):
         m = int(rng.integers(1, 4))
@@ -464,8 +413,8 @@ def test_corner_at_least_as_tight_as_ball(rng):
         s = float(rng.random())
         center = rng.random(4)
         region = Ambit(foci, LinearMap([w]), (r,))
-        if overlap_corner(space, region, center, s):
-            assert overlap_ball(space, region, center, s)
+        if _corner(region, radients(space, region, center), s):
+            assert _ball_check(space, region, center, s)
 
 
 # --- planted-point soundness -------------------------------------------------------
@@ -505,20 +454,13 @@ def test_planted_soundness_sampled(rng):
     from sprawl.engine import _QueryEval
 
     space = EuclideanSpace(rng.random((50, 3)))
-    for kind, check in [
-        ("linear", overlap_ball),
-        ("power", overlap_monotone),
-        ("metaball", overlap_monotone),
-        ("hamacher", overlap_corner),
-    ]:
+    for kind in ("linear", "power", "metaball", "hamacher"):
         for _ in range(800):
             region, center, s, u = _planted_case(rng, space, kind)
             assert membership(space, region, u, tol=1e-12)
             assert space.compare(center, u) <= s + 1e-12
-            assert check(space, region, center, s), (kind, region, center, s)
-            assert _QueryEval(space, Ball(center, s)).intersects(region) == check(
-                space, region, center, s
-            ), (kind, region, center, s)
+            assert _ball_check(space, region, center, s), (kind, region, center, s)
+            assert _QueryEval(space, Ball(center, s)).intersects(region), (kind, region, center, s)
 
 
 def test_membership_plus_containment_implies_overlap(rng):
@@ -526,9 +468,9 @@ def test_membership_plus_containment_implies_overlap(rng):
     for _ in range(500):
         region, center, s, u = _planted_case(rng, space, "linear")
         if membership(space, region, u) and space.compare(center, u) <= s:
-            assert overlap_ball(space, region, center, s)
-            if np.all(region.map.matrix >= 0.0):
-                assert overlap_corner(space, region, center, s)
+            assert _ball_check(space, region, center, s)
+            if np.all(region.map.matrix >= 0.0):  # the corner kernel, which the dispatcher runs on other maps
+                assert _corner(region, radients(space, region, center), s)
 
 
 def test_normalization_invariance(rng):
@@ -551,7 +493,7 @@ def test_normalization_invariance(rng):
         if np.min(margins) < 1e-6 or np.min(margins2) < 1e-6:
             continue
         assert membership(space, r1, u) == membership(space, r2, u)
-        assert overlap_ball(space, r1, center, s) == overlap_ball(space, r2, center, s)
+        assert _ball_check(space, r1, center, s) == _ball_check(space, r2, center, s)
 
 
 # --- metric preservation -----------------------------------------------------------

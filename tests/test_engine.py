@@ -578,6 +578,32 @@ def test_untargeted_node_rejected():
         check_responsibility(s, ResponsibilityAssignment({}), _atomistic_workload(s))
 
 
+def _negative_edge_sprawl(radius):
+    # roots 0 and 1, and an edge from 0 that eliminates 1 outside delta(0, .) <= radius
+    space = EuclideanSpace([[0.0], [1.0]])
+    region = table1_region("ball", (0,), r=radius)
+    return Sprawl(space, range(2), [Edge((), 0), Edge((), 1), Edge((0,), 1, (EMPTY,), (region,))]), region
+
+
+def test_negative_region_missing_the_target_fails_l2():
+    # L2: the node shorthand res(1) = {1} must lie in every negative region of an edge into 1
+    res = ResponsibilityAssignment({0: {0}, 1: {1}})
+    sprawl, _ = _negative_edge_sprawl(2.0)
+    assert check_responsibility(sprawl, res, _atomistic_workload(sprawl)).passed
+    sprawl, region = _negative_edge_sprawl(0.5)
+    report = check_responsibility(sprawl, res, _atomistic_workload(sprawl))
+    assert not report.passed
+    assert report.violations == [("L2", 2, 1, repr(region))]
+
+
+def test_uncovered_responsibility_fails_l3():
+    # L3: node 1 is responsible for itself, but none of its in-edges carries it
+    sprawl, _ = _negative_edge_sprawl(2.0)
+    report = check_responsibility(sprawl, ResponsibilityAssignment({0: {0}}), _atomistic_workload(sprawl))
+    assert not report.passed
+    assert report.violations == [("L3", None, 1, "responsibility 1 not covered by in-edges")]
+
+
 def test_non_atomistic_workload_rejected():
     space = toy_space(2)
     s = brute_force_sprawl(space, range(2))
@@ -728,6 +754,11 @@ def test_validate_atomistic():
     missing = Workload(singles[:2] + (big,), atomistic=True)
     assert not validate_atomistic(space, range(3), missing)
     assert not validate_atomistic(space, range(3), Workload(singles, atomistic=False))
+    # a radius-0 ball about a point is that point's singleton query
+    point = Ball(tuple(space.value(2)), 0.0)
+    assert validate_atomistic(space, range(3), Workload(singles[:2] + (point, big), atomistic=True))
+    elsewhere = Ball(tuple(space.value(2) + 0.25), 0.0)
+    assert not validate_atomistic(space, range(3), Workload(singles[:2] + (elsewhere, big), atomistic=True))
 
 
 def test_builders_reject_asymmetric_spaces(rng):
@@ -901,6 +932,16 @@ def test_logical_edge_rejects_negative_index(rng):
         for idx in (-1, count):
             with pytest.raises(IndexError):
                 sprawl.logical_edge(idx)
+
+
+def test_region_member_mask_of_plain_regions():
+    from sprawl.engine import region_member_mask
+
+    space = toy_space(3)
+    assert region_member_mask(space, UNIVERSE, range(3)).tolist() == [True, True, True]
+    assert region_member_mask(space, EMPTY, range(3)).tolist() == [False, False, False]
+    assert region_member_mask(space, ExplicitRegion(frozenset({0, 2})), range(3)).tolist() == [True, False, True]
+    assert region_member_mask(space, UNIVERSE, []).shape == (0,)
 
 
 def test_region_member_mask_honors_backward_orientation():

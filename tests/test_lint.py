@@ -63,3 +63,22 @@ def test_one_lp_kernel():
         if name in ("sqrt", "power", "pow") or isinstance(getattr(node, "op", None), ast.Pow):
             found.append(f"comparison.py:{node.lineno}: {name or '**'}")
     assert not found, f"Lp arithmetic outside comparison.lp_norm: {found}"
+
+
+def test_one_overlap_slack():
+    # TOL is the one slack of every overlap check: a check with a slack of
+    # its own could be called with a narrower one and drop a boundary member
+    tree = ast.parse((SRC / "ambit.py").read_text())
+    checks = [
+        fn
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith(("overlap", "shell", "ball"))
+    ]
+    assert "overlap_radients" in {fn.name for fn in checks}, "ambit.overlap_radients not found"
+    found = [
+        f"ambit.py:{fn.lineno}: {fn.name}"
+        for fn in checks
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.arg == "tol"
+    ]
+    assert not found, f"overlap checks with a slack parameter: {found}"

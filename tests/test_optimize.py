@@ -327,6 +327,33 @@ def test_cluster_reduces_excess_k(rng):
     assert region.map.rows == 1
 
 
+@pytest.mark.parametrize("mode", ["lp25", "minrad"])
+def test_cluster_solves_the_covering_lp_once(rng, monkeypatch, mode):
+    # every centroid that takes the min-radius facet (all of them in minrad
+    # mode, those whose optimal facet is degenerate in lp25 mode) takes the
+    # same one, as it depends on the training set alone: one solve per call
+    import sprawl.optimize as optimize
+
+    t = random_training(rng, 2, 12)
+    # query features at responsibilities, which no facet separates, and a far cloud
+    queries = np.vstack([t.X.T[:8], t.X.T[:3] + 5.0])
+    covering = min_radius(t)
+    centroids, _ = kmeans(queries, 3, np.random.default_rng(0))
+    want = []
+    for zhat in centroids:  # the region as one solve per centroid gives it
+        facet = optimal_facet(TrainingSet(t.X, zhat))
+        degenerate = float(np.sum(np.abs(facet.a))) <= 1e-9
+        want.append((covering.a, covering.radius) if mode == "minrad" or degenerate else (facet.a, facet.r))
+    assert sum(a is covering.a for a, _ in want) == (3 if mode == "minrad" else 2)
+    calls = []
+    monkeypatch.setattr(optimize, "min_radius", lambda t_: calls.append(t_) or min_radius(t_))
+    region = cluster_facets(t, queries, 3, mode=mode)
+    assert len(calls) == 1
+    assert region.map.rows == 3
+    for row, r, (a, radius) in zip(region.map.matrix, region.radii, want):
+        assert row.tolist() == a.tolist() and r == radius
+
+
 def test_kmeans_deterministic_and_total(rng):
     pts = rng.random((40, 2))
     c1, l1 = kmeans(pts, 5, np.random.default_rng(9))

@@ -95,3 +95,33 @@ def test_svg_focus_count_validation():
     region = table1_region("ball", (0,), r=1.0)
     with pytest.raises(ValueError):
         region_svg(region, [[0.0, 0.0], [1.0, 1.0]])
+
+
+
+# One cell, corners 0-3 counter-clockwise from (0, 0); case 5 has corners 0
+# and 2 inside, case 10 corners 1 and 3. Inside corners read -2 and outside
+# ones 1 (mean below 0), or -1 and 2 (mean above 0); the mean decides
+# whether the inside corners join through the middle, and so which two
+# corners the two segments cut off.
+_THIRD = 1 / 3
+_CUT_OFF_1_AND_3 = [((2 * _THIRD, 0.0), (1.0, _THIRD)), ((0.0, 2 * _THIRD), (_THIRD, 1.0))]
+_CUT_OFF_0_AND_2 = [((_THIRD, 0.0), (0.0, _THIRD)), ((1.0, 2 * _THIRD), (2 * _THIRD, 1.0))]
+
+
+@pytest.mark.parametrize(
+    "case, joined, want",
+    [
+        (5, True, _CUT_OFF_1_AND_3),
+        (5, False, _CUT_OFF_0_AND_2),
+        (10, True, _CUT_OFF_0_AND_2),
+        (10, False, _CUT_OFF_1_AND_3),
+    ],
+)
+def test_saddle_cells_follow_the_corner_mean(case, joined, want):
+    inside, outside = (-2.0, 1.0) if joined else (-1.0, 2.0)
+    corners = [inside, outside] * 2 if case == 5 else [outside, inside] * 2
+    values = np.array([[corners[0], corners[1]], [corners[3], corners[2]]])  # [y, x]
+    got = marching_squares(values, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    assert len(got) == len(want)
+    for (p, q), (wp, wq) in zip(got, want):
+        assert p == pytest.approx(wp) and q == pytest.approx(wq)

@@ -4,15 +4,18 @@ conftest.py (QuickCheck style: Claessen & Hughes, ICFP 2000).
 The inputs are the ones that break exact search: duplicate points, and
 points on a dyadic grid, whose distances tie exactly, with range radii read
 off the scan's own distance row, so that a boundary point lies exactly on
-the query sphere.
+the query sphere; and degenerate regions: shells with lo == hi, zero-width
+ones about duplicate points among them, and balls of radius 0.
 """
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sprawl.comparison import Ball, EuclideanSpace
-from sprawl.engine import build_classic, linear_scan, search
+from sprawl.engine import Edge, Fans, Sprawl, build_classic, linear_scan, search
 from sprawl.hypergraph import Heuristic
+
+from conftest import make_fans
 
 DYADIC = st.integers(0, 8).map(lambda i: i / 8)
 
@@ -49,16 +52,72 @@ def cases(draw):
     return pts, center, draw(st.integers(0, n)), draw(st.integers(1, n + 1))
 
 
+def _queries(space, n, center, rank, k):
+    """A range query at the rank-th distance of the row (0: radius 0), a kNN
+    query, and the scan's answers to both."""
+    row = np.sort(space.distances_from(center, range(n)))
+    in_range = Ball(center, float(row[rank - 1]) if rank else 0.0)
+    nearest = Ball(center, 0.0, k=k)
+    return in_range, nearest, set(linear_scan(space, range(n), in_range)), linear_scan(space, range(n), nearest)
+
+
 @given(cases())
 def test_trees_answer_as_the_scan_does(case):
     pts, center, rank, k = case
     space = EuclideanSpace(pts)
     n = len(pts)
-    row = np.sort(space.distances_from(center, range(n)))
-    radius = float(row[rank - 1]) if rank else 0.0
-    in_range, nearest = Ball(center, radius), Ball(center, 0.0, k=k)
-    want = linear_scan(space, range(n), in_range)
+    in_range, nearest, want, want_knn = _queries(space, n, center, rank, k)
     for kind, params in (("ball-tree", {}), ("pm-tree", {"pivots": min(3, n - 1)})):
         sprawl, _ = build_classic(space, range(n), kind, **params)
-        assert set(search(sprawl, in_range, Heuristic.fifo()).members) == set(want), kind
-        assert search(sprawl, nearest, Heuristic("bound")).members == linear_scan(space, range(n), nearest), kind
+        assert set(search(sprawl, in_range, Heuristic.fifo()).members) == want, kind
+        assert search(sprawl, nearest, Heuristic("bound")).members == want_knn, kind
+
+
+@given(cases())
+def test_dense_plans_answer_as_the_scan_does(case):
+    # AESA and LAESA select from the dense bound array of their plan; their
+    # shells are spheres, lo == hi, and a twin that holds the same bounds as
+    # two separate columns must answer alike
+    pts, center, rank, k = case
+    space = EuclideanSpace(pts)
+    n = len(pts)
+    in_range, nearest, want, want_knn = _queries(space, n, center, rank, k)
+    for kind, params in (("aesa", {}), ("laesa", {"pivots": min(3, n - 1)})):
+        sprawl, _ = build_classic(space, range(n), kind, **params)
+        f = sprawl.fans
+        assert f.hi is f.lo, kind
+        twin = Sprawl(space, sprawl.nodes, sprawl.edges, Fans(f.source, f.start, f.target, f.lo, f.lo.copy(), f.discovers, f.lazy))
+        for s in (sprawl, twin):
+            assert s._plan()[0].positions is not None, kind  # the plan is dense
+            assert set(search(s, in_range, Heuristic.fifo()).members) == want, kind
+            assert search(s, nearest, Heuristic("bound")).members == want_knn, kind
+
+
+@st.composite
+def ball_trees(draw):
+    """A case whose points hang in a random tree from node 0: node v > 0 has
+    one ball row from a parent p < v, of the radius that just covers v's
+    subtree, so a leaf on top of its parent (the last node is made one) has
+    a ball of radius 0."""
+    pts, center, rank, k = draw(cases())
+    n = len(pts)
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    pts = pts.copy()
+    pts[n - 1] = pts[parent[n - 1]]
+    return pts, parent, center, rank, k
+
+
+@given(ball_trees())
+def test_radius_zero_ball_rows_answer_as_the_scan_does(case):
+    pts, parent, center, rank, k = case
+    space = EuclideanSpace(pts)
+    n = len(pts)
+    below = [{v} for v in range(n)]  # each node's subtree
+    for v in range(n - 1, 0, -1):
+        below[parent[v]] |= below[v]
+    rows = sorted((parent[v], v, float(space.distances_from(parent[v], sorted(below[v])).max())) for v in range(1, n))
+    assert any(r == 0.0 for _, _, r in rows)
+    sprawl = Sprawl(space, range(n), [Edge((), 0)], make_fans(rows))
+    in_range, nearest, want, want_knn = _queries(space, n, center, rank, k)
+    assert set(search(sprawl, in_range, Heuristic.fifo()).members) == want
+    assert search(sprawl, nearest, Heuristic("bound")).members == want_knn
