@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from itertools import compress
 from typing import NamedTuple
 
@@ -33,7 +34,7 @@ from .comparison import (
     Workload,
 )
 from .errors import CapabilityError, EmulationError, SizeLimitError, StructureError
-from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, Waves, activation
+from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, Waves, activation, successors
 
 log = logging.getLogger(__name__)
 
@@ -233,10 +234,6 @@ class Sprawl:
         yield from enumerate(self.edges)
         for j in range(len(self.fans)):
             yield len(self.edges) + j, self.fans.edge(j)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(e.target for e in self.edges if e.is_root_edge)
 
     def validate(self) -> None:
         nodes = set(self.nodes)
@@ -447,9 +444,10 @@ class _QueryEval:
         if isinstance(query, AmbitQuery):  # the backward ambit of its weighted foci
             self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
         self.region_evaluations = 0
+        # delta(c, ref) per ref. A `Ball` search also reads a region focus's
+        # z = delta(focus, c) here: it reaches an ambit or fan only on a
+        # symmetric space (`_refuse_unsound`), where the two are equal.
         self._to_center: dict[int, float] = {}
-        # on a symmetric space delta(ref, c) = delta(c, ref): one cache serves both
-        self._from_focus: dict[int, float] = self._to_center if space.symmetric else {}
         self._cross: dict[tuple[int, int], float] = {}
 
     @cached_property
@@ -476,14 +474,8 @@ class _QueryEval:
                 return d
         return np.array([cache[r] for r in refs], dtype=float)
 
-    def dist_from_focus(self, ref: int) -> float:
-        d = self._from_focus.get(ref)
-        if d is None:
-            d = self._from_focus[ref] = self.space.measure(self.space.resolve(ref), self.center, self.session)
-        return d
-
     def z_of(self, foci) -> list[float]:
-        return [self.dist_from_focus(p) for p in foci]
+        return [self.dist_to_center(p) for p in foci]
 
     def cross(self, region_focus: int, query_focus: int) -> float:
         key = (region_focus, query_focus)
@@ -547,11 +539,6 @@ class _QueryEval:
         raise CapabilityError(f"no overlap check for {type(region).__name__} vs {type(q).__name__}")
 
 
-def member_node(space: ComparisonSpace, query, ref: int) -> bool:
-    """Exact membership of a ground-set point in a query."""
-    return _QueryEval(space, query).member(ref)
-
-
 def validate_atomistic(space: ComparisonSpace, nodes, workload: Workload) -> bool:
     """Check the atomistic contract: each ground-set member of any query
     must itself appear as a singleton query."""
@@ -562,14 +549,8 @@ def validate_atomistic(space: ComparisonSpace, nodes, workload: Workload) -> boo
         if isinstance(q, ExplicitSetQuery) and len(q.ids) == 1:
             singletons |= q.ids
         elif isinstance(q, Ball) and q.k is None and q.radius == 0.0:
-            for v in nodes:
-                if member_node(space, q, v):
-                    singletons.add(v)
-    for q in workload.queries:
-        for v in nodes:
-            if member_node(space, q, v) and v not in singletons:
-                return False
-    return True
+            singletons.update(linear_scan(space, nodes, q))
+    return all(singletons.issuperset(linear_scan(space, nodes, q)) for q in workload.queries)
 
 
 # --- reduction and search ---------------------------------------------------
@@ -687,7 +668,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         return max(lb, 0.0)
 
     found = fans.found if ball else 0  # the fans fired as float ball rows
-    from_focus = ev._from_focus
+    to_center = ev._to_center
 
     def fire_fan(f: int) -> None:
         """Fire a fan other than a `Ball` search's ball fans (see `fire`)."""
@@ -703,7 +684,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 elif not ev.intersects(e.negative[0], s_current):
                     frontier.eliminate((t,))
         else:
-            z = ev.dist_from_focus(u)
+            z = ev.dist_to_center(u)
             ev.region_evaluations += end - first
             lo, hi = fans.lo[first:end], fans.hi[first:end]
             if steer:
@@ -722,9 +703,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 u, targets, radii = found_rows[f]
                 live = len(targets) if done.isdisjoint(targets) else sum(t not in done for t in targets)
                 ev.region_evaluations += live
-                z = from_focus.get(u)  # `ev.dist_from_focus(u)`, inlined: u is cached once traversed
+                z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
                 if z is None:
-                    z = ev.dist_from_focus(u)
+                    z = ev.dist_to_center(u)
                 bounds = ambit_mod.overlap_facet_bounds(radii, l1, a, z, s_current)
                 frontier.discover_all(targets, bounds if knn else [b if b is None else 0.0 for b in bounds])
                 continue
@@ -743,7 +724,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     members: list[int] = []
     lazy = bool(lazy_in or lazy_rows)
     if knn:  # node ids are int refs, so `space.value` resolves them
-        to_center, measure, value, center, session = ev._to_center, space.measure, space.value, ev.center, ev.session
+        measure, value, center, session = space.measure, space.value, ev.center, ev.session
 
     def refused(v: int) -> bool:
         """Whether an armed lazy edge or row into v misses the query."""
@@ -757,7 +738,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         for u, lo, hi in lazy_rows.get(v, ()):
             if u in traversed:
                 if ball:
-                    z = ev.dist_from_focus(u)
+                    z = ev.dist_to_center(u)
                     ev.region_evaluations += 1
                     if ambit_mod.shells_missed(z, lo, hi, s_current):
                         return True
@@ -869,25 +850,12 @@ def check_correct_small(sprawl: Sprawl, workload: Workload, cap: int = 8) -> Cor
     n = len(sprawl.nodes)
     if n > cap:
         raise SizeLimitError(f"correctness check capped at {cap} nodes, sprawl has {n}")
+    if any(isinstance(q, Ball) and q.k is not None for q in workload.queries):
+        # a kNN query's radius is its k-th distance, known only once searched
+        raise CapabilityError("the exhaustive correctness check takes range queries, not kNN")
     for qi, query in enumerate(workload.queries):
-        g = reduce_to_signed(sprawl, query)
-        pos_edges = [(sum(1 << s for s in e.sources), 1 << e.target) for e in g.edges if e.sign > 0]
-        neg_edges = [(sum(1 << s for s in e.sources), 1 << e.target) for e in g.edges if e.sign < 0]
-        required = 0
-        for i, v in enumerate(sprawl.nodes):
-            if member_node(sprawl.space, query, v):
-                required |= 1 << i
-
-        def avail(state: int) -> int:
-            disc = elim = 0
-            for src, tgt in pos_edges:
-                if state & src == src:
-                    disc |= tgt
-            for src, tgt in neg_edges:
-                if state & src == src:
-                    elim |= tgt
-            return disc & ~elim & ~state
-
+        avail = successors(reduce_to_signed(sprawl, query))
+        required = sum(1 << sprawl._node_pos[v] for v in linear_scan(sprawl.space, sprawl.nodes, query))
         seen = {0}
         parent: dict[int, tuple[int, int]] = {}
         stack = [0]
@@ -1041,28 +1009,14 @@ def check_responsibility(
         raise StructureError(f"nodes {sorted(missing)} are targeted by no edge")
 
     # discovery-capable edges must admit a topological node order
-    pairs = {
-        (s, e.target)
-        for _, e in edges
-        if e.discovers
-        for s in e.sources
-    }
-    succ: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
-    indeg = {v: 0 for v in sprawl.nodes}
-    for s, t in pairs:
-        succ[s].add(t)
-        indeg[t] += 1
-    queue = [v for v in sprawl.nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for t in succ[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if seen != len(sprawl.nodes):
-        raise StructureError("sprawl discovery edges are cyclic")
+    order = TopologicalSorter()
+    for _, e in edges:
+        if e.discovers:
+            order.add(e.target, *e.sources)
+    try:
+        order.prepare()
+    except CycleError:
+        raise StructureError("sprawl discovery edges are cyclic") from None
 
     node_res: dict[int, set[int]] = {v: {v} for v in sprawl.nodes}
     for idx, e in edges:
@@ -1073,14 +1027,11 @@ def check_responsibility(
     in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
     for idx, e in edges:
         in_union[e.target] |= res.get(idx)
-        for r in e.positive:
-            for v in sorted(res.get(idx)):
-                if not region_member_mask(sprawl.space, r, [v])[0]:
-                    violations.append(("L1", idx, v, repr(r)))
-        for r in e.negative:
-            for v in sorted(node_res[e.target]):
-                if not region_member_mask(sprawl.space, r, [v])[0]:
-                    violations.append(("L2", idx, v, repr(r)))
+        for rule, regions, refs in (("L1", e.positive, res.get(idx)), ("L2", e.negative, node_res[e.target])):
+            refs = sorted(refs)
+            for r in regions:
+                inside = region_member_mask(sprawl.space, r, refs)
+                violations.extend((rule, idx, v, repr(r)) for v, ok in zip(refs, inside) if not ok)
     for v in sprawl.nodes:
         extra = node_res[v] - in_union[v]
         for u in sorted(extra):

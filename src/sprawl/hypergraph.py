@@ -5,10 +5,13 @@ negative edges eliminate it. `Frontier` holds the package's one traversal
 loop: `traverse` drives it over signed edges and `engine.search` over
 region-labeled ones. The exhaustive repertoire enumerator and the
 traversal-axiom checker below are the verification oracles for the rest
-of the package.
+of the package. Both exhaustive walks, `enumerate_repertoire` and
+`engine.check_correct_small`, take the nodes available next from
+`successors`: a function of the traversed set alone, as bitmasks.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import warnings
@@ -421,40 +424,45 @@ def traverse(g: SignedHyperdigraph, h: Heuristic | None = None) -> list[int]:
     return frontier.run(fire)
 
 
-def feasible_after(g: SignedHyperdigraph, traversed: frozenset[int]) -> frozenset[int]:
-    """Nodes traversable next, as a function of the traversed *set* only.
+def successors(g: SignedHyperdigraph):
+    """The nodes traversable next, as a function of the traversed *set* only.
 
-    Discovery and elimination in the traversal depend only on which nodes
-    have been traversed (elimination is permanent, and the activation
-    gate ignores order), so this quotient is exact.
+    Returns a function from the bitmask of traversed nodes (bit i for
+    node i) to the bitmask of nodes available next. Discovery and
+    elimination in the traversal depend only on which nodes have been
+    traversed (elimination is permanent, and the activation gate ignores
+    order), so this quotient is exact.
     """
-    discovered = set()
-    eliminated = set()
-    for e in g.edges:
-        if e.sources <= traversed:
-            (eliminated if e.sign < 0 else discovered).add(e.target)
-    return frozenset((discovered - eliminated) - traversed)
+    edges = [(sum(1 << s for s in e.sources), 1 << e.target, e.sign > 0) for e in g.edges]
+
+    def after(state: int) -> int:
+        discovered = eliminated = 0
+        for sources, target, positive in edges:
+            if state & sources == sources:
+                if positive:
+                    discovered |= target
+                else:
+                    eliminated |= target
+        return discovered & ~eliminated & ~state
+
+    return after
 
 
 def enumerate_repertoire(g: SignedHyperdigraph, cap: int = 8) -> set[tuple[int, ...]]:
     """All traversals attainable by varying the heuristic, prefixes included."""
     if g.node_count > cap:
         raise SizeLimitError(f"repertoire enumeration capped at {cap} nodes, graph has {g.node_count}")
-    cont_cache: dict[frozenset[int], frozenset[int]] = {}
-
-    def cont(s: frozenset[int]) -> frozenset[int]:
-        got = cont_cache.get(s)
-        if got is None:
-            got = cont_cache[s] = feasible_after(g, s)
-        return got
-
+    after = functools.cache(successors(g))
     out: set[tuple[int, ...]] = set()
-    stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((), frozenset())]
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while stack:
-        prefix, s = stack.pop()
+        prefix, state = stack.pop()
         out.add(prefix)
-        for x in cont(s):
-            stack.append((prefix + (x,), s | {x}))
+        rest = after(state)
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            stack.append((prefix + (bit.bit_length() - 1,), state | bit))
     return out
 
 
@@ -544,10 +552,6 @@ def parse_graph(text: str) -> SignedHyperdigraph:
             [e.target for e in edges] + [s for e in edges for s in e.sources], default=-1
         )
     return SignedHyperdigraph(node_count, edges)
-
-
-def format_traversal(order) -> str:
-    return " ".join(str(v) for v in order) + "\n"
 
 
 def random_hyperdigraph(

@@ -169,84 +169,38 @@ def gift_wrap_2d(points: np.ndarray) -> list[int]:
     return hull
 
 
-def _monotone_chain(points: np.ndarray) -> list[np.ndarray]:
-    pts = sorted(map(tuple, points))
-    pts = [np.array(p) for p in dict.fromkeys(pts)]
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) > 1 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    upper = half(pts)
-    lower = half(pts[::-1])
-    return upper[:-1] + lower[:-1]
-
-
 def hull_ambit(t: TrainingSet) -> Ambit:
     """Inclusion-wise minimum linear ambit: the feature-space convex hull.
 
-    Exact for one to three foci; beyond that the facet count explodes
-    combinatorially, so callers are pointed at cluster_facets instead.
+    Exact for one to three foci: one focus gives the interval, two or
+    three the facets that Qhull finds (Barber, Dobkin & Huhdanpaa, 1996).
+    Where Qhull finds no hull, two foci over collinear responsibilities
+    get doubled facets along and across their line, and a single point or
+    three foci over coplanar responsibilities the bounding box, which
+    doubles facets but still contains every responsibility. Beyond three
+    foci the facet count explodes combinatorially, so callers are pointed
+    at cluster_facets instead.
     """
-    m = t.m
-    foci = t.focus_refs()
-    if m == 1:
-        return _box_rows(t.X, foci)
-    if m == 2:
-        return _hull_ambit_2d(t.X, foci)
-    if m == 3:
-        return _hull_ambit_3d(t.X, foci)
-    raise CapabilityError("exact hulls are limited to m <= 3; use cluster_facets for more foci")
-
-
-def _box_rows(X: np.ndarray, foci) -> Ambit:
-    return table1_region("cut", foci, lo=np.min(X, axis=1), hi=np.max(X, axis=1))
-
-
-def _hull_ambit_2d(X: np.ndarray, foci) -> Ambit:
-    pts = X.T
-    hull = _monotone_chain(pts)
-    if len(hull) <= 2:
-        # collinear responsibilities: doubled facets along and across the line
-        if len(hull) == 1:
-            return _box_rows(X, foci)
-        d = hull[1] - hull[0]
-        norm = np.array([-d[1], d[0]])
-        proj = pts @ d
-        offs = pts @ norm
-        rows = [d, -d, norm, -norm]
-        radii = (float(np.max(proj)), -float(np.min(proj)), float(np.max(offs)), -float(np.min(offs)))
-        return Ambit(foci, LinearMap(rows), radii)
-    rows, radii = [], []
-    k = len(hull)
-    for i in range(k):
-        p, q = hull[i], hull[(i + 1) % k]
-        d = q - p
-        outward = np.array([d[1], -d[0]])  # CCW polygon: right-hand normal points out
-        rows.append(outward)
-        radii.append(float(outward @ p))
-    return Ambit(foci, LinearMap(rows), tuple(radii))
-
-
-def _hull_ambit_3d(X: np.ndarray, foci) -> Ambit:
     from scipy.spatial import ConvexHull, QhullError
 
+    m, X, foci = t.m, t.X, t.focus_refs()
+    if m > 3:
+        raise CapabilityError("exact hulls are limited to m <= 3; use cluster_facets for more foci")
     pts = X.T
     try:
-        hull = ConvexHull(pts)
+        equations = ConvexHull(pts).equations if m > 1 else None
     except QhullError:
-        # degenerate (coplanar or worse): fall back to the bounding box,
-        # which doubles facets but still contains every responsibility
-        return _box_rows(X, foci)
-    rows = hull.equations[:, :3]
-    radii = tuple(float(-off) for off in hull.equations[:, 3])
-    return Ambit(foci, LinearMap(rows), radii)
+        equations = None
+    if equations is not None:
+        return Ambit(foci, LinearMap(equations[:, :m]), tuple(-equations[:, m]))
+    distinct = np.unique(pts, axis=0)  # in lexicographic order
+    if m != 2 or len(distinct) < 2:
+        return table1_region("cut", foci, lo=np.min(X, axis=1), hi=np.max(X, axis=1))
+    d = distinct[-1] - distinct[0]
+    norm = np.array([-d[1], d[0]])
+    proj, offs = pts @ d, pts @ norm
+    radii = (float(np.max(proj)), -float(np.min(proj)), float(np.max(offs)), -float(np.min(offs)))
+    return Ambit(foci, LinearMap([d, -d, norm, -norm]), radii)
 
 
 # --- k-means and facet clustering -------------------------------------------
@@ -259,6 +213,8 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     than 1e-6."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if k > n:
         raise ValueError("more clusters than points")
     centroids = np.empty((k, pts.shape[1]))
@@ -306,8 +262,8 @@ def cluster_facets(
     if mode not in ("lp25", "minrad"):
         raise ValueError("mode must be lp25 or minrad")
     q = np.atleast_2d(np.asarray(query_features, dtype=float))
-    if mode == "lp25" and q.shape[0] == 0:
-        raise ValueError("lp25 mode needs training query features")
+    if q.shape[0] == 0:
+        raise ValueError("clustering needs training query features")
     distinct = len({tuple(row) for row in q})
     if k > distinct:
         warnings.warn(f"reducing k from {k} to {distinct} distinct query features")

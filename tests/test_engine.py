@@ -29,7 +29,6 @@ from sprawl.engine import (
     emulate_from_traces,
     is_tautology,
     linear_scan,
-    member_node,
     parse_dnf,
     random_small_sprawl,
     reduce_to_signed,
@@ -40,6 +39,11 @@ from sprawl.errors import CapabilityError, EmulationError, SizeLimitError, Struc
 from sprawl.hypergraph import Heuristic, enumerate_repertoire, traverse
 
 from conftest import ball_rows, make_fans, shell_groups
+
+
+def root_targets(sprawl):
+    """Targets of the sprawl's root edges, in edge order."""
+    return tuple(e.target for e in sprawl.edges if e.is_root_edge)
 
 
 def toy_space(n=6, dims=2, seed=0):
@@ -209,7 +213,7 @@ def test_aesa_filters_hard(rng):
 def test_laesa_structure(rng):
     space = EuclideanSpace(rng.random((40, 2)))
     sprawl, _ = build_classic(space, range(40), "laesa", pivots=5)
-    assert len(sprawl.roots) == 40  # everyone unconditionally discovered
+    assert len(root_targets(sprawl)) == 40  # everyone unconditionally discovered
     groups = shell_groups(sprawl.fans)
     assert len(groups) == 5 and sprawl.fans.found == 0
     assert all(not lazy for *_, lazy in groups)
@@ -227,7 +231,7 @@ def test_pm_tree_lazy_groups(rng):
 def test_sorted_interval_tree_on_1_to_7():
     space = ProjectionSpace([[float(v)] for v in range(1, 8)])
     sprawl, res = build_classic(space, range(7), "sorted-interval-tree")
-    assert sprawl.roots == (3,)  # the median key 4 sits at ref 3
+    assert root_targets(sprawl) == (3,)  # the median key 4 sits at ref 3
     axis = space.axis_ref(0)
     for i, e in enumerate(sprawl.edges):
         if e.is_root_edge:
@@ -501,6 +505,17 @@ def test_correct_small_cap():
         check_correct_small(s, Workload((ExplicitSetQuery(frozenset({0})),)), cap=8)
 
 
+def test_correct_small_refuses_knn_up_front():
+    # a kNN query's members are its k nearest, which no radius-0 reduction
+    # can require; the check refuses the workload before reducing anything
+    space = toy_space(3)
+    s = brute_force_sprawl(space, range(3))
+    in_range = Ball((0.5, 0.5), 0.3)
+    assert check_correct_small(s, Workload((in_range,))).correct
+    with pytest.raises(CapabilityError):
+        check_correct_small(s, Workload((in_range, Ball((0.5, 0.5), 0.0, k=2))))
+
+
 def test_monotonicity_on_random_sprawls(rng):
     for _ in range(15):
         sprawl = random_small_sprawl(rng)
@@ -604,6 +619,34 @@ def test_uncovered_responsibility_fails_l3():
     assert report.violations == [("L3", None, 1, "responsibility 1 not covered by in-edges")]
 
 
+def test_violations_of_all_three_rules_keep_their_order():
+    # points 0..5 on a line; edge 1's ball misses three of its
+    # responsibilities (L1), both negative regions of edge 2 miss points that
+    # node 2 answers for through edge 3 (L2), and nodes 0, 2, 3, 4 and 5
+    # answer for points no in-edge carries (L3)
+    space = EuclideanSpace([[float(x)] for x in range(6)])
+    near, wide, listed = table1_region("ball", (0,), r=1.5), table1_region("ball", (0,), r=2.5), ExplicitRegion({2, 3})
+    far = [table1_region("ball", (f,), r=10.0) for f in range(4)]
+    edges = [
+        Edge((), 0),
+        Edge((0,), 1, (near,), ()),
+        Edge((0,), 2, (far[0],), (wide, listed)),
+        Edge((2,), 3, (far[2],), ()),
+        Edge((3,), 4, (far[3],), ()),
+        Edge((3,), 5, (far[3],), ()),
+    ]
+    sprawl = Sprawl(space, range(6), edges)
+    res = ResponsibilityAssignment({1: {1, 2, 3, 4}, 3: {3, 4, 5}, 4: {1}})
+    report = check_responsibility(sprawl, res, _atomistic_workload(sprawl))
+    uncovered = [(0, u) for u in range(5)] + [(2, u) for u in range(2, 6)] + [(3, 1), (4, 4), (5, 5)]
+    assert report.violations == (
+        [("L1", 1, v, repr(near)) for v in (2, 3, 4)]
+        + [("L2", 2, v, repr(wide)) for v in (3, 4, 5)]
+        + [("L2", 2, v, repr(listed)) for v in (4, 5)]
+        + [("L3", None, v, f"responsibility {u} not covered by in-edges") for v, u in uncovered]
+    )
+
+
 def test_non_atomistic_workload_rejected():
     space = toy_space(2)
     s = brute_force_sprawl(space, range(2))
@@ -634,7 +677,7 @@ def test_emulate_flat_oracle_gives_roots():
         return {0, 1, 2, 3}, set()  # root edges stay ready for every set
 
     got = emulate_from_traces(space, range(4), oracle)
-    assert sorted(got.roots) == [0, 1, 2, 3]
+    assert sorted(root_targets(got)) == [0, 1, 2, 3]
     assert all(e.is_root_edge for e in got.edges)
 
 
@@ -739,8 +782,8 @@ def test_lazy_edge_validation():
 
 def test_member_node_ball():
     space = EuclideanSpace([[0.0, 0.0], [3.0, 4.0]])
-    assert member_node(space, Ball((0.0, 0.0), 5.0), 1)
-    assert not member_node(space, Ball((0.0, 0.0), 4.9), 1)
+    assert 1 in linear_scan(space, range(2), Ball((0.0, 0.0), 5.0))
+    assert 1 not in linear_scan(space, range(2), Ball((0.0, 0.0), 4.9))
 
 
 def test_validate_atomistic():
@@ -759,6 +802,17 @@ def test_validate_atomistic():
     assert validate_atomistic(space, range(3), Workload(singles[:2] + (point, big), atomistic=True))
     elsewhere = Ball(tuple(space.value(2) + 0.25), 0.0)
     assert not validate_atomistic(space, range(3), Workload(singles[:2] + (elsewhere, big), atomistic=True))
+
+
+def test_validate_atomistic_reads_knn_members_as_the_k_nearest():
+    from sprawl.engine import validate_atomistic
+
+    space = EuclideanSpace([[0.0], [1.0], [3.0]])
+    singles = tuple(ExplicitSetQuery(frozenset({v})) for v in range(2))
+    # the two nearest to 0.4 are points 0 and 1, both singletons; the three
+    # nearest take in point 2, which is not, though no point is at distance 0
+    assert validate_atomistic(space, range(3), Workload(singles + (Ball((0.4,), 0.0, k=2),), atomistic=True))
+    assert not validate_atomistic(space, range(3), Workload(singles + (Ball((0.4,), 0.0, k=3),), atomistic=True))
 
 
 def test_builders_reject_asymmetric_spaces(rng):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sprawl import hypergraph
+from sprawl.comparison import Ball
+from sprawl.engine import random_small_sprawl, reduce_to_signed
 from sprawl.errors import SizeLimitError
 from sprawl.hypergraph import (
     Frontier,
@@ -13,6 +15,7 @@ from sprawl.hypergraph import (
     check_traversal_axioms,
     enumerate_repertoire,
     random_hyperdigraph,
+    successors,
     traverse,
 )
 
@@ -68,6 +71,46 @@ def test_axioms_on_enumerated_repertoires(rng):
         rep = enumerate_repertoire(g)
         verdict = check_traversal_axioms(rep, g.node_count)
         assert verdict.passed, verdict.failures
+
+
+def feasible_after(g, traversed: frozenset) -> frozenset:
+    """Oracle of `successors` over frozensets: the nodes some edge whose
+    sources are all traversed discovers and none eliminates, less those
+    traversed."""
+    discovered, eliminated = set(), set()
+    for e in g.edges:
+        if e.sources <= traversed:
+            (eliminated if e.sign < 0 else discovered).add(e.target)
+    return frozenset((discovered - eliminated) - traversed)
+
+
+def oracle_repertoire(g) -> set:
+    """Every traversal and prefix, by depth-first search over `feasible_after`."""
+    out, stack = set(), [()]
+    while stack:
+        prefix = stack.pop()
+        out.add(prefix)
+        stack.extend(prefix + (x,) for x in feasible_after(g, frozenset(prefix)))
+    return out
+
+
+def test_successors_match_the_frozenset_oracle_on_every_set(rng):
+    for _ in range(100):
+        g = random_hyperdigraph(rng)
+        after = successors(g)
+        for state in range(1 << g.node_count):
+            traversed = frozenset(v for v in range(g.node_count) if state >> v & 1)
+            assert after(state) == sum(1 << v for v in feasible_after(g, traversed)), (g.edges, sorted(traversed))
+
+
+def test_enumeration_matches_the_oracle_search(rng):
+    for _ in range(200):
+        g = random_hyperdigraph(rng)
+        assert enumerate_repertoire(g) == oracle_repertoire(g), g.edges
+    for _ in range(60):
+        sprawl = random_small_sprawl(rng)
+        g = reduce_to_signed(sprawl, Ball(tuple(rng.random(2)), float(rng.random())))
+        assert enumerate_repertoire(g) == oracle_repertoire(g), g.edges
 
 
 def test_axioms_small_examples():
@@ -139,7 +182,7 @@ def test_explicit_order_rejects_duplicates():
 
 
 def test_debug_format_round_trip(rng):
-    from sprawl.hypergraph import format_graph, format_traversal, parse_graph
+    from sprawl.hypergraph import format_graph, parse_graph
 
     g = graph(4, ((), 0, 1), ((0,), 1, 1), ((0, 1), 2, -1), ((), 3, 1))
     text = format_graph(g)
@@ -149,7 +192,7 @@ def test_debug_format_round_trip(rng):
     assert {(e.sources, e.target, e.sign) for e in back.edges} == {
         (e.sources, e.target, e.sign) for e in g.edges
     }
-    assert format_traversal(traverse(g)) == "0 3 1\n"
+    assert traverse(g) == [0, 3, 1]
     with pytest.raises(ValueError):
         parse_graph("x 1 <- 2\n")
 

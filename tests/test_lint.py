@@ -82,3 +82,35 @@ def test_one_overlap_slack():
         if arg.arg == "tol"
     ]
     assert not found, f"overlap checks with a slack parameter: {found}"
+
+
+# top-level names that only tests reach, each kept for a reason of its own
+UNREFERENCED_ALLOWED = {
+    "gift_wrap_2d",  # the reference the hull tests check `hull_ambit` against
+    "validate_atomistic",  # the checker of the atomistic-workload contract
+    "format_graph",  # the writer of the format that `sprawl verify --graph` reads
+}
+
+
+def test_every_top_level_name_is_used():
+    # a function or class that nothing in the program or the benchmark
+    # reaches is a second copy or dead code; the names any top-level
+    # statement uses count for every definition but its own, as do string
+    # constants, which name entry points for the benchmark's tracer
+    bench = SRC.parents[1] / "bench"
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            own = getattr(top, "name", None) if path.parent == SRC else None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own:
+                defined.append((path.name, top.lineno, own))
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                if isinstance(name, str) and name != own:
+                    used.add(name)
+    assert len(defined) > 50, "package definitions not found"
+    found = [f"{module}:{line}: {name}" for module, line, name in defined if name not in used | UNREFERENCED_ALLOWED]
+    assert not found, f"top-level names nothing in src/ or bench/ uses: {found}"

@@ -354,6 +354,18 @@ def test_cluster_solves_the_covering_lp_once(rng, monkeypatch, mode):
         assert row.tolist() == a.tolist() and r == radius
 
 
+@pytest.mark.parametrize("mode", ["lp25", "minrad"])
+def test_cluster_refuses_empty_query_features(rng, mode):
+    t = random_training(rng, 2, 8)
+    with pytest.raises(ValueError, match="query features"):
+        cluster_facets(t, np.empty((0, 2)), 2, mode=mode)
+
+
+def test_kmeans_refuses_fewer_than_one_cluster(rng):
+    with pytest.raises(ValueError, match="at least 1"):
+        kmeans(rng.random((5, 2)), 0, np.random.default_rng(0))
+
+
 def test_kmeans_deterministic_and_total(rng):
     pts = rng.random((40, 2))
     c1, l1 = kmeans(pts, 5, np.random.default_rng(9))

@@ -5,7 +5,9 @@ The inputs are the ones that break exact search: duplicate points, and
 points on a dyadic grid, whose distances tie exactly, with range radii read
 off the scan's own distance row, so that a boundary point lies exactly on
 the query sphere; and degenerate regions: shells with lo == hi, zero-width
-ones about duplicate points among them, and balls of radius 0.
+ones about duplicate points among them, and balls of radius 0. The later
+properties also draw the norm, L1, L2, L3 or L-infinity, and run every
+heuristic: the default, FIFO, "bound" and LIFO.
 """
 import numpy as np
 from hypothesis import given
@@ -18,6 +20,7 @@ from sprawl.hypergraph import Heuristic
 from conftest import make_fans
 
 DYADIC = st.integers(0, 8).map(lambda i: i / 8)
+HEURISTICS = (None, Heuristic.fifo(), Heuristic("bound"), Heuristic.lifo())  # None: the default
 
 
 @st.composite
@@ -121,3 +124,54 @@ def test_radius_zero_ball_rows_answer_as_the_scan_does(case):
     in_range, nearest, want, want_knn = _queries(space, n, center, rank, k)
     assert set(search(sprawl, in_range, Heuristic.fifo()).members) == want
     assert search(sprawl, nearest, Heuristic("bound")).members == want_knn
+
+
+@st.composite
+def lp_cases(draw):
+    """A case on the Lp space of its points, p in {1, 2, 3, inf}."""
+    pts, center, rank, k = draw(cases())
+    return EuclideanSpace(pts, p=draw(st.sampled_from([1.0, 2.0, 3.0, np.inf]))), center, rank, k
+
+
+def _answers_as_the_scan_does(sprawl, center, rank, k, label):
+    n = len(sprawl.nodes)
+    in_range, nearest, want, want_knn = _queries(sprawl.space, n, center, rank, k)
+    for h in HEURISTICS:
+        assert set(search(sprawl, in_range, h).members) == want, (label, h)
+        assert search(sprawl, nearest, h).members == want_knn, (label, h)
+
+
+@given(lp_cases())
+def test_classic_indexes_answer_as_the_scan_does_under_every_heuristic_and_norm(case):
+    space, center, rank, k = case
+    n = len(space)
+    pivots = {"pivots": min(3, n - 1)}
+    for kind, params in (("ball-tree", {}), ("pm-tree", pivots), ("aesa", {}), ("laesa", pivots)):
+        sprawl, _ = build_classic(space, range(n), kind, **params)
+        _answers_as_the_scan_does(sprawl, center, rank, k, kind)
+
+
+@st.composite
+def widened_shells(draw):
+    """An Lp case whose sprawl makes every point a root and hangs an eager
+    shell fan from each of 1-3 pivots: a row's lo and hi are the pivot's
+    distance to its target, widened by a drawn epsilon >= 0 on each side
+    (often 0, so that lo == hi stays among the rows)."""
+    space, center, rank, k = draw(lp_cases())
+    n = len(space)
+    epsilon = st.one_of(st.just(0.0), DYADIC, st.floats(0.0, 0.5))
+    groups = []
+    for u in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)):
+        targets = [v for v in range(n) if v != u]
+        d = space.distances_from(u, targets)
+        below, above = (np.array(draw(st.lists(epsilon, min_size=n - 1, max_size=n - 1))) for _ in range(2))
+        groups.append((u, targets, (d - below).tolist(), (d + above).tolist()))
+    sprawl = Sprawl(space, range(n), [Edge((), v) for v in range(n)], make_fans(groups=groups))
+    assert not sprawl.fans.lazy.any() and sprawl.fans.found == 0
+    return sprawl, center, rank, k
+
+
+@given(widened_shells())
+def test_widened_shells_answer_as_the_scan_does(case):
+    sprawl, center, rank, k = case
+    _answers_as_the_scan_does(sprawl, center, rank, k, "shells")
