@@ -10,7 +10,8 @@ non-decreasing maps). `overlap_facet_columns` is its single-facet form
 over columns of regions, `overlap_facet_bounds` its single-facet form
 over the regions of one focus together with their kNN bounds, and
 `overlap_linear` the check of a linear region against a linear ambit
-query. `shells_missed` is the vectorised shell test, `shell_bounds` the
+query, and `overlap_refs` that of a region against an explicit set of
+points. `shells_missed` is the vectorised shell test, `shell_bounds` the
 lower bounds that shells give a kNN search, and `ball_reach` the radius
 at which a linear ambit's facets stop excluding a ball. A `LinearMap`
 also keeps its facet rows as plain floats, so both linear checks run as
@@ -226,6 +227,13 @@ def radients(space: ComparisonSpace, ambit: Ambit, u, session: CostSession | Non
 
 def membership(space: ComparisonSpace, ambit: Ambit, u, session: CostSession | None = None, tol: float = 0.0) -> bool:
     return ambit.contains_features(radients(space, ambit, u, session), tol=tol)
+
+
+def overlap_refs(space: ComparisonSpace, ambit: Ambit, refs, session: CostSession) -> bool:
+    """Whether the region holds any of `refs`, which is where an explicit
+    set query meets it: `membership` of each in turn, with the overlap
+    slack `TOL`, charging its distances to the session."""
+    return any(membership(space, ambit, u, session, tol=TOL) for u in refs)
 
 
 def membership_mask(space: ComparisonSpace, ambit: Ambit, refs, tol: float = TOL) -> np.ndarray:

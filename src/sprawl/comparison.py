@@ -4,9 +4,22 @@ Every distance used anywhere in the package is computed here, so the
 per-query cost metric (number of comparison evaluations) has a single home:
 `compare` and `distances_from` charge it around uncounted subclass kernels,
 and every Lp distance, in every call shape, goes through `lp_norm`.
+
+Lp distances come in three shapes, which must give one float per pair: a
+row (`distances_from`) and a block (`pairwise`) over numpy arrays, and a
+pair of points as plain float tuples at low dimension (see
+`ComparisonSpace.plain`), which a search measures one traversed node at a
+time. numpy's `add.reduce` sums the terms of a row in pairwise order, and
+`_sum_order` spells the same order out for the pair kernel: below 8 terms
+in turn, from 0.0; from 8 to 128 terms in 8 lanes, lane j adding terms j,
+j + 8, j + 16, ... in turn, the lanes combined as
+((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the terms past the
+last multiple of 8 added after in turn; above 128 terms, the first n // 2
+rounded down to a multiple of 8 and the rest, each summed so, then added.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,11 +32,72 @@ import numpy as np
 TOL = 1e-9
 
 
-def lp_norm(diff: np.ndarray, p: float):
+#: The exponents whose pair distance is one generated expression: their
+#: terms are IEEE products and absolute values, which plain floats round as
+#: numpy does. Any other p keeps numpy's `power`, which a scalar `**` may
+#: not match in the last bit.
+PAIR_PS = (1.0, 2.0, math.inf)
+
+#: The largest dimension whose points a Euclidean space makes plain. The
+#: generated kernel grows by a few statements per coordinate while numpy's
+#: three calls barely grow, so the two cost the same near d = 48 (timeit of
+#: one `measure`, at each p of `PAIR_PS`); up to 16 the kernel takes at most
+#: half the time. Larger d keep the arrays.
+PAIR_MAX_D = 16
+
+
+def _sum_order(terms: list[str]) -> str:
+    """The source of an expression adding `terms` in numpy's pairwise order
+    (see the module docstring)."""
+    n = len(terms)
+    if n < 8:
+        return " + ".join(["0.0", *terms])
+    if n <= 128:
+        whole = n - n % 8
+        r = ["(" + " + ".join(terms[j:whole:8]) + ")" for j in range(8)]
+        lanes = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        return " + ".join([f"({lanes})", *terms[whole:]])
+    half = n // 2 - n // 2 % 8
+    return f"({_sum_order(terms[:half])}) + ({_sum_order(terms[half:])})"
+
+
+@functools.cache
+def _pair_sum(d: int, p: float):
+    """The kernel of the plain pair shape at dimension d: a function of two
+    float tuples that returns the p-sum of their difference (the max of its
+    absolute values at p = inf), unrolled into one expression so that no
+    loop or numpy call runs per pair."""
+    xs = [f"x{i}" for i in range(d)]
+    if p == 2.0:
+        body = _sum_order([f"{x} * {x}" for x in xs])
+    elif p == 1.0:
+        body = _sum_order([f"abs({x})" for x in xs])
+    elif p == math.inf:  # max is exact, so its order does not matter
+        body = "max(" + ", ".join(["0.0", *(f"abs({x})" for x in xs)]) + ")"
+    else:
+        raise ValueError(f"no pair kernel for p = {p}; see PAIR_PS")
+    lines = [
+        "def pair_sum(a, b):",
+        "    " + "".join(f"a{i}, " for i in range(d)) + "= a",
+        "    " + "".join(f"b{i}, " for i in range(d)) + "= b",
+        *(f"    x{i} = a{i} - b{i}" for i in range(d)),
+        f"    return {body}",
+    ]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["pair_sum"]
+
+
+def lp_norm(diff, p: float, other=None):
     """The Lp norm of `diff` along its last axis, one float per pair in every
     call shape: roots go through numpy's ufuncs, never scalar `**` (libm's
     `pow` can differ from numpy's `power` in the last bit), and `math.sqrt`
-    is correctly rounded, as `np.sqrt` is."""
+    is correctly rounded, as `np.sqrt` is. Given `other`, `diff` and
+    `other` are two points as plain float tuples, p is one of `PAIR_PS`,
+    and the norm is that of `diff - other`, summed by `_pair_sum`."""
+    if other is not None:
+        total = _pair_sum(len(other), p)(diff, other)
+        return math.sqrt(total) if p == 2.0 else total
     if p == 2.0:
         total = np.add.reduce(diff * diff, axis=-1)
         return math.sqrt(total) if diff.ndim == 1 else np.sqrt(total)
@@ -76,6 +150,13 @@ class ComparisonSpace:
 
     def _coerce(self, raw):
         raise TypeError(f"{self.kind} space cannot compare raw value {raw!r}")
+
+    def plain(self, a):
+        """The resolved value `a` in the form `_dist` measures fastest: `a`
+        itself here. `measure` takes two resolved values, or two made plain;
+        a search keeps the plain values of its nodes itself, since it
+        writes nothing to the space."""
+        return a
 
     def _dist(self, a, b) -> float:
         raise NotImplementedError
@@ -144,6 +225,8 @@ class EuclideanSpace(ComparisonSpace):
         self.points = pts
         self.points.setflags(write=False)
         self.p = float(p)
+        # whether `plain` makes points float tuples, for the pair kernel
+        self._pairs = self.p in PAIR_PS and pts.shape[1] <= PAIR_MAX_D
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -158,7 +241,15 @@ class EuclideanSpace(ComparisonSpace):
     def _coerce(self, raw):
         return _finite_point(self, raw)
 
+    def plain(self, a):
+        """A point as a tuple of floats, which `_dist` measures with one
+        generated expression, where p is one of `PAIR_PS` and the dimension
+        at most `PAIR_MAX_D`; else the array."""
+        return tuple(a.tolist()) if self._pairs else a
+
     def _dist(self, a, b) -> float:
+        if self._pairs and type(a) is tuple:  # both made plain, see `plain`
+            return lp_norm(a, self.p, b)
         return float(lp_norm(a - b, self.p))
 
     def _row(self, a, refs) -> np.ndarray:

@@ -263,8 +263,9 @@ class Sprawl:
     def _plan(self):
         """The frontier plan (fan f is plan edge len(edges) + f), the lazy
         edges and lazy fan rows into each target, the seed position of
-        each fan row's target in a dense plan, the ball columns, and the
-        fan columns a search reads as plain lists.
+        each fan row's target in a dense plan, the ball columns, the fan
+        columns a search reads as plain lists, and each node's value in the
+        form the space measures fastest (`ComparisonSpace.plain`).
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
@@ -324,7 +325,9 @@ class Sprawl:
             pos = at[fans.target - low]
         waves, balls = self._waves(lazy_in, lazy_rows, finders, rows)
         plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
-        self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows)
+        space = self.space
+        plain = {v: space.plain(space.value(v)) for v in self.nodes}
+        self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows, plain)
         return self._plan_cache
 
     def _waves(self, lazy_in, lazy_rows, finders, rows):
@@ -440,6 +443,7 @@ class _QueryEval:
     def __init__(self, space: ComparisonSpace, query):
         self.space = space
         self.query = query
+        self.plain = {}  # ref -> `space.plain` of its value; `search` puts the plan's here
         self.session = CostSession()
         if isinstance(query, AmbitQuery):  # the backward ambit of its weighted foci
             self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
@@ -456,10 +460,18 @@ class _QueryEval:
         ref's value, or a raw value coerced and checked."""
         return self.space.resolve(self.query.center)
 
+    @cached_property
+    def plain_center(self):
+        """`center` in the form the space measures fastest."""
+        return self.space.plain(self.center)
+
     def dist_to_center(self, ref: int) -> float:
         d = self._to_center.get(ref)
         if d is None:
-            d = self._to_center[ref] = self.space.measure(self.center, self.space.resolve(ref), self.session)
+            b = self.plain.get(ref)
+            if b is None:
+                b = self.space.plain(self.space.resolve(ref))
+            d = self._to_center[ref] = self.space.measure(self.plain_center, b, self.session)
         return d
 
     def dists_to_center(self, refs: list[int]) -> np.ndarray:
@@ -512,9 +524,7 @@ class _QueryEval:
             return any(self.member(i, s) for i in sorted(region.ids))
         if isinstance(region, Ambit):
             if isinstance(q, ExplicitSetQuery):
-                return any(
-                    ambit_mod.membership(self.space, region, i, self.session) for i in sorted(q.ids)
-                )
+                return ambit_mod.overlap_refs(self.space, region, sorted(q.ids), self.session)
             if isinstance(q, Ball):
                 radius = q.radius if s is None else s
                 try:
@@ -606,8 +616,11 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     The traversal loop is `hypergraph.Frontier.run`; an explicit edge here
     fires by evaluating its regions against the query, and a fan fires
     its rows in row order. Every traversed node is tested for query
-    membership. Lazy negative edges and lazy fan rows are consulted only
-    immediately before their target would be traversed. A `Ball` search
+    membership; where a `Ball` search measures one node at a time, it
+    takes the node's value in the plain form that the plan keeps
+    (`ComparisonSpace.plain`), which gives the float a row would. Lazy
+    negative edges and lazy fan rows are consulted only immediately
+    before their target would be traversed. A `Ball` search
     fires a ball fan with one lookup of its source's distance, one
     plain-float `ambit.overlap_facet_bounds` call, which gives each row
     the verdict and the kNN bound that `intersects` and `lower_bound`
@@ -638,7 +651,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
+    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_rows), plain = sprawl._plan()
     ev = _QueryEval(space, query)
+    ev.plain = plain
     ball = isinstance(query, Ball)
     knn = ball and query.k is not None
     if knn:
@@ -648,7 +663,6 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     else:
         s_current = query.radius if ball else None
 
-    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_rows) = sprawl._plan()
     if heuristic is None:
         heuristic = Heuristic("bound") if knn else Heuristic.fifo()
     frontier = Frontier(plan, heuristic)
@@ -723,8 +737,8 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
 
     members: list[int] = []
     lazy = bool(lazy_in or lazy_rows)
-    if knn:  # node ids are int refs, so `space.value` resolves them
-        measure, value, center, session = space.measure, space.value, ev.center, ev.session
+    if knn:
+        measure, center, session = space.measure, ev.plain_center, ev.session
 
     def refused(v: int) -> bool:
         """Whether an armed lazy edge or row into v misses the query."""
@@ -754,7 +768,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         if knn:
             d = to_center.get(v)
             if d is None:  # `ev.dist_to_center(v)`, inlined: every traversed node pays for it
-                d = to_center[v] = measure(center, value(v), session)
+                d = to_center[v] = measure(center, plain[v], session)
             item = (-d, -v)
             if len(worst) < k:
                 heapq.heappush(worst, item)

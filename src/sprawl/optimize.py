@@ -177,9 +177,10 @@ def hull_ambit(t: TrainingSet) -> Ambit:
     Where Qhull finds no hull, two foci over collinear responsibilities
     get doubled facets along and across their line, and a single point or
     three foci over coplanar responsibilities the bounding box, which
-    doubles facets but still contains every responsibility. Beyond three
-    foci the facet count explodes combinatorially, so callers are pointed
-    at cluster_facets instead.
+    doubles facets but still contains every responsibility. The region
+    holds every column of X at zero slack (`contains_features(X)`). Beyond
+    three foci the facet count explodes combinatorially, so callers are
+    pointed at cluster_facets instead.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -192,15 +193,23 @@ def hull_ambit(t: TrainingSet) -> Ambit:
     except QhullError:
         equations = None
     if equations is not None:
-        return Ambit(foci, LinearMap(equations[:, :m]), tuple(-equations[:, m]))
-    distinct = np.unique(pts, axis=0)  # in lexicographic order
-    if m != 2 or len(distinct) < 2:
-        return table1_region("cut", foci, lo=np.min(X, axis=1), hi=np.max(X, axis=1))
-    d = distinct[-1] - distinct[0]
-    norm = np.array([-d[1], d[0]])
-    proj, offs = pts @ d, pts @ norm
-    radii = (float(np.max(proj)), -float(np.min(proj)), float(np.max(offs)), -float(np.min(offs)))
-    return Ambit(foci, LinearMap([d, -d, norm, -norm]), radii)
+        rows, radii = equations[:, :m], -equations[:, m]
+    else:
+        distinct = np.unique(pts, axis=0)  # in lexicographic order
+        if m != 2 or len(distinct) < 2:  # the box's rows read X's own entries, so it holds every column
+            return table1_region("cut", foci, lo=np.min(X, axis=1), hi=np.max(X, axis=1))
+        d = distinct[-1] - distinct[0]
+        norm = np.array([-d[1], d[0]])
+        rows, radii = [d, -d, norm, -norm], None
+    linear = LinearMap(rows)
+    # a facet's equation can round against a hull vertex, and a matrix
+    # product rounds a lone column apart from a batch, so each radius is at
+    # least its row's largest remoteness over the responsibilities, taken
+    # both ways: the region then holds all of them at zero slack, as a
+    # batch and one at a time
+    alone = [linear.remoteness(x) for x in np.ascontiguousarray(X.T)]
+    reach = np.maximum(linear.remoteness(X).max(axis=1), np.max(alone, axis=0))
+    return Ambit(foci, linear, reach if radii is None else np.maximum(radii, reach))
 
 
 # --- k-means and facet clustering -------------------------------------------

@@ -1,9 +1,12 @@
+import dis
 import itertools
 
 import numpy as np
 import pytest
 
 from sprawl.comparison import (
+    PAIR_MAX_D,
+    PAIR_PS,
     Ball,
     CostSession,
     EuclideanSpace,
@@ -14,7 +17,9 @@ from sprawl.comparison import (
     build_hardness_gadget,
     check_triangle,
     feature_map,
+    _pair_sum,
     levenshtein,
+    lp_norm,
 )
 from sprawl.engine import build_classic, linear_scan, search
 from sprawl.hypergraph import Heuristic
@@ -60,6 +65,63 @@ def test_lp_compare_equals_distances_from_rows(rng, p):
         assert kth in got.members
         assert got.members == linear_scan(space, range(200), Ball(tuple(c), float(row[kth])))
         assert search(sprawl, Ball(tuple(c), 0.0, k=10)).members[-1] == kth
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_lp_pair_kernel_matches_rows_bit_for_bit(p):
+    # a search measures traversed nodes as plain float pairs; each pair must
+    # be the float that compare, a row and a block give, to the last bit,
+    # over mixed magnitudes, -0.0, subnormal differences and terms, and every
+    # branch of the summation order (below 8 terms, 8 lanes, halves split
+    # at a multiple of 8)
+    rng = np.random.default_rng(19)
+    for d in [*range(1, 18), 31, 64, 129, 300]:
+        pts = rng.choice([-1.0, 1.0], size=(24, d)) * rng.random((24, d)) * 10.0 ** rng.uniform(-3, 3, size=(24, d))
+        pts[::5, 0] = -0.0
+        pts[12:15] = rng.integers(-3, 4, size=(3, d)) * 5e-324  # subnormal coordinates and differences
+        pts[15:18] = pts[12:15] + rng.integers(-3, 4, size=(3, d)) * 5e-324
+        pts[18:21] = rng.random((3, d)) * 1e-160  # squares that are subnormal
+        space = EuclideanSpace(pts, p=p)
+        plain = [space.plain(space.value(i)) for i in range(24)]
+        assert isinstance(plain[0], tuple) == (p in PAIR_PS and d <= PAIR_MAX_D)
+        floats = [tuple(row) for row in pts.tolist()]
+        block = space.pairwise(range(24), range(24))
+        for i in range(24):
+            row = space.distances_from(i, range(24))
+            for j in range(24):
+                want = float(row[j]).hex()
+                assert space.compare(i, j).hex() == want, (d, i, j)
+                assert float(block[i, j]).hex() == want, (d, i, j)
+                assert space.measure(plain[i], plain[j]).hex() == want, (d, i, j)
+                if p in PAIR_PS:  # the kernel itself, also past PAIR_MAX_D
+                    assert lp_norm(floats[i], p, floats[j]).hex() == want, (d, i, j)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [EuclideanSpace([[0.0, 0.0], [3.0, 4.0]], p=3.0), EuclideanSpace(np.eye(2, PAIR_MAX_D + 1))],
+    ids=["p3", "past-max-d"],
+)
+def test_a_space_without_the_pair_form_never_reaches_the_pair_kernel(space):
+    # points stay arrays, and a pair of tuples is refused as before, not
+    # measured under another norm
+    a, b = space.value(0), space.value(1)
+    assert space.plain(a) is a
+    with pytest.raises(TypeError):
+        space.measure(tuple(a.tolist()), tuple(b.tolist()))
+    with pytest.raises(ValueError):
+        _pair_sum(2, 3.0)
+
+
+@pytest.mark.parametrize("p", PAIR_PS)
+def test_lp_pair_kernel_source_holds_only_products_and_sums(p):
+    # the pair kernel takes no root and calls nothing that rounds apart from
+    # numpy's rows: no sum (compensated from Python 3.12), fsum, dist, hypot,
+    # sqrt, pow or **
+    for d in (1, 7, 8, 9, 129):
+        code = _pair_sum(d, p).__code__
+        assert set(code.co_names) <= {"abs", "max"}, code.co_names
+        assert not [i for i in dis.get_instructions(code) if "POWER" in i.opname or i.argrepr in ("**", "**=")]
 
 
 @pytest.mark.parametrize("kind", ["ball-tree", "aesa", "laesa", "pm-tree"])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sprawl.ambit import Ambit, LinearMap, table1_region
+from sprawl.ambit import Ambit, LinearMap, membership, table1_region
 from sprawl.comparison import (
     AmbitQuery,
     Ball,
@@ -117,6 +117,22 @@ def test_explicit_set_query():
     s = brute_force_sprawl(space, range(5))
     got = search(s, ExplicitSetQuery(frozenset({1, 3})))
     assert got.members == (1, 3)
+
+
+def test_explicit_set_query_meets_a_region_on_its_facet():
+    # point 2 lies on the region's facet, which rounds against it, so
+    # membership at zero slack misses it; the overlap check of an explicit
+    # set has the slack of every other overlap check and must not
+    space = EuclideanSpace([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
+    linear = LinearMap([[0.6, 0.4]])
+    x = np.array([space.compare(0, 2), space.compare(1, 2)])
+    region = Ambit((0, 1), linear, (np.nextafter(float(linear.remoteness(x)[0]), -np.inf),))
+    assert not membership(space, region, 2)
+    s = Sprawl(space, range(3), [Edge((), 0), Edge((), 1), Edge((0, 1), 2, positive=(region,))])
+    q = ExplicitSetQuery(frozenset({2}))
+    got = search(s, q)
+    assert got.members == linear_scan(space, range(3), q) == (2,)
+    assert got.distance_computations == 2  # the radients of 2, charged to the search
 
 
 def test_ambit_query_membership(rng):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sprawl.ambit import membership
 from sprawl.comparison import EuclideanSpace, build_hardness_gadget
 from sprawl.errors import CapabilityError
 from sprawl.optimize import (
@@ -262,6 +263,21 @@ def test_hull_m3_contains_all(rng):
     # a point well outside the cloud is excluded
     far = np.max(X, axis=1) * 3.0 + 1.0
     assert not region.contains_features(far)
+
+
+def test_hull_holds_its_responsibilities_at_zero_slack(rng):
+    # a facet's equation can round against a hull vertex, and a lone column
+    # can round apart from a batch; the region must hold every
+    # responsibility with no slack both ways
+    for i in range(30):
+        m = 2 + i % 2
+        n = int(rng.integers(4, 20))
+        space = EuclideanSpace(rng.random((m + n, 2)) * 10.0 ** rng.uniform(-1, 2))
+        resp = range(m, m + n)
+        t = build_training_set(space, range(m), resp, [0])
+        region = hull_ambit(t)
+        assert region.contains_features(t.X).all(), i
+        assert all(membership(space, region, u) for u in resp), i
 
 
 def test_hull_m4_routes_to_clustering(rng):
