@@ -80,7 +80,15 @@ class LinearMap(RemotenessMap):
         return not np.any(self.matrix < 0.0)
 
     def remoteness(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+        """matrix @ x, summed column by column in order and elementwise, so
+        that a column of a batch rounds as it does alone: a matrix product
+        orders its sums by the shape of its operands."""
+        x = np.asarray(x, dtype=float)
+        cols = x.reshape(self.arity, -1)
+        total = self.matrix[:, :1] * cols[0]
+        for j in range(1, self.arity):
+            total = total + self.matrix[:, j : j + 1] * cols[j]
+        return total.reshape((self.rows,) + x.shape[1:])
 
     def describe(self) -> dict:
         return {"kind": "linear", "rows": [[float(v) for v in row] for row in self.matrix]}

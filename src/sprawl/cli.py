@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -117,13 +118,16 @@ def cmd_query(args) -> int:
 
 @dataclass
 class BenchReport:
-    """Per-query counts plus aggregates, checked against the scan oracle."""
+    """Per-query counts and wall-clock times plus aggregates, checked
+    against the scan oracle."""
 
     sizes: np.ndarray
     traversed: np.ndarray
     distance_computations: np.ndarray
     oracle_agreement: bool
     false_negatives: int  # scan-oracle members the exact search missed, over all queries
+    search_ms: np.ndarray
+    scan_ms: np.ndarray
 
     def lines(self):
         yield f"queries: {len(self.sizes)}  oracle agreement: {str(self.oracle_agreement).lower()}"
@@ -137,20 +141,29 @@ class BenchReport:
                 f"p95 {np.percentile(col, 95):.2f}"
             )
 
+    def clock_lines(self):
+        """The times of `search` and of the `linear_scan` baseline, which
+        differ from run to run, unlike `lines`."""
+        for name, col in (("search ms", self.search_ms), ("scan ms", self.scan_ms)):
+            yield f"{name}: p50 {np.median(col):.3f}  p95 {np.percentile(col, 95):.3f}"
+
 
 def run_bench(sprawl, queries, knn: bool) -> BenchReport:
     rows = []
     agree = True
     missed = 0
     for query in queries:
+        t0 = perf_counter()
         got = engine.search(sprawl, query)
+        t1 = perf_counter()
         want = engine.linear_scan(sprawl.space, sprawl.nodes, query)
+        t2 = perf_counter()
         ok = tuple(got.members) == tuple(want) if knn else set(got.members) == set(want)
         missed += len(set(want) - set(got.members))
         agree = agree and ok
-        rows.append((len(got.members), got.traversed, got.distance_computations))
-    sizes, traversed, dists_ = (np.array(col, dtype=float) for col in zip(*rows))
-    return BenchReport(sizes, traversed, dists_, agree, missed)
+        rows.append((len(got.members), got.traversed, got.distance_computations, 1e3 * (t1 - t0), 1e3 * (t2 - t1)))
+    sizes, traversed, dists_, search_ms, scan_ms = (np.array(col, dtype=float) for col in zip(*rows))
+    return BenchReport(sizes, traversed, dists_, agree, missed, search_ms, scan_ms)
 
 
 def cmd_bench(args) -> int:
@@ -175,6 +188,8 @@ def cmd_bench(args) -> int:
     report = run_bench(sprawl, queries, knn=bool(args.knn))
     for line in report.lines():
         print(line)
+    for line in report.clock_lines():  # on stderr, so that stdout stays the same for a seed
+        print(line, file=sys.stderr)
     if report.false_negatives:
         print(
             f"error: exact search missed {report.false_negatives} points the scan oracle found",

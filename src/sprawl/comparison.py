@@ -88,15 +88,16 @@ def _pair_sum(d: int, p: float):
     return namespace["pair_sum"]
 
 
-def lp_norm(diff, p: float, other=None):
+def lp_norm(diff, p: float, other=None, kernel=None):
     """The Lp norm of `diff` along its last axis, one float per pair in every
     call shape: roots go through numpy's ufuncs, never scalar `**` (libm's
     `pow` can differ from numpy's `power` in the last bit), and `math.sqrt`
     is correctly rounded, as `np.sqrt` is. Given `other`, `diff` and
     `other` are two points as plain float tuples, p is one of `PAIR_PS`,
-    and the norm is that of `diff - other`, summed by `_pair_sum`."""
+    and the norm is that of `diff - other`, summed by `kernel`, which is
+    `_pair_sum` of their dimension and p, looked up here if not given."""
     if other is not None:
-        total = _pair_sum(len(other), p)(diff, other)
+        total = (kernel or _pair_sum(len(other), p))(diff, other)
         return math.sqrt(total) if p == 2.0 else total
     if p == 2.0:
         total = np.add.reduce(diff * diff, axis=-1)
@@ -225,11 +226,15 @@ class EuclideanSpace(ComparisonSpace):
         self.points = pts
         self.points.setflags(write=False)
         self.p = float(p)
-        # whether `plain` makes points float tuples, for the pair kernel
-        self._pairs = self.p in PAIR_PS and pts.shape[1] <= PAIR_MAX_D
+        # the pair kernel, looked up once, where `plain` makes points float tuples
+        self._pair = _pair_sum(pts.shape[1], self.p) if self.p in PAIR_PS and pts.shape[1] <= PAIR_MAX_D else None
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def __reduce__(self):
+        # the pair kernel is generated code, which pickle cannot name: rebuild it
+        return type(self), (self.points, self.p)
 
     @property
     def dimension(self) -> int:
@@ -245,11 +250,11 @@ class EuclideanSpace(ComparisonSpace):
         """A point as a tuple of floats, which `_dist` measures with one
         generated expression, where p is one of `PAIR_PS` and the dimension
         at most `PAIR_MAX_D`; else the array."""
-        return tuple(a.tolist()) if self._pairs else a
+        return tuple(a.tolist()) if self._pair is not None else a
 
     def _dist(self, a, b) -> float:
-        if self._pairs and type(a) is tuple:  # both made plain, see `plain`
-            return lp_norm(a, self.p, b)
+        if self._pair is not None and type(a) is tuple:  # both made plain, see `plain`
+            return lp_norm(a, self.p, b, self._pair)
         return float(lp_norm(a - b, self.p))
 
     def _row(self, a, refs) -> np.ndarray:

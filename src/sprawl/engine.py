@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -185,6 +184,9 @@ class _BallColumns(NamedTuple):
     r: np.ndarray
     checked: bool  # whether a target may already be done when its edge fires
     others: dict[int, list[int]]  # each source's other out-edge ids, which discover nothing
+    # whether anything but a wave reads the query-centre distances of the
+    # nodes it measures: a wave then reads and fills the search's cache
+    cached: bool
 
 
 def _ref_test(refs: set[int]):
@@ -324,7 +326,8 @@ class Sprawl:
             at[order - low] = np.arange(len(order))
             pos = at[fans.target - low]
         waves, balls = self._waves(lazy_in, lazy_rows, finders, rows)
-        plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
+        span = max(self.nodes) + 1 if waves is not None else 0
+        plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1, span=span)
         space = self.space
         plain = {v: space.plain(space.value(v)) for v in self.nodes}
         self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows, plain)
@@ -342,10 +345,13 @@ class Sprawl:
         or when one's edge could eliminate a target that the other's ball
         tests; a ball tested twice, or into a seed, also keeps its target
         apart from its source. A target of lazy edges or rows waits until
-        their sources are traversed. Where every node is the source of an
-        eager shell fan, as in AESA, each node's shells may eliminate the
-        next, so waves would all be one node; a dense plan then selects
-        FIFO from its bound array instead.
+        their sources are traversed. A wave's distances go into the
+        search's cache only where something else reads it: another edge or
+        a lazy check of a wave node, a node stepping alone, or a labelled
+        sourceless edge, which fires before the first wave. Where every
+        node is the source of an eager shell fan, as in AESA, each node's
+        shells may eliminate the next, so waves would all be one node; a
+        dense plan then selects FIFO from its bound array instead.
         """
         edges, nodes, fans = self.edges, self.nodes, self.fans
         fan_start, fan_source, found = rows
@@ -413,6 +419,9 @@ class Sprawl:
             {v: frozenset(vs) for v, vs in apart.items()},
             {v: frozenset(vs) for v, vs in after.items()},
         )
+        cached = bool(others or lazy_in or lazy_rows or alone) or any(
+            not e.sources and not e.is_root_edge for e in edges
+        )
         source = np.array([b[0] for b in balls], dtype=np.int64)
         start = np.zeros(max(nodes) + 2, dtype=np.int64)
         np.cumsum(np.bincount(source, minlength=max(nodes) + 1), out=start[1:])
@@ -426,6 +435,7 @@ class Sprawl:
             facets[:, 2],
             checked,
             others,
+            cached,
         )
         return waves, columns
 
@@ -474,10 +484,15 @@ class _QueryEval:
             d = self._to_center[ref] = self.space.measure(self.plain_center, b, self.session)
         return d
 
-    def dists_to_center(self, refs: list[int]) -> np.ndarray:
-        """`dist_to_center` of each ref, the uncached ones in one
-        `measure_row` call, whose rows equal `measure` bit for bit."""
+    def dists_to_center(self, refs: np.ndarray, cached: bool) -> np.ndarray:
+        """`dist_to_center` of each ref of an int64 array, in one
+        `measure_row` call, whose rows equal `measure` bit for bit. Only
+        where `cached`, refs already in the cache are read from it and the
+        others put there."""
+        if not cached:
+            return self.space.measure_row(self.center, refs, self.session)
         cache = self._to_center
+        refs = refs.tolist()
         todo = [r for r in refs if r not in cache]
         if todo:
             d = self.space.measure_row(self.center, todo, self.session)
@@ -641,13 +656,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     classic AESA range loop does.
 
     A FIFO range search (a `Ball` with no k, on a symmetric space) whose
-    plan carries `Waves` goes a wave at a time instead: one
-    `distances_from` call tests the whole wave for membership and fills
-    the caches, the wave's ball rows and single-facet ball edges get one
-    vectorised verdict (`ambit.overlap_facet_columns`), its other edges
-    fire in turn as above, and the surviving targets, in edge order, join
-    the queue. Members, order and both counts are those of the
-    node-at-a-time form.
+    plan carries `Waves` goes a wave at a time instead, over int64 arrays
+    (see `Frontier`): one `measure_row` call tests the whole wave for
+    membership, filling the centre-distance cache only where the plan has
+    another reader for it (`_BallColumns.cached`); the wave's ball rows and
+    single-facet ball edges get one vectorised verdict
+    (`ambit.overlap_facet_columns`), its other edges fire in turn as
+    above, and the surviving targets, in edge order, join the queue in one
+    `Frontier.discover_all`. The members are gathered as arrays and made
+    Python ints once, at the end. Members, order and both counts are those
+    of the node-at-a-time form.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
@@ -669,7 +687,6 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     steer = frontier.dense and heuristic.kind == "bound" and ball
     if steer:
         frontier.cut(ambit_mod.bound_cutoff(s_current))
-    done = frontier.done
     edges, fans = sprawl.edges, sprawl.fans
     explicit = len(edges)
     a, l1 = ambit_mod.BALL_FACET
@@ -688,15 +705,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         """Fire a fan other than a `Ball` search's ball fans (see `fire`)."""
         first, end, u = start[f], start[f + 1], source[f]
         if not ball:  # row by row, through the regions the rows stand for
+            done = frontier.done
             for j, t in zip(range(first, end), fans.target[first:end].tolist()):
                 if t in done:
                     continue
                 e = fans.edge(j)
                 if f < fans.found:
                     if ev.intersects(e.positive[0], s_current):
-                        frontier.discover(t)
+                        frontier.discover_all((t,))
                 elif not ev.intersects(e.negative[0], s_current):
-                    frontier.eliminate((t,))
+                    frontier.eliminate([t])
         else:
             z = ev.dist_to_center(u)
             ev.region_evaluations += end - first
@@ -708,9 +726,10 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             if frontier.dense:
                 frontier.eliminate_at(pos[first:end][miss])
             else:
-                frontier.eliminate(fans.target[first:end][miss].tolist())
+                frontier.eliminate(fans.target[first:end][miss])
 
     def fire(edge_ids) -> None:
+        done = frontier.done
         for ei in edge_ids:
             f = ei - explicit
             if 0 <= f < found:  # a ball fan: a float verdict and bound per row, as `intersects` and `lower_bound` give
@@ -721,7 +740,10 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                 if z is None:
                     z = ev.dist_to_center(u)
                 bounds = ambit_mod.overlap_facet_bounds(radii, l1, a, z, s_current)
-                frontier.discover_all(targets, bounds if knn else [b if b is None else 0.0 for b in bounds])
+                if knn:
+                    frontier.discover_all(targets, bounds)
+                else:
+                    frontier.discover_all([t for t, b in zip(targets, bounds) if b is not None])
                 continue
             if f >= 0:  # another fan's plan edge
                 fire_fan(f)
@@ -731,28 +753,31 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             if t in done:
                 continue
             if not all(ev.intersects(r, s_current) for r in e.negative):
-                frontier.eliminate((t,))
+                frontier.eliminate([t])
             elif all(ev.intersects(r, s_current) for r in e.positive):
-                frontier.discover(t, lower_bound(e) if knn else 0.0)
+                frontier.discover_all((t,), (lower_bound(e),) if knn else None)
 
     members: list[int] = []
     lazy = bool(lazy_in or lazy_rows)
     if knn:
         measure, center, session = space.measure, ev.plain_center, ev.session
 
-    def refused(v: int) -> bool:
-        """Whether an armed lazy edge or row into v misses the query."""
-        traversed = frontier.traversed
+    def refused(v: int, traversed) -> bool:
+        """Whether a lazy edge or row into v that is armed, its sources all
+        in traversed, misses the query; every one is armed where traversed
+        is None, as for a wave node (see `Waves`)."""
         for ei in lazy_in.get(v, ()):
             e = edges[ei]
-            if all(s in traversed for s in e.sources):
+            if traversed is None or all(s in traversed for s in e.sources):
                 for r in e.negative:
                     if not ev.intersects(r, s_current):
                         return True
         for u, lo, hi in lazy_rows.get(v, ()):
-            if u in traversed:
+            if traversed is None or u in traversed:
                 if ball:
-                    z = ev.dist_to_center(u)
+                    z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
+                    if z is None:
+                        z = ev.dist_to_center(u)
                     ev.region_evaluations += 1
                     if ambit_mod.shells_missed(z, lo, hi, s_current):
                         return True
@@ -763,7 +788,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     def visit(v: int) -> bool:
         """Refuse v if an armed lazy edge misses the query, else record it."""
         nonlocal s_current
-        if lazy and refused(v):
+        if lazy and refused(v, frontier.traversed):
             return False
         if knn:
             d = to_center.get(v)
@@ -783,45 +808,48 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             members.append(v)
         return True
 
+    hits: list[np.ndarray] = []  # the members of each wave
     if balls is None or not ball or knn or not space.symmetric:
         order = frontier.run(fire, visit)
     else:
         wave_z = np.empty(0)  # distances of the last wave's kept nodes, in order
 
-        def visit_wave(vs: list[int]) -> list[int]:
+        def visit_wave(vs: np.ndarray) -> np.ndarray:
             """`visit` for a whole wave: lazy refusals, then one batched distance call."""
             nonlocal wave_z
             if lazy:
-                vs = [v for v in vs if not refused(v)]
-            wave_z = ev.dists_to_center(vs)
-            members.extend(compress(vs, (wave_z <= s_current).tolist()))
+                vs = vs[np.fromiter((not refused(v, None) for v in vs.tolist()), dtype=bool, count=len(vs))]
+            wave_z = ev.dists_to_center(vs, balls.cached)
+            hits.append(vs[wave_z <= s_current])
             return vs
 
-        def fire_wave(vs: list[int]) -> None:
+        def fire_wave(vs: np.ndarray) -> None:
             """`fire` for a wave's out-edges: the others in turn, then every
             ball edge in one verdict; survivors are discovered in edge order."""
             if balls.others:
-                fire([i for v in vs for i in balls.others.get(v, ())])
-            src = np.asarray(vs, dtype=np.int64)
-            first = balls.start[src]
-            counts = balls.start[src + 1] - first
+                fire([i for v in vs.tolist() for i in balls.others.get(v, ())])
+            first = balls.start[vs]
+            counts = balls.start[vs + 1] - first
             # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
-            rows = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-            z = np.repeat(wave_z, counts)
+            rows = (first - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
+            z = wave_z.repeat(counts)
             targets = balls.target[rows]
             if balls.checked:
-                live = np.fromiter((t not in done for t in targets.tolist()), dtype=bool, count=len(rows))
+                live = frontier.undone(targets)
                 rows, z, targets = rows[live], z[live], targets[live]
             ev.region_evaluations += len(rows)
             hit = ambit_mod.overlap_facet_columns(balls.r[rows], balls.l1[rows], balls.a[rows], z, s_current)
-            frontier.discover_all(targets[hit].tolist())
+            frontier.discover_all(targets[hit])
 
         order = frontier.run(fire, visit, visit_wave, fire_wave)
     if knn:
-        ranked = sorted((-nd, -nr) for nd, nr in worst)
-        members = [v for _, v in ranked]
+        members = [v for _, v in sorted((-nd, -nr) for nd, nr in worst)]
+    elif hits:
+        members = np.sort(np.concatenate([*hits, np.array(members, dtype=np.int64)])).tolist()
+    else:
+        members.sort()
     return SearchResult(
-        members=tuple(sorted(members)) if not knn else tuple(members),
+        members=tuple(members),
         traversed=len(order),
         distance_computations=ev.session.distance_computations,
         region_evaluations=ev.region_evaluations,

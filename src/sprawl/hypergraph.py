@@ -116,6 +116,7 @@ class Plan(NamedTuple):
     # no node has two discovering edges, a seed's root edge included, so a
     # "bound" key is the bound its one discovering edge gave
     sole_finder: bool = False
+    span: int = 0  # one past the largest node ref, where the plan carries `Waves`
 
 
 def activation(edges, seeds=(), dense: bool = False) -> Plan:
@@ -167,11 +168,36 @@ def _entry_key(h: Heuristic):
     raise ValueError(f"unknown heuristic kind {h.kind!r}")
 
 
+# a wave frontier's status bits per ref
+QUEUED, DONE, TRAVERSED = 1, 2, 4
+
+
+class _Flagged:
+    """The refs whose status carries a flag, read and written as a set:
+    `in`, `isdisjoint` and `add`. A wave frontier's `done` and `traversed`."""
+
+    __slots__ = ("_status", "_flag")
+
+    def __init__(self, status: bytearray, flag: int):
+        self._status = status
+        self._flag = flag
+
+    def __contains__(self, v) -> bool:
+        return self._status[v] & self._flag != 0
+
+    def isdisjoint(self, vs) -> bool:
+        status, flag = self._status, self._flag
+        return not any(status[v] & flag for v in vs)
+
+    def add(self, v) -> None:
+        self._status[v] |= self._flag
+
+
 class Frontier:
     """The one traversal loop and its per-traversal state.
 
     Both `traverse` and `engine.search` run on it; they differ only in the
-    `fire` callback that turns activated edge ids into `discover`,
+    `fire` callback that turns activated edge ids into `discover_all`,
     `eliminate` and `raise_bounds` calls. Elimination is permanent, and
     since edges fired in one round all fire before the next selection, it
     beats discovery.
@@ -186,9 +212,13 @@ class Frontier:
     so the argmin is the first live seed, the node FIFO takes. A selected
     or eliminated node's bound is inf; `eliminate_at` eliminates by seed
     position in one store. Under FIFO, over a plan with `Waves` and with
-    wave callbacks given to `run`, queued nodes wait in a list in
-    discovery order and are taken a wave at a time: the longest run at the
-    head of the queue that `Waves` allows. Otherwise nodes wait in a heap
+    wave callbacks given to `run`, nodes go a wave at a time over arrays:
+    queued nodes wait in one int64 buffer, in discovery order, between a
+    head and a tail position (a node joins at most once, so `Plan.span`
+    slots suffice), and each ref's status (queued, done, traversed) is a
+    byte of one array, which `done` and `traversed` read as sets. A wave is
+    the longest run at the head of the queue that `Waves` allows; where
+    `Waves` is empty, it is the whole queue. Otherwise nodes wait in a heap
     of the heuristic's keys, each ending with its node; under "bound" over
     a plan with a `sole_finder`, selection stops once the smallest live
     key's bound is above the `cut` limit. A queued key can rise only under
@@ -204,9 +234,7 @@ class Frontier:
         self._key = _entry_key(h)
         rekey = h.kind == "bound"
         self._fifo = h.kind == "fifo"
-        self._queue: list[int] | None = None  # discovery order, in the wave form
-        self._head = 0  # queue position of the first node not yet taken
-        self._seq: dict[int, int] = {}  # discovery sequence of every discovered node
+        self._seq: dict[int, int] = {}  # discovery sequence of every discovered node, in the heap form
         self._heap: list[tuple] = []  # heap keys, each ending with its node
         #: the live heap key of every queued node, kept only where a
         #: rediscovery may raise one: under "bound" over a plan without
@@ -215,8 +243,16 @@ class Frontier:
         #: nodes selected or eliminated by `eliminate`; nothing changes their
         #: status again. The nodes that `eliminate_at` or `cut` rules out are
         #: not listed: a dense frontier's bound array holds every status.
-        self.done: set[int] = set()
-        self.traversed: set[int] = set()
+        self.done: set[int] | _Flagged = set()
+        self.traversed: set[int] | _Flagged = set()
+        # the wave form's state, set up by `run`: the status bytes by ref (a
+        # bytearray for single reads and a numpy view of it for whole
+        # arrays), and the queue buffer with its head and tail positions
+        self._flags: bytearray | None = None
+        self._status: np.ndarray | None = None
+        self._queue: np.ndarray | None = None
+        self._head = self._tail = 0
+        self._armed: set[frozenset[int]] = set()  # `Waves.after` source sets found all traversed
         self.dense = plan.positions is not None and (rekey or self._fifo and plan.waves is None)
         self._cuts = rekey and (self.dense or plan.sole_finder)
         self._limit = np.inf  # the `cut` limit
@@ -225,27 +261,34 @@ class Frontier:
             # FIFO), inf once selected or eliminated
             self._bound = np.zeros(len(plan.seeds))
 
-    def discover(self, v: int, bound: float = 0.0) -> None:
-        """Make v available. Under the "bound" key a rediscovery with a
-        larger lower bound raises v's key, so it is selected at its
-        tightest bound."""
-        self.discover_all((v,), (bound,))
-
     def discover_all(self, vs, bounds=None) -> None:
-        """`discover(v, bound)` for each v of vs in turn, with the bound at
+        """Make each node of vs available in turn, with the lower bound at
         the same place in bounds (0 without bounds); a None bound leaves
-        its node alone."""
+        its node alone. Under the "bound" key a rediscovery with a larger
+        lower bound raises the node's key, so it is selected at its
+        tightest bound. The wave form reads no bounds, as FIFO keys take
+        none: it keeps the refs of vs, a sequence or an int64 array, that
+        are neither queued nor done, in one step, and queues them in order,
+        each once."""
         if self.dense:  # a dense plan's nodes are all available
             return
-        seq, done, prio = self._seq, self.done, self._prio
-        pairs = zip(vs, bounds if bounds is not None else itertools.repeat(0.0))
-        if self._queue is not None:  # FIFO: a node joins the queue once
-            fresh = list(dict.fromkeys(v for v, bound in pairs if bound is not None and v not in seq and v not in done))
-            seq.update(zip(fresh, range(len(seq), len(seq) + len(fresh))))
-            self._queue.extend(fresh)
+        status = self._status
+        if status is not None:
+            vs = np.asarray(vs, dtype=np.int64)
+            fresh = vs[status[vs] == 0]
+            # without `sole_finder` a node may be found twice at once: it joins at its first place
+            if not self._plan.sole_finder and len(fresh) > 1:
+                first = np.unique(fresh, return_index=True)[1]
+                if len(first) < len(fresh):
+                    fresh = fresh[np.sort(first)]
+            status[fresh] = QUEUED
+            tail = self._tail + len(fresh)
+            self._queue[self._tail : tail] = fresh
+            self._tail = tail
             return
+        seq, done, prio = self._seq, self.done, self._prio
         heap, push, key = self._heap, heapq.heappush, self._key
-        for v, bound in pairs:
+        for v, bound in zip(vs, bounds if bounds is not None else itertools.repeat(0.0)):
             if bound is None or v in done:
                 continue
             n = seq.get(v)
@@ -264,10 +307,21 @@ class Frontier:
             push(heap, entry)
 
     def eliminate(self, vs) -> None:
-        """Eliminate every node in vs at once; traversed nodes stay traversed."""
+        """Eliminate every node of vs, a list or an int64 array, at once;
+        traversed nodes stay traversed."""
+        if self._status is not None:
+            self._status[vs] |= DONE
+            return
+        if isinstance(vs, np.ndarray):
+            vs = vs.tolist()
         self.done.update(vs)
         if self.dense:
             self.eliminate_at(list(map(self._plan.positions.__getitem__, vs)))
+
+    def undone(self, vs: np.ndarray) -> np.ndarray:
+        """Whether each node of an int64 array is neither selected nor
+        eliminated, in the wave form."""
+        return self._status[vs] & DONE == 0
 
     def eliminate_at(self, positions) -> None:
         """Eliminate the nodes at the given seed positions (dense frontiers
@@ -291,39 +345,44 @@ class Frontier:
         if self._cuts:
             self._limit = limit
 
-    def _take_wave(self, waves: Waves) -> tuple[list[int], bool]:
+    def _take_wave(self, waves: Waves) -> tuple[memoryview, bool]:
         """The next wave and False, or one node that must step alone and
-        True; an empty list once the queue is spent.
+        True, as int64 refs in a memoryview, whose truth is its length: an
+        empty one once the queue is spent.
 
         The wave is the longest run of queued nodes, in discovery order,
         whose members are not `alone`, have every lazy source traversed
-        already and are not `apart` from an earlier member.
+        already and are not `apart` from an earlier member; done nodes are
+        skipped. Where `Waves` is empty, nothing eliminates or refuses a
+        queued node, so the wave is the whole queue.
         """
-        queue, done, traversed = self._queue, self.done, self.traversed
+        queue, head, tail = self._queue, self._head, self._tail
+        if not any(waves):
+            self._head = tail
+            return memoryview(queue[head:tail]), False
         alone, apart, after = waves
-        head = self._head
-        if not (alone or apart or after):  # nothing eliminates or refuses a queued node
-            self._head = len(queue)
-            return queue[head:], False
-        wave: list[int] = []
+        flags, armed = self._flags, self._armed
+        pending = queue[head:tail]
+        live = np.flatnonzero(self._status[pending] & DONE == 0)  # positions in pending
         inside: set[int] = set()
-        for i in range(head, len(queue)):
-            v = queue[i]
-            if v in done:
-                continue
-            if v in alone or v in after and not after[v] <= traversed:
-                if wave:
-                    self._head = i
-                    return wave, False
-                self._head = i + 1
-                return [v], True
+        for k, v in enumerate(pending[live].tolist()):
+            sources = after.get(v)
+            waits = sources is not None and sources not in armed
+            if waits and all(flags[u] & TRAVERSED for u in sources):
+                armed.add(sources)  # for good: no node is ever untraversed
+                waits = False
+            if v in alone or waits:
+                if k:
+                    self._head = head + int(live[k])
+                    return memoryview(pending[live[:k]]), False
+                self._head = head + int(live[0]) + 1
+                return memoryview(pending[live[:1]]), True
             if v in apart and not apart[v].isdisjoint(inside):
-                self._head = i
-                return wave, False
-            wave.append(v)
+                self._head = head + int(live[k])
+                return memoryview(pending[live[:k]]), False
             inside.add(v)
-        self._head = len(queue)
-        return wave, False
+        self._head = tail
+        return memoryview(pending[live]), False
 
     def run(self, fire, visit=None, visit_wave=None, fire_wave=None) -> list[int]:
         """Traverse until no node is available; return the traversal.
@@ -336,17 +395,22 @@ class Frontier:
 
         With `visit_wave` and `fire_wave` given, a FIFO frontier over a plan
         with `Waves` selects in the wave form. `visit_wave(nodes)` visits a
-        whole wave and returns the nodes it keeps, in order; they are
-        traversed and the rest eliminated, and `fire_wave(kept)` then fires
-        every out-edge of the kept nodes. A node that must step alone takes
-        the same path as a heap selection.
+        whole wave, an int64 array, and returns the nodes it keeps, in
+        order, as one; they are traversed and the rest eliminated, and
+        `fire_wave(kept)` then fires every out-edge of the kept nodes. A
+        node that must step alone is visited and fired as a heap selection
+        is.
         """
-        heap, prio, done, traversed = self._heap, self._prio, self.done, self.traversed
+        heap, prio = self._heap, self._prio
         plan, cuts, dense = self._plan, self._cuts, self.dense
         out, joins, seeds = plan.out, plan.joins, plan.seeds
         waves = plan.waves if self._fifo and visit_wave is not None else None
         if waves is not None:
-            self._queue = []
+            self._flags = flags = bytearray(plan.span)
+            self._status = status = np.frombuffer(flags, dtype=np.uint8)
+            self._queue = np.empty(plan.span, dtype=np.int64)
+            self.done, self.traversed = _Flagged(flags, DONE), _Flagged(flags, TRAVERSED)
+        done, traversed = self.done, self.traversed
         remaining: dict[int, int] = {}  # sources not yet traversed, per edge of `joins`
         order: list[int] = []
         self.discover_all(seeds)  # none over a dense plan: its bound array holds them at 0
@@ -357,10 +421,11 @@ class Frontier:
                 if not wave:
                     break
                 if not alone:
-                    kept = visit_wave(wave)
-                    done.update(wave)
-                    traversed.update(kept)
-                    order.extend(kept)
+                    nodes = np.asarray(wave)
+                    status[nodes] |= DONE  # traversed, or eliminated when visit_wave refuses it
+                    kept = visit_wave(nodes)
+                    status[kept] |= TRAVERSED
+                    order += kept.tolist()
                     fire_wave(kept)
                     continue
                 v = wave[0]
@@ -419,7 +484,7 @@ def traverse(g: SignedHyperdigraph, h: Heuristic | None = None) -> list[int]:
             if e.sign < 0:
                 frontier.eliminate((e.target,))
             else:
-                frontier.discover(e.target)
+                frontier.discover_all((e.target,))
 
     return frontier.run(fire)
 

@@ -202,13 +202,11 @@ def hull_ambit(t: TrainingSet) -> Ambit:
         norm = np.array([-d[1], d[0]])
         rows, radii = [d, -d, norm, -norm], None
     linear = LinearMap(rows)
-    # a facet's equation can round against a hull vertex, and a matrix
-    # product rounds a lone column apart from a batch, so each radius is at
-    # least its row's largest remoteness over the responsibilities, taken
-    # both ways: the region then holds all of them at zero slack, as a
-    # batch and one at a time
-    alone = [linear.remoteness(x) for x in np.ascontiguousarray(X.T)]
-    reach = np.maximum(linear.remoteness(X).max(axis=1), np.max(alone, axis=0))
+    # a facet's equation can round against a hull vertex, so each radius is
+    # at least its row's largest remoteness over the responsibilities: the
+    # region then holds all of them at zero slack, as a batch and one at a
+    # time, which `LinearMap.remoteness` rounds alike
+    reach = linear.remoteness(X).max(axis=1)
     return Ambit(foci, linear, reach if radii is None else np.maximum(radii, reach))
 
 

@@ -11,6 +11,7 @@ from sprawl.ambit import (
     ball_reach,
     _corner,
     membership,
+    membership_mask,
     overlap_facet_bounds,
     overlap_facet_columns,
     overlap_linear,
@@ -46,6 +47,24 @@ def test_remoteness_hamacher():
     m = HamacherMap()
     assert m.remoteness(np.array([0.0, 0.0]))[0] == 0.0
     assert m.remoteness(np.array([0.5, 0.5]))[0] == pytest.approx(1.0 / 3.0)
+
+
+def test_linear_remoteness_rounds_a_column_alike_alone_and_in_a_batch():
+    # radii at each row's largest matrix-product value put some points on a
+    # facet, where a rounding that depends on the batch would flip the
+    # zero-slack verdict of a lone column
+    rng = np.random.default_rng(20)
+    for i in range(600):
+        m = 2 + i % 2
+        n = int(rng.integers(4, 20))
+        space = EuclideanSpace(rng.random((m + n, m)) * 10.0 ** rng.uniform(-1, 2))
+        foci, refs = tuple(range(m)), list(range(m, m + n))
+        rows = rng.normal(size=(int(rng.integers(3, 9)), m))
+        X = np.vstack([space.distances_from(p, refs) for p in foci])
+        region = Ambit(foci, LinearMap(rows), (rows @ X).max(axis=1))
+        batch = membership_mask(space, region, refs, tol=0.0)
+        assert [membership(space, region, u) for u in refs] == batch.tolist(), i
+        assert [region.contains_features(x) for x in X.T] == region.contains_features(X).tolist(), i
 
 
 def test_metaball_offset_flag():

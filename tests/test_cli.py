@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,35 @@ def test_bench_false_negative_exits_1(tmp_path, dataset, monkeypatch, capsys):
     monkeypatch.setattr(engine, "search", lossy_search)
     assert main(["bench", "--index", str(index), "--queries", "5"]) == 1
     assert "missed" in capsys.readouterr().err
+
+
+def test_bench_prints_search_and_scan_times(tmp_path, dataset, monkeypatch, capsys):
+    # the clock goes to stderr beside the counts on stdout, whatever the verdict
+    from sprawl import engine
+
+    index = tmp_path / "i.json"
+    main(["build", "--dataset", str(dataset), "--kind", "ball-tree", "--out", str(index)])
+    capsys.readouterr()
+    for knn in ([], ["--knn", "3"]):
+        assert main(["bench", "--index", str(index), "--queries", "6", *knn]) == 0
+        out, err = capsys.readouterr()
+        assert "distance comps:" in out and " ms" not in out
+        lines = err.splitlines()
+        for name in ("search ms", "scan ms"):
+            (line,) = [x for x in lines if x.startswith(name + ": ")]
+            p50, p95 = (float(v) for v in re.fullmatch(name + r": p50 (\S+)  p95 (\S+)", line).groups())
+            assert 0.0 < p50 <= p95
+    real_search = engine.search
+
+    def lossy_search(sprawl, query, heuristic=None):
+        got = real_search(sprawl, query, heuristic)
+        got.members = got.members[1:]
+        return got
+
+    monkeypatch.setattr(engine, "search", lossy_search)
+    assert main(["bench", "--index", str(index), "--queries", "6"]) == 1
+    err = capsys.readouterr().err
+    assert "search ms: p50" in err and "scan ms: p50" in err
 
 
 def test_bench_refuses_unsound_quasimetric_index(tmp_path, capsys):

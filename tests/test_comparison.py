@@ -1,5 +1,6 @@
 import dis
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ def test_lp_pair_kernel_matches_rows_bit_for_bit(p):
                 assert space.measure(plain[i], plain[j]).hex() == want, (d, i, j)
                 if p in PAIR_PS:  # the kernel itself, also past PAIR_MAX_D
                     assert lp_norm(floats[i], p, floats[j]).hex() == want, (d, i, j)
+
+
+@pytest.mark.parametrize("p", [*PAIR_PS, 3.0])
+def test_a_space_pickles_with_its_pair_kernel(p):
+    # the space holds its generated pair kernel, which pickle cannot name
+    space = EuclideanSpace(np.random.default_rng(5).random((6, 8)), p=p)
+    copy = pickle.loads(pickle.dumps(space))
+    a, b = (copy.plain(copy.value(i)) for i in (1, 4))
+    assert copy.measure(a, b) == space.compare(1, 4) and copy.p == p
 
 
 @pytest.mark.parametrize(

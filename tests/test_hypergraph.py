@@ -231,7 +231,7 @@ def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
 
 def test_dense_fifo_with_waves_keeps_the_wave_form():
     edges = [(i, (i,)) for i in range(4)]
-    plan = activation(edges, range(4), dense=True)._replace(waves=Waves(frozenset(), {}, {}))
+    plan = activation(edges, range(4), dense=True)._replace(waves=Waves(frozenset(), {}, {}), span=4)
     waves = []
 
     def visit_wave(vs):

@@ -10,6 +10,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from sprawl.ambit import table1_region
 from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, StringSpace
@@ -27,6 +28,7 @@ from sprawl.hypergraph import Frontier, Heuristic
 
 from conftest import make_fans, random_labeled_sprawl
 from test_differential import reference_search
+from test_properties import lp_cases
 
 
 def heap_twin(sprawl: Sprawl) -> Sprawl:
@@ -122,6 +124,47 @@ def test_random_sprawls_match_the_heap(rng, wave_sizes):
             assert_waves_match_heap(sprawl, queries)
     assert sum(size > 1 for size in wave_sizes) > 50
     assert 0 in wave_sizes  # some nodes stepped alone
+
+
+@given(lp_cases())
+def test_classic_waves_match_the_heap_on_ties_and_boundaries(case):
+    # duplicate points and dyadic ties, every norm of the battery, and range
+    # radii read off the scan's row, so that points lie on the query sphere
+    space, center, rank, _ = case
+    n = len(space)
+    row = np.sort(space.distances_from(center, range(n)))
+    queries = [Ball(center, float(r)) for r in {0.0, row[rank - 1] if rank else 0.0, row[-1]}]
+    for kind in ("ball-tree", "laesa", "pm-tree"):
+        sprawl, _ = build_classic(space, range(n), kind, pivots=min(3, n - 1))
+        assert_waves_match_heap(sprawl, queries)
+
+
+def test_members_and_order_are_python_ints(rng):
+    # a wave's arrays become plain ints once, at the end, so that results
+    # print and serialise as the node-at-a-time form's do
+    space = EuclideanSpace(rng.random((80, 3)))
+    for kind in ("ball-tree", "aesa", "laesa", "pm-tree"):
+        sprawl, _ = build_classic(space, range(80), kind, pivots=4)
+        for q in (Ball((0.5, 0.5, 0.5), 0.3), Ball((0.5, 0.5, 0.5), 0.0, k=5), Ball(3, 0.2)):
+            got = search(sprawl, q)
+            assert got.members and got.order, (kind, q)
+            assert {type(v) for v in got.members + got.order} == {int}, (kind, q)
+
+
+def test_a_wave_that_finds_one_node_twice_queues_it_once(wave_sizes):
+    # 1 and 2 share a wave and each has a ball into 3, so no node has a sole
+    # finder; 3 joins the queue once, at its first finder's place (ahead of
+    # 1's next child 5), and 3's ball back into 1 finds 1 done and is not
+    # evaluated
+    space = EuclideanSpace([[0.0], [1.0], [1.2], [1.1], [1.15], [0.9]])
+    balls = [(0, 1, 5.0), (0, 2, 5.0), (1, 3, 5.0), (1, 5, 5.0), (2, 3, 5.0), (3, 4, 5.0), (3, 1, 5.0)]
+    sprawl = Sprawl(space, range(6), [Edge((), 0)], make_fans(balls))
+    plan = sprawl._plan()[0]
+    assert not plan.sole_finder and plan.waves is not None
+    got = search(sprawl, Ball((1.1,), 5.0))
+    assert got.order == (0, 1, 2, 3, 5, 4) and wave_sizes == [1, 2, 2, 1]
+    assert got.region_evaluations == 6
+    assert_waves_match_heap(sprawl, [Ball((1.1,), 5.0), Ball((1.1,), 0.06), Ball((3.0,), 0.5), Ball(3, 0.0)])
 
 
 def test_string_index_matches_the_heap(rng):
