@@ -189,31 +189,6 @@ class _BallColumns(NamedTuple):
     cached: bool
 
 
-def _ref_test(refs: set[int]):
-    """A test of whether every value of an int64 array is in refs.
-
-    Over a span of ids at most a few times the count of refs, as builders
-    and the index reader give, it reads a lookup table, so no array is
-    sorted; over a sparser span it falls back to `np.isin`.
-    """
-    known = np.fromiter(refs, dtype=np.int64, count=len(refs))
-    low = min(int(known.min()), 0) if len(known) else 0
-    high = int(known.max()) if len(known) else -1
-    if high - low > 4 * len(known) + 64:
-        return lambda values: bool(np.isin(values, known).all())
-    table = np.zeros(high - low + 1, dtype=bool)
-    table[known - low] = True
-
-    def test(values: np.ndarray) -> bool:
-        if not len(values):
-            return True
-        if values.min() < low or values.max() > high:
-            return False
-        return bool(table[values - low if low else values].all())
-
-    return test
-
-
 class Sprawl:
     """Immutable-after-build index: ground set, explicit edges and fans."""
 
@@ -238,7 +213,9 @@ class Sprawl:
             yield len(self.edges) + j, self.fans.edge(j)
 
     def validate(self) -> None:
-        nodes = set(self.nodes)
+        nodes, size = set(self.nodes), len(self.space)
+        if nodes and not (0 <= min(nodes) and max(nodes) < size):
+            raise IndexError(f"node refs must lie in [0, {size}), the refs of the space")
         pseudo = set()
         if isinstance(self.space, ProjectionSpace):
             pseudo = {self.space.axis_ref(i) for i in range(self.space.dimension)}
@@ -256,9 +233,12 @@ class Sprawl:
         f = self.fans
         if not len(f.source):
             return
-        known = _ref_test(nodes)  # one membership test per column
-        if not (known(f.source) and known(f.target)):
-            raise IndexError("fan refers to refs outside the ground set")
+        known = np.zeros(size, dtype=bool)  # a lookup table, so no column is sorted
+        known[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+        for refs in (f.source, f.target):
+            # a negative ref would wrap round the table
+            if len(refs) and not (0 <= refs.min() and refs.max() < size and known[refs].all()):
+                raise IndexError("fan refers to refs outside the ground set")
         if (np.repeat(f.source[: f.found], np.diff(f.start[: f.found + 1])) == f.target[: f.found_rows]).any():
             warnings.warn("a ball edge into its own source can never fire usefully")
 
@@ -317,17 +297,10 @@ class Sprawl:
         rows = (start, source, [(source[f], found_target[span], radii[span]) for f, span in enumerate(spans)])
         # eager ids ascend, so the first is a shell fan's only if every eager edge is one
         dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(self.nodes)
-        plan = activation(eager, seeds, dense)
-        pos = None
-        if dense:
-            order = np.asarray(plan.seeds, dtype=np.int64)
-            low = int(order.min())
-            at = np.empty(int(order.max()) - low + 1, dtype=np.int64)  # seed position by ref
-            at[order - low] = np.arange(len(order))
-            pos = at[fans.target - low]
+        plan = activation(eager, max(self.nodes, default=-1) + 1, seeds, dense)
+        pos = plan.positions[fans.target] if dense else None
         waves, balls = self._waves(lazy_in, lazy_rows, finders, rows)
-        span = max(self.nodes) + 1 if waves is not None else 0
-        plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1, span=span)
+        plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
         space = self.space
         plain = {v: space.plain(space.value(v)) for v in self.nodes}
         self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows, plain)
@@ -356,7 +329,7 @@ class Sprawl:
         edges, nodes, fans = self.edges, self.nodes, self.fans
         fan_start, fan_source, found = rows
         shells = [f for f, lazy in enumerate(fans.lazy.tolist()) if f >= fans.found and not lazy]
-        if {fan_source[f] for f in shells} >= set(nodes) or min(nodes) < 0:
+        if {fan_source[f] for f in shells} >= set(nodes):
             return None, None
         alone: set[int] = set()
         apart: dict[int, set[int]] = {}
@@ -630,7 +603,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
 
     The traversal loop is `hypergraph.Frontier.run`; an explicit edge here
     fires by evaluating its regions against the query, and a fan fires
-    its rows in row order. Every traversed node is tested for query
+    its rows in row order. The frontier keeps each node's status as a byte
+    by ref in every selection form, which `Frontier.done` and
+    `Frontier.traversed` read. Every traversed node is tested for query
     membership; where a `Ball` search measures one node at a time, it
     takes the node's value in the plain form that the plan keeps
     (`ComparisonSpace.plain`), which gives the float a row would. Lazy
@@ -639,14 +614,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     fires a ball fan with one lookup of its source's distance, one
     plain-float `ambit.overlap_facet_bounds` call, which gives each row
     the verdict and the kNN bound that `intersects` and `lower_bound`
-    would, and one bulk `Frontier.discover_all`; it fires a shell fan by
-    eliminating all its missed targets at once. For kNN queries the cover
-    radius starts at infinity and tightens to the current k-th best
-    distance whenever a traversal lowers it; node priorities are the per-edge
-    region lower bounds, and where the plan proves each node's bound its
-    one discovering edge's (`Plan.sole_finder`), the "bound" heuristic
-    stops once the smallest bound left is beyond the radius, as
-    best-first search does. When the frontier is dense under the "bound"
+    would, and one bulk `Frontier.discover_all`; it reads no target's
+    status to count the rows evaluated where the plan proves that no
+    ball target is done when its edge fires (`_BallColumns.checked`
+    False). It fires a shell fan by eliminating all its missed targets at
+    once. For kNN queries the cover radius starts at infinity and tightens
+    to the current k-th best distance whenever a traversal lowers it; node
+    priorities are the per-edge region lower bounds, and where the plan
+    proves each node's bound its one discovering edge's
+    (`Plan.sole_finder`), the "bound" heuristic stops once the smallest
+    bound left is beyond the radius, as best-first search does. When the frontier is dense under the "bound"
     heuristic (over a dense plan, see `Sprawl._plan`), a fired shell fan
     instead raises each target's shell lower bound, the next node is the
     one with the smallest bound, and a bound beyond the current radius
@@ -699,6 +676,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         return max(lb, 0.0)
 
     found = fans.found if ball else 0  # the fans fired as float ball rows
+    unchecked = balls is not None and not balls.checked  # no ball target is done when its edge fires
     to_center = ev._to_center
 
     def fire_fan(f: int) -> None:
@@ -734,7 +712,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             f = ei - explicit
             if 0 <= f < found:  # a ball fan: a float verdict and bound per row, as `intersects` and `lower_bound` give
                 u, targets, radii = found_rows[f]
-                live = len(targets) if done.isdisjoint(targets) else sum(t not in done for t in targets)
+                live = len(targets) if unchecked or done.isdisjoint(targets) else sum(t not in done for t in targets)
                 ev.region_evaluations += live
                 z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
                 if z is None:

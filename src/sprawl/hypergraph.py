@@ -2,7 +2,8 @@
 
 Positive edges discover their target once all sources are traversed;
 negative edges eliminate it. `Frontier` holds the package's one traversal
-loop: `traverse` drives it over signed edges and `engine.search` over
+loop and one node-status store, a byte per node ref, whichever way it
+selects: `traverse` drives it over signed edges and `engine.search` over
 region-labeled ones. The exhaustive repertoire enumerator and the
 traversal-axiom checker below are the verification oracles for the rest
 of the package. Both exhaustive walks, `enumerate_repertoire` and
@@ -111,16 +112,16 @@ class Plan(NamedTuple):
     joins: dict[int, int]  # distinct-source count of each edge with more than one source
     sourceless: list[int]  # edge ids that fire before the first selection
     seeds: tuple[int, ...]  # nodes discovered, at bound 0, before those fire
-    positions: dict[int, int] | None  # seed position of each seed, in a dense plan
+    span: int  # one past the largest node ref: a frontier keeps a status byte per ref
+    positions: np.ndarray | None  # seed position by ref (int64, span long), in a dense plan
     waves: Waves | None = None  # where FIFO runs may go a wave at a time
     # no node has two discovering edges, a seed's root edge included, so a
     # "bound" key is the bound its one discovering edge gave
     sole_finder: bool = False
-    span: int = 0  # one past the largest node ref, where the plan carries `Waves`
 
 
-def activation(edges, seeds=(), dense: bool = False) -> Plan:
-    """Static out-edge index for a `Frontier`.
+def activation(edges, span: int, seeds=(), dense: bool = False) -> Plan:
+    """Static out-edge index for a `Frontier` over node refs in [0, span).
 
     `edges` yields (edge id, sources) in ascending id order; only an edge
     with several sources is listed in `joins`, with their count. `seeds` are
@@ -145,8 +146,11 @@ def activation(edges, seeds=(), dense: bool = False) -> Plan:
         for s in sources:
             out.setdefault(s, []).append(i)
     seeds = tuple(dict.fromkeys(int(v) for v in seeds))
-    positions = {v: i for i, v in enumerate(seeds)} if dense else None
-    return Plan(out, joins, sourceless, seeds, positions)
+    positions = None
+    if dense:
+        positions = np.full(span, -1, dtype=np.int64)
+        positions[np.asarray(seeds, dtype=np.int64)] = np.arange(len(seeds))
+    return Plan(out, joins, sourceless, seeds, span, positions)
 
 
 def _entry_key(h: Heuristic):
@@ -168,13 +172,13 @@ def _entry_key(h: Heuristic):
     raise ValueError(f"unknown heuristic kind {h.kind!r}")
 
 
-# a wave frontier's status bits per ref
+# a frontier's status bits per ref
 QUEUED, DONE, TRAVERSED = 1, 2, 4
 
 
 class _Flagged:
-    """The refs whose status carries a flag, read and written as a set:
-    `in`, `isdisjoint` and `add`. A wave frontier's `done` and `traversed`."""
+    """The refs whose status carries a flag, read as a set: `in` and
+    `isdisjoint`. A frontier's `done` and `traversed`."""
 
     __slots__ = ("_status", "_flag")
 
@@ -189,9 +193,6 @@ class _Flagged:
         status, flag = self._status, self._flag
         return not any(status[v] & flag for v in vs)
 
-    def add(self, v) -> None:
-        self._status[v] |= self._flag
-
 
 class Frontier:
     """The one traversal loop and its per-traversal state.
@@ -200,33 +201,41 @@ class Frontier:
     `fire` callback that turns activated edge ids into `discover_all`,
     `eliminate` and `raise_bounds` calls. Elimination is permanent, and
     since edges fired in one round all fire before the next selection, it
-    beats discovery.
+    beats discovery. An edge fires as soon as its source is traversed; only
+    an edge with several sources counts down to the last of them.
 
-    Selection takes one of three forms, chosen from the input alone. Over
-    a dense plan, under the "bound" heuristic or under FIFO where the plan
-    carries no `Waves`, every node is a seed, so its seed position is its
-    discovery sequence, and its edges discover nothing: one argmin over a
-    bound array by position selects, the first of equal bounds winning.
-    Under "bound", `raise_bounds` raises many bounds at once and a bound
-    above the `cut` limit eliminates. Under FIFO every live bound stays 0,
-    so the argmin is the first live seed, the node FIFO takes. A selected
-    or eliminated node's bound is inf; `eliminate_at` eliminates by seed
-    position in one store. Under FIFO, over a plan with `Waves` and with
-    wave callbacks given to `run`, nodes go a wave at a time over arrays:
-    queued nodes wait in one int64 buffer, in discovery order, between a
-    head and a tail position (a node joins at most once, so `Plan.span`
-    slots suffice), and each ref's status (queued, done, traversed) is a
-    byte of one array, which `done` and `traversed` read as sets. A wave is
-    the longest run at the head of the queue that `Waves` allows; where
-    `Waves` is empty, it is the whole queue. Otherwise nodes wait in a heap
-    of the heuristic's keys, each ending with its node; under "bound" over
-    a plan with a `sole_finder`, selection stops once the smallest live
-    key's bound is above the `cut` limit. A queued key can rise only under
-    "bound" over a plan without `sole_finder`, where a node may be
-    rediscovered; only there does the frontier keep each node's live key
-    and skip the stale entries a raise leaves. An edge fires as soon as
-    its source is traversed; only an edge with several sources counts
-    down to the last of them.
+    Node status has one store in every form: a byte per ref in
+    [0, `Plan.span`), with the bits QUEUED (discovered), DONE (selected or
+    eliminated) and TRAVERSED, which `done` and `traversed` read as sets.
+    Selection takes one of three forms, chosen from the input alone, each
+    with its own queue beside the status bytes:
+
+    - dense: over a dense plan, under the "bound" heuristic or under FIFO
+      where the plan carries no `Waves`. Every node is a seed, so its seed
+      position is its discovery sequence, and no edge discovers: one argmin
+      over a bound array by position selects, the first of equal bounds
+      winning. Under "bound", `raise_bounds` raises many bounds at once and
+      a bound above the `cut` limit eliminates; under FIFO every live bound
+      stays 0, so the argmin is the first live seed. A selected or
+      eliminated node's bound is inf. Only selection and `eliminate` set
+      DONE here: `eliminate_at`, `raise_bounds` and `cut` write the bound
+      array alone, since they run per fired shell fan, where a status
+      write costs a gather more, and no edge of a dense plan reads the
+      status of a node they rule out.
+    - wave: under FIFO, over a plan with `Waves` and with wave callbacks
+      given to `run`. Queued nodes wait in one int64 buffer, in discovery
+      order, between a head and a tail position (a node joins at most
+      once, so `Plan.span` slots suffice), and go a wave at a time: the
+      longest run at the head of the queue that `Waves` allows, or the
+      whole queue where `Waves` is empty.
+    - heap: otherwise. Nodes wait in a heap of the heuristic's keys, each
+      ending with its node, numbered by a discovery counter. Under "bound"
+      over a plan with a `sole_finder`, selection stops once the smallest
+      live key's bound is above the `cut` limit, leaving the rest unmarked
+      too. A queued key can rise only under "bound" over a plan without
+      `sole_finder`, where a node may be rediscovered; only there does the
+      frontier keep each node's live key, which holds its sequence, and
+      skip the stale entries a raise leaves.
     """
 
     def __init__(self, plan: Plan, h: Heuristic):
@@ -234,22 +243,17 @@ class Frontier:
         self._key = _entry_key(h)
         rekey = h.kind == "bound"
         self._fifo = h.kind == "fifo"
-        self._seq: dict[int, int] = {}  # discovery sequence of every discovered node, in the heap form
+        self._flags = bytearray(plan.span)  # the status bytes by ref
+        self._status = np.frombuffer(self._flags, dtype=np.uint8)  # and a view for whole arrays
+        self.done = _Flagged(self._flags, DONE)
+        self.traversed = _Flagged(self._flags, TRAVERSED)
+        self._found = 0  # nodes discovered so far, in the heap form: the next one's sequence
         self._heap: list[tuple] = []  # heap keys, each ending with its node
         #: the live heap key of every queued node, kept only where a
         #: rediscovery may raise one: under "bound" over a plan without
         #: `sole_finder`. Elsewhere a node's first key is its only one.
         self._prio: dict[int, tuple] | None = {} if rekey and not plan.sole_finder else None
-        #: nodes selected or eliminated by `eliminate`; nothing changes their
-        #: status again. The nodes that `eliminate_at` or `cut` rules out are
-        #: not listed: a dense frontier's bound array holds every status.
-        self.done: set[int] | _Flagged = set()
-        self.traversed: set[int] | _Flagged = set()
-        # the wave form's state, set up by `run`: the status bytes by ref (a
-        # bytearray for single reads and a numpy view of it for whole
-        # arrays), and the queue buffer with its head and tail positions
-        self._flags: bytearray | None = None
-        self._status: np.ndarray | None = None
+        # the wave form's queue buffer, set up by `run`, with its head and tail positions
         self._queue: np.ndarray | None = None
         self._head = self._tail = 0
         self._armed: set[frozenset[int]] = set()  # `Waves.after` source sets found all traversed
@@ -272,8 +276,8 @@ class Frontier:
         each once."""
         if self.dense:  # a dense plan's nodes are all available
             return
-        status = self._status
-        if status is not None:
+        if self._queue is not None:
+            status = self._status
             vs = np.asarray(vs, dtype=np.int64)
             fresh = vs[status[vs] == 0]
             # without `sole_finder` a node may be found twice at once: it joins at its first place
@@ -286,46 +290,45 @@ class Frontier:
             self._queue[self._tail : tail] = fresh
             self._tail = tail
             return
-        seq, done, prio = self._seq, self.done, self._prio
+        flags, prio, found = self._flags, self._prio, self._found
         heap, push, key = self._heap, heapq.heappush, self._key
         for v, bound in zip(vs, bounds if bounds is not None else itertools.repeat(0.0)):
-            if bound is None or v in done:
+            if bound is None:
                 continue
-            n = seq.get(v)
-            if n is None:
-                n = seq[v] = len(seq)
-            elif prio is None:  # its first key is its only one
-                continue
-            entry = key(v, n, bound)
-            if entry is None:
-                continue
-            if prio is not None:
-                live = prio.get(v)
-                if live is not None and entry <= live:
+            if flags[v]:  # queued or done
+                if prio is None or flags[v] & DONE:  # its first key is its only one
                     continue
+                live = prio[v]
+                entry = key(v, live[1], bound)  # a "bound" key: (bound, sequence, node)
+                if entry <= live:
+                    continue
+            else:
+                flags[v] = QUEUED
+                entry = key(v, found, bound)
+                found += 1
+                if entry is None:
+                    continue
+            if prio is not None:
                 prio[v] = entry
             push(heap, entry)
+        self._found = found
 
     def eliminate(self, vs) -> None:
-        """Eliminate every node of vs, a list or an int64 array, at once;
-        traversed nodes stay traversed."""
-        if self._status is not None:
-            self._status[vs] |= DONE
-            return
-        if isinstance(vs, np.ndarray):
-            vs = vs.tolist()
-        self.done.update(vs)
+        """Eliminate every node of vs, a sequence or an int64 array, at
+        once; traversed nodes stay traversed."""
+        vs = np.asarray(vs, dtype=np.int64)  # a tuple would index as one multi-dimensional ref
+        self._status[vs] |= DONE
         if self.dense:
-            self.eliminate_at(list(map(self._plan.positions.__getitem__, vs)))
+            self._bound[self._plan.positions[vs]] = np.inf
 
     def undone(self, vs: np.ndarray) -> np.ndarray:
         """Whether each node of an int64 array is neither selected nor
-        eliminated, in the wave form."""
+        eliminated."""
         return self._status[vs] & DONE == 0
 
     def eliminate_at(self, positions) -> None:
         """Eliminate the nodes at the given seed positions (dense frontiers
-        only), without listing them in `done`."""
+        only), in the bound array alone."""
         self._bound[positions] = np.inf
 
     def raise_bounds(self, positions, bounds) -> None:
@@ -401,16 +404,12 @@ class Frontier:
         node that must step alone is visited and fired as a heap selection
         is.
         """
-        heap, prio = self._heap, self._prio
+        heap, prio, flags, status = self._heap, self._prio, self._flags, self._status
         plan, cuts, dense = self._plan, self._cuts, self.dense
         out, joins, seeds = plan.out, plan.joins, plan.seeds
         waves = plan.waves if self._fifo and visit_wave is not None else None
         if waves is not None:
-            self._flags = flags = bytearray(plan.span)
-            self._status = status = np.frombuffer(flags, dtype=np.uint8)
             self._queue = np.empty(plan.span, dtype=np.int64)
-            self.done, self.traversed = _Flagged(flags, DONE), _Flagged(flags, TRAVERSED)
-        done, traversed = self.done, self.traversed
         remaining: dict[int, int] = {}  # sources not yet traversed, per edge of `joins`
         order: list[int] = []
         self.discover_all(seeds)  # none over a dense plan: its bound array holds them at 0
@@ -445,14 +444,14 @@ class Frontier:
                     break
                 key = heapq.heappop(heap)
                 v = key[-1]
-                if v in done or prio is not None and prio[v] != key:
+                if flags[v] & DONE or prio is not None and prio[v] != key:
                     continue  # stale entry
                 if cuts and key[0] > self._limit:  # so is every live key after it
                     break
-            done.add(v)  # traversed, or eliminated when visit refuses it
+            flags[v] |= DONE  # traversed, or eliminated when visit refuses it
             if visit is not None and not visit(v):
                 continue
-            traversed.add(v)
+            flags[v] |= TRAVERSED
             order.append(v)
             ready = out.get(v)
             if ready and joins:  # an edge with other sources waits for the last of them
@@ -476,7 +475,8 @@ def traverse(g: SignedHyperdigraph, h: Heuristic | None = None) -> list[int]:
     Each active edge fires by its sign: negative edges eliminate their
     target, positive edges discover it. The loop itself is `Frontier.run`.
     """
-    frontier = Frontier(activation((i, e.sources) for i, e in enumerate(g.edges)), h or Heuristic.fifo())
+    plan = activation(((i, e.sources) for i, e in enumerate(g.edges)), g.node_count)
+    frontier = Frontier(plan, h or Heuristic.fifo())
 
     def fire(edge_ids):
         for i in edge_ids:

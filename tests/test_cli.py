@@ -423,6 +423,19 @@ def test_malformed_index_file_is_format_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_index_whose_nodes_lie_outside_its_space_is_format_error(tmp_path, dataset, capsys):
+    # a saved ball-tree whose points are dropped used to load, then end in
+    # an IndexError traceback at its first query
+    index = tmp_path / "i.json"
+    assert main(["build", "--dataset", str(dataset), "--kind", "ball-tree", "--out", str(index)]) == 0
+    doc = json.loads(index.read_text())
+    doc["space"]["points"] = []
+    index.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["query", "--index", str(index), "--ball", "0.5,0.5:0.2"]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed sprawl-index document")
+
+
 @pytest.mark.parametrize("focus", ["999", "-1"])
 def test_optimize_focus_out_of_range(tmp_path, capsys, focus):
     data = tmp_path / "d.txt"

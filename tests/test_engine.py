@@ -1045,14 +1045,18 @@ def test_unsupported_map_assumes_overlap(caplog):
     assert "assuming overlap" in caplog.text
 
 
-@pytest.mark.parametrize("nodes", [range(6), [-7, -3, 0, 2, 5, 9], [0, 3, 10**12, -(10**15), 8, 1]])
+@pytest.mark.parametrize("nodes", [range(6), [0, 2, 3, 5, 7, 9], [0, 3, 300, 97, 8, 1]])
 def test_validate_refuses_group_and_ball_refs_outside_the_ground_set(nodes):
-    # a contiguous span, a negative one and a sparse one, read by lookup
-    # table or by the sorting fallback; each gap and each end is probed
+    # the whole space, one with gaps and a sparse one, each over a space
+    # whose last ref is the largest node; each gap and each end is probed,
+    # and so are refs outside the space, which a lookup table would wrap
     nodes = list(nodes)
-    space = toy_space(6)
+    space = toy_space(max(nodes) + 1)
     edges = [Edge((), v) for v in nodes]
-    outside = sorted({min(nodes) - 1, max(nodes) + 1, 1, 4, -1} - set(nodes))
+    outside = sorted({min(nodes) - 1, max(nodes) + 1, 1, 4, -1, 10**12, -(10**15)} - set(nodes))
+    for ref in (-1, -(10**15), len(space), 10**12):
+        with pytest.raises(IndexError, match="node refs"):
+            Sprawl(space, nodes + [ref], edges)
 
     def sprawl(targets=nodes[1:], ball_targets=nodes[2:4], ball_sources=nodes[:2]):
         group = (nodes[0], targets, np.zeros(len(targets)), np.ones(len(targets)))

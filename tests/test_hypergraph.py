@@ -198,13 +198,16 @@ def test_debug_format_round_trip(rng):
 
 
 def _dense_fifo_run(plan, kills, **wave_callbacks):
-    """Run FIFO over plan, where traversing v eliminates kills.get(v, ())."""
+    """Run FIFO over plan, where traversing v eliminates kills.get(v, ()).
+    Given only `visit_wave`, the wave form fires each kept node's edge."""
     frontier = Frontier(plan, Heuristic.fifo())
 
     def fire(edge_ids):
         for i in edge_ids:
             frontier.eliminate(kills.get(i, ()))
 
+    if "visit_wave" in wave_callbacks:
+        wave_callbacks.setdefault("fire_wave", lambda vs: fire(vs.tolist()))  # edge i's source is i
     return frontier, frontier.run(fire, **wave_callbacks)
 
 
@@ -213,7 +216,7 @@ def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
     # group would: 0 rules out 1 and 3, then 2 rules out 4
     kills = {0: (1, 3), 2: (4,), 3: (4,)}
     edges = [(i, (i,)) for i in range(5)]
-    heap_order = _dense_fifo_run(activation(edges, range(5)), kills)[1]
+    heap_order = _dense_fifo_run(activation(edges, 5, range(5)), kills)[1]
     assert heap_order == [0, 2]
 
     class NoHeap:
@@ -221,7 +224,7 @@ def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
             raise AssertionError(f"a dense FIFO frontier called heapq.{name}")
 
     monkeypatch.setattr(hypergraph, "heapq", NoHeap())
-    plan = activation(edges, range(5), dense=True)
+    plan = activation(edges, 5, range(5), dense=True)
     assert plan.waves is None
     frontier, order = _dense_fifo_run(plan, kills)
     assert frontier.dense and order == heap_order and not frontier._heap
@@ -231,7 +234,7 @@ def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
 
 def test_dense_fifo_with_waves_keeps_the_wave_form():
     edges = [(i, (i,)) for i in range(4)]
-    plan = activation(edges, range(4), dense=True)._replace(waves=Waves(frozenset(), {}, {}), span=4)
+    plan = activation(edges, 4, range(4), dense=True)._replace(waves=Waves(frozenset(), {}, {}), span=4)
     waves = []
 
     def visit_wave(vs):
@@ -242,3 +245,40 @@ def test_dense_fifo_with_waves_keeps_the_wave_form():
     assert not frontier.dense and waves == [[0, 1, 2, 3]] and order == [0, 1, 2, 3]
     # "bound" still selects densely over the same plan
     assert Frontier(plan, Heuristic("bound")).dense
+
+
+def test_every_form_keeps_one_status_store():
+    # the plan above in the heap, dense and wave forms: each selects its own
+    # way, but done and traversed read the same status bytes, and agree
+    kills = {0: (1, 3), 2: (4,), 3: (4,)}
+    plan = activation([(i, (i,)) for i in range(5)], 5, range(5), dense=True)
+    apart = {0: {1, 3}, 1: {0}, 2: {4}, 3: {0, 4}, 4: {2, 3}}  # who eliminates whom, both ways
+    waves = Waves(frozenset(), {v: frozenset(vs) for v, vs in apart.items()}, {})
+    runs = {
+        "heap": _dense_fifo_run(plan._replace(positions=None), kills),
+        "dense": _dense_fifo_run(plan, kills),
+        "wave": _dense_fifo_run(plan._replace(waves=waves), kills, visit_wave=lambda vs: vs),
+    }
+    forms = {name: (f.dense, f._queue is not None) for name, (f, _) in runs.items()}
+    assert forms == {"heap": (False, False), "dense": (True, False), "wave": (False, True)}
+    for frontier, order in runs.values():
+        assert order == [0, 2]
+        assert [v for v in range(5) if v in frontier.done] == [0, 1, 2, 3, 4]
+        assert [v for v in range(5) if v in frontier.traversed] == [0, 2]
+
+
+def test_traverse_keeps_status_for_nodes_no_edge_names(monkeypatch):
+    # nodes 2..5 appear in no edge; the status bytes still cover them
+    g = graph(6, ((), 0, 1), ((0,), 1, 1))
+    frontiers = []
+    run = Frontier.run
+
+    def kept(self, *args, **kwargs):
+        frontiers.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Frontier, "run", kept)
+    assert traverse(g) == [0, 1]
+    (frontier,) = frontiers
+    assert [v for v in range(6) if v in frontier.done] == [0, 1]
+    assert [v for v in range(6) if v in frontier.traversed] == [0, 1]
