@@ -333,8 +333,8 @@ class MatrixSpace(ComparisonSpace):
             raise ValueError("matrix must be square")
         if np.any(np.diag(m) != 0.0):
             raise ValueError("matrix diagonal must be zero")
-        if np.any(m < 0.0):
-            raise ValueError("matrix entries must be non-negative")
+        if not np.all(m >= 0.0):  # NaN too, which would also read as asymmetric
+            raise ValueError("matrix entries must be non-negative and not NaN")
         detected = bool(np.array_equal(m, m.T))
         if symmetric is None:
             symmetric = detected

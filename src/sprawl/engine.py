@@ -175,7 +175,8 @@ _NO_FANS.start.setflags(write=False)
 class _BallColumns(NamedTuple):
     """Single-facet ball edges a * delta(source, .) <= r as columns, by
     source: the edges of source v are rows start[v]:start[v + 1], in edge
-    order."""
+    order. They are all a wave fires: a node with any other eager
+    out-edge steps alone (see `Sprawl._waves`)."""
 
     start: np.ndarray
     target: np.ndarray
@@ -183,7 +184,6 @@ class _BallColumns(NamedTuple):
     l1: np.ndarray
     r: np.ndarray
     checked: bool  # whether a target may already be done when its edge fires
-    others: dict[int, list[int]]  # each source's other out-edge ids, which discover nothing
     # whether anything but a wave reads the query-centre distances of the
     # nodes it measures: a wave then reads and fills the search's cache
     cached: bool
@@ -309,22 +309,26 @@ class Sprawl:
     def _waves(self, lazy_in, lazy_rows, finders, rows):
         """The plan's `Waves` and the ball columns, or (None, None).
 
-        A node steps alone when one of its eager out-edges has other
-        sources, or discovers without being a single-facet ball about it,
-        and so does the target of a sourceless eliminating edge: with no
-        node alone, apart or waiting, no queued node is ever eliminated.
-        Two nodes are kept apart when one's eager edge tests the other
-        (a shell fan or an eliminating edge, or an edge fired as a whole),
-        or when one's edge could eliminate a target that the other's ball
-        tests; a ball tested twice, or into a seed, also keeps its target
-        apart from its source. A target of lazy edges or rows waits until
-        their sources are traversed. A wave's distances go into the
-        search's cache only where something else reads it: another edge or
-        a lazy check of a wave node, a node stepping alone, or a labelled
+        One rule keeps a wave exact: a wave fires single-facet ball edges
+        and ball fan rows only, and no wave node's fate or count hangs on
+        a wave-mate. So three kinds of node step alone: every source of
+        an eager edge that is not a single-facet ball (a shell fan, an
+        eliminating edge, a discovering edge of another shape, an edge
+        with several sources); the target of a sourceless eliminating
+        edge, which fires before the first wave; and the target of a
+        ball with more than one discovering in-edge, a seed's root edge
+        included, which might otherwise share a wave with one of those
+        balls' sources and be done before that ball tests it.
+        A target of lazy edges or rows waits until their sources are
+        traversed. Whatever eliminates a ball's target then steps alone,
+        so a wave reads the targets' status only where some ball target
+        is eliminable or found twice (`_BallColumns.checked`). A wave's
+        distances go into the search's cache only where something else
+        reads it: a lazy check, a node stepping alone, or a labelled
         sourceless edge, which fires before the first wave. Where every
-        node is the source of an eager shell fan, as in AESA, each node's
-        shells may eliminate the next, so waves would all be one node; a
-        dense plan then selects FIFO from its bound array instead.
+        node is the source of an eager shell fan, as in AESA, every node
+        would step alone; a dense plan then selects FIFO from its bound
+        array instead.
         """
         edges, nodes, fans = self.edges, self.nodes, self.fans
         fan_start, fan_source, found = rows
@@ -332,69 +336,42 @@ class Sprawl:
         if {fan_source[f] for f in shells} >= set(nodes):
             return None, None
         alone: set[int] = set()
-        apart: dict[int, set[int]] = {}
-        kills: dict[int, set[int]] = {}  # eager eliminating sources per eliminable target
-        others: dict[int, list[int]] = {}
+        kills: set[int] = set()  # eliminable targets
         balls = []  # (source, target, (a, ||a||_1, r)), in edge order
-
-        def part(u: int, v: int) -> None:
-            if u != v:
-                apart.setdefault(u, set()).add(v)
-                apart.setdefault(v, set()).add(u)
-
-        for i, e in enumerate(edges):
+        for e in edges:
             if e.lazy:
                 continue
             t, sources = e.target, set(e.sources)
             if e.negative:
-                kills.setdefault(t, set()).update(sources)
+                kills.add(t)
                 if not sources:
                     alone.add(t)
-            if len(sources) > 1:
-                alone |= sources
-            elif sources:
+            elif len(sources) == 1 and len(e.positive) == 1:
                 (u,) = sources
-                if len(e.positive) == 1 and not e.negative:
-                    facet = ambit_mod.ball_facet(e.positive[0], u)
-                    if facet is not None:
-                        balls.append((u, t, facet))
-                        continue
-                if e.discovers:
-                    alone.add(u)
-                others.setdefault(u, []).append(i)
-                part(u, t)
+                facet = ambit_mod.ball_facet(e.positive[0], u)
+                if facet is not None:
+                    balls.append((u, t, facet))
+                    continue
+            alone |= sources
         unit = ambit_mod.BALL_FACET  # every discovering row is the ball delta(u, .) <= r
         for u, targets, radii in found:
             balls += ((u, t, (*unit, r)) for t, r in zip(targets, radii))
         for f in shells:
-            u = fan_source[f]
-            others.setdefault(u, []).append(len(edges) + f)
-            for t in fans.target[fan_start[f] : fan_start[f + 1]].tolist():
-                kills.setdefault(t, set()).add(u)
-                part(u, t)
+            alone.add(fan_source[f])
+            kills.update(fans.target[fan_start[f] : fan_start[f + 1]].tolist())
         checked = False
         for u, t, _ in balls:
             contested = finders.get(t, 0) > 1
             if contested:
-                part(u, t)
-            for k in kills.get(t, ()):
-                if k == u:
-                    alone.add(u)
-                part(u, k)
+                alone.add(t)
             checked = checked or contested or t in kills or t == u
         after: dict[int, set[int]] = {}
         for t, ids in lazy_in.items():
             after.setdefault(t, set()).update(*(edges[i].sources for i in ids))
         for t, refs in lazy_rows.items():
             after.setdefault(t, set()).update(u for u, _, _ in refs)
-        waves = Waves(
-            frozenset(alone),
-            {v: frozenset(vs) for v, vs in apart.items()},
-            {v: frozenset(vs) for v, vs in after.items()},
-        )
-        cached = bool(others or lazy_in or lazy_rows or alone) or any(
-            not e.sources and not e.is_root_edge for e in edges
-        )
+        waves = Waves(frozenset(alone), {v: frozenset(vs) for v, vs in after.items()})
+        cached = bool(lazy_in or lazy_rows or alone) or any(not e.sources and not e.is_root_edge for e in edges)
         source = np.array([b[0] for b in balls], dtype=np.int64)
         start = np.zeros(max(nodes) + 2, dtype=np.int64)
         np.cumsum(np.bincount(source, minlength=max(nodes) + 1), out=start[1:])
@@ -407,7 +384,6 @@ class Sprawl:
             facets[:, 1],
             facets[:, 2],
             checked,
-            others,
             cached,
         )
         return waves, columns
@@ -636,13 +612,14 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     plan carries `Waves` goes a wave at a time instead, over int64 arrays
     (see `Frontier`): one `measure_row` call tests the whole wave for
     membership, filling the centre-distance cache only where the plan has
-    another reader for it (`_BallColumns.cached`); the wave's ball rows and
-    single-facet ball edges get one vectorised verdict
-    (`ambit.overlap_facet_columns`), its other edges fire in turn as
-    above, and the surviving targets, in edge order, join the queue in one
-    `Frontier.discover_all`. The members are gathered as arrays and made
-    Python ints once, at the end. Members, order and both counts are those
-    of the node-at-a-time form.
+    another reader for it (`_BallColumns.cached`). A wave node's eager
+    out-edges are all ball rows and single-facet ball edges, since any
+    node with another kind steps alone, through `fire`; they get one
+    vectorised verdict (`ambit.overlap_facet_columns`), and the surviving
+    targets, in edge order, join the queue in one `Frontier.discover_all`.
+    The members are gathered as arrays and made Python ints once, at the
+    end. Members, order and both counts are those of the node-at-a-time
+    form.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
@@ -802,10 +779,8 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             return vs
 
         def fire_wave(vs: np.ndarray) -> None:
-            """`fire` for a wave's out-edges: the others in turn, then every
-            ball edge in one verdict; survivors are discovered in edge order."""
-            if balls.others:
-                fire([i for v in vs.tolist() for i in balls.others.get(v, ())])
+            """`fire` for a wave's out-edges, all ball rows: one verdict for
+            every row, and the survivors discovered in edge order."""
             first = balls.start[vs]
             counts = balls.start[vs + 1] - first
             # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
@@ -1194,6 +1169,8 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
 
     if kind == "pm-tree":
         arity = int(params.get("arity", 2))
+        if arity < 2:
+            raise ValueError("arity must be at least 2")
         m = int(params.get("pivots", 4))
         if m < 1:
             raise ValueError("pivot count out of range")

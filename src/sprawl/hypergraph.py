@@ -95,13 +95,14 @@ class Waves(NamedTuple):
     """Where a FIFO frontier may traverse a run of queued nodes at once.
 
     A wave is exact when no node of it can change the fate of another:
-    none eliminates a wave-mate or a target that a wave-mate's edge would
-    test, and each lazy check of a wave node is armed before the wave.
-    `engine.Sprawl._plan` proves these facts per node, from the edges alone.
+    every eager out-edge of a wave node is a ball that only discovers, no
+    node that two edges discover shares a wave, and each lazy check of a
+    wave node is armed before the wave. Every other node steps `alone`.
+    `engine.Sprawl._waves` proves these facts per node, from the edges
+    alone, so a wave is cut only by facts of its own nodes.
     """
 
     alone: frozenset[int]  # nodes that always step on their own
-    apart: dict[int, frozenset[int]]  # nodes that never share a wave with the key (symmetric)
     after: dict[int, frozenset[int]]  # lazy sources, all traversed before a wave may hold the key
 
 
@@ -226,8 +227,10 @@ class Frontier:
       given to `run`. Queued nodes wait in one int64 buffer, in discovery
       order, between a head and a tail position (a node joins at most
       once, so `Plan.span` slots suffice), and go a wave at a time: the
-      longest run at the head of the queue that `Waves` allows, or the
-      whole queue where `Waves` is empty.
+      longest run at the head of the queue whose nodes neither step
+      `alone` nor wait for a lazy source (`Waves.after`), or the whole
+      queue where `Waves` is empty. A node that steps alone is selected
+      and fired as the heap form would.
     - heap: otherwise. Nodes wait in a heap of the heuristic's keys, each
       ending with its node, numbered by a discovery counter. Under "bound"
       over a plan with a `sole_finder`, selection stops once the smallest
@@ -354,20 +357,19 @@ class Frontier:
         empty one once the queue is spent.
 
         The wave is the longest run of queued nodes, in discovery order,
-        whose members are not `alone`, have every lazy source traversed
-        already and are not `apart` from an earlier member; done nodes are
-        skipped. Where `Waves` is empty, nothing eliminates or refuses a
-        queued node, so the wave is the whole queue.
+        whose members are not `alone` and have every lazy source traversed
+        already; done nodes are skipped. Each test reads the node's own
+        facts only. Where `Waves` is empty, nothing eliminates or refuses
+        a queued node, so the wave is the whole queue.
         """
         queue, head, tail = self._queue, self._head, self._tail
         if not any(waves):
             self._head = tail
             return memoryview(queue[head:tail]), False
-        alone, apart, after = waves
+        alone, after = waves
         flags, armed = self._flags, self._armed
         pending = queue[head:tail]
         live = np.flatnonzero(self._status[pending] & DONE == 0)  # positions in pending
-        inside: set[int] = set()
         for k, v in enumerate(pending[live].tolist()):
             sources = after.get(v)
             waits = sources is not None and sources not in armed
@@ -380,10 +382,6 @@ class Frontier:
                     return memoryview(pending[live[:k]]), False
                 self._head = head + int(live[0]) + 1
                 return memoryview(pending[live[:1]]), True
-            if v in apart and not apart[v].isdisjoint(inside):
-                self._head = head + int(live[k])
-                return memoryview(pending[live[:k]]), False
-            inside.add(v)
         self._head = tail
         return memoryview(pending[live]), False
 

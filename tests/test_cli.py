@@ -40,6 +40,14 @@ def test_build_each_kind(tmp_path, dataset):
         assert len(sprawl.nodes) == 60
 
 
+@pytest.mark.parametrize("kind", ["ball-tree", "pm-tree"])
+def test_build_refuses_arity_below_two(tmp_path, dataset, capsys, kind):
+    out = tmp_path / "i.json"
+    assert main(["build", "--dataset", str(dataset), "--kind", kind, "--arity", "1", "--out", str(out)]) == 3
+    assert "arity must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_aesa_three_points(tmp_path, capsys):
     data = tmp_path / "three.txt"
     save_points(data, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -308,6 +316,17 @@ def test_build_matrix_dataset(tmp_path):
                  "--kind", "aesa", "--out", str(index)]) == 0
     assert main(["bench", "--index", str(index), "--queries", "5"]) == 0
     assert main(["bench", "--index", str(index), "--queries", "5", "--knn", "2"]) == 0
+
+
+def test_build_refuses_nan_in_a_matrix_dataset(tmp_path, capsys):
+    # a symmetric file holding a NaN used to fail as "requires a symmetric comparison"
+    data = tmp_path / "m.txt"
+    data.write_text("0 2 nan\n2 0 2\nnan 2 0\n")
+    index = tmp_path / "m.json"
+    assert main(["build", "--dataset", str(data), "--format", "matrix",
+                 "--kind", "aesa", "--out", str(index)]) == 3
+    assert "not NaN" in capsys.readouterr().err
+    assert not index.exists()
 
 
 def test_bench_false_negative_exits_1(tmp_path, dataset, monkeypatch, capsys):

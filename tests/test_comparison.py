@@ -370,6 +370,10 @@ def test_matrix_space_validation():
         MatrixSpace([[0.0, 1.0], [2.0, 0.0]], symmetric=True)
     asym = MatrixSpace([[0.0, 1.0], [2.0, 0.0]])
     assert not asym.symmetric
+    # NaN != NaN, so a NaN entry used to pass as a merely asymmetric one
+    for symmetric in (None, False, True):
+        with pytest.raises(ValueError, match="non-negative and not NaN"):
+            MatrixSpace([[0.0, np.nan], [np.nan, 0.0]], symmetric=symmetric)
 
 
 def test_queries_validate():

@@ -244,6 +244,15 @@ def test_pm_tree_lazy_groups(rng):
     assert all(lazy for *_, lazy in groups)
 
 
+@pytest.mark.parametrize("kind", ["ball-tree", "pm-tree"])
+@pytest.mark.parametrize("arity", [1, 0, -3])
+def test_trees_refuse_arity_below_two(rng, kind, arity):
+    # an arity below 2 used to give pm-tree one flat fan instead of a tree
+    space = EuclideanSpace(rng.random((30, 2)))
+    with pytest.raises(ValueError, match="arity must be at least 2"):
+        build_classic(space, range(30), kind, arity=arity, pivots=4)
+
+
 def test_sorted_interval_tree_on_1_to_7():
     space = ProjectionSpace([[float(v)] for v in range(1, 8)])
     sprawl, res = build_classic(space, range(7), "sorted-interval-tree")

@@ -234,7 +234,7 @@ def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
 
 def test_dense_fifo_with_waves_keeps_the_wave_form():
     edges = [(i, (i,)) for i in range(4)]
-    plan = activation(edges, 4, range(4), dense=True)._replace(waves=Waves(frozenset(), {}, {}), span=4)
+    plan = activation(edges, 4, range(4), dense=True)._replace(waves=Waves(frozenset(), {}), span=4)
     waves = []
 
     def visit_wave(vs):
@@ -252,8 +252,7 @@ def test_every_form_keeps_one_status_store():
     # way, but done and traversed read the same status bytes, and agree
     kills = {0: (1, 3), 2: (4,), 3: (4,)}
     plan = activation([(i, (i,)) for i in range(5)], 5, range(5), dense=True)
-    apart = {0: {1, 3}, 1: {0}, 2: {4}, 3: {0, 4}, 4: {2, 3}}  # who eliminates whom, both ways
-    waves = Waves(frozenset(), {v: frozenset(vs) for v, vs in apart.items()}, {})
+    waves = Waves(frozenset(kills), {})  # every node that eliminates steps alone
     runs = {
         "heap": _dense_fifo_run(plan._replace(positions=None), kills),
         "dense": _dense_fifo_run(plan, kills),

@@ -281,8 +281,9 @@ def test_v2_keeps_negative_zero_and_nan_payloads(tmp_path):
     assert np.isnan(nan)
     pts = np.array([[0.5, -0.0], [nan, 1.0], [-0.0, 2.0]])
     assert pts.view(np.uint64)[1, 0] == 0x7FF8000000000123
-    m = np.array([[-0.0, 1.0, nan], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-    # fans refuse a NaN bound, so the bounds keep -0.0 alone
+    # a comparison matrix refuses NaN, as fans refuse a NaN bound, so the
+    # matrix and the bounds keep -0.0 alone
+    m = np.array([[-0.0, 1.0, 4.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
     lo = np.array([-0.0, 0.5])
     group = (0, [1, 2], lo, np.array([0.0, 7.5]), True)
     sphere = (1, [0, 2], lo, lo)
@@ -572,6 +573,21 @@ def test_aesa_triangle_round_trips_bit_exact(tmp_path, n):
         assert [g.targets.tolist() for g in groups] == [[v for v in range(n) if v != u] for u in range(n)]
         for q in (Ball(space.value(0), 0.5), Ball(space.value(0), 0.0, k=2)):
             assert search(loaded, q).members == search(aesa, q).members
+
+
+def test_nan_in_a_comparison_matrix_is_a_format_error(tmp_path, capsys):
+    # NaN passes a `< 0` check and then reads as asymmetric, since NaN != NaN
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    aesa, res = build_classic(MatrixSpace(m.copy()), range(3), "aesa")
+    doc = index_document(aesa, res)
+    m[0, 2] = m[2, 0] = np.nan
+    doc["space"]["matrix"] = base64.b64encode(m.astype("<f8").tobytes()).decode()
+    with pytest.raises(FormatError, match="not NaN"):
+        index_from_document(doc)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["query", "--index", str(path), "--ball", "0:1"]) == 3
+    assert "not NaN" in capsys.readouterr().err
 
 
 def test_aesa_on_signed_zeros_keeps_groups(tmp_path):

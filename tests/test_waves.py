@@ -87,16 +87,21 @@ def ball_queries(rng, space, n):
 
 def test_which_plans_carry_waves(rng):
     space = EuclideanSpace(rng.random((40, 3)))
-    plans = {
-        kind: build_classic(space, range(40), kind, pivots=4)[0]._plan()[0]
-        for kind in ("ball-tree", "laesa", "pm-tree", "aesa")
+    sprawls = {
+        kind: build_classic(space, range(40), kind, pivots=4)[0] for kind in ("ball-tree", "laesa", "pm-tree", "aesa")
     }
+    plans = {kind: sprawl._plan()[0] for kind, sprawl in sprawls.items()}
     assert plans["ball-tree"].waves is not None and plans["laesa"].waves is not None
     assert plans["pm-tree"].waves is not None
     # every AESA node is the source of an eager shell fan: its waves would all be one node
     assert plans["aesa"].waves is None
     # a tree's waves need no per-node check at all
     assert not any(plans["ball-tree"].waves)
+    # LAESA's pivots, the sources of its shell fans, step alone, and nothing waits
+    pivots = set(sprawls["laesa"].fans.source.tolist())
+    assert len(pivots) == 4 and plans["laesa"].waves == (pivots, {})
+    # pm-tree's pivot rings are lazy: its targets wait, and no node steps alone
+    assert not plans["pm-tree"].waves.alone and plans["pm-tree"].waves.after
 
 
 @pytest.mark.parametrize("kind", ["ball-tree", "laesa", "pm-tree", "aesa"])
@@ -154,15 +159,15 @@ def test_members_and_order_are_python_ints(rng):
 def test_a_wave_that_finds_one_node_twice_queues_it_once(wave_sizes):
     # 1 and 2 share a wave and each has a ball into 3, so no node has a sole
     # finder; 3 joins the queue once, at its first finder's place (ahead of
-    # 1's next child 5), and 3's ball back into 1 finds 1 done and is not
-    # evaluated
+    # 1's next child 5), and 3's ball back into the seed 0 finds 0 done and
+    # is not evaluated. Found twice, 0 and 3 step alone
     space = EuclideanSpace([[0.0], [1.0], [1.2], [1.1], [1.15], [0.9]])
-    balls = [(0, 1, 5.0), (0, 2, 5.0), (1, 3, 5.0), (1, 5, 5.0), (2, 3, 5.0), (3, 4, 5.0), (3, 1, 5.0)]
+    balls = [(0, 1, 5.0), (0, 2, 5.0), (1, 3, 5.0), (1, 5, 5.0), (2, 3, 5.0), (3, 4, 5.0), (3, 0, 5.0)]
     sprawl = Sprawl(space, range(6), [Edge((), 0)], make_fans(balls))
     plan = sprawl._plan()[0]
-    assert not plan.sole_finder and plan.waves is not None
+    assert not plan.sole_finder and plan.waves.alone == {0, 3}
     got = search(sprawl, Ball((1.1,), 5.0))
-    assert got.order == (0, 1, 2, 3, 5, 4) and wave_sizes == [1, 2, 2, 1]
+    assert got.order == (0, 1, 2, 3, 5, 4) and wave_sizes == [0, 2, 0, 2]
     assert got.region_evaluations == 6
     assert_waves_match_heap(sprawl, [Ball((1.1,), 5.0), Ball((1.1,), 0.06), Ball((3.0,), 0.5), Ball(3, 0.0)])
 
@@ -194,10 +199,10 @@ def test_wave_splits_before_a_node_its_sibling_eliminates(wave_sizes):
         Edge((2,), 3, ball(2, 1.0)),
     ]
     sprawl = Sprawl(space, range(5), edges)
-    assert 2 in sprawl._plan()[0].waves.apart[1]
+    assert sprawl._plan()[0].waves.alone == {1}  # the source of an eliminating edge
     far = Ball((3.0,), 0.5)
     got = search(sprawl, far)
-    assert got.order == (0, 1) and wave_sizes == [1, 1]
+    assert got.order == (0, 1) and wave_sizes == [1, 0]
     near = Ball((1.05,), 0.1)
     assert search(sprawl, near).order == (0, 1, 2, 4, 3)
     assert_waves_match_heap(sprawl, [far, near, Ball(2, 0.0), Ball(4, 1.0)])
@@ -216,10 +221,10 @@ def test_wave_splits_between_a_ball_and_an_eliminator_of_its_target(wave_sizes):
         Edge((2,), 3, (EMPTY,), (table1_region("ball", (2,), r=0.5),)),
     ]
     sprawl = Sprawl(space, range(4), edges)
-    assert 2 in sprawl._plan()[0].waves.apart[1]
+    assert sprawl._plan()[0].waves.alone == {2}  # the source of an eliminating edge
     far = Ball((3.0,), 0.1)
     got = search(sprawl, far)
-    assert got.order == (0, 1, 2) and got.region_evaluations == 4 and wave_sizes == [1, 1, 1]
+    assert got.order == (0, 1, 2) and got.region_evaluations == 4 and wave_sizes == [1, 1, 0]
     assert_waves_match_heap(sprawl, [far, Ball((1.4,), 0.2), Ball(3, 0.0)])
 
 
