@@ -8,7 +8,8 @@ map kind it runs the facet check (linear maps), the subadditive check
 (power with w >= 0, metaball) or the near-corner check (other
 non-decreasing maps). `overlap_facet_columns` is its single-facet form
 over columns of regions, `overlap_facet_bounds` its single-facet form
-over the regions of one focus together with their kNN bounds, and
+over the regions of one focus together with their kNN bounds,
+`overlap_facet_pairs` the same bounds paired with the regions' targets, and
 `overlap_linear` the check of a linear region against a linear ambit
 query, and `overlap_refs` that of a region against an explicit set of
 points. `shells_missed` is the vectorised shell test, `shell_bounds` the
@@ -60,7 +61,7 @@ class RemotenessMap:
 
 class LinearMap(RemotenessMap):
     def __init__(self, rows):
-        a = np.atleast_2d(np.asarray(rows, dtype=float))
+        a = np.atleast_2d(np.array(rows, dtype=float))  # a copy: freezing it leaves the caller's array writable
         self._facets = _facets(a)
         if not all(0.0 < l1 < math.inf for _, l1 in self._facets):  # a NaN or inf entry makes ||row||_1 NaN or inf
             raise ValueError("linear remoteness rows must be non-zero and finite, free of NaN and inf")
@@ -105,7 +106,7 @@ class PowerMap(RemotenessMap):
     def __init__(self, weights, alpha: float):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = np.array(weights, dtype=float)  # a copy, frozen below
         if not np.isfinite(self.weights).all():
             raise ValueError("power weights must be finite, not NaN or inf")
         self.weights.setflags(write=False)
@@ -139,8 +140,8 @@ class MetaballMap(RemotenessMap):
     rows = 1
 
     def __init__(self, a, b=None, offset: bool = False):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.ones_like(self.a) if b is None else np.asarray(b, dtype=float)
+        self.a = np.array(a, dtype=float)  # copies, frozen below
+        self.b = np.ones_like(self.a) if b is None else np.array(b, dtype=float)
         if not all(np.all((v > 0.0) & (v < np.inf)) for v in (self.a, self.b)):  # NaN fails both tests
             raise ValueError("metaball parameters must be positive and finite")
         if not offset and abs(float(np.sum(1.0 - self.b))) > TOL:
@@ -304,6 +305,16 @@ def overlap_facet_bounds(radii, l1: float, a: float, z: float, s: float) -> list
     reach = az - TOL
     slack = l1 * s
     return [max(0.0, (az - r) / l1) if r + slack >= reach else None for r in radii]
+
+
+def overlap_facet_pairs(radii, targets, l1: float, a: float, z: float, s: float) -> list:
+    """`overlap_facet_bounds` with the target of each region, the same
+    radius's place in targets, as a (bound, target) pair, for the regions
+    that may meet B[c, s] only, in order: what a best-first search queues."""
+    az = a * z
+    reach = az - TOL
+    slack = l1 * s
+    return [(max(0.0, (az - r) / l1), t) for r, t in zip(radii, targets) if r + slack >= reach]
 
 
 def ball_reach(region: Ambit, z) -> float:

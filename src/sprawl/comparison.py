@@ -174,6 +174,13 @@ class ComparisonSpace:
             session.charge()
         return d
 
+    def measurer(self, a):
+        """An uncounted `measure(a, .)`: a function of one value, resolved or
+        made plain as `a` is, that gives the float `measure` gives. A search
+        that measures every node it traverses exactly once builds one from
+        its centre and charges its session in bulk."""
+        return functools.partial(self._dist, a)
+
     def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
         """Vector of delta(u, ref) for each ref; counts len(refs) comparisons."""
         return self.measure_row(self.resolve(u), refs, session)
@@ -216,7 +223,7 @@ class EuclideanSpace(ComparisonSpace):
     kind = "euclidean-lp"
 
     def __init__(self, points, p: float = 2.0):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's array writable
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -257,6 +264,12 @@ class EuclideanSpace(ComparisonSpace):
             return lp_norm(a, self.p, b, self._pair)
         return float(lp_norm(a - b, self.p))
 
+    def measurer(self, a):
+        if self._pair is not None and type(a) is tuple:  # `_dist`'s plain branch, bound once
+            p, kernel = self.p, self._pair
+            return lambda b: lp_norm(a, p, b, kernel)
+        return super().measurer(a)
+
     def _row(self, a, refs) -> np.ndarray:
         return lp_norm(self.points[np.asarray(refs, dtype=int)] - a, self.p)
 
@@ -278,7 +291,7 @@ class ProjectionSpace(ComparisonSpace):
     kind = "coordinate-projection"
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's array writable
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         self.points = pts
@@ -328,7 +341,7 @@ class MatrixSpace(ComparisonSpace):
     kind = "explicit-matrix"
 
     def __init__(self, matrix, symmetric: bool | None = None):
-        m = np.asarray(matrix, dtype=float)
+        m = np.array(matrix, dtype=float)  # a copy: freezing it leaves the caller's array writable
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         if np.any(np.diag(m) != 0.0):

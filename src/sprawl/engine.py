@@ -246,8 +246,9 @@ class Sprawl:
         """The frontier plan (fan f is plan edge len(edges) + f), the lazy
         edges and lazy fan rows into each target, the seed position of
         each fan row's target in a dense plan, the ball columns, the fan
-        columns a search reads as plain lists, and each node's value in the
-        form the space measures fastest (`ComparisonSpace.plain`).
+        columns a search reads as plain lists, the ball rows of each node
+        of a lean plan (else None), and each node's value in the form the
+        space measures fastest (`ComparisonSpace.plain`).
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
@@ -260,8 +261,13 @@ class Sprawl:
         source, row targets and radii, which a node-at-a-time search reads
         per fan. Where no node has two discovering eager in-edges, a seed's
         root edge included, the plan's `sole_finder` lets a kNN search stop
-        at its bound. Everything is built on the first call, not with the
-        sprawl.
+        at its bound. Where every eager edge is a discovering fan, no edge
+        or fan row is lazy and no ball target can be done when its edge
+        fires (`_BallColumns.checked` False), as in a ball-tree, the plan
+        is lean: its ball rows are listed by node ref, as the targets and
+        radii of the node's fans in the order they fire, for the lean
+        best-first step of `search`.
+        Everything is built on the first call, not with the sprawl.
         """
         if self._plan_cache is not None:
             return self._plan_cache
@@ -301,9 +307,21 @@ class Sprawl:
         pos = plan.positions[fans.target] if dense else None
         waves, balls = self._waves(lazy_in, lazy_rows, finders, rows)
         plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
+        lean = None
+        # eager ids ascend: every one is a discovering fan's if the first and the last are
+        fanned = not eager or eager[0][0] >= base and eager[-1][0] < base + fans.found
+        if fanned and not (lazy_in or lazy_rows) and balls is not None and not balls.checked:
+            lean = [None] * plan.span
+            for v, ids in plan.out.items():
+                targets, radii = [], []
+                for i in ids:  # v's fans, in the order they fire
+                    _, ts, rs = rows[2][i - base]
+                    targets += ts
+                    radii += rs
+                lean[v] = targets, radii
         space = self.space
         plain = {v: space.plain(space.value(v)) for v in self.nodes}
-        self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows, plain)
+        self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows, lean, plain)
         return self._plan_cache
 
     def _waves(self, lazy_in, lazy_rows, finders, rows):
@@ -620,10 +638,22 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     The members are gathered as arrays and made Python ints once, at the
     end. Members, order and both counts are those of the node-at-a-time
     form.
+
+    A kNN search under "bound" over a lean plan with `sole_finder` (a
+    ball-tree, as built or loaded; see `Sprawl._plan`) takes the lean
+    best-first step: one callback per selected node measures it once,
+    through the uncounted `ComparisonSpace.measurer` of the centre, updates
+    the k nearest and the cut, and returns the (bound, target) pairs of its
+    ball rows that meet the query (`ambit.overlap_facet_pairs`), which
+    `Frontier.run` queues itself; neither `fire` nor
+    `Frontier.discover_all` runs. Every traversed node is measured exactly
+    once there and nothing else is, so the distances are charged in bulk,
+    one per traversed node. Members, order and both counts are those of
+    the general heap path.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
-    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_rows), plain = sprawl._plan()
+    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_rows), lean, plain = sprawl._plan()
     ev = _QueryEval(space, query)
     ev.plain = plain
     ball = isinstance(query, Ball)
@@ -740,31 +770,53 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                     return True
         return False
 
+    def admit(v: int, d: float) -> None:
+        """Keep v, at distance d, if it is among the k nearest so far, and
+        cut at the k-th distance whenever that falls."""
+        nonlocal s_current
+        item = (-d, -v)
+        if len(worst) < k:
+            heapq.heappush(worst, item)
+        elif item > worst[0]:
+            heapq.heapreplace(worst, item)
+        else:
+            return  # the k nearest so far are unchanged
+        if len(worst) == k and -worst[0][0] != s_current:  # the k-th distance fell
+            s_current = -worst[0][0]
+            frontier.cut(ambit_mod.bound_cutoff(s_current))
+
     def visit(v: int) -> bool:
         """Refuse v if an armed lazy edge misses the query, else record it."""
-        nonlocal s_current
         if lazy and refused(v, frontier.traversed):
             return False
         if knn:
             d = to_center.get(v)
             if d is None:  # `ev.dist_to_center(v)`, inlined: every traversed node pays for it
                 d = to_center[v] = measure(center, plain[v], session)
-            item = (-d, -v)
-            if len(worst) < k:
-                heapq.heappush(worst, item)
-            elif item > worst[0]:
-                heapq.heapreplace(worst, item)
-            else:
-                return True  # the k nearest so far are unchanged
-            if len(worst) == k and -worst[0][0] != s_current:  # the k-th distance fell
-                s_current = -worst[0][0]
-                frontier.cut(ambit_mod.bound_cutoff(s_current))
+            admit(v, d)
         elif ev.member(v):
             members.append(v)
         return True
 
+    def step(v: int) -> list:
+        """`visit` and `fire` of a node of a lean plan at once: admit v at
+        its distance, then return the (bound, target) pairs of its ball rows
+        that meet the query at the k-th distance as v leaves it."""
+        d = dist(plain[v])
+        admit(v, d)
+        rows = lean[v]
+        if rows is None:
+            return []
+        targets, radii = rows
+        ev.region_evaluations += len(targets)
+        return ambit_mod.overlap_facet_pairs(radii, targets, l1, a, d, s_current)
+
     hits: list[np.ndarray] = []  # the members of each wave
-    if balls is None or not ball or knn or not space.symmetric:
+    if knn and heuristic.kind == "bound" and plan.sole_finder and lean is not None:
+        dist = space.measurer(center)
+        order = frontier.run(None, step)
+        session.charge(len(order))  # each traversed node was measured once
+    elif balls is None or not ball or knn or not space.symmetric:
         order = frontier.run(fire, visit)
     else:
         wave_z = np.empty(0)  # distances of the last wave's kept nodes, in order

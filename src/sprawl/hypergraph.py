@@ -238,7 +238,8 @@ class Frontier:
       too. A queued key can rise only under "bound" over a plan without
       `sole_finder`, where a node may be rediscovered; only there does the
       frontier keep each node's live key, which holds its sequence, and
-      skip the stale entries a raise leaves.
+      skip the stale entries a raise leaves. In the lean step (see `run`)
+      one callback per selected node returns the pairs to queue.
     """
 
     def __init__(self, plan: Plan, h: Heuristic):
@@ -259,6 +260,7 @@ class Frontier:
         # the wave form's queue buffer, set up by `run`, with its head and tail positions
         self._queue: np.ndarray | None = None
         self._head = self._tail = 0
+        self._marked: np.ndarray | None = None  # by ref, whether a node steps alone or has lazy sources
         self._armed: set[frozenset[int]] = set()  # `Waves.after` source sets found all traversed
         self.dense = plan.positions is not None and (rekey or self._fifo and plan.waves is None)
         self._cuts = rekey and (self.dense or plan.sole_finder)
@@ -359,8 +361,11 @@ class Frontier:
         The wave is the longest run of queued nodes, in discovery order,
         whose members are not `alone` and have every lazy source traversed
         already; done nodes are skipped. Each test reads the node's own
-        facts only. Where `Waves` is empty, nothing eliminates or refuses
-        a queued node, so the wave is the whole queue.
+        facts only, so one numpy gather over the marked bytes finds the
+        nodes that may cut it, those that step alone or have lazy sources,
+        and only they are tested in Python. Where `Waves` is empty,
+        nothing eliminates or refuses a queued node, so the wave is the
+        whole queue.
         """
         queue, head, tail = self._queue, self._head, self._tail
         if not any(waves):
@@ -370,7 +375,9 @@ class Frontier:
         flags, armed = self._flags, self._armed
         pending = queue[head:tail]
         live = np.flatnonzero(self._status[pending] & DONE == 0)  # positions in pending
-        for k, v in enumerate(pending[live].tolist()):
+        nodes = pending[live]
+        marked = np.flatnonzero(self._marked[nodes])  # only a marked node can cut the wave
+        for k, v in zip(marked.tolist(), nodes[marked].tolist()):
             sources = after.get(v)
             waits = sources is not None and sources not in armed
             if waits and all(flags[u] & TRAVERSED for u in sources):
@@ -379,11 +386,11 @@ class Frontier:
             if v in alone or waits:
                 if k:
                     self._head = head + int(live[k])
-                    return memoryview(pending[live[:k]]), False
+                    return memoryview(nodes[:k]), False
                 self._head = head + int(live[0]) + 1
-                return memoryview(pending[live[:1]]), True
+                return memoryview(nodes[:1]), True
         self._head = tail
-        return memoryview(pending[live]), False
+        return memoryview(nodes), False
 
     def run(self, fire, visit=None, visit_wave=None, fire_wave=None) -> list[int]:
         """Traverse until no node is available; return the traversal.
@@ -401,6 +408,16 @@ class Frontier:
         `fire_wave(kept)` then fires every out-edge of the kept nodes. A
         node that must step alone is visited and fired as a heap selection
         is.
+
+        With no `fire` given, the heap form takes the lean step of
+        `engine.search`, which the caller may ask for only under "bound",
+        over a plan that is not dense, has `sole_finder` and has no
+        sourceless edge and no joins: `visit(v)` then traverses v, which it
+        may not refuse, fires all its out-edges itself and returns the
+        (bound, target) pairs of the nodes they discover, each new to the
+        frontier, in order. The frontier queues each under the key (bound,
+        sequence, target) with its own discovery counter, so neither
+        `fire` nor `discover_all` runs.
         """
         heap, prio, flags, status = self._heap, self._prio, self._flags, self._status
         plan, cuts, dense = self._plan, self._cuts, self.dense
@@ -408,10 +425,16 @@ class Frontier:
         waves = plan.waves if self._fifo and visit_wave is not None else None
         if waves is not None:
             self._queue = np.empty(plan.span, dtype=np.int64)
+            if any(waves):
+                self._marked = np.zeros(plan.span, dtype=bool)
+                for vs in (waves.alone, waves.after):
+                    self._marked[np.fromiter(vs, dtype=np.int64, count=len(vs))] = True
         remaining: dict[int, int] = {}  # sources not yet traversed, per edge of `joins`
         order: list[int] = []
         self.discover_all(seeds)  # none over a dense plan: its bound array holds them at 0
-        fire(plan.sourceless)
+        found = self._found  # the discovery counter, which only a lean step reads from here on
+        if fire is not None:
+            fire(plan.sourceless)
         while True:
             if waves is not None:
                 wave, alone = self._take_wave(waves)
@@ -447,6 +470,14 @@ class Frontier:
                 if cuts and key[0] > self._limit:  # so is every live key after it
                     break
             flags[v] |= DONE  # traversed, or eliminated when visit refuses it
+            if fire is None:  # visit traverses v and returns the (bound, target) pairs it discovers
+                flags[v] |= TRAVERSED
+                order.append(v)
+                for bound, t in visit(v):
+                    flags[t] = QUEUED
+                    heapq.heappush(heap, (bound, found, t))  # the "bound" key
+                    found += 1
+                continue
             if visit is not None and not visit(v):
                 continue
             flags[v] |= TRAVERSED

@@ -14,6 +14,7 @@ from sprawl.ambit import (
     membership_mask,
     overlap_facet_bounds,
     overlap_facet_columns,
+    overlap_facet_pairs,
     overlap_linear,
     overlap_radients,
     radients,
@@ -284,6 +285,43 @@ def test_facet_bounds_of_a_fan_are_its_rows_one_at_a_time(rng):
             assert overlap_facet_bounds(radii, abs(a), a, z, s) == alone
             assert None in alone and any(b is not None for b in alone)
     assert overlap_facet_bounds([], 1.0, 1.0, 0.5, 0.1) == []
+
+
+def test_facet_pairs_are_the_bounds_of_the_rows_that_meet(rng):
+    # the lean best-first step queues what `overlap_facet_bounds` gives, as
+    # (bound, target) pairs, dropping the rows it rules out, in row order
+    for a in (1.0, -2.0, 0.5):
+        z = float(rng.random())
+        radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
+        targets = list(range(10, 10 + len(radii)))
+        for s in (0.0, float(rng.random()), np.inf):
+            bounds = overlap_facet_bounds(radii, abs(a), a, z, s)
+            want = [(b, t) for b, t in zip(bounds, targets) if b is not None]
+            got = overlap_facet_pairs(radii, targets, abs(a), a, z, s)
+            assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want]
+            assert 0 < len(got) < len(radii)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda x: LinearMap(x), "rows"),
+        (lambda x: PowerMap(x[0], 0.5), "weights"),
+        (lambda x: MetaballMap(x[0], x[0]), "a and b"),  # b sums to 2, so f(0) = 0
+    ],
+    ids=["linear", "power", "metaball"],
+)
+def test_a_map_leaves_the_caller_array_writable(build, field):
+    # a map freezes a copy of its parameters: the caller's array stays
+    # writable, and writing to it changes no remoteness and no verdict
+    x = np.array([[0.5, 1.5]])
+    m = build(x)
+    region = Ambit((0, 1), m, (1.0,) * m.rows)
+    z = np.array([0.4, 0.3])
+    before = m.remoteness(z).tolist(), overlap_radients(region, z, 0.1)
+    assert x.flags.writeable, field
+    x[:] = [[7.0, 9.0]]
+    assert (m.remoteness(z).tolist(), overlap_radients(region, z, 0.1)) == before
 
 
 def test_ball_facet_only_reads_single_facet_regions():

@@ -6,7 +6,9 @@ before, which a node-at-a-time search fires through the general region
 path, so members, order and both counts must agree with the sprawl's
 own. A twin whose plan lacks `sole_finder` never cuts, so a kNN search on
 the sprawl must traverse a prefix of the twin's order and return the same
-neighbours wherever the index is exact.
+neighbours wherever the index is exact. Which plans take the lean
+best-first step, where one callback measures a node and returns what it
+discovers, is pinned by spies on the general path.
 """
 import copy
 import warnings
@@ -14,9 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
+from sprawl import ambit
 from sprawl.ambit import table1_region
 from sprawl.comparison import Ball, EuclideanSpace
 from sprawl.engine import (
+    EMPTY,
+    UNIVERSE,
     Edge,
     Sprawl,
     build_classic,
@@ -24,7 +29,8 @@ from sprawl.engine import (
     random_small_sprawl,
     search,
 )
-from sprawl.hypergraph import Heuristic
+from sprawl.hypergraph import Frontier, Heuristic
+from sprawl.storage import load_index, save_index
 
 from conftest import make_fans, random_labeled_sprawl, shell_groups
 from test_differential import _tabled
@@ -198,3 +204,90 @@ def test_ball_tree_knn_costs_no_more_than_a_range_search_at_its_radius():
             radius = float(np.partition(space.distances_from(c, range(2000)), 9)[9])
             assert space.compare(c, knn.members[-1]) == radius
             assert knn.distance_computations <= search(sprawl, Ball(c, radius)).distance_computations
+
+
+def lean_step(monkeypatch, sprawl, q, h=None):
+    """Search, and say whether the lean step ran: then the frontier
+    discovers only the seeds through `discover_all`, the fans fire through
+    `ambit.overlap_facet_pairs` alone, and one measurer measures each
+    traversed node once, which is all the search is charged for."""
+    calls = {"discover": 0, "pairs": 0, "measured": 0}
+    discover, pairs, measurer = Frontier.discover_all, ambit.overlap_facet_pairs, type(sprawl.space).measurer
+
+    def spy_discover(self, *args):
+        calls["discover"] += 1
+        return discover(self, *args)
+
+    def spy_pairs(*args):
+        calls["pairs"] += 1
+        return pairs(*args)
+
+    def spy_measurer(self, a):
+        dist = measurer(self, a)
+
+        def counted(b):
+            calls["measured"] += 1
+            return dist(b)
+
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(Frontier, "discover_all", spy_discover)
+        m.setattr(ambit, "overlap_facet_pairs", spy_pairs)
+        m.setattr(type(sprawl.space), "measurer", spy_measurer)
+        got = search(sprawl, q, h)
+    if not calls["measured"]:
+        assert calls["pairs"] == 0, calls
+        return False
+    assert calls["discover"] == 1, calls
+    assert calls["measured"] == got.traversed == got.distance_computations, (calls, got)
+    return True
+
+
+def test_which_plans_take_the_lean_step(monkeypatch, rng, tmp_path):
+    space = EuclideanSpace(rng.random((300, 3)))
+    tree, res = build_classic(space, range(300), "ball-tree")
+    save_index(tmp_path / "tree.json", tree, res)
+    loaded, _ = load_index(tmp_path / "tree.json")
+    q = Ball(tuple(rng.random(3)), 0.0, k=5)
+    for sprawl in (tree, loaded):
+        for h in (None, Heuristic("bound")):
+            assert lean_step(monkeypatch, sprawl, q, h)
+        assert_same(search(sprawl, q), search(ball_twin(sprawl), q), q)
+        for h in (Heuristic.fifo(), Heuristic.lifo(), Heuristic.priority(lambda v: -v)):
+            assert not lean_step(monkeypatch, sprawl, q, h), h
+        # a range search, under "bound" too
+        assert not lean_step(monkeypatch, sprawl, Ball(q.center, 0.2), Heuristic("bound"))
+    a, b = tree.fans.target[:2].tolist()
+    joined = Sprawl(space, tree.nodes, tree.edges + (Edge((a, b), 7, (EMPTY,), (UNIVERSE,)),), tree.fans)
+    labelled = Sprawl(space, tree.nodes, tree.edges + (Edge((), 7, (EMPTY,), (UNIVERSE,)),), tree.fans)
+    assert not joined._plan()[0].sourceless and joined._plan()[0].joins
+    assert labelled._plan()[0].sourceless
+    never = {
+        kind: build_classic(space, range(300), kind, pivots=4)[0] for kind in ("pm-tree", "laesa", "aesa")
+    }
+    never.update(
+        ball_twin=ball_twin(tree),
+        uncut=twin(tree, sole_finder=False),
+        joined=joined,
+        labelled=labelled,
+    )
+    for name, sprawl in never.items():
+        assert sprawl._plan()[0].sole_finder or name == "uncut", name
+        assert not lean_step(monkeypatch, sprawl, q), name
+        assert search(sprawl, q).members == search(tree, q).members, name
+
+
+def test_a_node_with_two_ball_fans_steps_once(monkeypatch):
+    # a fan is a run of one source's rows, so node 0 fires two fans, and
+    # its lean step returns the rows of both, in the order they fire
+    space = EuclideanSpace([[0.0], [1.0], [0.5], [0.7], [-0.4], [2.0]])
+    fans = make_fans(balls=[(0, 1, 2.0), (0, 2, 1.5), (2, 3, 0.3), (0, 4, 0.5), (1, 5, 1.0)])
+    sprawl = Sprawl(space, range(6), [Edge((), 0)], fans)
+    assert len(sprawl._plan()[0].out[0]) == 2
+    for c in (-0.5, 0.45, 0.8, 1.9):
+        for k in (1, 2, 4, 6):
+            q = Ball((c,), 0.0, k=k)
+            assert lean_step(monkeypatch, sprawl, q), q
+            assert_same(search(sprawl, q), search(ball_twin(sprawl), q), q)
+            assert search(sprawl, q).members == linear_scan(space, range(6), q), q

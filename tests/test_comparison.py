@@ -178,6 +178,52 @@ def test_non_finite_raw_point_refused(rng, centre):
                 linear_scan(space, range(30), query)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("d", [3, 8, PAIR_MAX_D, PAIR_MAX_D + 1])
+def test_a_measurer_is_measure_uncounted(rng, p, d):
+    # the lean best-first step measures each node once through it and
+    # charges in bulk: it must give measure's float to the last bit, in the
+    # pair form and in the array form past PAIR_MAX_D, and count nothing
+    pts = rng.random((30, d)) * 10.0 ** rng.uniform(-3, 3, size=(30, d))
+    space = EuclideanSpace(pts, p=p)
+    session = CostSession()
+    centre = space.plain(space.resolve(tuple(rng.random(d))))
+    dist = space.measurer(centre)
+    for v in range(30):
+        b = space.plain(space.value(v))
+        assert dist(b).hex() == space.measure(centre, b, session).hex(), v
+    assert session.distance_computations == 30  # measure's charges alone
+
+
+@pytest.mark.parametrize(
+    "space, centre",
+    [
+        (MatrixSpace([[0.0, 1.0, 2.5], [1.0, 0.0, 0.5], [2.5, 0.5, 0.0]]), 1),
+        (StringSpace(["kitten", "sitting", "", "mitten"]), "sitting"),
+        (ProjectionSpace([[0.0, 0.5], [3.0, 4.0], [1.0, 1.0]]), (1.0, 2.0)),
+    ],
+    ids=["matrix", "strings", "projection"],
+)
+def test_every_space_has_a_measurer(space, centre):
+    centre = space.plain(space.resolve(centre))
+    dist = space.measurer(centre)
+    for v in range(len(space)):
+        b = space.plain(space.value(v))
+        assert dist(b) == space.measure(centre, b)
+
+
+@pytest.mark.parametrize("cls", [EuclideanSpace, ProjectionSpace, MatrixSpace])
+def test_a_space_leaves_the_caller_array_writable(cls):
+    # a space freezes a copy of its array: the caller's array stays
+    # writable, and writing to it changes no distance
+    x = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])  # a metric's matrix too
+    space = cls(x)
+    before = space.pairwise(range(3), range(3)).tolist()
+    assert x.flags.writeable
+    x[:] = 9.0
+    assert space.pairwise(range(3), range(3)).tolist() == before
+
+
 def _bits(a) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
