@@ -141,6 +141,8 @@ class Fans:
         if self.discovers[self.found :].any() or self.lazy[: self.found].any():
             raise ValueError("discovering fans come first and are never lazy")
         self.found_rows = int(self.start[self.found])
+        # the source of each discovering row: what a plan, a check and the index file read
+        self.ball_source = np.repeat(self.source[: self.found], np.diff(self.start[: self.found + 1]))
 
     def __len__(self) -> int:
         return int(self.target.shape[0])
@@ -159,10 +161,9 @@ class Fans:
         `reduce_to_signed` walks every logical edge once per query, and
         building a ball row's `Edge` costs more than its overlap check."""
         rows = slice(0, self.found_rows)
-        source = np.repeat(self.source[: self.found], np.diff(self.start[: self.found + 1])).tolist()
         return [
             Edge((u,), t, (Ambit((u,), ambit_mod.BALL_MAP, (r,)),), ())
-            for u, t, r in zip(source, self.target[rows].tolist(), self.hi[rows].tolist())
+            for u, t, r in zip(self.ball_source.tolist(), self.target[rows].tolist(), self.hi[rows].tolist())
         ]
 
 
@@ -174,9 +175,10 @@ _NO_FANS.start.setflags(write=False)
 
 class _BallColumns(NamedTuple):
     """Single-facet ball edges a * delta(source, .) <= r as columns, by
-    source: the edges of source v are rows start[v]:start[v + 1], in edge
-    order. They are all a wave fires: a node with any other eager
-    out-edge steps alone (see `Sprawl._waves`)."""
+    source: the edges of source v are rows start[v]:start[v + 1], its
+    explicit ball edges in edge order, then its ball rows as the plan lists
+    them. Every plan has them. They are all a wave fires: a node with any
+    other eager out-edge steps alone (see `Sprawl._plan`)."""
 
     start: np.ndarray
     target: np.ndarray
@@ -239,172 +241,153 @@ class Sprawl:
             # a negative ref would wrap round the table
             if len(refs) and not (0 <= refs.min() and refs.max() < size and known[refs].all()):
                 raise IndexError("fan refers to refs outside the ground set")
-        if (np.repeat(f.source[: f.found], np.diff(f.start[: f.found + 1])) == f.target[: f.found_rows]).any():
+        if (f.ball_source == f.target[: f.found_rows]).any():
             warnings.warn("a ball edge into its own source can never fire usefully")
 
     def _plan(self):
-        """The frontier plan (fan f is plan edge len(edges) + f), the lazy
-        edges and lazy fan rows into each target, the seed position of
-        each fan row's target in a dense plan, the ball columns, the fan
-        columns a search reads as plain lists, the ball rows of each node
-        of a lean plan (else None), and each node's value in the form the
-        space measures fastest (`ComparisonSpace.plain`).
+        """The frontier plan, the lazy edges and lazy fan rows into each
+        target, the seed position of each fan row's target in a dense plan,
+        the ball columns, each fan's start and source as lists, each node's
+        ball rows, whether the plan is lean, and each node's value in the
+        form the space measures fastest (`ComparisonSpace.plain`). It is
+        compiled on the first call, not with the sprawl, in one walk over
+        the edges and one over the fans.
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
         edge is a shell fan, as AESA and LAESA build them, the plan is
         dense, so a kNN search can select by the fans' bounds, and a FIFO
-        search over a plan with no `Waves` (AESA) by seed position. The plan
-        also carries the `Waves` that let a FIFO range search go a wave at
-        a time, and the ball columns those waves test (see `_waves`). The
-        lists hold each fan's start and source, and each discovering fan's
-        source, row targets and radii, which a node-at-a-time search reads
-        per fan. Where no node has two discovering eager in-edges, a seed's
-        root edge included, the plan's `sole_finder` lets a kNN search stop
-        at its bound. Where every eager edge is a discovering fan, no edge
-        or fan row is lazy and no ball target can be done when its edge
-        fires (`_BallColumns.checked` False), as in a ball-tree, the plan
-        is lean: its ball rows are listed by node ref, as the targets and
-        radii of the node's fans in the order they fire, for the lean
-        best-first step of `search`.
-        Everything is built on the first call, not with the sprawl.
+        search over a plan with no `Waves` (AESA) by seed position.
+
+        Shell fan f is plan edge len(edges) + f, and a node's discovering
+        fans are one plan edge, numbered as the first of them: their rows
+        are listed once, by node ref, as the targets and radii of the
+        node's fans in fan order, which is the order they fire in, since
+        the node's explicit edges come before them and its shell fans
+        after. The heap form's `fire`, the lean step and the ball columns
+        all read that list. Where no node has two discovering eager
+        in-edges, a seed's root edge included, the plan's `sole_finder`
+        lets a kNN search stop at its bound. Where every eager edge is a
+        discovering fan, no edge or fan row is lazy and no ball target can
+        be done when its edge fires (`_BallColumns.checked` False), as in a
+        ball-tree, the plan is lean, for the lean best-first step of
+        `search`.
+
+        The `Waves` let a FIFO range search go a wave at a time. One rule
+        keeps a wave exact: a wave fires single-facet ball edges and ball
+        fan rows only, and no wave node's fate or count hangs on a
+        wave-mate. So three kinds of node step alone: every source of an
+        eager edge that is not a single-facet ball (a shell fan, an
+        eliminating edge, a discovering edge of another shape, an edge with
+        several sources); the target of a sourceless eliminating edge,
+        which fires before the first wave; and the target of a ball with
+        more than one discovering in-edge, a seed's root edge included,
+        which might otherwise share a wave with one of those balls' sources
+        and be done before that ball tests it. A target of lazy edges or
+        rows waits until their sources are traversed. Whatever eliminates a
+        ball's target then steps alone, so a wave reads the targets' status
+        only where some ball target is eliminable or found twice
+        (`_BallColumns.checked`). A wave's distances go into the search's
+        cache only where something else reads it: a lazy check, a node
+        stepping alone, or a labelled sourceless edge, which fires before
+        the first wave. Where every node is the source of an eager shell
+        fan, as in AESA, every node would step alone, so the plan has no
+        `Waves`; a dense plan then selects FIFO from its bound array.
         """
         if self._plan_cache is not None:
             return self._plan_cache
+        edges, nodes, fans, base = self.edges, self.nodes, self.fans, len(self.edges)
+        span = max(nodes, default=-1) + 1
         eager, seeds = [], []
         seeding = True
         lazy_in: dict[int, list[int]] = {}
-        finders: dict[int, int] = {}  # discovering eager in-edges per target
-        for i, e in enumerate(self.edges):
+        finders = [0] * span  # discovering eager in-edges per target
+        kills = np.zeros(span, dtype=bool)  # eliminable targets
+        alone: set[int] = set()
+        balls: dict[int, list] = {}  # (target, (a, ||a||_1, r)) per single-facet ball edge, by source
+        labelled = False  # a sourceless edge with a label
+        for i, e in enumerate(edges):
             if e.lazy:
                 lazy_in.setdefault(e.target, []).append(i)
                 continue
-            finders[e.target] = finders.get(e.target, 0) + e.discovers
-            if seeding and e.is_root_edge:
-                seeds.append(e.target)
-            else:
-                seeding = seeding and bool(e.sources)
-                eager.append((i, e.sources))
-        fans, base = self.fans, len(self.edges)
-        start, source = fans.start.tolist(), fans.source.tolist()
-        found_target = fans.target[: fans.found_rows].tolist()
-        for t in found_target:
-            finders[t] = finders.get(t, 0) + 1
-        lazy_rows: dict[int, list[tuple[int, float, float]]] = {}  # (source, lo, hi) per lazy row into a target
-        for f, lazy in enumerate(fans.lazy.tolist()):
-            if not lazy:
-                eager.append((base + f, (source[f],)))
-                continue
-            span = slice(start[f], start[f + 1])
-            for t, lo, hi in zip(fans.target[span].tolist(), fans.lo[span].tolist(), fans.hi[span].tolist()):
-                lazy_rows.setdefault(t, []).append((source[f], lo, hi))
-        radii = fans.hi[: fans.found_rows].tolist()
-        spans = [slice(start[f], start[f + 1]) for f in range(fans.found)]
-        rows = (start, source, [(source[f], found_target[span], radii[span]) for f, span in enumerate(spans)])
-        # eager ids ascend, so the first is a shell fan's only if every eager edge is one
-        dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(self.nodes)
-        plan = activation(eager, max(self.nodes, default=-1) + 1, seeds, dense)
-        pos = plan.positions[fans.target] if dense else None
-        waves, balls = self._waves(lazy_in, lazy_rows, finders, rows)
-        plan = plan._replace(waves=waves, sole_finder=max(finders.values(), default=0) <= 1)
-        lean = None
-        # eager ids ascend: every one is a discovering fan's if the first and the last are
-        fanned = not eager or eager[0][0] >= base and eager[-1][0] < base + fans.found
-        if fanned and not (lazy_in or lazy_rows) and balls is not None and not balls.checked:
-            lean = [None] * plan.span
-            for v, ids in plan.out.items():
-                targets, radii = [], []
-                for i in ids:  # v's fans, in the order they fire
-                    _, ts, rs = rows[2][i - base]
-                    targets += ts
-                    radii += rs
-                lean[v] = targets, radii
-        space = self.space
-        plain = {v: space.plain(space.value(v)) for v in self.nodes}
-        self._plan_cache = (plan, lazy_in, lazy_rows, pos, balls, rows, lean, plain)
-        return self._plan_cache
-
-    def _waves(self, lazy_in, lazy_rows, finders, rows):
-        """The plan's `Waves` and the ball columns, or (None, None).
-
-        One rule keeps a wave exact: a wave fires single-facet ball edges
-        and ball fan rows only, and no wave node's fate or count hangs on
-        a wave-mate. So three kinds of node step alone: every source of
-        an eager edge that is not a single-facet ball (a shell fan, an
-        eliminating edge, a discovering edge of another shape, an edge
-        with several sources); the target of a sourceless eliminating
-        edge, which fires before the first wave; and the target of a
-        ball with more than one discovering in-edge, a seed's root edge
-        included, which might otherwise share a wave with one of those
-        balls' sources and be done before that ball tests it.
-        A target of lazy edges or rows waits until their sources are
-        traversed. Whatever eliminates a ball's target then steps alone,
-        so a wave reads the targets' status only where some ball target
-        is eliminable or found twice (`_BallColumns.checked`). A wave's
-        distances go into the search's cache only where something else
-        reads it: a lazy check, a node stepping alone, or a labelled
-        sourceless edge, which fires before the first wave. Where every
-        node is the source of an eager shell fan, as in AESA, every node
-        would step alone; a dense plan then selects FIFO from its bound
-        array instead.
-        """
-        edges, nodes, fans = self.edges, self.nodes, self.fans
-        fan_start, fan_source, found = rows
-        shells = [f for f, lazy in enumerate(fans.lazy.tolist()) if f >= fans.found and not lazy]
-        if {fan_source[f] for f in shells} >= set(nodes):
-            return None, None
-        alone: set[int] = set()
-        kills: set[int] = set()  # eliminable targets
-        balls = []  # (source, target, (a, ||a||_1, r)), in edge order
-        for e in edges:
-            if e.lazy:
-                continue
             t, sources = e.target, set(e.sources)
+            finders[t] += e.discovers
+            if seeding and e.is_root_edge:
+                seeds.append(t)
+                continue
+            seeding = seeding and bool(sources)
+            eager.append((i, e.sources))
+            labelled = labelled or not (sources or e.is_root_edge)
             if e.negative:
-                kills.add(t)
+                kills[t] = True
                 if not sources:
                     alone.add(t)
             elif len(sources) == 1 and len(e.positive) == 1:
                 (u,) = sources
                 facet = ambit_mod.ball_facet(e.positive[0], u)
                 if facet is not None:
-                    balls.append((u, t, facet))
+                    balls.setdefault(u, []).append((t, facet))
                     continue
             alone |= sources
+        start, source = fans.start.tolist(), fans.source.tolist()
+        found_target, radius = fans.target[: fans.found_rows].tolist(), fans.hi[: fans.found_rows].tolist()
+        finders = np.array(finders, dtype=np.int64) + np.bincount(fans.target[: fans.found_rows], minlength=span)
+        rows: list = [None] * span  # each node's ball rows, (targets, radii) in fan order
+        lazy_rows: dict[int, list[tuple[int, float, float]]] = {}  # (source, lo, hi) per lazy row into a target
+        shelled = set()  # the sources of eager shell fans
+        for f, lazy in enumerate(fans.lazy.tolist()):
+            u, first, end = source[f], start[f], start[f + 1]
+            if f < fans.found:
+                if rows[u] is None:
+                    rows[u] = [], []
+                    eager.append((base + f, (u,)))
+                rows[u][0].extend(found_target[first:end])
+                rows[u][1].extend(radius[first:end])
+            elif lazy:
+                cut = slice(first, end)
+                for t, lo, hi in zip(fans.target[cut].tolist(), fans.lo[cut].tolist(), fans.hi[cut].tolist()):
+                    lazy_rows.setdefault(t, []).append((u, lo, hi))
+            else:
+                eager.append((base + f, (u,)))
+                shelled.add(u)
+        kills[fans.target[np.repeat(~(fans.discovers | fans.lazy), np.diff(fans.start))]] = True  # eager shell rows
         unit = ambit_mod.BALL_FACET  # every discovering row is the ball delta(u, .) <= r
-        for u, targets, radii in found:
-            balls += ((u, t, (*unit, r)) for t, r in zip(targets, radii))
-        for f in shells:
-            alone.add(fan_source[f])
-            kills.update(fans.target[fan_start[f] : fan_start[f + 1]].tolist())
-        checked = False
-        for u, t, _ in balls:
-            contested = finders.get(t, 0) > 1
-            if contested:
-                alone.add(t)
-            checked = checked or contested or t in kills or t == u
+        ball_start, ball_target, facets = [0], [], []
+        for u in range(span):  # by source: its ball edges in edge order, then its ball rows
+            for t, facet in balls.get(u, ()):
+                ball_target.append(t)
+                facets.append(facet)
+            if rows[u] is not None:
+                ball_target += rows[u][0]
+                facets += [(*unit, r) for r in rows[u][1]]
+            ball_start.append(len(ball_target))
+        ball_start, ball_target = np.array(ball_start, dtype=np.int64), np.array(ball_target, dtype=np.int64)
+        contested = finders[ball_target] > 1
+        alone |= shelled | set(ball_target[contested].tolist())
+        own = ball_target == np.repeat(np.arange(span), np.diff(ball_start))  # a ball into its own source
+        checked = bool((contested | kills[ball_target] | own).any())
+        facets = np.array(facets, dtype=float).reshape(-1, 3)
+        cached = bool(lazy_in or lazy_rows or alone or labelled)
+        columns = _BallColumns(ball_start, ball_target, facets[:, 0], facets[:, 1], facets[:, 2], checked, cached)
         after: dict[int, set[int]] = {}
         for t, ids in lazy_in.items():
             after.setdefault(t, set()).update(*(edges[i].sources for i in ids))
         for t, refs in lazy_rows.items():
             after.setdefault(t, set()).update(u for u, _, _ in refs)
-        waves = Waves(frozenset(alone), {v: frozenset(vs) for v, vs in after.items()})
-        cached = bool(lazy_in or lazy_rows or alone) or any(not e.sources and not e.is_root_edge for e in edges)
-        source = np.array([b[0] for b in balls], dtype=np.int64)
-        start = np.zeros(max(nodes) + 2, dtype=np.int64)
-        np.cumsum(np.bincount(source, minlength=max(nodes) + 1), out=start[1:])
-        order = np.argsort(source, kind="stable")  # by source, in edge order within one
-        facets = np.array([b[2] for b in balls], dtype=float).reshape(-1, 3)[order]
-        columns = _BallColumns(
-            start,
-            np.array([b[1] for b in balls], dtype=np.int64)[order],
-            facets[:, 0],
-            facets[:, 1],
-            facets[:, 2],
-            checked,
-            cached,
-        )
-        return waves, columns
+        after = {v: frozenset(vs) for v, vs in after.items()}
+        waves = None if shelled >= set(nodes) else Waves(frozenset(alone), after)
+        # eager ids ascend, so the first is a shell fan's only if every eager edge is one
+        dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(nodes)
+        plan = activation(eager, span, seeds, dense)
+        plan = plan._replace(waves=waves, sole_finder=bool(finders.max(initial=0) <= 1))
+        pos = plan.positions[fans.target] if dense else None
+        # eager ids ascend: every one is a discovering fan's if the first and the last are
+        fanned = not eager or eager[0][0] >= base and eager[-1][0] < base + fans.found
+        lean = fanned and not (lazy_in or lazy_rows or checked)
+        space = self.space
+        plain = {v: space.plain(space.value(v)) for v in nodes}
+        self._plan_cache = (plan, lazy_in, lazy_rows, pos, columns, start, source, rows, lean, plain)
+        return self._plan_cache
 
 
 # --- query evaluation -------------------------------------------------------
@@ -604,8 +587,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     takes the node's value in the plain form that the plan keeps
     (`ComparisonSpace.plain`), which gives the float a row would. Lazy
     negative edges and lazy fan rows are consulted only immediately
-    before their target would be traversed. A `Ball` search
-    fires a ball fan with one lookup of its source's distance, one
+    before their target would be traversed. A node's ball fans are one
+    plan edge, which fires the node's ball rows as the plan lists them; a
+    `Ball` search fires them with one lookup of the node's distance, one
     plain-float `ambit.overlap_facet_bounds` call, which gives each row
     the verdict and the kNN bound that `intersects` and `lower_bound`
     would, and one bulk `Frontier.discover_all`; it reads no target's
@@ -627,14 +611,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     classic AESA range loop does.
 
     A FIFO range search (a `Ball` with no k, on a symmetric space) whose
-    plan carries `Waves` goes a wave at a time instead, over int64 arrays
+    plan carries `Waves` (every plan but AESA-like ones, where each node
+    steps alone) goes a wave at a time instead, over int64 arrays
     (see `Frontier`): one `measure_row` call tests the whole wave for
     membership, filling the centre-distance cache only where the plan has
     another reader for it (`_BallColumns.cached`). A wave node's eager
     out-edges are all ball rows and single-facet ball edges, since any
     node with another kind steps alone, through `fire`; they get one
-    vectorised verdict (`ambit.overlap_facet_columns`), and the surviving
-    targets, in edge order, join the queue in one `Frontier.discover_all`.
+    vectorised verdict over the plan's ball columns
+    (`ambit.overlap_facet_columns`), and the surviving targets, in edge
+    order, join the queue in one `Frontier.discover_all`.
     The members are gathered as arrays and made Python ints once, at the
     end. Members, order and both counts are those of the node-at-a-time
     form.
@@ -644,16 +630,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     best-first step: one callback per selected node measures it once,
     through the uncounted `ComparisonSpace.measurer` of the centre, updates
     the k nearest and the cut, and returns the (bound, target) pairs of its
-    ball rows that meet the query (`ambit.overlap_facet_pairs`), which
-    `Frontier.run` queues itself; neither `fire` nor
-    `Frontier.discover_all` runs. Every traversed node is measured exactly
-    once there and nothing else is, so the distances are charged in bulk,
-    one per traversed node. Members, order and both counts are those of
-    the general heap path.
+    ball rows, read from the list that `fire` reads, that meet the query
+    (`ambit.overlap_facet_pairs`), which `Frontier.run` queues itself;
+    neither `fire` nor `Frontier.discover_all` runs. Every traversed node
+    is measured exactly once there and nothing else is, so the distances
+    are charged in bulk, one per traversed node. Members, order and both
+    counts are those of the general heap path.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
-    plan, lazy_in, lazy_rows, pos, balls, (start, source, found_rows), lean, plain = sprawl._plan()
+    plan, lazy_in, lazy_rows, pos, balls, start, source, node_rows, lean, plain = sprawl._plan()
     ev = _QueryEval(space, query)
     ev.plain = plain
     ball = isinstance(query, Ball)
@@ -683,7 +669,7 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         return max(lb, 0.0)
 
     found = fans.found if ball else 0  # the fans fired as float ball rows
-    unchecked = balls is not None and not balls.checked  # no ball target is done when its edge fires
+    unchecked = not balls.checked  # no ball target is done when its edge fires
     to_center = ev._to_center
 
     def fire_fan(f: int) -> None:
@@ -691,7 +677,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         first, end, u = start[f], start[f + 1], source[f]
         if not ball:  # row by row, through the regions the rows stand for
             done = frontier.done
-            for j, t in zip(range(first, end), fans.target[first:end].tolist()):
+            # a discovering fan's plan edge fires all of u's ball rows, in row order
+            ids = np.flatnonzero(fans.ball_source == u) if f < fans.found else np.arange(first, end)
+            for j, t in zip(ids.tolist(), fans.target[ids].tolist()):
                 if t in done:
                     continue
                 e = fans.edge(j)
@@ -717,8 +705,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         done = frontier.done
         for ei in edge_ids:
             f = ei - explicit
-            if 0 <= f < found:  # a ball fan: a float verdict and bound per row, as `intersects` and `lower_bound` give
-                u, targets, radii = found_rows[f]
+            if 0 <= f < found:  # u's ball rows: a float verdict and bound each, as `intersects` and `lower_bound` give
+                u = source[f]
+                targets, radii = node_rows[u]
                 live = len(targets) if unchecked or done.isdisjoint(targets) else sum(t not in done for t in targets)
                 ev.region_evaluations += live
                 z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
@@ -804,19 +793,18 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         that meet the query at the k-th distance as v leaves it."""
         d = dist(plain[v])
         admit(v, d)
-        rows = lean[v]
-        if rows is None:
+        if node_rows[v] is None:
             return []
-        targets, radii = rows
+        targets, radii = node_rows[v]
         ev.region_evaluations += len(targets)
         return ambit_mod.overlap_facet_pairs(radii, targets, l1, a, d, s_current)
 
     hits: list[np.ndarray] = []  # the members of each wave
-    if knn and heuristic.kind == "bound" and plan.sole_finder and lean is not None:
+    if knn and heuristic.kind == "bound" and plan.sole_finder and lean:
         dist = space.measurer(center)
         order = frontier.run(None, step)
         session.charge(len(order))  # each traversed node was measured once
-    elif balls is None or not ball or knn or not space.symmetric:
+    elif plan.waves is None or not ball or knn or not space.symmetric:
         order = frontier.run(fire, visit)
     else:
         wave_z = np.empty(0)  # distances of the last wave's kept nodes, in order

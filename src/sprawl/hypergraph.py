@@ -98,7 +98,7 @@ class Waves(NamedTuple):
     every eager out-edge of a wave node is a ball that only discovers, no
     node that two edges discover shares a wave, and each lazy check of a
     wave node is armed before the wave. Every other node steps `alone`.
-    `engine.Sprawl._waves` proves these facts per node, from the edges
+    `engine.Sprawl._plan` proves these facts per node, from the edges
     alone, so a wave is cut only by facts of its own nodes.
     """
 
@@ -413,11 +413,12 @@ class Frontier:
         `engine.search`, which the caller may ask for only under "bound",
         over a plan that is not dense, has `sole_finder` and has no
         sourceless edge and no joins: `visit(v)` then traverses v, which it
-        may not refuse, fires all its out-edges itself and returns the
-        (bound, target) pairs of the nodes they discover, each new to the
-        frontier, in order. The frontier queues each under the key (bound,
-        sequence, target) with its own discovery counter, so neither
-        `fire` nor `discover_all` runs.
+        may not refuse, fires its out-edge itself (the plan's one edge for
+        all of v's ball fans) and returns the (bound, target) pairs of the
+        nodes it discovers, each new to the frontier, in order. The
+        frontier queues each under the key (bound, sequence, target) with
+        its own discovery counter, so neither `fire` nor `discover_all`
+        runs.
         """
         heap, prio, flags, status = self._heap, self._prio, self._flags, self._status
         plan, cuts, dense = self._plan, self._cuts, self.dense

@@ -308,7 +308,7 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
     if fans.found_rows:  # the discovering fans, as one ball table
         balls = slice(0, fans.found_rows)
         doc["balls"] = {
-            "source": _block(np.repeat(fans.source[: fans.found], np.diff(fans.start[: fans.found + 1])), _I8),
+            "source": _block(fans.ball_source, _I8),
             "target": _block(fans.target[balls], _I8),
             "radius": _block(fans.hi[balls], _F8),
         }

@@ -91,6 +91,23 @@ def point_sets(rng):
     yield np.array([(x, y, z) for x in g for y in g for z in g])[:60]
 
 
+def random_fan_tree(rng) -> Sprawl:
+    """An exact tree of discovering fans over 2-14 points of a 4 x 4 dyadic
+    grid, so points repeat and distances tie exactly: each child's radius
+    is the largest distance from its parent to its subtree, and the rows
+    are shuffled, so one source's rows may split into several fans."""
+    n = int(rng.integers(2, 15))
+    grid = np.array([(x, y) for x in range(4) for y in range(4)]) / 4
+    space = EuclideanSpace(grid[rng.integers(0, 16, n)])
+    order = rng.permutation(n).tolist()
+    parent = {v: order[int(rng.integers(0, i))] for i, v in enumerate(order) if i}
+    subtree = {v: [v] for v in order}
+    for v in reversed(order[1:]):  # a child joins after its parent, so its subtree is whole here
+        subtree[parent[v]] += subtree[v]
+    rows = [(parent[v], v, float(space.distances_from(parent[v], subtree[v]).max())) for v in order[1:]]
+    return Sprawl(space, range(n), [Edge((), order[0])], make_fans([rows[i] for i in rng.permutation(len(rows))]))
+
+
 def guard_sprawl() -> Sprawl:
     # root 0 at 3.0; a, b and w at 2.5, 4.0 and 1.0; v at 2.2 and x at 0.1.
     # v has two discovering edges, from a and from b; x hangs off v alone
@@ -189,6 +206,24 @@ def test_random_sprawls_keep_their_searches(rng):
                 assert_cut_is_a_prefix(sprawl, q)
             may_cut += sprawl._plan()[0].sole_finder
     assert may_cut > 40
+    # exact fan-only trees all take the lean step, many with several fans
+    # on one node, and are held to `linear_scan` too
+    split = 0
+    for _ in range(600):
+        sprawl = random_fan_tree(rng)
+        n = len(sprawl.nodes)
+        c = tuple(rng.integers(0, 8, 2) / 8)  # a grid point or a point between them
+        queries = [Ball(c, float(rng.integers(0, 4)) / 4), Ball(int(rng.integers(0, n)), 0.0)]
+        queries += [Ball(c, 0.0, k=k) for k in (1, 2, n)]
+        assert_ball_fans_are_exact(sprawl, queries)
+        for q in queries:
+            if q.k is not None:
+                assert_cut_is_a_prefix(sprawl, q)
+            assert search(sprawl, q).members == linear_scan(sprawl.space, sprawl.nodes, q), q
+        assert lean_step(pytest.MonkeyPatch, sprawl, queries[2])
+        sources = sprawl.fans.source[: sprawl.fans.found].tolist()
+        split += len(set(sources)) < len(sources)
+    assert split > 300
 
 
 def test_ball_tree_knn_costs_no_more_than_a_range_search_at_its_radius():
@@ -284,7 +319,7 @@ def test_a_node_with_two_ball_fans_steps_once(monkeypatch):
     space = EuclideanSpace([[0.0], [1.0], [0.5], [0.7], [-0.4], [2.0]])
     fans = make_fans(balls=[(0, 1, 2.0), (0, 2, 1.5), (2, 3, 0.3), (0, 4, 0.5), (1, 5, 1.0)])
     sprawl = Sprawl(space, range(6), [Edge((), 0)], fans)
-    assert len(sprawl._plan()[0].out[0]) == 2
+    assert sprawl.fans.source[: sprawl.fans.found].tolist().count(0) == 2 and sprawl._plan()[0].out[0] == [1]
     for c in (-0.5, 0.45, 0.8, 1.9):
         for k in (1, 2, 4, 6):
             q = Ball((c,), 0.0, k=k)
