@@ -6,11 +6,12 @@ whether a region contains a point (`membership`, `membership_mask`) or
 meets a query. `overlap_radients` is the one ball-overlap dispatcher: by
 map kind it runs the facet check (linear maps), the subadditive check
 (power with w >= 0, metaball) or the near-corner check (other
-non-decreasing maps). `overlap_facet_columns` is its single-facet form
-over columns of regions, `overlap_facet_bounds` its single-facet form
-over the regions of one focus together with their kNN bounds,
-`overlap_facet_pairs` the same bounds paired with the regions' targets, and
-`overlap_linear` the check of a linear region against a linear ambit
+non-decreasing maps). It has two single-facet forms: over columns of
+regions, `overlap_facet_columns`, which a wave fires its ball rows with,
+and over the regions of one focus, `overlap_facet_pairs`, which gives the
+(kNN bound, target) pairs of those that may meet the query, and which is
+how every node-at-a-time search fires a node's ball rows.
+`overlap_linear` is the check of a linear region against a linear ambit
 query, and `overlap_refs` that of a region against an explicit set of
 points. `shells_missed` is the vectorised shell test, `shell_bounds` the
 lower bounds that shells give a kNN search, and `ball_reach` the radius
@@ -295,22 +296,14 @@ def overlap_facet_columns(r, l1, a, z, s: float) -> np.ndarray:
     return r + l1 * s >= a * z - TOL
 
 
-def overlap_facet_bounds(radii, l1: float, a: float, z: float, s: float) -> list:
-    """Single-facet regions a * delta(p, .) <= r, one per radius in radii,
-    against B[c, s], given z = delta(p, c), in plain floats: per region
-    None when `_facets_meet` rules it out (same order of operations, NaN
-    misses), else the kNN discovery bound `ball_reach` gives, clamped at 0
-    (NaN gives 0)."""
-    az = a * z
-    reach = az - TOL
-    slack = l1 * s
-    return [max(0.0, (az - r) / l1) if r + slack >= reach else None for r in radii]
-
-
 def overlap_facet_pairs(radii, targets, l1: float, a: float, z: float, s: float) -> list:
-    """`overlap_facet_bounds` with the target of each region, the same
-    radius's place in targets, as a (bound, target) pair, for the regions
-    that may meet B[c, s] only, in order: what a best-first search queues."""
+    """Single-facet regions a * delta(p, .) <= r, one per radius in radii,
+    each leading to the target at its place in targets, against B[c, s],
+    given z = delta(p, c), in plain floats: a (bound, target) pair, in
+    order, for each region that `_facets_meet` does not rule out (same
+    order of operations, NaN misses), its bound the kNN discovery bound
+    `ball_reach` gives, clamped at 0 (NaN gives 0). What a best-first
+    search queues (Hjaltason & Samet, TODS 28(4), 2003)."""
     az = a * z
     reach = az - TOL
     slack = l1 * s

@@ -3,13 +3,14 @@
 Every distance used anywhere in the package is computed here, so the
 per-query cost metric (number of comparison evaluations) has a single home:
 `compare` and `distances_from` charge it around uncounted subclass kernels,
+a search charges each call of its centre's uncounted `measurer` itself,
 and every Lp distance, in every call shape, goes through `lp_norm`.
 
 Lp distances come in three shapes, which must give one float per pair: a
 row (`distances_from`) and a block (`pairwise`) over numpy arrays, and a
 pair of points as plain float tuples at low dimension (see
-`ComparisonSpace.plain`), which a search measures one traversed node at a
-time. numpy's `add.reduce` sums the terms of a row in pairwise order, and
+`ComparisonSpace.plain`), which a search's `measurer` measures one node at
+a time. numpy's `add.reduce` sums the terms of a row in pairwise order, and
 `_sum_order` spells the same order out for the pair kernel: below 8 terms
 in turn, from 0.0; from 8 to 128 terms in 8 lanes, lane j adding terms j,
 j + 8, j + 16, ... in turn, the lanes combined as
@@ -41,7 +42,7 @@ PAIR_PS = (1.0, 2.0, math.inf)
 #: The largest dimension whose points a Euclidean space makes plain. The
 #: generated kernel grows by a few statements per coordinate while numpy's
 #: three calls barely grow, so the two cost the same near d = 48 (timeit of
-#: one `measure`, at each p of `PAIR_PS`); up to 16 the kernel takes at most
+#: one `measurer` call, at each p of `PAIR_PS`); up to 16 the kernel takes at most
 #: half the time. Larger d keep the arrays.
 PAIR_MAX_D = 16
 
@@ -153,32 +154,27 @@ class ComparisonSpace:
         raise TypeError(f"{self.kind} space cannot compare raw value {raw!r}")
 
     def plain(self, a):
-        """The resolved value `a` in the form `_dist` measures fastest: `a`
-        itself here. `measure` takes two resolved values, or two made plain;
-        a search keeps the plain values of its nodes itself, since it
-        writes nothing to the space."""
+        """The resolved value `a` in the form `measurer` measures fastest:
+        `a` itself here. A search keeps the plain values of its nodes
+        itself, since it writes nothing to the space."""
         return a
 
     def _dist(self, a, b) -> float:
+        """Uncounted delta(a, b) of two resolved values."""
         raise NotImplementedError
 
     def compare(self, u, v, session: CostSession | None = None) -> float:
         """delta(u, v); counts one comparison on the session."""
-        return self.measure(self.resolve(u), self.resolve(v), session)
-
-    def measure(self, a, b, session: CostSession | None = None) -> float:
-        """`compare` of two values already resolved, as a search measures
-        its query centre, resolved once; counts one comparison."""
-        d = self._dist(a, b)
+        d = self._dist(self.resolve(u), self.resolve(v))
         if session is not None:
             session.charge()
         return d
 
     def measurer(self, a):
-        """An uncounted `measure(a, .)`: a function of one value, resolved or
-        made plain as `a` is, that gives the float `measure` gives. A search
-        that measures every node it traverses exactly once builds one from
-        its centre and charges its session in bulk."""
+        """The uncounted delta(a, .) of a resolved value made plain: a
+        function of one value made plain, that gives the float `compare`
+        and a `distances_from` row give. A search builds one from its
+        centre and charges its session for each call itself."""
         return functools.partial(self._dist, a)
 
     def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
@@ -260,12 +256,10 @@ class EuclideanSpace(ComparisonSpace):
         return tuple(a.tolist()) if self._pair is not None else a
 
     def _dist(self, a, b) -> float:
-        if self._pair is not None and type(a) is tuple:  # both made plain, see `plain`
-            return lp_norm(a, self.p, b, self._pair)
         return float(lp_norm(a - b, self.p))
 
     def measurer(self, a):
-        if self._pair is not None and type(a) is tuple:  # `_dist`'s plain branch, bound once
+        if self._pair is not None and type(a) is tuple:  # made plain, see `plain`: the pair kernel
             p, kernel = self.p, self._pair
             return lambda b: lp_norm(a, p, b, kernel)
         return super().measurer(a)
@@ -460,8 +454,13 @@ class Ball:
     def __post_init__(self):
         if self.k is None and not self.radius >= 0:  # NaN fails this too
             raise ValueError("ball radius must be non-negative")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if self.k is not None:
+            # a bool is an int, and a float k would never fill the k nearest
+            if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+                raise TypeError(f"k must be an integer, not {self.k!r}")
+            if self.k < 1:
+                raise ValueError("k must be a positive integer")
+            self.k = int(self.k)
         if isinstance(self.center, np.ndarray):
             self.center = tuple(float(c) for c in self.center)
 

@@ -284,9 +284,10 @@ class Sprawl:
         more than one discovering in-edge, a seed's root edge included,
         which might otherwise share a wave with one of those balls' sources
         and be done before that ball tests it. A target of lazy edges or
-        rows waits until their sources are traversed. Whatever eliminates a
-        ball's target then steps alone, so a wave reads the targets' status
-        only where some ball target is eliminable or found twice
+        rows waits until their sources are traversed. Both kinds are
+        marked once here (`Waves.marked`). Whatever eliminates a ball's
+        target then steps alone, so a wave reads the targets' status only
+        where some ball target is eliminable or found twice
         (`_BallColumns.checked`). A wave's distances go into the search's
         cache only where something else reads it: a lazy check, a node
         stepping alone, or a labelled sourceless edge, which fires before
@@ -375,7 +376,9 @@ class Sprawl:
         for t, refs in lazy_rows.items():
             after.setdefault(t, set()).update(u for u, _, _ in refs)
         after = {v: frozenset(vs) for v, vs in after.items()}
-        waves = None if shelled >= set(nodes) else Waves(frozenset(alone), after)
+        marked = np.zeros(span, dtype=bool)  # the nodes that may cut a wave
+        marked[np.fromiter(alone | after.keys(), dtype=np.int64)] = True
+        waves = None if shelled >= set(nodes) else Waves(frozenset(alone), after, marked)
         # eager ids ascend, so the first is a shell fan's only if every eager edge is one
         dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(nodes)
         plan = activation(eager, span, seeds, dense)
@@ -397,7 +400,8 @@ class _QueryEval:
     """Per-search caches: query-center distances and focal cross-distances.
 
     Membership and overlap verdicts come from `ambit`; this class supplies
-    the distances and dispatches on region kind.
+    the distances and dispatches on region kind: one node's distance to
+    the centre through one `measurer`, a batch's through `measure_row`.
     """
 
     def __init__(self, space: ComparisonSpace, query):
@@ -421,9 +425,11 @@ class _QueryEval:
         return self.space.resolve(self.query.center)
 
     @cached_property
-    def plain_center(self):
-        """`center` in the form the space measures fastest."""
-        return self.space.plain(self.center)
+    def measurer(self):
+        """The uncounted distance from `center` to a value made plain
+        (`ComparisonSpace.measurer`), built once; each caller charges the
+        session for each call."""
+        return self.space.measurer(self.space.plain(self.center))
 
     def dist_to_center(self, ref: int) -> float:
         d = self._to_center.get(ref)
@@ -431,12 +437,13 @@ class _QueryEval:
             b = self.plain.get(ref)
             if b is None:
                 b = self.space.plain(self.space.resolve(ref))
-            d = self._to_center[ref] = self.space.measure(self.plain_center, b, self.session)
+            d = self._to_center[ref] = self.measurer(b)
+            self.session.charge()
         return d
 
     def dists_to_center(self, refs: np.ndarray, cached: bool) -> np.ndarray:
         """`dist_to_center` of each ref of an int64 array, in one
-        `measure_row` call, whose rows equal `measure` bit for bit. Only
+        `measure_row` call, whose rows equal `measurer` bit for bit. Only
         where `cached`, refs already in the cache are read from it and the
         others put there."""
         if not cached:
@@ -585,57 +592,59 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
     `Frontier.traversed` read. Every traversed node is tested for query
     membership; where a `Ball` search measures one node at a time, it
     takes the node's value in the plain form that the plan keeps
-    (`ComparisonSpace.plain`), which gives the float a row would. Lazy
-    negative edges and lazy fan rows are consulted only immediately
-    before their target would be traversed. A node's ball fans are one
-    plan edge, which fires the node's ball rows as the plan lists them; a
-    `Ball` search fires them with one lookup of the node's distance, one
-    plain-float `ambit.overlap_facet_bounds` call, which gives each row
-    the verdict and the kNN bound that `intersects` and `lower_bound`
-    would, and one bulk `Frontier.discover_all`; it reads no target's
-    status to count the rows evaluated where the plan proves that no
-    ball target is done when its edge fires (`_BallColumns.checked`
-    False). It fires a shell fan by eliminating all its missed targets at
-    once. For kNN queries the cover radius starts at infinity and tightens
-    to the current k-th best distance whenever a traversal lowers it; node
-    priorities are the per-edge region lower bounds, and where the plan
-    proves each node's bound its one discovering edge's
-    (`Plan.sole_finder`), the "bound" heuristic stops once the smallest
-    bound left is beyond the radius, as best-first search does. When the frontier is dense under the "bound"
-    heuristic (over a dense plan, see `Sprawl._plan`), a fired shell fan
-    instead raises each target's shell lower bound, the next node is the
-    one with the smallest bound, and a bound beyond the current radius
-    eliminates, as in AESA and LAESA. When it is dense under FIFO (AESA),
-    the next node is the first live root, and a fired shell fan
-    eliminates its missed targets by seed position in one store, as the
-    classic AESA range loop does.
+    (`ComparisonSpace.plain`) and measures it with the one uncounted
+    measurer of the centre (`_QueryEval.measurer`), which gives the float
+    a row would, charging one distance per call. Lazy negative edges and
+    lazy fan rows are consulted only immediately before their target
+    would be traversed. A node's ball fans are one plan edge, which fires
+    the node's ball rows as the plan lists them; a `Ball` search fires
+    them with one lookup of the node's distance, one plain-float
+    `ambit.overlap_facet_pairs` call, which gives each row that meets the
+    query with the kNN bound that `lower_bound` would, and one bulk
+    `Frontier.discover_at` (`discover_all`, at bound 0, for a range
+    search); it reads a target's status to count the rows evaluated only
+    where some ball target may be done when its edge fires
+    (`_BallColumns.checked`). It fires a shell fan by eliminating all its
+    missed targets at once. For kNN queries the cover radius starts at
+    infinity and tightens to the current k-th best distance whenever a
+    traversal lowers it; node priorities are the per-edge region lower
+    bounds, and where the plan proves each node's bound its one
+    discovering edge's (`Plan.sole_finder`), the "bound" heuristic stops
+    once the smallest bound left is beyond the radius, as best-first
+    search does. When the frontier is dense under the "bound" heuristic
+    (over a dense plan, see `Sprawl._plan`), a fired shell fan instead
+    raises each target's shell lower bound, the next node is the one with
+    the smallest bound, and a bound beyond the current radius eliminates,
+    as in AESA and LAESA. When it is dense under FIFO (AESA), the next
+    node is the first live root, and a fired shell fan eliminates its
+    missed targets by seed position in one store, as the classic AESA
+    range loop does.
 
-    A FIFO range search (a `Ball` with no k, on a symmetric space) whose
-    plan carries `Waves` (every plan but AESA-like ones, where each node
-    steps alone) goes a wave at a time instead, over int64 arrays
-    (see `Frontier`): one `measure_row` call tests the whole wave for
-    membership, filling the centre-distance cache only where the plan has
-    another reader for it (`_BallColumns.cached`). A wave node's eager
-    out-edges are all ball rows and single-facet ball edges, since any
-    node with another kind steps alone, through `fire`; they get one
-    vectorised verdict over the plan's ball columns
-    (`ambit.overlap_facet_columns`), and the surviving targets, in edge
-    order, join the queue in one `Frontier.discover_all`.
-    The members are gathered as arrays and made Python ints once, at the
-    end. Members, order and both counts are those of the node-at-a-time
-    form.
+    A FIFO range search (a `Ball` with no k) whose plan carries `Waves`
+    (every plan but AESA-like ones, where each node steps alone) goes a
+    wave at a time instead, over int64 arrays (see `Frontier`), through
+    one callback per wave: one `measure_row` call, which reads delta(c, .)
+    as `dist_to_center` does, tests the whole wave for membership,
+    filling the centre-distance cache only where the plan has another
+    reader for it (`_BallColumns.cached`). A wave node's eager out-edges
+    are all ball rows and single-facet ball edges, since any node with
+    another kind steps alone, through `fire`; they get one vectorised
+    verdict over the plan's ball columns (`ambit.overlap_facet_columns`),
+    and the surviving targets, in edge order, join the queue in one
+    `Frontier.discover_all`. The members are gathered as arrays and made
+    Python ints once, at the end. Members, order and both counts are
+    those of the node-at-a-time form.
 
     A kNN search under "bound" over a lean plan with `sole_finder` (a
     ball-tree, as built or loaded; see `Sprawl._plan`) takes the lean
     best-first step: one callback per selected node measures it once,
-    through the uncounted `ComparisonSpace.measurer` of the centre, updates
-    the k nearest and the cut, and returns the (bound, target) pairs of its
-    ball rows, read from the list that `fire` reads, that meet the query
-    (`ambit.overlap_facet_pairs`), which `Frontier.run` queues itself;
-    neither `fire` nor `Frontier.discover_all` runs. Every traversed node
-    is measured exactly once there and nothing else is, so the distances
-    are charged in bulk, one per traversed node. Members, order and both
-    counts are those of the general heap path.
+    through the centre's measurer, updates the k nearest and the cut, and
+    returns the pairs `ambit.overlap_facet_pairs` gives for its ball rows,
+    read from the list that `fire` reads, which `Frontier.run` queues
+    itself; neither `fire` nor `Frontier.discover_at` runs. Every
+    traversed node is measured exactly once there and nothing else is, so
+    the distances are charged in bulk, one per traversed node. Members,
+    order and both counts are those of the general heap path.
     """
     _refuse_unsound(sprawl, query)
     space = sprawl.space
@@ -669,7 +678,6 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         return max(lb, 0.0)
 
     found = fans.found if ball else 0  # the fans fired as float ball rows
-    unchecked = not balls.checked  # no ball target is done when its edge fires
     to_center = ev._to_center
 
     def fire_fan(f: int) -> None:
@@ -708,16 +716,16 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             if 0 <= f < found:  # u's ball rows: a float verdict and bound each, as `intersects` and `lower_bound` give
                 u = source[f]
                 targets, radii = node_rows[u]
-                live = len(targets) if unchecked or done.isdisjoint(targets) else sum(t not in done for t in targets)
-                ev.region_evaluations += live
+                # a done target's row is not evaluated, and only where `checked` may one be done
+                ev.region_evaluations += sum(t not in done for t in targets) if balls.checked else len(targets)
                 z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
                 if z is None:
                     z = ev.dist_to_center(u)
-                bounds = ambit_mod.overlap_facet_bounds(radii, l1, a, z, s_current)
+                pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, z, s_current)
                 if knn:
-                    frontier.discover_all(targets, bounds)
-                else:
-                    frontier.discover_all([t for t, b in zip(targets, bounds) if b is not None])
+                    frontier.discover_at(pairs)
+                else:  # at bound 0, which only a "bound" key reads
+                    frontier.discover_all([t for _, t in pairs])
                 continue
             if f >= 0:  # another fan's plan edge
                 fire_fan(f)
@@ -729,12 +737,15 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             if not all(ev.intersects(r, s_current) for r in e.negative):
                 frontier.eliminate([t])
             elif all(ev.intersects(r, s_current) for r in e.positive):
-                frontier.discover_all((t,), (lower_bound(e),) if knn else None)
+                if knn:
+                    frontier.discover_at(((lower_bound(e), t),))
+                else:
+                    frontier.discover_all((t,))
 
     members: list[int] = []
     lazy = bool(lazy_in or lazy_rows)
     if knn:
-        measure, center, session = space.measure, ev.plain_center, ev.session
+        dist, session = ev.measurer, ev.session
 
     def refused(v: int, traversed) -> bool:
         """Whether a lazy edge or row into v that is armed, its sources all
@@ -781,7 +792,8 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         if knn:
             d = to_center.get(v)
             if d is None:  # `ev.dist_to_center(v)`, inlined: every traversed node pays for it
-                d = to_center[v] = measure(center, plain[v], session)
+                d = to_center[v] = dist(plain[v])
+                session.charge()
             admit(v, d)
         elif ev.member(v):
             members.append(v)
@@ -801,31 +813,25 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
 
     hits: list[np.ndarray] = []  # the members of each wave
     if knn and heuristic.kind == "bound" and plan.sole_finder and lean:
-        dist = space.measurer(center)
         order = frontier.run(None, step)
         session.charge(len(order))  # each traversed node was measured once
-    elif plan.waves is None or not ball or knn or not space.symmetric:
+    elif plan.waves is None or not ball or knn:
         order = frontier.run(fire, visit)
     else:
-        wave_z = np.empty(0)  # distances of the last wave's kept nodes, in order
 
-        def visit_wave(vs: np.ndarray) -> np.ndarray:
-            """`visit` for a whole wave: lazy refusals, then one batched distance call."""
-            nonlocal wave_z
+        def wave(vs: np.ndarray) -> np.ndarray:
+            """`visit` and `fire` for a whole wave: lazy refusals, one
+            batched distance call, then one verdict for every ball row of
+            the kept nodes, whose survivors are discovered in edge order."""
             if lazy:
                 vs = vs[np.fromiter((not refused(v, None) for v in vs.tolist()), dtype=bool, count=len(vs))]
-            wave_z = ev.dists_to_center(vs, balls.cached)
-            hits.append(vs[wave_z <= s_current])
-            return vs
-
-        def fire_wave(vs: np.ndarray) -> None:
-            """`fire` for a wave's out-edges, all ball rows: one verdict for
-            every row, and the survivors discovered in edge order."""
+            z = ev.dists_to_center(vs, balls.cached)
+            hits.append(vs[z <= s_current])
             first = balls.start[vs]
             counts = balls.start[vs + 1] - first
             # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
             rows = (first - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
-            z = wave_z.repeat(counts)
+            z = z.repeat(counts)
             targets = balls.target[rows]
             if balls.checked:
                 live = frontier.undone(targets)
@@ -833,8 +839,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             ev.region_evaluations += len(rows)
             hit = ambit_mod.overlap_facet_columns(balls.r[rows], balls.l1[rows], balls.a[rows], z, s_current)
             frontier.discover_all(targets[hit])
+            return vs
 
-        order = frontier.run(fire, visit, visit_wave, fire_wave)
+        order = frontier.run(fire, visit, wave)
     if knn:
         members = [v for _, v in sorted((-nd, -nr) for nd, nr in worst)]
     elif hits:

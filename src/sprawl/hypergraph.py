@@ -99,11 +99,13 @@ class Waves(NamedTuple):
     node that two edges discover shares a wave, and each lazy check of a
     wave node is armed before the wave. Every other node steps `alone`.
     `engine.Sprawl._plan` proves these facts per node, from the edges
-    alone, so a wave is cut only by facts of its own nodes.
+    alone, so a wave is cut only by facts of its own nodes, and compiles
+    them once per plan, with `marked`, which a frontier reads per wave.
     """
 
     alone: frozenset[int]  # nodes that always step on their own
     after: dict[int, frozenset[int]]  # lazy sources, all traversed before a wave may hold the key
+    marked: np.ndarray  # bool by ref: whether a node is in `alone` or `after`, so may cut a wave
 
 
 class Plan(NamedTuple):
@@ -178,8 +180,8 @@ QUEUED, DONE, TRAVERSED = 1, 2, 4
 
 
 class _Flagged:
-    """The refs whose status carries a flag, read as a set: `in` and
-    `isdisjoint`. A frontier's `done` and `traversed`."""
+    """The refs whose status carries a flag, read as a set by `in`: a
+    frontier's `done` and `traversed`."""
 
     __slots__ = ("_status", "_flag")
 
@@ -190,17 +192,13 @@ class _Flagged:
     def __contains__(self, v) -> bool:
         return self._status[v] & self._flag != 0
 
-    def isdisjoint(self, vs) -> bool:
-        status, flag = self._status, self._flag
-        return not any(status[v] & flag for v in vs)
-
 
 class Frontier:
     """The one traversal loop and its per-traversal state.
 
     Both `traverse` and `engine.search` run on it; they differ only in the
     `fire` callback that turns activated edge ids into `discover_all`,
-    `eliminate` and `raise_bounds` calls. Elimination is permanent, and
+    `discover_at`, `eliminate` and `raise_bounds` calls. Elimination is permanent, and
     since edges fired in one round all fire before the next selection, it
     beats discovery. An edge fires as soon as its source is traversed; only
     an edge with several sources counts down to the last of them.
@@ -223,14 +221,16 @@ class Frontier:
       array alone, since they run per fired shell fan, where a status
       write costs a gather more, and no edge of a dense plan reads the
       status of a node they rule out.
-    - wave: under FIFO, over a plan with `Waves` and with wave callbacks
+    - wave: under FIFO, over a plan with `Waves` and with a wave callback
       given to `run`. Queued nodes wait in one int64 buffer, in discovery
       order, between a head and a tail position (a node joins at most
       once, so `Plan.span` slots suffice), and go a wave at a time: the
       longest run at the head of the queue whose nodes neither step
-      `alone` nor wait for a lazy source (`Waves.after`), or the whole
-      queue where `Waves` is empty. A node that steps alone is selected
-      and fired as the heap form would.
+      `alone` nor wait for a lazy source (`Waves.after`), of which only
+      the nodes the plan marks (`Waves.marked`) are tested, or the whole
+      queue where `Waves` is empty. A wave is visited and fired in one
+      callback; a node that steps alone is selected and fired as the
+      heap form would.
     - heap: otherwise. Nodes wait in a heap of the heuristic's keys, each
       ending with its node, numbered by a discovery counter. Under "bound"
       over a plan with a `sole_finder`, selection stops once the smallest
@@ -260,7 +260,6 @@ class Frontier:
         # the wave form's queue buffer, set up by `run`, with its head and tail positions
         self._queue: np.ndarray | None = None
         self._head = self._tail = 0
-        self._marked: np.ndarray | None = None  # by ref, whether a node steps alone or has lazy sources
         self._armed: set[frozenset[int]] = set()  # `Waves.after` source sets found all traversed
         self.dense = plan.positions is not None and (rekey or self._fifo and plan.waves is None)
         self._cuts = rekey and (self.dense or plan.sole_finder)
@@ -270,12 +269,9 @@ class Frontier:
             # FIFO), inf once selected or eliminated
             self._bound = np.zeros(len(plan.seeds))
 
-    def discover_all(self, vs, bounds=None) -> None:
-        """Make each node of vs available in turn, with the lower bound at
-        the same place in bounds (0 without bounds); a None bound leaves
-        its node alone. Under the "bound" key a rediscovery with a larger
-        lower bound raises the node's key, so it is selected at its
-        tightest bound. The wave form reads no bounds, as FIFO keys take
+    def discover_all(self, vs) -> None:
+        """Make each node of vs available in turn, at lower bound 0 (see
+        `discover_at`). The wave form reads no bounds, as FIFO keys take
         none: it keeps the refs of vs, a sequence or an int64 array, that
         are neither queued nor done, in one step, and queues them in order,
         each once."""
@@ -295,11 +291,18 @@ class Frontier:
             self._queue[self._tail : tail] = fresh
             self._tail = tail
             return
+        self.discover_at(zip(itertools.repeat(0.0), vs))
+
+    def discover_at(self, pairs) -> None:
+        """Make the node of each (lower bound, node) pair available in
+        turn, in the heap form, as `ambit.overlap_facet_pairs` gives them.
+        Under the "bound" key a rediscovery with a larger lower bound
+        raises the node's key, so it is selected at its tightest bound."""
+        if self.dense:
+            return
         flags, prio, found = self._flags, self._prio, self._found
         heap, push, key = self._heap, heapq.heappush, self._key
-        for v, bound in zip(vs, bounds if bounds is not None else itertools.repeat(0.0)):
-            if bound is None:
-                continue
+        for bound, v in pairs:
             if flags[v]:  # queued or done
                 if prio is None or flags[v] & DONE:  # its first key is its only one
                     continue
@@ -361,23 +364,23 @@ class Frontier:
         The wave is the longest run of queued nodes, in discovery order,
         whose members are not `alone` and have every lazy source traversed
         already; done nodes are skipped. Each test reads the node's own
-        facts only, so one numpy gather over the marked bytes finds the
-        nodes that may cut it, those that step alone or have lazy sources,
-        and only they are tested in Python. Where `Waves` is empty,
-        nothing eliminates or refuses a queued node, so the wave is the
-        whole queue.
+        facts only, so one numpy gather over `Waves.marked` finds the nodes
+        that may cut it, those that step alone or have lazy sources, and
+        only they are tested in Python. Where `Waves` is empty, nothing
+        eliminates or refuses a queued node, so the wave is the whole
+        queue.
         """
         queue, head, tail = self._queue, self._head, self._tail
-        if not any(waves):
+        alone, after, marked = waves
+        if not (alone or after):
             self._head = tail
             return memoryview(queue[head:tail]), False
-        alone, after = waves
         flags, armed = self._flags, self._armed
         pending = queue[head:tail]
         live = np.flatnonzero(self._status[pending] & DONE == 0)  # positions in pending
         nodes = pending[live]
-        marked = np.flatnonzero(self._marked[nodes])  # only a marked node can cut the wave
-        for k, v in zip(marked.tolist(), nodes[marked].tolist()):
+        cutters = np.flatnonzero(marked[nodes])  # only a marked node can cut the wave
+        for k, v in zip(cutters.tolist(), nodes[cutters].tolist()):
             sources = after.get(v)
             waits = sources is not None and sources not in armed
             if waits and all(flags[u] & TRAVERSED for u in sources):
@@ -392,7 +395,7 @@ class Frontier:
         self._head = tail
         return memoryview(nodes), False
 
-    def run(self, fire, visit=None, visit_wave=None, fire_wave=None) -> list[int]:
+    def run(self, fire, visit=None, wave=None) -> list[int]:
         """Traverse until no node is available; return the traversal.
 
         The seeds are discovered first. `fire(edge_ids)` is called with the
@@ -401,11 +404,10 @@ class Frontier:
         `fire` must not change. `visit(v)`, if given, runs just before v would
         be traversed; when it returns False, v is eliminated instead.
 
-        With `visit_wave` and `fire_wave` given, a FIFO frontier over a plan
-        with `Waves` selects in the wave form. `visit_wave(nodes)` visits a
-        whole wave, an int64 array, and returns the nodes it keeps, in
-        order, as one; they are traversed and the rest eliminated, and
-        `fire_wave(kept)` then fires every out-edge of the kept nodes. A
+        With `wave` given, a FIFO frontier over a plan with `Waves` selects
+        in the wave form. `wave(nodes)` visits a whole wave, an int64
+        array, fires every out-edge of the nodes it keeps and returns them,
+        in order, as one; they are traversed and the rest eliminated. A
         node that must step alone is visited and fired as a heap selection
         is.
 
@@ -417,19 +419,15 @@ class Frontier:
         all of v's ball fans) and returns the (bound, target) pairs of the
         nodes it discovers, each new to the frontier, in order. The
         frontier queues each under the key (bound, sequence, target) with
-        its own discovery counter, so neither `fire` nor `discover_all`
+        its own discovery counter, so neither `fire` nor `discover_at`
         runs.
         """
         heap, prio, flags, status = self._heap, self._prio, self._flags, self._status
         plan, cuts, dense = self._plan, self._cuts, self.dense
         out, joins, seeds = plan.out, plan.joins, plan.seeds
-        waves = plan.waves if self._fifo and visit_wave is not None else None
+        waves = plan.waves if self._fifo and wave is not None else None
         if waves is not None:
             self._queue = np.empty(plan.span, dtype=np.int64)
-            if any(waves):
-                self._marked = np.zeros(plan.span, dtype=bool)
-                for vs in (waves.alone, waves.after):
-                    self._marked[np.fromiter(vs, dtype=np.int64, count=len(vs))] = True
         remaining: dict[int, int] = {}  # sources not yet traversed, per edge of `joins`
         order: list[int] = []
         self.discover_all(seeds)  # none over a dense plan: its bound array holds them at 0
@@ -438,18 +436,17 @@ class Frontier:
             fire(plan.sourceless)
         while True:
             if waves is not None:
-                wave, alone = self._take_wave(waves)
-                if not wave:
+                taken, alone = self._take_wave(waves)
+                if not taken:
                     break
                 if not alone:
-                    nodes = np.asarray(wave)
-                    status[nodes] |= DONE  # traversed, or eliminated when visit_wave refuses it
-                    kept = visit_wave(nodes)
+                    nodes = np.asarray(taken)
+                    status[nodes] |= DONE  # traversed, or eliminated when `wave` refuses it
+                    kept = wave(nodes)
                     status[kept] |= TRAVERSED
                     order += kept.tolist()
-                    fire_wave(kept)
                     continue
-                v = wave[0]
+                v = taken[0]
             elif dense:
                 bound = self._bound
                 i = int(bound.argmin())  # the first of equal bounds: ties by sequence

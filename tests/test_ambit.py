@@ -12,7 +12,6 @@ from sprawl.ambit import (
     _corner,
     membership,
     membership_mask,
-    overlap_facet_bounds,
     overlap_facet_columns,
     overlap_facet_pairs,
     overlap_linear,
@@ -252,8 +251,8 @@ def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
 
 
 def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
-    # the heap path's verdict and bound per ball row against `overlap_radients`
-    # and the bound a kNN search took from `ball_reach`: on the slack boundary,
+    # the verdict and bound of one ball row against `overlap_radients` and
+    # the bound a kNN search took from `ball_reach`: on the slack boundary,
     # one ulp to each side, NaN z, and s = inf as at a kNN search's start
     facets = [(1.0, 0.7), (-1.0, -0.3), (2.0, 0.0), (0.5, 1e-12), (1.0, 0.0)]
     facets += [(float(rng.normal()) or 1.0, float(rng.normal())) for _ in range(30)]
@@ -263,40 +262,50 @@ def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
         for s in (0.0, float(rng.random()), np.inf):
             z0 = (r + abs(a) * s + TOL) / a if s < np.inf else float(rng.random())
             for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan, 0.0):
-                (got,) = overlap_facet_bounds([r], abs(a), a, float(z), s)
+                got = overlap_facet_pairs([r], [7], abs(a), a, float(z), s)
                 if not overlap_radients(region, [float(z)], s):
-                    assert got is None
+                    assert got == []
                     misses += 1
                     continue
                 want = max(max(0.0, ball_reach(region, [float(z)])), 0.0)
-                assert got is not None and got == want and np.signbit(got) == np.signbit(want)
+                ((bound, target),) = got
+                assert target == 7 and bound == want and np.signbit(bound) == np.signbit(want)
                 hits += 1
     assert hits > 50 and misses > 50
 
 
 def test_facet_bounds_of_a_fan_are_its_rows_one_at_a_time(rng):
-    # one call per fan: the rows share a, ||a||_1 and z, and each gets the
-    # verdict and bound it would get alone, hits and misses in row order
-    for a in (1.0, -2.0, 0.5):
-        z = float(rng.random())
-        radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
-        for s in (0.0, float(rng.random()), np.inf):
-            alone = [overlap_facet_bounds([r], abs(a), a, z, s)[0] for r in radii]
-            assert overlap_facet_bounds(radii, abs(a), a, z, s) == alone
-            assert None in alone and any(b is not None for b in alone)
-    assert overlap_facet_bounds([], 1.0, 1.0, 0.5, 0.1) == []
-
-
-def test_facet_pairs_are_the_bounds_of_the_rows_that_meet(rng):
-    # the lean best-first step queues what `overlap_facet_bounds` gives, as
-    # (bound, target) pairs, dropping the rows it rules out, in row order
+    # one call per fan: the rows share a, ||a||_1 and z, and each row that
+    # meets the query gives the (bound, target) pair it would give alone,
+    # in row order, and each that misses gives none
     for a in (1.0, -2.0, 0.5):
         z = float(rng.random())
         radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
         targets = list(range(10, 10 + len(radii)))
         for s in (0.0, float(rng.random()), np.inf):
-            bounds = overlap_facet_bounds(radii, abs(a), a, z, s)
-            want = [(b, t) for b, t in zip(bounds, targets) if b is not None]
+            alone = [overlap_facet_pairs([r], [t], abs(a), a, z, s) for r, t in zip(radii, targets)]
+            want = [pair for pairs in alone for pair in pairs]
+            got = overlap_facet_pairs(radii, targets, abs(a), a, z, s)
+            assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want]
+            assert [] in alone and 0 < len(got) < len(radii)
+    assert overlap_facet_pairs([], [], 1.0, 1.0, 0.5, 0.1) == []
+
+
+def test_facet_pairs_are_the_bounds_of_the_rows_that_meet(rng):
+    # a node's ball rows fired one node at a time and in a wave: the pairs
+    # are the rows `overlap_facet_columns` keeps, in row order, each with
+    # the clamped `ball_reach` of its region
+    for a in (1.0, -2.0, 0.5):
+        z = float(rng.random())
+        radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
+        targets = list(range(10, 10 + len(radii)))
+        for s in (0.0, float(rng.random()), np.inf):
+            hit = overlap_facet_columns(np.array(radii), abs(a), a, z, s)
+            want = [
+                (max(0.0, ball_reach(Ambit((0,), LinearMap([[a]]), (r,)), [z])), t)
+                for r, t, h in zip(radii, targets, hit.tolist())
+                if h
+            ]
             got = overlap_facet_pairs(radii, targets, abs(a), a, z, s)
             assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want]
             assert 0 < len(got) < len(radii)

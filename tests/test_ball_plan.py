@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 import pytest
 
-from sprawl import ambit
 from sprawl.ambit import table1_region
 from sprawl.comparison import Ball, EuclideanSpace
 from sprawl.engine import (
@@ -242,20 +241,27 @@ def test_ball_tree_knn_costs_no_more_than_a_range_search_at_its_radius():
 
 
 def lean_step(monkeypatch, sprawl, q, h=None):
-    """Search, and say whether the lean step ran: then the frontier
-    discovers only the seeds through `discover_all`, the fans fire through
-    `ambit.overlap_facet_pairs` alone, and one measurer measures each
-    traversed node once, which is all the search is charged for."""
-    calls = {"discover": 0, "pairs": 0, "measured": 0}
-    discover, pairs, measurer = Frontier.discover_all, ambit.overlap_facet_pairs, type(sprawl.space).measurer
+    """Search, and say whether the lean step ran: then `Frontier.run` gets
+    no `fire` callback, the frontier discovers only the seeds through
+    `discover_all` (which queues them through `discover_at` at bound 0),
+    and the centre's measurer measures each traversed node once, which is
+    all the search is charged for. Every search of a `Ball` builds that
+    measurer, so a measurer call does not tell the step."""
+    calls = {"lean": False, "discover": 0, "discover_at": 0, "measured": 0}
+    run, discover, measurer = Frontier.run, Frontier.discover_all, type(sprawl.space).measurer
+    discover_at = Frontier.discover_at
+
+    def spy_run(self, fire, *args):
+        calls["lean"] = fire is None
+        return run(self, fire, *args)
 
     def spy_discover(self, *args):
         calls["discover"] += 1
         return discover(self, *args)
 
-    def spy_pairs(*args):
-        calls["pairs"] += 1
-        return pairs(*args)
+    def spy_discover_at(self, *args):
+        calls["discover_at"] += 1
+        return discover_at(self, *args)
 
     def spy_measurer(self, a):
         dist = measurer(self, a)
@@ -267,14 +273,14 @@ def lean_step(monkeypatch, sprawl, q, h=None):
         return counted
 
     with monkeypatch.context() as m:
+        m.setattr(Frontier, "run", spy_run)
         m.setattr(Frontier, "discover_all", spy_discover)
-        m.setattr(ambit, "overlap_facet_pairs", spy_pairs)
+        m.setattr(Frontier, "discover_at", spy_discover_at)
         m.setattr(type(sprawl.space), "measurer", spy_measurer)
         got = search(sprawl, q, h)
-    if not calls["measured"]:
-        assert calls["pairs"] == 0, calls
+    if not calls["lean"]:
         return False
-    assert calls["discover"] == 1, calls
+    assert calls["discover"] == calls["discover_at"] == 1, calls
     assert calls["measured"] == got.traversed == got.distance_computations, (calls, got)
     return True
 

@@ -93,7 +93,7 @@ def test_lp_pair_kernel_matches_rows_bit_for_bit(p):
                 want = float(row[j]).hex()
                 assert space.compare(i, j).hex() == want, (d, i, j)
                 assert float(block[i, j]).hex() == want, (d, i, j)
-                assert space.measure(plain[i], plain[j]).hex() == want, (d, i, j)
+                assert space.measurer(plain[i])(plain[j]).hex() == want, (d, i, j)
                 if p in PAIR_PS:  # the kernel itself, also past PAIR_MAX_D
                     assert lp_norm(floats[i], p, floats[j]).hex() == want, (d, i, j)
 
@@ -104,7 +104,7 @@ def test_a_space_pickles_with_its_pair_kernel(p):
     space = EuclideanSpace(np.random.default_rng(5).random((6, 8)), p=p)
     copy = pickle.loads(pickle.dumps(space))
     a, b = (copy.plain(copy.value(i)) for i in (1, 4))
-    assert copy.measure(a, b) == space.compare(1, 4) and copy.p == p
+    assert copy.measurer(a)(b) == space.compare(1, 4) and copy.p == p
 
 
 @pytest.mark.parametrize(
@@ -118,7 +118,7 @@ def test_a_space_without_the_pair_form_never_reaches_the_pair_kernel(space):
     a, b = space.value(0), space.value(1)
     assert space.plain(a) is a
     with pytest.raises(TypeError):
-        space.measure(tuple(a.tolist()), tuple(b.tolist()))
+        space.measurer(tuple(a.tolist()))(tuple(b.tolist()))
     with pytest.raises(ValueError):
         _pair_sum(2, 3.0)
 
@@ -181,18 +181,20 @@ def test_non_finite_raw_point_refused(rng, centre):
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
 @pytest.mark.parametrize("d", [3, 8, PAIR_MAX_D, PAIR_MAX_D + 1])
 def test_a_measurer_is_measure_uncounted(rng, p, d):
-    # the lean best-first step measures each node once through it and
-    # charges in bulk: it must give measure's float to the last bit, in the
-    # pair form and in the array form past PAIR_MAX_D, and count nothing
+    # a search measures every node it takes alone through its centre's
+    # measurer and charges the session itself: the measurer must give the
+    # float of `compare` and of a `distances_from` row to the last bit, in
+    # the pair form and in the array form past PAIR_MAX_D, and count nothing
     pts = rng.random((30, d)) * 10.0 ** rng.uniform(-3, 3, size=(30, d))
     space = EuclideanSpace(pts, p=p)
     session = CostSession()
-    centre = space.plain(space.resolve(tuple(rng.random(d))))
-    dist = space.measurer(centre)
+    raw = tuple(rng.random(d))
+    dist = space.measurer(space.plain(space.resolve(raw)))
+    row = space.distances_from(raw, range(30), session)
     for v in range(30):
-        b = space.plain(space.value(v))
-        assert dist(b).hex() == space.measure(centre, b, session).hex(), v
-    assert session.distance_computations == 30  # measure's charges alone
+        got = dist(space.plain(space.value(v))).hex()
+        assert got == space.compare(raw, v, session).hex() == float(row[v]).hex(), v
+    assert session.distance_computations == 60  # the row's and compare's charges alone
 
 
 @pytest.mark.parametrize(
@@ -205,11 +207,10 @@ def test_a_measurer_is_measure_uncounted(rng, p, d):
     ids=["matrix", "strings", "projection"],
 )
 def test_every_space_has_a_measurer(space, centre):
-    centre = space.plain(space.resolve(centre))
-    dist = space.measurer(centre)
+    dist = space.measurer(space.plain(space.resolve(centre)))
+    row = space.distances_from(centre, range(len(space)))
     for v in range(len(space)):
-        b = space.plain(space.value(v))
-        assert dist(b) == space.measure(centre, b)
+        assert dist(space.plain(space.value(v))) == space.compare(centre, v) == row[v]
 
 
 @pytest.mark.parametrize("cls", [EuclideanSpace, ProjectionSpace, MatrixSpace])
@@ -432,3 +433,24 @@ def test_queries_validate():
     assert Ball((0.0,), float("inf")).radius == float("inf")
     w = Workload([Ball((0.0,), 1.0)], atomistic=False)
     assert len(w.queries) == 1
+
+
+@pytest.mark.parametrize("kind, n", [("ball-tree", 40), ("aesa", 20)])
+def test_ball_k_is_a_whole_number(rng, kind, n):
+    # a k of 2.5 would never fill the k nearest, a NaN k would read an
+    # empty heap of them, and True would read as 1: each is refused before
+    # any search runs
+    space = EuclideanSpace(rng.random((n, 2)))
+    sprawl, _ = build_classic(space, range(n), kind)
+    centre = tuple(rng.random(2))
+    for k, error in ((2.5, TypeError), (float("nan"), TypeError), (True, TypeError), (0, ValueError), (-1, ValueError)):
+        with pytest.raises(error, match="k must be"):
+            search(sprawl, Ball(centre, 0.0, k=k))
+        with pytest.raises(error, match="k must be"):
+            linear_scan(space, range(n), Ball(centre, 0.0, k=k))
+    # a numpy integer is a whole number, and is read as the int it holds
+    for k in (np.int64(3), np.int32(1), np.uint8(n)):
+        q = Ball(centre, 0.0, k=k)
+        assert type(q.k) is int and q.k == k
+        want = linear_scan(space, range(n), Ball(centre, 0.0, k=int(k)))
+        assert search(sprawl, q).members == want and len(want) == k

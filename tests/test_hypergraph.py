@@ -197,18 +197,22 @@ def test_debug_format_round_trip(rng):
         parse_graph("x 1 <- 2\n")
 
 
-def _dense_fifo_run(plan, kills, **wave_callbacks):
+def _dense_fifo_run(plan, kills, keep=None):
     """Run FIFO over plan, where traversing v eliminates kills.get(v, ()).
-    Given only `visit_wave`, the wave form fires each kept node's edge."""
+    Given `keep`, which returns the nodes of a wave to keep, the wave
+    callback fires each kept node's edge."""
     frontier = Frontier(plan, Heuristic.fifo())
 
     def fire(edge_ids):
         for i in edge_ids:
             frontier.eliminate(kills.get(i, ()))
 
-    if "visit_wave" in wave_callbacks:
-        wave_callbacks.setdefault("fire_wave", lambda vs: fire(vs.tolist()))  # edge i's source is i
-    return frontier, frontier.run(fire, **wave_callbacks)
+    def wave(vs):
+        kept = keep(vs)
+        fire(kept.tolist())  # edge i's source is i
+        return kept
+
+    return frontier, frontier.run(fire, wave=wave if keep else None)
 
 
 def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
@@ -234,14 +238,15 @@ def test_dense_fifo_without_waves_never_touches_the_heap(monkeypatch):
 
 def test_dense_fifo_with_waves_keeps_the_wave_form():
     edges = [(i, (i,)) for i in range(4)]
-    plan = activation(edges, 4, range(4), dense=True)._replace(waves=Waves(frozenset(), {}), span=4)
+    plan = activation(edges, 4, range(4), dense=True)
+    plan = plan._replace(waves=Waves(frozenset(), {}, np.zeros(4, dtype=bool)))
     waves = []
 
-    def visit_wave(vs):
+    def keep(vs):
         waves.append(list(vs))
         return vs
 
-    frontier, order = _dense_fifo_run(plan, {}, visit=None, visit_wave=visit_wave, fire_wave=lambda vs: None)
+    frontier, order = _dense_fifo_run(plan, {}, keep)
     assert not frontier.dense and waves == [[0, 1, 2, 3]] and order == [0, 1, 2, 3]
     # "bound" still selects densely over the same plan
     assert Frontier(plan, Heuristic("bound")).dense
@@ -252,11 +257,12 @@ def test_every_form_keeps_one_status_store():
     # way, but done and traversed read the same status bytes, and agree
     kills = {0: (1, 3), 2: (4,), 3: (4,)}
     plan = activation([(i, (i,)) for i in range(5)], 5, range(5), dense=True)
-    waves = Waves(frozenset(kills), {})  # every node that eliminates steps alone
+    marked = np.isin(np.arange(5), list(kills))
+    waves = Waves(frozenset(kills), {}, marked)  # every node that eliminates steps alone
     runs = {
         "heap": _dense_fifo_run(plan._replace(positions=None), kills),
         "dense": _dense_fifo_run(plan, kills),
-        "wave": _dense_fifo_run(plan._replace(waves=waves), kills, visit_wave=lambda vs: vs),
+        "wave": _dense_fifo_run(plan._replace(waves=waves), kills, lambda vs: vs),
     }
     forms = {name: (f.dense, f._queue is not None) for name, (f, _) in runs.items()}
     assert forms == {"heap": (False, False), "dense": (True, False), "wave": (False, True)}

@@ -7,6 +7,7 @@ other heuristic. Members, traversal order, distance computations and
 region evaluations must all agree.
 """
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sprawl.engine import (
 )
 from sprawl.hypergraph import Frontier, Heuristic
 
-from conftest import make_fans, random_labeled_sprawl
+from conftest import make_fans, random_labeled_sprawl, random_quasimetric
 from test_differential import reference_search
 from test_properties import lp_cases
 
@@ -96,12 +97,108 @@ def test_which_plans_carry_waves(rng):
     # every AESA node is the source of an eager shell fan: its waves would all be one node
     assert plans["aesa"].waves is None
     # a tree's waves need no per-node check at all
-    assert not any(plans["ball-tree"].waves)
+    tree = plans["ball-tree"].waves
+    assert not tree.alone and not tree.after and not tree.marked.any()
     # LAESA's pivots, the sources of its shell fans, step alone, and nothing waits
     pivots = set(sprawls["laesa"].fans.source.tolist())
-    assert len(pivots) == 4 and plans["laesa"].waves == (pivots, {})
+    assert len(pivots) == 4 and plans["laesa"].waves.alone == pivots and plans["laesa"].waves.after == {}
     # pm-tree's pivot rings are lazy: its targets wait, and no node steps alone
     assert not plans["pm-tree"].waves.alone and plans["pm-tree"].waves.after
+
+
+def assert_marked_are_the_cutters(plan) -> None:
+    """`Waves.marked` holds, by ref, exactly the nodes that step alone or
+    wait for lazy sources, and is compiled once with the plan."""
+    alone, after, marked = plan.waves
+    assert marked.dtype == bool and marked.shape == (plan.span,)
+    assert set(np.flatnonzero(marked).tolist()) == alone | after.keys()
+
+
+def test_wave_marks_are_compiled_with_the_plan(rng):
+    space = EuclideanSpace(rng.random((40, 3)))
+    for kind in ("ball-tree", "laesa", "pm-tree", "aesa"):
+        sprawl = build_classic(space, range(40), kind, pivots=4)[0]
+        plan = sprawl._plan()[0]
+        if kind == "aesa":  # no waves at all
+            assert plan.waves is None
+            continue
+        assert_marked_are_the_cutters(plan)
+        assert sprawl._plan()[0].waves.marked is plan.waves.marked  # not rebuilt per search
+    # both kinds of marked node: 1 steps alone, as the source of an eliminating
+    # edge, and 3 waits for 1, the source of a lazy edge into it
+    ball = (table1_region("ball", (0,), r=5.0),)
+    edges = [
+        Edge((), 0),
+        Edge((0,), 1, ball),
+        Edge((0,), 2, ball),
+        Edge((0,), 3, ball),
+        Edge((1,), 2, (EMPTY,), (table1_region("ball", (1,), r=0.2),)),
+        Edge((1,), 3, (EMPTY,), (table1_region("ball", (1,), r=0.2),), lazy=True),
+    ]
+    sprawl = Sprawl(EuclideanSpace([[0.0], [1.0], [1.1], [0.9], [4.0]]), range(5), edges)
+    plan = sprawl._plan()[0]
+    assert plan.waves.alone == {1} and plan.waves.after == {3: {1}}
+    assert_marked_are_the_cutters(plan)
+    assert plan.waves.marked.tolist() == [False, True, False, True, False]
+    assert_waves_match_heap(sprawl, [Ball((3.0,), 0.5), Ball((1.05,), 0.1), Ball((0.9,), 0.0), Ball(4, 5.0)])
+
+
+def random_asymmetric_sprawl(rng) -> Sprawl:
+    """A tree of explicit-set balls over a random quasimetric, with roots,
+    eliminating edges and lazy ones beside it: the labels a `Ball` search
+    on an asymmetric space accepts. A tree edge into t holds t's subtree,
+    and a negative region holds its target's subtree too, so the search is
+    exact."""
+    n = int(rng.integers(3, 12))
+    space = random_quasimetric(rng, n)
+    order = rng.permutation(n).tolist()
+    parent = {v: order[int(rng.integers(0, i))] for i, v in enumerate(order) if i}
+    subtree = {v: {v} for v in order}
+    for v in reversed(order[1:]):
+        subtree[parent[v]] |= subtree[v]
+    edges = [Edge((), order[0])]
+    edges += [Edge((parent[v],), v, (ExplicitRegion(subtree[v]),)) for v in order[1:]]
+    for _ in range(int(rng.integers(0, n))):
+        t = int(rng.integers(0, n))
+        sources = tuple(int(u) for u in rng.choice(n, size=int(rng.integers(0, 3)), replace=False))
+        extra = {int(u) for u in rng.choice(n, size=int(rng.integers(0, 3)), replace=False)}
+        negative = (ExplicitRegion(subtree[t] | extra),)
+        edges.append(Edge(sources, t, (EMPTY,), negative, lazy=bool(sources) and rng.random() < 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an edge into one of its own sources
+        return Sprawl(space, range(n), edges)
+
+
+def test_asymmetric_range_searches_go_in_waves(rng, monkeypatch):
+    # a wave measures delta(c, .) in one row, as `dist_to_center` does one
+    # node at a time, so a FIFO range search on a quasimetric takes the
+    # wave form and gives what its heap twin and `linear_scan` give
+    forms, waves = [], []  # per search, whether it took the wave form; the size of each wave
+    run = Frontier.run
+
+    def spy(self, fire, visit=None, wave=None):
+        def counted(vs):
+            waves.append(len(vs))
+            return wave(vs)
+
+        forms.append(wave is not None)
+        return run(self, fire, visit, counted if wave else None)
+
+    monkeypatch.setattr(Frontier, "run", spy)
+    for _ in range(150):
+        sprawl = random_asymmetric_sprawl(rng)
+        space, n = sprawl.space, len(sprawl.nodes)
+        assert not space.symmetric
+        queries = []
+        for c in rng.choice(n, size=2, replace=False).tolist():
+            row = np.sort(space.distances_from(c, range(n)))
+            queries += [Ball(c, float(row[int(rng.integers(0, n))])), Ball(c, float(rng.random() * 5.0)), Ball(c, 0.0)]
+        forms.clear()
+        assert_waves_match_heap(sprawl, queries)
+        assert forms == [True, False] * len(queries)  # each search in waves, its heap twin not
+        for q in queries:
+            assert search(sprawl, q).members == linear_scan(space, range(n), q), q
+    assert len(waves) > 500 and max(waves) > 1
 
 
 @pytest.mark.parametrize("kind", ["ball-tree", "laesa", "pm-tree", "aesa"])

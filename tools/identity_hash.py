@@ -15,9 +15,13 @@ the shape a format-2 index file loads as. Three groups follow: 400
 searches over `random_small_sprawl`s; 200 exact fan-only trees over 2-14
 points of a 4 x 4 dyadic grid (duplicate points, exact ties), whose
 shuffled rows split one source's rows into several fans, under every
-heuristic; and a 60-point AESA with a ball-tree's fans beside its shells,
-under every heuristic. These sprawls are built with `Fans` and `Sprawl`
-directly, not with the tests' helpers, so any checkout's `src/` runs them.
+heuristic; a 60-point AESA with a ball-tree's fans beside its shells,
+under every heuristic; and 200 sprawls over random asymmetric
+`MatrixSpace`s (quasimetrics), each a tree of explicit-set edges with
+roots, eliminating edges and lazy ones beside it, under 6 range queries
+and every heuristic. These sprawls are built with `Fans`, `Edge` and
+`Sprawl` directly, not with the tests' helpers, so any checkout's `src/`
+runs them.
 The final line hashes every line before it, so two checkouts whose last
 lines match returned the same results everywhere. A run takes about a
 minute.
@@ -28,6 +32,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +84,36 @@ def fan_tree(rng, np, EuclideanSpace, Edge, Fans, Sprawl):
     return Sprawl(space, range(n), [Edge((), order[0])], fans)
 
 
+def asymmetric_tree(rng, np, MatrixSpace, Edge, ExplicitRegion, EMPTY, Sprawl):
+    """A tree of explicit-set edges over 3-11 points of a random
+    quasimetric (the shortest-path closure of random arc weights), each
+    edge's region its target's subtree, with up to n eliminating edges of
+    0-2 sources beside it, some lazy, whose regions hold their target's
+    subtree and up to two other points."""
+    n = int(rng.integers(3, 12))
+    d = rng.random((n, n)) * 9.0 + 1.0
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+    space = MatrixSpace(d, symmetric=False)
+    order = rng.permutation(n).tolist()
+    parent = {v: order[int(rng.integers(0, i))] for i, v in enumerate(order) if i}
+    subtree = {v: {v} for v in order}
+    for v in reversed(order[1:]):
+        subtree[parent[v]] |= subtree[v]
+    edges = [Edge((), order[0])]
+    edges += [Edge((parent[v],), v, (ExplicitRegion(subtree[v]),)) for v in order[1:]]
+    for _ in range(int(rng.integers(0, n))):
+        t = int(rng.integers(0, n))
+        sources = tuple(int(u) for u in rng.choice(n, size=int(rng.integers(0, 3)), replace=False))
+        extra = {int(u) for u in rng.choice(n, size=int(rng.integers(0, 3)), replace=False)}
+        lazy = bool(sources) and rng.random() < 0.3
+        edges.append(Edge(sources, t, (EMPTY,), (ExplicitRegion(subtree[t] | extra),), lazy=lazy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an edge into one of its own sources
+        return Sprawl(space, range(n), edges)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to import sprawl from")
@@ -87,8 +122,8 @@ def main() -> None:
     import numpy as np
 
     from sprawl import storage
-    from sprawl.comparison import Ball, EuclideanSpace
-    from sprawl.engine import Edge, Fans, Sprawl, build_classic, random_small_sprawl, search
+    from sprawl.comparison import Ball, EuclideanSpace, MatrixSpace
+    from sprawl.engine import EMPTY, Edge, ExplicitRegion, Fans, Sprawl, build_classic, random_small_sprawl, search
     from sprawl.hypergraph import Heuristic
 
     lines = []
@@ -155,6 +190,19 @@ def main() -> None:
         queries += [Ball(tuple(c), radius), Ball(tuple(c), 0.0, k=10)]
     for name, h in heuristics(Heuristic).items():
         emit(f"aesa with ball fans n=60 {name}", [search(both, q, h) for q in queries])
+    rng = np.random.default_rng(25)
+    results = {name: [] for name in heuristics(Heuristic)}
+    for _ in range(200):
+        sprawl = asymmetric_tree(rng, np, MatrixSpace, Edge, ExplicitRegion, EMPTY, Sprawl)
+        n = len(sprawl.nodes)
+        queries = []
+        for c in rng.choice(n, size=2, replace=False).tolist():
+            row = np.sort(sprawl.space.distances_from(c, range(n)))
+            queries += [Ball(c, float(row[int(rng.integers(0, n))])), Ball(c, float(rng.random() * 5.0)), Ball(c, 0.0)]
+        for name, h in heuristics(Heuristic).items():
+            results[name] += [search(sprawl, q, h) for q in queries]
+    for name, found in results.items():
+        emit(f"asymmetric trees x200 {name}", found)
     print("all", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
