@@ -145,8 +145,11 @@ class ComparisonSpace:
 
     def resolve(self, u):
         """What `_dist` and `_row` take for a ref or a raw value: the ref's
-        `value`, or the raw value coerced (and checked) once."""
+        `value`, or the raw value coerced (and checked) once. A negative
+        ref is refused, where a sequence would read it from the end."""
         if isinstance(u, (int, np.integer)):
+            if u < 0:
+                raise IndexError(f"ref {u} is negative")
             return self.value(int(u))
         return self._coerce(u)
 
@@ -443,7 +446,7 @@ def feature_map(space: ComparisonSpace, foci, u, session: CostSession | None = N
 # --- queries and workloads -------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ball:
     """All points within `radius` of `center`; `k` turns it into a kNN query."""
 
@@ -460,12 +463,12 @@ class Ball:
                 raise TypeError(f"k must be an integer, not {self.k!r}")
             if self.k < 1:
                 raise ValueError("k must be a positive integer")
-            self.k = int(self.k)
+            object.__setattr__(self, "k", int(self.k))
         if isinstance(self.center, np.ndarray):
-            self.center = tuple(float(c) for c in self.center)
+            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AmbitQuery:
     """A weighted-focal query: points whose combined remoteness is <= radius."""
 
@@ -474,22 +477,22 @@ class AmbitQuery:
     radius: float
 
     def __post_init__(self):
-        self.foci = tuple(int(f) for f in self.foci)
-        self.weights = tuple(float(w) for w in self.weights)
+        object.__setattr__(self, "foci", tuple(int(f) for f in self.foci))
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not self.weights or len(self.weights) != len(self.foci):
             raise ValueError("need one weight per focus, at least one focus")
         if not any(self.weights):
             raise ValueError("ambit query weights must not all be zero")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplicitSetQuery:
     """A query given extensionally by node ids."""
 
     ids: frozenset[int]
 
     def __post_init__(self):
-        self.ids = frozenset(int(i) for i in self.ids)
+        object.__setattr__(self, "ids", frozenset(int(i) for i in self.ids))
 
 
 Query = Ball | AmbitQuery | ExplicitSetQuery

@@ -33,7 +33,7 @@ from .comparison import (
     Workload,
 )
 from .errors import CapabilityError, EmulationError, SizeLimitError, StructureError
-from .hypergraph import Frontier, Heuristic, HyperEdge, SignedHyperdigraph, Waves, activation, successors
+from .hypergraph import Frontier, Heuristic, HyperEdge, Plan, SignedHyperdigraph, Waves, activation, successors
 
 log = logging.getLogger(__name__)
 
@@ -191,6 +191,21 @@ class _BallColumns(NamedTuple):
     cached: bool
 
 
+class Compiled(NamedTuple):
+    """A sprawl's plan as `Sprawl._plan` compiles it, once per sprawl."""
+
+    plan: Plan
+    lazy_in: dict[int, list[int]]  # the lazy edges into each target
+    lazy_rows: dict[int, list[tuple[int, float, float]]]  # (source, lo, hi) per lazy fan row into a target
+    pos: np.ndarray | None  # the seed position of each fan row's target, in a dense plan
+    balls: _BallColumns
+    start: list[int]  # each fan's first row, and the row count
+    source: list[int]  # each fan's source
+    rows: list  # each node's ball rows, (targets, radii) in fan order, or None
+    lean: bool  # whether a kNN search may take `_lean`'s step
+    plain: dict[int, object]  # each node's value as the space measures it fastest (`ComparisonSpace.plain`)
+
+
 class Sprawl:
     """Immutable-after-build index: ground set, explicit edges and fans."""
 
@@ -244,14 +259,9 @@ class Sprawl:
         if (f.ball_source == f.target[: f.found_rows]).any():
             warnings.warn("a ball edge into its own source can never fire usefully")
 
-    def _plan(self):
-        """The frontier plan, the lazy edges and lazy fan rows into each
-        target, the seed position of each fan row's target in a dense plan,
-        the ball columns, each fan's start and source as lists, each node's
-        ball rows, whether the plan is lean, and each node's value in the
-        form the space measures fastest (`ComparisonSpace.plain`). It is
-        compiled on the first call, not with the sprawl, in one walk over
-        the edges and one over the fans.
+    def _plan(self) -> Compiled:
+        """The sprawl's `Compiled` plan, compiled on the first call, not
+        with the sprawl, in one walk over the edges and one over the fans.
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
@@ -264,14 +274,14 @@ class Sprawl:
         are listed once, by node ref, as the targets and radii of the
         node's fans in fan order, which is the order they fire in, since
         the node's explicit edges come before them and its shell fans
-        after. The heap form's `fire`, the lean step and the ball columns
-        all read that list. Where no node has two discovering eager
-        in-edges, a seed's root edge included, the plan's `sole_finder`
-        lets a kNN search stop at its bound. Where every eager edge is a
-        discovering fan, no edge or fan row is lazy and no ball target can
-        be done when its edge fires (`_BallColumns.checked` False), as in a
-        ball-tree, the plan is lean, for the lean best-first step of
-        `search`.
+        after. `_stepwise`'s `fire`, for every query kind, `_lean`'s step
+        and the ball columns all read that list. Where no node has two
+        discovering eager in-edges, a seed's root edge included, the
+        plan's `sole_finder` lets a kNN search stop at its bound. Where
+        every eager edge is a discovering fan, no edge or fan row is lazy
+        and no ball target can be done when its edge fires
+        (`_BallColumns.checked` False), as in a ball-tree, the plan is
+        lean, for `_lean`.
 
         The `Waves` let a FIFO range search go a wave at a time. One rule
         keeps a wave exact: a wave fires single-facet ball edges and ball
@@ -389,7 +399,7 @@ class Sprawl:
         lean = fanned and not (lazy_in or lazy_rows or checked)
         space = self.space
         plain = {v: space.plain(space.value(v)) for v in nodes}
-        self._plan_cache = (plan, lazy_in, lazy_rows, pos, columns, start, source, rows, lean, plain)
+        self._plan_cache = Compiled(plan, lazy_in, lazy_rows, pos, columns, start, source, rows, lean, plain)
         return self._plan_cache
 
 
@@ -404,10 +414,10 @@ class _QueryEval:
     the centre through one `measurer`, a batch's through `measure_row`.
     """
 
-    def __init__(self, space: ComparisonSpace, query):
+    def __init__(self, space: ComparisonSpace, query, plain: dict | None = None):
         self.space = space
         self.query = query
-        self.plain = {}  # ref -> `space.plain` of its value; `search` puts the plan's here
+        self.plain = plain or {}  # ref -> `space.plain` of its value, as `Compiled.plain` holds them
         self.session = CostSession()
         if isinstance(query, AmbitQuery):  # the backward ambit of its weighted foci
             self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
@@ -585,167 +595,199 @@ class SearchResult:
 def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchResult:
     """Traverse the sprawl for a query, evaluating regions on demand.
 
-    The traversal loop is `hypergraph.Frontier.run`; an explicit edge here
-    fires by evaluating its regions against the query, and a fan fires
-    its rows in row order. The frontier keeps each node's status as a byte
-    by ref in every selection form, which `Frontier.done` and
-    `Frontier.traversed` read. Every traversed node is tested for query
-    membership; where a `Ball` search measures one node at a time, it
-    takes the node's value in the plain form that the plan keeps
-    (`ComparisonSpace.plain`) and measures it with the one uncounted
-    measurer of the centre (`_QueryEval.measurer`), which gives the float
-    a row would, charging one distance per call. Lazy negative edges and
-    lazy fan rows are consulted only immediately before their target
-    would be traversed. A node's ball fans are one plan edge, which fires
-    the node's ball rows as the plan lists them; a `Ball` search fires
-    them with one lookup of the node's distance, one plain-float
-    `ambit.overlap_facet_pairs` call, which gives each row that meets the
-    query with the kNN bound that `lower_bound` would, and one bulk
-    `Frontier.discover_at` (`discover_all`, at bound 0, for a range
-    search); it reads a target's status to count the rows evaluated only
-    where some ball target may be done when its edge fires
-    (`_BallColumns.checked`). It fires a shell fan by eliminating all its
-    missed targets at once. For kNN queries the cover radius starts at
-    infinity and tightens to the current k-th best distance whenever a
-    traversal lowers it; node priorities are the per-edge region lower
-    bounds, and where the plan proves each node's bound its one
-    discovering edge's (`Plan.sole_finder`), the "bound" heuristic stops
-    once the smallest bound left is beyond the radius, as best-first
-    search does. When the frontier is dense under the "bound" heuristic
-    (over a dense plan, see `Sprawl._plan`), a fired shell fan instead
-    raises each target's shell lower bound, the next node is the one with
-    the smallest bound, and a bound beyond the current radius eliminates,
-    as in AESA and LAESA. When it is dense under FIFO (AESA), the next
-    node is the first live root, and a fired shell fan eliminates its
-    missed targets by seed position in one store, as the classic AESA
-    range loop does.
-
-    A FIFO range search (a `Ball` with no k) whose plan carries `Waves`
-    (every plan but AESA-like ones, where each node steps alone) goes a
-    wave at a time instead, over int64 arrays (see `Frontier`), through
-    one callback per wave: one `measure_row` call, which reads delta(c, .)
-    as `dist_to_center` does, tests the whole wave for membership,
-    filling the centre-distance cache only where the plan has another
-    reader for it (`_BallColumns.cached`). A wave node's eager out-edges
-    are all ball rows and single-facet ball edges, since any node with
-    another kind steps alone, through `fire`; they get one vectorised
-    verdict over the plan's ball columns (`ambit.overlap_facet_columns`),
-    and the surviving targets, in edge order, join the queue in one
-    `Frontier.discover_all`. The members are gathered as arrays and made
-    Python ints once, at the end. Members, order and both counts are
-    those of the node-at-a-time form.
-
-    A kNN search under "bound" over a lean plan with `sole_finder` (a
-    ball-tree, as built or loaded; see `Sprawl._plan`) takes the lean
-    best-first step: one callback per selected node measures it once,
-    through the centre's measurer, updates the k nearest and the cut, and
-    returns the pairs `ambit.overlap_facet_pairs` gives for its ball rows,
-    read from the list that `fire` reads, which `Frontier.run` queues
-    itself; neither `fire` nor `Frontier.discover_at` runs. Every
-    traversed node is measured exactly once there and nothing else is, so
-    the distances are charged in bulk, one per traversed node. Members,
-    order and both counts are those of the general heap path.
+    The traversal loop is `hypergraph.Frontier.run`, which keeps each
+    node's status as a byte by ref in every selection form. A kNN search
+    under "bound" over a lean plan with `sole_finder` (a ball-tree, as
+    built or loaded; see `Sprawl._plan`) takes `_lean`'s step; every other
+    search steps through `_stepwise`.
     """
     _refuse_unsound(sprawl, query)
-    space = sprawl.space
-    plan, lazy_in, lazy_rows, pos, balls, start, source, node_rows, lean, plain = sprawl._plan()
-    ev = _QueryEval(space, query)
-    ev.plain = plain
-    ball = isinstance(query, Ball)
-    knn = ball and query.k is not None
-    if knn:
-        k = query.k
-        worst: list[tuple[float, int]] = []  # max-heap via negation: (-(dist), -ref)
-        s_current = math.inf
-    else:
-        s_current = query.radius if ball else None
-
+    compiled = sprawl._plan()
+    ev = _QueryEval(sprawl.space, query, compiled.plain)
+    k = query.k if isinstance(query, Ball) else None
     if heuristic is None:
-        heuristic = Heuristic("bound") if knn else Heuristic.fifo()
-    frontier = Frontier(plan, heuristic)
-    steer = frontier.dense and heuristic.kind == "bound" and ball
-    if steer:
-        frontier.cut(ambit_mod.bound_cutoff(s_current))
-    edges, fans = sprawl.edges, sprawl.fans
-    explicit = len(edges)
+        heuristic = Heuristic.fifo() if k is None else Heuristic("bound")
+    frontier = Frontier(compiled.plan, heuristic)
+    bound = heuristic.kind == "bound"
+    if k is not None and bound and compiled.plan.sole_finder and compiled.lean:
+        order, members = _lean(compiled, ev, frontier, k)
+    else:
+        order, members = _stepwise(sprawl, compiled, ev, frontier, k, bound)
+    return SearchResult(
+        members=tuple(members),
+        traversed=len(order),
+        distance_computations=ev.session.distance_computations,
+        region_evaluations=ev.region_evaluations,
+        order=tuple(order),
+    )
+
+
+def _nearest(k: int, frontier: Frontier):
+    """The k nearest of a kNN search: `admit(v, d)` keeps v, at distance
+    d, if it is among the k nearest so far, cuts the frontier at the k-th
+    distance whenever that falls, and returns the k-th distance (inf until
+    k are kept); `ranked()` lists the k nearest by (distance, ref)."""
+    worst: list[tuple[float, int]] = []  # max-heap via negation: (-(dist), -ref)
+    kth = math.inf
+
+    def admit(v: int, d: float) -> float:
+        nonlocal kth
+        item = (-d, -v)
+        if len(worst) < k:
+            heapq.heappush(worst, item)
+        elif item > worst[0]:
+            heapq.heapreplace(worst, item)
+        else:
+            return kth  # the k nearest so far are unchanged
+        if len(worst) == k and -worst[0][0] != kth:  # the k-th distance fell
+            kth = -worst[0][0]
+            frontier.cut(ambit_mod.bound_cutoff(kth))
+        return kth
+
+    return admit, lambda: [v for _, v in sorted((-nd, -nr) for nd, nr in worst)]
+
+
+def _lean(c: Compiled, ev: _QueryEval, frontier: Frontier, k: int) -> tuple[list[int], list[int]]:
+    """A kNN search by the lean best-first step: one callback per selected
+    node measures it once, through the centre's measurer, admits it to the
+    k nearest, and returns the pairs `ambit.overlap_facet_pairs` gives for
+    its ball rows (`Compiled.rows`), which `Frontier.run` queues itself;
+    neither `fire` nor `Frontier.discover_at` runs. Every traversed node is
+    measured exactly once and nothing else is, so the distances are charged
+    in bulk. Members, order and both counts are those of `_stepwise`."""
+    admit, ranked = _nearest(k, frontier)
+    dist, plain, rows = ev.measurer, c.plain, c.rows
     a, l1 = ambit_mod.BALL_FACET
 
-    def lower_bound(edge: Edge) -> float:
-        lb = 0.0
-        for r in edge.positive:
-            if isinstance(r, Ambit) and isinstance(r.map, LinearMap):
-                lb = max(lb, ambit_mod.ball_reach(r, ev.z_of(r.foci)))
-        return max(lb, 0.0)
+    def step(v: int) -> list:
+        """Admit v at its distance, then return the (bound, target) pairs
+        of its ball rows that meet the query at the k-th distance as v
+        leaves it."""
+        d = dist(plain[v])
+        s = admit(v, d)
+        if rows[v] is None:
+            return []
+        targets, radii = rows[v]
+        ev.region_evaluations += len(targets)
+        return ambit_mod.overlap_facet_pairs(radii, targets, l1, a, d, s)
 
-    found = fans.found if ball else 0  # the fans fired as float ball rows
+    order = frontier.run(None, step)
+    ev.session.charge(len(order))  # each traversed node was measured once
+    return order, ranked()
+
+
+def _stepwise(
+    sprawl: Sprawl, c: Compiled, ev: _QueryEval, frontier: Frontier, k: int | None, bound: bool
+) -> tuple[list[int], list[int]]:
+    """A search that selects one node at a time, in the heap or the dense
+    form of `Frontier`, or, for a FIFO range search (a `Ball` with no k)
+    whose plan carries `Waves`, a wave at a time.
+
+    `visit` tests a selected node for membership; a `Ball` search measures
+    it through the centre's one uncounted measurer (`_QueryEval.measurer`),
+    on the plain value the plan keeps, charging one distance per call. Lazy
+    negative edges and lazy fan rows are consulted (`refused`) only just
+    before their target would be traversed. `fire` fires a node's ball rows
+    from `Compiled.rows`, for every query kind: a `Ball` search with one
+    lookup of the node's distance, one `ambit.overlap_facet_pairs` call and
+    one bulk `Frontier.discover_at` (`discover_all`, at bound 0, for a range
+    search), reading a target's status to count the rows evaluated only
+    where some ball target may be done when its edge fires
+    (`_BallColumns.checked`); any other query row by row, through
+    `_QueryEval.intersects`. A `Ball` search fires a shell fan by
+    eliminating all its missed targets at once.
+
+    For kNN the cover radius starts at infinity and falls to the k-th
+    distance (`_nearest`); node priorities are the per-edge region lower
+    bounds, and where the plan proves each node's bound its one discovering
+    edge's (`Plan.sole_finder`), the "bound" heuristic stops once the
+    smallest bound left is beyond the radius. When the frontier is dense
+    under "bound" (see `Sprawl._plan`), a fired shell fan instead raises
+    each target's shell lower bound, and a bound beyond the current radius
+    eliminates, as in AESA and LAESA. When it is dense under FIFO (AESA),
+    the next node is the first live root, and a fired shell fan eliminates
+    its missed targets by seed position in one store, as the classic AESA
+    range loop does.
+
+    A wave goes through one callback, `wave`: one `measure_row` call tests
+    the whole wave for membership, filling the centre-distance cache only
+    where the plan has another reader for it (`_BallColumns.cached`). A
+    wave node's eager out-edges are all ball rows and single-facet ball
+    edges, since any node with another kind steps alone; they get one
+    verdict over the plan's ball columns (`ambit.overlap_facet_columns`),
+    and the surviving targets, in edge order, join the queue in one
+    `Frontier.discover_all`. Members, order and both counts are those of
+    the node-at-a-time form.
+    """
+    query, edges, fans, explicit = ev.query, sprawl.edges, sprawl.fans, len(sprawl.edges)
+    balls, start, source, rows, pos = c.balls, c.start, c.source, c.rows, c.pos
+    lazy_in, lazy_rows, found = c.lazy_in, c.lazy_rows, fans.found
+    ball, knn = isinstance(query, Ball), k is not None
+    s = math.inf if knn else query.radius if ball else None  # the cover radius
+    if knn:
+        admit, ranked = _nearest(k, frontier)
+        dist, session, plain = ev.measurer, ev.session, c.plain
+    steer = frontier.dense and bound and ball
+    if steer:
+        frontier.cut(ambit_mod.bound_cutoff(s))
+    a, l1 = ambit_mod.BALL_FACET
     to_center = ev._to_center
-
-    def fire_fan(f: int) -> None:
-        """Fire a fan other than a `Ball` search's ball fans (see `fire`)."""
-        first, end, u = start[f], start[f + 1], source[f]
-        if not ball:  # row by row, through the regions the rows stand for
-            done = frontier.done
-            # a discovering fan's plan edge fires all of u's ball rows, in row order
-            ids = np.flatnonzero(fans.ball_source == u) if f < fans.found else np.arange(first, end)
-            for j, t in zip(ids.tolist(), fans.target[ids].tolist()):
-                if t in done:
-                    continue
-                e = fans.edge(j)
-                if f < fans.found:
-                    if ev.intersects(e.positive[0], s_current):
-                        frontier.discover_all((t,))
-                elif not ev.intersects(e.negative[0], s_current):
-                    frontier.eliminate([t])
-        else:
-            z = ev.dist_to_center(u)
-            ev.region_evaluations += end - first
-            lo, hi = fans.lo[first:end], fans.hi[first:end]
-            if steer:
-                frontier.raise_bounds(pos[first:end], ambit_mod.shell_bounds(z, lo, hi))
-                return
-            miss = ambit_mod.shells_missed(z, lo, hi, s_current)
-            if frontier.dense:
-                frontier.eliminate_at(pos[first:end][miss])
-            else:
-                frontier.eliminate(fans.target[first:end][miss])
 
     def fire(edge_ids) -> None:
         done = frontier.done
         for ei in edge_ids:
             f = ei - explicit
-            if 0 <= f < found:  # u's ball rows: a float verdict and bound each, as `intersects` and `lower_bound` give
+            if f < 0:  # an explicit edge
+                e = edges[ei]
+                t = e.target
+                if t in done:
+                    continue
+                if not all(ev.intersects(r, s) for r in e.negative):
+                    frontier.eliminate([t])
+                elif all(ev.intersects(r, s) for r in e.positive):
+                    if knn:  # at the largest lower bound of its linear regions
+                        linear = [r for r in e.positive if isinstance(r, Ambit) and isinstance(r.map, LinearMap)]
+                        reach = [ambit_mod.ball_reach(r, ev.z_of(r.foci)) for r in linear]
+                        frontier.discover_at(((max([0.0, *reach]), t),))
+                    else:
+                        frontier.discover_all((t,))
+            elif f < found:  # all of u's ball rows: its discovering fans' one plan edge
                 u = source[f]
-                targets, radii = node_rows[u]
+                targets, radii = rows[u]
+                if not ball:  # row by row, through the regions the rows stand for
+                    for t, r in zip(targets, radii):
+                        if t not in done and ev.intersects(Ambit((u,), ambit_mod.BALL_MAP, (r,)), s):
+                            frontier.discover_all((t,))
+                    continue
                 # a done target's row is not evaluated, and only where `checked` may one be done
                 ev.region_evaluations += sum(t not in done for t in targets) if balls.checked else len(targets)
                 z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
                 if z is None:
                     z = ev.dist_to_center(u)
-                pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, z, s_current)
+                pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, z, s)
                 if knn:
                     frontier.discover_at(pairs)
                 else:  # at bound 0, which only a "bound" key reads
                     frontier.discover_all([t for _, t in pairs])
-                continue
-            if f >= 0:  # another fan's plan edge
-                fire_fan(f)
-                continue
-            e = edges[ei]
-            t = e.target
-            if t in done:
-                continue
-            if not all(ev.intersects(r, s_current) for r in e.negative):
-                frontier.eliminate([t])
-            elif all(ev.intersects(r, s_current) for r in e.positive):
-                if knn:
-                    frontier.discover_at(((lower_bound(e), t),))
+            else:  # a shell fan, rows first:end
+                first, end, u = start[f], start[f + 1], source[f]
+                lo, hi = fans.lo[first:end], fans.hi[first:end]
+                if not ball:
+                    for t, l, h in zip(fans.target[first:end].tolist(), lo.tolist(), hi.tolist()):
+                        if t not in done and not ev.intersects(table1_region("shell", (u,), lo=l, hi=h), s):
+                            frontier.eliminate([t])
+                    continue
+                z = ev.dist_to_center(u)
+                ev.region_evaluations += end - first
+                if steer:
+                    frontier.raise_bounds(pos[first:end], ambit_mod.shell_bounds(z, lo, hi))
+                elif frontier.dense:
+                    frontier.eliminate_at(pos[first:end][ambit_mod.shells_missed(z, lo, hi, s)])
                 else:
-                    frontier.discover_all((t,))
+                    frontier.eliminate(fans.target[first:end][ambit_mod.shells_missed(z, lo, hi, s)])
 
     members: list[int] = []
     lazy = bool(lazy_in or lazy_rows)
-    if knn:
-        dist, session = ev.measurer, ev.session
 
     def refused(v: int, traversed) -> bool:
         """Whether a lazy edge or row into v that is armed, its sources all
@@ -753,9 +795,9 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
         is None, as for a wave node (see `Waves`)."""
         for ei in lazy_in.get(v, ()):
             e = edges[ei]
-            if traversed is None or all(s in traversed for s in e.sources):
+            if traversed is None or all(u in traversed for u in e.sources):
                 for r in e.negative:
-                    if not ev.intersects(r, s_current):
+                    if not ev.intersects(r, s):
                         return True
         for u, lo, hi in lazy_rows.get(v, ()):
             if traversed is None or u in traversed:
@@ -764,29 +806,15 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
                     if z is None:
                         z = ev.dist_to_center(u)
                     ev.region_evaluations += 1
-                    if ambit_mod.shells_missed(z, lo, hi, s_current):
+                    if ambit_mod.shells_missed(z, lo, hi, s):
                         return True
-                elif not ev.intersects(table1_region("shell", (u,), lo=lo, hi=hi), s_current):
+                elif not ev.intersects(table1_region("shell", (u,), lo=lo, hi=hi), s):
                     return True
         return False
 
-    def admit(v: int, d: float) -> None:
-        """Keep v, at distance d, if it is among the k nearest so far, and
-        cut at the k-th distance whenever that falls."""
-        nonlocal s_current
-        item = (-d, -v)
-        if len(worst) < k:
-            heapq.heappush(worst, item)
-        elif item > worst[0]:
-            heapq.heapreplace(worst, item)
-        else:
-            return  # the k nearest so far are unchanged
-        if len(worst) == k and -worst[0][0] != s_current:  # the k-th distance fell
-            s_current = -worst[0][0]
-            frontier.cut(ambit_mod.bound_cutoff(s_current))
-
     def visit(v: int) -> bool:
         """Refuse v if an armed lazy edge misses the query, else record it."""
+        nonlocal s
         if lazy and refused(v, frontier.traversed):
             return False
         if knn:
@@ -794,67 +822,41 @@ def search(sprawl: Sprawl, query, heuristic: Heuristic | None = None) -> SearchR
             if d is None:  # `ev.dist_to_center(v)`, inlined: every traversed node pays for it
                 d = to_center[v] = dist(plain[v])
                 session.charge()
-            admit(v, d)
+            s = admit(v, d)
         elif ev.member(v):
             members.append(v)
         return True
 
-    def step(v: int) -> list:
-        """`visit` and `fire` of a node of a lean plan at once: admit v at
-        its distance, then return the (bound, target) pairs of its ball rows
-        that meet the query at the k-th distance as v leaves it."""
-        d = dist(plain[v])
-        admit(v, d)
-        if node_rows[v] is None:
-            return []
-        targets, radii = node_rows[v]
-        ev.region_evaluations += len(targets)
-        return ambit_mod.overlap_facet_pairs(radii, targets, l1, a, d, s_current)
-
     hits: list[np.ndarray] = []  # the members of each wave
-    if knn and heuristic.kind == "bound" and plan.sole_finder and lean:
-        order = frontier.run(None, step)
-        session.charge(len(order))  # each traversed node was measured once
-    elif plan.waves is None or not ball or knn:
-        order = frontier.run(fire, visit)
-    else:
 
-        def wave(vs: np.ndarray) -> np.ndarray:
-            """`visit` and `fire` for a whole wave: lazy refusals, one
-            batched distance call, then one verdict for every ball row of
-            the kept nodes, whose survivors are discovered in edge order."""
-            if lazy:
-                vs = vs[np.fromiter((not refused(v, None) for v in vs.tolist()), dtype=bool, count=len(vs))]
-            z = ev.dists_to_center(vs, balls.cached)
-            hits.append(vs[z <= s_current])
-            first = balls.start[vs]
-            counts = balls.start[vs + 1] - first
-            # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
-            rows = (first - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
-            z = z.repeat(counts)
-            targets = balls.target[rows]
-            if balls.checked:
-                live = frontier.undone(targets)
-                rows, z, targets = rows[live], z[live], targets[live]
-            ev.region_evaluations += len(rows)
-            hit = ambit_mod.overlap_facet_columns(balls.r[rows], balls.l1[rows], balls.a[rows], z, s_current)
-            frontier.discover_all(targets[hit])
-            return vs
+    def wave(vs: np.ndarray) -> np.ndarray:
+        """`visit` and `fire` for a whole wave: lazy refusals, one batched
+        distance call, then one verdict for every ball row of the kept
+        nodes, whose survivors are discovered in edge order."""
+        if lazy:
+            vs = vs[np.fromiter((not refused(v, None) for v in vs.tolist()), dtype=bool, count=len(vs))]
+        z = ev.dists_to_center(vs, balls.cached)
+        hits.append(vs[z <= s])
+        first = balls.start[vs]
+        counts = balls.start[vs + 1] - first
+        # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
+        rows = (first - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
+        z = z.repeat(counts)
+        targets = balls.target[rows]
+        if balls.checked:
+            live = frontier.undone(targets)
+            rows, z, targets = rows[live], z[live], targets[live]
+        ev.region_evaluations += len(rows)
+        hit = ambit_mod.overlap_facet_columns(balls.r[rows], balls.l1[rows], balls.a[rows], z, s)
+        frontier.discover_all(targets[hit])
+        return vs
 
-        order = frontier.run(fire, visit, wave)
+    order = frontier.run(fire, visit, wave if ball and not knn and c.plan.waves is not None else None)
     if knn:
-        members = [v for _, v in sorted((-nd, -nr) for nd, nr in worst)]
-    elif hits:
-        members = np.sort(np.concatenate([*hits, np.array(members, dtype=np.int64)])).tolist()
-    else:
-        members.sort()
-    return SearchResult(
-        members=tuple(members),
-        traversed=len(order),
-        distance_computations=ev.session.distance_computations,
-        region_evaluations=ev.region_evaluations,
-        order=tuple(order),
-    )
+        return order, ranked()
+    if hits:  # the members are gathered as arrays and made Python ints once
+        return order, np.sort(np.concatenate([*hits, np.array(members, dtype=np.int64)])).tolist()
+    return order, sorted(members)
 
 
 def linear_scan(space: ComparisonSpace, nodes, query) -> tuple[int, ...]:

@@ -412,7 +412,7 @@ class Frontier:
         is.
 
         With no `fire` given, the heap form takes the lean step of
-        `engine.search`, which the caller may ask for only under "bound",
+        `engine._lean`, which the caller may ask for only under "bound",
         over a plan that is not dense, has `sole_finder` and has no
         sourceless edge and no joins: `visit(v)` then traverses v, which it
         may not refuse, fires its out-edge itself (the plan's one edge for

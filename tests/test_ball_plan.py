@@ -38,8 +38,8 @@ from test_differential import _tabled
 def twin(sprawl: Sprawl, sole_finder: bool) -> Sprawl:
     """The sprawl on a copy of its plan with `sole_finder` forced."""
     out = copy.copy(sprawl)
-    plan, *rest = sprawl._plan()
-    out._plan_cache = (plan._replace(sole_finder=sole_finder), *rest)
+    compiled = sprawl._plan()
+    out._plan_cache = compiled._replace(plan=compiled.plan._replace(sole_finder=sole_finder))
     return out
 
 

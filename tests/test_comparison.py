@@ -1,3 +1,4 @@
+import dataclasses
 import dis
 import itertools
 import pickle
@@ -8,9 +9,11 @@ import pytest
 from sprawl.comparison import (
     PAIR_MAX_D,
     PAIR_PS,
+    AmbitQuery,
     Ball,
     CostSession,
     EuclideanSpace,
+    ExplicitSetQuery,
     MatrixSpace,
     ProjectionSpace,
     StringSpace,
@@ -454,3 +457,50 @@ def test_ball_k_is_a_whole_number(rng, kind, n):
         assert type(q.k) is int and q.k == k
         want = linear_scan(space, range(n), Ball(centre, 0.0, k=int(k)))
         assert search(sprawl, q).members == want and len(want) == k
+
+
+def test_queries_are_frozen():
+    # a query is checked once, when it is built: `q.k = 2.5` after that
+    # would make a search fill the k nearest with a k it never checked
+    queries = (
+        Ball(np.array([0.5, 0.5]), 1.0),
+        Ball(3, 0.0, k=np.int64(2)),
+        AmbitQuery([np.int64(0), 1], [1, 2], 2.0),
+        ExplicitSetQuery([np.int64(1), 2]),
+    )
+    for q in queries:
+        for f in dataclasses.fields(q):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, f.name, getattr(q, f.name))
+    # the coercions still hold
+    assert queries[0].center == (0.5, 0.5) and type(queries[1].k) is int
+    assert queries[2].foci == (0, 1) and queries[2].weights == (1.0, 2.0)
+    assert queries[3].ids == frozenset({1, 2}) and all(type(i) is int for i in queries[3].ids)
+
+
+def test_a_negative_ref_is_refused(rng):
+    # a sequence reads a negative index from its end: Ball(-1, r) would
+    # search about the last point of the space
+    n = 40
+    points = rng.random((n, 2))
+    strings = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 8)))) for _ in range(n)]
+    spaces = (
+        EuclideanSpace(points),
+        ProjectionSpace(points),
+        StringSpace(strings),
+        MatrixSpace(EuclideanSpace(points).pairwise(range(n), range(n))),
+    )
+    for space in spaces:
+        sprawl, _ = build_classic(space, range(n), "ball-tree")
+        with pytest.raises(IndexError):
+            space.compare(-1, n - 1)
+        for q in (Ball(-1, 1.0), Ball(-1, 0.0, k=3), AmbitQuery((-1,), (1.0,), 1.0)):
+            with pytest.raises(IndexError):
+                search(sprawl, q)
+            with pytest.raises(IndexError):
+                linear_scan(space, range(n), q)
+        q = Ball(n - 1, 1.0)
+        assert search(sprawl, q).members == linear_scan(space, range(n), q), space.kind
+    # axis pseudo-foci lie past the points, and stay valid refs
+    space = spaces[1]
+    assert space.compare(space.axis_ref(1), 3) == points[3, 1]

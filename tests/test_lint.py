@@ -28,11 +28,15 @@ def test_engine_leaves_region_math_to_ambit():
     assert not found, f"region math outside ambit.py: {found}"
 
 
+# `search`, the drivers it calls to run `Frontier.run`, and their k-nearest helper
+SEARCH_DRIVERS = ("search", "_nearest", "_lean", "_stepwise")
+
+
 def test_one_traversal_loop():
     # traverse and search drive Frontier.run; a second loop over the
     # frontier would be a second traversal to keep in step
     found, seen = [], set()
-    for module, scopes in (("hypergraph.py", ("traverse", "Frontier")), ("engine.py", ("search",))):
+    for module, scopes in (("hypergraph.py", ("traverse", "Frontier")), ("engine.py", SEARCH_DRIVERS)):
         tree = ast.parse((SRC / module).read_text())
         for top in tree.body:
             if getattr(top, "name", None) not in scopes:
@@ -42,8 +46,28 @@ def test_one_traversal_loop():
             for fn in functions:
                 if isinstance(fn, ast.FunctionDef) and f"{top.name}.{fn.name}" != "Frontier.run":
                     found += [f"{module}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, ast.While)]
-    assert seen == {"traverse", "Frontier", "search"}, f"scanned only {sorted(seen)}"
+    assert seen == {"traverse", "Frontier", *SEARCH_DRIVERS}, f"scanned only {sorted(seen)}"
     assert not found, f"while loops outside Frontier.run: {found}"
+    # every top-level function that search calls is scanned
+    tree = ast.parse((SRC / "engine.py").read_text())
+    search = next(top for top in tree.body if getattr(top, "name", None) == "search")
+    tops = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    called = {node.func.id for node in ast.walk(search) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called & tops <= {"_refuse_unsound", *SEARCH_DRIVERS}, f"unscanned drivers: {sorted(called & tops)}"
+
+
+def test_the_compiled_plan_is_read_by_name():
+    # `Sprawl._plan` returns a `Compiled` of named fields: a statement that
+    # unpacks or indexes it breaks silently when a field is added or moved
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            unpacks = isinstance(node, ast.Assign) and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)
+            if unpacks or isinstance(node, ast.Subscript):
+                value = node.value
+                if isinstance(value, ast.Call) and getattr(value.func, "attr", None) == "_plan":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"positional reads of _plan(): {found}"
 
 
 def test_one_lp_kernel():

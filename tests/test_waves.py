@@ -34,8 +34,8 @@ from test_properties import lp_cases
 
 def heap_twin(sprawl: Sprawl) -> Sprawl:
     twin = copy.copy(sprawl)
-    plan, *rest = sprawl._plan()
-    twin._plan_cache = (plan._replace(waves=None, positions=None), *rest)
+    compiled = sprawl._plan()
+    twin._plan_cache = compiled._replace(plan=compiled.plan._replace(waves=None, positions=None))
     return twin
 
 

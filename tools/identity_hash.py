@@ -21,10 +21,16 @@ under every heuristic; and 200 sprawls over random asymmetric
 roots, eliminating edges and lazy ones beside it, under 6 range queries
 and every heuristic. These sprawls are built with `Fans`, `Edge` and
 `Sprawl` directly, not with the tests' helpers, so any checkout's `src/`
-runs them.
-The final line hashes every line before it, so two checkouts whose last
-lines match returned the same results everywhere. A run takes about a
-minute.
+runs them. The line `all` hashes every line before it.
+
+A non-ball group follows: over each of the four kinds built on 300
+uniform points in [0,1]^8, 2 pairs of points give each a single-focus and
+a two-focus `AmbitQuery` and an `ExplicitSetQuery` of its first point's 6
+nearest, beside an `ExplicitSetQuery` of 5 random points, under every
+heuristic. The final line hashes every line before it, this group
+included, so two checkouts whose last lines match returned the same
+results everywhere. A run takes about 75 seconds on one core of a 2-core
+x86 host.
 """
 from __future__ import annotations
 
@@ -39,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KINDS = (("ball-tree", 2000), ("laesa", 2000), ("pm-tree", 2000), ("aesa", 500))
 SEEDS = (1, 7)
 CENTRES = 40
+NON_BALL = 300  # the points of each index that the non-ball queries search
 
 
 def heuristics(Heuristic):
@@ -122,7 +129,7 @@ def main() -> None:
     import numpy as np
 
     from sprawl import storage
-    from sprawl.comparison import Ball, EuclideanSpace, MatrixSpace
+    from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, MatrixSpace
     from sprawl.engine import EMPTY, Edge, ExplicitRegion, Fans, Sprawl, build_classic, random_small_sprawl, search
     from sprawl.hypergraph import Heuristic
 
@@ -204,6 +211,23 @@ def main() -> None:
     for name, found in results.items():
         emit(f"asymmetric trees x200 {name}", found)
     print("all", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    rng = np.random.default_rng(26)
+    for kind, _ in KINDS:
+        space = EuclideanSpace(rng.random((NON_BALL, 8)))
+        index, _ = build_classic(space, range(NON_BALL), kind, arity=2, pivots=8)
+        queries = []
+        for f, g in rng.choice(NON_BALL, size=(2, 2), replace=False).tolist():
+            near, other = space.distances_from(f, range(NON_BALL)), space.distances_from(g, range(NON_BALL))
+            radius = float(np.partition(near, 5)[5])
+            queries += [
+                AmbitQuery((f,), (1.0,), radius),
+                AmbitQuery((f, g), (1.0, 1.0), float(np.partition(near + other, 5)[5])),
+                ExplicitSetQuery(rng.choice(NON_BALL, size=5, replace=False).tolist()),
+                ExplicitSetQuery(np.flatnonzero(near <= radius).tolist()),
+            ]
+        for name, h in heuristics(Heuristic).items():
+            emit(f"non-ball {kind} n={NON_BALL} {name}", [search(index, q, h) for q in queries])
+    print("all with non-ball", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 if __name__ == "__main__":
