@@ -12,16 +12,17 @@ and over the regions of one focus, `overlap_facet_pairs`, which gives the
 (kNN bound, target) pairs of those that may meet the query, and which is
 how every node-at-a-time search fires a node's ball rows.
 `overlap_linear` is the check of a linear region against a linear ambit
-query, and `overlap_refs` that of a region against an explicit set of
-points. `shells_missed` is the vectorised shell test, `shell_bounds` the
-lower bounds that shells give a kNN search, and `ball_reach` the radius
-at which a linear ambit's facets stop excluding a ball. A `LinearMap`
-also keeps its facet rows as plain floats, so both linear checks run as
-a float loop: on the small rows of tree regions, numpy's per-call
-overhead would cost more than the arithmetic. All overlap checks are
-conservative: they may report overlap for disjoint sets, but never miss
-a real overlap. Their one slack is `TOL`, always on the permissive side;
-no overlap check takes a slack of its own.
+query, and `overlap_refs` that of a region against the radients of an
+explicit set of points. `shells_missed` is the vectorised shell test,
+`shell_bounds` the lower bounds that shells give a kNN search, and
+`ball_reach` the radius at which a linear ambit's facets stop excluding
+a ball. A `LinearMap` also keeps its facet rows as plain floats, so both
+linear checks run as a float loop: on the small rows of tree regions,
+numpy's per-call overhead would cost more than the arithmetic. All
+overlap checks are conservative: they may report overlap for disjoint
+sets, but never miss a real overlap. Their one slack is `TOL`, always on
+the permissive side; no overlap check takes a slack of its own, and none
+measures a distance: each is a verdict on distances its caller gives.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from operator import mul
 
 import numpy as np
 
-from .comparison import TOL, ComparisonSpace, CostSession, feature_map
+from .comparison import TOL, ComparisonSpace, feature_map
 from .errors import CapabilityError
 
 
@@ -227,23 +228,23 @@ class Ambit:
         return inside if x.ndim > 1 else bool(inside)
 
 
-def radients(space: ComparisonSpace, ambit: Ambit, u, session: CostSession | None = None) -> np.ndarray:
-    """Feature vector of u for the ambit's foci, honoring orientation."""
-    fv = feature_map(space, ambit.foci, u, session)
+def radients(space: ComparisonSpace, ambit: Ambit, u) -> np.ndarray:
+    """Feature vector of u for the ambit's foci, honoring orientation, uncounted."""
+    fv = feature_map(space, ambit.foci, u)
     if ambit.orientation == "backward" and fv.backward is not None:
         return np.asarray(fv.backward, dtype=float)
     return fv.as_array()
 
 
-def membership(space: ComparisonSpace, ambit: Ambit, u, session: CostSession | None = None, tol: float = 0.0) -> bool:
-    return ambit.contains_features(radients(space, ambit, u, session), tol=tol)
+def membership(space: ComparisonSpace, ambit: Ambit, u, tol: float = 0.0) -> bool:
+    return ambit.contains_features(radients(space, ambit, u), tol=tol)
 
 
-def overlap_refs(space: ComparisonSpace, ambit: Ambit, refs, session: CostSession) -> bool:
-    """Whether the region holds any of `refs`, which is where an explicit
-    set query meets it: `membership` of each in turn, with the overlap
-    slack `TOL`, charging its distances to the session."""
-    return any(membership(space, ambit, u, session, tol=TOL) for u in refs)
+def overlap_refs(ambit: Ambit, radients) -> bool:
+    """Whether the region holds, with the overlap slack `TOL`, any point of
+    an explicit set query, given each one's radients in turn (stopping at
+    the first inside, so a lazy iterable measures no point after it)."""
+    return any(ambit.contains_features(x, tol=TOL) for x in radients)
 
 
 def membership_mask(space: ComparisonSpace, ambit: Ambit, refs, tol: float = TOL) -> np.ndarray:

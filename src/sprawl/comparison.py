@@ -181,7 +181,10 @@ class ComparisonSpace:
         return functools.partial(self._dist, a)
 
     def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
-        """Vector of delta(u, ref) for each ref; counts len(refs) comparisons."""
+        """Vector of delta(u, ref) for each ref, a negative one refused; counts len(refs) comparisons."""
+        refs = np.asarray(refs, dtype=np.int64)
+        if refs.size and refs.min() < 0:
+            raise IndexError(f"ref {refs.min()} is negative")
         return self.measure_row(self.resolve(u), refs, session)
 
     def measure_row(self, a, refs, session: CostSession | None = None) -> np.ndarray:
@@ -427,8 +430,8 @@ class FeatureVector:
         return np.asarray(self.values, dtype=float)
 
 
-def feature_map(space: ComparisonSpace, foci, u, session: CostSession | None = None) -> FeatureVector:
-    """Map a point to its comparisons with the given foci.
+def feature_map(space: ComparisonSpace, foci, u) -> FeatureVector:
+    """Map a point to its comparisons with the given foci, uncounted.
 
     The backward tuple is filled only for asymmetric spaces, where
     delta(u, p) need not equal delta(p, u).
@@ -436,10 +439,10 @@ def feature_map(space: ComparisonSpace, foci, u, session: CostSession | None = N
     foci = tuple(foci)
     if not foci:
         raise ValueError("feature_map needs at least one focus")
-    values = tuple(space.compare(p, u, session) for p in foci)
+    values = tuple(space.compare(p, u) for p in foci)
     backward = None
     if not space.symmetric:
-        backward = tuple(space.compare(u, p, session) for p in foci)
+        backward = tuple(space.compare(u, p) for p in foci)
     return FeatureVector(values=values, backward=backward)
 
 

@@ -407,7 +407,7 @@ class Sprawl:
 
 
 class _QueryEval:
-    """Per-search caches: query-center distances and focal cross-distances.
+    """Per-search caches: query-center distances and one delta per pair of refs.
 
     Membership and overlap verdicts come from `ambit`; this class supplies
     the distances and dispatches on region kind: one node's distance to
@@ -419,6 +419,9 @@ class _QueryEval:
         self.query = query
         self.plain = plain or {}  # ref -> `space.plain` of its value, as `Compiled.plain` holds them
         self.session = CostSession()
+        refs = query.foci if isinstance(query, AmbitQuery) else query.ids if isinstance(query, ExplicitSetQuery) else ()
+        for ref in refs:  # a query ref outside the space is refused before any distance
+            space.resolve(ref)
         if isinstance(query, AmbitQuery):  # the backward ambit of its weighted foci
             self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
         self.region_evaluations = 0
@@ -426,7 +429,7 @@ class _QueryEval:
         # z = delta(focus, c) here: it reaches an ambit or fan only on a
         # symmetric space (`_refuse_unsound`), where the two are equal.
         self._to_center: dict[int, float] = {}
-        self._cross: dict[tuple[int, int], float] = {}
+        self._pairs: dict[tuple[int, int], float] = {}  # delta(a, b) by (a, b), for `pair`
 
     @cached_property
     def center(self):
@@ -471,12 +474,12 @@ class _QueryEval:
     def z_of(self, foci) -> list[float]:
         return [self.dist_to_center(p) for p in foci]
 
-    def cross(self, region_focus: int, query_focus: int) -> float:
-        key = (region_focus, query_focus)
-        d = self._cross.get(key)
+    def pair(self, a: int, b: int) -> float:
+        """delta(a, b), measured once per search: every distance of a non-ball
+        query (membership, explicit-set radients, `overlap_linear`'s Z) reads it."""
+        d = self._pairs.get((a, b))
         if d is None:
-            d = self.space.compare(region_focus, query_focus, self.session)
-            self._cross[key] = d
+            d = self._pairs[a, b] = self.space.compare(a, b, self.session)
         return d
 
     def member(self, ref: int, s: float | None = None) -> bool:
@@ -486,8 +489,8 @@ class _QueryEval:
             return self.dist_to_center(ref) <= radius
         if isinstance(q, ExplicitSetQuery):
             return ref in q.ids
-        if isinstance(q, AmbitQuery):
-            return ambit_mod.membership(self.space, self.query_region, ref, self.session)
+        if isinstance(q, AmbitQuery):  # the backward query region reads delta(ref, f)
+            return self.query_region.contains_features([self.pair(ref, f) for f in q.foci])
         raise TypeError(f"unsupported query {q!r}")
 
     def intersects(self, region, s: float | None = None) -> bool:
@@ -505,8 +508,10 @@ class _QueryEval:
                 return bool(region.ids & q.ids)
             return any(self.member(i, s) for i in sorted(region.ids))
         if isinstance(region, Ambit):
-            if isinstance(q, ExplicitSetQuery):
-                return ambit_mod.overlap_refs(self.space, region, sorted(q.ids), self.session)
+            if isinstance(q, ExplicitSetQuery):  # each id's radients, measured only if the check reaches it
+                back = region.orientation == "backward" and not self.space.symmetric
+                xs = ([self.pair(i, f) if back else self.pair(f, i) for f in region.foci] for i in sorted(q.ids))
+                return ambit_mod.overlap_refs(region, xs)
             if isinstance(q, Ball):
                 radius = q.radius if s is None else s
                 try:
@@ -518,9 +523,7 @@ class _QueryEval:
                 if not isinstance(region.map, LinearMap):
                     log.warning("non-linear region vs ambit query; assuming overlap")
                     return True
-                Z = np.array(
-                    [[self.cross(p, qf) for qf in q.foci] for p in region.foci], dtype=float
-                )
+                Z = np.array([[self.pair(p, qf) for qf in q.foci] for p in region.foci], dtype=float)
                 try:
                     return ambit_mod.overlap_linear(
                         region, self.query_region, Z, symmetric=self.space.symmetric
@@ -868,7 +871,9 @@ def linear_scan(space: ComparisonSpace, nodes, query) -> tuple[int, ...]:
             ranked = sorted(zip(dists, nodes))[: query.k]
             return tuple(v for _, v in ranked)
         return tuple(v for v, d in zip(nodes, dists) if d <= query.radius)
-    ev = _QueryEval(space, query)
+    ev = _QueryEval(space, query)  # refuses a query ref outside the space
+    if isinstance(query, AmbitQuery):  # measured afresh, independent of the search's pair cache
+        return tuple(v for v in nodes if ambit_mod.membership(space, ev.query_region, v))
     return tuple(v for v in nodes if ev.member(v))
 
 

@@ -25,7 +25,7 @@ from sprawl.comparison import (
     levenshtein,
     lp_norm,
 )
-from sprawl.engine import build_classic, linear_scan, search
+from sprawl.engine import build_classic, linear_scan, reduce_to_signed, search
 from sprawl.hypergraph import Heuristic
 
 from conftest import random_quasimetric
@@ -478,22 +478,33 @@ def test_queries_are_frozen():
     assert queries[3].ids == frozenset({1, 2}) and all(type(i) is int for i in queries[3].ids)
 
 
-def test_a_negative_ref_is_refused(rng):
-    # a sequence reads a negative index from its end: Ball(-1, r) would
-    # search about the last point of the space
-    n = 40
+def _spaces_of_each_kind(rng, n: int) -> tuple:
+    """Euclidean, projection, string and matrix spaces of n points each."""
     points = rng.random((n, 2))
     strings = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 8)))) for _ in range(n)]
-    spaces = (
+    return (
         EuclideanSpace(points),
         ProjectionSpace(points),
         StringSpace(strings),
         MatrixSpace(EuclideanSpace(points).pairwise(range(n), range(n))),
     )
+
+
+def test_a_negative_ref_is_refused(rng):
+    # a sequence reads a negative index from its end: Ball(-1, r) would
+    # search about the last point of the space, and a row of refs would
+    # measure it
+    n = 40
+    spaces = _spaces_of_each_kind(rng, n)
+    points = spaces[1].points
     for space in spaces:
         sprawl, _ = build_classic(space, range(n), "ball-tree")
         with pytest.raises(IndexError):
             space.compare(-1, n - 1)
+        with pytest.raises(IndexError):
+            space.distances_from(n - 1, [-1])
+        with pytest.raises(IndexError):
+            linear_scan(space, [-1, 3], Ball(n - 1, 0.0))
         for q in (Ball(-1, 1.0), Ball(-1, 0.0, k=3), AmbitQuery((-1,), (1.0,), 1.0)):
             with pytest.raises(IndexError):
                 search(sprawl, q)
@@ -504,3 +515,31 @@ def test_a_negative_ref_is_refused(rng):
     # axis pseudo-foci lie past the points, and stay valid refs
     space = spaces[1]
     assert space.compare(space.axis_ref(1), 3) == points[3, 1]
+
+
+def test_a_query_ref_outside_the_space_is_refused_before_any_distance(rng):
+    # the refs of an ambit or explicit-set query are checked when the search
+    # starts, not when the search first measures one
+    n = 40
+    out = n + 2  # past the points, and past the two axis pseudo-foci of the projection space
+    for space in _spaces_of_each_kind(rng, n):
+        measured = []
+        dist = space._dist
+        space._dist = lambda a, b: measured.append((a, b)) or dist(a, b)
+        for kind in ("ball-tree", "aesa", "laesa", "pm-tree"):
+            sprawl, _ = build_classic(space, range(n), kind, pivots=3)
+            measured.clear()
+            for q in (ExplicitSetQuery({3, out}), ExplicitSetQuery({-1, 3}), AmbitQuery((3, out), (1.0, 1.0), 1.0)):
+                for run in (search, reduce_to_signed):
+                    with pytest.raises(IndexError):
+                        run(sprawl, q)
+                with pytest.raises(IndexError):
+                    linear_scan(space, range(n), q)
+            assert not measured, (space.kind, kind)
+            q = ExplicitSetQuery({3, n - 1})
+            assert search(sprawl, q).members == linear_scan(space, range(n), q) == (3, n - 1)
+    # an axis pseudo-focus of a projection space is a query ref like any other
+    space = ProjectionSpace(rng.random((n, 2)))
+    sprawl, _ = build_classic(space, range(n), "ball-tree")
+    q = AmbitQuery((space.axis_ref(0),), (1.0,), 0.5)
+    assert search(sprawl, q).members == linear_scan(space, range(n), q) != ()

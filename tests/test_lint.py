@@ -89,23 +89,37 @@ def test_one_lp_kernel():
     assert not found, f"Lp arithmetic outside comparison.lp_norm: {found}"
 
 
-def test_one_overlap_slack():
-    # TOL is the one slack of every overlap check: a check with a slack of
-    # its own could be called with a narrower one and drop a boundary member
+def _overlap_checks_taking(*params: str) -> list[str]:
+    """The overlap checks of ambit.py (its functions named overlap*, shell*
+    or ball*) that take any of `params`, as "ambit.py:line: name(param)"."""
     tree = ast.parse((SRC / "ambit.py").read_text())
     checks = [
         fn
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef) and fn.name.startswith(("overlap", "shell", "ball"))
     ]
-    assert "overlap_radients" in {fn.name for fn in checks}, "ambit.overlap_radients not found"
-    found = [
-        f"ambit.py:{fn.lineno}: {fn.name}"
+    assert {"overlap_radients", "overlap_refs"} <= {fn.name for fn in checks}, "ambit's overlap checks not found"
+    return [
+        f"ambit.py:{fn.lineno}: {fn.name}({arg.arg})"
         for fn in checks
         for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        if arg.arg == "tol"
+        if arg.arg in params
     ]
+
+
+def test_one_overlap_slack():
+    # TOL is the one slack of every overlap check: a check with a slack of
+    # its own could be called with a narrower one and drop a boundary member
+    found = _overlap_checks_taking("tol")
     assert not found, f"overlap checks with a slack parameter: {found}"
+
+
+def test_overlap_checks_take_distances():
+    # an overlap check is a verdict on distances its caller measured: one
+    # that measures for itself bypasses the search's caches and charges a
+    # pair the search has already paid for
+    found = _overlap_checks_taking("space", "session")
+    assert not found, f"overlap checks that measure distances: {found}"
 
 
 # top-level names that only tests reach, each kept for a reason of its own

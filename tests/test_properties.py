@@ -7,13 +7,15 @@ off the scan's own distance row, so that a boundary point lies exactly on
 the query sphere; and degenerate regions: shells with lo == hi, zero-width
 ones about duplicate points among them, and balls of radius 0. The later
 properties also draw the norm, L1, L2, L3 or L-infinity, and run every
-heuristic: the default, FIFO, "bound" and LIFO.
+heuristic: the default, FIFO, "bound" and LIFO. The last one draws the
+non-ball queries: weighted-focal ambits and explicit sets.
 """
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sprawl.comparison import Ball, EuclideanSpace
+from sprawl.ambit import LinearMap
+from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery
 from sprawl.engine import Edge, Fans, Sprawl, build_classic, linear_scan, search
 from sprawl.hypergraph import Heuristic
 
@@ -24,17 +26,17 @@ HEURISTICS = (None, Heuristic.fifo(), Heuristic("bound"), Heuristic.lifo())  # N
 
 
 @st.composite
-def point_sets(draw):
-    """4-20 points in [0, 1]^d, d = 1-3: uniform, on the dyadic grid of step
-    1/8, or a few such points each repeated."""
+def point_sets(draw, most: int = 20):
+    """4 to `most` points in [0, 1]^d, d = 1-3: uniform, on the dyadic grid
+    of step 1/8, or a few such points each repeated."""
     dims = draw(st.integers(1, 3))
     coordinate = draw(st.sampled_from([st.floats(0.0, 1.0), DYADIC]))
     point = st.lists(coordinate, min_size=dims, max_size=dims)
     if draw(st.booleans()):
-        pts = draw(st.lists(point, min_size=4, max_size=20))
+        pts = draw(st.lists(point, min_size=4, max_size=most))
     else:
         distinct = draw(st.lists(point, min_size=1, max_size=6))
-        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=4, max_size=20))
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=4, max_size=most))
         pts = [distinct[i] for i in picks]
     return np.array(pts, dtype=float)
 
@@ -175,3 +177,40 @@ def widened_shells(draw):
 def test_widened_shells_answer_as_the_scan_does(case):
     sprawl, center, rank, k = case
     _answers_as_the_scan_does(sprawl, center, rank, k, "shells")
+
+
+@st.composite
+def non_ball_cases(draw):
+    """4-30 points on L1, L2 or L-infinity, one classic kind built over them,
+    and one query: an `AmbitQuery` of 1-3 foci, each weight of either sign,
+    at a radius read off the scan's remoteness row (so that a boundary point
+    lies exactly on it) or any radius, or an `ExplicitSetQuery` that is
+    empty, a singleton or any subset."""
+    pts = draw(point_sets(most=30))
+    n = len(pts)
+    space = EuclideanSpace(pts, p=draw(st.sampled_from([1.0, 2.0, np.inf])))
+    kind = draw(st.sampled_from(("ball-tree", "pm-tree", "aesa", "laesa")))
+    sprawl, _ = build_classic(space, range(n), kind, pivots=min(3, n - 1))
+    ref = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        foci = draw(st.lists(ref, min_size=1, max_size=3))
+        weight = st.one_of(st.sampled_from([-1.0, -0.5, 0.5, 1.0]), st.floats(-2.0, 2.0))
+        weights = draw(st.lists(weight, min_size=len(foci), max_size=len(foci)).filter(any))
+        row = LinearMap([weights]).remoteness(np.array([space.distances_from(f, range(n)) for f in foci]))[0]
+        radius = draw(st.one_of(st.sampled_from(sorted(row.tolist())), st.floats(-2.0, 4.0)))
+        return sprawl, AmbitQuery(foci, weights, radius)
+    ids = draw(st.one_of(st.just([]), ref.map(lambda i: [i]), st.lists(ref, unique=True)))
+    return sprawl, ExplicitSetQuery(ids)
+
+
+@given(non_ball_cases())
+def test_non_ball_queries_answer_as_the_scan_does_and_measure_each_pair_once(case):
+    # a search measures a node or region focus against each query ref at
+    # most once, and every focus it measures is a node it traverses
+    sprawl, query = case
+    want = linear_scan(sprawl.space, sprawl.nodes, query)
+    refs = len(query.foci) if isinstance(query, AmbitQuery) else len(query.ids)
+    for h in HEURISTICS:
+        got = search(sprawl, query, h)
+        assert got.members == want, h
+        assert got.distance_computations <= refs * got.traversed, (h, got)

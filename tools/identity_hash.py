@@ -27,9 +27,11 @@ A non-ball group follows: over each of the four kinds built on 300
 uniform points in [0,1]^8, 2 pairs of points give each a single-focus and
 a two-focus `AmbitQuery` and an `ExplicitSetQuery` of its first point's 6
 nearest, beside an `ExplicitSetQuery` of 5 random points, under every
-heuristic. The final line hashes every line before it, this group
-included, so two checkouts whose last lines match returned the same
-results everywhere. A run takes about 75 seconds on one core of a 2-core
+heuristic. Each of its lines is followed by a count-free one, the same
+digest without `distance_computations`, so a change that lowers the
+non-ball counts on purpose can show that nothing else moved. The final
+line hashes every line before it, this group included, so two checkouts
+whose last lines match returned the same results everywhere. A run takes about 75 seconds on one core of a 2-core
 x86 host.
 """
 from __future__ import annotations
@@ -58,10 +60,13 @@ def heuristics(Heuristic):
     }
 
 
-def digest(results) -> str:
+def digest(results, counted: bool = True) -> str:
+    """SHA-256 over each result's fields; without `counted`, over all but
+    `distance_computations`."""
     h = hashlib.sha256()
     for r in results:
-        h.update(repr((r.members, r.order, r.traversed, r.distance_computations, r.region_evaluations)).encode())
+        fields = (r.members, r.order, r.traversed, r.distance_computations, r.region_evaluations)
+        h.update(repr(fields if counted else fields[:3] + fields[4:]).encode())
     return h.hexdigest()
 
 
@@ -135,8 +140,8 @@ def main() -> None:
 
     lines = []
 
-    def emit(label: str, results) -> None:
-        lines.append(f"{label} {digest(results)}")
+    def emit(label: str, results, counted: bool = True) -> None:
+        lines.append(f"{label} {digest(results, counted)}")
         print(lines[-1], flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -226,7 +231,9 @@ def main() -> None:
                 ExplicitSetQuery(np.flatnonzero(near <= radius).tolist()),
             ]
         for name, h in heuristics(Heuristic).items():
-            emit(f"non-ball {kind} n={NON_BALL} {name}", [search(index, q, h) for q in queries])
+            results = [search(index, q, h) for q in queries]
+            emit(f"non-ball {kind} n={NON_BALL} {name}", results)
+            emit(f"non-ball {kind} n={NON_BALL} {name} count-free", results, counted=False)
     print("all with non-ball", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
