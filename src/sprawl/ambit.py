@@ -14,11 +14,12 @@ how every node-at-a-time search fires a node's ball rows.
 `overlap_linear` is the check of a linear region against a linear ambit
 query, and `overlap_refs` that of a region against the radients of an
 explicit set of points. `shells_missed` is the vectorised shell test,
-`shell_bounds` the lower bounds that shells give a kNN search, and
-`ball_reach` the radius at which a linear ambit's facets stop excluding
-a ball. A `LinearMap` also keeps its facet rows as plain floats, so both
-linear checks run as a float loop: on the small rows of tree regions,
-numpy's per-call overhead would cost more than the arithmetic. All
+`shells_hold` the vectorised shell and ball membership, `shell_bounds`
+the lower bounds that shells give a kNN search, and `ball_reach` the
+radius at which a linear ambit's facets stop excluding a ball. A
+`LinearMap` also keeps its facet rows as plain floats, so both linear
+checks run as a float loop: on the small rows of tree regions, numpy's
+per-call overhead would cost more than the arithmetic. All
 overlap checks are conservative: they may report overlap for disjoint
 sets, but never miss a real overlap. Their one slack is `TOL`, always on
 the permissive side; no overlap check takes a slack of its own, and none
@@ -353,6 +354,15 @@ def shells_missed(z, lo, hi, s: float):
     """Which shells lo <= delta(p, .) <= hi (arrays or scalars) surely miss
     B[c, s], given z = delta(p, c)."""
     return (z > hi + s + TOL) | (z < lo - s - TOL)
+
+
+def shells_hold(d, lo, hi) -> np.ndarray:
+    """Which shells lo <= delta(p, .) <= hi hold a point u, given the
+    array d = delta(p, u), with the membership slack `TOL`: bit for bit
+    what `membership_mask` gives for each shell's region, since
+    `shells_missed` at s = 0 compares d with hi + TOL and lo - TOL. A ball
+    of radius r is the shell from lo = -inf."""
+    return ~shells_missed(d, lo, hi, 0.0)
 
 
 def shell_bounds(z, lo, hi):

@@ -149,22 +149,12 @@ class Fans:
 
     def edge(self, j: int) -> Edge:
         """Row j as the `Edge` it stands for."""
-        if j < self.found_rows:
-            return self._ball_rows[j]
         f = int(np.searchsorted(self.start, j, "right")) - 1
-        region = table1_region("shell", (int(self.source[f]),), lo=self.lo[j], hi=self.hi[j])
-        return Edge((int(self.source[f]),), int(self.target[j]), (EMPTY,), (region,), lazy=bool(self.lazy[f]))
-
-    @cached_property
-    def _ball_rows(self) -> list[Edge]:
-        """The discovering rows as `Edge`s, built on first use and kept:
-        `reduce_to_signed` walks every logical edge once per query, and
-        building a ball row's `Edge` costs more than its overlap check."""
-        rows = slice(0, self.found_rows)
-        return [
-            Edge((u,), t, (Ambit((u,), ambit_mod.BALL_MAP, (r,)),), ())
-            for u, t, r in zip(self.ball_source.tolist(), self.target[rows].tolist(), self.hi[rows].tolist())
-        ]
+        u, t = int(self.source[f]), int(self.target[j])
+        if j < self.found_rows:
+            return Edge((u,), t, (Ambit((u,), ambit_mod.BALL_MAP, (self.hi[j],)),), ())
+        region = table1_region("shell", (u,), lo=self.lo[j], hi=self.hi[j])
+        return Edge((u,), t, (EMPTY,), (region,), lazy=bool(self.lazy[f]))
 
 
 # the fans of every sprawl built without any: every column is empty but
@@ -211,10 +201,10 @@ class Sprawl:
 
     def __init__(self, space: ComparisonSpace, nodes, edges, fans: Fans | None = None):
         self.space = space
-        self.nodes: tuple[int, ...] = tuple(int(v) for v in nodes)
+        self.nodes: tuple[int, ...] = tuple(map(int, nodes))
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.fans = fans if fans is not None else _NO_FANS
-        self._node_pos = {v: i for i, v in enumerate(self.nodes)}
+        self._node_pos = dict(zip(self.nodes, range(len(self.nodes))))
         self._plan_cache = None
         self.validate()
 
@@ -248,16 +238,20 @@ class Sprawl:
             if e.target in e.sources:
                 warnings.warn(f"edge into {e.target} lists it as a source and can never fire usefully")
         f = self.fans
-        if not len(f.source):
-            return
-        known = np.zeros(size, dtype=bool)  # a lookup table, so no column is sorted
-        known[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
-        for refs in (f.source, f.target):
-            # a negative ref would wrap round the table
-            if len(refs) and not (0 <= refs.min() and refs.max() < size and known[refs].all()):
-                raise IndexError("fan refers to refs outside the ground set")
+        if not (self.holds(f.source) and self.holds(f.target)):
+            raise IndexError("fan refers to refs outside the ground set")
         if (f.ball_source == f.target[: f.found_rows]).any():
             warnings.warn("a ball edge into its own source can never fire usefully")
+
+    def holds(self, refs: np.ndarray) -> bool:
+        """Whether every ref of an int64 array is a node, by one lookup in
+        a table by ref, so no column is sorted."""
+        if not len(refs):
+            return True
+        known = np.zeros(len(self.space), dtype=bool)
+        known[np.fromiter(self.nodes, dtype=np.int64, count=len(self.nodes))] = True
+        # a negative ref would wrap round the table
+        return bool(0 <= refs.min() and refs.max() < len(known) and known[refs].all())
 
     def _plan(self) -> Compiled:
         """The sprawl's `Compiled` plan, compiled on the first call, not
@@ -566,21 +560,42 @@ def _refuse_unsound(sprawl: Sprawl, query) -> None:
 
 
 def reduce_to_signed(sprawl: Sprawl, query) -> SignedHyperdigraph:
-    """Evaluate every edge label against the query, keeping signed edges.
+    """Evaluate every edge label against the query, keeping signed edges,
+    in logical-edge order.
 
     An edge is positive when the query meets every region in both labels,
     negative when it misses some negative region, and dropped otherwise.
+    Explicit edges, and the fan rows of a query that is not a `Ball`, go
+    edge by edge through `_QueryEval.intersects`. A `Ball` reads the fans
+    as columns, from one `measure_row` over their sources: a ball row,
+    whose one label is its positive ball, is positive where one
+    `ambit.overlap_facet_columns` verdict over all ball rows meets it, and
+    a shell row, labelled P = (Empty,) and its negative shell, is negative
+    where one `ambit.shells_missed` mask over all shell rows misses it.
     """
     _refuse_unsound(sprawl, query)
     ev = _QueryEval(sprawl.space, query)
     pos = sprawl._node_pos
+    fans, ball = sprawl.fans, isinstance(query, Ball)
     out = []
-    for _, e in sprawl.iter_logical_edges():
+    for e in sprawl.edges if ball else (e for _, e in sprawl.iter_logical_edges()):
         neg_hits = [ev.intersects(r) for r in e.negative]
         if not all(neg_hits):
             out.append(HyperEdge(frozenset(pos[s] for s in e.sources), pos[e.target], -1))
         elif all(ev.intersects(r) for r in e.positive):
             out.append(HyperEdge(frozenset(pos[s] for s in e.sources), pos[e.target], +1))
+    if ball and len(fans):
+        s, cut = query.radius, fans.found_rows
+        counts = np.diff(fans.start)
+        z = sprawl.space.measure_row(ev.center, fans.source).repeat(counts)  # delta(c, u) for each row's source u
+        a, l1 = ambit_mod.BALL_FACET
+        found = np.flatnonzero(ambit_mod.overlap_facet_columns(fans.hi[:cut], l1, a, z[:cut], s))
+        missed = cut + np.flatnonzero(ambit_mod.shells_missed(z[cut:], fans.lo[cut:], fans.hi[cut:], s))
+        at = np.zeros(len(sprawl.space), dtype=np.int64)  # each node's position, by ref
+        at[np.asarray(sprawl.nodes, dtype=np.int64)] = np.arange(len(sprawl.nodes))
+        source, target = at[fans.source].repeat(counts), at[fans.target]
+        for rows, sign in ((found, +1), (missed, -1)):
+            out += [HyperEdge(frozenset((u,)), t, sign) for u, t in zip(source[rows].tolist(), target[rows].tolist())]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return SignedHyperdigraph(len(sprawl.nodes), out)
@@ -1019,15 +1034,30 @@ def build_dnf_gadget(formula: DnfFormula, cap: int = 8) -> tuple[Sprawl, Workloa
 
 
 class ResponsibilityAssignment:
-    """res(e) per logical edge; unlisted edges carry no responsibilities."""
+    """res(e) per logical edge; unlisted edges carry no responsibilities.
 
-    def __init__(self, edge_to_nodes: dict[int, frozenset[int]] | None = None):
-        self.edge_to_nodes = {
-            int(k): frozenset(int(x) for x in v) for k, v in (edge_to_nodes or {}).items()
-        }
+    Each edge's members are kept as given, as the index reader's lists or
+    a builder's tuples of refs, and made a frozenset only when `get` or
+    `edge_to_nodes` asks, so loading an index builds none.
+    """
+
+    def __init__(self, edge_to_nodes: dict | None = None):
+        given = edge_to_nodes or {}
+        self.members = dict(zip(map(int, given), given.values()))
+        self._sets: dict[int, frozenset[int]] = {}
 
     def get(self, edge_index: int) -> frozenset[int]:
-        return self.edge_to_nodes.get(edge_index, frozenset())
+        if edge_index not in self.members:
+            return frozenset()
+        got = self._sets.get(edge_index)
+        if got is None:
+            got = self._sets[edge_index] = frozenset(int(x) for x in self.members[edge_index])
+        return got
+
+    @property
+    def edge_to_nodes(self) -> dict[int, frozenset[int]]:
+        """Every listed edge's members as a frozenset."""
+        return {k: self.get(k) for k in self.members}
 
 
 @dataclass
@@ -1047,45 +1077,102 @@ def check_responsibility(
     L1: res(e) inside every positive region of e. L2: res(target), in the
     node shorthand, inside every negative region of e. L3: res(v) covered
     by the union of res over v's incoming edges. Point-in-region is
-    decided by `region_member_mask`.
+    decided by `region_member_mask` for explicit edges, and fan rows are
+    tested a fan at a time (`_fan_violations`). Violations are listed by
+    logical edge, L1 before L2, then L3 by node.
     """
     if not workload.atomistic:
         raise ValueError("responsibility is defined against an atomistic workload")
-    edges = list(sprawl.iter_logical_edges())
-    targeted = {e.target for _, e in edges}
-    missing = set(sprawl.nodes) - targeted
+    edges, fans, base = sprawl.edges, sprawl.fans, len(sprawl.edges)
+    missing = set(sprawl.nodes) - {e.target for e in edges} - set(np.unique(fans.target).tolist())
     if missing:
         raise StructureError(f"nodes {sorted(missing)} are targeted by no edge")
 
-    # discovery-capable edges must admit a topological node order
+    # discovery-capable edges must admit a topological node order; every ball row discovers
     order = TopologicalSorter()
-    for _, e in edges:
+    for e in edges:
         if e.discovers:
             order.add(e.target, *e.sources)
+    for u, t in zip(fans.ball_source.tolist(), fans.target[: fans.found_rows].tolist()):
+        order.add(t, u)
     try:
         order.prepare()
     except CycleError:
         raise StructureError("sprawl discovery edges are cyclic") from None
 
+    owned: dict[int, list[int]] = {}  # the fan rows with responsibilities, by fan
+    for j in sorted(k - base for k in res.members if base <= k < base + len(fans)):
+        owned.setdefault(int(np.searchsorted(fans.start, j, "right")) - 1, []).append(j)
     node_res: dict[int, set[int]] = {v: {v} for v in sprawl.nodes}
-    for idx, e in edges:
+    in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
+    for idx, e in enumerate(edges):
         for s in set(e.sources):
             node_res[s] |= res.get(idx)
+        in_union[e.target] |= res.get(idx)
+    for f, rows in owned.items():
+        for j in rows:
+            node_res[int(fans.source[f])] |= res.get(base + j)
+            in_union[int(fans.target[j])] |= res.get(base + j)
 
     violations = []
-    in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
-    for idx, e in edges:
-        in_union[e.target] |= res.get(idx)
+    for idx, e in enumerate(edges):
         for rule, regions, refs in (("L1", e.positive, res.get(idx)), ("L2", e.negative, node_res[e.target])):
             refs = sorted(refs)
             for r in regions:
                 inside = region_member_mask(sprawl.space, r, refs)
                 violations.extend((rule, idx, v, repr(r)) for v, ok in zip(refs, inside) if not ok)
+    violations += _fan_violations(sprawl, res, owned, node_res)
     for v in sprawl.nodes:
         extra = node_res[v] - in_union[v]
         for u in sorted(extra):
             violations.append(("L3", None, v, f"responsibility {u} not covered by in-edges"))
     return ResponsibilityReport(not violations, violations)
+
+
+def _fan_violations(sprawl: Sprawl, res: ResponsibilityAssignment, owned: dict, node_res: dict) -> list:
+    """The L1 and L2 violations of the fan rows, in the order in which
+    `check_responsibility` would find them in the rows' `Edge`s, a fan at
+    a time, each fan's tests reading one distance row from its source
+    (`ambit.shells_hold`). L1 tests the members of a ball fan's rows in
+    `owned` against their radii; the members of a shell row in `owned` all
+    fail it, as its positive label is Empty. L2 tests the node shorthand
+    (`node_res`) of each shell row's target against the row's shell. A
+    row's `Edge` is built only to name the region a violation fails."""
+    fans, base, space = sprawl.fans, len(sprawl.edges), sprawl.space
+    if fans.found < len(fans.source):  # each node's shorthand, sorted, as columns by ref
+        refs = sorted(node_res)
+        size = np.zeros(len(space), dtype=np.int64)
+        size[refs] = [len(node_res[v]) for v in refs]
+        first = size.cumsum() - size
+        flat = np.fromiter(itertools.chain.from_iterable(sorted(node_res[v]) for v in refs), dtype=np.int64)
+
+    def outside(u: int, row: np.ndarray, members: np.ndarray, lo, rule: int) -> list:
+        """(row, rule, member) for each member outside its row's shell."""
+        held = ambit_mod.shells_hold(space.distances_from(u, members), lo, fans.hi[row])
+        return [(j, rule, v) for j, v in zip(row[~held].tolist(), members[~held].tolist())]
+
+    found: list[tuple[int, int, int]] = []  # (row, 1 or 2 for L1 or L2, member) per violation
+    for f, u in enumerate(fans.source.tolist()):
+        rows = owned.get(f, [])
+        listed = [sorted(res.get(base + j)) for j in rows]
+        if f < fans.found:  # a ball is the shell from -inf to its radius
+            row = np.repeat(np.asarray(rows, dtype=np.int64), [len(vs) for vs in listed])
+            members = np.fromiter(itertools.chain.from_iterable(listed), dtype=np.int64, count=len(row))
+            found += outside(u, row, members, -np.inf, 1)
+            continue
+        fails = [(j, 1, v) for j, vs in zip(rows, listed) for v in vs]
+        row = np.arange(fans.start[f], fans.start[f + 1])
+        count = size[fans.target[row]]
+        # the shorthand of each row's target in turn: first[t], first[t] + 1, ..., of count
+        at = (first[fans.target[row]] - count.cumsum() + count).repeat(count) + np.arange(count.sum())
+        row = row.repeat(count)
+        l2 = outside(u, row, flat[at], fans.lo[row], 2)
+        found += sorted(fails + l2) if fails else l2
+    out = []
+    for j, rule, v in found:
+        e = fans.edge(j)
+        out.append((f"L{rule}", base + j, v, repr(e.positive[0] if rule == 1 else e.negative[0])))
+    return out
 
 
 # --- classic index builders -------------------------------------------------
@@ -1158,14 +1245,14 @@ def _tree_edges(space: ComparisonSpace, root: _TreeNode):
     start = [0]
     target: list[int] = []
     cover: list[float] = []
-    res: dict[int, frozenset[int]] = {0: frozenset(root.subtree)}
+    res: dict[int, tuple[int, ...]] = {0: root.subtree}
     stack = [root]
     while stack:
         node = stack.pop()
         for child in node.children:
             cover.append(float(np.max(space.distances_from(node.point, child.subtree))))
             target.append(child.point)
-            res[len(target)] = frozenset(child.subtree)
+            res[len(target)] = child.subtree
             stack.append(child)
         if node.children:
             source.append(node.point)
@@ -1199,7 +1286,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
 
     if kind == "aesa":
         edges = [Edge((), v) for v in refs]
-        res = {i: frozenset({v}) for i, v in enumerate(refs)}
+        res = {i: (v,) for i, v in enumerate(refs)}
         n, off = len(refs), ~np.eye(len(refs), dtype=bool)  # node i's sphere fan: every other node, in order
         d = space.pairwise(refs, refs)
         fans = Fans(refs, np.arange(n + 1) * (n - 1), np.broadcast_to(np.asarray(refs), (n, n))[off], d[off])
@@ -1215,7 +1302,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         # any unconditionally discovered point gets examined
         ordered = list(pivots) + others
         edges = [Edge((), v) for v in ordered]
-        res = {i: frozenset({v}) for i, v in enumerate(ordered)}
+        res = {i: (v,) for i, v in enumerate(ordered)}
         rows = [space.distances_from(p, others) for p in pivots] if others else []  # one sphere fan per pivot
         starts = np.arange(len(rows) + 1) * len(others)
         fans = Fans(pivots[: len(rows)], starts, others * len(rows), np.concatenate([[], *rows]))
@@ -1237,7 +1324,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         # the pivots' root edges 1..m precede the fans, so each row's id moves up by m
         edges += [Edge((), p) for p in pivots]
         res = {i + len(pivots) if i else 0: sub for i, sub in tree_res.items()}
-        res.update({1 + i: frozenset({p}) for i, p in enumerate(pivots)})
+        res.update({1 + i: (p,) for i, p in enumerate(pivots)})
         internal: list[_TreeNode] = []
         stack = [root]
         while stack:
@@ -1264,7 +1351,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         axis = space.axis_ref(0)
         ordered = sorted(refs, key=lambda v: (float(space.points[v, 0]), v))
         edges: list[Edge] = []
-        res: dict[int, frozenset[int]] = {}
+        res: dict[int, tuple[int, ...]] = {}
 
         def build(lo_ref, hi_ref, part: list[int]):
             if not part:
@@ -1284,7 +1371,7 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
                 edges.append(Edge(sources, v, (region,), ()))
             else:
                 edges.append(Edge((), v))
-            res[len(edges) - 1] = frozenset(part)
+            res[len(edges) - 1] = tuple(part)
             build(lo_ref, v, part[:mid])
             build(v, hi_ref, part[mid + 1 :])
 

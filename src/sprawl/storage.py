@@ -443,9 +443,13 @@ def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | N
         sprawl = Sprawl(space, nodes, edges, _fans_from_document(doc, nodes))
         res = None
         if "responsibility" in doc:
-            owned = doc["responsibility"]
-            _refs(list(itertools.chain.from_iterable(owned.values())))  # every member at once
-            res = ResponsibilityAssignment({int(k): v for k, v in owned.items()})  # it makes the frozensets
+            res = ResponsibilityAssignment(doc["responsibility"])  # it keeps the lists
+            keys = res.members.keys()
+            if keys and not (0 <= min(keys) and max(keys) < len(edges) + len(sprawl.fans)):
+                raise FormatError("a responsibility key names no logical edge")
+            members = _refs(list(itertools.chain.from_iterable(res.members.values())))  # every member at once
+            if not sprawl.holds(np.fromiter(members, dtype=np.int64, count=len(members))):
+                raise FormatError("a responsibility member is not a node")
         return sprawl, res
     except (KeyError, TypeError, AttributeError, IndexError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed {FORMAT_NAME} document: {exc!r}") from None

@@ -2,21 +2,54 @@
 from __future__ import annotations
 
 import warnings
+from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from sprawl.ambit import Ambit, LinearMap, MetaballMap, PowerMap, table1_region
 from sprawl.comparison import EuclideanSpace, MatrixSpace
-from sprawl.engine import EMPTY, Edge, Fans, Sprawl
+from sprawl.engine import (
+    EMPTY,
+    Edge,
+    Fans,
+    ResponsibilityReport,
+    Sprawl,
+    _QueryEval,
+    _refuse_unsound,
+    region_member_mask,
+)
+from sprawl.errors import StructureError
+from sprawl.hypergraph import HyperEdge, SignedHyperdigraph
 
 # Property tests draw their examples from a seed derived from each test, so
 # every run tries the same inputs, and write no example database; no deadline,
 # since a shared host's clock varies more than any one example's cost.
 settings.register_profile("tier1", max_examples=150, deadline=None, derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+# a coordinate on the dyadic grid of step 1/8, where distances tie exactly
+DYADIC = st.integers(0, 8).map(lambda i: i / 8)
+
+
+@st.composite
+def point_sets(draw, most: int = 20):
+    """4 to `most` points in [0, 1]^d, d = 1-3: uniform, on the dyadic grid
+    of step 1/8, or a few such points each repeated."""
+    dims = draw(st.integers(1, 3))
+    coordinate = draw(st.sampled_from([st.floats(0.0, 1.0), DYADIC]))
+    point = st.lists(coordinate, min_size=dims, max_size=dims)
+    if draw(st.booleans()):
+        pts = draw(st.lists(point, min_size=4, max_size=most))
+    else:
+        distinct = draw(st.lists(point, min_size=1, max_size=6))
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=4, max_size=most))
+        pts = [distinct[i] for i in picks]
+    return np.array(pts, dtype=float)
 
 
 def make_fans(balls=(), groups=()) -> Fans:
@@ -138,3 +171,59 @@ def random_labeled_sprawl(rng: np.random.Generator, n_max: int = 12) -> Sprawl:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def reduce_rows(sprawl: Sprawl, query) -> SignedHyperdigraph:
+    """`reduce_to_signed` edge by edge: every logical edge, each fan row
+    as the `Edge` it stands for, through `_QueryEval.intersects`. The
+    oracle of its column path over the fans."""
+    _refuse_unsound(sprawl, query)
+    ev = _QueryEval(sprawl.space, query)
+    pos = sprawl._node_pos
+    out = []
+    for _, e in sprawl.iter_logical_edges():
+        neg_hits = [ev.intersects(r) for r in e.negative]
+        if not all(neg_hits):
+            out.append(HyperEdge(frozenset(pos[s] for s in e.sources), pos[e.target], -1))
+        elif all(ev.intersects(r) for r in e.positive):
+            out.append(HyperEdge(frozenset(pos[s] for s in e.sources), pos[e.target], +1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SignedHyperdigraph(len(sprawl.nodes), out)
+
+
+def check_rows(sprawl: Sprawl, res, workload) -> ResponsibilityReport:
+    """`check_responsibility` edge by edge: every logical edge, each fan
+    row as the `Edge` it stands for, its regions tested through
+    `region_member_mask`. The oracle of its column path over the fans."""
+    if not workload.atomistic:
+        raise ValueError("responsibility is defined against an atomistic workload")
+    edges = list(sprawl.iter_logical_edges())
+    missing = set(sprawl.nodes) - {e.target for _, e in edges}
+    if missing:
+        raise StructureError(f"nodes {sorted(missing)} are targeted by no edge")
+    order = TopologicalSorter()
+    for _, e in edges:
+        if e.discovers:
+            order.add(e.target, *e.sources)
+    try:
+        order.prepare()
+    except CycleError:
+        raise StructureError("sprawl discovery edges are cyclic") from None
+    node_res: dict[int, set[int]] = {v: {v} for v in sprawl.nodes}
+    for idx, e in edges:
+        for s in set(e.sources):
+            node_res[s] |= res.get(idx)
+    violations = []
+    in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}
+    for idx, e in edges:
+        in_union[e.target] |= res.get(idx)
+        for rule, regions, refs in (("L1", e.positive, res.get(idx)), ("L2", e.negative, node_res[e.target])):
+            refs = sorted(refs)
+            for r in regions:
+                inside = region_member_mask(sprawl.space, r, refs)
+                violations.extend((rule, idx, v, repr(r)) for v, ok in zip(refs, inside) if not ok)
+    for v in sprawl.nodes:
+        for u in sorted(node_res[v] - in_union[v]):
+            violations.append(("L3", None, v, f"responsibility {u} not covered by in-edges"))
+    return ResponsibilityReport(not violations, violations)

@@ -19,26 +19,9 @@ from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery
 from sprawl.engine import Edge, Fans, Sprawl, build_classic, linear_scan, search
 from sprawl.hypergraph import Heuristic
 
-from conftest import make_fans
+from conftest import DYADIC, make_fans, point_sets
 
-DYADIC = st.integers(0, 8).map(lambda i: i / 8)
 HEURISTICS = (None, Heuristic.fifo(), Heuristic("bound"), Heuristic.lifo())  # None: the default
-
-
-@st.composite
-def point_sets(draw, most: int = 20):
-    """4 to `most` points in [0, 1]^d, d = 1-3: uniform, on the dyadic grid
-    of step 1/8, or a few such points each repeated."""
-    dims = draw(st.integers(1, 3))
-    coordinate = draw(st.sampled_from([st.floats(0.0, 1.0), DYADIC]))
-    point = st.lists(coordinate, min_size=dims, max_size=dims)
-    if draw(st.booleans()):
-        pts = draw(st.lists(point, min_size=4, max_size=most))
-    else:
-        distinct = draw(st.lists(point, min_size=1, max_size=6))
-        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=4, max_size=most))
-        pts = [distinct[i] for i in picks]
-    return np.array(pts, dtype=float)
 
 
 @st.composite

@@ -1,0 +1,94 @@
+"""The verification lab's column paths against their per-row oracles,
+`reduce_rows` and `check_rows` of conftest.py, under the derandomised
+profile there.
+
+`reduce_to_signed` runs a ball whose radius is a fan bound, exactly or
+1e-9 either side, about a data point, a dyadic point or any point, so
+that a row's verdict sits on its slack boundary. `check_responsibility`
+runs the sprawl's own assignment and that assignment with one member
+added to or dropped from one logical edge. The sprawls come from the four
+classic builders and from shuffled multi-fan trees: a random tree whose
+ball rows are shuffled, so one source's rows fall into several fans, with
+sphere and shell fans, some lazy, beside it.
+"""
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sprawl.comparison import Ball, EuclideanSpace, ExplicitSetQuery, Workload
+from sprawl.engine import Edge, ResponsibilityAssignment, Sprawl, build_classic, check_responsibility, reduce_to_signed
+
+from conftest import DYADIC, check_rows, make_fans, point_sets, reduce_rows
+
+KINDS = ("ball-tree", "aesa", "laesa", "pm-tree", "shuffled")
+
+
+def shuffled_tree(draw, space: EuclideanSpace, n: int):
+    """A tree hung from node 0, its ball rows (each the radius that covers
+    the child's subtree) in shuffled order, and a sphere or shell fan, lazy
+    or eager, from a few nodes to a few others; with the tree's
+    responsibilities, each row's the subtree of its target."""
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    below = [[v] for v in range(n)]
+    for v in range(n - 1, 0, -1):
+        below[parent[v]] += below[v]
+    rows = [(parent[v], v, float(space.distances_from(parent[v], below[v]).max())) for v in range(1, n)]
+    rows = [rows[i] for i in draw(st.permutations(range(n - 1)))]
+    groups = []
+    for u in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        targets = draw(st.lists(st.integers(0, n - 1).filter(lambda t: t != u), min_size=1, max_size=n))
+        d = space.distances_from(u, targets)
+        widen = draw(st.sampled_from([0.0, 0.125]))
+        lo = d if not widen else np.maximum(d - widen, 0.0)
+        groups.append((u, targets, lo, d + widen if widen else lo, draw(st.booleans())))
+    res = {0: tuple(below[0])}
+    res.update({1 + j: tuple(below[t]) for j, (_, t, _) in enumerate(rows)})
+    return Sprawl(space, range(n), [Edge((), 0)], make_fans(rows, groups)), ResponsibilityAssignment(res)
+
+
+@st.composite
+def lab_cases(draw):
+    """A sprawl with fans, its responsibility assignment, and a ball whose
+    radius is one fan row's bound, exactly or 1e-9 either side."""
+    pts = draw(point_sets())
+    n, dims = pts.shape
+    space = EuclideanSpace(pts)
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "shuffled":
+        sprawl, res = shuffled_tree(draw, space, n)
+    else:
+        params = {"arity": draw(st.integers(2, 3)), "pivots": min(3, n - 2)}  # a pm-tree keeps a fan
+        sprawl, res = build_classic(space, range(n), kind, **params)
+    fans = sprawl.fans
+    j = draw(st.integers(0, len(fans) - 1))
+    bound = float(draw(st.sampled_from([fans.lo[j], fans.hi[j]])))
+    radius = max(0.0, bound + draw(st.sampled_from([0.0, 1e-9, -1e-9])))
+    center = draw(
+        st.one_of(
+            st.integers(0, n - 1).map(lambda i: tuple(pts[i])),
+            st.lists(DYADIC, min_size=dims, max_size=dims).map(tuple),
+            st.lists(st.floats(0.0, 1.0), min_size=dims, max_size=dims).map(tuple),
+        )
+    )
+    return sprawl, res, Ball(center, radius)
+
+
+@given(lab_cases())
+def test_reduce_to_signed_matches_the_per_row_oracle(case):
+    sprawl, _, query = case
+    assert reduce_to_signed(sprawl, query).edges == reduce_rows(sprawl, query).edges
+
+
+@given(lab_cases(), st.data())
+def test_check_responsibility_matches_the_per_row_oracle(case, data):
+    sprawl, res, _ = case
+    n, logical = len(sprawl.nodes), len(sprawl.edges) + len(sprawl.fans)
+    workload = Workload(tuple(ExplicitSetQuery(frozenset({v})) for v in sprawl.nodes), atomistic=True)
+    added = {k: set(res.get(k)) for k in res.members}
+    added.setdefault(data.draw(st.integers(0, logical - 1)), set()).add(data.draw(st.integers(0, n - 1)))
+    dropped = {k: set(res.get(k)) for k in res.members}
+    key = data.draw(st.sampled_from(sorted(k for k, vs in dropped.items() if vs)))
+    dropped[key].discard(data.draw(st.sampled_from(sorted(dropped[key]))))
+    for owned in (res, ResponsibilityAssignment(added), ResponsibilityAssignment(dropped)):
+        got, want = check_responsibility(sprawl, owned, workload), check_rows(sprawl, owned, workload)
+        assert (got.passed, got.violations) == (want.passed, want.violations)

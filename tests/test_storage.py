@@ -82,6 +82,41 @@ def test_index_round_trip_bit_exact(tmp_path, rng, kind, params):
     assert doc1 == doc2
 
 
+@pytest.mark.parametrize("kind", ["ball-tree", "aesa", "laesa", "pm-tree"])
+def test_loaded_responsibility_is_built_lazily_and_saves_the_same_bytes(tmp_path, rng, kind):
+    space = EuclideanSpace(rng.random((25, 3)))
+    sprawl, res = build_classic(space, range(25), kind, pivots=3)
+    path, again = tmp_path / "index.json", tmp_path / "again.json"
+    save_index(path, sprawl, res)
+    loaded, loaded_res = load_index(path)
+    # the loader keeps the document's lists, and the sets are built on demand
+    assert loaded_res.members == {int(k): v for k, v in json.loads(path.read_text())["responsibility"].items()}
+    assert all(type(v) is list for v in loaded_res.members.values())
+    assert loaded_res.edge_to_nodes == res.edge_to_nodes
+    save_index(again, loaded, loaded_res)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("how", ["member 500", "member -3", "key 999", "key -1"])
+def test_malformed_responsibility_is_a_format_error(tmp_path, capsys, how):
+    # a member outside the sprawl's nodes, or a key naming no logical edge
+    space = EuclideanSpace(gen_points("uniform", 30, 2, seed=3))
+    tree, res = build_classic(space, range(30), "ball-tree")
+    doc = json.loads(json.dumps(index_document(tree, res)))
+    what, value = how.split()
+    if what == "member":
+        doc["responsibility"]["1"].append(int(value))
+    else:
+        doc["responsibility"][value] = [0]
+    with pytest.raises(FormatError, match="responsibility"):
+        index_from_document(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--responsibility", "--index", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_interval_tree_round_trip(tmp_path):
     space = ProjectionSpace([[float(v)] for v in range(1, 8)])
     sprawl, res = build_classic(space, range(7), "sorted-interval-tree")
@@ -387,7 +422,6 @@ def test_ball_tree_writes_one_balls_object(rng):
     source, target, radius = (col[3].item() for col in ball_rows(tree.fans))
     want = Edge((source,), target, (Ambit((source,), LinearMap([[1.0]]), (radius,)),), ())
     assert tree.logical_edge(len(tree.edges) + 3) == want
-    assert tree.logical_edge(4) is tree.logical_edge(4)  # built once per sprawl
 
 
 def _v2_document(sprawl: Sprawl) -> dict:

@@ -31,13 +31,24 @@ heuristic. Each of its lines is followed by a count-free one, the same
 digest without `distance_computations`, so a change that lowers the
 non-ball counts on purpose can show that nothing else moved. The final
 line hashes every line before it, this group included, so two checkouts
-whose last lines match returned the same results everywhere. A run takes about 75 seconds on one core of a 2-core
-x86 host.
+whose last lines match returned the same results everywhere.
+
+A lab group ends the run: over each of the four kinds built on 300
+uniform points in [0,1]^8, it hashes the edges `reduce_to_signed` gives,
+sources, target and sign in order, for 20 range queries at the exact
+1%-NN radius and 20 balls whose radius is a fan row's bound (10 about the
+row's target, 10 about random points), and the `check_responsibility`
+report on the built assignment, on it with one member removed and on it
+with one member added to a random logical edge. A report's region reprs
+are hashed without the object addresses they hold. Its last line hashes
+every line before it. A run takes about 80 seconds on one core of a
+2-core x86 host.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 import tempfile
 import warnings
@@ -48,6 +59,7 @@ KINDS = (("ball-tree", 2000), ("laesa", 2000), ("pm-tree", 2000), ("aesa", 500))
 SEEDS = (1, 7)
 CENTRES = 40
 NON_BALL = 300  # the points of each index that the non-ball queries search
+LAB = 300  # the points of each index of the lab group
 
 
 def heuristics(Heuristic):
@@ -134,8 +146,20 @@ def main() -> None:
     import numpy as np
 
     from sprawl import storage
-    from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, MatrixSpace
-    from sprawl.engine import EMPTY, Edge, ExplicitRegion, Fans, Sprawl, build_classic, random_small_sprawl, search
+    from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, MatrixSpace, Workload
+    from sprawl.engine import (
+        EMPTY,
+        Edge,
+        ExplicitRegion,
+        Fans,
+        ResponsibilityAssignment,
+        Sprawl,
+        build_classic,
+        check_responsibility,
+        random_small_sprawl,
+        reduce_to_signed,
+        search,
+    )
     from sprawl.hypergraph import Heuristic
 
     lines = []
@@ -235,6 +259,42 @@ def main() -> None:
             emit(f"non-ball {kind} n={NON_BALL} {name}", results)
             emit(f"non-ball {kind} n={NON_BALL} {name} count-free", results, counted=False)
     print("all with non-ball", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+    def record(label: str, items) -> None:
+        h = hashlib.sha256()
+        for item in items:
+            h.update(repr(item).encode())
+        lines.append(f"{label} {h.hexdigest()}")
+        print(lines[-1], flush=True)
+
+    rng = np.random.default_rng(1)
+    for kind, _ in KINDS:
+        space = EuclideanSpace(rng.random((LAB, 8)))
+        index, res = build_classic(space, range(LAB), kind, arity=2, pivots=8)
+        fans, logical = index.fans, len(index.edges) + len(index.fans)
+        queries = []
+        for c in rng.random((CENTRES // 2, 8)):
+            radius = float(np.partition(space.distances_from(c, range(LAB)), LAB // 100 - 1)[LAB // 100 - 1])
+            queries.append(Ball(tuple(c), radius))
+        for j in rng.choice(len(fans), size=CENTRES // 4, replace=False).tolist():
+            queries += [Ball(int(fans.target[j]), float(fans.lo[j])), Ball(tuple(rng.random(8)), float(fans.hi[j]))]
+        graphs = (reduce_to_signed(index, q).edges for q in queries)
+        record(f"lab reduce {kind} n={LAB}", ([(sorted(e.sources), e.target, e.sign) for e in g] for g in graphs))
+        owned = {k: sorted(v) for k, v in res.edge_to_nodes.items()}
+        listed = sorted(k for k, v in owned.items() if v)
+        key = listed[int(rng.integers(len(listed)))]
+        extra = int(rng.integers(logical))
+        assignments = {
+            "built": owned,
+            "removed": {**owned, key: owned[key][:-1]},
+            "added": {**owned, extra: sorted({*owned.get(extra, []), int(rng.integers(LAB))})},
+        }
+        workload = Workload(tuple(ExplicitSetQuery(frozenset({v})) for v in index.nodes), atomistic=True)
+        for name, assignment in assignments.items():
+            report = check_responsibility(index, ResponsibilityAssignment(assignment), workload)
+            violations = [(*v[:3], re.sub(r" at 0x[0-9a-f]+", "", v[3])) for v in report.violations]
+            record(f"lab responsibility {kind} n={LAB} {name}", [report.passed, *violations])
+    print("all with lab", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 if __name__ == "__main__":
