@@ -21,8 +21,10 @@ radius at which a linear ambit's facets stop excluding a ball. A
 checks run as a float loop: on the small rows of tree regions, numpy's
 per-call overhead would cost more than the arithmetic. All
 overlap checks are conservative: they may report overlap for disjoint
-sets, but never miss a real overlap. Their one slack is `TOL`, always on
-the permissive side; no overlap check takes a slack of its own, and none
+sets, but never miss a real overlap. A linear facet a.x <= r rules B[c, s]
+out exactly when (a.z - r) / ||a||_1 > `bound_cutoff(s)`, given c's
+radients z, as a kNN cut does. The one slack is `TOL`, always on the
+permissive side; no overlap check takes a slack of its own, and none
 measures a distance: each is a verdict on distances its caller gives.
 """
 from __future__ import annotations
@@ -269,13 +271,11 @@ def _facets(rows: np.ndarray) -> tuple:
 
 
 def _facets_meet(facets, radii, z, s: float) -> bool:
-    """r + ||a||_1 * s >= a.z - TOL on every facet, in plain floats.
-
-    `not ... >=` makes a NaN side rule the facet out, as a vectorised
-    `all(lhs >= rhs)` would.
-    """
+    """(a.z - r) / ||a||_1 <= bound_cutoff(s) on every facet, in plain
+    floats; `not ... <=` makes a NaN bound rule the facet out."""
+    cut = bound_cutoff(s)
     for (row, l1), r in zip(facets, radii):
-        if not r + l1 * s >= sum(map(mul, row, z)) - TOL:
+        if not (sum(map(mul, row, z)) - r) / l1 <= cut:
             return False
     return True
 
@@ -293,23 +293,21 @@ def ball_facet(region, focus: int) -> tuple[float, float, float] | None:
 
 def overlap_facet_columns(r, l1, a, z, s: float) -> np.ndarray:
     """`_facets_meet` for many single-facet regions at once, one per column
-    entry: r + l1 * s >= a * z - TOL, elementwise and in the same order of
-    operations, so each verdict is bit for bit the scalar one (NaN misses)."""
-    return r + l1 * s >= a * z - TOL
+    entry: (a * z - r) / l1 <= bound_cutoff(s), elementwise, so each
+    verdict is bit for bit the scalar one (NaN misses)."""
+    return (a * z - r) / l1 <= bound_cutoff(s)
 
 
 def overlap_facet_pairs(radii, targets, l1: float, a: float, z: float, s: float) -> list:
     """Single-facet regions a * delta(p, .) <= r, one per radius in radii,
     each leading to the target at its place in targets, against B[c, s],
     given z = delta(p, c), in plain floats: a (bound, target) pair, in
-    order, for each region that `_facets_meet` does not rule out (same
-    order of operations, NaN misses), its bound the kNN discovery bound
-    `ball_reach` gives, clamped at 0 (NaN gives 0). What a best-first
-    search queues (Hjaltason & Samet, TODS 28(4), 2003)."""
-    az = a * z
-    reach = az - TOL
-    slack = l1 * s
-    return [(max(0.0, (az - r) / l1), t) for r, t in zip(radii, targets) if r + slack >= reach]
+    order, for each region that `_facets_meet` does not rule out (NaN
+    misses), its bound `ball_reach` clamped at 0: kept exactly where a kNN
+    cut at `bound_cutoff(s)` keeps the bound, so one bound orders and prunes
+    a best-first search (Hjaltason & Samet, TODS 28(4), 2003)."""
+    az, cut = a * z, bound_cutoff(s)
+    return [(max(0.0, b), t) for r, t in zip(radii, targets) if (b := (az - r) / l1) <= cut]
 
 
 def ball_reach(region: Ambit, z) -> float:
@@ -352,17 +350,18 @@ def overlap_radients(region: Ambit, z, s: float) -> bool:
 
 def shells_missed(z, lo, hi, s: float):
     """Which shells lo <= delta(p, .) <= hi (arrays or scalars) surely miss
-    B[c, s], given z = delta(p, c)."""
-    return (z > hi + s + TOL) | (z < lo - s - TOL)
+    B[c, s], given z = delta(p, c): `shell_bounds` > `bound_cutoff(s)`, facet
+    by facet, so a scalar call needs no numpy (NaN misses none)."""
+    cut = bound_cutoff(s)
+    return (z - hi > cut) | (lo - z > cut)
 
 
 def shells_hold(d, lo, hi) -> np.ndarray:
     """Which shells lo <= delta(p, .) <= hi hold a point u, given the
-    array d = delta(p, u), with the membership slack `TOL`: bit for bit
-    what `membership_mask` gives for each shell's region, since
-    `shells_missed` at s = 0 compares d with hi + TOL and lo - TOL. A ball
-    of radius r is the shell from lo = -inf."""
-    return ~shells_missed(d, lo, hi, 0.0)
+    array d = delta(p, u), with the membership slack `TOL`, in membership's
+    arithmetic: bit for bit what `membership_mask` gives for each shell's
+    region. A ball of radius r is the shell from lo = -inf."""
+    return (d <= hi + TOL) & (d >= lo - TOL)
 
 
 def shell_bounds(z, lo, hi):
@@ -381,12 +380,12 @@ def overlap_linear(region: Ambit, query: Ambit, Z, symmetric: bool = True) -> bo
     """Normalized overlap check between a linear ambit and a linear query.
 
     Z is the m x k matrix of comparisons from region foci to query foci.
-    Each facet row a (and the query row c) is L1-normalized by rescaling
-    its radius; the facet passes when r + s >= a Z c^T - TOL. Requires a
-    or c non-negative per facet; for quasimetrics (symmetric=False) both
-    must be, the region forward and the query backward: with mixed signs
-    the underlying weighted-triangle bound needs delta(p,u) <= delta(u,q)
-    + delta(p,q), which only symmetry provides.
+    With the query row c and radius L1-normalized to c^ and s^, a facet
+    rules the query out as in every linear check, with z = Z c^ and s = s^.
+    Requires a or c non-negative per facet; for quasimetrics
+    (symmetric=False) both must be, the region forward and the query
+    backward: with mixed signs the underlying weighted-triangle bound needs
+    delta(p,u) <= delta(u,q) + delta(p,q), which only symmetry provides.
     """
     if not isinstance(region.map, LinearMap) or not isinstance(query.map, LinearMap):
         raise CapabilityError("overlap_linear requires linear remoteness on both sides")
@@ -397,20 +396,15 @@ def overlap_linear(region: Ambit, query: Ambit, Z, symmetric: bool = True) -> bo
         raise ValueError("cross-distance matrix has the wrong shape")
     c = query.map.matrix[0]
     c_norm = float(np.sum(np.abs(c)))
-    c_hat = c / c_norm
-    s_hat = query.radii[0] / c_norm
+    z = (Z @ (c / c_norm)).tolist()
+    cut = bound_cutoff(query.radii[0] / c_norm)
     c_nonneg = bool(np.all(c >= 0.0))
-    for a, r in zip(region.map.matrix, region.radii):
-        a_norm = float(np.sum(np.abs(a)))
-        a_hat = a / a_norm
-        r_hat = r / a_norm
-        a_nonneg = bool(np.all(a >= 0.0))
+    for (row, l1), r in zip(region.map._facets, region.radii):
+        a_nonneg = min(row) >= 0.0
         ok = (a_nonneg and c_nonneg) if not symmetric else (a_nonneg or c_nonneg)
         if not ok:
-            raise CapabilityError(
-                "weights must be non-negative on one side (both, for asymmetric comparisons)"
-            )
-        if r_hat + s_hat < float(a_hat @ Z @ c_hat) - TOL:
+            raise CapabilityError("weights must be non-negative on one side (both, for asymmetric comparisons)")
+        if (sum(map(mul, row, z)) - r) / l1 > cut:
             return False
     return True
 

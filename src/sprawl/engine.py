@@ -400,6 +400,22 @@ class Sprawl:
 # --- query evaluation -------------------------------------------------------
 
 
+class _CenterDistances(dict):
+    """delta(c, ref) by ref for one search, each measured and charged on its
+    first read, through the centre's one `measurer`, on its plain value."""
+
+    def __init__(self, ev: _QueryEval):
+        super().__init__()
+        self.ev = ev
+
+    def __missing__(self, ref: int) -> float:
+        ev = self.ev
+        b = ev.plain[ref] if ref in ev.plain else ev.space.plain(ev.space.resolve(ref))
+        d = self[ref] = ev.measurer(b)
+        ev.session.charge()
+        return d
+
+
 class _QueryEval:
     """Per-search caches: query-center distances and one delta per pair of refs.
 
@@ -422,7 +438,7 @@ class _QueryEval:
         # delta(c, ref) per ref. A `Ball` search also reads a region focus's
         # z = delta(focus, c) here: it reaches an ambit or fan only on a
         # symmetric space (`_refuse_unsound`), where the two are equal.
-        self._to_center: dict[int, float] = {}
+        self._to_center = _CenterDistances(self)
         self._pairs: dict[tuple[int, int], float] = {}  # delta(a, b) by (a, b), for `pair`
 
     @cached_property
@@ -439,14 +455,7 @@ class _QueryEval:
         return self.space.measurer(self.space.plain(self.center))
 
     def dist_to_center(self, ref: int) -> float:
-        d = self._to_center.get(ref)
-        if d is None:
-            b = self.plain.get(ref)
-            if b is None:
-                b = self.space.plain(self.space.resolve(ref))
-            d = self._to_center[ref] = self.measurer(b)
-            self.session.charge()
-        return d
+        return self._to_center[ref]
 
     def dists_to_center(self, refs: np.ndarray, cached: bool) -> np.ndarray:
         """`dist_to_center` of each ref of an int64 array, in one
@@ -701,9 +710,9 @@ def _stepwise(
     form of `Frontier`, or, for a FIFO range search (a `Ball` with no k)
     whose plan carries `Waves`, a wave at a time.
 
-    `visit` tests a selected node for membership; a `Ball` search measures
-    it through the centre's one uncounted measurer (`_QueryEval.measurer`),
-    on the plain value the plan keeps, charging one distance per call. Lazy
+    `visit` tests a selected node for membership; a `Ball` search reads
+    every node's distance from `_QueryEval._to_center`, which measures it on
+    its first read and charges one distance for it. Lazy
     negative edges and lazy fan rows are consulted (`refused`) only just
     before their target would be traversed. `fire` fires a node's ball rows
     from `Compiled.rows`, for every query kind: a `Ball` search with one
@@ -749,7 +758,7 @@ def _stepwise(
     if steer:
         frontier.cut(ambit_mod.bound_cutoff(s))
     a, l1 = ambit_mod.BALL_FACET
-    to_center = ev._to_center
+    to_center = ev._to_center  # each node's distance, measured on its first read
 
     def fire(edge_ids) -> None:
         done = frontier.done
@@ -779,10 +788,7 @@ def _stepwise(
                     continue
                 # a done target's row is not evaluated, and only where `checked` may one be done
                 ev.region_evaluations += sum(t not in done for t in targets) if balls.checked else len(targets)
-                z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
-                if z is None:
-                    z = ev.dist_to_center(u)
-                pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, z, s)
+                pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, to_center[u], s)
                 if knn:
                     frontier.discover_at(pairs)
                 else:  # at bound 0, which only a "bound" key reads
@@ -795,7 +801,7 @@ def _stepwise(
                         if t not in done and not ev.intersects(table1_region("shell", (u,), lo=l, hi=h), s):
                             frontier.eliminate([t])
                     continue
-                z = ev.dist_to_center(u)
+                z = to_center[u]
                 ev.region_evaluations += end - first
                 if steer:
                     frontier.raise_bounds(pos[first:end], ambit_mod.shell_bounds(z, lo, hi))
@@ -820,11 +826,8 @@ def _stepwise(
         for u, lo, hi in lazy_rows.get(v, ()):
             if traversed is None or u in traversed:
                 if ball:
-                    z = to_center.get(u)  # `ev.dist_to_center(u)`, inlined: u is cached once traversed
-                    if z is None:
-                        z = ev.dist_to_center(u)
                     ev.region_evaluations += 1
-                    if ambit_mod.shells_missed(z, lo, hi, s):
+                    if ambit_mod.shells_missed(to_center[u], lo, hi, s):
                         return True
                 elif not ev.intersects(table1_region("shell", (u,), lo=lo, hi=hi), s):
                     return True
@@ -837,7 +840,7 @@ def _stepwise(
             return False
         if knn:
             d = to_center.get(v)
-            if d is None:  # `ev.dist_to_center(v)`, inlined: every traversed node pays for it
+            if d is None:  # `to_center[v]` without its `__missing__` call: most kNN visits are first reads
                 d = to_center[v] = dist(plain[v])
                 session.charge()
             s = admit(v, d)
@@ -1084,6 +1087,8 @@ def check_responsibility(
     if not workload.atomistic:
         raise ValueError("responsibility is defined against an atomistic workload")
     edges, fans, base = sprawl.edges, sprawl.fans, len(sprawl.edges)
+    if any(not 0 <= k < base + len(fans) for k in res.members):
+        raise ValueError("a responsibility key names no logical edge")
     missing = set(sprawl.nodes) - {e.target for e in edges} - set(np.unique(fans.target).tolist())
     if missing:
         raise StructureError(f"nodes {sorted(missing)} are targeted by no edge")
@@ -1101,7 +1106,7 @@ def check_responsibility(
         raise StructureError("sprawl discovery edges are cyclic") from None
 
     owned: dict[int, list[int]] = {}  # the fan rows with responsibilities, by fan
-    for j in sorted(k - base for k in res.members if base <= k < base + len(fans)):
+    for j in sorted(k - base for k in res.members if k >= base):
         owned.setdefault(int(np.searchsorted(fans.start, j, "right")) - 1, []).append(j)
     node_res: dict[int, set[int]] = {v: {v} for v in sprawl.nodes}
     in_union: dict[int, set[int]] = {v: set() for v in sprawl.nodes}

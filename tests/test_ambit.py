@@ -9,6 +9,7 @@ from sprawl.ambit import (
     PowerMap,
     ball_facet,
     ball_reach,
+    bound_cutoff,
     _corner,
     membership,
     membership_mask,
@@ -196,7 +197,7 @@ def _random_linear_ambits(rng):
 def _numpy_overlap(region, z, s):
     # the facet test as one numpy expression, for parity with the float kernel
     a, radii = region.map.matrix, np.asarray(region.radii)
-    return bool(np.all(radii + np.sum(np.abs(a), axis=1) * s >= a @ np.asarray(z) - TOL))
+    return bool(np.all((a @ np.asarray(z) - radii) / np.sum(np.abs(a), axis=1) <= bound_cutoff(s)))
 
 
 def test_float_kernel_matches_numpy_facet_test(rng):
@@ -211,14 +212,14 @@ def test_float_kernel_matches_numpy_facet_test(rng):
 
 
 def test_float_kernel_matches_numpy_on_the_slack_boundary(rng):
-    # single-focus facets with z on r + |a| s = a z - TOL and one ulp to each side:
-    # the float kernel keeps numpy's order of operations, so the verdicts agree bit for bit
+    # single-focus facets with z on (a z - r) / |a| = bound_cutoff(s) and one ulp to each
+    # side: the float kernel keeps numpy's order of operations, so the verdicts agree bit for bit
     regions = [r for r in _random_linear_ambits(rng) if r.degree == 1]
     assert len(regions) > 50
     for region in regions:
         for (a,), r in zip(region.map.matrix, region.radii):
             s = float(rng.random())
-            z0 = (r + abs(a) * s + TOL) / a
+            z0 = (r + abs(a) * bound_cutoff(s)) / a
             for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf)):
                 z = [float(z)]
                 assert overlap_radients(region, z, s) == _numpy_overlap(region, z, s)
@@ -226,8 +227,8 @@ def test_float_kernel_matches_numpy_on_the_slack_boundary(rng):
 
 def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
     # the column kernel of the wave form against `overlap_radients` on each
-    # single-focus facet as its own region: z on r + |a| s = a z - TOL, one
-    # ulp to each side, and NaN; the verdicts must agree bit for bit
+    # single-focus facet as its own region: z on (a z - r) / |a| =
+    # bound_cutoff(s), one ulp to each side, and NaN; the verdicts must agree bit for bit
     facets = [
         (a, r)
         for region in _random_linear_ambits(rng)
@@ -238,7 +239,7 @@ def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
     rows = []
     for a, r in facets:
         s = float(rng.choice([0.0, rng.random()]))
-        z0 = (r + abs(a) * s + TOL) / a
+        z0 = (r + abs(a) * bound_cutoff(s)) / a
         for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan):
             region = Ambit((0,), LinearMap([[a]]), (r,))
             assert ball_facet(region, 0) == (a, abs(a), r)
@@ -260,7 +261,7 @@ def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
     for a, r in facets:
         region = Ambit((0,), LinearMap([[a]]), (r,))
         for s in (0.0, float(rng.random()), np.inf):
-            z0 = (r + abs(a) * s + TOL) / a if s < np.inf else float(rng.random())
+            z0 = (r + abs(a) * bound_cutoff(s)) / a if s < np.inf else float(rng.random())
             for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan, 0.0):
                 got = overlap_facet_pairs([r], [7], abs(a), a, float(z), s)
                 if not overlap_radients(region, [float(z)], s):
@@ -657,6 +658,82 @@ def test_shells_missed_matches_shell_regions(rng):
         ]
         assert miss.tolist() == want
         assert all(shells_missed(z, a, b, s) == w for a, b, w in zip(lo[:5], hi[:5], want))
+
+
+SCALES = (1.0, 1e-6, 1e-8, 1e-12)
+
+
+def _ulps_about(z0, ulps: int = 3) -> list[float]:
+    """z0 and the `ulps` floats to each side of it, in order."""
+    below, above = [z0], [z0]
+    for _ in range(ulps):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[:0:-1] + above
+
+
+def test_linear_verdicts_are_one_bound_against_the_cutoff(rng):
+    # at distances of every scale, z on a facet's boundary (a z - r) / |a| =
+    # bound_cutoff(s) and 3 ulps to each side: the shell mask and the column
+    # kernel give `overlap_radients`'s verdict on the region each row stands
+    # for, and each verdict is the region's `ball_reach` against `bound_cutoff`
+    from sprawl.ambit import shell_bounds, shells_missed
+
+    for scale in SCALES:
+        for _ in range(150):
+            lo, s = float(rng.random()) * scale, float(rng.random()) * scale
+            hi = lo + float(rng.random()) * scale
+            region, cut = table1_region("shell", (0,), lo=lo, hi=hi), bound_cutoff(s)
+            zs = _ulps_about(hi + cut) + _ulps_about(lo - cut)
+            reach = [ball_reach(region, [z]) for z in zs]
+            want = [not overlap_radients(region, [z], s) for z in zs]
+            assert want == [b > cut for b in reach], scale
+            assert shells_missed(np.array(zs), lo, hi, s).tolist() == want, scale
+            assert shell_bounds(np.array(zs), lo, hi).tolist() == reach
+            assert [bool(shells_missed(z, lo, hi, s)) for z in zs] == want
+
+            a, r = float(rng.normal()) or 1.0, float(rng.normal()) * scale
+            region = Ambit((0,), LinearMap([[a]]), (r,))
+            zs = _ulps_about((r + abs(a) * cut) / a)
+            want = [overlap_radients(region, [z], s) for z in zs]
+            assert want == [ball_reach(region, [z]) <= cut for z in zs], scale
+            assert overlap_facet_columns(r, abs(a), a, np.array(zs), s).tolist() == want, scale
+
+
+def test_facet_pairs_keep_a_row_where_the_knn_cut_keeps_its_bound(rng):
+    # a ball row is queued exactly when `ball_reach` <= `bound_cutoff(s)`, so
+    # exactly when a kNN cut at that limit would keep its bound, max(0, ball_reach)
+    kept = dropped = 0
+    for scale in SCALES:
+        for _ in range(100):
+            a, r = float(rng.normal()) or 1.0, float(rng.normal()) * scale
+            s = float(rng.random()) * scale
+            region = Ambit((0,), LinearMap([[a]]), (r,))
+            for z in _ulps_about((r + abs(a) * bound_cutoff(s)) / a):
+                reach = ball_reach(region, [z])
+                want = [(max(0.0, reach), 7)] if reach <= bound_cutoff(s) else []
+                got = overlap_facet_pairs([r], [7], abs(a), a, z, s)
+                assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want], scale
+                kept, dropped = kept + len(want), dropped + (not want)
+    assert kept > 500 and dropped > 500
+
+
+def test_shells_hold_is_membership_mask_on_the_boundary(rng):
+    # a bound 3 ulps either side of where a point's distance meets the
+    # membership slack: `shells_hold` holds exactly the points that
+    # `membership_mask` holds in the ball or shell region
+    from sprawl.ambit import shells_hold
+
+    for scale in SCALES:
+        space = EuclideanSpace(rng.random((12, 1)) * scale)
+        d = space.distances_from(0, range(12))
+        for j in range(1, 12):
+            for hi in _ulps_about(float(d[j]) - TOL):
+                want = membership_mask(space, table1_region("ball", (0,), r=hi), range(12))
+                assert shells_hold(d, -np.inf, hi).tolist() == want.tolist(), scale
+            for lo in _ulps_about(float(d[j]) + TOL):
+                want = membership_mask(space, table1_region("shell", (0,), lo=lo, hi=lo + scale), range(12))
+                assert shells_hold(d, lo, lo + scale).tolist() == want.tolist(), scale
 
 
 def test_membership_mask_matches_pointwise_membership(rng):

@@ -401,6 +401,17 @@ def test_verify_graph_file(tmp_path, capsys):
     assert "graph axioms: pass" in capsys.readouterr().out
 
 
+def test_verify_graph_keeps_the_enumeration_cap(tmp_path, capsys):
+    # 9 roots have 986,410 traversal sequences: --graph refuses them at
+    # once (exit 2) under the library's cap of 8; --cap bounds only --dnf
+    from sprawl.hypergraph import HyperEdge, SignedHyperdigraph, format_graph
+
+    path = tmp_path / "roots.txt"
+    path.write_text(format_graph(SignedHyperdigraph(9, [HyperEdge(frozenset(), v, 1) for v in range(9)])))
+    assert main(["verify", "--graph", str(path), "--cap", "12"]) == 2
+    assert "capped at 8 nodes" in capsys.readouterr().err
+
+
 def test_query_matrix_index(tmp_path, capsys):
     # the centre of a matrix-space query is a point ref, not coordinates
     data = tmp_path / "m.txt"

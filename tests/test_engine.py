@@ -602,6 +602,19 @@ def test_aesa_and_pm_responsibility(rng):
         assert report.passed, (kind, report.violations[:3])
 
 
+def test_a_key_naming_no_logical_edge_is_refused(rng):
+    # the built assignment passes; one more key, past the last fan row or
+    # negative, names no edge of the sprawl and is refused before any check
+    space = EuclideanSpace(rng.random((10, 2)))
+    sprawl, res = build_classic(space, range(10), "ball-tree")
+    workload = _atomistic_workload(sprawl)
+    assert check_responsibility(sprawl, res, workload).passed
+    for key in (999, -1, len(sprawl.edges) + len(sprawl.fans)):
+        stray = ResponsibilityAssignment({**res.members, key: [0]})
+        with pytest.raises(ValueError, match="no logical edge"):
+            check_responsibility(sprawl, stray, workload)
+
+
 def test_cyclic_sprawl_rejected():
     space = toy_space(2)
     ball0 = Ambit((0,), LinearMap([[1.0]]), (2.0,))

@@ -114,6 +114,23 @@ def test_one_overlap_slack():
     assert not found, f"overlap checks with a slack parameter: {found}"
 
 
+def test_linear_facet_kernels_compare_with_bound_cutoff():
+    # one overlap rule: each linear facet kernel compares the facet's lower
+    # bound with `bound_cutoff(s)`; one that adds TOL to its own side
+    # rounds differently, and a search and its per-row oracles disagree on
+    # a row at the slack boundary
+    kernels = ("_facets_meet", "overlap_facet_columns", "overlap_facet_pairs", "shells_missed", "overlap_linear")
+    tree = ast.parse((SRC / "ambit.py").read_text())
+    found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in kernels}
+    assert sorted(found) == sorted(kernels), "ambit's linear facet kernels not found"
+    bad = []
+    for name, fn in found.items():
+        names = {getattr(node, "id", None) for node in ast.walk(fn)}
+        if "TOL" in names or "bound_cutoff" not in names:
+            bad.append(f"ambit.py:{fn.lineno}: {name}")
+    assert not bad, f"linear facet kernels that do not call bound_cutoff, or name TOL: {bad}"
+
+
 def test_overlap_checks_take_distances():
     # an overlap check is a verdict on distances its caller measured: one
     # that measures for itself bypasses the search's caches and charges a

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sprawl.comparison import Ball, EuclideanSpace, ExplicitSetQuery, Workload
+from sprawl.comparison import TOL, Ball, EuclideanSpace, ExplicitSetQuery, Workload
 from sprawl.engine import Edge, ResponsibilityAssignment, Sprawl, build_classic, check_responsibility, reduce_to_signed
 
 from conftest import DYADIC, check_rows, make_fans, point_sets, reduce_rows
@@ -92,3 +92,20 @@ def test_check_responsibility_matches_the_per_row_oracle(case, data):
     for owned in (res, ResponsibilityAssignment(added), ResponsibilityAssignment(dropped)):
         got, want = check_responsibility(sprawl, owned, workload), check_rows(sprawl, owned, workload)
         assert (got.passed, got.violations) == (want.passed, want.violations)
+
+
+def test_reduce_to_signed_matches_the_oracle_at_small_distances():
+    # an AESA over 12 uniform points scaled by 1e-8, where TOL is a tenth of
+    # a distance: balls about a random point whose radius puts a shell row on
+    # the cut, `shell_bounds` = `bound_cutoff(radius)`, and 1 ulp to each side
+    rng = np.random.default_rng(3)
+    space = EuclideanSpace(rng.random((12, 8)) * 1e-8)
+    sprawl, _ = build_classic(space, range(12), "aesa")
+    fans, center = sprawl.fans, tuple(rng.random(8) * 1e-8)
+    z = space.measure_row(space.resolve(center), np.repeat(fans.source, np.diff(fans.start)))
+    cuts = np.concatenate([z - fans.hi, fans.lo - z]) - TOL  # the radii whose cutoff is a row's shell bound
+    radii = [r for b in cuts if b > 0.0 for r in (b, *np.nextafter(b, [0.0, 1.0]))]
+    assert len(radii) > 200
+    for radius in radii:
+        query = Ball(center, float(radius))
+        assert reduce_to_signed(sprawl, query).edges == reduce_rows(sprawl, query).edges
