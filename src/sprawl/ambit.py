@@ -2,15 +2,16 @@
 
 An ambit is the preimage of a ball under a remoteness map applied to the
 focal comparisons (radients) of a point. This module alone decides
-whether a region contains a point (`membership`, `membership_mask`) or
-meets a query. `overlap_radients` is the one ball-overlap dispatcher: by
-map kind it runs the facet check (linear maps), the subadditive check
-(power with w >= 0, metaball) or the near-corner check (other
-non-decreasing maps). It has two single-facet forms: over columns of
-regions, `overlap_facet_columns`, which a wave fires its ball rows with,
-and over the regions of one focus, `overlap_facet_pairs`, which gives the
-(kNN bound, target) pairs of those that may meet the query, and which is
-how every node-at-a-time search fires a node's ball rows.
+whether a region contains points (`Ambit.contains_features`,
+`membership_mask`) or meets a query. `overlap_radients` is the one
+ball-overlap dispatcher: by map kind it runs the facet check (linear
+maps), the subadditive check (power with w >= 0, metaball) or the
+near-corner check (other non-decreasing maps). It has two single-facet
+forms: over columns of regions, `overlap_facet_columns`, which a wave
+fires its ball rows with, and over the regions of one focus,
+`overlap_facet_pairs`, which gives the (kNN bound, target) pairs of
+those that may meet the query, and which is how every node-at-a-time
+search fires a node's ball rows.
 `overlap_linear` is the check of a linear region against a linear ambit
 query, and `overlap_refs` that of a region against the radients of an
 explicit set of points. `shells_missed` is the vectorised shell test,
@@ -35,7 +36,7 @@ from operator import mul
 
 import numpy as np
 
-from .comparison import TOL, ComparisonSpace, feature_map
+from .comparison import TOL, ComparisonSpace, ref_array
 from .errors import CapabilityError
 
 
@@ -231,18 +232,6 @@ class Ambit:
         return inside if x.ndim > 1 else bool(inside)
 
 
-def radients(space: ComparisonSpace, ambit: Ambit, u) -> np.ndarray:
-    """Feature vector of u for the ambit's foci, honoring orientation, uncounted."""
-    fv = feature_map(space, ambit.foci, u)
-    if ambit.orientation == "backward" and fv.backward is not None:
-        return np.asarray(fv.backward, dtype=float)
-    return fv.as_array()
-
-
-def membership(space: ComparisonSpace, ambit: Ambit, u, tol: float = 0.0) -> bool:
-    return ambit.contains_features(radients(space, ambit, u), tol=tol)
-
-
 def overlap_refs(ambit: Ambit, radients) -> bool:
     """Whether the region holds, with the overlap slack `TOL`, any point of
     an explicit set query, given each one's radients in turn (stopping at
@@ -252,8 +241,9 @@ def overlap_refs(ambit: Ambit, radients) -> bool:
 
 def membership_mask(space: ComparisonSpace, ambit: Ambit, refs, tol: float = TOL) -> np.ndarray:
     """Membership of each ref, honoring orientation, from uncounted bulk
-    distances; the default slack is TOL, as in the overlap checks."""
-    refs = list(refs)
+    distances; the default slack is TOL, as in the overlap checks. An
+    int64 array of refs is read as it is; a negative ref is refused."""
+    refs = ref_array(refs)
     if ambit.orientation == "backward" and not space.symmetric:
         x = space.pairwise(refs, ambit.foci).reshape(len(refs), ambit.degree).T
     else:

@@ -182,10 +182,7 @@ class ComparisonSpace:
 
     def distances_from(self, u, refs, session: CostSession | None = None) -> np.ndarray:
         """Vector of delta(u, ref) for each ref, a negative one refused; counts len(refs) comparisons."""
-        refs = np.asarray(refs, dtype=np.int64)
-        if refs.size and refs.min() < 0:
-            raise IndexError(f"ref {refs.min()} is negative")
-        return self.measure_row(self.resolve(u), refs, session)
+        return self.measure_row(self.resolve(u), ref_array(refs), session)
 
     def measure_row(self, a, refs, session: CostSession | None = None) -> np.ndarray:
         """`distances_from` of a value already resolved; counts len(refs) comparisons."""
@@ -203,6 +200,34 @@ class ComparisonSpace:
         return np.array([self._row(self.value(int(a)), refs_b) for a in refs_a], dtype=float)
 
 
+def ref_array(refs) -> np.ndarray:
+    """Refs as an int64 array, an int64 array taken as it is. A negative
+    ref is refused, where numpy indexing would read it from the end."""
+    refs = np.asarray(refs, dtype=np.int64)
+    if refs.size and refs.min() < 0:
+        raise IndexError(f"ref {refs.min()} is negative")
+    return refs
+
+
+#: Why a point with a NaN or infinite coordinate is refused.
+NOT_FINITE = "a point's coordinates must be finite, not NaN or inf"
+
+
+def _finite_points(points) -> np.ndarray:
+    """A space's points as a read-only (n, d) copy in floats, a 1-d
+    sequence read as n points of one coordinate. A NaN or infinite
+    coordinate is refused, as `_finite_point` refuses it in a raw value."""
+    pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's array writable
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise ValueError("points must be an (n, d) array")
+    if not np.isfinite(pts).all():
+        raise ValueError(NOT_FINITE)
+    pts.setflags(write=False)
+    return pts
+
+
 def _finite_point(space, raw) -> np.ndarray:
     """A raw coordinate vector as a read-only copy in floats.
 
@@ -214,7 +239,7 @@ def _finite_point(space, raw) -> np.ndarray:
     if a.shape != (space.dimension,):
         raise ValueError(f"expected a point of dimension {space.dimension}")
     if not all(map(math.isfinite, a.tolist())):
-        raise ValueError("a point's coordinates must be finite, not NaN or inf")
+        raise ValueError(NOT_FINITE)
     a.setflags(write=False)
     return a
 
@@ -225,15 +250,10 @@ class EuclideanSpace(ComparisonSpace):
     kind = "euclidean-lp"
 
     def __init__(self, points, p: float = 2.0):
-        pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's array writable
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
+        pts = _finite_points(points)
         if not (p >= 1.0 or np.isinf(p)):
             raise ValueError("Lp comparison requires p >= 1")
         self.points = pts
-        self.points.setflags(write=False)
         self.p = float(p)
         # the pair kernel, looked up once, where `plain` makes points float tuples
         self._pair = _pair_sum(pts.shape[1], self.p) if self.p in PAIR_PS and pts.shape[1] <= PAIR_MAX_D else None
@@ -291,11 +311,7 @@ class ProjectionSpace(ComparisonSpace):
     kind = "coordinate-projection"
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's array writable
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        self.points = pts
-        self.points.setflags(write=False)
+        self.points = _finite_points(points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -346,8 +362,8 @@ class MatrixSpace(ComparisonSpace):
             raise ValueError("matrix must be square")
         if np.any(np.diag(m) != 0.0):
             raise ValueError("matrix diagonal must be zero")
-        if not np.all(m >= 0.0):  # NaN too, which would also read as asymmetric
-            raise ValueError("matrix entries must be non-negative and not NaN")
+        if not np.all((m >= 0.0) & (m < np.inf)):  # NaN fails both, which would also read as asymmetric
+            raise ValueError("matrix entries must be non-negative and not NaN or inf")
         detected = bool(np.array_equal(m, m.T))
         if symmetric is None:
             symmetric = detected

@@ -881,18 +881,31 @@ def _stepwise(
 
 
 def linear_scan(space: ComparisonSpace, nodes, query) -> tuple[int, ...]:
-    """Brute-force oracle. Ball: all members; kNN: k smallest (distance, id)."""
-    nodes = tuple(nodes)
+    """Brute-force oracle: the members of `query` among `nodes`, in node
+    order; for a kNN ball, the k nodes first in (distance, ref) order, so a
+    tie in distance goes to the smaller ref.
+
+    The nodes become one int64 array, measured by one distance row (a
+    ball) or one membership mask (an ambit query), so no Python runs per
+    node but the space's own kernel; an explicit set is a set lookup per
+    node. Every distance is measured afresh: the scan reads no search cache.
+    """
+    if isinstance(nodes, range):
+        refs = np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
+    else:
+        refs = np.fromiter(nodes, dtype=np.int64)
     if isinstance(query, Ball):
-        dists = space.distances_from(query.center, nodes)
+        dists = space.distances_from(query.center, refs)
         if query.k is not None:
-            ranked = sorted(zip(dists, nodes))[: query.k]
-            return tuple(v for _, v in ranked)
-        return tuple(v for v, d in zip(nodes, dists) if d <= query.radius)
+            return tuple(refs[np.lexsort((refs, dists))[: query.k]].tolist())
+        return tuple(refs[dists <= query.radius].tolist())
     ev = _QueryEval(space, query)  # refuses a query ref outside the space
-    if isinstance(query, AmbitQuery):  # measured afresh, independent of the search's pair cache
-        return tuple(v for v in nodes if ambit_mod.membership(space, ev.query_region, v))
-    return tuple(v for v in nodes if ev.member(v))
+    if isinstance(query, AmbitQuery):
+        return tuple(refs[ambit_mod.membership_mask(space, ev.query_region, refs, tol=0.0)].tolist())
+    if isinstance(query, ExplicitSetQuery):
+        ids = query.ids
+        return tuple(v for v in refs.tolist() if v in ids)
+    raise TypeError(f"unsupported query {query!r}")
 
 
 # --- exhaustive correctness -------------------------------------------------

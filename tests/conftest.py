@@ -11,7 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from sprawl.ambit import Ambit, LinearMap, MetaballMap, PowerMap, table1_region
-from sprawl.comparison import EuclideanSpace, MatrixSpace
+from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, MatrixSpace, feature_map
 from sprawl.engine import (
     EMPTY,
     Edge,
@@ -171,6 +171,39 @@ def random_labeled_sprawl(rng: np.random.Generator, n_max: int = 12) -> Sprawl:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def radients(space, region: Ambit, u) -> np.ndarray:
+    """u's distances to the region's foci, one `compare` each, uncounted:
+    delta(u, p) where the region is backward on an asymmetric space, else
+    delta(p, u)."""
+    fv = feature_map(space, region.foci, u)
+    if region.orientation == "backward" and fv.backward is not None:
+        return np.asarray(fv.backward, dtype=float)
+    return fv.as_array()
+
+
+def membership(space, region: Ambit, u, tol: float = 0.0) -> bool:
+    """Whether the region holds u, from its `radients`: the one-point
+    oracle of `membership_mask`."""
+    return region.contains_features(radients(space, region, u), tol=tol)
+
+
+def reference_scan(space, nodes, query) -> tuple[int, ...]:
+    """`linear_scan` node by node: a range ball zips the nodes with their
+    distance row, a kNN ball sorts (distance, ref) pairs, and an ambit or
+    explicit set tests one node at a time. The oracle of its array path."""
+    nodes = tuple(nodes)
+    if isinstance(query, Ball):
+        dists = space.distances_from(query.center, nodes)
+        if query.k is not None:
+            ranked = sorted(zip(dists, nodes))[: query.k]
+            return tuple(v for _, v in ranked)
+        return tuple(v for v, d in zip(nodes, dists) if d <= query.radius)
+    ev = _QueryEval(space, query)  # refuses a query ref outside the space
+    if isinstance(query, AmbitQuery):
+        return tuple(v for v in nodes if membership(space, ev.query_region, v))
+    return tuple(v for v in nodes if ev.member(v))
 
 
 def reduce_rows(sprawl: Sprawl, query) -> SignedHyperdigraph:

@@ -18,7 +18,6 @@ from sprawl.ambit import (
     PowerMap,
     overlap_linear,
     overlap_radients,
-    radients,
     table1_region,
 )
 from sprawl.comparison import Ball, EuclideanSpace, ExplicitSetQuery, Workload, build_hardness_gadget
@@ -45,6 +44,8 @@ from sprawl.optimize import (
     two_approx_foci,
 )
 from sprawl.storage import index_document, index_from_document
+
+from conftest import radients
 
 
 def report(num: int, name: str, detail: str = ""):

@@ -11,19 +11,17 @@ from sprawl.ambit import (
     ball_reach,
     bound_cutoff,
     _corner,
-    membership,
     membership_mask,
     overlap_facet_columns,
     overlap_facet_pairs,
     overlap_linear,
     overlap_radients,
-    radients,
     table1_region,
 )
 from sprawl.comparison import TOL, EuclideanSpace, MatrixSpace
 from sprawl.errors import CapabilityError
 
-from conftest import random_quasimetric
+from conftest import membership, radients, random_quasimetric
 
 
 # --- remoteness values ----------------------------------------------------------
@@ -751,3 +749,9 @@ def test_membership_mask_matches_pointwise_membership(rng):
         want = [membership(qspace, region, v) for v in range(9)]
         assert membership_mask(qspace, region, range(9), tol=0.0).tolist() == want
     assert membership_mask(qspace, region, [], tol=0.0).shape == (0,)
+    # a backward region on an asymmetric space reads a block of distances,
+    # whose numpy indexing once read ref -1 as the last point
+    for orientation in ("forward", "backward"):
+        region = Ambit((2,), LinearMap([[1.0]]), (10.0,), orientation)
+        with pytest.raises(IndexError, match="negative"):
+            membership_mask(qspace, region, [3, -1])

@@ -84,6 +84,22 @@ def test_build_empty_dataset_fails(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 3
 
 
+@pytest.mark.parametrize("fmt,text", [
+    ("points", "0\ninf\n1\n2\n"),
+    ("points", "0 0\n1 nan\n"),
+    ("matrix", "0 1 2\n1 0 inf\n2 1 0\n"),
+])
+def test_build_refuses_non_finite_data(tmp_path, capsys, fmt, text):
+    # an infinite point once built, and a kNN query then left it out of
+    # members its own scan returned
+    data = tmp_path / "d.txt"
+    data.write_text(text)
+    out = tmp_path / "i.json"
+    assert main(["build", "--dataset", str(data), "--format", fmt, "--kind", "aesa", "--out", str(out)]) == 3
+    assert "not NaN or inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_knn_query(tmp_path, dataset):
     index = tmp_path / "i.json"
     main(["build", "--dataset", str(dataset), "--kind", "ball-tree", "--out", str(index)])

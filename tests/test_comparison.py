@@ -426,6 +426,25 @@ def test_matrix_space_validation():
             MatrixSpace([[0.0, np.nan], [np.nan, 0.0]], symmetric=symmetric)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spaces_refuse_non_finite_data(bad):
+    # every distance to such a point is NaN or inf, which no index can
+    # order or bound: a kNN search over an infinite point gave a different
+    # answer than the scan
+    pts = [[0.0, 0.5], [bad, 1.0], [1.0, 0.0]]
+    for make in (EuclideanSpace, ProjectionSpace, lambda p: EuclideanSpace(p, p=1.0)):
+        with pytest.raises(ValueError, match="must be finite, not NaN or inf"):
+            make(pts)
+        with pytest.raises(ValueError, match="must be finite, not NaN or inf"):
+            make([0.0, bad, 1.0, 2.0])
+    m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    m[0, 2] = bad
+    for symmetric in (None, False):
+        with pytest.raises(ValueError, match="not NaN or inf"):
+            MatrixSpace(m, symmetric=symmetric)
+    assert len(EuclideanSpace([[1e308], [-1e308]])) == 2  # the largest finite values are data
+
+
 def test_queries_validate():
     with pytest.raises(ValueError):
         Ball((0.0,), -1.0)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sprawl.ambit import Ambit, LinearMap, membership, table1_region
+from sprawl.ambit import Ambit, LinearMap, table1_region
 from sprawl.comparison import (
     AmbitQuery,
     Ball,
@@ -38,7 +38,7 @@ from sprawl.engine import (
 from sprawl.errors import CapabilityError, EmulationError, SizeLimitError, StructureError
 from sprawl.hypergraph import Heuristic, enumerate_repertoire, traverse
 
-from conftest import ball_rows, make_fans, shell_groups
+from conftest import ball_rows, make_fans, membership, shell_groups
 
 
 def root_targets(sprawl):
@@ -1037,7 +1037,6 @@ def test_region_member_mask_of_plain_regions():
 
 
 def test_region_member_mask_honors_backward_orientation():
-    from sprawl.ambit import membership
     from sprawl.engine import region_member_mask
 
     space = MatrixSpace([[0, 3, 1], [1, 0, 1], [3, 5, 0]], symmetric=False)

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from sprawl.ambit import membership
 from sprawl.comparison import EuclideanSpace, build_hardness_gadget
 from sprawl.errors import CapabilityError
 from sprawl.optimize import (
@@ -19,6 +18,8 @@ from sprawl.optimize import (
     runoff_foci,
     two_approx_foci,
 )
+
+from conftest import membership
 
 
 # --- oracles -------------------------------------------------------------------

@@ -311,13 +311,10 @@ def test_v1_document_loads_bit_exact_and_saves_as_v2(tmp_path):
     assert loaded.edges[1].positive[0].radii == (0.7,)
 
 
-def test_v2_keeps_negative_zero_and_nan_payloads(tmp_path):
-    nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]  # a quiet NaN with a payload
-    assert np.isnan(nan)
-    pts = np.array([[0.5, -0.0], [nan, 1.0], [-0.0, 2.0]])
-    assert pts.view(np.uint64)[1, 0] == 0x7FF8000000000123
-    # a comparison matrix refuses NaN, as fans refuse a NaN bound, so the
-    # matrix and the bounds keep -0.0 alone
+def test_v2_keeps_negative_zero(tmp_path):
+    # points, a comparison matrix and fan bounds all refuse NaN, so -0.0
+    # is the one bit pattern a round trip could lose
+    pts = np.array([[0.5, -0.0], [0.25, 1.0], [-0.0, 2.0]])
     m = np.array([[-0.0, 1.0, 4.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
     lo = np.array([-0.0, 0.5])
     group = (0, [1, 2], lo, np.array([0.0, 7.5]), True)
@@ -621,6 +618,31 @@ def test_nan_in_a_comparison_matrix_is_a_format_error(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     assert main(["query", "--index", str(path), "--ball", "0:1"]) == 3
+    assert "not NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["euclidean-lp", "coordinate-projection", "explicit-matrix"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_point_or_entry_is_a_format_error(tmp_path, capsys, kind, bad):
+    # a space refuses a NaN or infinite coordinate, or an infinite matrix
+    # entry, when it is made, so a loaded index file never holds one
+    pts = np.array([[0.0, 0.5], [1.0, 0.25], [0.5, 1.0]])
+    space = {
+        "euclidean-lp": EuclideanSpace(pts),
+        "coordinate-projection": ProjectionSpace(pts),
+        "explicit-matrix": MatrixSpace(EuclideanSpace(pts).pairwise(range(3), range(3))),
+    }[kind]
+    aesa, res = build_classic(space, range(3), "aesa")
+    doc = index_document(aesa, res)
+    key = "matrix" if kind == "explicit-matrix" else "points"
+    table = np.array(getattr(space, key))
+    table[1, 0] = bad
+    doc["space"][key] = base64.b64encode(table.astype("<f8").tobytes()).decode()
+    with pytest.raises(FormatError, match="not NaN"):
+        index_from_document(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["query", "--index", str(path), "--knn", "2", "--center", "0,0"]) == 3
     assert "not NaN" in capsys.readouterr().err
 
 

@@ -41,8 +41,14 @@ row's target, 10 about random points), and the `check_responsibility`
 report on the built assignment, on it with one member removed and on it
 with one member added to a random logical edge. A report's region reprs
 are hashed without the object addresses they hold. Its last line hashes
-every line before it. A run takes about 80 seconds on one core of a
-2-core x86 host.
+every line before it.
+
+A scan group ends the run: it hashes `linear_scan`'s answer to every
+query of the classic, non-ball and asymmetric-tree groups, over the nodes
+as a range and as a reversed tuple, one line per index of the classic and
+non-ball groups and one for the 200 asymmetric trees. Its last line
+hashes every line before it, this group included. A run takes about 80
+seconds on one core of a 2-core x86 host.
 """
 from __future__ import annotations
 
@@ -156,6 +162,7 @@ def main() -> None:
         Sprawl,
         build_classic,
         check_responsibility,
+        linear_scan,
         random_small_sprawl,
         reduce_to_signed,
         search,
@@ -163,6 +170,7 @@ def main() -> None:
     from sprawl.hypergraph import Heuristic
 
     lines = []
+    scans = []  # (label, space, n, queries): what the scan group scans
 
     def emit(label: str, results, counted: bool = True) -> None:
         lines.append(f"{label} {digest(results, counted)}")
@@ -178,6 +186,7 @@ def main() -> None:
                 for c in rng.random((CENTRES, 8)):
                     radius = float(np.partition(space.distances_from(c, range(n)), n // 100 - 1)[n // 100 - 1])
                     queries += [Ball(tuple(c), radius), Ball(tuple(c), 0.0, k=10)]
+                scans.append((f"{kind} seed={seed}", space, n, queries))
                 sprawl, res = build_classic(space, range(n), kind, arity=2, pivots=8)
                 storage.save_index(path, sprawl, res)
                 loaded, _ = storage.load_index(path)
@@ -228,6 +237,7 @@ def main() -> None:
         emit(f"aesa with ball fans n=60 {name}", [search(both, q, h) for q in queries])
     rng = np.random.default_rng(25)
     results = {name: [] for name in heuristics(Heuristic)}
+    trees = []
     for _ in range(200):
         sprawl = asymmetric_tree(rng, np, MatrixSpace, Edge, ExplicitRegion, EMPTY, Sprawl)
         n = len(sprawl.nodes)
@@ -235,6 +245,7 @@ def main() -> None:
         for c in rng.choice(n, size=2, replace=False).tolist():
             row = np.sort(sprawl.space.distances_from(c, range(n)))
             queries += [Ball(c, float(row[int(rng.integers(0, n))])), Ball(c, float(rng.random() * 5.0)), Ball(c, 0.0)]
+        trees.append((sprawl.space, n, queries))
         for name, h in heuristics(Heuristic).items():
             results[name] += [search(sprawl, q, h) for q in queries]
     for name, found in results.items():
@@ -254,6 +265,7 @@ def main() -> None:
                 ExplicitSetQuery(rng.choice(NON_BALL, size=5, replace=False).tolist()),
                 ExplicitSetQuery(np.flatnonzero(near <= radius).tolist()),
             ]
+        scans.append((f"non-ball {kind} n={NON_BALL}", space, NON_BALL, queries))
         for name, h in heuristics(Heuristic).items():
             results = [search(index, q, h) for q in queries]
             emit(f"non-ball {kind} n={NON_BALL} {name}", results)
@@ -295,6 +307,15 @@ def main() -> None:
             violations = [(*v[:3], re.sub(r" at 0x[0-9a-f]+", "", v[3])) for v in report.violations]
             record(f"lab responsibility {kind} n={LAB} {name}", [report.passed, *violations])
     print("all with lab", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+    def scanned(space, n, queries):
+        for nodes in (range(n), tuple(range(n - 1, -1, -1))):
+            yield from (linear_scan(space, nodes, q) for q in queries)
+
+    for label, space, n, queries in scans:
+        record(f"scan {label}", scanned(space, n, queries))
+    record("scan asymmetric trees x200", (found for tree in trees for found in scanned(*tree)))
+    print("all with scan", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 if __name__ == "__main__":
