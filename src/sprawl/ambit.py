@@ -10,11 +10,12 @@ near-corner check (other non-decreasing maps). It has two single-facet
 forms: over columns of regions, `overlap_facet_columns`, which a wave
 fires its ball rows with, and over the regions of one focus,
 `overlap_facet_pairs`, which gives the (kNN bound, target) pairs of
-those that may meet the query, and which is how every node-at-a-time
-search fires a node's ball rows.
-`overlap_linear` is the check of a linear region against a linear ambit
-query, and `overlap_refs` that of a region against the radients of an
-explicit set of points. `shells_missed` is the vectorised shell test,
+those that may meet the query, and which is how a `Ball` search fires
+one node's ball rows. `overlap_linear` is the check of a linear region
+against a linear ambit query, which meets it as the ball that
+`linear_query` gives, under its sign rule, as a search's fan rows do;
+`overlap_refs` is that of a region against the radients of an explicit
+set of points. `shells_missed` is the vectorised shell test,
 `shells_hold` the vectorised shell and ball membership, `shell_bounds`
 the lower bounds that shells give a kNN search, and `ball_reach` the
 radius at which a linear ambit's facets stop excluding a ball. A
@@ -366,33 +367,36 @@ def bound_cutoff(s: float) -> float:
     return s + TOL
 
 
+def linear_query(query: Ambit, symmetric: bool) -> tuple[np.ndarray, float, bool, bool]:
+    """(c^, s^, upper, lower): a region meets the query as the ball of
+    radius s^ at z = Z c^ (its row and radius L1-normalized, Z the distances
+    from the region's foci to its own). Its sign rule: a facet with a >= 0
+    may rule it out only where c >= 0 or the space is symmetric (`upper`),
+    one with a < 0 only where both hold (`lower`), as with mixed signs the
+    weighted-triangle bound needs delta(p,u) <= delta(u,q) + delta(p,q)."""
+    if not isinstance(query.map, LinearMap) or query.map.rows != 1:
+        raise CapabilityError("a linear query needs one linear remoteness row")
+    c = query.map.matrix[0]
+    norm, nonneg = float(np.sum(np.abs(c))), bool(np.all(c >= 0.0))
+    return c / norm, query.radii[0] / norm, symmetric or nonneg, symmetric and nonneg
+
+
 def overlap_linear(region: Ambit, query: Ambit, Z, symmetric: bool = True) -> bool:
     """Normalized overlap check between a linear ambit and a linear query.
 
-    Z is the m x k matrix of comparisons from region foci to query foci.
-    With the query row c and radius L1-normalized to c^ and s^, a facet
-    rules the query out as in every linear check, with z = Z c^ and s = s^.
-    Requires a or c non-negative per facet; for quasimetrics
-    (symmetric=False) both must be, the region forward and the query
-    backward: with mixed signs the underlying weighted-triangle bound needs
-    delta(p,u) <= delta(u,q) + delta(p,q), which only symmetry provides.
+    Z is the m x k matrix of comparisons from region foci to query foci. A
+    facet rules the query out as in every linear check, at the z and s of
+    `linear_query`, where its sign rule allows; else CapabilityError.
     """
-    if not isinstance(region.map, LinearMap) or not isinstance(query.map, LinearMap):
+    if not isinstance(region.map, LinearMap):
         raise CapabilityError("overlap_linear requires linear remoteness on both sides")
-    if query.map.rows != 1:
-        raise CapabilityError("query side must be uniradial")
+    c, s, upper, lower = linear_query(query, symmetric)
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (region.degree, query.degree):
         raise ValueError("cross-distance matrix has the wrong shape")
-    c = query.map.matrix[0]
-    c_norm = float(np.sum(np.abs(c)))
-    z = (Z @ (c / c_norm)).tolist()
-    cut = bound_cutoff(query.radii[0] / c_norm)
-    c_nonneg = bool(np.all(c >= 0.0))
+    z, cut = (Z @ c).tolist(), bound_cutoff(s)
     for (row, l1), r in zip(region.map._facets, region.radii):
-        a_nonneg = min(row) >= 0.0
-        ok = (a_nonneg and c_nonneg) if not symmetric else (a_nonneg or c_nonneg)
-        if not ok:
+        if not (upper if min(row) >= 0.0 else lower):
             raise CapabilityError("weights must be non-negative on one side (both, for asymmetric comparisons)")
         if (sum(map(mul, row, z)) - r) / l1 > cut:
             return False

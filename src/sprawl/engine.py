@@ -434,6 +434,8 @@ class _QueryEval:
             space.resolve(ref)
         if isinstance(query, AmbitQuery):  # the backward ambit of its weighted foci
             self.query_region = Ambit(query.foci, LinearMap([query.weights]), (query.radius,), "backward")
+            self.linear = ambit_mod.linear_query(self.query_region, space.symmetric)
+        self.warned = False  # whether `missed` has logged its sign rule's fallback
         self.region_evaluations = 0
         # delta(c, ref) per ref. A `Ball` search also reads a region focus's
         # z = delta(focus, c) here: it reaches an ambit or fan only on a
@@ -474,9 +476,6 @@ class _QueryEval:
                 return d
         return np.array([cache[r] for r in refs], dtype=float)
 
-    def z_of(self, foci) -> list[float]:
-        return [self.dist_to_center(p) for p in foci]
-
     def pair(self, a: int, b: int) -> float:
         """delta(a, b), measured once per search: every distance of a non-ball
         query (membership, explicit-set radients, `overlap_linear`'s Z) reads it."""
@@ -484,6 +483,32 @@ class _QueryEval:
         if d is None:
             d = self._pairs[a, b] = self.space.compare(a, b, self.session)
         return d
+
+    def z(self, u: int) -> float:
+        """delta(c, u) for a `Ball`; for an `AmbitQuery`, Z c^ with Z the 1 x k
+        distances delta(u, f), as `ambit.overlap_linear` forms it for focus u."""
+        if isinstance(self.query, Ball):
+            return self.dist_to_center(u)
+        return (np.array([[self.pair(u, f) for f in self.query.foci]]) @ self.linear[0])[0]
+
+    def missed(self, u: int, lo, hi, z=None):
+        """Which fan rows lo <= delta(u, .) <= hi of source u (arrays or
+        scalars; a ball row is the shell from -inf) surely miss the query:
+        `shells_missed` at `z(u)`, or at the rows' z, for a `Ball` or, under
+        its sign rule, an `AmbitQuery`; for an `ExplicitSetQuery`, the rows
+        holding no id, measured by `pair` in id order until all hold one."""
+        q = self.query
+        if isinstance(q, ExplicitSetQuery):
+            held = np.zeros(np.shape(hi), dtype=bool)
+            for i in itertools.takewhile(lambda _: not held.all(), sorted(q.ids)):
+                held |= ambit_mod.shells_hold(self.pair(u, i), lo, hi)
+            return ~held
+        z = self.z(u) if z is None else z
+        _, s, upper, lower = (None, q.radius, True, True) if isinstance(q, Ball) else self.linear
+        if not (self.warned or upper and (lower or np.isneginf(lo).all())):
+            self.warned = True  # once per search
+            log.warning("the sign rule keeps some fan rows from ruling %r out; assuming overlap there", q)
+        return ambit_mod.shells_missed(z, lo if lower else -np.inf, hi, s) if upper else np.zeros(np.shape(hi), bool)
 
     def member(self, ref: int, s: float | None = None) -> bool:
         q = self.query
@@ -518,7 +543,7 @@ class _QueryEval:
             if isinstance(q, Ball):
                 radius = q.radius if s is None else s
                 try:
-                    return ambit_mod.overlap_radients(region, self.z_of(region.foci), radius)
+                    return ambit_mod.overlap_radients(region, [self.z(p) for p in region.foci], radius)
                 except CapabilityError:
                     log.warning("no sound overlap check for %r; assuming overlap", region)
                     return True
@@ -574,32 +599,32 @@ def reduce_to_signed(sprawl: Sprawl, query) -> SignedHyperdigraph:
 
     An edge is positive when the query meets every region in both labels,
     negative when it misses some negative region, and dropped otherwise.
-    Explicit edges, and the fan rows of a query that is not a `Ball`, go
-    edge by edge through `_QueryEval.intersects`. A `Ball` reads the fans
-    as columns, from one `measure_row` over their sources: a ball row,
-    whose one label is its positive ball, is positive where one
-    `ambit.overlap_facet_columns` verdict over all ball rows meets it, and
-    a shell row, labelled P = (Empty,) and its negative shell, is negative
-    where one `ambit.shells_missed` mask over all shell rows misses it.
+    Explicit edges go edge by edge through `_QueryEval.intersects`. Fan
+    rows are read as columns, each the shell it bounds (a ball row's from
+    lo = -inf), through `_QueryEval.missed`: one verdict over every row at
+    each fan source's z for a `Ball` or an `AmbitQuery`, one mask per fan
+    for an `ExplicitSetQuery`. A ball row, whose one label is its positive
+    ball, is positive where its shell is not missed; a shell row, labelled
+    P = (Empty,) and its negative shell, is negative where it is.
     """
     _refuse_unsound(sprawl, query)
     ev = _QueryEval(sprawl.space, query)
-    pos = sprawl._node_pos
-    fans, ball = sprawl.fans, isinstance(query, Ball)
+    pos, fans = sprawl._node_pos, sprawl.fans
     out = []
-    for e in sprawl.edges if ball else (e for _, e in sprawl.iter_logical_edges()):
-        neg_hits = [ev.intersects(r) for r in e.negative]
-        if not all(neg_hits):
+    for e in sprawl.edges:
+        if not all([ev.intersects(r) for r in e.negative]):
             out.append(HyperEdge(frozenset(pos[s] for s in e.sources), pos[e.target], -1))
         elif all(ev.intersects(r) for r in e.positive):
             out.append(HyperEdge(frozenset(pos[s] for s in e.sources), pos[e.target], +1))
-    if ball and len(fans):
-        s, cut = query.radius, fans.found_rows
-        counts = np.diff(fans.start)
-        z = sprawl.space.measure_row(ev.center, fans.source).repeat(counts)  # delta(c, u) for each row's source u
-        a, l1 = ambit_mod.BALL_FACET
-        found = np.flatnonzero(ambit_mod.overlap_facet_columns(fans.hi[:cut], l1, a, z[:cut], s))
-        missed = cut + np.flatnonzero(ambit_mod.shells_missed(z[cut:], fans.lo[cut:], fans.hi[cut:], s))
+    if len(fans):
+        cut, start, sources, counts = fans.found_rows, fans.start.tolist(), fans.source.tolist(), np.diff(fans.start)
+        lo = np.concatenate([np.full(cut, -np.inf), fans.lo[cut:]])
+        if isinstance(query, ExplicitSetQuery):
+            missed = np.concatenate([ev.missed(u, lo[a:b], fans.hi[a:b]) for u, a, b in zip(sources, start, start[1:])])
+        else:  # a `Ball`'s z from one distance row
+            z = ev.dists_to_center(fans.source, False) if isinstance(query, Ball) else [ev.z(u) for u in sources]
+            missed = ev.missed(None, lo, fans.hi, z=np.repeat(z, counts))
+        found, missed = np.flatnonzero(~missed[:cut]), cut + np.flatnonzero(missed[cut:])
         at = np.zeros(len(sprawl.space), dtype=np.int64)  # each node's position, by ref
         at[np.asarray(sprawl.nodes, dtype=np.int64)] = np.arange(len(sprawl.nodes))
         source, target = at[fans.source].repeat(counts), at[fans.target]
@@ -720,9 +745,9 @@ def _stepwise(
     one bulk `Frontier.discover_at` (`discover_all`, at bound 0, for a range
     search), reading a target's status to count the rows evaluated only
     where some ball target may be done when its edge fires
-    (`_BallColumns.checked`); any other query row by row, through
-    `_QueryEval.intersects`. A `Ball` search fires a shell fan by
-    eliminating all its missed targets at once.
+    (`_BallColumns.checked`); any other query, as for a shell fan, with one
+    `_QueryEval.missed` verdict over the rows of its live targets. A `Ball`
+    search fires a shell fan by eliminating all its missed targets at once.
 
     For kNN the cover radius starts at infinity and falls to the k-th
     distance (`_nearest`); node priorities are the per-edge region lower
@@ -774,18 +799,26 @@ def _stepwise(
                 elif all(ev.intersects(r, s) for r in e.positive):
                     if knn:  # at the largest lower bound of its linear regions
                         linear = [r for r in e.positive if isinstance(r, Ambit) and isinstance(r.map, LinearMap)]
-                        reach = [ambit_mod.ball_reach(r, ev.z_of(r.foci)) for r in linear]
+                        reach = [ambit_mod.ball_reach(r, [ev.z(p) for p in r.foci]) for r in linear]
                         frontier.discover_at(((max([0.0, *reach]), t),))
                     else:
                         frontier.discover_all((t,))
+            elif not ball:  # u's ball rows, each the shell from -inf, or a shell fan
+                u = source[f]
+                if f < found:
+                    targets, lo, hi = np.array(rows[u][0], dtype=np.int64), -np.inf, np.array(rows[u][1])
+                else:
+                    targets, lo, hi = (col[start[f] : start[f + 1]] for col in (fans.target, fans.lo, fans.hi))
+                live = frontier.undone(targets)
+                ev.region_evaluations += int(np.count_nonzero(live))
+                missed = ev.missed(u, lo if f < found else lo[live], hi[live])
+                if f < found:
+                    frontier.discover_all(targets[live][~missed].tolist())
+                else:
+                    frontier.eliminate(targets[live][missed])
             elif f < found:  # all of u's ball rows: its discovering fans' one plan edge
                 u = source[f]
                 targets, radii = rows[u]
-                if not ball:  # row by row, through the regions the rows stand for
-                    for t, r in zip(targets, radii):
-                        if t not in done and ev.intersects(Ambit((u,), ambit_mod.BALL_MAP, (r,)), s):
-                            frontier.discover_all((t,))
-                    continue
                 # a done target's row is not evaluated, and only where `checked` may one be done
                 ev.region_evaluations += sum(t not in done for t in targets) if balls.checked else len(targets)
                 pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, to_center[u], s)
@@ -796,11 +829,6 @@ def _stepwise(
             else:  # a shell fan, rows first:end
                 first, end, u = start[f], start[f + 1], source[f]
                 lo, hi = fans.lo[first:end], fans.hi[first:end]
-                if not ball:
-                    for t, l, h in zip(fans.target[first:end].tolist(), lo.tolist(), hi.tolist()):
-                        if t not in done and not ev.intersects(table1_region("shell", (u,), lo=l, hi=h), s):
-                            frontier.eliminate([t])
-                    continue
                 z = to_center[u]
                 ev.region_evaluations += end - first
                 if steer:
@@ -825,11 +853,8 @@ def _stepwise(
                         return True
         for u, lo, hi in lazy_rows.get(v, ()):
             if traversed is None or u in traversed:
-                if ball:
-                    ev.region_evaluations += 1
-                    if ambit_mod.shells_missed(to_center[u], lo, hi, s):
-                        return True
-                elif not ev.intersects(table1_region("shell", (u,), lo=lo, hi=hi), s):
+                ev.region_evaluations += 1
+                if ambit_mod.shells_missed(to_center[u], lo, hi, s) if ball else ev.missed(u, lo, hi):
                     return True
         return False
 
@@ -889,13 +914,16 @@ def linear_scan(space: ComparisonSpace, nodes, query) -> tuple[int, ...]:
     ball) or one membership mask (an ambit query), so no Python runs per
     node but the space's own kernel; an explicit set is a set lookup per
     node. Every distance is measured afresh: the scan reads no search cache.
+    A node ref that is negative or outside the space is refused up front.
     """
     if isinstance(nodes, range):
         refs = np.arange(nodes.start, nodes.stop, nodes.step, dtype=np.int64)
     else:
         refs = np.fromiter(nodes, dtype=np.int64)
+    if len(refs) and refs.view(np.uint64).max() >= len(space):  # one pass: a negative ref views as >= 2**63
+        raise IndexError(f"a node ref is negative or past the space's {len(space)} refs")
     if isinstance(query, Ball):
-        dists = space.distances_from(query.center, refs)
+        dists = space.measure_row(space.resolve(query.center), refs)
         if query.k is not None:
             return tuple(refs[np.lexsort((refs, dists))[: query.k]].tolist())
         return tuple(refs[dists <= query.radius].tolist())
@@ -1420,32 +1448,20 @@ def sprawl_trace_oracle(sprawl: Sprawl):
     """Trace oracle of an existing sprawl, for emulation round-trips.
 
     Given a traversed set and a singleton query point, reports which
-    targets the ready edges would discover or eliminate. Region hits are
-    precomputed per ground-set point, so calls are cheap.
+    targets the ready edges would discover or eliminate: the signed edges
+    of `reduce_to_signed` for the point as an `ExplicitSetQuery`, reduced
+    once per point, so calls are cheap. For one point, a region meets the
+    query where it holds the point, with the slack `TOL`.
     """
-    refs = list(sprawl.nodes)
-    pos_of = {v: i for i, v in enumerate(refs)}
-    table = []  # (source set, target, pos_ok mask, neg_ok mask)
-    for _, e in sprawl.iter_logical_edges():
-        pos_ok = np.ones(len(refs), dtype=bool)
-        for r in e.positive:
-            pos_ok &= region_member_mask(sprawl.space, r, refs)
-        neg_ok = np.ones(len(refs), dtype=bool)
-        for r in e.negative:
-            neg_ok &= region_member_mask(sprawl.space, r, refs)
-        table.append((set(e.sources), e.target, pos_ok, neg_ok))
+    refs, pos = sprawl.nodes, sprawl._node_pos
+    graphs = {v: reduce_to_signed(sprawl, ExplicitSetQuery({v})).edges for v in refs}
 
     def oracle(traversed, query_ref: int):
-        tset = set(int(t) for t in traversed)
-        j = pos_of[int(query_ref)]
+        tset = {pos[t] for t in map(int, traversed) if t in pos}  # as node positions
         discovered, eliminated = set(), set()
-        for sources, target, pos_ok, neg_ok in table:
-            if not sources <= tset:
-                continue
-            if not neg_ok[j]:
-                eliminated.add(target)
-            elif pos_ok[j]:
-                discovered.add(target)
+        for e in graphs[int(query_ref)]:
+            if e.sources <= tset:
+                (discovered if e.sign > 0 else eliminated).add(refs[e.target])
         return discovered, eliminated
 
     return oracle

@@ -225,6 +225,17 @@ def reduce_rows(sprawl: Sprawl, query) -> SignedHyperdigraph:
         return SignedHyperdigraph(len(sprawl.nodes), out)
 
 
+def row_missed(sprawl: Sprawl, query) -> np.ndarray:
+    """Whether each fan row misses the query, as a search once tested it:
+    the row's `Fans.edge(j)` region, its positive ball or its negative
+    shell, through `_QueryEval.intersects`. The oracle of
+    `_QueryEval.missed`, which takes a fan's rows as columns."""
+    ev, fans = _QueryEval(sprawl.space, query), sprawl.fans
+    edges = [fans.edge(j) for j in range(len(fans))]
+    regions = [e.positive[0] if j < fans.found_rows else e.negative[0] for j, e in enumerate(edges)]
+    return np.array([not ev.intersects(r) for r in regions], dtype=bool)
+
+
 def check_rows(sprawl: Sprawl, res, workload) -> ResponsibilityReport:
     """`check_responsibility` edge by edge: every logical edge, each fan
     row as the `Edge` it stands for, its regions tested through

@@ -155,7 +155,7 @@ def reference_best_first(sprawl: Sprawl, query):
             decided.add(t)
         elif all(ev.intersects(r, s) for r in e.positive):
             linear = [r for r in e.positive if isinstance(r, Ambit) and isinstance(r.map, LinearMap)]
-            bound = max([0.0] + [ball_reach(r, ev.z_of(r.foci)) for r in linear])
+            bound = max([0.0] + [ball_reach(r, [ev.z(p) for p in r.foci]) for r in linear])
             seq.setdefault(t, len(seq))
             key[t] = max(key.get(t, bound), bound)
 

@@ -1066,6 +1066,34 @@ def test_unsupported_map_assumes_overlap(caplog):
     assert "assuming overlap" in caplog.text
 
 
+def test_the_sign_rule_warns_once_per_search(caplog):
+    # a mixed-sign ambit query on a symmetric space lets a shell row rule
+    # it out by its upper bound alone, and so does a non-negative one on an
+    # asymmetric space: each search logs that fallback once, not once per
+    # row, and still answers as the scan does
+    from conftest import random_quasimetric
+
+    space = toy_space(30, 3, seed=5)
+    aesa, _ = build_classic(space, range(30), "aesa")
+    matrix = random_quasimetric(np.random.default_rng(5), 12)
+    groups = []
+    for u in range(12):
+        targets = [t for t in range(12) if t != u]
+        d = matrix.distances_from(u, targets)
+        groups.append((u, targets, d, d))
+    dense = Sprawl(matrix, range(12), [Edge((), v) for v in range(12)], make_fans((), groups))
+    for sprawl, weights in ((aesa, (1.0, -0.5)), (dense, (1.0, 1.0))):
+        n = len(sprawl.nodes)
+        remote = sorted(sum(w * sprawl.space.compare(v, f) for w, f in zip(weights, (0, 1))) for v in range(n))
+        query = AmbitQuery((0, 1), weights, remote[4])
+        for h in (None, Heuristic.fifo(), Heuristic("bound")):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="sprawl.engine"):
+                found = search(sprawl, query, h)
+            assert [r.getMessage().startswith("the sign rule") for r in caplog.records] == [True]
+            assert found.members == linear_scan(sprawl.space, sprawl.nodes, query)
+
+
 @pytest.mark.parametrize("nodes", [range(6), [0, 2, 3, 5, 7, 9], [0, 3, 300, 97, 8, 1]])
 def test_validate_refuses_group_and_ball_refs_outside_the_ground_set(nodes):
     # the whole space, one with gaps and a sparse one, each over a space

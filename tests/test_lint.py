@@ -139,6 +139,28 @@ def test_overlap_checks_take_distances():
     assert not found, f"overlap checks that measure distances: {found}"
 
 
+def test_fan_rows_are_never_rebuilt_as_regions():
+    # a search and a reduction read a fan row from the fan columns: a row
+    # rebuilt as an `Ambit` or fetched as its `Edge` is the per-row path
+    # again, one region object and one overlap call per row; and the trace
+    # oracle takes its verdicts from `reduce_to_signed`, evaluating no
+    # region of its own
+    rebuilds = ("Ambit", "table1_region", "edge", "logical_edge", "iter_logical_edges")
+    evaluates = rebuilds + ("intersects", "region_member_mask", "membership_mask", "contains_features")
+    scopes = {"_stepwise": rebuilds, "_lean": rebuilds, "reduce_to_signed": rebuilds, "sprawl_trace_oracle": evaluates}
+    tree = ast.parse((SRC / "engine.py").read_text())
+    tops = {top.name: top for top in tree.body if getattr(top, "name", None) in scopes}
+    assert sorted(tops) == sorted(scopes), f"scanned only {sorted(tops)}"
+    found = []
+    for name, top in tops.items():
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in scopes[name]:
+                    found.append(f"engine.py:{node.lineno}: {name} calls {callee}")
+    assert not found, f"fan rows rebuilt as regions: {found}"
+
+
 # top-level names that only tests reach, each kept for a reason of its own
 UNREFERENCED_ALLOWED = {
     "gift_wrap_2d",  # the reference the hull tests check `hull_ambit` against

@@ -127,6 +127,21 @@ def test_linear_scan_refuses_a_negative_node_ref(rng):
                     linear_scan(space, nodes, q)
 
 
+def test_linear_scan_refuses_a_node_ref_outside_the_space_for_every_query_kind(rng):
+    # an explicit set once answered from a set lookup that never read the
+    # refs: `[-1, 3, 7, 1]` over 3 points gave (1,)
+    assert linear_scan(EuclideanSpace([[0.0], [1.0], [2.0]]), [1, 0], ExplicitSetQuery({1})) == (1,)
+    with pytest.raises(IndexError):
+        linear_scan(EuclideanSpace([[0.0], [1.0], [2.0]]), [-1, 3, 7, 1], ExplicitSetQuery({1}))
+    n = 12
+    for space in _spaces_of_each_kind(rng, n):
+        queries = (Ball(3, 1.0), Ball(3, 0.0, k=2), AmbitQuery((3, 5), (1.0, -1.0), 0.5), ExplicitSetQuery({3}))
+        for q in queries:
+            for nodes in ([0, -1, 2], (n,), np.array([4, n + 5]), range(n + 1)):
+                with pytest.raises(IndexError):
+                    linear_scan(space, nodes, q)
+
+
 def test_linear_scan_refuses_a_query_ref_outside_the_space_before_any_distance(rng):
     n = 12
     out = n + 2  # past the points, and past the two axes of the projection space

@@ -26,8 +26,11 @@ runs them. The line `all` hashes every line before it.
 A non-ball group follows: over each of the four kinds built on 300
 uniform points in [0,1]^8, 2 pairs of points give each a single-focus and
 a two-focus `AmbitQuery` and an `ExplicitSetQuery` of its first point's 6
-nearest, beside an `ExplicitSetQuery` of 5 random points, under every
-heuristic. Each of its lines is followed by a count-free one, the same
+nearest, beside an `ExplicitSetQuery` of 5 random points, and the last
+pair gives a mixed-sign two-focus `AmbitQuery`, weights (1.0, -0.5) at
+its 6-point radius, whose shell rows a sign rule lets rule out by their
+upper bound alone; all under every heuristic. The warnings that rule
+logs are silenced. Each of its lines is followed by a count-free one, the same
 digest without `distance_computations`, so a change that lowers the
 non-ball counts on purpose can show that nothing else moved. The final
 line hashes every line before it, this group included, so two checkouts
@@ -47,13 +50,14 @@ A scan group ends the run: it hashes `linear_scan`'s answer to every
 query of the classic, non-ball and asymmetric-tree groups, over the nodes
 as a range and as a reversed tuple, one line per index of the classic and
 non-ball groups and one for the 200 asymmetric trees. Its last line
-hashes every line before it, this group included. A run takes about 80
+hashes every line before it, this group included. A run takes about 40
 seconds on one core of a 2-core x86 host.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import logging
 import re
 import sys
 import tempfile
@@ -149,6 +153,7 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ directory to import sprawl from")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
+    logging.getLogger("sprawl").setLevel(logging.ERROR)  # the sign rule's warnings
     import numpy as np
 
     from sprawl import storage
@@ -265,6 +270,7 @@ def main() -> None:
                 ExplicitSetQuery(rng.choice(NON_BALL, size=5, replace=False).tolist()),
                 ExplicitSetQuery(np.flatnonzero(near <= radius).tolist()),
             ]
+        queries.append(AmbitQuery((f, g), (1.0, -0.5), float(np.partition(near - 0.5 * other, 5)[5])))
         scans.append((f"non-ball {kind} n={NON_BALL}", space, NON_BALL, queries))
         for name, h in heuristics(Heuristic).items():
             results = [search(index, q, h) for q in queries]
