@@ -199,6 +199,20 @@ class ComparisonSpace:
         """Uncounted bulk distance block, for index construction."""
         return np.array([self._row(self.value(int(a)), refs_b) for a in refs_a], dtype=float)
 
+    def paired(self, refs_a, refs_b) -> np.ndarray:
+        """Uncounted delta(a_i, b_i) for each pair of equal-length ref
+        arrays, the float `distances_from(a_i, [b_i])` gives, a negative
+        ref refused; for index construction."""
+        a, b = ref_array(refs_a), ref_array(refs_b)
+        if a.shape != b.shape:
+            raise ValueError("paired refs must have one shape")
+        return self._paired(a, b)
+
+    def _paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Uncounted delta(a_i, b_i) of two int64 ref arrays of one shape."""
+        value = self.value
+        return np.array([self._dist(value(x), value(y)) for x, y in zip(a.tolist(), b.tolist())], dtype=float)
+
 
 def ref_array(refs) -> np.ndarray:
     """Refs as an int64 array, an int64 array taken as it is. A negative
@@ -298,6 +312,9 @@ class EuclideanSpace(ComparisonSpace):
         b = self.points[np.asarray(refs_b, dtype=int)]
         return lp_norm(a[:, None, :] - b[None, :, :], self.p)
 
+    def _paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lp_norm(self.points[b] - self.points[a], self.p)
+
 
 class ProjectionSpace(ComparisonSpace):
     """Coordinate projection: delta(axis_i, u) = u_i.
@@ -392,6 +409,9 @@ class MatrixSpace(ComparisonSpace):
 
     def pairwise(self, refs_a, refs_b) -> np.ndarray:
         return self.matrix[np.ix_(np.asarray(refs_a, int), np.asarray(refs_b, int))].astype(float)
+
+    def _paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.matrix[a, b]
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -38,6 +38,16 @@ from .hypergraph import Frontier, Heuristic, HyperEdge, Plan, SignedHyperdigraph
 log = logging.getLogger(__name__)
 
 
+def _exclusive(sizes: np.ndarray) -> np.ndarray:
+    """Where each run starts when runs of `sizes` lie end to end."""
+    return sizes.cumsum() - sizes
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., of sizes[i] positions, for each i in turn."""
+    return (starts - _exclusive(sizes)).repeat(sizes) + np.arange(sizes.sum())
+
+
 # --- region labels ----------------------------------------------------------
 
 
@@ -221,6 +231,8 @@ class Sprawl:
 
     def validate(self) -> None:
         nodes, size = set(self.nodes), len(self.space)
+        if len(nodes) != len(self.nodes):
+            raise ValueError("node refs must be distinct")
         if nodes and not (0 <= min(nodes) and max(nodes) < size):
             raise IndexError(f"node refs must lie in [0, {size}), the refs of the space")
         pseudo = set()
@@ -885,8 +897,7 @@ def _stepwise(
         hits.append(vs[z <= s])
         first = balls.start[vs]
         counts = balls.start[vs + 1] - first
-        # the rows of each source in turn: first[i], first[i] + 1, ..., of counts[i]
-        rows = (first - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
+        rows = _runs(first, counts)  # the rows of each source in turn
         z = z.repeat(counts)
         targets = balls.target[rows]
         if balls.checked:
@@ -1189,7 +1200,7 @@ def _fan_violations(sprawl: Sprawl, res: ResponsibilityAssignment, owned: dict, 
         refs = sorted(node_res)
         size = np.zeros(len(space), dtype=np.int64)
         size[refs] = [len(node_res[v]) for v in refs]
-        first = size.cumsum() - size
+        first = _exclusive(size)
         flat = np.fromiter(itertools.chain.from_iterable(sorted(node_res[v]) for v in refs), dtype=np.int64)
 
     def outside(u: int, row: np.ndarray, members: np.ndarray, lo, rule: int) -> list:
@@ -1209,8 +1220,7 @@ def _fan_violations(sprawl: Sprawl, res: ResponsibilityAssignment, owned: dict, 
         fails = [(j, 1, v) for j, vs in zip(rows, listed) for v in vs]
         row = np.arange(fans.start[f], fans.start[f + 1])
         count = size[fans.target[row]]
-        # the shorthand of each row's target in turn: first[t], first[t] + 1, ..., of count
-        at = (first[fans.target[row]] - count.cumsum() + count).repeat(count) + np.arange(count.sum())
+        at = _runs(first[fans.target[row]], count)  # the shorthand of each row's target in turn
         row = row.repeat(count)
         l2 = outside(u, row, flat[at], fans.lo[row], 2)
         found += sorted(fails + l2) if fails else l2
@@ -1229,89 +1239,161 @@ def brute_force_sprawl(space: ComparisonSpace, nodes) -> Sprawl:
     return Sprawl(space, nodes, [Edge((), v) for v in nodes])
 
 
+def _maxmin(space: ComparisonSpace, pts: np.ndarray, starts: np.ndarray, count: int):
+    """`count` max-min pivots of each segment of the ref array `pts` at
+    once, segment k running from starts[k] to the next start (the last to
+    the end), each holding more than `count` refs: the ref farthest from
+    the segment's first, then, in turn, the ref farthest from the pivots
+    chosen so far. Each pick is the first position of its segment's
+    maximum, as `np.argmax` picks it, or, where that position is a pivot
+    already (every other ref coincides with a pivot), the segment's first
+    position not yet chosen. Returns the pivots' positions, a row of
+    `count` per segment, and each pivot's distances to its segment's
+    refs, a row of len(pts) per pivot rank."""
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pts)))
+    chosen = np.zeros(len(pts), dtype=bool)
+    picks = np.empty((count, len(starts)), dtype=np.int64)
+    dist = np.empty((count, len(pts)))
+    best = space.paired(pts[starts][seg], pts)
+    for i in range(count):
+        top = np.flatnonzero(best == np.maximum.reduceat(best, starts)[seg])
+        pick = top[np.searchsorted(top, starts)]
+        if chosen[pick].any():
+            free = np.flatnonzero(~chosen)
+            pick = np.where(chosen[pick], free[np.searchsorted(free, starts)], pick)
+        chosen[pick] = True
+        picks[i] = pick
+        dist[i] = space.paired(pts[pick][seg], pts)
+        best = np.minimum(best, dist[i]) if i else dist[0]
+    return picks.T, dist
+
+
 def _maxmin_pivots(space: ComparisonSpace, refs, count: int) -> list[int]:
+    """`count` max-min pivots of `refs`, one segment of `_maxmin`, or
+    every ref where there are no more."""
     refs = list(refs)
     if count >= len(refs):
         return refs
-    d0 = space.distances_from(refs[0], refs)
-    chosen = [refs[int(np.argmax(d0))]]
-    best = space.distances_from(chosen[0], refs)
-    while len(chosen) < count:
-        nxt = refs[int(np.argmax(best))]
-        if nxt in chosen:
-            for candidate in refs:  # all remaining coincide with a pivot
-                if candidate not in chosen:
-                    nxt = candidate
-                    break
-        chosen.append(nxt)
-        best = np.minimum(best, space.distances_from(nxt, refs))
-    return chosen
+    pts = np.asarray(refs, dtype=np.int64)
+    return pts[_maxmin(space, pts, np.zeros(1, dtype=np.int64), count)[0][0]].tolist()
 
 
-@dataclass
-class _TreeNode:
-    point: int
-    children: list = field(default_factory=list)
-    subtree: tuple[int, ...] = ()
+def _tree_levels(space: ComparisonSpace, refs: np.ndarray, arity: int):
+    """The metric tree over distinct `refs`, headed by refs[0], built a
+    level at a time, with a fixed number of numpy calls per level, as BFS
+    columns: point, parent, first child and child count, and where each
+    level starts, then the node count.
+
+    Each node heads a segment of members. Its point leaves them; if more
+    than `arity` remain, they go to their first nearest of `arity` max-min
+    pivots (`_maxmin`), and each non-empty group, in pivot order and with
+    its members in order, is a child headed by its pivot. Otherwise, or
+    if every member falls into one group, each remaining member is a
+    child of its own, in order. A stable sort by group forms the next
+    level's segments.
+    """
+    points, parents, firsts, counts, levels = [refs[:1]], [np.full(1, -1)], [], [], [0, 1]
+    members, starts, heads = refs, np.zeros(1, dtype=np.int64), refs[:1]
+    while len(heads):
+        seg = np.repeat(np.arange(len(heads)), np.diff(starts, append=len(members)))
+        keep = members != heads[seg]  # each node's point leaves its members
+        rest, seg = members[keep], seg[keep]
+        size = np.bincount(seg, minlength=len(heads))
+        key, head = np.arange(len(rest)), rest.copy()  # a child of its own, headed by itself
+        big = np.flatnonzero(size[seg] > arity)
+        if len(big):
+            sub_size = size[size > arity]
+            picks, dist = _maxmin(space, rest[big], _exclusive(sub_size), arity)
+            group = np.argmin(dist, axis=0)  # the first nearest pivot
+            local = np.repeat(np.arange(len(sub_size)), sub_size)
+            filled = np.bincount(local * arity + group, minlength=len(sub_size) * arity).reshape(-1, arity)
+            split = ((filled > 0).sum(axis=1) > 1)[local]  # a segment of one group keeps its singletons
+            at, local, group = big[split], local[split], group[split]
+            key[at] = _exclusive(size)[seg[at]] + group  # inside the segment's range, as group < arity < size
+            head[at] = rest[big][picks[local, group]]
+        order = np.argsort(key, kind="stable")
+        members, key, head, seg = rest[order], key[order], head[order], seg[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # each child's first member
+        count = np.bincount(seg[starts], minlength=len(heads))
+        heads = head[starts]
+        counts.append(count)
+        firsts.append(levels[-1] + _exclusive(count))
+        points.append(heads)
+        parents.append(levels[-2] + seg[starts])
+        levels.append(levels[-1] + len(heads))
+    return np.concatenate(points), np.concatenate(parents), np.concatenate(firsts), np.concatenate(counts), levels[:-1]
 
 
-def _build_metric_tree(space: ComparisonSpace, refs: list[int], arity: int) -> _TreeNode:
-    def build(members: list[int], rep: int) -> _TreeNode:
-        rest = [r for r in members if r != rep]
-        node = _TreeNode(rep)
-        if rest:
-            if len(rest) <= arity:
-                seeds, groups = list(rest), [[r] for r in rest]
-            else:
-                seeds = list(dict.fromkeys(_maxmin_pivots(space, rest, arity)))
-                if len(seeds) == 1:  # all remaining points coincide
-                    seeds, groups = list(rest), [[r] for r in rest]
-                else:
-                    assign = np.argmin(space.pairwise(rest, seeds), axis=1)
-                    groups = [[] for _ in seeds]
-                    for r, gi in zip(rest, assign):
-                        groups[int(gi)].append(r)
-                    # a seed is at distance 0 from itself, so its group is non-empty
-                    seeds, groups = zip(*[(s, g) for s, g in zip(seeds, groups) if g])
-                    if len(groups) == 1:  # duplicates collapsed into one group
-                        seeds, groups = list(rest), [[r] for r in rest]
-            for seed, group in zip(seeds, groups):
-                node.children.append(build(group, seed))
-        node.subtree = (rep,) + tuple(v for c in node.children for v in c.subtree)
-        return node
+class _Tree(NamedTuple):
+    """A metric tree's discovering fans as columns, its responsibilities,
+    and each fan source's subtree as a (start, end) span of `preorder`."""
 
-    return build(list(refs), refs[0])
+    source: np.ndarray
+    start: np.ndarray
+    target: np.ndarray
+    cover: np.ndarray
+    res: dict[int, list[int]]
+    preorder: np.ndarray
+    spans: np.ndarray
 
 
-def _tree_edges(space: ComparisonSpace, root: _TreeNode):
-    """The root edge, the ball-labeled child edges as the columns of
-    discovering fans, one per internal node (row j is edge 1 + j), and
-    responsibilities, by preorder walk."""
-    source: list[int] = []
-    start = [0]
-    target: list[int] = []
-    cover: list[float] = []
-    res: dict[int, tuple[int, ...]] = {0: root.subtree}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            cover.append(float(np.max(space.distances_from(node.point, child.subtree))))
-            target.append(child.point)
-            res[len(target)] = child.subtree
-            stack.append(child)
-        if node.children:
-            source.append(node.point)
-            start.append(len(target))
-    return [Edge((), root.point)], (source, start, target, cover), res
+def _metric_tree(space: ComparisonSpace, refs: np.ndarray, arity: int) -> _Tree:
+    """The metric tree over distinct `refs` (`_tree_levels`) as fans.
+
+    Each node's subtree size, then its preorder position with its
+    children taken in order and in reverse, are computed a level at a
+    time, so every subtree is one slice of the preorder array. The fans
+    are the nodes with children, in preorder with children in reverse
+    (the pop order of a stack walk from the root); a fan's rows are its
+    node's children in order, each row's cover the largest distance from
+    the node to the child's subtree. A fan source's children's subtrees
+    lie end to end after it in preorder, so the covers are one
+    `np.maximum.reduceat` over one `distances_from` row per fan source,
+    from the source to that slice, as a pm-tree ring is one row per
+    pivot: a call holds one subtree's points, not the whole tree's
+    (source, descendant) pairs. Responsibility 0 is the whole preorder,
+    and row j's, as edge 1 + j, its child's subtree.
+    """
+    point, parent, first, count, levels = _tree_levels(space, refs, arity)
+    size = np.ones(len(point), dtype=np.int64)
+    for lo, mid, hi in reversed(list(zip(levels, levels[1:], levels[2:]))):
+        inner = lo + np.flatnonzero(count[lo:mid])
+        size[inner] += np.add.reduceat(size[mid:hi], first[inner] - mid)
+    pos = np.zeros(len(point), dtype=np.int64)  # preorder, children in order
+    back = np.zeros(len(point), dtype=np.int64)  # preorder, children in reverse
+    for mid, hi in zip(levels[1:], levels[2:]):
+        p = parent[mid:hi]
+        after = np.cumsum(size[mid:hi])
+        before = after - size[mid:hi]
+        pos[mid:hi] = pos[p] + 1 + before - before[first[p] - mid]
+        back[mid:hi] = back[p] + 1 + after[first[p] + count[p] - 1 - mid] - after
+    preorder = np.empty_like(point)
+    preorder[pos] = point
+
+    inner = np.flatnonzero(count)
+    inner = inner[np.argsort(back[inner])]
+    rows = _runs(first[inner], count[inner])
+    sizes = size[rows]
+    spans = np.stack([pos[inner], pos[inner] + size[inner]], axis=1)
+    d = [space.distances_from(v, preorder[a + 1 : b]) for v, (a, b) in zip(point[inner].tolist(), spans.tolist())]
+    flat = preorder.tolist()
+    res = {0: flat}
+    res.update(zip(range(1, len(rows) + 1), (flat[a : a + s] for a, s in zip(pos[rows].tolist(), sizes.tolist()))))
+    start = np.concatenate([[0], np.cumsum(count[inner])])
+    cover = np.maximum.reduceat(np.concatenate(d), _exclusive(sizes)) if d else np.zeros(0)
+    return _Tree(point[inner], start, point[rows], cover, res, preorder, spans)
 
 
 def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
     """Construct a classic index layout as a sprawl.
 
-    kinds: ball-tree, aesa, laesa (pivots=m), pm-tree (arity, pivots),
-    sorted-interval-tree (1-d coordinate-projection spaces only).
-    Returns (sprawl, responsibility assignment).
+    kinds: ball-tree (arity), aesa, laesa (pivots=m), pm-tree (arity,
+    pivots), sorted-interval-tree (1-d coordinate-projection spaces only).
+    Returns (sprawl, responsibility assignment). Node refs must be
+    distinct (`Sprawl.validate`). A ball-tree is a root edge into
+    nodes[0] and the fans of `_metric_tree`; a pm-tree is that tree over
+    the points that are not its max-min pivots, with a root edge and a
+    lazy ring fan over the tree's fan sources per pivot.
     """
     refs = [int(v) for v in nodes]
     if not refs:
@@ -1325,10 +1407,9 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
         arity = int(params.get("arity", 2))
         if arity < 2:
             raise ValueError("arity must be at least 2")
-        root = _build_metric_tree(space, refs, arity)
-        edges, (source, start, target, cover), res = _tree_edges(space, root)
-        fans = Fans(source, start, target, cover, discovers=np.ones(len(source), dtype=bool))
-        return Sprawl(space, refs, edges, fans), ResponsibilityAssignment(res)
+        tree = _metric_tree(space, np.asarray(refs, dtype=np.int64), arity)
+        fans = Fans(tree.source, tree.start, tree.target, tree.cover, discovers=np.ones(len(tree.source), dtype=bool))
+        return Sprawl(space, refs, [Edge((), refs[0])], fans), ResponsibilityAssignment(tree.res)
 
     if kind == "aesa":
         edges = [Edge((), v) for v in refs]
@@ -1365,30 +1446,29 @@ def build_classic(space: ComparisonSpace, nodes, kind: str, **params):
             raise ValueError("need more points than pivots")
         pivots = _maxmin_pivots(space, refs, m)
         tree_refs = [v for v in refs if v not in pivots]
-        root = _build_metric_tree(space, tree_refs, arity)
-        edges, (source, start, target, lo), tree_res = _tree_edges(space, root)
+        tree = _metric_tree(space, np.asarray(tree_refs, dtype=np.int64), arity)
         # the pivots' root edges 1..m precede the fans, so each row's id moves up by m
-        edges += [Edge((), p) for p in pivots]
-        res = {i + len(pivots) if i else 0: sub for i, sub in tree_res.items()}
+        edges = [Edge((), tree_refs[0])] + [Edge((), p) for p in pivots]
+        res = {i + len(pivots) if i else 0: sub for i, sub in tree.res.items()}
         res.update({1 + i: (p,) for i, p in enumerate(pivots)})
-        internal: list[_TreeNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            if node.children:
-                internal.append(node)
-        found, hi = len(source), list(lo)
-        for p in pivots if internal else ():  # one lazy shell fan per pivot, over the internal nodes
-            for node in internal:
-                drow = space.distances_from(p, node.subtree)
-                target.append(node.point)
-                lo.append(float(np.min(drow)))
-                hi.append(float(np.max(drow)))
-            source.append(p)
-            start.append(len(target))
-        discovers = np.arange(len(source)) < found
-        fans = Fans(source, start, target, lo, hi, discovers, ~discovers)
+        # one lazy shell fan per pivot, over the fan sources: the ring of each one's subtree
+        ringed = np.asarray(pivots if len(tree.spans) else [], dtype=np.int64)
+        rings = np.zeros((len(ringed), len(tree.preorder) + 1))  # a span may end at the end of a row
+        for row, p in zip(rings, ringed.tolist()):
+            row[:-1] = space.distances_from(p, tree.preorder)
+        lo = np.minimum.reduceat(rings, tree.spans.ravel(), axis=1)[:, ::2]
+        hi = np.maximum.reduceat(rings, tree.spans.ravel(), axis=1)[:, ::2]
+        rows = len(tree.target) + len(tree.spans) * np.arange(1, len(ringed) + 1)
+        discovers = np.arange(len(tree.source) + len(ringed)) < len(tree.source)
+        fans = Fans(
+            np.concatenate([tree.source, ringed]),
+            np.concatenate([tree.start, rows]),
+            np.concatenate([tree.target, np.tile(tree.source, len(ringed))]),
+            np.concatenate([tree.cover, lo.ravel()]),
+            np.concatenate([tree.cover, hi.ravel()]),
+            discovers,
+            ~discovers,
+        )
         return Sprawl(space, refs, edges, fans), ResponsibilityAssignment(res)
 
     if kind == "sorted-interval-tree":

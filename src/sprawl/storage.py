@@ -318,7 +318,7 @@ def index_document(sprawl: Sprawl, res: ResponsibilityAssignment | None = None) 
     else:
         doc["spheres"] = {"triangle": _block(triangle, _F8)}
     if res is not None:
-        doc["responsibility"] = {str(k): sorted(v) for k, v in sorted(res.edge_to_nodes.items())}
+        doc["responsibility"] = {str(k): sorted(set(map(int, v))) for k, v in sorted(res.members.items())}
     return doc
 
 

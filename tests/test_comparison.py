@@ -509,6 +509,26 @@ def _spaces_of_each_kind(rng, n: int) -> tuple:
     )
 
 
+def test_paired_gives_the_floats_of_rows_and_blocks(rng):
+    n = 30
+    points = rng.random((n, 2))
+    extra = tuple(EuclideanSpace(points, p) for p in (1.0, np.inf, 3.0))
+    a, b = rng.integers(0, n, 200), rng.integers(0, n, 200)
+    for space in _spaces_of_each_kind(rng, n) + extra:
+        got = space.paired(a, b)
+        assert got.dtype == float and got.shape == (200,)
+        rows = np.array([space.distances_from(int(x), [int(y)])[0] for x, y in zip(a, b)])
+        block = space.pairwise(range(n), range(n))
+        assert got.view(np.uint64).tolist() == rows.view(np.uint64).tolist(), space.kind
+        assert got.view(np.uint64).tolist() == block[a, b].view(np.uint64).tolist(), space.kind
+        assert space.paired([], []).shape == (0,)
+        for refs in (([0, -1], [1, 2]), ([1, 2], [3, -2])):
+            with pytest.raises(IndexError):
+                space.paired(*refs)
+        with pytest.raises(ValueError):
+            space.paired([0, 1], [2])
+
+
 def test_a_negative_ref_is_refused(rng):
     # a sequence reads a negative index from its end: Ball(-1, r) would
     # search about the last point of the space, and a row of refs would

@@ -50,13 +50,20 @@ A scan group ends the run: it hashes `linear_scan`'s answer to every
 query of the classic, non-ball and asymmetric-tree groups, over the nodes
 as a range and as a reversed tuple, one line per index of the classic and
 non-ball groups and one for the 200 asymmetric trees. Its last line
-hashes every line before it, this group included. A run takes about 40
-seconds on one core of a 2-core x86 host.
+hashes every line before it, this group included.
+
+A build group ends the run: it hashes the `index_document` JSON of the
+ball-tree and pm-tree indexes of the classic group (2,000 points, seeds 1
+and 7) and of the lab group (300 points), so two checkouts whose lines
+match build byte-identical indexes. Its last line hashes every line
+before it, this group included. A run takes about 40 seconds on one core
+of a 2-core x86 host.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import logging
 import re
 import sys
@@ -176,6 +183,7 @@ def main() -> None:
 
     lines = []
     scans = []  # (label, space, n, queries): what the scan group scans
+    builds = []  # (label, sprawl, responsibilities): what the build group hashes
 
     def emit(label: str, results, counted: bool = True) -> None:
         lines.append(f"{label} {digest(results, counted)}")
@@ -193,6 +201,8 @@ def main() -> None:
                     queries += [Ball(tuple(c), radius), Ball(tuple(c), 0.0, k=10)]
                 scans.append((f"{kind} seed={seed}", space, n, queries))
                 sprawl, res = build_classic(space, range(n), kind, arity=2, pivots=8)
+                if kind in ("ball-tree", "pm-tree"):
+                    builds.append((f"{kind} seed={seed} n={n}", sprawl, res))
                 storage.save_index(path, sprawl, res)
                 loaded, _ = storage.load_index(path)
                 forms = [("built", sprawl), ("loaded", loaded)]
@@ -289,6 +299,8 @@ def main() -> None:
     for kind, _ in KINDS:
         space = EuclideanSpace(rng.random((LAB, 8)))
         index, res = build_classic(space, range(LAB), kind, arity=2, pivots=8)
+        if kind in ("ball-tree", "pm-tree"):
+            builds.append((f"{kind} n={LAB}", index, res))
         fans, logical = index.fans, len(index.edges) + len(index.fans)
         queries = []
         for c in rng.random((CENTRES // 2, 8)):
@@ -322,6 +334,10 @@ def main() -> None:
         record(f"scan {label}", scanned(space, n, queries))
     record("scan asymmetric trees x200", (found for tree in trees for found in scanned(*tree)))
     print("all with scan", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+    for label, sprawl, res in builds:
+        record(f"build {label}", [json.dumps(storage.index_document(sprawl, res))])
+    print("all with build", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 if __name__ == "__main__":
