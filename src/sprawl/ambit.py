@@ -17,7 +17,9 @@ against a linear ambit query, which meets it as the ball that
 `overlap_refs` is that of a region against the radients of an explicit
 set of points. `shells_missed` is the vectorised shell test,
 `shells_hold` the vectorised shell and ball membership, `shell_bounds`
-the lower bounds that shells give a kNN search, and `ball_reach` the
+the lower bounds that shells give a kNN search, `spheres_missed` and
+`sphere_bounds` the same two for spheres (lo = hi) as one absolute
+difference, which a dense plan's full-width rows take, and `ball_reach` the
 radius at which a linear ambit's facets stop excluding a ball. A
 `LinearMap` also keeps its facet rows as plain floats, so both linear
 checks run as a float loop: on the small rows of tree regions, numpy's
@@ -347,6 +349,14 @@ def shells_missed(z, lo, hi, s: float):
     return (z - hi > cut) | (lo - z > cut)
 
 
+def spheres_missed(z, d, s: float):
+    """`shells_missed(z, d, d, s)` for spheres delta(p, .) = d, bit for bit:
+    |z - d| > `bound_cutoff(s)`, since fl(d - z) = -fl(z - d). A NaN entry
+    misses nothing. It takes a dense plan's full-width rows; the scalar
+    calls on lazy rows keep `shells_missed`, which needs no numpy."""
+    return np.abs(z - d) > bound_cutoff(s)
+
+
 def shells_hold(d, lo, hi) -> np.ndarray:
     """Which shells lo <= delta(p, .) <= hi hold a point u, given the
     array d = delta(p, u), with the membership slack `TOL`, in membership's
@@ -360,6 +370,12 @@ def shell_bounds(z, lo, hi):
     shell lo <= delta(p, u) <= hi, given z = delta(p, c). The shell surely
     misses B[c, s] where the bound exceeds `bound_cutoff(s)`."""
     return np.maximum(z - hi, lo - z)
+
+
+def sphere_bounds(z, d):
+    """`shell_bounds(z, d, d)` for spheres, |z - d|, equal to it bit for bit
+    (but for the sign of a zero); a NaN entry stays NaN."""
+    return np.abs(z - d)
 
 
 def bound_cutoff(s: float) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,10 +228,22 @@ def ref_array(refs) -> np.ndarray:
 NOT_FINITE = "a point's coordinates must be finite, not NaN or inf"
 
 
-def _finite_points(points) -> np.ndarray:
+#: Why points are refused whose span has an infinite Lp norm.
+SPAN_OVERFLOWS = "the points' coordinates span too far: a distance between two of them would overflow to inf"
+
+#: Why a raw point is refused that lies too far from a space's points.
+CENTRE_OVERFLOWS = "the point lies too far from the space's points: a distance to one would overflow to inf"
+
+
+def _finite_points(points, p: float) -> tuple[np.ndarray, tuple[list, list] | None]:
     """A space's points as a read-only (n, d) copy in floats, a 1-d
-    sequence read as n points of one coordinate. A NaN or infinite
-    coordinate is refused, as `_finite_point` refuses it in a raw value."""
+    sequence read as n points of one coordinate, and their bounding box as
+    two lists of floats (None for no points). A NaN or infinite coordinate
+    is refused, as `_finite_point` refuses it in a raw value, and so are
+    points whose span, the box's extent on each axis, has an infinite Lp
+    norm: two of them would then be at an infinite distance, which no
+    index can order or bound. No coordinate difference between two of
+    them exceeds the span's, so every distance between them is finite."""
     pts = np.array(points, dtype=float)  # a copy: freezing it leaves the caller's array writable
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -239,22 +252,46 @@ def _finite_points(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError(NOT_FINITE)
     pts.setflags(write=False)
-    return pts
+    if not len(pts):
+        return pts, None
+    cols = pts.T.copy()  # a reduction along contiguous rows is several times faster
+    low, high = cols.min(axis=1), cols.max(axis=1)
+    with np.errstate(over="ignore"):
+        if math.isinf(lp_norm(high - low, p)):
+            raise ValueError(SPAN_OVERFLOWS)
+    return pts, (low.tolist(), high.tolist())
 
 
 def _finite_point(space, raw) -> np.ndarray:
     """A raw coordinate vector as a read-only copy in floats.
 
     A NaN or infinite coordinate makes every distance to the point NaN or
-    inf, which no region bound can use, so such a point is refused. A
-    search resolves its centre once, so it checks it once.
+    inf, which no region bound can use, so such a point is refused, and so
+    is a point whose distance to the farthest corner of the space's
+    bounding box overflows to inf. That corner is as far as any of the
+    space's points on every axis, so where its distance is finite, so is
+    the distance to each of them. A point inside the box is no farther
+    from any of them on any axis than the span, whose norm the space
+    checked when it was made, and its coordinates are finite: the test of
+    that is one comparison per coordinate in plain floats, and only a point
+    outside the box is tested for finite coordinates and takes the corner's
+    distance, through the space's uncounted `_dist`. A search resolves its
+    centre once, so it checks it once.
     """
     a = np.array(raw, dtype=float)
     if a.shape != (space.dimension,):
         raise ValueError(f"expected a point of dimension {space.dimension}")
-    if not all(map(math.isfinite, a.tolist())):
-        raise ValueError(NOT_FINITE)
     a.setflags(write=False)
+    coords, box = a.tolist(), space.box
+    if box is not None and all(map(operator.le, box[0], coords)) and all(map(operator.le, coords, box[1])):
+        return a  # a NaN or inf coordinate fails one of these comparisons
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(NOT_FINITE)
+    if box is not None:
+        corner = [lo if x - lo >= hi - x else hi for x, lo, hi in zip(coords, *box)]
+        with np.errstate(over="ignore"):
+            if math.isinf(space._dist(a, np.array(corner))):
+                raise ValueError(CENTRE_OVERFLOWS)
     return a
 
 
@@ -264,9 +301,9 @@ class EuclideanSpace(ComparisonSpace):
     kind = "euclidean-lp"
 
     def __init__(self, points, p: float = 2.0):
-        pts = _finite_points(points)
         if not (p >= 1.0 or np.isinf(p)):
             raise ValueError("Lp comparison requires p >= 1")
+        pts, self.box = _finite_points(points, float(p))
         self.points = pts
         self.p = float(p)
         # the pair kernel, looked up once, where `plain` makes points float tuples
@@ -328,7 +365,7 @@ class ProjectionSpace(ComparisonSpace):
     kind = "coordinate-projection"
 
     def __init__(self, points):
-        self.points = _finite_points(points)
+        self.points, self.box = _finite_points(points, 2.0)  # L2 between two points
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -197,7 +197,9 @@ class Compiled(NamedTuple):
     plan: Plan
     lazy_in: dict[int, list[int]]  # the lazy edges into each target
     lazy_rows: dict[int, list[tuple[int, float, float]]]  # (source, lo, hi) per lazy fan row into a target
-    pos: np.ndarray | None  # the seed position of each fan row's target, in a dense plan
+    # in a dense plan, each shell fan's lo row and hi row (None for
+    # spheres) by seed position, NaN where it has no row (`_shell_rows`)
+    shells: tuple[list, list | None] | None
     balls: _BallColumns
     start: list[int]  # each fan's first row, and the row count
     source: list[int]  # each fan's source
@@ -310,6 +312,10 @@ class Sprawl:
         the first wave. Where every node is the source of an eager shell
         fan, as in AESA, every node would step alone, so the plan has no
         `Waves`; a dense plan then selects FIFO from its bound array.
+
+        A dense plan keeps each shell fan as one row as wide as the
+        seeds (`_shell_rows`), so a search fires it over the bound array
+        in place, with no gather or scatter by target.
         """
         if self._plan_cache is not None:
             return self._plan_cache
@@ -399,14 +405,43 @@ class Sprawl:
         dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(nodes)
         plan = activation(eager, span, seeds, dense)
         plan = plan._replace(waves=waves, sole_finder=bool(finders.max(initial=0) <= 1))
-        pos = plan.positions[fans.target] if dense else None
+        shells = _shell_rows(fans, plan.positions, len(plan.seeds)) if dense else None
         # eager ids ascend: every one is a discovering fan's if the first and the last are
         fanned = not eager or eager[0][0] >= base and eager[-1][0] < base + fans.found
         lean = fanned and not (lazy_in or lazy_rows or checked)
         space = self.space
         plain = {v: space.plain(space.value(v)) for v in nodes}
-        self._plan_cache = Compiled(plan, lazy_in, lazy_rows, pos, columns, start, source, rows, lean, plain)
+        self._plan_cache = Compiled(plan, lazy_in, lazy_rows, shells, columns, start, source, rows, lean, plain)
         return self._plan_cache
+
+
+def _shell_rows(fans: Fans, positions: np.ndarray, width: int) -> tuple[list, list | None]:
+    """Each shell fan of a dense plan as one row by seed position, `width`
+    long, NaN where the fan has no row: the lo rows by fan, and the hi
+    rows, or None where the rows are spheres (`fans.hi is fans.lo`). A
+    dense plan has no discovering fan; a lazy fan's row is never fired.
+
+    Each table is built by one flat scatter. A fan that names one target
+    twice keeps the intersection of those rows, the largest lo and the
+    smallest hi: its FIFO verdict is the one of any row missing, and its
+    bound under "bound" the largest of theirs, bit for bit. Where such a
+    merge makes a sphere fan's lo and hi differ, both tables are kept.
+    """
+    fanned = len(fans.source)
+    flat = np.repeat(np.arange(fanned) * width, np.diff(fans.start))  # each row's place in the table
+    flat += positions[fans.target]
+    lows = np.full(fanned * width, np.nan)
+    lows[flat] = fans.lo  # where a fan names a target twice, the last row's
+    repeated = np.count_nonzero(lows == lows) < len(flat)  # fewer entries written than rows
+    if repeated:
+        np.maximum.at(lows, flat, fans.lo)
+    highs = None
+    if fans.hi is not fans.lo or repeated:
+        highs = np.full(len(lows), np.nan)
+        highs[flat] = fans.hi
+        if repeated:
+            np.minimum.at(highs, flat, fans.hi)
+    return list(lows.reshape(fanned, width)), None if highs is None else list(highs.reshape(fanned, width))
 
 
 # --- query evaluation -------------------------------------------------------
@@ -766,12 +801,13 @@ def _stepwise(
     bounds, and where the plan proves each node's bound its one discovering
     edge's (`Plan.sole_finder`), the "bound" heuristic stops once the
     smallest bound left is beyond the radius. When the frontier is dense
-    under "bound" (see `Sprawl._plan`), a fired shell fan instead raises
-    each target's shell lower bound, and a bound beyond the current radius
-    eliminates, as in AESA and LAESA. When it is dense under FIFO (AESA),
-    the next node is the first live root, and a fired shell fan eliminates
-    its missed targets by seed position in one store, as the classic AESA
-    range loop does.
+    under "bound" (see `Sprawl._plan`), a fired shell fan is one row by
+    seed position (`Compiled.shells`) and raises each target's shell lower
+    bound in place, and a bound beyond the current radius eliminates, as
+    in AESA and LAESA. When it is dense under FIFO (AESA), the next node is
+    the first live root, and a fired shell fan eliminates its missed
+    targets by one mask store over that row, as the classic AESA range
+    loop does.
 
     A wave goes through one callback, `wave`: one `measure_row` call tests
     the whole wave for membership, filling the centre-distance cache only
@@ -784,7 +820,8 @@ def _stepwise(
     the node-at-a-time form.
     """
     query, edges, fans, explicit = ev.query, sprawl.edges, sprawl.fans, len(sprawl.edges)
-    balls, start, source, rows, pos = c.balls, c.start, c.source, c.rows, c.pos
+    balls, start, source, rows = c.balls, c.start, c.source, c.rows
+    lows, highs = c.shells or (None, None)
     lazy_in, lazy_rows, found = c.lazy_in, c.lazy_rows, fans.found
     ball, knn = isinstance(query, Ball), k is not None
     s = math.inf if knn else query.radius if ball else None  # the cover radius
@@ -840,14 +877,20 @@ def _stepwise(
                     frontier.discover_all([t for _, t in pairs])
             else:  # a shell fan, rows first:end
                 first, end, u = start[f], start[f + 1], source[f]
-                lo, hi = fans.lo[first:end], fans.hi[first:end]
                 z = to_center[u]
                 ev.region_evaluations += end - first
-                if steer:
-                    frontier.raise_bounds(pos[first:end], ambit_mod.shell_bounds(z, lo, hi))
-                elif frontier.dense:
-                    frontier.eliminate_at(pos[first:end][ambit_mod.shells_missed(z, lo, hi, s)])
+                if frontier.dense:  # one full-width row by seed position, in place
+                    lo, hi = lows[f], None if highs is None else highs[f]
+                    if steer:
+                        frontier.raise_row(
+                            ambit_mod.sphere_bounds(z, lo) if hi is None else ambit_mod.shell_bounds(z, lo, hi)
+                        )
+                    else:
+                        frontier.eliminate_row(
+                            ambit_mod.spheres_missed(z, lo, s) if hi is None else ambit_mod.shells_missed(z, lo, hi, s)
+                        )
                 else:
+                    lo, hi = fans.lo[first:end], fans.hi[first:end]
                     frontier.eliminate(fans.target[first:end][ambit_mod.shells_missed(z, lo, hi, s)])
 
     members: list[int] = []

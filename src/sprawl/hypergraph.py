@@ -62,7 +62,7 @@ class Heuristic:
     by the largest lower bound known for the node, ties by discovery
     sequence. Those bounds are the ones given with each discovery or, over
     a dense plan (in `engine.search`, AESA and LAESA), the shell bounds
-    that `Frontier.raise_bounds` raises. Only this kind lets `Frontier.cut`
+    that `Frontier.raise_row` raises. Only this kind lets `Frontier.cut`
     rule nodes out by their bounds, and over a heap only where the plan
     proves each key a true lower bound (`Plan.sole_finder`).
     """
@@ -198,10 +198,11 @@ class Frontier:
 
     Both `traverse` and `engine.search` run on it; they differ only in the
     `fire` callback that turns activated edge ids into `discover_all`,
-    `discover_at`, `eliminate` and `raise_bounds` calls. Elimination is permanent, and
-    since edges fired in one round all fire before the next selection, it
-    beats discovery. An edge fires as soon as its source is traversed; only
-    an edge with several sources counts down to the last of them.
+    `discover_at`, `eliminate`, `eliminate_row` and `raise_row` calls.
+    Elimination is permanent, and since edges fired in one round all fire
+    before the next selection, it beats discovery. An edge fires as soon
+    as its source is traversed; only an edge with several sources counts
+    down to the last of them.
 
     Node status has one store in every form: a byte per ref in
     [0, `Plan.span`), with the bits QUEUED (discovered), DONE (selected or
@@ -213,11 +214,13 @@ class Frontier:
       where the plan carries no `Waves`. Every node is a seed, so its seed
       position is its discovery sequence, and no edge discovers: one argmin
       over a bound array by position selects, the first of equal bounds
-      winning. Under "bound", `raise_bounds` raises many bounds at once and
+      winning. A fired shell fan is one row as wide as the bound array:
+      under "bound", `raise_row` raises every bound it names in place and
       a bound above the `cut` limit eliminates; under FIFO every live bound
-      stays 0, so the argmin is the first live seed. A selected or
+      stays 0, so the argmin is the first live seed, and `eliminate_row`
+      rules out a fan's missed targets by one mask store. A selected or
       eliminated node's bound is inf. Only selection and `eliminate` set
-      DONE here: `eliminate_at`, `raise_bounds` and `cut` write the bound
+      DONE here: `eliminate_row`, `raise_row` and `cut` write the bound
       array alone, since they run per fired shell fan, where a status
       write costs a gather more, and no edge of a dense plan reads the
       status of a node they rule out.
@@ -334,15 +337,18 @@ class Frontier:
         eliminated."""
         return self._status[vs] & DONE == 0
 
-    def eliminate_at(self, positions) -> None:
-        """Eliminate the nodes at the given seed positions (dense frontiers
-        only), in the bound array alone."""
-        self._bound[positions] = np.inf
+    def eliminate_row(self, missed: np.ndarray) -> None:
+        """Eliminate the nodes where a bool row by seed position is True
+        (dense frontiers only), in the bound array alone, by one mask
+        store."""
+        np.putmask(self._bound, missed, np.inf)
 
-    def raise_bounds(self, positions, bounds) -> None:
-        """Raise the shell bounds of the nodes at the given seed positions
-        (dense frontiers only); a bound above the `cut` limit eliminates."""
-        self._bound[positions] = np.maximum(self._bound[positions], bounds)
+    def raise_row(self, bounds: np.ndarray) -> None:
+        """Raise each node's shell bound to its entry of a row by seed
+        position (dense frontiers only), in place; a bound above the `cut`
+        limit eliminates. A NaN entry, where the fan has no row, raises
+        nothing, and a selected or eliminated node's inf stays inf."""
+        np.fmax(self._bound, bounds, out=self._bound)
 
     def cut(self, limit: float) -> None:
         """Rule out every node whose "bound" key exceeds limit; limits only

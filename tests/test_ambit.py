@@ -670,6 +670,26 @@ def _ulps_about(z0, ulps: int = 3) -> list[float]:
     return below[:0:-1] + above
 
 
+def test_sphere_kernels_are_the_shell_kernels_at_lo_equal_hi(rng):
+    # a dense plan fires a sphere fan as one row by seed position, NaN where
+    # the fan has no row: |z - d| is shell_bounds(z, d, d) and its verdict
+    # shells_missed(z, d, d, s), at the cutoff and 1 ulp to each side, at
+    # every scale, with d = z and NaN entries, which neither bounds nor misses
+    from sprawl.ambit import shell_bounds, shells_missed, sphere_bounds, spheres_missed
+
+    for scale in SCALES:
+        for _ in range(150):
+            z, s = float(rng.random()) * scale, float(rng.random()) * scale
+            cut = bound_cutoff(s)
+            d = np.array(_ulps_about(z - cut, 1) + _ulps_about(z + cut, 1) + [z, np.nan, 0.0, np.nan])
+            bounds = sphere_bounds(z, d)
+            assert np.array_equal(bounds, shell_bounds(z, d, d), equal_nan=True), scale
+            assert not np.signbit(bounds[~np.isnan(bounds)]).any()
+            missed = spheres_missed(z, d, s)
+            assert missed.tolist() == shells_missed(z, d, d, s).tolist() == (bounds > cut).tolist(), scale
+            assert not missed[np.isnan(d)].any() and np.isnan(bounds[np.isnan(d)]).all()
+
+
 def test_linear_verdicts_are_one_bound_against_the_cutoff(rng):
     # at distances of every scale, z on a facet's boundary (a z - r) / |a| =
     # bound_cutoff(s) and 3 ulps to each side: the shell mask and the column

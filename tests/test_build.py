@@ -175,17 +175,6 @@ def test_level_builder_matches_the_oracle_at_scale():
     assert_matches_oracle(space, rng.permutation(600).tolist(), "pm-tree", 3, 8)
 
 
-def test_overflowing_distances_build_the_oracle_tree():
-    # the differences of +-1e308 overflow to an infinite distance
-    space = EuclideanSpace([[0.0], [1e308], [-1e308], [1.0]])
-    with np.errstate(over="ignore"):
-        for kind in ("ball-tree", "pm-tree"):
-            for arity in (2, 3):
-                assert_matches_oracle(space, range(4), kind, arity, pivots=1)
-        sprawl, _ = build_classic(space, range(4), "ball-tree")
-    assert np.isinf(sprawl.fans.hi).any()
-
-
 def test_a_huge_arity_allocates_nothing_by_it():
     space = EuclideanSpace(np.random.default_rng(2).random((5, 3)))
     tracemalloc.start()

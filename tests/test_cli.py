@@ -100,6 +100,20 @@ def test_build_refuses_non_finite_data(tmp_path, capsys, fmt, text):
     assert not out.exists()
 
 
+def test_build_and_query_refuse_overflowing_distances(tmp_path, capsys):
+    # a span of 2e308 overflows every distance across it, and so does an
+    # L2 distance from a unit dataset to a centre at 1e200
+    data, out = tmp_path / "d.txt", tmp_path / "i.json"
+    data.write_text("0\n1e308\n-1e308\n1\n")
+    assert main(["build", "--dataset", str(data), "--kind", "ball-tree", "--out", str(out)]) == 3
+    assert "span too far" in capsys.readouterr().err
+    assert not out.exists()
+    data.write_text("0\n1\n")
+    assert main(["build", "--dataset", str(data), "--kind", "aesa", "--out", str(out)]) == 0
+    assert main(["query", "--index", str(out), "--knn", "1", "--center", "1e200"]) == 3
+    assert "too far" in capsys.readouterr().err
+
+
 def test_knn_query(tmp_path, dataset):
     index = tmp_path / "i.json"
     main(["build", "--dataset", str(dataset), "--kind", "ball-tree", "--out", str(index)])

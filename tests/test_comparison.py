@@ -442,7 +442,41 @@ def test_spaces_refuse_non_finite_data(bad):
     for symmetric in (None, False):
         with pytest.raises(ValueError, match="not NaN or inf"):
             MatrixSpace(m, symmetric=symmetric)
-    assert len(EuclideanSpace([[1e308], [-1e308]])) == 2  # the largest finite values are data
+    # the largest finite values are data, where no distance between them overflows
+    assert len(EuclideanSpace([[1e308], [1e308]])) == 2
+    assert len(EuclideanSpace([[1e308], [0.0]], p=1.0)) == 2
+
+
+def test_overflowing_distances_are_refused(rng):
+    # the differences of +-1e308 overflow to an infinite distance: ball-tree
+    # answered (0, 1, 2), AESA (0, 3) and the scan (0, 3, 1, 2) to the same
+    # kNN query, so such data is refused when a space is made
+    pts = [[0.0], [1e308], [-1e308], [1.0]]
+    for make in (EuclideanSpace, ProjectionSpace, lambda p: EuclideanSpace(p, p=1.0)):
+        with pytest.raises(ValueError, match="span too far"):
+            make(pts)
+    # L2 squares each difference: a span of 1e160 overflows there, not in L1
+    with pytest.raises(ValueError, match="span too far"):
+        EuclideanSpace([[0.0], [1e160]])
+    assert len(EuclideanSpace([[0.0], [1e160]], p=1.0)) == 2
+    # a raw centre is refused where its distance to some point would
+    # overflow, and only there: the farthest corner of the points' box
+    # decides, on either side of the box and in every call shape
+    for d, p in ((1, 2.0), (3, 2.0), (20, 2.0), (3, 1.0), (3, 3.0)):
+        space = EuclideanSpace(rng.random((30, d)), p=p)
+        sprawls = [build_classic(space, range(30), kind, pivots=4)[0] for kind in ("ball-tree", "aesa")]
+        edge = (np.finfo(float).max / d) ** (1.0 / p)  # the sum of d terms edge ** p overflows
+        for sign in (1.0, -1.0):
+            assert len(linear_scan(space, range(30), Ball((sign * edge / 2,) * d, 0.0, k=30))) == 30
+            query = Ball((sign * edge * 2,) * d, 0.0, k=4)
+            with pytest.raises(ValueError, match="too far"):
+                linear_scan(space, range(30), query)
+            for sprawl in sprawls:
+                with pytest.raises(ValueError, match="too far"):
+                    search(sprawl, query)
+    projection = ProjectionSpace(rng.random((5, 2)))
+    with pytest.raises(ValueError, match="too far"):
+        projection.compare((1.4e154, 0.0), 0)
 
 
 def test_queries_validate():

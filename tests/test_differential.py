@@ -381,3 +381,51 @@ def test_rediscovery_raises_a_key_and_selects_once():
     got = assert_best_first(sprawl, q)
     assert got.order == (r, a, b, w, v)
     assert got.members == linear_scan(space, range(5), q) == (w, v, b, a, r)
+
+
+def test_a_dense_fan_that_names_a_target_twice_keeps_the_rows_intersection(rng):
+    # all-root sprawls whose shell fans name some targets twice, each row a
+    # shell or a sphere that holds the target, over points with exact ties.
+    # Each searches as the sprawl whose fans name each target once, by the
+    # intersection of its rows (the largest lo, the smallest hi): FIFO rules
+    # a target out where either row misses, and "bound" raises it to the
+    # larger of the two bounds, whichever row comes last. Both agree with
+    # the scan and the references.
+    widened = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 13))
+        space = EuclideanSpace(np.round(rng.random((n, 2)) * 4) / 4)
+        edges = [Edge((), v) for v in rng.permutation(n).tolist()]
+        twice, once = [], []
+        for u in range(n):
+            targets = np.array([t for t in range(n) if t != u and rng.random() < 0.8], dtype=np.int64)
+            d = space.distances_from(u, targets)
+
+            def rows():  # a shell about each distance, a sphere where both widths are 0
+                wide = rng.random(len(d)) < 0.6
+                return d - wide * rng.random(len(d)) * 0.5, d + wide * rng.random(len(d)) * 0.5
+
+            (lo, hi), (lo2, hi2) = rows(), rows()
+            again = rng.random(len(d)) < 0.5
+            extra = (targets[again], lo2[again], hi2[again])
+            twice.append((u, *(np.concatenate([a, b]) for a, b in zip((targets, lo, hi), extra))))
+            lo[again], hi[again] = np.maximum(lo[again], lo2[again]), np.minimum(hi[again], hi2[again])
+            once.append((u, targets, lo, hi))
+            widened += int(np.count_nonzero(again))
+        repeated, merged = (Sprawl(space, range(n), edges, make_fans((), groups)) for groups in (twice, once))
+        assert repeated._plan().plan.positions is not None
+        for _ in range(3):
+            c = tuple(rng.random(2) * 1.2)
+            for q in (Ball(c, float(rng.integers(0, 4)) / 4), Ball(c, 0.0, k=int(rng.integers(1, n + 2)))):
+                want = linear_scan(space, range(n), q)
+                for h in (None, Heuristic.fifo(), Heuristic("bound")):
+                    got, same = search(repeated, q, h), search(merged, q, h)
+                    assert (got.members, got.order, got.distance_computations) == (
+                        same.members, same.order, same.distance_computations
+                    ), (q, h)
+                    assert got.members == want
+                if q.k is None:
+                    assert reference_search(repeated, q) == (want, search(repeated, q, Heuristic.fifo()).order)
+                else:
+                    assert reference_best_first(repeated, q)[0] == want
+    assert widened > 100

@@ -252,6 +252,47 @@ def test_dense_fifo_with_waves_keeps_the_wave_form():
     assert Frontier(plan, Heuristic("bound")).dense
 
 
+def test_dense_rows_skip_nan_entries_and_keep_inf():
+    # seeds 2, 0, 3, 1 sit at positions 0..3; traversing v fires its row by
+    # seed position, where NaN names no row. Under "bound" a row raises each
+    # live bound it names in place, a NaN never raises one and a selected
+    # node's inf stays inf; the cut then eliminates the bound above it.
+    # Under FIFO a row's True entries eliminate, its False and the selected
+    # node's entry leave the bound array as it was.
+    nan, inf = np.nan, np.inf
+    plan = activation([(i, (i,)) for i in range(4)], 4, [2, 0, 3, 1], dense=True)
+    bounds = {2: [5.0, 0.5, nan, 0.25], 3: [1.0, nan, 5.0, nan], 1: [nan, 0.75, nan, 9.0]}
+    seen = []
+
+    def run(h, fire_row, limit=None):
+        frontier = Frontier(plan, h)
+        if limit is not None:
+            frontier.cut(limit)
+
+        def fire(edge_ids):
+            for i in edge_ids:
+                fire_row(frontier, i)
+            seen.append(frontier._bound.tolist())
+
+        return frontier.run(fire)
+
+    def raise_row(frontier, i):
+        frontier.raise_row(np.array(bounds.get(i, [nan] * 4)))
+
+    assert run(Heuristic("bound"), raise_row) == [2, 3, 1, 0]
+    assert seen[1:4] == [[inf, 0.5, 0.0, 0.25], [inf, 0.5, inf, 0.25], [inf, 0.75, inf, inf]]
+    seen.clear()
+    assert run(Heuristic("bound"), raise_row, limit=0.6) == [2, 3, 1]
+    missed = {2: [True, False, False, True], 3: [True, False, True, False]}
+
+    def eliminate_row(frontier, i):
+        frontier.eliminate_row(np.array(missed.get(i, [False] * 4)))
+
+    seen.clear()
+    assert run(Heuristic.fifo(), eliminate_row) == [2, 0, 3]
+    assert seen[1:] == [[inf, 0.0, 0.0, inf], [inf, inf, 0.0, inf], [inf, inf, inf, inf]]
+
+
 def test_every_form_keeps_one_status_store():
     # the plan above in the heap, dense and wave forms: each selects its own
     # way, but done and traversed read the same status bytes, and agree

@@ -118,8 +118,16 @@ def test_linear_facet_kernels_compare_with_bound_cutoff():
     # one overlap rule: each linear facet kernel compares the facet's lower
     # bound with `bound_cutoff(s)`; one that adds TOL to its own side
     # rounds differently, and a search and its per-row oracles disagree on
-    # a row at the slack boundary
-    kernels = ("_facets_meet", "overlap_facet_columns", "overlap_facet_pairs", "shells_missed", "overlap_linear")
+    # a row at the slack boundary; the sphere kernel a dense plan's rows take
+    # is one of them
+    kernels = (
+        "_facets_meet",
+        "overlap_facet_columns",
+        "overlap_facet_pairs",
+        "shells_missed",
+        "spheres_missed",
+        "overlap_linear",
+    )
     tree = ast.parse((SRC / "ambit.py").read_text())
     found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in kernels}
     assert sorted(found) == sorted(kernels), "ambit's linear facet kernels not found"

@@ -36,7 +36,7 @@ non-ball counts on purpose can show that nothing else moved. The final
 line hashes every line before it, this group included, so two checkouts
 whose last lines match returned the same results everywhere.
 
-A lab group ends the run: over each of the four kinds built on 300
+A lab group follows: over each of the four kinds built on 300
 uniform points in [0,1]^8, it hashes the edges `reduce_to_signed` gives,
 sources, target and sign in order, for 20 range queries at the exact
 1%-NN radius and 20 balls whose radius is a fan row's bound (10 about the
@@ -46,18 +46,25 @@ with one member added to a random logical edge. A report's region reprs
 are hashed without the object addresses they hold. Its last line hashes
 every line before it.
 
-A scan group ends the run: it hashes `linear_scan`'s answer to every
+A scan group follows: it hashes `linear_scan`'s answer to every
 query of the classic, non-ball and asymmetric-tree groups, over the nodes
 as a range and as a reversed tuple, one line per index of the classic and
 non-ball groups and one for the 200 asymmetric trees. Its last line
 hashes every line before it, this group included.
 
-A build group ends the run: it hashes the `index_document` JSON of the
+A build group follows: it hashes the `index_document` JSON of the
 ball-tree and pm-tree indexes of the classic group (2,000 points, seeds 1
 and 7) and of the lab group (300 points), so two checkouts whose lines
 match build byte-identical indexes. Its last line hashes every line
-before it, this group included. A run takes about 40 seconds on one core
-of a 2-core x86 host.
+before it, this group included.
+
+A dense group ends the run: 200 all-root sprawls over 2-24 points of an
+8 x 8 dyadic grid whose only other edges are shell fans, as AESA and
+LAESA build them (`dense_sprawl`: fans that skip some targets, some lazy,
+sphere rows and shell rows lo < hi, no target named twice in one fan),
+each under 2 range and 6 kNN queries and every heuristic. Its last line
+hashes every line before it, this group included. A run takes about 40
+seconds on one core of a 2-core x86 host.
 """
 from __future__ import annotations
 
@@ -123,6 +130,32 @@ def fan_tree(rng, np, EuclideanSpace, Edge, Fans, Sprawl):
         discovers=np.ones(len(firsts), dtype=bool),
     )
     return Sprawl(space, range(n), [Edge((), order[0])], fans)
+
+
+def dense_sprawl(rng, np, EuclideanSpace, Edge, Fans, Sprawl):
+    """An all-root sprawl over 2-24 of 30 points of an 8 x 8 dyadic grid
+    (duplicate points, exact ties), its root edges in shuffled order, whose
+    only other edges are shell fans from some of its nodes, as AESA and
+    LAESA build them: each fan skips some targets and names none twice, a
+    few fans are lazy, and its rows are all spheres or, in about half the
+    sprawls, spheres and shells lo < hi that hold each target's distance."""
+    grid = np.array([(x, y) for x in range(8) for y in range(8)]) / 8
+    space = EuclideanSpace(grid[rng.integers(0, 64, 30)])
+    nodes = np.sort(rng.choice(30, size=int(rng.integers(2, 25)), replace=False))
+    spheres = rng.random() < 0.5
+    source, start, target, lo, hi, lazy = [], [0], [], [], [], []
+    for u in rng.permutation(nodes)[: int(rng.integers(1, len(nodes) + 1))].tolist():
+        targets = nodes[(nodes != u) & (rng.random(len(nodes)) < 0.7)]
+        d = space.distances_from(u, targets)
+        wide = np.zeros(len(d)) if spheres else (rng.random(len(d)) < 0.6) * rng.random(len(d)) / 4
+        source.append(u)
+        start.append(start[-1] + len(targets))
+        target += targets.tolist()
+        lo += (d - wide * rng.random(len(d))).tolist()
+        hi += (d + wide).tolist()
+        lazy.append(bool(rng.random() < 0.15))
+    fans = Fans(source, start, target, lo, None if spheres else hi, lazy=lazy)
+    return Sprawl(space, nodes.tolist(), [Edge((), v) for v in rng.permutation(nodes).tolist()], fans)
 
 
 def asymmetric_tree(rng, np, MatrixSpace, Edge, ExplicitRegion, EMPTY, Sprawl):
@@ -338,6 +371,20 @@ def main() -> None:
     for label, sprawl, res in builds:
         record(f"build {label}", [json.dumps(storage.index_document(sprawl, res))])
     print("all with build", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+    rng = np.random.default_rng(27)
+    results = {name: [] for name in heuristics(Heuristic)}
+    for _ in range(200):
+        sprawl = dense_sprawl(rng, np, EuclideanSpace, Edge, Fans, Sprawl)
+        n = len(sprawl.nodes)
+        centres = [tuple(rng.integers(0, 8, 2) / 8), tuple(rng.random(2))]
+        queries = [Ball(c, float(rng.integers(0, 4)) / 8) for c in centres]
+        queries += [Ball(c, 0.0, k=k) for c in centres for k in (1, 3, n)]
+        for name, h in heuristics(Heuristic).items():
+            results[name] += [search(sprawl, q, h) for q in queries]
+    for name, found in results.items():
+        emit(f"dense x200 {name}", found)
+    print("all with dense", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 if __name__ == "__main__":
