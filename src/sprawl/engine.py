@@ -1324,8 +1324,9 @@ def _maxmin_pivots(space: ComparisonSpace, refs, count: int) -> list[int]:
 def _tree_levels(space: ComparisonSpace, refs: np.ndarray, arity: int):
     """The metric tree over distinct `refs`, headed by refs[0], built a
     level at a time, with a fixed number of numpy calls per level, as BFS
-    columns: point, parent, first child and child count, and where each
-    level starts, then the node count.
+    columns: point, parent, first child, child count and the cover of the
+    edge from the node's parent, and where each level starts, then the
+    node count.
 
     Each node heads a segment of members. Its point leaves them; if more
     than `arity` remain, they go to their first nearest of `arity` max-min
@@ -1334,15 +1335,26 @@ def _tree_levels(space: ComparisonSpace, refs: np.ndarray, arity: int):
     if every member falls into one group, each remaining member is a
     child of its own, in order. A stable sort by group forms the next
     level's segments.
+
+    A child's subtree is its segment, so its cover is the largest
+    distance from its parent's point to the segment's members. Each
+    member carries its distance to its segment's head: the root's
+    members from one `distances_from` row, a split child's from its
+    pivot's `_maxmin` row, so the covers take no other distance. (A pivot
+    heads its own group: it is 0 from itself, and a pivot 0 from an
+    earlier one is picked only when every member is 0 from some earlier
+    pivot, so its group is empty.)
     """
-    points, parents, firsts, counts, levels = [refs[:1]], [np.full(1, -1)], [], [], [0, 1]
+    points, parents, firsts, counts, covers, levels = [refs[:1]], [np.full(1, -1)], [], [], [np.zeros(1)], [0, 1]
     members, starts, heads = refs, np.zeros(1, dtype=np.int64), refs[:1]
+    near = space.distances_from(refs[0], refs)  # each member's distance to its segment's head
     while len(heads):
         seg = np.repeat(np.arange(len(heads)), np.diff(starts, append=len(members)))
         keep = members != heads[seg]  # each node's point leaves its members
-        rest, seg = members[keep], seg[keep]
+        rest, seg, near = members[keep], seg[keep], near[keep]
         size = np.bincount(seg, minlength=len(heads))
         key, head = np.arange(len(rest)), rest.copy()  # a child of its own, headed by itself
+        to_head = np.zeros(len(rest))
         big = np.flatnonzero(size[seg] > arity)
         if len(big):
             sub_size = size[size > arity]
@@ -1351,12 +1363,15 @@ def _tree_levels(space: ComparisonSpace, refs: np.ndarray, arity: int):
             local = np.repeat(np.arange(len(sub_size)), sub_size)
             filled = np.bincount(local * arity + group, minlength=len(sub_size) * arity).reshape(-1, arity)
             split = ((filled > 0).sum(axis=1) > 1)[local]  # a segment of one group keeps its singletons
+            to_head[big[split]] = dist[group, np.arange(len(big))][split]
             at, local, group = big[split], local[split], group[split]
             key[at] = _exclusive(size)[seg[at]] + group  # inside the segment's range, as group < arity < size
             head[at] = rest[big][picks[local, group]]
         order = np.argsort(key, kind="stable")
         members, key, head, seg = rest[order], key[order], head[order], seg[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))  # each child's first member
+        covers.append(np.maximum.reduceat(near[order], starts))
+        near = to_head[order]
         count = np.bincount(seg[starts], minlength=len(heads))
         heads = head[starts]
         counts.append(count)
@@ -1364,7 +1379,8 @@ def _tree_levels(space: ComparisonSpace, refs: np.ndarray, arity: int):
         points.append(heads)
         parents.append(levels[-2] + seg[starts])
         levels.append(levels[-1] + len(heads))
-    return np.concatenate(points), np.concatenate(parents), np.concatenate(firsts), np.concatenate(counts), levels[:-1]
+    columns = points, parents, firsts, counts, covers
+    return (*map(np.concatenate, columns), levels[:-1])
 
 
 class _Tree(NamedTuple):
@@ -1388,16 +1404,11 @@ def _metric_tree(space: ComparisonSpace, refs: np.ndarray, arity: int) -> _Tree:
     time, so every subtree is one slice of the preorder array. The fans
     are the nodes with children, in preorder with children in reverse
     (the pop order of a stack walk from the root); a fan's rows are its
-    node's children in order, each row's cover the largest distance from
-    the node to the child's subtree. A fan source's children's subtrees
-    lie end to end after it in preorder, so the covers are one
-    `np.maximum.reduceat` over one `distances_from` row per fan source,
-    from the source to that slice, as a pm-tree ring is one row per
-    pivot: a call holds one subtree's points, not the whole tree's
-    (source, descendant) pairs. Responsibility 0 is the whole preorder,
-    and row j's, as edge 1 + j, its child's subtree.
+    node's children in order, each row's cover the one `_tree_levels`
+    gives the child. Responsibility 0 is the whole preorder, and row
+    j's, as edge 1 + j, its child's subtree.
     """
-    point, parent, first, count, levels = _tree_levels(space, refs, arity)
+    point, parent, first, count, link, levels = _tree_levels(space, refs, arity)
     size = np.ones(len(point), dtype=np.int64)
     for lo, mid, hi in reversed(list(zip(levels, levels[1:], levels[2:]))):
         inner = lo + np.flatnonzero(count[lo:mid])
@@ -1418,13 +1429,11 @@ def _metric_tree(space: ComparisonSpace, refs: np.ndarray, arity: int) -> _Tree:
     rows = _runs(first[inner], count[inner])
     sizes = size[rows]
     spans = np.stack([pos[inner], pos[inner] + size[inner]], axis=1)
-    d = [space.distances_from(v, preorder[a + 1 : b]) for v, (a, b) in zip(point[inner].tolist(), spans.tolist())]
     flat = preorder.tolist()
     res = {0: flat}
     res.update(zip(range(1, len(rows) + 1), (flat[a : a + s] for a, s in zip(pos[rows].tolist(), sizes.tolist()))))
     start = np.concatenate([[0], np.cumsum(count[inner])])
-    cover = np.maximum.reduceat(np.concatenate(d), _exclusive(sizes)) if d else np.zeros(0)
-    return _Tree(point[inner], start, point[rows], cover, res, preorder, spans)
+    return _Tree(point[inner], start, point[rows], link[rows], res, preorder, spans)
 
 
 def build_classic(space: ComparisonSpace, nodes, kind: str, **params):

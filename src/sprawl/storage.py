@@ -413,7 +413,7 @@ def _joined(pieces: list[np.ndarray]) -> np.ndarray:
 
 
 def save_index(path, sprawl: Sprawl, res: ResponsibilityAssignment | None = None) -> None:
-    Path(path).write_text(json.dumps(index_document(sprawl, res)) + "\n")
+    Path(path).write_text(json.dumps(index_document(sprawl, res), separators=(",", ":")) + "\n")
 
 
 def index_from_document(doc: dict) -> tuple[Sprawl, ResponsibilityAssignment | None]:

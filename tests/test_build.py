@@ -205,6 +205,38 @@ def test_no_build_call_measures_more_pairs_than_points(monkeypatch):
     assert 0 < max(sizes) <= n
 
 
+def tree_levels(sprawl) -> int:
+    """The number of depths of a built metric tree, read off its ball rows."""
+    fans = sprawl.fans
+    children = {}
+    for u, v in zip(fans.ball_source.tolist(), fans.target[: fans.found_rows].tolist()):
+        children.setdefault(u, []).append(v)
+    level, count = [sprawl.edges[0].target], 0
+    while level:
+        level, count = [v for u in level for v in children.get(u, [])], count + 1
+    return count
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_a_build_measures_a_tree_level_at_a_time(monkeypatch, arity):
+    # a level that splits a segment takes 1 + arity calls for its max-min
+    # pivots, and the covers read those rows and one row from the root; a
+    # pm-tree also picks its pivots (1 + pivots calls) and measures one
+    # ring row per pivot
+    n, pivots = 1000, 8
+    space = EuclideanSpace(np.random.default_rng(3).random((n, 4)))
+    calls = []
+    for name in ("paired", "distances_from"):
+        method = getattr(space, name)
+        monkeypatch.setattr(space, name, lambda *a, m=method: calls.append(m) or m(*a))
+    for kind, extra in (("ball-tree", 0), ("pm-tree", 2 * pivots + 1)):
+        calls.clear()
+        sprawl, _ = build_classic(space, range(n), kind, arity=arity, pivots=pivots)
+        levels = tree_levels(sprawl)
+        assert levels > 5
+        assert len(calls) <= (arity + 1) * levels + 1 + extra
+
+
 # --- distinct node refs ---------------------------------------------------------
 
 

@@ -54,9 +54,13 @@ hashes every line before it, this group included.
 
 A build group follows: it hashes the `index_document` JSON of the
 ball-tree and pm-tree indexes of the classic group (2,000 points, seeds 1
-and 7) and of the lab group (300 points), so two checkouts whose lines
-match build byte-identical indexes. Its last line hashes every line
-before it, this group included.
+and 7) and of the lab group (300 points), and of a ball-tree and a
+pm-tree (arity 3, 4 pivots, shuffled refs) over each of five more spaces:
+300 uniform points in [0,1]^8 under L1, L3 and L-infinity, a 300-point
+`MatrixSpace` and 150 short strings under Levenshtein distance, so every
+kernel that `paired` and `distances_from` run has its covers and rings
+hashed. Two checkouts whose lines match build byte-identical indexes.
+Its last line hashes every line before it, this group included.
 
 A dense group ends the run: 200 all-root sprawls over 2-24 points of an
 8 x 8 dyadic grid whose only other edges are shell fans, as AESA and
@@ -83,6 +87,7 @@ KINDS = (("ball-tree", 2000), ("laesa", 2000), ("pm-tree", 2000), ("aesa", 500))
 SEEDS = (1, 7)
 CENTRES = 40
 NON_BALL = 300  # the points of each index that the non-ball queries search
+BUILD = 300  # the points of each Euclidean and matrix index of the build group
 LAB = 300  # the points of each index of the lab group
 
 
@@ -197,7 +202,7 @@ def main() -> None:
     import numpy as np
 
     from sprawl import storage
-    from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, MatrixSpace, Workload
+    from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, MatrixSpace, StringSpace, Workload
     from sprawl.engine import (
         EMPTY,
         Edge,
@@ -368,6 +373,15 @@ def main() -> None:
     record("scan asymmetric trees x200", (found for tree in trees for found in scanned(*tree)))
     print("all with scan", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
+    rng = np.random.default_rng(28)
+    matrix = np.triu(rng.integers(5, 10, (BUILD, BUILD)), 1).astype(float)  # any 3 entries obey the triangle
+    words = ["".join(rng.choice(list("abcd"), size=int(rng.integers(0, 9)))) for _ in range(BUILD // 2)]
+    spaces = [(f"p={p}", EuclideanSpace(rng.random((BUILD, 8)), p)) for p in (1.0, 3.0, np.inf)]
+    spaces += [("matrix", MatrixSpace(matrix + matrix.T)), ("strings", StringSpace(words))]
+    for label, space in spaces:
+        for kind in ("ball-tree", "pm-tree"):
+            index, res = build_classic(space, rng.permutation(len(space)).tolist(), kind, arity=3, pivots=4)
+            builds.append((f"{kind} {label} n={len(space)}", index, res))
     for label, sprawl, res in builds:
         record(f"build {label}", [json.dumps(storage.index_document(sprawl, res))])
     print("all with build", hashlib.sha256("\n".join(lines).encode()).hexdigest())
