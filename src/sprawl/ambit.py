@@ -6,9 +6,10 @@ whether a region contains points (`Ambit.contains_features`,
 `membership_mask`) or meets a query. `overlap_radients` is the one
 ball-overlap dispatcher: by map kind it runs the facet check (linear
 maps), the subadditive check (power with w >= 0, metaball) or the
-near-corner check (other non-decreasing maps). It has two single-facet
-forms: over columns of regions, `overlap_facet_columns`, which a wave
-fires its ball rows with, and over the regions of one focus,
+near-corner check (other non-decreasing maps). It has two forms for a
+plan's ball rows, unit balls delta(p, .) <= r (`ball_radius`): over
+columns, `overlap_facet_columns`, which a wave fires its ball rows with,
+and over the balls of one focus,
 `overlap_facet_pairs`, which gives the (kNN bound, target) pairs of
 those that may meet the query, and which is how a `Ball` search fires
 one node's ball rows. `overlap_linear` is the check of a linear region
@@ -273,34 +274,32 @@ def _facets_meet(facets, radii, z, s: float) -> bool:
     return True
 
 
-def ball_facet(region, focus: int) -> tuple[float, float, float] | None:
-    """(a, ||a||_1, r) when the region is the single facet a * delta(focus, .)
-    <= r, the form of a tree's ball edge; None for any other region."""
-    if not isinstance(region, Ambit) or not isinstance(region.map, LinearMap) or region.foci != (focus,):
+def ball_radius(region, focus: int) -> float | None:
+    """r when the region is the unit ball delta(focus, .) <= r, the form of
+    a tree's ball edge; None for any other region."""
+    if not isinstance(region, Ambit) or region.foci != (focus,):
         return None
-    if region.map.rows != 1:
-        return None
-    ((a,), l1), = region.map._facets
-    return a, l1, region.radii[0]
+    m = region.map
+    return region.radii[0] if isinstance(m, LinearMap) and m._facets == BALL_MAP._facets else None
 
 
-def overlap_facet_columns(r, l1, a, z, s: float) -> np.ndarray:
-    """`_facets_meet` for many single-facet regions at once, one per column
-    entry: (a * z - r) / l1 <= bound_cutoff(s), elementwise, so each
-    verdict is bit for bit the scalar one (NaN misses)."""
-    return (a * z - r) / l1 <= bound_cutoff(s)
+def overlap_facet_columns(r, z, s: float) -> np.ndarray:
+    """`_facets_meet` for many unit balls delta(p, .) <= r at once, one per
+    column entry: z - r <= bound_cutoff(s), elementwise, with z - r bit for
+    bit the scalar bound (1.0 * z - r) / 1.0 (NaN misses)."""
+    return z - r <= bound_cutoff(s)
 
 
-def overlap_facet_pairs(radii, targets, l1: float, a: float, z: float, s: float) -> list:
-    """Single-facet regions a * delta(p, .) <= r, one per radius in radii,
-    each leading to the target at its place in targets, against B[c, s],
-    given z = delta(p, c), in plain floats: a (bound, target) pair, in
-    order, for each region that `_facets_meet` does not rule out (NaN
-    misses), its bound `ball_reach` clamped at 0: kept exactly where a kNN
+def overlap_facet_pairs(radii, targets, z: float, s: float) -> list:
+    """Unit balls delta(p, .) <= r, one per radius in radii, each leading
+    to the target at its place in targets, against B[c, s], given
+    z = delta(p, c), in plain floats: a (bound, target) pair, in order, for
+    each ball that `_facets_meet` does not rule out (NaN misses), its bound
+    z - r, the ball's `ball_reach`, clamped at 0: kept exactly where a kNN
     cut at `bound_cutoff(s)` keeps the bound, so one bound orders and prunes
     a best-first search (Hjaltason & Samet, TODS 28(4), 2003)."""
-    az, cut = a * z, bound_cutoff(s)
-    return [(max(0.0, b), t) for r, t in zip(radii, targets) if (b := (az - r) / l1) <= cut]
+    cut = bound_cutoff(s)
+    return [(max(0.0, b), t) for r, t in zip(radii, targets) if (b := z - r) <= cut]
 
 
 def ball_reach(region: Ambit, z) -> float:
@@ -482,9 +481,6 @@ def table1_region(kind: str, foci, **params) -> Ambit:
 
 
 # The maps of the ball delta(p, .) <= r and of the shell
-# lo <= delta(p, .) <= hi, immutable and so shared by every such region,
-# and the ball's (a, ||a||_1) as `ball_facet` reads it off any
-# single-facet region
+# lo <= delta(p, .) <= hi, immutable and so shared by every such region
 BALL_MAP = LinearMap([[1.0]])
 SHELL_MAP = LinearMap([[1.0], [-1.0]])
-BALL_FACET = ball_facet(Ambit((0,), BALL_MAP, (0.0,)), 0)[:2]

@@ -174,16 +174,14 @@ _NO_FANS.start.setflags(write=False)
 
 
 class _BallColumns(NamedTuple):
-    """Single-facet ball edges a * delta(source, .) <= r as columns, by
-    source: the edges of source v are rows start[v]:start[v + 1], its
-    explicit ball edges in edge order, then its ball rows as the plan lists
-    them. Every plan has them. They are all a wave fires: a node with any
-    other eager out-edge steps alone (see `Sprawl._plan`)."""
+    """Unit balls delta(source, .) <= r as columns, by source (`_by_source`):
+    the balls of source v are rows start[v]:start[v + 1], its explicit
+    unit ball edges in edge order, then its ball rows in fan order. Every
+    plan has them. They are all a wave fires: a node with any other eager
+    out-edge steps alone (see `Sprawl._plan`)."""
 
     start: np.ndarray
     target: np.ndarray
-    a: np.ndarray
-    l1: np.ndarray
     r: np.ndarray
     checked: bool  # whether a target may already be done when its edge fires
     # whether anything but a wave reads the query-centre distances of the
@@ -269,7 +267,8 @@ class Sprawl:
 
     def _plan(self) -> Compiled:
         """The sprawl's `Compiled` plan, compiled on the first call, not
-        with the sprawl, in one walk over the edges and one over the fans.
+        with the sprawl, in one walk over the edges and one over the shell
+        fans, with every unit ball grouped by source in numpy.
 
         The label-free root edges that precede every other sourceless edge
         become the plan's seeds. When every node is a seed and every eager
@@ -278,26 +277,26 @@ class Sprawl:
         search over a plan with no `Waves` (AESA) by seed position.
 
         Shell fan f is plan edge len(edges) + f, and a node's discovering
-        fans are one plan edge, numbered as the first of them: their rows
-        are listed once, by node ref, as the targets and radii of the
-        node's fans in fan order, which is the order they fire in, since
-        the node's explicit edges come before them and its shell fans
-        after. `_stepwise`'s `fire`, for every query kind, `_lean`'s step
-        and the ball columns all read that list. Where no node has two
-        discovering eager in-edges, a seed's root edge included, the
-        plan's `sole_finder` lets a kNN search stop at its bound. Where
-        every eager edge is a discovering fan, no edge or fan row is lazy
-        and no ball target can be done when its edge fires
-        (`_BallColumns.checked` False), as in a ball-tree, the plan is
-        lean, for `_lean`.
+        fans are one plan edge, numbered as the first of them. The ball
+        columns group every unit ball by source (`_by_source`), explicit
+        edges first, in edge order, then fan rows, in fan order, the
+        order they fire in, since a node's shell fans come after them; a
+        node's fan rows, the tail of its run, are also listed by node ref
+        (`Compiled.rows`), which `_stepwise`'s `fire`, for every query
+        kind, and `_lean`'s step read. Where no node has two discovering
+        eager in-edges, a seed's root edge included, the plan's
+        `sole_finder` lets a kNN search stop at its bound. Where every
+        eager edge is a discovering fan, no edge or fan row is lazy and no
+        ball target can be done when its edge fires (`_BallColumns.checked`
+        False), as in a ball-tree, the plan is lean, for `_lean`.
 
         The `Waves` let a FIFO range search go a wave at a time. One rule
-        keeps a wave exact: a wave fires single-facet ball edges and ball
-        fan rows only, and no wave node's fate or count hangs on a
-        wave-mate. So three kinds of node step alone: every source of an
-        eager edge that is not a single-facet ball (a shell fan, an
-        eliminating edge, a discovering edge of another shape, an edge with
-        several sources); the target of a sourceless eliminating edge,
+        keeps a wave exact: a wave fires unit balls delta(u, .) <= r only,
+        and no wave node's fate or count hangs on a wave-mate. So three
+        kinds of node step alone: every source of an eager edge that is
+        not a unit ball (a shell fan, an eliminating edge, a discovering
+        edge of another shape, a * delta(u, .) <= r with a != 1 too, an
+        edge with several sources); the target of a sourceless eliminating edge,
         which fires before the first wave; and the target of a ball with
         more than one discovering in-edge, a seed's root edge included,
         which might otherwise share a wave with one of those balls' sources
@@ -327,7 +326,7 @@ class Sprawl:
         finders = [0] * span  # discovering eager in-edges per target
         kills = np.zeros(span, dtype=bool)  # eliminable targets
         alone: set[int] = set()
-        balls: dict[int, list] = {}  # (target, (a, ||a||_1, r)) per single-facet ball edge, by source
+        unit: list[tuple[int, int, float]] = []  # (source, target, r) per explicit unit ball edge
         labelled = False  # a sourceless edge with a label
         for i, e in enumerate(edges):
             if e.lazy:
@@ -347,51 +346,45 @@ class Sprawl:
                     alone.add(t)
             elif len(sources) == 1 and len(e.positive) == 1:
                 (u,) = sources
-                facet = ambit_mod.ball_facet(e.positive[0], u)
-                if facet is not None:
-                    balls.setdefault(u, []).append((t, facet))
+                r = ambit_mod.ball_radius(e.positive[0], u)
+                if r is not None:
+                    unit.append((u, t, r))
                     continue
             alone |= sources
+        found, found_rows = fans.found, fans.found_rows
+        first = np.sort(np.unique(fans.source[:found], return_index=True)[1])  # each source's first ball fan
+        ball_nodes = fans.source[first]
+        eager += [(base + f, (u,)) for f, u in zip(first.tolist(), ball_nodes.tolist())]  # one plan edge each
         start, source = fans.start.tolist(), fans.source.tolist()
-        found_target, radius = fans.target[: fans.found_rows].tolist(), fans.hi[: fans.found_rows].tolist()
-        finders = np.array(finders, dtype=np.int64) + np.bincount(fans.target[: fans.found_rows], minlength=span)
-        rows: list = [None] * span  # each node's ball rows, (targets, radii) in fan order
+        finders = np.array(finders, dtype=np.int64) + np.bincount(fans.target[:found_rows], minlength=span)
         lazy_rows: dict[int, list[tuple[int, float, float]]] = {}  # (source, lo, hi) per lazy row into a target
         shelled = set()  # the sources of eager shell fans
-        for f, lazy in enumerate(fans.lazy.tolist()):
-            u, first, end = source[f], start[f], start[f + 1]
-            if f < fans.found:
-                if rows[u] is None:
-                    rows[u] = [], []
-                    eager.append((base + f, (u,)))
-                rows[u][0].extend(found_target[first:end])
-                rows[u][1].extend(radius[first:end])
-            elif lazy:
-                cut = slice(first, end)
+        for f, lazy in enumerate(fans.lazy[found:].tolist(), found):
+            u, cut = source[f], slice(start[f], start[f + 1])
+            if lazy:
                 for t, lo, hi in zip(fans.target[cut].tolist(), fans.lo[cut].tolist(), fans.hi[cut].tolist()):
                     lazy_rows.setdefault(t, []).append((u, lo, hi))
             else:
                 eager.append((base + f, (u,)))
                 shelled.add(u)
         kills[fans.target[np.repeat(~(fans.discovers | fans.lazy), np.diff(fans.start))]] = True  # eager shell rows
-        unit = ambit_mod.BALL_FACET  # every discovering row is the ball delta(u, .) <= r
-        ball_start, ball_target, facets = [0], [], []
-        for u in range(span):  # by source: its ball edges in edge order, then its ball rows
-            for t, facet in balls.get(u, ()):
-                ball_target.append(t)
-                facets.append(facet)
-            if rows[u] is not None:
-                ball_target += rows[u][0]
-                facets += [(*unit, r) for r in rows[u][1]]
-            ball_start.append(len(ball_target))
-        ball_start, ball_target = np.array(ball_start, dtype=np.int64), np.array(ball_target, dtype=np.int64)
+        explicit = np.array(unit, dtype=float).reshape(-1, 3).T  # a ref is exact as a float
+        ball_source = np.concatenate([explicit[0].astype(np.int64), fans.ball_source])
+        order, ball_start = _by_source(ball_source, span)
+        ball_target = np.concatenate([explicit[1].astype(np.int64), fans.target[:found_rows]])[order]
+        radius = np.concatenate([explicit[2], fans.hi[:found_rows]])[order]
+        rows: list = [None] * span  # each node's fan rows, (targets, radii): the tail of its run
+        ends = ball_start[ball_nodes + 1]
+        firsts = ends - np.bincount(fans.ball_source, minlength=span)[ball_nodes]
+        targets, radii = ball_target.tolist(), radius.tolist()
+        for u, i, j in zip(ball_nodes.tolist(), firsts.tolist(), ends.tolist()):
+            rows[u] = targets[i:j], radii[i:j]
         contested = finders[ball_target] > 1
         alone |= shelled | set(ball_target[contested].tolist())
-        own = ball_target == np.repeat(np.arange(span), np.diff(ball_start))  # a ball into its own source
+        own = ball_target == ball_source[order]  # a ball into its own source
         checked = bool((contested | kills[ball_target] | own).any())
-        facets = np.array(facets, dtype=float).reshape(-1, 3)
         cached = bool(lazy_in or lazy_rows or alone or labelled)
-        columns = _BallColumns(ball_start, ball_target, facets[:, 0], facets[:, 1], facets[:, 2], checked, cached)
+        columns = _BallColumns(ball_start, ball_target, radius, checked, cached)
         after: dict[int, set[int]] = {}
         for t, ids in lazy_in.items():
             after.setdefault(t, set()).update(*(edges[i].sources for i in ids))
@@ -402,17 +395,25 @@ class Sprawl:
         marked[np.fromiter(alone | after.keys(), dtype=np.int64)] = True
         waves = None if shelled >= set(nodes) else Waves(frozenset(alone), after, marked)
         # eager ids ascend, so the first is a shell fan's only if every eager edge is one
-        dense = bool(eager) and eager[0][0] >= base + fans.found and set(seeds) == set(nodes)
+        dense = bool(eager) and eager[0][0] >= base + found and set(seeds) == set(nodes)
         plan = activation(eager, span, seeds, dense)
         plan = plan._replace(waves=waves, sole_finder=bool(finders.max(initial=0) <= 1))
         shells = _shell_rows(fans, plan.positions, len(plan.seeds)) if dense else None
         # eager ids ascend: every one is a discovering fan's if the first and the last are
-        fanned = not eager or eager[0][0] >= base and eager[-1][0] < base + fans.found
+        fanned = not eager or eager[0][0] >= base and eager[-1][0] < base + found
         lean = fanned and not (lazy_in or lazy_rows or checked)
         space = self.space
         plain = {v: space.plain(space.value(v)) for v in nodes}
         self._plan_cache = Compiled(plan, lazy_in, lazy_rows, shells, columns, start, source, rows, lean, plain)
         return self._plan_cache
+
+
+def _by_source(source: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that groups rows by source (each below span), and
+    where each source's rows start in it, the row count last."""
+    start = np.zeros(span + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=span), out=start[1:])
+    return np.argsort(source, kind="stable"), start
 
 
 def _shell_rows(fans: Fans, positions: np.ndarray, width: int) -> tuple[list, list | None]:
@@ -756,7 +757,6 @@ def _lean(c: Compiled, ev: _QueryEval, frontier: Frontier, k: int) -> tuple[list
     in bulk. Members, order and both counts are those of `_stepwise`."""
     admit, ranked = _nearest(k, frontier)
     dist, plain, rows = ev.measurer, c.plain, c.rows
-    a, l1 = ambit_mod.BALL_FACET
 
     def step(v: int) -> list:
         """Admit v at its distance, then return the (bound, target) pairs
@@ -768,7 +768,7 @@ def _lean(c: Compiled, ev: _QueryEval, frontier: Frontier, k: int) -> tuple[list
             return []
         targets, radii = rows[v]
         ev.region_evaluations += len(targets)
-        return ambit_mod.overlap_facet_pairs(radii, targets, l1, a, d, s)
+        return ambit_mod.overlap_facet_pairs(radii, targets, d, s)
 
     order = frontier.run(None, step)
     ev.session.charge(len(order))  # each traversed node was measured once
@@ -812,7 +812,7 @@ def _stepwise(
     A wave goes through one callback, `wave`: one `measure_row` call tests
     the whole wave for membership, filling the centre-distance cache only
     where the plan has another reader for it (`_BallColumns.cached`). A
-    wave node's eager out-edges are all ball rows and single-facet ball
+    wave node's eager out-edges are all unit balls, fan rows and explicit
     edges, since any node with another kind steps alone; they get one
     verdict over the plan's ball columns (`ambit.overlap_facet_columns`),
     and the surviving targets, in edge order, join the queue in one
@@ -831,7 +831,6 @@ def _stepwise(
     steer = frontier.dense and bound and ball
     if steer:
         frontier.cut(ambit_mod.bound_cutoff(s))
-    a, l1 = ambit_mod.BALL_FACET
     to_center = ev._to_center  # each node's distance, measured on its first read
 
     def fire(edge_ids) -> None:
@@ -870,7 +869,7 @@ def _stepwise(
                 targets, radii = rows[u]
                 # a done target's row is not evaluated, and only where `checked` may one be done
                 ev.region_evaluations += sum(t not in done for t in targets) if balls.checked else len(targets)
-                pairs = ambit_mod.overlap_facet_pairs(radii, targets, l1, a, to_center[u], s)
+                pairs = ambit_mod.overlap_facet_pairs(radii, targets, to_center[u], s)
                 if knn:
                     frontier.discover_at(pairs)
                 else:  # at bound 0, which only a "bound" key reads
@@ -947,7 +946,7 @@ def _stepwise(
             live = frontier.undone(targets)
             rows, z, targets = rows[live], z[live], targets[live]
         ev.region_evaluations += len(rows)
-        hit = ambit_mod.overlap_facet_columns(balls.r[rows], balls.l1[rows], balls.a[rows], z, s)
+        hit = ambit_mod.overlap_facet_columns(balls.r[rows], z, s)
         frontier.discover_all(targets[hit])
         return vs
 

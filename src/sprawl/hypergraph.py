@@ -95,9 +95,9 @@ class Waves(NamedTuple):
     """Where a FIFO frontier may traverse a run of queued nodes at once.
 
     A wave is exact when no node of it can change the fate of another:
-    every eager out-edge of a wave node is a ball that only discovers, no
-    node that two edges discover shares a wave, and each lazy check of a
-    wave node is armed before the wave. Every other node steps `alone`.
+    every eager out-edge of a wave node is a unit ball that only discovers,
+    no node that two edges discover shares a wave, and each lazy check of
+    a wave node is armed before the wave. Every other node steps `alone`.
     `engine.Sprawl._plan` proves these facts per node, from the edges
     alone, so a wave is cut only by facts of its own nodes, and compiles
     them once per plan, with `marked`, which a frontier reads per wave.

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from sprawl.ambit import (
+    BALL_MAP,
     Ambit,
     HamacherMap,
     LinearMap,
     MetaballMap,
     PowerMap,
-    ball_facet,
+    ball_radius,
     ball_reach,
     bound_cutoff,
     _corner,
@@ -223,50 +224,49 @@ def test_float_kernel_matches_numpy_on_the_slack_boundary(rng):
                 assert overlap_radients(region, z, s) == _numpy_overlap(region, z, s)
 
 
+def _unit_radii(rng) -> list[float]:
+    """Radii of unit balls delta(0, .) <= r: the radii of the random linear
+    ambits, negative ones too, and a few fixed ones, 0 and tiny among them."""
+    radii = [r for region in _random_linear_ambits(rng) if region.degree == 1 for r in region.radii]
+    return radii + [0.7, -0.3, 0.0, 1e-12]
+
+
 def test_facet_columns_match_the_float_kernel_on_the_slack_boundary(rng):
     # the column kernel of the wave form against `overlap_radients` on each
-    # single-focus facet as its own region: z on (a z - r) / |a| =
-    # bound_cutoff(s), one ulp to each side, and NaN; the verdicts must agree bit for bit
-    facets = [
-        (a, r)
-        for region in _random_linear_ambits(rng)
-        if region.degree == 1
-        for (a,), r in zip(region.map.matrix, region.radii)
-    ]
-    facets += [(1.0, 0.7), (-1.0, -0.3), (2.0, 0.0), (0.5, 1e-12)]
+    # unit ball as its own region: z on z - r = bound_cutoff(s), one ulp to
+    # each side, and NaN; the verdicts must agree bit for bit
     rows = []
-    for a, r in facets:
+    for r in _unit_radii(rng):
         s = float(rng.choice([0.0, rng.random()]))
-        z0 = (r + abs(a) * bound_cutoff(s)) / a
+        region = table1_region("ball", (0,), r=r)
+        assert ball_radius(region, 0) == r
+        z0 = r + bound_cutoff(s)
         for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan):
-            region = Ambit((0,), LinearMap([[a]]), (r,))
-            assert ball_facet(region, 0) == (a, abs(a), r)
-            rows.append((r, abs(a), a, float(z), s, overlap_radients(region, [float(z)], s)))
-    r, l1, a, z, s, want = (np.array(col) for col in zip(*rows))
+            rows.append((r, float(z), s, overlap_radients(region, [float(z)], s)))
+    r, z, s, want = (np.array(col) for col in zip(*rows))
     assert want.any() and not want.all() and not want[np.isnan(z)].any()
-    assert overlap_facet_columns(r, l1, a, z, s).tolist() == want.tolist()
+    assert overlap_facet_columns(r, z, s).tolist() == want.tolist()
     at_zero = s == 0.0  # and with one scalar s, as a search calls it
-    assert overlap_facet_columns(r[at_zero], l1[at_zero], a[at_zero], z[at_zero], 0.0).tolist() == want[at_zero].tolist()
+    assert overlap_facet_columns(r[at_zero], z[at_zero], 0.0).tolist() == want[at_zero].tolist()
 
 
 def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
     # the verdict and bound of one ball row against `overlap_radients` and
     # the bound a kNN search took from `ball_reach`: on the slack boundary,
     # one ulp to each side, NaN z, and s = inf as at a kNN search's start
-    facets = [(1.0, 0.7), (-1.0, -0.3), (2.0, 0.0), (0.5, 1e-12), (1.0, 0.0)]
-    facets += [(float(rng.normal()) or 1.0, float(rng.normal())) for _ in range(30)]
+    radii = [0.7, -0.3, 0.0, 1e-12] + [float(rng.normal()) for _ in range(30)]
     hits = misses = 0
-    for a, r in facets:
-        region = Ambit((0,), LinearMap([[a]]), (r,))
+    for r in radii:
+        region = table1_region("ball", (0,), r=r)
         for s in (0.0, float(rng.random()), np.inf):
-            z0 = (r + abs(a) * bound_cutoff(s)) / a if s < np.inf else float(rng.random())
+            z0 = r + bound_cutoff(s) if s < np.inf else float(rng.random())
             for z in (z0, np.nextafter(z0, np.inf), np.nextafter(z0, -np.inf), np.nan, 0.0):
-                got = overlap_facet_pairs([r], [7], abs(a), a, float(z), s)
+                got = overlap_facet_pairs([r], [7], float(z), s)
                 if not overlap_radients(region, [float(z)], s):
                     assert got == []
                     misses += 1
                     continue
-                want = max(max(0.0, ball_reach(region, [float(z)])), 0.0)
+                want = max(0.0, ball_reach(region, [float(z)]))
                 ((bound, target),) = got
                 assert target == 7 and bound == want and np.signbit(bound) == np.signbit(want)
                 hits += 1
@@ -274,38 +274,38 @@ def test_facet_bound_is_the_float_verdict_and_the_reach(rng):
 
 
 def test_facet_bounds_of_a_fan_are_its_rows_one_at_a_time(rng):
-    # one call per fan: the rows share a, ||a||_1 and z, and each row that
-    # meets the query gives the (bound, target) pair it would give alone,
-    # in row order, and each that misses gives none
-    for a in (1.0, -2.0, 0.5):
+    # one call per fan: the rows share z, and each row that meets the
+    # query gives the (bound, target) pair it would give alone, in row
+    # order, and each that misses gives none
+    for _ in range(3):
         z = float(rng.random())
-        radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
+        radii = [z - TOL, z + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
         targets = list(range(10, 10 + len(radii)))
         for s in (0.0, float(rng.random()), np.inf):
-            alone = [overlap_facet_pairs([r], [t], abs(a), a, z, s) for r, t in zip(radii, targets)]
+            alone = [overlap_facet_pairs([r], [t], z, s) for r, t in zip(radii, targets)]
             want = [pair for pairs in alone for pair in pairs]
-            got = overlap_facet_pairs(radii, targets, abs(a), a, z, s)
+            got = overlap_facet_pairs(radii, targets, z, s)
             assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want]
             assert [] in alone and 0 < len(got) < len(radii)
-    assert overlap_facet_pairs([], [], 1.0, 1.0, 0.5, 0.1) == []
+    assert overlap_facet_pairs([], [], 0.5, 0.1) == []
 
 
 def test_facet_pairs_are_the_bounds_of_the_rows_that_meet(rng):
     # a node's ball rows fired one node at a time and in a wave: the pairs
     # are the rows `overlap_facet_columns` keeps, in row order, each with
-    # the clamped `ball_reach` of its region
-    for a in (1.0, -2.0, 0.5):
+    # the clamped `ball_reach` of its unit ball
+    for _ in range(3):
         z = float(rng.random())
-        radii = [z * abs(a) - TOL, z * abs(a) + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
+        radii = [z - TOL, z + 0.1, -1.0, float(rng.random()), np.nan, 0.0]
         targets = list(range(10, 10 + len(radii)))
         for s in (0.0, float(rng.random()), np.inf):
-            hit = overlap_facet_columns(np.array(radii), abs(a), a, z, s)
+            hit = overlap_facet_columns(np.array(radii), z, s)
             want = [
-                (max(0.0, ball_reach(Ambit((0,), LinearMap([[a]]), (r,)), [z])), t)
+                (max(0.0, ball_reach(Ambit((0,), BALL_MAP, (r,)), [z])), t)
                 for r, t, h in zip(radii, targets, hit.tolist())
                 if h
             ]
-            got = overlap_facet_pairs(radii, targets, abs(a), a, z, s)
+            got = overlap_facet_pairs(radii, targets, z, s)
             assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want]
             assert 0 < len(got) < len(radii)
 
@@ -332,12 +332,17 @@ def test_a_map_leaves_the_caller_array_writable(build, field):
     assert (m.remoteness(z).tolist(), overlap_radients(region, z, 0.1)) == before
 
 
-def test_ball_facet_only_reads_single_facet_regions():
-    assert ball_facet(table1_region("ball", (3,), r=0.5), 3) == (1.0, 1.0, 0.5)
-    assert ball_facet(table1_region("ball", (3,), r=0.5), 2) is None  # not about this source
-    assert ball_facet(table1_region("sphere", (3,), r=0.5), 3) is None
-    assert ball_facet(table1_region("ellipse", (3, 4), r=1.0), 3) is None
-    assert ball_facet(Ambit((3,), PowerMap([1.0], 0.5), (0.5,)), 3) is None
+def test_ball_radius_only_reads_unit_balls():
+    assert ball_radius(table1_region("ball", (3,), r=0.5), 3) == 0.5
+    assert ball_radius(Ambit((3,), LinearMap([[1.0]]), (-0.25,)), 3) == -0.25  # an equal map, not the shared one
+    assert ball_radius(table1_region("ball", (3,), r=0.5), 2) is None  # not about this source
+    assert ball_radius(table1_region("sphere", (3,), r=0.5), 3) is None
+    assert ball_radius(table1_region("ellipse", (3, 4), r=1.0), 3) is None
+    for a in (2.0, -1.0, 0.5):  # a single facet a * delta(3, .) <= r that is not a unit ball
+        assert ball_radius(Ambit((3,), LinearMap([[a]]), (0.5,)), 3) is None, a
+    assert ball_radius(Ambit((3, 3), LinearMap([[1.0, 0.0]]), (0.5,)), 3) is None  # two foci
+    assert ball_radius(Ambit((3,), PowerMap([1.0], 0.5), (0.5,)), 3) is None
+    assert ball_radius(Ambit((3,), PowerMap([1.0], 1.0), (0.5,)), 3) is None  # the ball's values, not its map
 
 
 # --- normalized two-region check -------------------------------------------------
@@ -715,7 +720,12 @@ def test_linear_verdicts_are_one_bound_against_the_cutoff(rng):
             zs = _ulps_about((r + abs(a) * cut) / a)
             want = [overlap_radients(region, [z], s) for z in zs]
             assert want == [ball_reach(region, [z]) <= cut for z in zs], scale
-            assert overlap_facet_columns(r, abs(a), a, np.array(zs), s).tolist() == want, scale
+
+            region = table1_region("ball", (0,), r=r)
+            zs = _ulps_about(r + cut)
+            want = [overlap_radients(region, [z], s) for z in zs]
+            assert want == [ball_reach(region, [z]) <= cut for z in zs], scale
+            assert overlap_facet_columns(r, np.array(zs), s).tolist() == want, scale
 
 
 def test_facet_pairs_keep_a_row_where_the_knn_cut_keeps_its_bound(rng):
@@ -724,13 +734,12 @@ def test_facet_pairs_keep_a_row_where_the_knn_cut_keeps_its_bound(rng):
     kept = dropped = 0
     for scale in SCALES:
         for _ in range(100):
-            a, r = float(rng.normal()) or 1.0, float(rng.normal()) * scale
-            s = float(rng.random()) * scale
-            region = Ambit((0,), LinearMap([[a]]), (r,))
-            for z in _ulps_about((r + abs(a) * bound_cutoff(s)) / a):
+            r, s = float(rng.normal()) * scale, float(rng.random()) * scale
+            region = table1_region("ball", (0,), r=r)
+            for z in _ulps_about(r + bound_cutoff(s)):
                 reach = ball_reach(region, [z])
                 want = [(max(0.0, reach), 7)] if reach <= bound_cutoff(s) else []
-                got = overlap_facet_pairs([r], [7], abs(a), a, z, s)
+                got = overlap_facet_pairs([r], [7], z, s)
                 assert [(b.hex(), t) for b, t in got] == [(b.hex(), t) for b, t in want], scale
                 kept, dropped = kept + len(want), dropped + (not want)
     assert kept > 500 and dropped > 500

@@ -8,20 +8,24 @@ own. A twin whose plan lacks `sole_finder` never cuts, so a kNN search on
 the sprawl must traverse a prefix of the twin's order and return the same
 neighbours wherever the index is exact. Which plans take the lean
 best-first step, where one callback measures a node and returns what it
-discovers, is pinned by spies on the general path.
+discovers, is pinned by spies on the general path. The plan's ball
+columns, grouped by source in numpy, are held to a walk over the sources.
 """
 import copy
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sprawl.ambit import table1_region
+from sprawl.ambit import Ambit, LinearMap, ball_radius, table1_region
 from sprawl.comparison import Ball, EuclideanSpace
 from sprawl.engine import (
     EMPTY,
     UNIVERSE,
     Edge,
+    Fans,
     Sprawl,
     build_classic,
     linear_scan,
@@ -332,3 +336,105 @@ def test_a_node_with_two_ball_fans_steps_once(monkeypatch):
             assert lean_step(monkeypatch, sprawl, q), q
             assert_same(search(sprawl, q), search(ball_twin(sprawl), q), q)
             assert search(sprawl, q).members == linear_scan(space, range(6), q), q
+
+
+def unit_ball(e: Edge) -> float | None:
+    """r where the eager edge e is the unit ball delta(u, .) <= r from its
+    one source u, else None."""
+    if e.lazy or e.negative or len(set(e.sources)) != 1 or len(e.positive) != 1:
+        return None
+    return ball_radius(e.positive[0], e.sources[0])
+
+
+def walked_balls(sprawl: Sprawl) -> tuple[list, list, list, list]:
+    """The ball columns (start, target, r) and the rows of a plan, by a
+    walk over every ref below the span: each source's explicit unit ball
+    edges in edge order, then the rows of its discovering fans in fan
+    order, which are also its rows."""
+    fans, span = sprawl.fans, max(sprawl.nodes) + 1
+    balls: dict[int, list] = {}
+    for e in sprawl.edges:
+        r = unit_ball(e)
+        if r is not None:
+            balls.setdefault(e.sources[0], []).append((e.target, r))
+    rows: list = [None] * span
+    for f in range(fans.found):
+        u, cut = int(fans.source[f]), slice(fans.start[f], fans.start[f + 1])
+        if rows[u] is None:
+            rows[u] = [], []
+        rows[u][0].extend(fans.target[cut].tolist())
+        rows[u][1].extend(fans.hi[cut].tolist())
+    start, target, radius = [0], [], []
+    for u in range(span):
+        for t, r in balls.get(u, ()):
+            target.append(t)
+            radius.append(r)
+        if rows[u] is not None:
+            target += rows[u][0]
+            radius += rows[u][1]
+        start.append(len(target))
+    return start, target, radius, rows
+
+
+@st.composite
+def mixed_ball_sprawls(draw) -> Sprawl:
+    """A sprawl over a drawn subset of 12 refs, its first node a seed, with
+    discovering fans in shuffled source order, so one source's rows split
+    into several fans (some empty), a shell fan or two after them, eager or
+    lazy, and explicit edges of every shape a plan tells apart: single-facet
+    a * delta(u, .) <= r with a in {1.0, 2.0, 0.5, -1.0}, unit balls into
+    their own source or into a fan row's target, an eliminating unit ball, a
+    lazy one and a unit ball from two sources."""
+    nodes = sorted(draw(st.sets(st.integers(0, 11), min_size=1, max_size=12)))
+    node, radius = st.sampled_from(nodes), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+    found = draw(st.lists(st.tuples(node, st.lists(st.tuples(node, radius), max_size=4)), max_size=8))
+    shells = draw(st.lists(st.tuples(node, st.lists(node, max_size=3), st.booleans()), max_size=2))
+    source = [u for u, _ in found] + [u for u, _, _ in shells]
+    start = np.cumsum([0] + [len(rows) for _, rows in found] + [len(ts) for _, ts, _ in shells]).tolist()
+    target = [t for _, rows in found for t, _ in rows] + [t for _, ts, _ in shells for t in ts]
+    lo = [r for _, rows in found for _, r in rows] + [0.5 for _, ts, _ in shells for _ in ts]
+    discovers = [True] * len(found) + [False] * len(shells)
+    fans = Fans(source, start, target, lo, None, discovers, [False] * len(found) + [lazy for *_, lazy in shells])
+
+    def facet(u, a, r):
+        return (Ambit((u,), LinearMap([[a]]), (r,)),)
+
+    fanned = st.sampled_from(target[: fans.found_rows] or nodes)
+    a = st.sampled_from([2.0, 0.5, -1.0])
+    shapes = draw(st.lists(st.tuples(st.integers(0, 6), node, node, fanned, radius, a), max_size=10))
+    edges = [Edge((), nodes[0])]
+    for shape, u, t, again, r, a in shapes:
+        edges.append(
+            [
+                Edge((u,), t, facet(u, 1.0, r)),
+                Edge((u,), t, facet(u, a, r)),
+                Edge((u,), u, facet(u, 1.0, r)),
+                Edge((u,), again, facet(u, 1.0, r)),
+                Edge((u,), t, (EMPTY,), facet(u, 1.0, r)),
+                Edge((u,), t, (EMPTY,), facet(u, 1.0, r), lazy=True),
+                Edge((u, t), t, facet(u, 1.0, r)),
+            ][shape]
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a ball into its own source
+        return Sprawl(EuclideanSpace(np.arange(12.0)[:, None] / 4), nodes, edges, fans)
+
+
+@given(mixed_ball_sprawls())
+def test_ball_columns_are_the_walk_over_the_sources(sprawl):
+    # grouped in numpy, each source's explicit unit balls come first, in
+    # edge order, then its fan rows, in fan order: the walk's order. Only
+    # unit balls are ball rows; every other edge's source steps alone
+    compiled = sprawl._plan()
+    start, target, radius, rows = walked_balls(sprawl)
+    balls = compiled.balls
+    assert balls.start.tolist() == start
+    assert balls.target.tolist() == target
+    assert balls.r.tolist() == radius
+    assert compiled.rows == rows
+    assert balls.start.dtype == balls.target.dtype == np.int64 and balls.r.dtype == float
+    waves = compiled.plan.waves
+    if waves is not None:
+        for e in sprawl.edges:
+            if e.sources and not e.lazy and unit_ball(e) is None:
+                assert set(e.sources) <= waves.alone, e

@@ -17,12 +17,11 @@ from collections import Counter
 import numpy as np
 
 from sprawl.ambit import (
-    BALL_FACET,
     Ambit,
     LinearMap,
     MetaballMap,
     PowerMap,
-    ball_facet,
+    ball_radius,
     ball_reach,
     bound_cutoff,
     table1_region,
@@ -222,11 +221,11 @@ def _tabled(sprawl: Sprawl) -> Sprawl:
     """The sprawl with its unit single-source ball edges moved into discovering fans."""
     keep, rows = [], []
     for e in sprawl.edges:
-        facet = None
+        r = None
         if len(e.sources) == 1 and len(e.positive) == 1 and not e.negative and not e.lazy:
-            facet = ball_facet(e.positive[0], e.sources[0])
-        if facet is not None and facet[:2] == BALL_FACET:
-            rows.append((e.sources[0], e.target, facet[2]))
+            r = ball_radius(e.positive[0], e.sources[0])
+        if r is not None:
+            rows.append((e.sources[0], e.target, r))
         else:
             keep.append(e)
     with warnings.catch_warnings():

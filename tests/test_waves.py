@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from sprawl.ambit import table1_region
+from sprawl.ambit import Ambit, LinearMap, table1_region
 from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, StringSpace
 from sprawl.engine import (
     EMPTY,
@@ -435,3 +435,47 @@ def test_dense_fifo_matches_the_heap_and_the_reference(rng, dense_selections):
                 if sprawl is aesa or getattr(q, "k", None) is None:
                     assert (got.members, got.order) == reference_search(sprawl, q), q
     assert dense_selections and set(dense_selections) == {"fifo"}
+
+
+def test_a_single_facet_edge_that_is_not_a_unit_ball_steps_alone(wave_sizes):
+    # 2 * delta(1, .) <= 1.0 holds the points that the unit ball
+    # delta(1, .) <= 0.5 holds, but only unit balls are ball rows: its
+    # source 1 steps alone, and the edge fires as any explicit edge does
+    space = EuclideanSpace([[0.0], [1.0], [1.1], [1.4], [0.9]])
+
+    def ball(u, r, a=1.0):
+        return (Ambit((u,), LinearMap([[a]]), (a * r,)),)
+
+    edges = [
+        Edge((), 0),
+        Edge((0,), 1, ball(0, 5.0)),
+        Edge((0,), 2, ball(0, 5.0)),
+        Edge((1,), 3, ball(1, 0.5, a=2.0)),
+        Edge((2,), 4, ball(2, 0.3)),
+    ]
+    sprawl = Sprawl(space, range(5), edges)
+    assert sprawl._plan()[0].waves.alone == {1}
+    near = Ball((1.3,), 0.15)
+    got = search(sprawl, near)
+    assert got.order == (0, 1, 2, 3, 4) and got.members == (3,) and wave_sizes == [1, 0, 2, 1]
+    queries = [near, Ball((3.0,), 0.5), Ball((1.05,), 0.1), Ball(3, 0.0), Ball(4, 1.0)]
+    assert_waves_match_heap(sprawl, queries)
+    for q in queries:
+        assert (search(sprawl, q).members, search(sprawl, q).order) == reference_search(sprawl, q), q
+
+
+def test_explicit_unit_balls_run_the_waves_of_their_fans(rng, wave_sizes):
+    # a ball-tree whose ball rows are explicit unit ball edges, the shape a
+    # format-2 index file loads as, takes the waves its fans take
+    space = EuclideanSpace(rng.random((300, 3)))
+    tree, _ = build_classic(space, range(300), "ball-tree")
+    balls = tuple(tree.fans.edge(j) for j in range(len(tree.fans)))
+    explicit = Sprawl(space, tree.nodes, tree.edges + balls)
+    assert len(explicit.fans) == 0 and not explicit._plan()[0].waves.alone
+    for q in ball_queries(rng, space, 300):
+        got = search(tree, q)
+        fanned = wave_sizes.copy()
+        wave_sizes.clear()
+        assert search(explicit, q).order == got.order, q
+        assert wave_sizes == fanned and max(fanned) > 1, q
+        wave_sizes.clear()

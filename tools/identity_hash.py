@@ -10,7 +10,7 @@ each heuristic (the default, FIFO, LIFO, "bound" and a priority key), it
 runs 40 range queries at the exact 1%-NN radius and 40 kNN queries with
 k = 10, and prints a SHA-256 over every result's members, traversal order,
 `traversed`, `distance_computations` and `region_evaluations`. The
-ball-tree is also run with its ball rows as explicit single-facet `Edge`s,
+ball-tree is also run with its ball rows as explicit unit-ball `Edge`s,
 the shape a format-2 index file loads as. Three groups follow: 400
 searches over `random_small_sprawl`s; 200 exact fan-only trees over 2-14
 points of a 4 x 4 dyadic grid (duplicate points, exact ties), whose
@@ -67,8 +67,17 @@ A dense group ends the run: 200 all-root sprawls over 2-24 points of an
 LAESA build them (`dense_sprawl`: fans that skip some targets, some lazy,
 sphere rows and shell rows lo < hi, no target named twice in one fan),
 each under 2 range and 6 kNN queries and every heuristic. Its last line
-hashes every line before it, this group included. A run takes about 40
-seconds on one core of a 2-core x86 host.
+hashes every line before it, this group included.
+
+A mixed-ball group ends the run: 200 trees over 3-14 points of a 4 x 4
+dyadic grid (`mixed_tree`) whose child edges are split between shuffled
+discovering fan rows and explicit single-facet edges a * delta(u, .) <= a * r,
+a in {1.0, 2.0, 0.5}, so one source has explicit unit balls beside its
+fan rows, with extra edges beside them: a = -1.0 edges, balls into their
+own source, and explicit unit balls and fan rows into targets the other
+kind also discovers. Each runs 2 range and 6 kNN queries under every
+heuristic. Its last line hashes every line before it, this group
+included. A run takes about 45 seconds on one core of a 2-core x86 host.
 """
 from __future__ import annotations
 
@@ -163,6 +172,65 @@ def dense_sprawl(rng, np, EuclideanSpace, Edge, Fans, Sprawl):
     return Sprawl(space, nodes.tolist(), [Edge((), v) for v in rng.permutation(nodes).tolist()], fans)
 
 
+def mixed_tree(rng, np, EuclideanSpace, Ambit, LinearMap, Edge, Fans, Sprawl):
+    """An exact tree over 3-14 points of a 4 x 4 dyadic grid, each child's
+    radius r the largest distance from its parent u to its subtree, whose
+    child edges are discovering fan rows (shuffled, so a fan is a run of
+    rows from one source and a source may have several) or explicit
+    single-facet edges a * delta(u, .) <= a * r, a in {1.0, 2.0, 0.5}
+    (exact, a being a power of 2), with up to 5 extra edges: an a = -1.0
+    edge, a unit ball into its own source (explicit or a fan row), or a
+    unit ball into a random target, explicit if a fan row finds the target
+    and a fan row if an explicit edge does."""
+    n = int(rng.integers(3, 15))
+    grid = np.array([(x, y) for x in range(4) for y in range(4)]) / 4
+    space = EuclideanSpace(grid[rng.integers(0, 16, n)])
+    order = rng.permutation(n).tolist()
+    parent = {v: order[int(rng.integers(0, i))] for i, v in enumerate(order) if i}
+    subtree = {v: [v] for v in order}
+    for v in reversed(order[1:]):  # a child joins after its parent, so its subtree is whole here
+        subtree[parent[v]] += subtree[v]
+
+    def facet(u, a, r):
+        return (Ambit((u,), LinearMap([[a]]), (a * r,)),)
+
+    rows, edges, fanned = [], [Edge((), order[0])], set()
+    for v in order[1:]:
+        u = parent[v]
+        r = float(space.distances_from(u, subtree[v]).max())
+        if rng.random() < 0.5:
+            rows.append((u, v, r))
+            fanned.add(v)
+        else:
+            edges.append(Edge((u,), v, facet(u, float(rng.choice([1.0, 1.0, 2.0, 0.5])), r)))
+    for _ in range(int(rng.integers(0, 6))):
+        u, t = (int(x) for x in rng.integers(0, n, 2))
+        r = float(space.distances_from(u, [t])[0]) + float(rng.random()) / 4
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            edges.append(Edge((u,), t, facet(u, -1.0, float(rng.random()) / 2)))
+        elif kind == 1 and rng.random() < 0.5:
+            rows.append((u, u, r))
+        elif kind == 1:
+            edges.append(Edge((u,), u, facet(u, 1.0, r)))
+        elif t in fanned:
+            edges.append(Edge((u,), t, facet(u, 1.0, r)))
+        else:
+            rows.append((u, t, r))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    firsts = [j for j in range(len(rows)) if not j or rows[j - 1][0] != rows[j][0]]
+    fans = Fans(
+        [rows[j][0] for j in firsts],
+        firsts + [len(rows)],
+        [t for _, t, _ in rows],
+        [r for _, _, r in rows],
+        discovers=np.ones(len(firsts), dtype=bool),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a ball into its own source
+        return Sprawl(space, range(n), edges, fans)
+
+
 def asymmetric_tree(rng, np, MatrixSpace, Edge, ExplicitRegion, EMPTY, Sprawl):
     """A tree of explicit-set edges over 3-11 points of a random
     quasimetric (the shortest-path closure of random arc weights), each
@@ -202,6 +270,7 @@ def main() -> None:
     import numpy as np
 
     from sprawl import storage
+    from sprawl.ambit import Ambit, LinearMap
     from sprawl.comparison import AmbitQuery, Ball, EuclideanSpace, ExplicitSetQuery, MatrixSpace, StringSpace, Workload
     from sprawl.engine import (
         EMPTY,
@@ -399,6 +468,20 @@ def main() -> None:
     for name, found in results.items():
         emit(f"dense x200 {name}", found)
     print("all with dense", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+    rng = np.random.default_rng(29)
+    results = {name: [] for name in heuristics(Heuristic)}
+    for _ in range(200):
+        sprawl = mixed_tree(rng, np, EuclideanSpace, Ambit, LinearMap, Edge, Fans, Sprawl)
+        n = len(sprawl.nodes)
+        centres = [tuple(rng.integers(0, 4, 2) / 4), tuple(rng.random(2))]
+        queries = [Ball(c, float(rng.integers(0, 4)) / 4) for c in centres]
+        queries += [Ball(c, 0.0, k=k) for c in centres for k in (1, 2, n)]
+        for name, h in heuristics(Heuristic).items():
+            results[name] += [search(sprawl, q, h) for q in queries]
+    for name, found in results.items():
+        emit(f"mixed balls x200 {name}", found)
+    print("all with mixed balls", hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 if __name__ == "__main__":
